@@ -12,7 +12,6 @@ package universal
 // are attached via b.ReportMetric.
 
 import (
-	"fmt"
 	"io"
 	"os"
 	"sync"
@@ -178,11 +177,11 @@ func BenchmarkMeasureEnvelope(b *testing.B) {
 	}
 }
 
-// --- ingestion engine: serial vs batched vs parallel ----------------------
+// --- ingestion: per-update vs batched ------------------------------------
 
 // ingestBenchStream builds a heavy-tailed insertion stream of n updates
 // over a 4096-item working set inside a 2^16 domain — the workload the
-// batch path's duplicate aggregation and the sharded engine target.
+// batch path's duplicate aggregation and the sharded kind target.
 func ingestBenchStream(n int) *stream.Stream {
 	rng := util.NewSplitMix64(77)
 	s := stream.New(1 << 16)
@@ -196,11 +195,11 @@ func ingestBenchStream(n int) *stream.Stream {
 
 const ingestBenchN = 1 << 20
 
-// BenchmarkIngest compares the three ingestion paths of the one-pass
-// estimator on a 1M-update stream: per-update, batched serial, and the
-// sharded parallel engine. The metric that matters is updates/s;
-// estimator construction is included in every variant so the comparison
-// stays symmetric (the parallel path must build its worker shards).
+// BenchmarkIngest compares the two serial ingestion paths of the
+// one-pass estimator on a 1M-update stream: per-update and batched
+// (BenchmarkProcessSharded measures the concurrent one). The metric that
+// matters is updates/s; estimator construction is included in both
+// variants so the comparison stays symmetric.
 func BenchmarkIngest(b *testing.B) {
 	g := gfunc.F2Func()
 	s := ingestBenchStream(ingestBenchN)
@@ -223,17 +222,6 @@ func BenchmarkIngest(b *testing.B) {
 		}
 		report(b)
 	})
-	for _, workers := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("parallel-%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e := core.NewOnePass(g, opts)
-				if err := e.ProcessParallel(s, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-			report(b)
-		})
-	}
 }
 
 // BenchmarkIngestTwoPass compares serial and parallel two-pass runs.
@@ -440,20 +428,6 @@ func BenchmarkProcessSerial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := core.NewOnePass(g, opts)
 		e.Process(s)
-	}
-}
-
-// BenchmarkProcessParallel is the sharded 4-worker engine.
-func BenchmarkProcessParallel(b *testing.B) {
-	g := gfunc.F2Func()
-	s := processBenchStream()
-	opts := processBenchOpts(s)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := core.NewOnePass(g, opts)
-		if err := e.ProcessParallel(s, 4); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

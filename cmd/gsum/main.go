@@ -3,7 +3,7 @@
 //	gsum classify                 classify the paper's function catalog
 //	gsum classify -f x^2          classify one named catalog function
 //	gsum estimate [flags]         estimate a g-SUM on a generated stream
-//	gsum estimate -workers 8      ... with sharded parallel ingestion
+//	gsum estimate -workers 8      ... through the sharded kind (8 shards)
 //	gsum bench -workload zipf     benchmark a workload scenario end to end
 //	gsum bench -backend daemon    ... through an in-process gsumd topology
 //	gsum bench -backend list      print the registered backend kinds
@@ -16,8 +16,8 @@
 //	gsum query [flags]            query a gsumd daemon's estimate
 //
 // Every run is deterministic given -seed (and, for estimate, -workers:
-// the sharded engine merges by linearity, so worker count does not
-// change the counters — see internal/engine).
+// the sharded kind merges by linearity, so worker count does not
+// change the counters — see internal/hotpath).
 package main
 
 import (
@@ -180,7 +180,7 @@ func runEstimate(args []string, stdout, stderr io.Writer) int {
 	switch *passes {
 	case 1:
 		if kind = universal.KindOnePass; *workers != 1 {
-			kind = universal.KindParallel
+			kind = universal.KindSharded
 		}
 	case 2:
 		kind = universal.KindTwoPass
@@ -228,7 +228,7 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 	alpha := fs.Float64("alpha", 1.1, "zipf/bursty skew exponent")
 	eps := fs.Float64("eps", 0.25, "target accuracy")
 	seed := fs.Uint64("seed", 1, "random seed (stream and sketch)")
-	workers := fs.Int("workers", 1, "shards for parallel (0 = GOMAXPROCS) / worker daemons for daemon (min 1)")
+	workers := fs.Int("workers", 1, "shards for sharded (0 = GOMAXPROCS) / worker daemons for daemon (min 1)")
 	backend := fs.String("backend", "serial", "ingestion backend: "+strings.Join(workload.Backends, ", ")+
 		` ("list" prints the registered backend kinds and exits)`)
 	transport := fs.String("transport", "json", `daemon backend wire transport: "json" (per-batch POSTs) or "stream" (persistent binary frames)`)

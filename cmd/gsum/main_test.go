@@ -93,27 +93,32 @@ func TestEstimateSerial(t *testing.T) {
 }
 
 func TestEstimateParallelWorkersMatchesSerial(t *testing.T) {
-	// Same seed, different worker counts: the sharded engine merges by
-	// linearity, so the printed estimates must be identical.
+	// Same seed, different worker counts: -workers opens the sharded
+	// kind, which merges by linearity, so the printed estimates must be
+	// identical.
 	serial, stderr, code := gsum(t, "estimate", "-n", "1024", "-m", "256", "-items", "80", "-seed", "3")
 	if code != 0 {
 		t.Fatalf("serial exit code %d, stderr: %s", code, stderr)
 	}
 	par, stderr, code := gsum(t, "estimate", "-n", "1024", "-m", "256", "-items", "80", "-seed", "3", "-workers", "4")
 	if code != 0 {
-		t.Fatalf("parallel exit code %d, stderr: %s", code, stderr)
+		t.Fatalf("-workers 4 exit code %d, stderr: %s", code, stderr)
 	}
 	if !strings.Contains(par, "sharded across 4 workers") {
-		t.Errorf("parallel output missing worker line: %q", par)
+		t.Errorf("-workers 4 output missing worker line: %q", par)
 	}
-	// The final estimate line must agree verbatim.
-	lastLine := func(s string) string {
+	// The estimate on the final line must agree verbatim; the byte count
+	// beside it does not (the sharded kind holds one sketch per shard).
+	estimate := func(s string) string {
 		lines := strings.Split(strings.TrimSpace(s), "\n")
-		return lines[len(lines)-1]
+		fields := strings.Fields(lines[len(lines)-1])
+		if len(fields) < 2 || fields[0] != "1-pass" {
+			t.Fatalf("no 1-pass line at the end of %q", s)
+		}
+		return fields[1]
 	}
-	if lastLine(serial) != lastLine(par) {
-		t.Errorf("parallel estimate diverged:\n serial: %s\n parallel: %s",
-			lastLine(serial), lastLine(par))
+	if estimate(serial) != estimate(par) {
+		t.Errorf("sharded estimate %s diverged from serial %s", estimate(par), estimate(serial))
 	}
 }
 
@@ -295,17 +300,17 @@ func TestBenchBackendsPrintIdenticalEstimate(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("serial: exit %d, stderr %q", code, stderr)
 	}
-	parOut, stderr, code := gsum(t, append(args, "-backend", "parallel", "-workers", "4")...)
+	shOut, stderr, code := gsum(t, append(args, "-backend", "sharded", "-workers", "4")...)
 	if code != 0 {
-		t.Fatalf("parallel: exit %d, stderr %q", code, stderr)
+		t.Fatalf("sharded: exit %d, stderr %q", code, stderr)
 	}
 	dmnOut, stderr, code := gsum(t, append(args, "-backend", "daemon", "-workers", "2")...)
 	if code != 0 {
 		t.Fatalf("daemon: exit %d, stderr %q", code, stderr)
 	}
-	se, pe, de := extract(serialOut), extract(parOut), extract(dmnOut)
-	if se != pe || se != de {
-		t.Fatalf("estimates differ: serial %s, parallel %s, daemon %s", se, pe, de)
+	se, he, de := extract(serialOut), extract(shOut), extract(dmnOut)
+	if se != he || se != de {
+		t.Fatalf("estimates differ: serial %s, sharded %s, daemon %s", se, he, de)
 	}
 }
 
@@ -335,7 +340,7 @@ func TestBenchBackendListPrintsRegistry(t *testing.T) {
 		}
 	}
 	// The ingestion topologies stay documented alongside.
-	for _, topo := range []string{"serial", "parallel", "sharded", "daemon"} {
+	for _, topo := range []string{"serial", "sharded", "daemon"} {
 		if !strings.Contains(stdout, topo) {
 			t.Errorf("list output missing topology %q:\n%s", topo, stdout)
 		}
@@ -446,12 +451,15 @@ func TestBenchShardedBackend(t *testing.T) {
 
 func TestBenchUnknownBackendFails(t *testing.T) {
 	// Usage errors exit 2, matching unknown -workload and unknown -f.
-	_, stderr, code := gsum(t, "bench", "-backend", "bogus", "-n", "1024", "-items", "64", "-len", "1000")
-	if code != 2 {
-		t.Fatalf("exit %d, want 2 (stderr %q)", code, stderr)
-	}
-	if !strings.Contains(stderr, "unknown backend") || !strings.Contains(stderr, "daemon") {
-		t.Errorf("stderr should name the backend catalog: %q", stderr)
+	// "parallel" was a backend once; no alias maps the old name.
+	for _, name := range []string{"bogus", "parallel"} {
+		_, stderr, code := gsum(t, "bench", "-backend", name, "-n", "1024", "-items", "64", "-len", "1000")
+		if code != 2 {
+			t.Fatalf("%s: exit %d, want 2 (stderr %q)", name, code, stderr)
+		}
+		if !strings.Contains(stderr, "unknown backend") || !strings.Contains(stderr, "daemon") {
+			t.Errorf("%s: stderr should name the backend catalog: %q", name, stderr)
+		}
 	}
 }
 
@@ -474,7 +482,8 @@ func TestBenchWindowedRunsOnTwoScenarios(t *testing.T) {
 }
 
 // TestBenchWindowedBackendsPrintIdenticalEstimate is the windowed
-// three-backend equality at the CLI level.
+// backend equality at the CLI level: serial against the daemon topology
+// at two worker counts (the sharded backend carries no tick clock).
 func TestBenchWindowedBackendsPrintIdenticalEstimate(t *testing.T) {
 	extract := func(stdout string) string {
 		for _, line := range strings.Split(stdout, "\n") {
@@ -491,17 +500,14 @@ func TestBenchWindowedBackendsPrintIdenticalEstimate(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("serial: exit %d, stderr %q", code, stderr)
 	}
-	parOut, stderr, code := gsum(t, append(args, "-backend", "parallel", "-workers", "3")...)
-	if code != 0 {
-		t.Fatalf("parallel: exit %d, stderr %q", code, stderr)
-	}
-	dmnOut, stderr, code := gsum(t, append(args, "-backend", "daemon", "-workers", "2")...)
-	if code != 0 {
-		t.Fatalf("daemon: exit %d, stderr %q", code, stderr)
-	}
-	se, pe, de := extract(serialOut), extract(parOut), extract(dmnOut)
-	if se != pe || se != de {
-		t.Fatalf("windowed estimates differ: serial %s, parallel %s, daemon %s", se, pe, de)
+	for _, workers := range []string{"2", "3"} {
+		dmnOut, stderr, code := gsum(t, append(args, "-backend", "daemon", "-workers", workers)...)
+		if code != 0 {
+			t.Fatalf("daemon x%s: exit %d, stderr %q", workers, code, stderr)
+		}
+		if se, de := extract(serialOut), extract(dmnOut); se != de {
+			t.Fatalf("windowed estimates differ: serial %s, daemon x%s %s", se, workers, de)
+		}
 	}
 }
 

@@ -311,7 +311,7 @@ func TestStreamDrainDurability(t *testing.T) {
 	// frames are still in flight. The working set stays far below the
 	// candidate trackers' capacity — the regime in which estimates are
 	// independent of batch boundaries, so serial-vs-daemon equality is
-	// exact (see internal/core/parallel.go).
+	// exact (see internal/core/merge.go).
 	const total = 60000
 	updates := make([]stream.Update, total)
 	for i := range updates {

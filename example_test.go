@@ -91,30 +91,6 @@ func ExampleClassify() {
 	// 1/x: one-pass intractable, two-pass intractable
 }
 
-// ExampleNewParallelEstimator shards a stream across 4 workers; the
-// merged estimate is bit-identical to a serial run with the same seed
-// (the sketches are linear, so worker count never changes the counters).
-func ExampleNewParallelEstimator() {
-	g := universal.F2()
-	s := universal.NewStream(1 << 10)
-	for i := uint64(0); i < 512; i++ {
-		s.Add(i%97, 1)
-	}
-	opts := universal.Options{N: 1 << 10, M: 64, Seed: 5}
-
-	serial := universal.NewOnePassEstimator(g, opts)
-	serial.Process(s)
-
-	parallel := universal.NewParallelEstimator(g, opts, 4)
-	if err := parallel.Process(s); err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Println("parallel == serial:", parallel.Estimate() == serial.Estimate())
-	// Output:
-	// parallel == serial: true
-}
-
 // ExampleNewUniversalSketch answers post-hoc g-SUM queries from one
 // function-independent sketch (the §1.1.1 application): sketch once,
 // query for any function in the family afterwards.

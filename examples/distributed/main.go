@@ -3,9 +3,9 @@
 // shard from the same Spec, merge. This example shows three faces of
 // that fact:
 //
-//   - the parallel kind (Kind: "parallel"), whose Process partitions the
-//     stream across worker shards and merges them back, producing the
-//     SAME estimate as a serial run;
+//   - the sharded kind (Kind: "sharded"), whose Process routes the
+//     stream by item hash across persistent worker shards and merges
+//     them on Estimate, producing the SAME estimate as a serial run;
 //
 //   - manual multi-machine style sharding: every "machine" opens the
 //     same Spec, sketches its own shard, and a coordinator folds the
@@ -51,7 +51,7 @@ func run(w io.Writer) error {
 	}
 
 	// 90 distinct items keeps the candidate trackers inside the regime
-	// where parallel and serial estimates agree bit-for-bit.
+	// where merged and serial estimates agree bit-for-bit.
 	full := stream.Zipf(stream.GenConfig{N: n, M: m, Seed: 9}, 90, 1.1)
 	fmt.Fprintf(w, "stream: %d updates, %d distinct items\n",
 		full.Len(), full.Vector().F0())
@@ -65,16 +65,16 @@ func run(w io.Writer) error {
 		return err
 	}
 
-	// The parallel kind: same Spec plus Workers. Same Seed => same hash
-	// functions; contiguous chunks; linearity-based merge.
-	pspec := spec
-	pspec.Kind = universal.KindParallel
-	pspec.Workers = workers
-	par, err := universal.Open(pspec)
+	// The sharded kind: same Spec plus Workers. Same Seed => same hash
+	// functions; hash-routed shards; linearity-based merge.
+	sspec := spec
+	sspec.Kind = universal.KindSharded
+	sspec.Workers = workers
+	inproc, err := universal.Open(sspec)
 	if err != nil {
 		return err
 	}
-	if err := universal.Process(par, full); err != nil {
+	if err := universal.Process(inproc, full); err != nil {
 		return err
 	}
 
@@ -89,12 +89,12 @@ func run(w io.Writer) error {
 
 	fmt.Fprintf(w, "exact          : %.6g\n", exact.Estimate())
 	fmt.Fprintf(w, "serial 1-pass  : %.6g\n", single.Estimate())
-	fmt.Fprintf(w, "parallel x%d    : %.6g\n", workers, par.Estimate())
-	if par.Estimate() == single.Estimate() {
-		fmt.Fprintln(w, "parallel == serial: exact agreement (linearity + same seed)")
+	fmt.Fprintf(w, "sharded x%d     : %.6g\n", workers, inproc.Estimate())
+	if inproc.Estimate() == single.Estimate() {
+		fmt.Fprintln(w, "sharded == serial: exact agreement (linearity + same seed)")
 	} else {
-		return fmt.Errorf("parallel %.17g diverged from serial %.17g",
-			par.Estimate(), single.Estimate())
+		return fmt.Errorf("sharded %.17g diverged from serial %.17g",
+			inproc.Estimate(), single.Estimate())
 	}
 
 	// Manual sharding, multi-machine style: each "machine" opens the SAME

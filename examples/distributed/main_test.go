@@ -16,7 +16,7 @@ func TestRun(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"parallel == serial: exact agreement",
+		"sharded == serial: exact agreement",
 		"merged shards",
 		"want 9: the ±500 cancels",
 	} {

@@ -3,8 +3,8 @@ package universal
 // Benchmarks for the lock-free hot path (internal/hotpath) and the
 // multi-lane field arithmetic beneath it. BenchmarkProcessSharded and
 // BenchmarkHotpathRing join the BenchmarkProcess* regression gate
-// (BENCH_baseline.json via scripts/benchdiff); run the sharded one with
-// `-cpu 1,4,8` to see the scaling curve recorded in EXPERIMENTS.md.
+// (BENCH_baseline.json via scripts/benchdiff); run the sharded one
+// across `-cpu` values for the Serial/Sharded table in EXPERIMENTS.md.
 
 import (
 	"sync"
@@ -16,7 +16,7 @@ import (
 )
 
 // BenchmarkProcessSharded is the ring-fed concurrent ingest of the same
-// 128k-update stream BenchmarkProcessSerial/Parallel consume. The
+// 128k-update stream BenchmarkProcessSerial consumes. The
 // estimator is opened ONCE: Process neither constructs shards nor
 // merges them (merging happens on Estimate), so this measures pure
 // ingest throughput — partition, ring handoff, per-shard batched

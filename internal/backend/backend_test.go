@@ -21,7 +21,7 @@ func specFor(kind Kind, seed uint64) Spec {
 	switch kind {
 	case KindWindow:
 		s.Window = window.Config{W: 8, K: 2}
-	case KindParallel, KindTwoPass:
+	case KindTwoPass:
 		s.Workers = 2
 	case KindCountSketch:
 		s.G = ""
@@ -268,7 +268,9 @@ func TestNormalizeRejectsInvalidSpecs(t *testing.T) {
 		{"delta negative", specWith(func(s *Spec) { s.Options.Delta = -0.1 }), "Options.Delta"},
 		{"lambda too big", specWith(func(s *Spec) { s.Options.Lambda = 2 }), "Options.Lambda"},
 		{"levels too deep", specWith(func(s *Spec) { s.Options.Levels = 31 }), "Options.Levels"},
+		{"removed parallel kind", specWith(func(s *Spec) { s.Kind = "parallel" }), "unknown kind"},
 		{"negative workers", specWith(func(s *Spec) { s.Workers = -1 }), "Workers"},
+		{"sharded workers over the cap", specWith(func(s *Spec) { s.Kind = KindSharded; s.Workers = 100000000 }), "Workers must be at most"},
 		{"unknown function", specWith(func(s *Spec) { s.G = "nope" }), "unknown catalog function"},
 		{"missing function", specWith(func(s *Spec) { s.G = "" }), "catalog function name is required"},
 		{"window without W", specWith(func(s *Spec) { s.Kind = KindWindow }), "Window.W"},

@@ -31,6 +31,12 @@ type builder struct {
 
 var registry = map[Kind]*builder{}
 
+// maxShardedWorkers bounds Spec.Workers for the sharded kind. Every
+// shard is a full one-pass sketch (megabytes at default options) and a
+// Spec arrives from config files, so an absurd count must fail in
+// Normalize rather than exhaust memory in Open.
+const maxShardedWorkers = 256
+
 func register(b *builder) {
 	if _, dup := registry[b.kind]; dup {
 		panic("backend: duplicate kind " + string(b.kind))
@@ -97,38 +103,22 @@ func init() {
 		},
 	})
 	register(&builder{
-		kind:     KindParallel,
-		describe: "one-pass estimator with sharded parallel ingestion (Workers shards merged by linearity)",
-		needsG:   true,
-		open: func(s Spec) (Estimator, error) {
-			g, err := CatalogFunc(s.G)
-			if err != nil {
-				return nil, err
-			}
-			return core.NewParallel(g, s.Options, s.Workers), nil
-		},
-	})
-	register(&builder{
 		kind:     KindSharded,
 		describe: "one-pass estimator behind the lock-free hot path (hash-partitioned per-core shards, MPSC rings)",
 		needsG:   true,
+		normalize: func(s *Spec) error {
+			if s.Workers > maxShardedWorkers {
+				return fmt.Errorf("backend: sharded: Workers must be at most %d (each shard is a full one-pass sketch), got %d",
+					maxShardedWorkers, s.Workers)
+			}
+			return nil
+		},
 		open: func(s Spec) (Estimator, error) {
 			g, err := CatalogFunc(s.G)
 			if err != nil {
 				return nil, err
 			}
-			// Every shard comes from the same normalized Spec, so the
-			// factory hands out identically-seeded estimators — the seed
-			// discipline hotpath's bit-identity contract requires.
-			return hotpath.New(hotpath.Config{
-				Shards: s.Workers,
-				NewShard: func() (hotpath.Shard, error) {
-					return core.NewOnePass(g, s.Options), nil
-				},
-				Merge: func(dst, src hotpath.Shard) error {
-					return dst.(*core.OnePassEstimator).Merge(src.(*core.OnePassEstimator))
-				},
-			})
+			return hotpath.New(g, s.Options, s.Workers), nil
 		},
 	})
 	register(&builder{
@@ -253,11 +243,11 @@ func init() {
 }
 
 // Process drives a whole in-memory stream through est using its richest
-// capability: the parallel kind shards it, the two-pass kind replays it
-// for both passes (sharded when its Spec set Workers), and every other
-// kind streams it through the batched ingestion path. This is the one
-// place that knows how each kind prefers bulk ingestion; frontends call
-// it instead of switching on concrete types.
+// capability: the sharded kind fans it through its rings, the two-pass
+// kind replays it for both passes (chunked when its Spec set Workers),
+// and every other kind streams it through the batched ingestion path.
+// This is the one bulk-ingest door; frontends call it instead of
+// switching on concrete types.
 func Process(est Estimator, s *stream.Stream) error {
 	switch e := est.(type) {
 	case *twoPassEstimator:
@@ -266,8 +256,6 @@ func Process(est Estimator, s *stream.Stream) error {
 		// worker count.
 		_, err := e.RunParallel(s, e.workers)
 		return err
-	case *core.ParallelEstimator:
-		return e.Process(s)
 	case *hotpath.ShardedEstimator:
 		// The ring-fed concurrent path; shard-by-hash keeps the merged
 		// result independent of scheduling (see internal/hotpath).
@@ -287,10 +275,6 @@ func Merge(dst, src Estimator) error {
 	case *core.OnePassEstimator:
 		if s, ok := src.(*core.OnePassEstimator); ok {
 			return d.Merge(s)
-		}
-	case *core.ParallelEstimator:
-		if s, ok := src.(*core.ParallelEstimator); ok {
-			return d.OnePassEstimator.Merge(s.OnePassEstimator)
 		}
 	case *universalEstimator:
 		if s, ok := src.(*universalEstimator); ok {

@@ -23,10 +23,6 @@ const (
 	// KindTwoPass is the Theorem 3 two-pass g-SUM estimator: replay the
 	// stream, call FinishPass1 (the TwoPass capability), replay again.
 	KindTwoPass Kind = "twopass"
-	// KindParallel is the one-pass estimator with sharded ingestion:
-	// Process partitions the stream across Workers shards and merges by
-	// linearity.
-	KindParallel Kind = "parallel"
 	// KindSharded is the one-pass estimator behind the lock-free hot
 	// path: Workers per-core shards (0 = GOMAXPROCS) partitioned by item
 	// hash, fed through bounded MPSC rings during Process and merged by
@@ -63,7 +59,7 @@ type Spec struct {
 	// Kind selects the registered estimator family.
 	Kind Kind `json:"kind"`
 	// G names the catalog function to sum. Required for the onepass,
-	// twopass, parallel, window, heavy, and exact kinds. Optional for
+	// twopass, sharded, window, heavy, and exact kinds. Optional for
 	// universal (the default query function, and the envelope source
 	// when Options.Envelope is 0); ignored by countsketch.
 	G string `json:"g,omitempty"`
@@ -71,10 +67,11 @@ type Spec struct {
 	Options core.Options `json:"options"`
 	// Window parameterizes the window kind (ignored by the others).
 	Window window.Config `json:"window"`
-	// Workers is the ingestion shard count for the parallel kind and the
-	// second-pass shard count for twopass (0 = GOMAXPROCS for parallel,
-	// serial for twopass). Distributed frontends reuse it as the worker
-	// daemon count. Other kinds ingest serially and ignore it.
+	// Workers is the shard count for the sharded kind (0 = GOMAXPROCS,
+	// at most 256) and the chunk count of the twopass
+	// kind's Process (0 = GOMAXPROCS, 1 = serial). Distributed frontends
+	// reuse it as the worker daemon count. Other kinds ingest serially
+	// and ignore it.
 	Workers int `json:"workers,omitempty"`
 	// Rows, Buckets, and TopK size the countsketch kind directly
 	// (defaults 5, 1024, and 0 = no candidate tracker).

@@ -102,7 +102,7 @@ func envelopeFor(g gfunc.Func, o Options) float64 {
 type OnePassEstimator struct {
 	g    gfunc.Func
 	sk   *recursive.Sketch
-	opts Options // resolved options, kept so ProcessParallel can clone shards
+	opts Options // resolved options, digested by Fingerprint
 }
 
 // NewOnePass builds the Theorem 2 estimator for g.

@@ -1,32 +1,9 @@
 package core
 
 import (
-	"sync"
-
 	"repro/internal/engine"
-	"repro/internal/gfunc"
-	"repro/internal/recursive"
 	"repro/internal/stream"
 )
-
-// Parallel ingestion. Every estimator here is built from linear sketches,
-// so a stream can be partitioned into contiguous chunks, each chunk
-// ingested into a worker-owned shard estimator constructed with the SAME
-// Options (same Seed => identical hash functions), and the shards folded
-// together with the linearity-based merges. The counter state after the
-// fold is bit-identical to a serial run, and the result is deterministic
-// given (stream, Options, workers), independent of goroutine scheduling —
-// chunk boundaries are a pure function of the stream length and shards
-// merge in index order.
-//
-// Estimates are exactly equal to a serial run while the per-level top-k
-// candidate trackers do not overflow (capacity 2H/λ + 1, the size the
-// space bounds dictate). Past that capacity the serial and merged
-// trackers may admit marginally different LIGHT candidates — genuinely
-// heavy items survive both — so estimates agree far inside the ε target
-// but not necessarily to the last bit. The two-pass path tabulates exact
-// frequencies against a coordinator-chosen candidate set, so RunParallel
-// is exact regardless.
 
 // forBatches walks updates in engine.DefaultBatchSize chunks.
 func forBatches(updates []stream.Update, fn func(batch []stream.Update)) {
@@ -39,53 +16,12 @@ func forBatches(updates []stream.Update, fn func(batch []stream.Update)) {
 	}
 }
 
-// ProcessParallel consumes the stream with the sharded engine: the
-// updates are split into `workers` contiguous chunks (workers < 1 means
-// GOMAXPROCS), each chunk is ingested into its own shard estimator via
-// the batched path, and the shards merge back into e.
-func (e *OnePassEstimator) ProcessParallel(s *stream.Stream, workers int) error {
-	_, err := engine.Process(s.Updates(), workers,
-		func(w int) *OnePassEstimator {
-			if w == 0 {
-				return e
-			}
-			return NewOnePass(e.g, e.opts)
-		},
-		func(dst, src *OnePassEstimator) error { return dst.Merge(src) })
-	return err
-}
-
-// ParallelEstimator wraps a OnePassEstimator with a fixed worker count
-// so that Process runs the sharded parallel engine. It is the
-// ready-made concurrent front end of the one-pass g-SUM estimator.
-type ParallelEstimator struct {
-	*OnePassEstimator
-	workers int
-}
-
-// NewParallel builds a one-pass estimator whose Process shards the
-// stream across the given number of workers (< 1 means GOMAXPROCS).
-func NewParallel(g gfunc.Func, opts Options, workers int) *ParallelEstimator {
-	return &ParallelEstimator{
-		OnePassEstimator: NewOnePass(g, opts),
-		workers:          engine.Workers(workers),
-	}
-}
-
-// Workers reports the resolved worker count.
-func (p *ParallelEstimator) Workers() int { return p.workers }
-
-// Process consumes an entire stream with the parallel engine.
-func (p *ParallelEstimator) Process(s *stream.Stream) error {
-	return p.ProcessParallel(s, p.workers)
-}
-
-// RunParallel executes both passes of the two-pass estimator with the
-// sharded engine. Pass 1 runs on per-worker shards and merges (the
-// CountSketch state is linear); the coordinator extracts the candidate
-// sets once, distributes them to the workers, and pass 2 tabulates each
-// chunk exactly — exact counts add linearly too, so the result equals a
-// serial Run.
+// RunParallel executes both passes of the two-pass estimator over
+// `workers` contiguous chunks of the stream (< 1 means GOMAXPROCS).
+// Pass 1 runs on per-worker shards and merges (the CountSketch state is
+// linear); the coordinator extracts the candidate sets once, distributes
+// them to the workers, and pass 2 tabulates each chunk exactly — exact
+// counts add linearly too, so the result equals a serial Run.
 func (e *TwoPassEstimator) RunParallel(s *stream.Stream, workers int) (float64, error) {
 	w := engine.Workers(workers)
 	updates := s.Updates()
@@ -123,63 +59,4 @@ func (e *TwoPassEstimator) RunParallel(s *stream.Stream, workers int) (float64, 
 		}
 	}
 	return e.sk.Estimate(), nil
-}
-
-// ProcessParallel ingests the stream into every copy concurrently, one
-// goroutine per copy (copy-level parallelism: the copies are independent
-// estimators, so no merging is needed and results are identical to the
-// serial Process).
-func (m *MedianOnePass) ProcessParallel(s *stream.Stream, workers int) {
-	w := engine.Workers(workers)
-	if w > len(m.runs) {
-		w = len(m.runs)
-	}
-	if w <= 1 {
-		m.Process(s)
-		return
-	}
-	sem := make(chan struct{}, w)
-	var wg sync.WaitGroup
-	for _, r := range m.runs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(r *OnePassEstimator) {
-			defer wg.Done()
-			r.Process(s)
-			<-sem
-		}(r)
-	}
-	wg.Wait()
-}
-
-// Merge folds another universal sketch (built with identical Options,
-// including Seed) into u, level by level — the distributed-sketching
-// mode of the Section 1.1.1 application.
-func (u *Universal) Merge(other *Universal) error {
-	return mergeOnePassLevels(u.levels, other.levels)
-}
-
-// UpdateBatch feeds a batch of turnstile updates, routing survivors down
-// the subsampling levels exactly as per-update ingestion would.
-func (u *Universal) UpdateBatch(batch []stream.Update) {
-	if len(batch) == 0 {
-		return
-	}
-	recursive.FeedLevels(batch, u.sub, &u.scratch, func(k int, chunk []stream.Update) {
-		u.levels[k].UpdateBatch(chunk)
-	})
-}
-
-// ProcessParallel consumes the stream with the sharded engine, exactly
-// as OnePassEstimator.ProcessParallel.
-func (u *Universal) ProcessParallel(s *stream.Stream, workers int) error {
-	_, err := engine.Process(s.Updates(), workers,
-		func(w int) *Universal {
-			if w == 0 {
-				return u
-			}
-			return NewUniversal(u.opts)
-		},
-		func(dst, src *Universal) error { return dst.Merge(src) })
-	return err
 }

@@ -3,29 +3,60 @@ package core
 import (
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/gfunc"
 	"repro/internal/stream"
 )
 
-// The parallel engine's promise: the merged counter state is bit-identical
-// to a serial run (integer addition commutes), candidate trackers re-score
-// against the merged counters, and covers combine in a deterministic
-// order. While the top-k candidate trackers do not overflow — the regime
-// their capacity 2H/λ + 1 is sized for — the candidate sets coincide too
-// and estimates are EXACTLY equal, so these tests assert float64
-// equality, not tolerances. Streams with more distinct items than tracker
-// capacity may admit marginally different light candidates serial vs
-// merged; TestProcessParallelOverflowRegimeCloseAgreement pins that case
-// to a tolerance far inside the accuracy target.
+// The merge promise: cut a stream into contiguous chunks, ingest each into
+// its own identically-seeded estimator, fold them with Merge, and the
+// counter state is bit-identical to a serial run (integer addition
+// commutes), candidate trackers re-score against the merged counters, and
+// covers combine in a deterministic order. While the top-k candidate
+// trackers do not overflow — the regime their capacity 2H/λ + 1 is sized
+// for — the candidate sets coincide too and estimates are EXACTLY equal,
+// so these tests assert float64 equality, not tolerances. Streams with
+// more distinct items than tracker capacity may admit marginally
+// different light candidates serial vs merged;
+// TestMergeOverflowRegimeCloseAgreement pins that case to a tolerance far
+// inside the accuracy target.
 
 // parallelTestStream keeps the distinct-item count (90) below every
-// level's tracker capacity so that exact serial/parallel agreement is
+// level's tracker capacity so that exact serial/merged agreement is
 // guaranteed, not incidental.
 func parallelTestStream(seed uint64) *stream.Stream {
 	return stream.Zipf(stream.GenConfig{N: 1 << 12, M: 1 << 10, Seed: seed}, 90, 1.1)
 }
 
-func TestOnePassProcessParallelMatchesSerialExactly(t *testing.T) {
+// cutAndMerge ingests each of `workers` contiguous chunks of s into its
+// own shard from newShard, concurrently, then folds shards 1..W-1 into
+// shard 0 in index order.
+func cutAndMerge[S interface{ UpdateBatch([]stream.Update) }](t *testing.T, s *stream.Stream, workers int,
+	newShard func() S, merge func(dst, src S) error) S {
+	t.Helper()
+	shards := make([]S, workers)
+	for i := range shards {
+		shards[i] = newShard()
+	}
+	engine.ParallelChunks(s.Updates(), workers, func(i int, chunk []stream.Update) {
+		forBatches(chunk, shards[i].UpdateBatch)
+	})
+	for i := 1; i < workers; i++ {
+		if err := merge(shards[0], shards[i]); err != nil {
+			t.Fatalf("merge shard %d: %v", i, err)
+		}
+	}
+	return shards[0]
+}
+
+func cutAndMergeOnePass(t *testing.T, g gfunc.Func, opts Options, s *stream.Stream, workers int) *OnePassEstimator {
+	t.Helper()
+	return cutAndMerge(t, s, workers,
+		func() *OnePassEstimator { return NewOnePass(g, opts) },
+		(*OnePassEstimator).Merge)
+}
+
+func TestOnePassCutAndMergeMatchesSerialExactly(t *testing.T) {
 	g := gfunc.F2Func()
 	for _, workers := range []int{2, 4, 8} {
 		for seed := uint64(1); seed <= 5; seed++ {
@@ -35,13 +66,10 @@ func TestOnePassProcessParallelMatchesSerialExactly(t *testing.T) {
 			serial := NewOnePass(g, opts)
 			serial.Process(s)
 
-			par := NewOnePass(g, opts)
-			if err := par.ProcessParallel(s, workers); err != nil {
-				t.Fatalf("workers=%d seed=%d: %v", workers, seed, err)
-			}
+			merged := cutAndMergeOnePass(t, g, opts, s, workers)
 
-			if a, b := serial.Estimate(), par.Estimate(); a != b {
-				t.Errorf("workers=%d seed=%d: parallel %.17g != serial %.17g",
+			if a, b := serial.Estimate(), merged.Estimate(); a != b {
+				t.Errorf("workers=%d seed=%d: merged %.17g != serial %.17g",
 					workers, seed, b, a)
 			}
 		}
@@ -71,7 +99,7 @@ func TestTwoPassRunParallelMatchesSerialExactly(t *testing.T) {
 	}
 }
 
-func TestUniversalProcessParallelMatchesSerialExactly(t *testing.T) {
+func TestUniversalCutAndMergeMatchesSerialExactly(t *testing.T) {
 	queries := []gfunc.Func{gfunc.F2Func(), gfunc.F1Func(), gfunc.L0()}
 	h := 0.0
 	for _, g := range queries {
@@ -87,13 +115,12 @@ func TestUniversalProcessParallelMatchesSerialExactly(t *testing.T) {
 			serial := NewUniversal(opts)
 			serial.Process(s)
 
-			par := NewUniversal(opts)
-			if err := par.ProcessParallel(s, workers); err != nil {
-				t.Fatalf("workers=%d seed=%d: %v", workers, seed, err)
-			}
+			merged := cutAndMerge(t, s, workers,
+				func() *Universal { return NewUniversal(opts) },
+				(*Universal).Merge)
 			for _, g := range queries {
-				if a, b := serial.EstimateFor(g), par.EstimateFor(g); a != b {
-					t.Errorf("workers=%d seed=%d g=%s: parallel %.17g != serial %.17g",
+				if a, b := serial.EstimateFor(g), merged.EstimateFor(g); a != b {
+					t.Errorf("workers=%d seed=%d g=%s: merged %.17g != serial %.17g",
 						workers, seed, g.Name(), b, a)
 				}
 			}
@@ -101,49 +128,7 @@ func TestUniversalProcessParallelMatchesSerialExactly(t *testing.T) {
 	}
 }
 
-func TestParallelEstimatorWrapper(t *testing.T) {
-	g := gfunc.F2Func()
-	s := parallelTestStream(2)
-	opts := Options{N: s.N(), M: 1 << 10, Eps: 0.25, Seed: 21, Lambda: 1.0 / 16}
-
-	serial := NewOnePass(g, opts)
-	serial.Process(s)
-
-	p := NewParallel(g, opts, 4)
-	if p.Workers() != 4 {
-		t.Fatalf("Workers() = %d, want 4", p.Workers())
-	}
-	if err := p.Process(s); err != nil {
-		t.Fatal(err)
-	}
-	if a, b := serial.Estimate(), p.Estimate(); a != b {
-		t.Errorf("wrapper %.17g != serial %.17g", b, a)
-	}
-
-	// workers < 1 resolves to GOMAXPROCS.
-	q := NewParallel(g, opts, 0)
-	if q.Workers() < 1 {
-		t.Errorf("Workers() = %d after GOMAXPROCS resolution", q.Workers())
-	}
-}
-
-func TestMedianOnePassProcessParallelMatchesSerial(t *testing.T) {
-	g := gfunc.F2Func()
-	s := parallelTestStream(3)
-	opts := Options{N: s.N(), M: 1 << 10, Eps: 0.25, Seed: 31, Lambda: 1.0 / 16}
-
-	serial := NewMedianOnePass(g, opts, 5)
-	serial.Process(s)
-
-	par := NewMedianOnePass(g, opts, 5)
-	par.ProcessParallel(s, 4)
-
-	if a, b := serial.Estimate(), par.Estimate(); a != b {
-		t.Errorf("parallel median %.17g != serial %.17g", b, a)
-	}
-}
-
-func TestProcessParallelOverflowRegimeCloseAgreement(t *testing.T) {
+func TestMergeOverflowRegimeCloseAgreement(t *testing.T) {
 	// With more distinct items than the candidate trackers can hold, the
 	// serial and merged trackers may disagree about marginal light items.
 	// Counters still merge exactly, so any difference is confined to
@@ -155,41 +140,9 @@ func TestProcessParallelOverflowRegimeCloseAgreement(t *testing.T) {
 	serial := NewOnePass(g, opts)
 	serial.Process(s)
 
-	par := NewOnePass(g, opts)
-	if err := par.ProcessParallel(s, 4); err != nil {
-		t.Fatal(err)
-	}
-	a, b := serial.Estimate(), par.Estimate()
+	merged := cutAndMergeOnePass(t, g, opts, s, 4)
+	a, b := serial.Estimate(), merged.Estimate()
 	if diff := (a - b) / a; diff > 1e-3 || diff < -1e-3 {
-		t.Errorf("overflow-regime divergence %.3g: parallel %.17g vs serial %.17g", diff, b, a)
-	}
-}
-
-func TestProcessParallelAccumulatesIntoExistingState(t *testing.T) {
-	// Processing two halves of a stream — one serial, one parallel — into
-	// the same estimator must equal one serial pass over the whole stream.
-	g := gfunc.F2Func()
-	s := parallelTestStream(4)
-	opts := Options{N: s.N(), M: 1 << 10, Eps: 0.25, Seed: 13, Lambda: 1.0 / 16}
-
-	serial := NewOnePass(g, opts)
-	serial.Process(s)
-
-	split := len(s.Updates()) / 2
-	first, second := stream.New(s.N()), stream.New(s.N())
-	for i, u := range s.Updates() {
-		if i < split {
-			first.Add(u.Item, u.Delta)
-		} else {
-			second.Add(u.Item, u.Delta)
-		}
-	}
-	mixed := NewOnePass(g, opts)
-	mixed.Process(first)
-	if err := mixed.ProcessParallel(second, 4); err != nil {
-		t.Fatal(err)
-	}
-	if a, b := serial.Estimate(), mixed.Estimate(); a != b {
-		t.Errorf("mixed serial+parallel %.17g != serial %.17g", b, a)
+		t.Errorf("overflow-regime divergence %.3g: merged %.17g vs serial %.17g", diff, b, a)
 	}
 }

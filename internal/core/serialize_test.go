@@ -9,7 +9,7 @@ import (
 
 // wireStream keeps the distinct-item count below the candidate
 // trackers' capacity, the regime in which serial and merged estimates
-// are guaranteed to agree exactly (see parallel.go).
+// are guaranteed to agree exactly (see merge.go).
 func wireStream(seed uint64) *stream.Stream {
 	return stream.Zipf(stream.GenConfig{N: 1 << 12, M: 1 << 10, Seed: seed}, 90, 1.1)
 }

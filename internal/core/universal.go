@@ -25,7 +25,7 @@ import (
 type Universal struct {
 	levels  []*heavy.OnePass
 	sub     []*xhash.Bernoulli
-	opts    Options           // resolved options, kept so ProcessParallel can clone shards
+	opts    Options           // resolved options, digested by Fingerprint
 	scratch [][]stream.Update // reusable UpdateBatch survivor buffers
 }
 
@@ -96,6 +96,17 @@ func (u *Universal) Update(item uint64, delta int64) {
 	}
 }
 
+// UpdateBatch feeds a batch of turnstile updates, routing survivors down
+// the subsampling levels exactly as per-update ingestion would.
+func (u *Universal) UpdateBatch(batch []stream.Update) {
+	if len(batch) == 0 {
+		return
+	}
+	recursive.FeedLevels(batch, u.sub, &u.scratch, func(k int, chunk []stream.Update) {
+		u.levels[k].UpdateBatch(chunk)
+	})
+}
+
 // Process consumes an entire stream through the batched ingestion path.
 func (u *Universal) Process(s *stream.Stream) {
 	engine.Ingest(u, s.Updates(), 0)
@@ -120,4 +131,11 @@ func (u *Universal) SpaceBytes() int {
 		total += lv.SpaceBytes()
 	}
 	return total
+}
+
+// Merge folds another universal sketch (built with identical Options,
+// including Seed) into u, level by level — the distributed-sketching
+// mode of the Section 1.1.1 application.
+func (u *Universal) Merge(other *Universal) error {
+	return mergeOnePassLevels(u.levels, other.levels)
 }

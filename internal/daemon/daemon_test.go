@@ -15,7 +15,7 @@ import (
 
 // testStream is a seeded Zipf stream whose distinct-item count stays
 // below the candidate trackers' capacity, the regime in which merged and
-// serial estimates agree exactly (see internal/core/parallel.go).
+// serial estimates agree exactly (see internal/core/merge.go).
 func testStream(seed uint64) *stream.Stream {
 	return stream.Zipf(stream.GenConfig{N: 1 << 12, M: 1 << 10, Seed: seed}, 90, 1.1)
 }

@@ -1,30 +1,26 @@
-// Package engine is the sharded, batched, concurrent ingestion engine
-// behind the public estimators.
+// Package engine holds the ingestion contracts every summary implements
+// and the chunking helpers the callers that split a stream share.
 //
 // Every summary in this repository is a linear sketch: the state reached
 // by processing a stream is the sum of the states reached by processing
 // any partition of it (core/merge.go, heavy/merge.go, recursive/merge.go).
-// The engine exploits that in two independent ways:
+// Two things here rest on that:
 //
-//   - Batching: UpdateBatch paths aggregate duplicate items and touch
-//     each counter row once per distinct item, amortizing hash
-//     evaluations and bounds checks on the hot path.
-//   - Sharding: Process partitions a stream into contiguous chunks, one
-//     per worker, ingests every chunk into a worker-owned shard sketch
-//     (same seed, hence identical hash functions), and folds the shards
-//     together with the linearity-based merges.
+//   - Batching: Ingest feeds a Sketcher through its UpdateBatch path in
+//     DefaultBatchSize chunks; batch paths aggregate duplicate items and
+//     touch each counter row once per distinct item, leaving the counter
+//     state exactly as per-update ingestion would.
+//   - Chunking: Workers, Cut and ParallelChunks split an update slice
+//     into contiguous near-equal chunks, one goroutine each. Chunk
+//     boundaries are a pure function of the lengths, so whatever a caller
+//     builds on them (the two-pass candidate exchange in core, the
+//     producer side of internal/hotpath, the daemon topologies of
+//     internal/workload) is independent of goroutine scheduling.
 //
-// Both transformations are exact on the counter state — integer addition
-// is associative and commutative — so a parallel run is deterministic
-// given (stream, seed, worker count), independent of goroutine
-// scheduling: chunk boundaries are a pure function of the lengths, and
-// shards merge in index order after all workers finish.
+// The one concurrent one-pass ingest path is internal/hotpath (kind
+// "sharded"); this package has no harness of its own.
 //
-// Layer: the harness layer of ARCHITECTURE.md — transport between
-// streams and sketches; it owns the Sketcher/BatchSketcher/Mergeable
-// contracts every summary implements.
-// Seed discipline: Process builds every shard through one newShard
-// factory, so all shards share one seed and merge by linearity; the
-// factory returning differently-seeded sketches is the one unchecked
-// way to break it (the wire layer checks; in-process merges trust).
+// Layer: the harness layer of ARCHITECTURE.md — it owns the
+// Sketcher/BatchSketcher/Mergeable contracts every summary implements.
+// Seed discipline: none of its own; it never constructs a sketch.
 package engine

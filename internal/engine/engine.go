@@ -30,12 +30,6 @@ type BatchSketcher interface {
 	UpdateBatch(batch []stream.Update)
 }
 
-// Estimator is a Sketcher that produces a final scalar estimate.
-type Estimator interface {
-	Sketcher
-	Estimate() float64
-}
-
 // Mergeable is the distributed half of the contract: folding another
 // identically-configured (same Options, same Seed) instance into the
 // receiver yields the state of the union stream.
@@ -109,38 +103,4 @@ func ParallelChunks(updates []stream.Update, workers int, fn func(shard int, chu
 		}(i, updates[lo:hi])
 	}
 	wg.Wait()
-}
-
-// Process is the sharded ingestion harness. It partitions updates into
-// contiguous chunks, builds one shard per worker with newShard (worker 0
-// may be handed a pre-existing sketch to accumulate into), ingests every
-// chunk into its shard concurrently via Ingest, and merges shards
-// 1..W-1 into shard 0 in index order. The result is deterministic given
-// (updates, worker count, seed discipline of newShard); goroutine
-// scheduling cannot affect it.
-func Process[S Sketcher](updates []stream.Update, workers int,
-	newShard func(shard int) S, merge func(dst, src S) error) (S, error) {
-
-	w := Workers(workers)
-	if w <= 1 || len(updates) <= 1 {
-		shard := newShard(0)
-		Ingest(shard, updates, 0)
-		return shard, nil
-	}
-	if w > len(updates) {
-		w = len(updates)
-	}
-	shards := make([]S, w)
-	ParallelChunks(updates, w, func(i int, chunk []stream.Update) {
-		// Shard construction happens inside the worker too: building the
-		// hash families is itself a measurable cost at high worker counts.
-		shards[i] = newShard(i)
-		Ingest(shards[i], chunk, 0)
-	})
-	for i := 1; i < w; i++ {
-		if err := merge(shards[0], shards[i]); err != nil {
-			return shards[0], err
-		}
-	}
-	return shards[0], nil
 }

@@ -27,10 +27,6 @@ var (
 	_ engine.BatchSketcher = (*core.Universal)(nil)
 	_ engine.BatchSketcher = (*core.MedianOnePass)(nil)
 
-	_ engine.Estimator = (*core.OnePassEstimator)(nil)
-	_ engine.Estimator = (*core.ExactEstimator)(nil)
-	_ engine.Estimator = (*core.MedianOnePass)(nil)
-
 	_ engine.Mergeable[*sketch.CountSketch]    = (*sketch.CountSketch)(nil)
 	_ engine.Mergeable[*sketch.AMS]            = (*sketch.AMS)(nil)
 	_ engine.Mergeable[*sketch.CountMin]       = (*sketch.CountMin)(nil)
@@ -109,55 +105,6 @@ func TestIngestBatchPathBitIdentical(t *testing.T) {
 	engine.Ingest(odd, updates, 137)
 	if !bytes.Equal(marshal(t, serial), marshal(t, odd)) {
 		t.Error("odd batch size diverged from per-update ingestion")
-	}
-}
-
-func TestProcessShardsBitIdentical(t *testing.T) {
-	updates := testUpdates(23, 20000)
-	serial := sketch.NewCountSketch(5, 512, util.NewSplitMix64(9))
-	for _, u := range updates {
-		serial.Update(u.Item, u.Delta)
-	}
-	want := marshal(t, serial)
-	for _, workers := range []int{1, 2, 4, 8} {
-		merged, err := engine.Process(updates, workers,
-			func(int) *sketch.CountSketch {
-				return sketch.NewCountSketch(5, 512, util.NewSplitMix64(9))
-			},
-			func(dst, src *sketch.CountSketch) error { return dst.Merge(src) })
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !bytes.Equal(want, marshal(t, merged)) {
-			t.Errorf("workers=%d: sharded counters diverged from serial", workers)
-		}
-	}
-}
-
-func TestProcessHandsShardZeroThrough(t *testing.T) {
-	updates := testUpdates(3, 100)
-	pre := sketch.NewCountSketch(5, 64, util.NewSplitMix64(1))
-	got, err := engine.Process(updates, 1,
-		func(int) *sketch.CountSketch { return pre },
-		func(dst, src *sketch.CountSketch) error { return dst.Merge(src) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != pre {
-		t.Error("Process did not accumulate into the shard-0 sketch")
-	}
-}
-
-func TestProcessMergeErrorPropagates(t *testing.T) {
-	updates := testUpdates(5, 64)
-	_, err := engine.Process(updates, 2,
-		func(shard int) *sketch.CountSketch {
-			// Different dimensions per shard force a merge failure.
-			return sketch.NewCountSketch(5, uint64(32*(shard+1)), util.NewSplitMix64(1))
-		},
-		func(dst, src *sketch.CountSketch) error { return dst.Merge(src) })
-	if err == nil {
-		t.Error("expected merge dimension error")
 	}
 }
 

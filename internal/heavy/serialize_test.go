@@ -25,7 +25,7 @@ func feedStream(s *stream.Stream, lo, hi int, fn func(item uint64, delta int64))
 
 // wireStream keeps the distinct-item count below the candidate
 // trackers' capacity, the regime in which serial and merged covers agree
-// exactly (see internal/core/parallel.go).
+// exactly (see internal/core/merge.go).
 func wireStream(seed uint64) *stream.Stream {
 	return stream.Zipf(stream.GenConfig{N: 1 << 12, M: 1 << 10, Seed: seed}, 90, 1.2)
 }

@@ -9,7 +9,7 @@
 // sub-stream, identically-seeded shard sketches accumulate disjoint
 // counter contributions, and folding the shards is exactly the serial
 // counter state. Shard-by-hash is what lets the concurrent path keep
-// the repo's serial==parallel exactness contract while chasing line
+// the repo's serial==merged exactness contract while chasing line
 // rate — arrival-order nondeterminism inside a shard cannot change a
 // linear counter, and every update of one item is applied by exactly
 // one goroutine.
@@ -24,7 +24,7 @@
 //     BACKPRESSURE (spin with runtime.Gosched, counted as a stall),
 //     never a dropped batch.
 //
-//   - ShardedEstimator: owns P identically-configured shard estimators
+//   - ShardedEstimator: owns P identically-configured one-pass shards
 //     (P = GOMAXPROCS unless configured). Process fans the stream out
 //     through one ring per shard — N producers route (item, delta)
 //     batches by hash, one consumer goroutine per shard drains its ring
@@ -34,11 +34,10 @@
 //     concurrency would buy nothing), and Estimate/MarshalBinary fold
 //     the shards into a fresh estimator, leaving the shards untouched.
 //
-// Layer: between engine (chunking, worker resolution) and backend (the
-// registry opens the shards and registers the "sharded" kind). This
-// package never learns concrete sketch types — shards are anything
-// satisfying the Shard contract — so it has no seed discipline of its
-// own; the factory that opens the shards must hand out
-// identically-configured (same Options, same Seed) estimators, which
-// backend.Open does by construction.
+// Layer: above core (the shards are core.OnePassEstimators) and engine
+// (chunking, worker resolution), below backend (the registry registers
+// New as the "sharded" kind).
+// Seed discipline: New builds every shard, and every merge target, from
+// the one (g, Options) it is handed, so all of them share seeds and hash
+// functions by construction.
 package hotpath

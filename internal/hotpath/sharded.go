@@ -5,48 +5,20 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/gfunc"
 	"repro/internal/stream"
 )
 
-// Shard is what the sharded facade demands of one shard estimator. It
-// is structurally the backend Estimator contract (this package cannot
-// import backend — backend registers the sharded kind and imports this
-// package), and backend.Open values satisfy it directly.
-type Shard interface {
-	Update(item uint64, delta int64)
-	UpdateBatch(batch []stream.Update)
-	Estimate() float64
-	SpaceBytes() int
-	Fingerprint() uint64
-	MarshalBinary() ([]byte, error)
-	UnmarshalBinary(data []byte) error
-}
+// ringDepth is the slot count of each shard's ring: deep enough to
+// absorb bursty routing imbalance before producers stall.
+const ringDepth = 64
 
-// Config parameterizes New.
-type Config struct {
-	// Shards is the shard (and Process consumer) count; < 1 means
-	// GOMAXPROCS.
-	Shards int
-	// RingDepth is the slot count of each shard's ring (0 = 64 slots;
-	// rounded up to a power of two). Deeper rings absorb burstier
-	// routing imbalance before producers stall.
-	RingDepth int
-	// BatchSize is how many routed updates a producer buffers per shard
-	// before publishing the batch (0 = engine.DefaultBatchSize / 4;
-	// smaller batches keep shards busier, larger ones amortize the ring
-	// handoff).
-	BatchSize int
-	// NewShard opens one shard estimator. Every call MUST return an
-	// identically-configured instance (same Spec, hence same seeds) —
-	// that is the seed discipline the bit-identity contract rests on,
-	// and backend.Open from one normalized Spec provides it.
-	NewShard func() (Shard, error)
-	// Merge folds src into dst in memory. Optional: when nil, merging
-	// goes through MarshalBinary/UnmarshalBinary (the wire format's
-	// merge-on-decode semantics), which is correct but slower.
-	Merge func(dst, src Shard) error
-}
+// batchSize is how many routed updates a producer buffers per shard
+// before publishing the batch: smaller batches keep shards busier,
+// larger ones amortize the ring handoff.
+const batchSize = engine.DefaultBatchSize / 4
 
 // Stats is a snapshot of the ring-layer counters, summed over the shard
 // rings. Cumulative fields survive across Process calls; Occupancy is
@@ -67,14 +39,14 @@ type Stats struct {
 	ConsumerStalls uint64
 }
 
-// ShardedEstimator owns P identically-configured shard estimators and
+// ShardedEstimator owns P identically-configured one-pass shards and
 // routes every update to shard hash(item) mod P. Process ingests
 // concurrently through per-shard rings; Update/UpdateBatch route
 // synchronously. Estimate and MarshalBinary fold the shards into a
-// fresh estimator built by the same factory, so they are repeatable and
-// leave the shards untouched, and the marshaled snapshot is the SAME
-// wire format as a single shard's — a sharded worker interoperates with
-// serial peers on the wire.
+// fresh one-pass estimator, so they are repeatable and leave the shards
+// untouched, and the marshaled snapshot is the SAME wire format as a
+// single shard's — a sharded worker interoperates with serial peers on
+// the wire.
 //
 // Like every estimator in the repository, a ShardedEstimator is not
 // goroutine-safe from the caller's side: Process parallelizes
@@ -82,11 +54,9 @@ type Stats struct {
 // (the daemon's state lock provides it). Stats alone is safe to call
 // concurrently with Process.
 type ShardedEstimator struct {
-	shards    []Shard
-	newShard  func() (Shard, error)
-	merge     func(dst, src Shard) error
-	ringDepth int
-	batchSize int
+	g      gfunc.Func
+	opts   core.Options
+	shards []*core.OnePassEstimator
 
 	// route is reusable synchronous-path scratch: one buffer per shard.
 	route [][]stream.Update
@@ -105,37 +75,23 @@ type ShardedEstimator struct {
 	pool sync.Pool
 }
 
-// New builds a ShardedEstimator by calling cfg.NewShard once per shard.
-func New(cfg Config) (*ShardedEstimator, error) {
-	if cfg.NewShard == nil {
-		return nil, fmt.Errorf("hotpath: Config.NewShard is required")
-	}
-	p := engine.Workers(cfg.Shards)
-	depth := cfg.RingDepth
-	if depth <= 0 {
-		depth = 64
-	}
-	bs := cfg.BatchSize
-	if bs <= 0 {
-		bs = engine.DefaultBatchSize / 4
-	}
+// New builds a ShardedEstimator of `shards` one-pass estimators for g
+// (< 1 means GOMAXPROCS). Every shard is built from the same opts, hence
+// the same seeds and hash functions — the seed discipline the
+// bit-identity contract rests on.
+func New(g gfunc.Func, opts core.Options, shards int) *ShardedEstimator {
+	p := engine.Workers(shards)
 	se := &ShardedEstimator{
-		shards:    make([]Shard, p),
-		newShard:  cfg.NewShard,
-		merge:     cfg.Merge,
-		ringDepth: depth,
-		batchSize: bs,
-		route:     make([][]stream.Update, p),
+		g:      g,
+		opts:   opts,
+		shards: make([]*core.OnePassEstimator, p),
+		route:  make([][]stream.Update, p),
 	}
-	se.pool.New = func() any { return make([]stream.Update, 0, bs) }
+	se.pool.New = func() any { return make([]stream.Update, 0, batchSize) }
 	for i := range se.shards {
-		s, err := cfg.NewShard()
-		if err != nil {
-			return nil, fmt.Errorf("hotpath: shard %d: %w", i, err)
-		}
-		se.shards[i] = s
+		se.shards[i] = core.NewOnePass(g, opts)
 	}
-	return se, nil
+	return se
 }
 
 // Shards returns the shard count.
@@ -194,14 +150,14 @@ func (se *ShardedEstimator) UpdateBatch(batch []stream.Update) {
 // count, chunk boundaries, or scheduling.
 func (se *ShardedEstimator) Process(updates []stream.Update) error {
 	p := len(se.shards)
-	if p == 1 || len(updates) < 2*se.batchSize {
+	if p == 1 || len(updates) < 2*batchSize {
 		engine.Ingest(se, updates, 0)
 		return nil
 	}
 
 	rings := make([]*Ring, p)
 	for i := range rings {
-		rings[i] = NewRing(se.ringDepth)
+		rings[i] = NewRing(ringDepth)
 	}
 	se.live.Store(&rings)
 
@@ -230,7 +186,7 @@ func (se *ShardedEstimator) Process(updates []stream.Update) error {
 		for _, u := range chunk {
 			s := se.shardOf(u.Item)
 			local[s] = append(local[s], u)
-			if len(local[s]) == se.batchSize {
+			if len(local[s]) == batchSize {
 				rings[s].Enqueue(local[s])
 				local[s] = se.pool.Get().([]stream.Update)
 			}
@@ -263,7 +219,7 @@ func (se *ShardedEstimator) Process(updates []stream.Update) error {
 func (se *ShardedEstimator) Stats() Stats {
 	st := Stats{
 		Shards:         len(se.shards),
-		RingDepth:      se.ringDepth,
+		RingDepth:      ringDepth,
 		Batches:        se.batches.Load(),
 		Updates:        se.updates.Load(),
 		ProducerStalls: se.prodStall.Load(),
@@ -281,25 +237,13 @@ func (se *ShardedEstimator) Stats() Stats {
 	return st
 }
 
-// merged folds every shard into a fresh estimator from the factory.
-// The shards are never mutated, so merged is repeatable: calling
-// Estimate between Process calls always reflects exactly the updates
-// applied so far.
-func (se *ShardedEstimator) merged() (Shard, error) {
-	dst, err := se.newShard()
-	if err != nil {
-		return nil, fmt.Errorf("hotpath: merge target: %w", err)
-	}
+// merged folds every shard into a fresh estimator. The shards are never
+// mutated, so merged is repeatable: calling Estimate between Process
+// calls always reflects exactly the updates applied so far.
+func (se *ShardedEstimator) merged() (*core.OnePassEstimator, error) {
+	dst := core.NewOnePass(se.g, se.opts)
 	for i, sh := range se.shards {
-		if se.merge != nil {
-			err = se.merge(dst, sh)
-		} else {
-			var blob []byte
-			if blob, err = sh.MarshalBinary(); err == nil {
-				err = dst.UnmarshalBinary(blob)
-			}
-		}
-		if err != nil {
+		if err := dst.Merge(sh); err != nil {
 			return nil, fmt.Errorf("hotpath: merge shard %d: %w", i, err)
 		}
 	}
@@ -308,10 +252,9 @@ func (se *ShardedEstimator) merged() (Shard, error) {
 
 // Estimate merges the shards and answers from the union state — by
 // linearity, exactly the serial estimator's answer over the same
-// updates. Shards are identically configured by the NewShard contract,
-// so the merge cannot fail except for a broken factory; that is a
-// programming error and panics rather than returning a silent garbage
-// estimate.
+// updates. The shards and the merge target are all built from one
+// (g, opts), so the merge cannot fail except for a bug in this package;
+// that panics rather than returning a silent garbage estimate.
 func (se *ShardedEstimator) Estimate() float64 {
 	m, err := se.merged()
 	if err != nil {

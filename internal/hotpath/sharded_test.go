@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/hotpath"
+	"repro/internal/stream"
 	"repro/internal/workload"
 )
 
@@ -169,21 +170,55 @@ func TestShardedEstimateIsRepeatable(t *testing.T) {
 	}
 }
 
-// TestShardedStats: the ring counters account for exactly the stream
-// that went through Process, and the rings quiesce empty.
-func TestShardedStats(t *testing.T) {
-	se, err := hotpath.New(hotpath.Config{
-		Shards: 4,
-		NewShard: func() (hotpath.Shard, error) {
-			return backend.Open(backend.Spec{
-				Kind: backend.KindOnePass, G: "x^2",
-				Options: core.Options{N: shardedTestCfg.N, M: 1 << 10, Eps: 0.25, Seed: 21, Lambda: 1.0 / 16},
-			})
-		},
-	})
+// TestShardedBackendMergeMatchesSerial: two sharded estimators opened
+// from one Spec each ingest half of a stream through the ring path;
+// backend.Merge of one into the other, then Estimate and MarshalBinary,
+// equal the serial run over the concatenation bit for bit.
+func TestShardedBackendMergeMatchesSerial(t *testing.T) {
+	gen := workload.Zipf{Alpha: 1.1}
+	wantEst, wantBlob := serialReference(t, gen)
+
+	whole := gen.Generate(shardedTestCfg)
+	updates := whole.Updates()
+	halves := [2]*stream.Stream{stream.New(whole.N()), stream.New(whole.N())}
+	for i, u := range updates {
+		halves[2*i/len(updates)].Add(u.Item, u.Delta)
+	}
+
+	var ests [2]backend.Estimator
+	for i := range ests {
+		e, err := backend.Open(shardedTestSpec(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := backend.Process(e, halves[i]); err != nil {
+			t.Fatal(err)
+		}
+		ests[i] = e
+	}
+	if err := backend.Merge(ests[0], ests[1]); err != nil {
+		t.Fatal(err)
+	}
+	if got := ests[0].Estimate(); got != wantEst {
+		t.Fatalf("merged sharded estimate %v != serial %v", got, wantEst)
+	}
+	blob, err := ests[0].MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !bytes.Equal(blob, wantBlob) {
+		t.Fatal("merged sharded snapshot differs from serial")
+	}
+}
+
+// TestShardedStats: the ring counters account for exactly the stream
+// that went through Process, and the rings quiesce empty.
+func TestShardedStats(t *testing.T) {
+	g, err := backend.CatalogFunc("x^2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	se := hotpath.New(g, shardedTestSpec(0).Options, 4)
 	s := workload.Zipf{Alpha: 1.1}.Generate(shardedTestCfg)
 	if err := se.Process(s.Updates()); err != nil {
 		t.Fatal(err)
@@ -206,10 +241,11 @@ func TestShardedStats(t *testing.T) {
 	}
 }
 
-// TestShardedConfigErrors: the factory is required, and a failing
-// factory surfaces instead of panicking later.
+// TestShardedConfigErrors: the one way to misconfigure the kind is a
+// shard count past the registry's cap, and that is an error from Open
+// (before any shard is built), not an out-of-memory crash.
 func TestShardedConfigErrors(t *testing.T) {
-	if _, err := hotpath.New(hotpath.Config{}); err == nil {
-		t.Fatal("New without a factory succeeded")
+	if _, err := backend.Open(shardedTestSpec(100000000)); err == nil {
+		t.Fatal("Open accepted 10^8 shards")
 	}
 }

@@ -18,7 +18,7 @@ import (
 // eps x workers becomes one cell.
 type Config struct {
 	// Spec is the base estimator configuration for every cell. Kind is
-	// derived per cell (onepass/parallel/window by backend and window
+	// derived per cell (onepass/sharded/window by backend and window
 	// mode) and must be left empty or "onepass"; G is required. Options
 	// defaults mirror `gsum bench`: M 1024, Lambda 1/16, and Seed
 	// Stream.Seed*7 when zero. Spec.Window, when W > 0, switches every
@@ -302,7 +302,7 @@ func Smoke() Config {
 		Spec:      backend.Spec{G: "x^2"},
 		Stream:    workload.Config{N: 1 << 16, Items: 512, Length: 20000, Seed: 1},
 		Workloads: []string{"zipf", "adversarial"},
-		Backends:  []string{"serial", "parallel", "sharded"},
+		Backends:  []string{"serial", "sharded"},
 		Eps:       []float64{0.25},
 		Workers:   []int{2},
 		PointK:    8,

@@ -10,7 +10,7 @@ import (
 
 // Report renders the merged sweep as markdown: the matrix header, the
 // per-cell accuracy table, a cross-backend equality section (the CI-able
-// face of the serial == parallel == daemon contract), and the missing
+// face of the serial == sharded == daemon contract), and the missing
 // cells. Every number in the default report is deterministic given the
 // Config, so two runs of the same sweep render byte-identical reports;
 // timing=true appends the wall-clock throughput table, which is

@@ -125,6 +125,7 @@ func TestConfigNormalize(t *testing.T) {
 		{"bad alpha", func(c Config) Config { c.Alpha = -2; return c }, "alpha"},
 		{"no backends", func(c Config) Config { c.Backends = nil; return c }, "backends"},
 		{"unknown backend", func(c Config) Config { c.Backends = []string{"quantum"}; return c }, "unknown backend"},
+		{"removed parallel backend", func(c Config) Config { c.Backends = []string{"serial", "parallel"}; return c }, "unknown backend"},
 		{"unknown transport", func(c Config) Config { c.Transports = []string{"carrier-pigeon"}; return c }, "transport"},
 		{"no eps", func(c Config) Config { c.Eps = nil; return c }, "eps"},
 		{"eps out of range", func(c Config) Config { c.Eps = []float64{1.5}; return c }, "eps"},
@@ -162,7 +163,7 @@ func TestConfigNormalize(t *testing.T) {
 // index matches its position.
 func TestCellsDeterministic(t *testing.T) {
 	cfg := goldenConfig()
-	cfg.Backends = []string{"serial", "parallel", "daemon"}
+	cfg.Backends = []string{"serial", "sharded", "daemon"}
 	cfg.Transports = []string{"json", "stream"}
 	cfg.Eps = []float64{0.25, 0.5}
 	cfg.Workers = []int{1, 2}
@@ -171,7 +172,7 @@ func TestCellsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := n.Cells(), n.Cells()
-	// 2 workloads x (serial + parallel + daemon*2 transports) x 2 eps x 2 workers.
+	// 2 workloads x (serial + sharded + daemon*2 transports) x 2 eps x 2 workers.
 	if want := 2 * 4 * 2 * 2; len(a) != want {
 		t.Fatalf("got %d cells, want %d", len(a), want)
 	}

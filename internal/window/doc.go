@@ -30,9 +30,9 @@
 // tick exactly once however Advance is called — so two windows at the
 // same clock have identical bucket boundaries and merge
 // bucket-by-bucket with the exact linearity guarantees of the
-// underlying sketches. Serial, sharded-parallel, and daemon-merged
+// underlying sketches. Serial, cut-and-merged, and daemon-merged
 // windowed runs therefore produce bit-identical counter state, the same
-// contract internal/engine provides for whole-stream sketches. Buckets
+// contract Merge provides for whole-stream sketches. Buckets
 // materialize lazily and clock jumps that expire everything
 // fast-forward in O(W) instead of replaying each tick, so idle periods
 // and wall-clock-sized tick domains cost (almost) nothing.

@@ -355,7 +355,7 @@ func TestEstimatorSerialVsParallel(t *testing.T) {
 // merged shard windows reproduce the serial window snapshot BYTE for
 // byte, at every worker count. (Estimator snapshots additionally carry
 // best-effort top-k tracker ids, which the merge contract only pins
-// while trackers stay within capacity — see internal/core/parallel.go —
+// while trackers stay within capacity — see internal/core/merge.go —
 // so the byte-level assertion lives at the counter layer.)
 func TestWindowSerialVsParallelSnapshots(t *testing.T) {
 	drive := randomDrive(17, 3000)

@@ -6,7 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"sync"
+	"strings"
 	"time"
 
 	"repro/internal/backend"
@@ -22,9 +22,8 @@ import (
 // The bench runner behind `gsum bench`: drive one scenario through one
 // ingestion backend, measure wall-clock throughput, and score the
 // estimate against the exact g-SUM. The backends cover the deployment
-// shapes of the repository — in-process serial, in-process chunk-sharded
-// parallel, the lock-free ring-fed sharded hot path, and the gsumd
-// worker/coordinator HTTP topology (spun up in-process on loopback
+// shapes of the repository — in-process serial, the lock-free ring-fed
+// sharded hot path, and the gsumd worker/coordinator HTTP topology (spun up in-process on loopback
 // listeners, so a single `gsum bench -backend daemon` run exercises the
 // full distributed path end to end). Every estimator — serial,
 // per-shard, or behind a daemon — is resolved through the backend
@@ -32,7 +31,7 @@ import (
 // identically (same Spec fingerprint).
 
 // Backends lists the ingestion topologies RunBench accepts.
-var Backends = []string{"serial", "parallel", "sharded", "daemon"}
+var Backends = []string{"serial", "sharded", "daemon"}
 
 // BenchSpec configures one bench run.
 type BenchSpec struct {
@@ -45,12 +44,10 @@ type BenchSpec struct {
 	// Opts configures the one-pass estimator. Opts.N is overridden with
 	// Cfg.N so the estimator and stream always agree on the domain.
 	Opts core.Options
-	// Backend is one of Backends ("serial", "parallel", "sharded",
-	// "daemon").
+	// Backend is one of Backends ("serial", "sharded", "daemon").
 	Backend string
-	// Workers is the shard count for the parallel, sharded, and daemon
-	// backends (< 1 means GOMAXPROCS in-process, 1 worker daemon for
-	// daemon).
+	// Workers is the shard count for the sharded backend (< 1 means
+	// GOMAXPROCS) and the worker daemon count for daemon (< 1 means 1).
 	Workers int
 	// PushBatch is the updates-per-request size for the daemon backend
 	// (0 = engine.DefaultBatchSize).
@@ -120,10 +117,9 @@ func (s BenchSpec) transport() (string, error) {
 }
 
 // spec assembles the one backend.Spec a run resolves everything
-// through: the serial estimator, every parallel shard, and every daemon
-// in the topology. Whole-stream runs open the onepass kind (or the
-// parallel kind when sharding in-process); windowed runs open the
-// window kind.
+// through: the serial estimator, every shard, and every daemon in the
+// topology. Whole-stream runs open the onepass kind (or the sharded kind
+// when sharding in-process); windowed runs open the window kind.
 func (s BenchSpec) spec(n uint64) backend.Spec {
 	opts := s.Opts
 	opts.N = n
@@ -140,8 +136,8 @@ func (s BenchSpec) spec(n uint64) backend.Spec {
 // accuracy. Determinism contract: for a fixed (Generator, Cfg, G, Opts),
 // the Estimate is identical across all three backends and any worker
 // count, as long as the candidate trackers stay within capacity (see
-// internal/core/parallel.go) — `gsum bench` is therefore also an
-// end-to-end check of the serial/parallel/distributed equality.
+// internal/core/merge.go) — `gsum bench` is therefore also an
+// end-to-end check of the serial/sharded/distributed equality.
 func RunBench(spec BenchSpec) (BenchResult, error) {
 	if spec.Generator == nil {
 		return BenchResult{}, fmt.Errorf("workload: bench needs a generator")
@@ -164,40 +160,16 @@ func RunBench(spec BenchSpec) (BenchResult, error) {
 	var elapsed time.Duration
 	workers := 1
 	switch spec.Backend {
-	case "", "serial":
-		spec.Backend = "serial"
+	case "", "serial", "sharded":
+		if spec.Backend == "sharded" {
+			workers = engine.Workers(spec.Workers)
+			sp.Kind = backend.KindSharded
+			sp.Workers = spec.Workers
+		} else {
+			spec.Backend = "serial"
+		}
 		start := time.Now()
 		e, err := backend.Open(sp)
-		if err != nil {
-			return BenchResult{}, err
-		}
-		if err := backend.Process(e, s); err != nil {
-			return BenchResult{}, err
-		}
-		elapsed = time.Since(start)
-		est, space = e.Estimate(), e.SpaceBytes()
-	case "parallel":
-		workers = engine.Workers(spec.Workers)
-		psp := sp
-		psp.Kind = backend.KindParallel
-		psp.Workers = spec.Workers
-		start := time.Now()
-		e, err := backend.Open(psp)
-		if err != nil {
-			return BenchResult{}, err
-		}
-		if err := backend.Process(e, s); err != nil {
-			return BenchResult{}, err
-		}
-		elapsed = time.Since(start)
-		est, space = e.Estimate(), e.SpaceBytes()
-	case "sharded":
-		workers = engine.Workers(spec.Workers)
-		psp := sp
-		psp.Kind = backend.KindSharded
-		psp.Workers = spec.Workers
-		start := time.Now()
-		e, err := backend.Open(psp)
 		if err != nil {
 			return BenchResult{}, err
 		}
@@ -218,7 +190,7 @@ func RunBench(spec BenchSpec) (BenchResult, error) {
 			return BenchResult{}, err
 		}
 	default:
-		return BenchResult{}, fmt.Errorf("workload: unknown backend %q (serial, parallel, sharded, daemon)", spec.Backend)
+		return BenchResult{}, fmt.Errorf("workload: unknown backend %q (%s)", spec.Backend, strings.Join(Backends, ", "))
 	}
 
 	return BenchResult{
@@ -339,12 +311,12 @@ func runDaemonBench(s *stream.Stream, spec BenchSpec, sp backend.Spec, workers i
 
 // runWindowedBench is the sliding-window variant of RunBench: the
 // scenario stream gains a tick dimension (Ticked), every backend opens
-// the registry's window kind (serial, one per shard, or behind gsumd
-// with /v1/advance), and the estimate is scored against the exact g-SUM
+// the registry's window kind (in-process, or behind gsumd with
+// /v1/advance), and the estimate is scored against the exact g-SUM
 // over the trailing Window ticks. The determinism contract carries
 // over: bucket structure is a pure function of the tick sequence, so
-// serial, parallel, and daemon windowed estimates are bit-identical
-// (same tracker-capacity caveat as whole-stream runs).
+// serial and daemon windowed estimates at any worker count are
+// bit-identical (same tracker-capacity caveat as whole-stream runs).
 func runWindowedBench(spec BenchSpec) (BenchResult, error) {
 	cfg := spec.Cfg.withDefaults()
 	genStart := time.Now()
@@ -375,48 +347,11 @@ func runWindowedBench(spec BenchSpec) (BenchResult, error) {
 		win.Advance(last)
 		est, space, stale = e.Estimate(), e.SpaceBytes(), win.Stale()
 		elapsed = time.Since(start)
-	case "parallel":
-		workers = engine.Workers(spec.Workers)
-		start := time.Now()
-		n := ts.Stream.Len()
-		if workers > n && n > 0 {
-			workers = n
-		}
-		shards := make([]backend.Estimator, workers)
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				e, win, err := openWindowed(sp)
-				if err == nil {
-					lo, hi := engine.Cut(n, workers, i)
-					ingestTicked(e, win, ts, lo, hi)
-					win.Advance(last)
-				}
-				shards[i], errs[i] = e, err
-			}(i)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return BenchResult{}, err
-			}
-		}
-		for i := 1; i < workers; i++ {
-			if err := backend.Merge(shards[0], shards[i]); err != nil {
-				return BenchResult{}, err
-			}
-		}
-		est, space = shards[0].Estimate(), shards[0].SpaceBytes()
-		stale = shards[0].(backend.Windowed).Stale()
-		elapsed = time.Since(start)
 	case "sharded":
 		// The sharded hot path carries no tick clock through its rings;
 		// windowed runs need the ticked ingest loop, so the combination is
 		// rejected rather than silently ignoring the window.
-		return BenchResult{}, fmt.Errorf("workload: the sharded backend does not support windowed runs (use serial, parallel, or daemon)")
+		return BenchResult{}, fmt.Errorf("workload: the sharded backend does not support windowed runs (use serial or daemon)")
 	case "daemon":
 		if workers = spec.Workers; workers < 1 {
 			workers = 1
@@ -427,7 +362,7 @@ func runWindowedBench(spec BenchSpec) (BenchResult, error) {
 			return BenchResult{}, err
 		}
 	default:
-		return BenchResult{}, fmt.Errorf("workload: unknown backend %q (serial, parallel, sharded, daemon)", spec.Backend)
+		return BenchResult{}, fmt.Errorf("workload: unknown backend %q (%s)", spec.Backend, strings.Join(Backends, ", "))
 	}
 
 	return BenchResult{

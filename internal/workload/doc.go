@@ -10,8 +10,8 @@
 // stream.Stream. Determinism is total — the same Config yields a
 // byte-identical stream on every run, every platform, and independent of
 // how the stream is later sharded — so workload streams plug directly
-// into the exact-equality contracts of internal/engine (serial ==
-// parallel == daemon-merged; see internal/core/parallel.go).
+// into the repository's exact-equality contracts (serial == sharded ==
+// daemon-merged; see internal/core/merge.go).
 //
 // The catalog (see Generators):
 //
@@ -50,14 +50,14 @@
 //
 // The package also hosts the bench runner (bench.go) behind the
 // `gsum bench` subcommand, which drives any generator through the
-// serial, sharded-parallel, or daemon (HTTP worker/coordinator)
+// serial, sharded, or daemon (HTTP worker/coordinator)
 // ingestion paths and reports throughput and estimate-vs-exact error.
 // internal/sweep builds on both, running the full workload x backend x
 // eps x workers matrix across worker processes (`gsum sweep`).
 //
 // Layer: harness layer in ARCHITECTURE.md, upstream of the serial,
-// parallel, and daemon ingestion paths (and, in windowed mode, of
-// internal/window behind all three).
+// sharded, and daemon ingestion paths (and, in windowed mode, of
+// internal/window behind serial and daemon).
 // Seed discipline: a scenario stream — and its tick stamps in the
 // ticked variants — is a pure function of Config, independent of how
 // it will be sharded, so workload streams are valid inputs to the

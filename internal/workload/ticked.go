@@ -10,7 +10,7 @@ import (
 // with a time axis. A TickedStream pairs a scenario stream with a
 // non-decreasing per-update tick; determinism is the same as for plain
 // streams — ticks are a pure function of the Config — so ticked
-// workloads keep the serial == parallel == daemon equality meaningful
+// workloads keep the serial == daemon equality meaningful
 // in windowed mode too.
 
 // DefaultTicks is the tick span used when Config.Ticks is 0.

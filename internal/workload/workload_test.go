@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/gfunc"
 	"repro/internal/stream"
@@ -134,8 +135,8 @@ func TestWorkloadShapes(t *testing.T) {
 }
 
 // TestDeterminismAcrossWorkers: the generated stream does not depend on
-// how it is later sharded, and the estimate is bit-identical across
-// worker counts (linearity + seed discipline).
+// how it is later sharded, and the sharded kind's estimate is
+// bit-identical across shard counts (linearity + seed discipline).
 func TestDeterminismAcrossWorkers(t *testing.T) {
 	g := gfunc.F2Func()
 	opts := core.Options{N: testCfg.N, M: 1 << 10, Eps: 0.25, Seed: 13, Lambda: 1.0 / 16}
@@ -153,8 +154,11 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 				if !streamsEqual(s, s2) {
 					t.Fatalf("workers=%d: regenerated stream differs", workers)
 				}
-				e := core.NewOnePass(g, opts)
-				if err := e.ProcessParallel(s2, workers); err != nil {
+				e, err := backend.Open(backend.Spec{Kind: backend.KindSharded, G: g.Name(), Options: opts, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := backend.Process(e, s2); err != nil {
 					t.Fatal(err)
 				}
 				if got := e.Estimate(); got != want {
@@ -166,7 +170,7 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 }
 
 // TestBenchBackendsAgreeExactly is the end-to-end acceptance check:
-// serial, parallel, sharded (lock-free ring hot path), and daemon (HTTP
+// serial, sharded (lock-free ring hot path), and daemon (HTTP
 // worker/coordinator, over both the JSON and the binary stream
 // transport) backends return bit-identical estimates for the same seed,
 // for every workload.
@@ -175,7 +179,7 @@ func TestBenchBackendsAgreeExactly(t *testing.T) {
 	opts := core.Options{M: 1 << 10, Eps: 0.25, Seed: 21, Lambda: 1.0 / 16}
 	cfg := Config{N: 1 << 12, Items: 200, Length: 8000, Seed: 5}
 	combos := []struct{ backend, transport string }{
-		{"serial", ""}, {"parallel", ""}, {"sharded", ""},
+		{"serial", ""}, {"sharded", ""},
 		{"daemon", "json"}, {"daemon", "stream"},
 	}
 	for _, gen := range Generators() {

@@ -1,8 +1,8 @@
 package universal
 
-// Race and property coverage for the sharded parallel ingestion engine.
-// Run with -race: the ProcessParallel tests drive the real worker pool,
-// so any unsynchronized shard state shows up here.
+// Race and property coverage for concurrent ingestion and merging. Run
+// with -race: the sharded-kind tests drive the real ring producers and
+// consumers, so any unsynchronized shard state shows up here.
 
 import (
 	"bytes"
@@ -16,13 +16,23 @@ import (
 )
 
 // parallelStream keeps the distinct-item count below the candidate
-// trackers' capacity, the regime in which serial and parallel estimates
-// are guaranteed to agree exactly (see internal/core/parallel.go).
+// trackers' capacity, the regime in which serial and merged estimates
+// are guaranteed to agree exactly (see internal/core/merge.go).
 func parallelStream(seed uint64) *Stream {
 	return stream.Zipf(stream.GenConfig{N: 1 << 12, M: 1 << 10, Seed: seed}, 90, 1.1)
 }
 
-func TestPublicParallelEstimatorMatchesSerialExactly(t *testing.T) {
+// openSharded opens the sharded kind for g = x² through the public door.
+func openSharded(t *testing.T, opts Options, workers int) Estimator {
+	t.Helper()
+	e, err := Open(Spec{Kind: KindSharded, G: F2().Name(), Options: opts, Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+func TestPublicShardedKindMatchesSerialExactly(t *testing.T) {
 	g := F2()
 	for _, workers := range []int{1, 2, 4, 8} {
 		s := parallelStream(7)
@@ -31,12 +41,12 @@ func TestPublicParallelEstimatorMatchesSerialExactly(t *testing.T) {
 		serial := NewOnePassEstimator(g, opts)
 		serial.Process(s)
 
-		par := NewParallelEstimator(g, opts, workers)
-		if err := par.Process(s); err != nil {
+		sharded := openSharded(t, opts, workers)
+		if err := Process(sharded, s); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if a, b := serial.Estimate(), par.Estimate(); a != b {
-			t.Errorf("workers=%d: parallel %.17g != serial %.17g", workers, b, a)
+		if a, b := serial.Estimate(), sharded.Estimate(); a != b {
+			t.Errorf("workers=%d: sharded %.17g != serial %.17g", workers, b, a)
 		}
 	}
 }
@@ -59,10 +69,9 @@ func TestPublicTwoPassRunParallelMatchesSerialExactly(t *testing.T) {
 	}
 }
 
-func TestProcessParallelRaceStress(t *testing.T) {
-	// A larger stream across 8 workers; meaningful only under -race,
-	// where it sweeps the whole shard/merge machinery for data races.
-	g := F2()
+func TestShardedProcessRaceStress(t *testing.T) {
+	// A larger stream across 8 shards; meaningful only under -race,
+	// where it sweeps the whole route/ring/merge machinery for data races.
 	rng := util.NewSplitMix64(12)
 	s := NewStream(1 << 16)
 	n := 50000
@@ -73,11 +82,11 @@ func TestProcessParallelRaceStress(t *testing.T) {
 		s.Add(rng.Uint64n(1<<16), rng.Int63n(7)-3)
 	}
 	opts := Options{N: s.N(), M: 1 << 10, Eps: 0.25, Seed: 3, Lambda: 1.0 / 16}
-	par := NewParallelEstimator(g, opts, 8)
-	if err := par.Process(s); err != nil {
+	sharded := openSharded(t, opts, 8)
+	if err := Process(sharded, s); err != nil {
 		t.Fatal(err)
 	}
-	if est := par.Estimate(); est < 0 {
+	if est := sharded.Estimate(); est < 0 {
 		t.Errorf("negative estimate %g", est)
 	}
 }

@@ -23,11 +23,10 @@
 // library, and is exercised end to end by the E1-E15 experiment suite
 // (internal/experiments, cmd/gsum) documented in EXPERIMENTS.md.
 //
-// Ingestion is batched and shardable: every estimator implements the
-// Sketcher/BatchSketcher contracts of internal/engine, and
-// NewParallelEstimator (or est.ProcessParallel) partitions a stream
-// across worker-owned shards that merge by linearity, so worker count
-// never changes the counters.
+// Ingestion is batched and shardable: every estimator has an amortized
+// UpdateBatch path, and Kind "sharded" routes a stream by item hash
+// across Spec.Workers persistent one-pass shards that merge by
+// linearity, so worker count never changes the counters.
 //
 // The sketch-backed estimators (OnePassEstimator, TwoPassEstimator,
 // UniversalSketch) implement encoding.BinaryMarshaler and
@@ -64,7 +63,6 @@ package universal
 import (
 	"repro/internal/backend"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/gfunc"
 	"repro/internal/stream"
 	"repro/internal/window"
@@ -88,7 +86,6 @@ type Kind = backend.Kind
 const (
 	KindOnePass     = backend.KindOnePass
 	KindTwoPass     = backend.KindTwoPass
-	KindParallel    = backend.KindParallel
 	KindSharded     = backend.KindSharded
 	KindUniversal   = backend.KindUniversal
 	KindWindow      = backend.KindWindow
@@ -137,9 +134,9 @@ func ParseSpec(data []byte) (Spec, error) { return backend.ParseSpec(data) }
 func Describe(k Kind) string { return backend.Describe(k) }
 
 // Process drives a whole in-memory stream through est using its richest
-// capability: KindParallel shards it, KindSharded fans it through the
-// lock-free ring hot path, KindTwoPass replays it for both passes,
-// everything else streams it through the batched path.
+// capability: KindSharded fans it through the lock-free ring hot path,
+// KindTwoPass replays it for both passes, everything else streams it
+// through the batched path.
 func Process(est Estimator, s *Stream) error { return backend.Process(est, s) }
 
 // Merge folds src into dst. Both must come from Open of equal Specs;
@@ -256,26 +253,6 @@ func NewExactEstimator(g Func) *ExactEstimator { return core.NewExact(g) }
 // NewUniversalSketch builds a function-independent sketch; set
 // opts.Envelope to the max envelope of the functions you will query.
 func NewUniversalSketch(opts Options) *UniversalSketch { return core.NewUniversal(opts) }
-
-// Sketcher is the unified ingestion contract every estimator and raw
-// sketch in this repository satisfies (see internal/engine).
-type Sketcher = engine.Sketcher
-
-// BatchSketcher is a Sketcher with an amortized bulk ingestion path:
-// UpdateBatch leaves the counter state exactly as the equivalent
-// sequence of Update calls would.
-type BatchSketcher = engine.BatchSketcher
-
-// ParallelEstimator is a one-pass estimator whose Process shards the
-// stream across worker-owned sketches and merges them by linearity; the
-// result is identical to a serial run with the same seed.
-type ParallelEstimator = core.ParallelEstimator
-
-// NewParallelEstimator builds the sharded, batched, concurrent front end
-// of the one-pass estimator. workers < 1 means GOMAXPROCS.
-func NewParallelEstimator(g Func, opts Options, workers int) *ParallelEstimator {
-	return core.NewParallel(g, opts, workers)
-}
 
 // Window is a sliding-window g-SUM estimator: an exponential histogram
 // of one-pass estimator buckets answering Σ g(|v_i|) over only the last
