@@ -1,25 +1,22 @@
 package universal
 
-// Benchmarks for the lock-free hot path (internal/hotpath) and the
-// multi-lane field arithmetic beneath it. BenchmarkProcessSharded and
-// BenchmarkHotpathRing join the BenchmarkProcess* regression gate
-// (BENCH_baseline.json via scripts/benchdiff); run the sharded one
-// across `-cpu` values for the Serial/Sharded table in EXPERIMENTS.md.
+// Benchmarks for the sharded hot path (internal/hotpath) and the
+// multi-lane field arithmetic beneath it. BenchmarkProcessSharded joins
+// the BenchmarkProcess* regression gate (BENCH_baseline.json via
+// scripts/benchdiff); run it across `-cpu` values for the
+// Serial/Sharded table in EXPERIMENTS.md.
 
 import (
-	"sync"
 	"testing"
 
-	"repro/internal/hotpath"
-	"repro/internal/stream"
 	"repro/internal/xhash"
 )
 
-// BenchmarkProcessSharded is the ring-fed concurrent ingest of the same
-// 128k-update stream BenchmarkProcessSerial consumes. The
+// BenchmarkProcessSharded is the channel-fed concurrent ingest of the
+// same 128k-update stream BenchmarkProcessSerial consumes. The
 // estimator is opened ONCE: Process neither constructs shards nor
 // merges them (merging happens on Estimate), so this measures pure
-// ingest throughput — partition, ring handoff, per-shard batched
+// ingest throughput — partition, channel handoff, per-shard batched
 // sketching.
 func BenchmarkProcessSharded(b *testing.B) {
 	s := processBenchStream()
@@ -34,39 +31,6 @@ func BenchmarkProcessSharded(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N)*float64(s.Len())/b.Elapsed().Seconds(), "updates/s")
-}
-
-// BenchmarkHotpathRing measures the MPSC handoff alone: one producer
-// pushing 64-update batches through a depth-64 ring to one draining
-// consumer — the cost of a claim, publish, and release with no
-// sketching behind it. Each iteration moves 1024 batches so the number
-// is stable even under the CI gate's -benchtime 3x protocol.
-func BenchmarkHotpathRing(b *testing.B) {
-	const batches = 1024
-	batch := make([]stream.Update, 64)
-	for i := range batch {
-		batch[i] = stream.Update{Item: uint64(i), Delta: 1}
-	}
-	r := hotpath.NewRing(64)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			if _, ok := r.Dequeue(); !ok {
-				return
-			}
-		}
-	}()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < batches; j++ {
-			r.Enqueue(batch)
-		}
-	}
-	r.Close()
-	wg.Wait()
-	b.ReportMetric(float64(b.N)*batches*float64(len(batch))/b.Elapsed().Seconds(), "updates/s")
 }
 
 // gfChainLen is the dependent-chain length per iteration of the field

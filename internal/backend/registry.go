@@ -104,7 +104,7 @@ func init() {
 	})
 	register(&builder{
 		kind:     KindSharded,
-		describe: "one-pass estimator behind the lock-free hot path (hash-partitioned per-core shards, MPSC rings)",
+		describe: "one-pass estimator behind the sharded hot path (per-core shards fed hash-routed batches over bounded channels)",
 		needsG:   true,
 		normalize: func(s *Spec) error {
 			if s.Workers > maxShardedWorkers {
@@ -243,7 +243,7 @@ func init() {
 }
 
 // Process drives a whole in-memory stream through est using its richest
-// capability: the sharded kind fans it through its rings, the two-pass
+// capability: the sharded kind fans it out to its shards, the two-pass
 // kind replays it for both passes (chunked when its Spec set Workers),
 // and every other kind streams it through the batched ingestion path.
 // This is the one bulk-ingest door; frontends call it instead of
@@ -257,7 +257,7 @@ func Process(est Estimator, s *stream.Stream) error {
 		_, err := e.RunParallel(s, e.workers)
 		return err
 	case *hotpath.ShardedEstimator:
-		// The ring-fed concurrent path; shard-by-hash keeps the merged
+		// The concurrent path; shard-by-hash keeps the merged
 		// result independent of scheduling (see internal/hotpath).
 		return e.Process(s.Updates())
 	default:

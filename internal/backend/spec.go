@@ -23,10 +23,10 @@ const (
 	// KindTwoPass is the Theorem 3 two-pass g-SUM estimator: replay the
 	// stream, call FinishPass1 (the TwoPass capability), replay again.
 	KindTwoPass Kind = "twopass"
-	// KindSharded is the one-pass estimator behind the lock-free hot
+	// KindSharded is the one-pass estimator behind the sharded hot
 	// path: Workers per-core shards (0 = GOMAXPROCS) partitioned by item
-	// hash, fed through bounded MPSC rings during Process and merged by
-	// linearity on Estimate/Marshal.
+	// hash, fed batches over bounded channels during Process and merged
+	// by linearity on Estimate/Marshal.
 	KindSharded Kind = "sharded"
 	// KindUniversal is the §1.1.1 function-independent sketch answering
 	// post-hoc g-SUM queries (the FuncQuerier capability).

@@ -18,11 +18,20 @@ func TestShardAndMergeMatchesSinglePass(t *testing.T) {
 			single := NewOnePass(g, opts)
 			single.Process(s)
 
-			merged, err := ShardAndMerge(func() *OnePassEstimator {
-				return NewOnePass(g, opts)
-			}, s, shards)
-			if err != nil {
-				t.Fatalf("shards=%d seed=%d: %v", shards, seed, err)
+			// Round-robin partition: one item's updates land on several
+			// shards, which hash routing (the sharded kind) never does.
+			workers := make([]*OnePassEstimator, shards)
+			for i := range workers {
+				workers[i] = NewOnePass(g, opts)
+			}
+			for i, u := range s.Updates() {
+				workers[i%shards].Update(u.Item, u.Delta)
+			}
+			merged := workers[0]
+			for _, w := range workers[1:] {
+				if err := merged.Merge(w); err != nil {
+					t.Fatalf("shards=%d seed=%d: %v", shards, seed, err)
+				}
 			}
 
 			a, b := single.Estimate(), merged.Estimate()

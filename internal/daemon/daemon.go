@@ -78,18 +78,30 @@ func (s *Server) Spec() backend.Spec { return s.spec }
 // validation and counter bookkeeping as /v1/ingest — the loading path
 // for embedders and benchmarks that do not need the HTTP round trip.
 func (s *Server) IngestBatch(batch []stream.Update) error {
+	if _, err := s.apply(transportInProcess, batch); err != nil {
+		return fmt.Errorf("daemon: %w", err)
+	}
+	return nil
+}
+
+// apply is the one way a batch reaches the estimator, whatever
+// transport carried it: check every item against the domain, absorb the
+// batch under the state lock, count it. It returns the daemon's running
+// ingest total; a rejected batch changes nothing.
+func (s *Server) apply(transport string, batch []stream.Update) (total uint64, err error) {
 	n := s.spec.Options.N
 	for i, u := range batch {
 		if u.Item >= n {
-			return fmt.Errorf("daemon: update %d: item %d outside domain [0,%d)", i, u.Item, n)
+			return 0, fmt.Errorf("update %d: item %d outside domain [0,%d)", i, u.Item, n)
 		}
 	}
 	s.mu.Lock()
 	s.est.UpdateBatch(batch)
 	s.ingests += uint64(len(batch))
+	total = s.ingests
 	s.mu.Unlock()
-	s.obs.ingested(transportInProcess, len(batch))
-	return nil
+	s.obs.ingested(transport, len(batch))
+	return total, nil
 }
 
 // IngestRequest is the /v1/ingest body: updates as [item, delta] pairs.
@@ -268,7 +280,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad ingest body: %w", err))
 		return
 	}
-	n := s.spec.Options.N
 	batch := make([]stream.Update, len(req.Updates))
 	for i, p := range req.Updates {
 		if p[0] < 0 {
@@ -280,19 +291,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("update %d: item %d is negative (item IDs >= 2^63 exceed the JSON transport's int64 range and are rejected, not wrapped)", i, p[0]))
 			return
 		}
-		if uint64(p[0]) >= n {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("update %d: item %d outside domain [0,%d)", i, p[0], n))
-			return
-		}
 		batch[i] = stream.Update{Item: uint64(p[0]), Delta: p[1]}
 	}
-	s.mu.Lock()
-	s.est.UpdateBatch(batch)
-	s.ingests += uint64(len(batch))
-	total := s.ingests
-	s.mu.Unlock()
-	s.obs.ingested(transportJSON, len(batch))
+	total, err := s.apply(transportJSON, batch)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	writeJSON(w, http.StatusOK, map[string]uint64{"ingested": uint64(len(batch)), "total": total})
 }
 
@@ -354,14 +359,17 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad advance body: %w", err))
 		return
 	}
+	start := time.Now()
+	s.mu.Lock()
+	// s.est is read under the lock: a membership rebuild swaps it, and
+	// an advance applied to the estimator being replaced would be lost.
 	win, ok := s.est.(backend.Windowed)
 	if !ok {
+		s.mu.Unlock()
 		writeError(w, http.StatusBadRequest, fmt.Errorf(
 			"daemon: kind %q summarizes the whole stream and has no tick clock; use the window kind", s.spec.Kind))
 		return
 	}
-	start := time.Now()
-	s.mu.Lock()
 	// Arbitrarily large jumps are safe: window.Advance fast-forwards
 	// across spans that expire everything instead of replaying each
 	// elapsed tick, so a client posting wall-clock epoch ticks cannot

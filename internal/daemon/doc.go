@@ -51,9 +51,10 @@
 //	                   histograms, checkpoint results, stream
 //	                   connection/ack counters, membership gauges and
 //	                   transitions, and scrape-time gauges (estimate,
-//	                   space, window clock, goroutines, heap). Hot-path
-//	                   instruments are lock-free atomics; expensive
-//	                   values are computed only at scrape time.
+//	                   space, window clock, the sharded kind's shard
+//	                   count, goroutines, heap). Ingest-path
+//	                   instruments are atomics; expensive values are
+//	                   computed only at scrape time.
 //
 // The deployment topology mirrors the cmd/server + cmd/worker split of
 // distributed work-queue systems: workers sit close to the traffic and

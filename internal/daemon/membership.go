@@ -379,8 +379,11 @@ func (m *Membership) addrs() []string {
 // rebuildFrom replaces the server's estimator with a fresh one holding
 // exactly the merge of the given snapshots. For the window kind the
 // fresh estimator is advanced to the live clock first so the snapshots'
-// tick checks line up. The swap happens only if every snapshot decodes;
-// one bad snapshot aborts the round with the old aggregate intact.
+// tick checks line up, and again at the swap: the snapshots decode
+// outside the state lock, and an /v1/advance acknowledged meanwhile
+// moved only the estimator being replaced. The swap happens only if
+// every snapshot decodes; one bad snapshot aborts the round with the
+// old aggregate intact.
 //
 // A coordinator running auto-pull is a query surface: state it absorbed
 // through direct /v1/ingest or /v1/merge calls is superseded at the
@@ -391,10 +394,14 @@ func (s *Server) rebuildFrom(snaps [][]byte) error {
 	if err != nil {
 		return fmt.Errorf("daemon: rebuild: %w", err)
 	}
-	s.mu.Lock()
-	if win, ok := s.est.(backend.Windowed); ok {
-		fresh.(backend.Windowed).Advance(win.Now())
+	// catchUp brings fresh to the live clock; the caller holds s.mu.
+	catchUp := func() {
+		if win, ok := s.est.(backend.Windowed); ok {
+			fresh.(backend.Windowed).Advance(win.Now())
+		}
 	}
+	s.mu.Lock()
+	catchUp()
 	s.mu.Unlock()
 	for _, snap := range snaps {
 		if err := fresh.UnmarshalBinary(snap); err != nil {
@@ -402,6 +409,7 @@ func (s *Server) rebuildFrom(snaps [][]byte) error {
 		}
 	}
 	s.mu.Lock()
+	catchUp()
 	s.est = fresh
 	s.mu.Unlock()
 	return nil

@@ -248,6 +248,76 @@ func TestAutoPullRebuildsWithoutDoubleCounting(t *testing.T) {
 	}
 }
 
+// TestAdvanceDuringRebuildIsNotLost: a rebuild decodes its snapshots
+// outside the state lock, so a /v1/advance can be acknowledged while it
+// runs; the swap must carry that clock over instead of installing an
+// estimator still at the tick the rebuild started from. The test sweeps
+// one advance across in-flight rebuilds until one lands mid-decode (the
+// rebuild was still running when the advance was acked, and succeeded —
+// an advance BEFORE the decode makes the snapshots' tick check fail).
+func TestAdvanceDuringRebuildIsNotLost(t *testing.T) {
+	spec := windowSpec(31, 64, 2)
+	srv, err := NewServer(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	c := NewClient(ts.URL, nil)
+
+	worker, err := backend.Open(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker.UpdateBatch(testStream(7).Updates())
+	// snapsAt is a pull's worth of worker snapshots taken at the given
+	// tick; 16 copies stretch the decode to most of the rebuild.
+	snapsAt := func(tick uint64) [][]byte {
+		worker.(backend.Windowed).Advance(tick)
+		snap, err := worker.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps := make([][]byte, 16)
+		for i := range snaps {
+			snaps[i] = snap
+		}
+		return snaps
+	}
+
+	start := time.Now()
+	if err := srv.rebuildFrom(snapsAt(0)); err != nil {
+		t.Fatal(err)
+	}
+	undisturbed := time.Since(start)
+
+	var acked uint64
+	for round := 1; round <= 12; round++ {
+		snaps := snapsAt(acked)
+		done := make(chan error, 1)
+		go func() { done <- srv.rebuildFrom(snaps) }()
+		time.Sleep(undisturbed * time.Duration(round%4) / 4)
+		if acked, err = c.Advance(acked + 1); err != nil {
+			t.Fatal(err)
+		}
+		midRebuild := len(done) == 0
+		rebuildErr := <-done
+
+		res, err := c.Estimate(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *res.Tick < acked {
+			t.Fatalf("round %d: /v1/advance acknowledged tick %d, then /v1/estimate reports tick %d (rebuild error: %v)",
+				round, acked, *res.Tick, rebuildErr)
+		}
+		if midRebuild && rebuildErr == nil {
+			return
+		}
+	}
+	t.Fatal("no advance landed while a rebuild was decoding; the sweep proved nothing")
+}
+
 // TestPullKeepsDeadWorkersLastSnapshot: when a worker dies, its last
 // pulled snapshot keeps contributing to the aggregate until it returns,
 // so a crash does not silently subtract a shard from the estimate.

@@ -192,24 +192,11 @@ func newServerMetrics(s *Server) *serverMetrics {
 			}
 			return math.NaN()
 		})
-	if hp, ok := s.est.(interface{ Stats() hotpath.Stats }); ok {
-		// The sharded hot path exposes its ring instrumentation; the
-		// gauges read atomics (plus a racy-by-design occupancy snapshot),
-		// so no state lock is needed.
+	if hp, ok := s.est.(*hotpath.ShardedEstimator); ok {
+		// The shard count is fixed at Open: no state lock needed, and a
+		// restore or rebuild (same Spec) cannot make it stale.
 		reg.GaugeFunc("gsumd_hotpath_shards", "per-core sketch shards behind the sharded kind",
-			func() float64 { return float64(hp.Stats().Shards) })
-		reg.GaugeFunc("gsumd_hotpath_ring_depth", "slots per ingest ring",
-			func() float64 { return float64(hp.Stats().RingDepth) })
-		reg.GaugeFunc("gsumd_hotpath_ring_occupancy", "batches currently queued across all rings (0 outside Process)",
-			func() float64 { return float64(hp.Stats().Occupancy) })
-		reg.GaugeFunc("gsumd_hotpath_batches", "batches that have crossed the rings",
-			func() float64 { return float64(hp.Stats().Batches) })
-		reg.GaugeFunc("gsumd_hotpath_updates", "updates carried by those batches",
-			func() float64 { return float64(hp.Stats().Updates) })
-		reg.GaugeFunc("gsumd_hotpath_producer_stalls", "producer spins on a full ring (backpressure events)",
-			func() float64 { return float64(hp.Stats().ProducerStalls) })
-		reg.GaugeFunc("gsumd_hotpath_consumer_stalls", "consumer spins on an empty ring",
-			func() float64 { return float64(hp.Stats().ConsumerStalls) })
+			func() float64 { return float64(hp.Shards()) })
 	}
 	if _, ok := s.est.(backend.Windowed); ok {
 		reg.GaugeFunc("gsumd_window_tick", "the window kind's tick clock",

@@ -171,8 +171,8 @@ func TestWindowMetricsGauges(t *testing.T) {
 	}
 }
 
-// TestHotpathMetricsGauges: a daemon on the sharded kind exposes the
-// ring instrumentation, and a daemon on any other kind does not.
+// TestHotpathMetricsGauges: a daemon on the sharded kind exposes its
+// shard count, and a daemon on any other kind does not.
 func TestHotpathMetricsGauges(t *testing.T) {
 	spec := backend.Spec{Kind: backend.KindSharded, G: "x^2", Workers: 2, Options: testOptions(12)}
 	srv, c := streamServer(t, spec)
@@ -183,18 +183,6 @@ func TestHotpathMetricsGauges(t *testing.T) {
 	sc := scrape(t, c.Base())
 	if v := mustValue(t, sc, "gsumd_hotpath_shards"); v != 2 {
 		t.Fatalf("shards gauge = %v, want 2", v)
-	}
-	if v := mustValue(t, sc, "gsumd_hotpath_ring_depth"); v <= 0 {
-		t.Fatalf("ring depth gauge = %v", v)
-	}
-	if v := mustValue(t, sc, "gsumd_hotpath_ring_occupancy"); v != 0 {
-		t.Fatalf("occupancy gauge = %v outside Process, want 0", v)
-	}
-	for _, name := range []string{"gsumd_hotpath_batches", "gsumd_hotpath_updates",
-		"gsumd_hotpath_producer_stalls", "gsumd_hotpath_consumer_stalls"} {
-		if !sc.Has(name) {
-			t.Fatalf("no %s gauge", name)
-		}
 	}
 
 	plain := backend.Spec{Kind: backend.KindOnePass, G: "x^2", Options: testOptions(12)}

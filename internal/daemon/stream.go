@@ -240,27 +240,14 @@ func (s *Server) streamLoop(conn net.Conn, bufrw *bufio.ReadWriter) {
 			fail(fmt.Errorf("daemon: stream frame: %w", err))
 			return
 		}
-		n := s.spec.Options.N
-		domainErr := false
-		for i, u := range batch {
-			if u.Item >= n {
-				fail(fmt.Errorf("daemon: frame %d update %d: item %d outside domain [0,%d)", seq, i, u.Item, n))
-				domainErr = true
-				break
-			}
-		}
-		if domainErr {
-			return
-		}
 		if st.applyDelay > 0 {
 			time.Sleep(st.applyDelay)
 		}
-		s.mu.Lock()
-		s.est.UpdateBatch(batch)
-		s.ingests += uint64(len(batch))
-		total := s.ingests
-		s.mu.Unlock()
-		s.obs.ingested(transportStream, len(batch))
+		total, err := s.apply(transportStream, batch)
+		if err != nil {
+			fail(fmt.Errorf("daemon: frame %d %w", seq, err))
+			return
+		}
 		lastSeq, lastTotal = seq, total
 		if err := sendAck(wire.IngestAck{Seq: seq, Total: total, Status: wire.IngestAckOK}); err != nil {
 			return // client went away; it will redeliver unacked frames

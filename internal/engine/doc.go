@@ -14,7 +14,7 @@
 //     into contiguous near-equal chunks, one goroutine each. Chunk
 //     boundaries are a pure function of the lengths, so whatever a caller
 //     builds on them (the two-pass candidate exchange in core, the
-//     producer side of internal/hotpath, the daemon topologies of
+//     routers of internal/hotpath, the daemon topologies of
 //     internal/workload) is independent of goroutine scheduling.
 //
 // The one concurrent one-pass ingest path is internal/hotpath (kind

@@ -3,7 +3,6 @@ package hotpath
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -11,37 +10,18 @@ import (
 	"repro/internal/stream"
 )
 
-// ringDepth is the slot count of each shard's ring: deep enough to
-// absorb bursty routing imbalance before producers stall.
-const ringDepth = 64
+// queueDepth is the capacity, in batches, of each shard's channel: deep
+// enough to absorb bursty routing imbalance before routers block.
+const queueDepth = 64
 
-// batchSize is how many routed updates a producer buffers per shard
-// before publishing the batch: smaller batches keep shards busier,
-// larger ones amortize the ring handoff.
+// batchSize is how many routed updates a router buffers per shard
+// before sending the batch: smaller batches keep shards busier, larger
+// ones amortize the channel handoff.
 const batchSize = engine.DefaultBatchSize / 4
-
-// Stats is a snapshot of the ring-layer counters, summed over the shard
-// rings. Cumulative fields survive across Process calls; Occupancy is
-// live (0 while no Process is running).
-type Stats struct {
-	Shards    int
-	RingDepth int
-	// Occupancy is the number of published-but-unconsumed batches
-	// currently sitting in rings.
-	Occupancy uint64
-	// Batches and Updates count everything published to rings.
-	Batches uint64
-	Updates uint64
-	// ProducerStalls and ConsumerStalls count spin-yield iterations
-	// spent waiting on a full (producer side) or empty (consumer side)
-	// ring — the backpressure signal.
-	ProducerStalls uint64
-	ConsumerStalls uint64
-}
 
 // ShardedEstimator owns P identically-configured one-pass shards and
 // routes every update to shard hash(item) mod P. Process ingests
-// concurrently through per-shard rings; Update/UpdateBatch route
+// concurrently through per-shard channels; Update/UpdateBatch route
 // synchronously. Estimate and MarshalBinary fold the shards into a
 // fresh one-pass estimator, so they are repeatable and leave the shards
 // untouched, and the marshaled snapshot is the SAME wire format as a
@@ -51,8 +31,7 @@ type Stats struct {
 // Like every estimator in the repository, a ShardedEstimator is not
 // goroutine-safe from the caller's side: Process parallelizes
 // internally, but concurrent method calls need external serialization
-// (the daemon's state lock provides it). Stats alone is safe to call
-// concurrently with Process.
+// (the daemon's state lock provides it).
 type ShardedEstimator struct {
 	g      gfunc.Func
 	opts   core.Options
@@ -61,17 +40,7 @@ type ShardedEstimator struct {
 	// route is reusable synchronous-path scratch: one buffer per shard.
 	route [][]stream.Update
 
-	// live points at the rings of an in-flight Process call (nil
-	// otherwise); cumulative counters absorb ring totals as each call
-	// finishes. Both are read by Stats, possibly from a metrics scrape
-	// while a bench Process runs, hence the atomics.
-	live      atomic.Pointer[[]*Ring]
-	batches   atomic.Uint64
-	updates   atomic.Uint64
-	prodStall atomic.Uint64
-	consStall atomic.Uint64
-
-	// pool recycles batch buffers between producers and consumers.
+	// pool recycles batch buffers between routers and consumers.
 	pool sync.Pool
 }
 
@@ -142,12 +111,14 @@ func (se *ShardedEstimator) UpdateBatch(batch []stream.Update) {
 }
 
 // Process ingests the whole update slice through the concurrent path:
-// one producer per shard routes its contiguous chunk into per-shard
-// rings, one consumer per shard drains its ring into the shard sketch,
-// and Process returns only after every goroutine has joined — no
-// goroutine outlives the call. Because routing is per-item, the shard
-// states (and therefore the merged estimate) do not depend on producer
-// count, chunk boundaries, or scheduling.
+// one router per shard hashes its contiguous chunk into per-shard
+// batches and sends them over that shard's bounded channel, one
+// consumer per shard drains its channel into the shard sketch, and
+// Process returns only after every goroutine has joined — no goroutine
+// outlives the call. A full channel blocks the router (backpressure,
+// never a dropped batch). Because routing is per-item, the shard states
+// (and therefore the merged estimate) do not depend on router count,
+// chunk boundaries, or scheduling.
 func (se *ShardedEstimator) Process(updates []stream.Update) error {
 	p := len(se.shards)
 	if p == 1 || len(updates) < 2*batchSize {
@@ -155,27 +126,18 @@ func (se *ShardedEstimator) Process(updates []stream.Update) error {
 		return nil
 	}
 
-	rings := make([]*Ring, p)
-	for i := range rings {
-		rings[i] = NewRing(ringDepth)
-	}
-	se.live.Store(&rings)
-
+	queues := make([]chan []stream.Update, p)
 	var consumers sync.WaitGroup
-	for i := 0; i < p; i++ {
+	for i := range queues {
+		queues[i] = make(chan []stream.Update, queueDepth)
 		consumers.Add(1)
-		go func(i int) {
+		go func(q <-chan []stream.Update, sh *core.OnePassEstimator) {
 			defer consumers.Done()
-			r, sh := rings[i], se.shards[i]
-			for {
-				b, ok := r.Dequeue()
-				if !ok {
-					return
-				}
+			for b := range q {
 				sh.UpdateBatch(b)
 				se.pool.Put(b[:0])
 			}
-		}(i)
+		}(queues[i], se.shards[i])
 	}
 
 	engine.ParallelChunks(updates, p, func(_ int, chunk []stream.Update) {
@@ -187,54 +149,24 @@ func (se *ShardedEstimator) Process(updates []stream.Update) error {
 			s := se.shardOf(u.Item)
 			local[s] = append(local[s], u)
 			if len(local[s]) == batchSize {
-				rings[s].Enqueue(local[s])
+				queues[s] <- local[s]
 				local[s] = se.pool.Get().([]stream.Update)
 			}
 		}
 		for s, b := range local {
 			if len(b) > 0 {
-				rings[s].Enqueue(b)
+				queues[s] <- b
 			} else {
 				se.pool.Put(b[:0])
 			}
 		}
 	})
 
-	for _, r := range rings {
-		r.Close()
+	for _, q := range queues {
+		close(q)
 	}
 	consumers.Wait()
-	se.live.Store(nil)
-	for _, r := range rings {
-		se.batches.Add(r.batches.Load())
-		se.updates.Add(r.updates.Load())
-		se.prodStall.Add(r.producerStalls.Load())
-		se.consStall.Add(r.consumerStalls.Load())
-	}
 	return nil
-}
-
-// Stats sums the ring counters: cumulative totals from finished Process
-// calls plus the live rings of one in flight.
-func (se *ShardedEstimator) Stats() Stats {
-	st := Stats{
-		Shards:         len(se.shards),
-		RingDepth:      ringDepth,
-		Batches:        se.batches.Load(),
-		Updates:        se.updates.Load(),
-		ProducerStalls: se.prodStall.Load(),
-		ConsumerStalls: se.consStall.Load(),
-	}
-	if rings := se.live.Load(); rings != nil {
-		for _, r := range *rings {
-			st.Occupancy += r.Occupancy()
-			st.Batches += r.batches.Load()
-			st.Updates += r.updates.Load()
-			st.ProducerStalls += r.producerStalls.Load()
-			st.ConsumerStalls += r.consumerStalls.Load()
-		}
-	}
-	return st
 }
 
 // merged folds every shard into a fresh estimator. The shards are never

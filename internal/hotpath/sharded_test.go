@@ -1,7 +1,7 @@
 package hotpath_test
 
 // The bit-identity acceptance tests for the sharded hot path: for EVERY
-// workload generator in the catalog, the ring-fed concurrent ingest
+// workload generator in the catalog, the channel-fed concurrent ingest
 // (backend.Process on the sharded kind), the synchronous routed path
 // (UpdateBatch), and several shard counts must reproduce the serial
 // one-pass estimate and marshaled snapshot bit for bit. They live in an
@@ -18,6 +18,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/hotpath"
 	"repro/internal/stream"
+	"repro/internal/util"
 	"repro/internal/workload"
 )
 
@@ -54,7 +55,7 @@ func serialReference(t *testing.T, gen workload.Generator) (float64, []byte) {
 // TestShardedMatchesSerialEveryWorkload is the tentpole property test:
 // estimates AND marshaled snapshots bit-identical to serial for every
 // generator in the catalog, across shard counts, through the concurrent
-// ring path. Run it under -race to also exercise the ring handoff.
+// channel path. Run it under -race to also exercise the hand-off.
 func TestShardedMatchesSerialEveryWorkload(t *testing.T) {
 	for _, gen := range workload.Generators() {
 		gen := gen
@@ -86,7 +87,7 @@ func TestShardedMatchesSerialEveryWorkload(t *testing.T) {
 
 // TestShardedSynchronousPathMatchesSerial covers the routed
 // Update/UpdateBatch path (what the daemon's ingest handlers drive)
-// rather than the ring path.
+// rather than the concurrent path.
 func TestShardedSynchronousPathMatchesSerial(t *testing.T) {
 	gen := workload.Zipf{Alpha: 1.1}
 	wantEst, wantBlob := serialReference(t, gen)
@@ -171,7 +172,7 @@ func TestShardedEstimateIsRepeatable(t *testing.T) {
 }
 
 // TestShardedBackendMergeMatchesSerial: two sharded estimators opened
-// from one Spec each ingest half of a stream through the ring path;
+// from one Spec each ingest half of a stream through Process;
 // backend.Merge of one into the other, then Estimate and MarshalBinary,
 // equal the serial run over the concatenation bit for bit.
 func TestShardedBackendMergeMatchesSerial(t *testing.T) {
@@ -211,33 +212,62 @@ func TestShardedBackendMergeMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShardedStats: the ring counters account for exactly the stream
-// that went through Process, and the rings quiesce empty.
-func TestShardedStats(t *testing.T) {
-	g, err := backend.CatalogFunc("x^2")
-	if err != nil {
-		t.Fatal(err)
+// TestShardedProcessBoundaries walks the edges of Process that the
+// fixed-size workload tests skip: the serial-fallback threshold
+// (2*batchSize), a partial tail batch, more routers than full batches
+// (8 shards on 2*batchSize updates never fill one), and shards that
+// receive nothing (the stream has 5 distinct items). At every point
+// Process must equal batch-by-batch UpdateBatch on the same kind and
+// the serial onepass kind, on Estimate and MarshalBinary bit for bit.
+func TestShardedProcessBoundaries(t *testing.T) {
+	const bs = hotpath.BatchSize
+	state := func(e backend.Estimator) (float64, []byte) {
+		t.Helper()
+		blob, err := e.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e.Estimate(), blob
 	}
-	se := hotpath.New(g, shardedTestSpec(0).Options, 4)
-	s := workload.Zipf{Alpha: 1.1}.Generate(shardedTestCfg)
-	if err := se.Process(s.Updates()); err != nil {
-		t.Fatal(err)
-	}
-	st := se.Stats()
-	if st.Shards != 4 {
-		t.Fatalf("Stats.Shards = %d, want 4", st.Shards)
-	}
-	if st.RingDepth == 0 {
-		t.Fatal("Stats.RingDepth = 0")
-	}
-	if st.Updates != uint64(s.Len()) {
-		t.Fatalf("Stats.Updates = %d, want the full stream %d", st.Updates, s.Len())
-	}
-	if st.Batches == 0 {
-		t.Fatal("Stats.Batches = 0 after a ring-path Process")
-	}
-	if st.Occupancy != 0 {
-		t.Fatalf("Stats.Occupancy = %d after Process returned (rings must quiesce)", st.Occupancy)
+	for _, length := range []int{0, 1, 2*bs - 1, 2 * bs, 2*bs + 1, 5*bs + 7} {
+		rng := util.NewSplitMix64(uint64(length))
+		s := stream.New(shardedTestCfg.N)
+		for i := 0; i < length; i++ {
+			s.Add(rng.Uint64n(5)*17, rng.Int63n(3)+1)
+		}
+		sp := shardedTestSpec(0)
+		sp.Kind = backend.KindOnePass
+		serial, err := backend.Open(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := backend.Process(serial, s); err != nil {
+			t.Fatal(err)
+		}
+		wantEst, wantBlob := state(serial)
+
+		for _, shards := range []int{1, 2, 3, 8} {
+			processed, err := backend.Open(shardedTestSpec(shards))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := backend.Process(processed, s); err != nil {
+				t.Fatal(err)
+			}
+			batched, err := backend.Open(shardedTestSpec(shards))
+			if err != nil {
+				t.Fatal(err)
+			}
+			engine.Ingest(batched, s.Updates(), bs)
+
+			for path, e := range map[string]backend.Estimator{"Process": processed, "UpdateBatch": batched} {
+				est, blob := state(e)
+				if est != wantEst || !bytes.Equal(blob, wantBlob) {
+					t.Fatalf("len=%d shards=%d: %s gives estimate %v (serial %v), snapshot equal=%v",
+						length, shards, path, est, wantEst, bytes.Equal(blob, wantBlob))
+				}
+			}
+		}
 	}
 }
 

@@ -30,7 +30,7 @@ type Config struct {
 	Windowed bool
 	// Kind overrides the flat estimator kind ("" = onepass). The only
 	// other supported value is backend.KindSharded, which runs every
-	// daemon on the lock-free hot path; the serial ground-truth replay
+	// daemon on the sharded hot path; the serial ground-truth replay
 	// then uses the onepass kind, so the run also proves the cross-kind
 	// contract (sharded daemons == one serial onepass, bit for bit).
 	// Incompatible with Windowed.

@@ -93,7 +93,7 @@ func TestSoakWindowed(t *testing.T) {
 	writeArtifacts(t, "windowed", rep)
 }
 
-// TestSoakSharded runs the daemons on the lock-free sharded hot path.
+// TestSoakSharded runs the daemons on the sharded hot path.
 // The serial ground-truth replay inside Run uses the PLAIN onepass kind,
 // so a pass asserts the cross-kind contract end to end: sharded daemons,
 // snapshot/merge over HTTP, and one serial estimator all land on the

@@ -22,7 +22,7 @@ import (
 // The bench runner behind `gsum bench`: drive one scenario through one
 // ingestion backend, measure wall-clock throughput, and score the
 // estimate against the exact g-SUM. The backends cover the deployment
-// shapes of the repository — in-process serial, the lock-free ring-fed
+// shapes of the repository — in-process serial, the concurrent
 // sharded hot path, and the gsumd worker/coordinator HTTP topology (spun up in-process on loopback
 // listeners, so a single `gsum bench -backend daemon` run exercises the
 // full distributed path end to end). Every estimator — serial,
@@ -348,7 +348,7 @@ func runWindowedBench(spec BenchSpec) (BenchResult, error) {
 		est, space, stale = e.Estimate(), e.SpaceBytes(), win.Stale()
 		elapsed = time.Since(start)
 	case "sharded":
-		// The sharded hot path carries no tick clock through its rings;
+		// The sharded hot path carries no tick clock to its shards;
 		// windowed runs need the ticked ingest loop, so the combination is
 		// rejected rather than silently ignoring the window.
 		return BenchResult{}, fmt.Errorf("workload: the sharded backend does not support windowed runs (use serial or daemon)")

@@ -170,7 +170,7 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 }
 
 // TestBenchBackendsAgreeExactly is the end-to-end acceptance check:
-// serial, sharded (lock-free ring hot path), and daemon (HTTP
+// serial, sharded (concurrent hash-routed shards), and daemon (HTTP
 // worker/coordinator, over both the JSON and the binary stream
 // transport) backends return bit-identical estimates for the same seed,
 // for every workload.

@@ -1,7 +1,7 @@
 package universal
 
 // Race and property coverage for concurrent ingestion and merging. Run
-// with -race: the sharded-kind tests drive the real ring producers and
+// with -race: the sharded-kind tests drive the real routers and shard
 // consumers, so any unsynchronized shard state shows up here.
 
 import (
@@ -71,7 +71,7 @@ func TestPublicTwoPassRunParallelMatchesSerialExactly(t *testing.T) {
 
 func TestShardedProcessRaceStress(t *testing.T) {
 	// A larger stream across 8 shards; meaningful only under -race,
-	// where it sweeps the whole route/ring/merge machinery for data races.
+	// where it sweeps the whole route/hand-off/merge machinery for data races.
 	rng := util.NewSplitMix64(12)
 	s := NewStream(1 << 16)
 	n := 50000

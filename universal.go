@@ -134,7 +134,7 @@ func ParseSpec(data []byte) (Spec, error) { return backend.ParseSpec(data) }
 func Describe(k Kind) string { return backend.Describe(k) }
 
 // Process drives a whole in-memory stream through est using its richest
-// capability: KindSharded fans it through the lock-free ring hot path,
+// capability: KindSharded routes it by item hash to concurrent per-core shards,
 // KindTwoPass replays it for both passes, everything else streams it
 // through the batched path.
 func Process(est Estimator, s *Stream) error { return backend.Process(est, s) }
