@@ -249,10 +249,13 @@ func (s *Server) streamLoop(conn net.Conn, bufrw *bufio.ReadWriter) {
 			return
 		}
 		lastSeq, lastTotal = seq, total
+		// Counted before the ack is written: a client holding the ack must
+		// find it in the next scrape. (A session that breaks on this write
+		// has counted a receipt nobody got; its client redelivers.)
+		s.obs.ackedFrames.Inc()
+		s.obs.ackedUpdates.Add(uint64(len(batch)))
 		if err := sendAck(wire.IngestAck{Seq: seq, Total: total, Status: wire.IngestAckOK}); err != nil {
 			return // client went away; it will redeliver unacked frames
 		}
-		s.obs.ackedFrames.Inc()
-		s.obs.ackedUpdates.Add(uint64(len(batch)))
 	}
 }

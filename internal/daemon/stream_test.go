@@ -3,6 +3,7 @@ package daemon
 import (
 	"context"
 	"errors"
+	"math"
 	"net/http/httptest"
 	"net/url"
 	"strings"
@@ -381,4 +382,68 @@ func TestPusherContextCancel(t *testing.T) {
 		t.Fatal("cancel did not unblock Push")
 	}
 	_ = p.Close()
+}
+
+// TestMinInt64DeltaEndToEnd sends the one delta whose magnitude does not
+// fit an int64 through each ingest door. It makes every counter of the
+// item MinInt64 and so its estimate; scoring that once panicked inside
+// Server.apply with the state lock held, taking the daemon down with one
+// update. The daemon must keep answering /v1/estimate, and a second copy
+// must wrap every counter back to where it was: the estimate returns to
+// that of a daemon that never saw the item.
+func TestMinInt64DeltaEndToEnd(t *testing.T) {
+	s := testStream(23)
+	spec := backend.Spec{Kind: backend.KindOnePass, G: "x^2", Options: testOptions(5)}
+	poison := []stream.Update{{Item: 3000, Delta: math.MinInt64}}
+	want := serialEstimator(t, spec, s).Estimate()
+
+	for name, ingest := range map[string]func(*Server, *Client) error{
+		"json":      func(_ *Server, c *Client) error { return c.Push(poison) },
+		"inprocess": func(srv *Server, _ *Client) error { return srv.IngestBatch(poison) },
+		"stream": func(_ *Server, c *Client) error {
+			p, err := c.NewPusher(context.Background(), PusherConfig{Stream: true})
+			if err != nil {
+				return err
+			}
+			if err := p.Push(poison); err != nil {
+				return err
+			}
+			return p.Close()
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			srv, c := streamServer(t, spec)
+			if err := c.Push(s.Updates()); err != nil {
+				t.Fatal(err)
+			}
+			estimate := func() float64 {
+				t.Helper()
+				// A daemon whose apply panicked still holds its state lock;
+				// bound the wait so that shows as a failure, not a hang.
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				resp, err := c.EstimateContext(ctx, url.Values{})
+				if err != nil {
+					t.Fatalf("estimate: %v", err)
+				}
+				v, ok := resp.Value()
+				if !ok {
+					t.Fatalf("no estimate in %+v", resp)
+				}
+				return v
+			}
+			if err := ingest(srv, c); err != nil {
+				t.Fatalf("first MinInt64: %v", err)
+			}
+			if got := estimate(); math.IsNaN(got) {
+				t.Fatalf("estimate %v while the item holds MinInt64", got)
+			}
+			if err := ingest(srv, c); err != nil {
+				t.Fatalf("second MinInt64: %v", err)
+			}
+			if got := estimate(); got != want {
+				t.Fatalf("estimate %v after the counters wrapped back, want %v", got, want)
+			}
+		})
+	}
 }

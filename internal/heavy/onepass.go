@@ -134,7 +134,7 @@ func (o *OnePass) CoverFor(g gfunc.Func) Cover {
 		if c.Est == 0 {
 			continue
 		}
-		v := uint64(util.AbsInt64(c.Est))
+		v := uint64(util.SatAbsInt64(c.Est))
 		if !o.noPrune && !stableUnder(g, v, window, o.eps) {
 			continue
 		}

@@ -38,7 +38,8 @@ type batchAgg struct {
 }
 
 // mix64 is the SplitMix64 finalizer, a strong multiplicative bit mixer
-// used to spread items over the probe table.
+// used to spread items over the probe tables (batchAgg.slots here,
+// topTracker.pos).
 func mix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
@@ -115,8 +116,8 @@ func (cs *CountSketch) UpdateBatch(batch []stream.Update) {
 	}
 	cs.agg.collapse(batch)
 	order := cs.agg.order
-	// Reduce every distinct item mod 2^61-1 once; each row's inline
-	// polynomial evaluations (rowBucketSign) reuse the reduced key.
+	// Reduce every distinct item mod 2^61-1 once; every row's polynomial
+	// evaluations (hashRow) reuse the reduced key.
 	if cap(cs.agg.xs) < len(order) {
 		cs.agg.xs = make([]uint64, len(order))
 	}
@@ -125,87 +126,41 @@ func (cs *CountSketch) UpdateBatch(batch []stream.Update) {
 		xs[i] = it % xhash.MersennePrime61
 	}
 	ds := cs.agg.ds
-	if cs.topK == nil {
-		// Four items per row step (xhash.HornerStep4): the lanes are
-		// independent hash chains, so the counter state is bit-identical
-		// to the scalar walk — adds into a row commute, and duplicates
-		// were already collapsed.
-		for j := 0; j < cs.rows; j++ {
-			counts := cs.counts[j]
-			i := 0
-			for ; i+4 <= len(order); i += 4 {
-				xq := [4]uint64{xs[i], xs[i+1], xs[i+2], xs[i+3]}
-				h, s := cs.rowBucketSign4(j, &xq)
-				if d := ds[i]; d != 0 {
-					counts[h[0]] += s[0] * d
-				}
-				if d := ds[i+1]; d != 0 {
-					counts[h[1]] += s[1] * d
-				}
-				if d := ds[i+2]; d != 0 {
-					counts[h[2]] += s[2] * d
-				}
-				if d := ds[i+3]; d != 0 {
-					counts[h[3]] += s[3] * d
-				}
-			}
-			for ; i < len(order); i++ {
-				if d := ds[i]; d != 0 {
-					h, s := cs.rowBucketSign(j, xs[i])
-					counts[h] += s * d
-				}
-			}
-		}
-		cs.agg.reset()
-		return
-	}
-	// Tracked sketch: every distinct item gets re-scored after the batch,
-	// which needs the same (bucket, sign) hashes as the counter update.
-	// Hash each (row, item) pair ONCE: remember the pair while applying
-	// row j, then read the settled row back into the estimate matrix. A
-	// row is fully updated before it is read, so the matrix holds exactly
-	// what Estimate would recompute — median it per item and offer.
 	if cap(cs.agg.hs) < len(order) {
 		cs.agg.hs = make([]uint64, len(order))
 		cs.agg.ss = make([]int64, len(order))
 	}
-	if cap(cs.agg.ests) < len(order)*cs.rows {
-		cs.agg.ests = make([]int64, len(order)*cs.rows)
+	hs, ss := cs.agg.hs[:len(order)], cs.agg.ss[:len(order)]
+	// A tracked sketch re-scores every distinct item after the batch, which
+	// needs the same (bucket, sign) hashes as the counter update. Hash each
+	// (row, item) pair ONCE: apply row j, then read the settled row back
+	// into the estimate matrix. A row is fully updated before it is read,
+	// so the matrix holds exactly what Estimate would recompute.
+	var ests []int64
+	if cs.topK != nil {
+		if cap(cs.agg.ests) < len(order)*cs.rows {
+			cs.agg.ests = make([]int64, len(order)*cs.rows)
+		}
+		ests = cs.agg.ests[:len(order)*cs.rows]
 	}
-	hs, ss, ests := cs.agg.hs[:len(order)], cs.agg.ss[:len(order)], cs.agg.ests[:len(order)*cs.rows]
 	for j := 0; j < cs.rows; j++ {
 		counts := cs.counts[j]
-		i := 0
-		for ; i+4 <= len(order); i += 4 {
-			xq := [4]uint64{xs[i], xs[i+1], xs[i+2], xs[i+3]}
-			h, s := cs.rowBucketSign4(j, &xq)
-			for k := 0; k < 4; k++ {
-				hs[i+k], ss[i+k] = h[k], s[k]
-				if d := ds[i+k]; d != 0 {
-					counts[h[k]] += s[k] * d
-				}
-			}
+		cs.hashRow(j, xs, hs, ss)
+		// Adds into a row commute and duplicates were already collapsed, so
+		// the counters end where the per-update walk would leave them.
+		for i, d := range ds {
+			counts[hs[i]] += ss[i] * d
 		}
-		for ; i < len(order); i++ {
-			h, s := cs.rowBucketSign(j, xs[i])
-			hs[i], ss[i] = h, s
-			if d := ds[i]; d != 0 {
-				counts[h] += s * d
+		if cs.topK != nil {
+			for i := range hs {
+				ests[i*cs.rows+j] = ss[i] * counts[hs[i]]
 			}
-		}
-		for i := range order {
-			ests[i*cs.rows+j] = ss[i] * counts[hs[i]]
 		}
 	}
-	for i, it := range order {
-		row := ests[i*cs.rows : (i+1)*cs.rows]
-		// Insertion sort, as in Estimate: rows are O(log n), typically < 20.
-		for a := 1; a < len(row); a++ {
-			for b := a; b > 0 && row[b] < row[b-1]; b-- {
-				row[b], row[b-1] = row[b-1], row[b]
-			}
+	if cs.topK != nil {
+		for i, it := range order {
+			cs.topK.offer(it, median(ests[i*cs.rows:(i+1)*cs.rows]))
 		}
-		cs.topK.offer(it, row[len(row)/2])
 	}
 	cs.agg.reset()
 }

@@ -96,6 +96,47 @@ func TestRowHashMatchesHashFamilies(t *testing.T) {
 	}
 }
 
+// TestHashRowMatchesHashFamilies is TestRowHashMatchesHashFamilies for
+// the whole kernel: scalar (rowBucketSign) and batched (hashRow: the
+// four-lane walk plus its scalar tail), at the edges of the item range,
+// where the bucket reduction is a mask (power-of-two b) and where it is
+// a division. xhash's TestLazyKernelMatchesHash covers arbitrary
+// coefficients.
+func TestHashRowMatchesHashFamilies(t *testing.T) {
+	const p = xhash.MersennePrime61
+	edges := []uint64{0, 1, p - 1, p, p + 1, 1 << 63, 1<<64 - 1}
+	for _, b := range []uint64{1, 3, 1 << 10, 4096, 4206} {
+		cs := NewCountSketch(7, b, util.NewSplitMix64(42))
+		rng := util.NewSplitMix64(7)
+		// Every length mod 4, so each tail size follows a four-lane walk.
+		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 1000, 1001, 1002, 1003} {
+			items := make([]uint64, n)
+			xs := make([]uint64, n)
+			for i := range items {
+				if items[i] = rng.Next(); i%5 == 0 {
+					items[i] = edges[rng.Uint64n(uint64(len(edges)))]
+				}
+				xs[i] = items[i] % p
+			}
+			hs, ss := make([]uint64, n), make([]int64, n)
+			for j := 0; j < cs.rows; j++ {
+				cs.hashRow(j, xs, hs, ss)
+				for i, it := range items {
+					wantH, wantS := cs.bucket[j].Hash(it), cs.sign[j].Hash(it)
+					if hs[i] != wantH || ss[i] != wantS {
+						t.Fatalf("b %d n %d item %d row %d: hashRow (%d, %d), want (%d, %d)",
+							b, n, it, j, hs[i], ss[i], wantH, wantS)
+					}
+					if h, s := cs.rowBucketSign(j, xs[i]); h != wantH || s != wantS {
+						t.Fatalf("b %d item %d row %d: rowBucketSign (%d, %d), want (%d, %d)",
+							b, it, j, h, s, wantH, wantS)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestUpdateBatchMatchesUpdateExactly feeds the same duplicate-heavy
 // stream through the batch and per-update paths and requires bit-equal
 // counters for every sketch type.

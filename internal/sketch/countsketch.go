@@ -75,47 +75,64 @@ func NewCountSketch(r int, b uint64, rng *util.SplitMix64) *CountSketch {
 // rowBucketSign evaluates row j's bucket index and ±1 sign for xp (the
 // item already reduced mod 2^61-1) from the flat coefficient cache. It
 // reproduces bucket[j].Hash and sign[j].Hash exactly: a degree-1 and a
-// degree-3 Horner evaluation over GF(2^61-1), bucket reduced mod b, sign
-// taken from the low bit.
+// degree-3 Horner evaluation over GF(2^61-1), lazily reduced (see
+// xhash.HornerStep) with only the two final values made canonical; the
+// bucket is that value mod b, the sign its low bit.
 func (cs *CountSketch) rowBucketSign(j int, xp uint64) (uint64, int64) {
 	c := cs.coef[coefPerRow*j : coefPerRow*j+coefPerRow : coefPerRow*j+coefPerRow]
-	h := xhash.AddMod(xhash.MulMod(c[1], xp), c[0]) % cs.buckets
-	acc := c[5]
-	acc = xhash.AddMod(xhash.MulMod(acc, xp), c[4])
-	acc = xhash.AddMod(xhash.MulMod(acc, xp), c[3])
-	acc = xhash.AddMod(xhash.MulMod(acc, xp), c[2])
-	s := int64(-1)
-	if acc&1 == 1 {
-		s = 1
-	}
-	return h, s
+	bk := xhash.HornerStep(c[1], xp, c[0])
+	sg := xhash.HornerStep(c[5], xp, c[4])
+	sg = xhash.HornerStep(sg, xp, c[3])
+	sg = xhash.HornerStep(sg, xp, c[2])
+	return bucketOf(bk, cs.buckets), signOf(sg)
 }
 
-// rowBucketSign4 is the four-lane rowBucketSign: it evaluates row j's
-// bucket indices and signs for four reduced items in one pass, built on
-// xhash.HornerStep4 so the four Horner chains interleave and the row
-// walk runs at multiply throughput instead of latency. Each lane is
-// bit-identical to rowBucketSign on the same item.
-func (cs *CountSketch) rowBucketSign4(j int, xp *[4]uint64) (h [4]uint64, s [4]int64) {
+// bucketOf maps the lazily reduced value of a bucket polynomial to
+// [0, b), as xhash.Buckets.Hash has it: the canonical value mod b. Every
+// sketch heavy.dims sizes has a power-of-two b, where that is a mask; any
+// other b pays the division.
+func bucketOf(v, b uint64) uint64 {
+	v = xhash.Reduce(v)
+	if b&(b-1) == 0 {
+		return v & (b - 1)
+	}
+	return v % b
+}
+
+// signOf maps the lazily reduced value of a sign polynomial to ±1: +1 if
+// the canonical value is odd, as xhash.Sign.Hash has it. Arithmetic, not
+// a branch: the bit is a fair coin.
+func signOf(v uint64) int64 {
+	return int64(xhash.Reduce(v)&1)<<1 - 1
+}
+
+// hashRow is rowBucketSign over a batch: hs[i], ss[i] are row j's bucket
+// index and sign for the reduced item xs[i]. It walks four items per step
+// on xhash.HornerStep4, so the four Horner chains interleave and the row
+// runs at multiply throughput instead of latency; every lane, and the
+// scalar tail, is bit-identical to rowBucketSign on the same item.
+func (cs *CountSketch) hashRow(j int, xs, hs []uint64, ss []int64) {
 	c := cs.coef[coefPerRow*j : coefPerRow*j+coefPerRow : coefPerRow*j+coefPerRow]
-	// Bucket hash: c[1]*x + c[0], i.e. Horner from acc = c[1], one step.
-	acc := [4]uint64{c[1], c[1], c[1], c[1]}
-	xhash.HornerStep4(&acc, xp, c[0])
 	b := cs.buckets
-	h[0], h[1], h[2], h[3] = acc[0]%b, acc[1]%b, acc[2]%b, acc[3]%b
-	// Sign hash: degree-3 Horner from acc = c[5] through c[4], c[3], c[2].
-	sg := [4]uint64{c[5], c[5], c[5], c[5]}
-	xhash.HornerStep4(&sg, xp, c[4])
-	xhash.HornerStep4(&sg, xp, c[3])
-	xhash.HornerStep4(&sg, xp, c[2])
-	for k := 0; k < 4; k++ {
-		if sg[k]&1 == 1 {
-			s[k] = 1
-		} else {
-			s[k] = -1
+	i := 0
+	for ; i+4 <= len(xs); i += 4 {
+		x := (*[4]uint64)(xs[i:])
+		// Bucket hash: c[1]*x + c[0], i.e. Horner from acc = c[1], one step.
+		bk := [4]uint64{c[1], c[1], c[1], c[1]}
+		xhash.HornerStep4(&bk, x, c[0])
+		// Sign hash: degree-3 Horner from acc = c[5] through c[4], c[3], c[2].
+		sg := [4]uint64{c[5], c[5], c[5], c[5]}
+		xhash.HornerStep4(&sg, x, c[4])
+		xhash.HornerStep4(&sg, x, c[3])
+		xhash.HornerStep4(&sg, x, c[2])
+		h, s := (*[4]uint64)(hs[i:]), (*[4]int64)(ss[i:])
+		for k := range bk {
+			h[k], s[k] = bucketOf(bk[k], b), signOf(sg[k])
 		}
 	}
-	return h, s
+	for ; i < len(xs); i++ {
+		hs[i], ss[i] = cs.rowBucketSign(j, xs[i])
+	}
 }
 
 // NewCountSketchTopK returns a CountSketch that additionally tracks the k
@@ -165,13 +182,28 @@ func (cs *CountSketch) Estimate(item uint64) int64 {
 		h, s := cs.rowBucketSign(j, xp)
 		cs.scratch[j] = s * cs.flat[uint64(j)*b+h]
 	}
-	// Insertion sort the scratch buffer; rows are O(log n), typically < 20.
-	for i := 1; i < len(cs.scratch); i++ {
-		for j := i; j > 0 && cs.scratch[j] < cs.scratch[j-1]; j-- {
-			cs.scratch[j], cs.scratch[j-1] = cs.scratch[j-1], cs.scratch[j]
+	return median(cs.scratch)
+}
+
+// median returns the element a sort of v would leave at index len(v)/2,
+// reordering v. It is a selection network of min/max compare-exchanges:
+// each pass carries the maximum of v[:end+1] up to v[end], and passes
+// stop once v[len(v)/2] is settled. Which comparisons run does not
+// depend on the data — row estimates are as good as random, so a
+// comparison sort's branches here are mispredictions, and they were a
+// fifth of an update.
+func median(v []int64) int64 {
+	mid := len(v) / 2
+	for end := len(v) - 1; end >= mid; end-- {
+		hi := v[0]
+		for i := 1; i <= end; i++ {
+			x := v[i]
+			v[i-1] = min(hi, x)
+			hi = max(hi, x)
 		}
+		v[end] = hi
 	}
-	return cs.scratch[len(cs.scratch)/2]
+	return v[mid]
 }
 
 // EstimateF2 returns the Thorup-Zhang style F2 estimate: the median over
@@ -225,7 +257,7 @@ func (cs *CountSketch) TopK() []Candidate {
 		out = append(out, Candidate{Item: it, Est: cs.Estimate(it)})
 	}
 	sort.Slice(out, func(i, j int) bool {
-		return util.AbsInt64(out[i].Est) > util.AbsInt64(out[j].Est)
+		return util.SatAbsInt64(out[i].Est) > util.SatAbsInt64(out[j].Est)
 	})
 	return out
 }
@@ -240,7 +272,7 @@ func (cs *CountSketch) HeavyCandidates(domain []uint64, k int) []Candidate {
 		out = append(out, Candidate{Item: it, Est: cs.Estimate(it)})
 	}
 	sort.Slice(out, func(i, j int) bool {
-		return util.AbsInt64(out[i].Est) > util.AbsInt64(out[j].Est)
+		return util.SatAbsInt64(out[i].Est) > util.SatAbsInt64(out[j].Est)
 	})
 	if k < len(out) {
 		out = out[:k]
@@ -266,47 +298,76 @@ func (cs *CountSketch) Merge(other *CountSketch) error {
 
 // topTracker keeps the k items with the largest |estimate| offered so far.
 // It is a small indexed min-heap keyed by |estimate|. Scores live inside
-// the heap entries — not in a side map — so sift comparisons are array
-// reads; only the item → heap-index lookup pays a map access.
+// the heap entries, so sift comparisons are array reads, and the item →
+// heap-index lookup is a probe of a flat table a few cache lines long.
 type topTracker struct {
 	k    int
-	heap []topEntry     // min-heap on score
-	pos  map[uint64]int // item -> index in heap
+	heap []topEntry // min-heap on score
+	// pos indexes the heap by item: an open-addressed, linear-probe table
+	// over mix64(item), pos[s] = heap index + 1 (0 = empty). It holds at
+	// most k entries in ≥ 2k power-of-two slots; eviction removes one by
+	// backward-shift, so there are no tombstones and probes stay short.
+	pos []int32
 }
 
-// topEntry is one tracked candidate: the item and |estimate| at last offer.
+// topEntry is one tracked candidate: the item, |estimate| at last offer,
+// and the pos slot that points back at it (what a sift updates without
+// hashing).
 type topEntry struct {
 	item  uint64
 	score int64
+	slot  int32
 }
 
 func newTopTracker(k int) *topTracker {
-	return &topTracker{
-		k:   k,
-		pos: make(map[uint64]int, k+1),
-	}
+	return &topTracker{k: k, pos: make([]int32, util.NextPow2(uint64(2*k)))}
 }
 
 func (t *topTracker) offer(item uint64, est int64) {
-	a := util.AbsInt64(est)
-	if idx, ok := t.pos[item]; ok {
-		t.heap[idx].score = a
-		t.fix(idx)
-		return
+	a := util.SatAbsInt64(est)
+	mask := uint64(len(t.pos) - 1)
+	s := mix64(item) & mask
+	for ; t.pos[s] != 0; s = (s + 1) & mask {
+		if idx := int(t.pos[s]) - 1; t.heap[idx].item == item {
+			t.heap[idx].score = a
+			t.fix(idx)
+			return
+		}
 	}
+	// Not tracked; s is the empty slot the probe for item ended on.
 	if len(t.heap) < t.k {
-		t.heap = append(t.heap, topEntry{item: item, score: a})
-		t.pos[item] = len(t.heap) - 1
+		t.heap = append(t.heap, topEntry{item: item, score: a, slot: int32(s)})
+		t.pos[s] = int32(len(t.heap))
 		t.up(len(t.heap) - 1)
 		return
 	}
 	if a <= t.heap[0].score {
 		return
 	}
-	delete(t.pos, t.heap[0].item)
-	t.heap[0] = topEntry{item: item, score: a}
-	t.pos[item] = 0
+	t.unindex(uint64(t.heap[0].slot))
+	// The shift may have filled s or emptied a slot before it: probe again.
+	for s = mix64(item) & mask; t.pos[s] != 0; s = (s + 1) & mask {
+	}
+	t.heap[0] = topEntry{item: item, score: a, slot: int32(s)}
+	t.pos[s] = 1
 	t.down(0)
+}
+
+// unindex empties slot hole and closes the gap: each later entry of the
+// probe run moves back into the hole unless that would put it before its
+// home slot, and the slot it leaves becomes the hole.
+func (t *topTracker) unindex(hole uint64) {
+	mask := uint64(len(t.pos) - 1)
+	t.pos[hole] = 0
+	for s := (hole + 1) & mask; t.pos[s] != 0; s = (s + 1) & mask {
+		e := &t.heap[t.pos[s]-1]
+		if home := mix64(e.item) & mask; (s-home)&mask < (s-hole)&mask {
+			continue // home lies after the hole: the entry stays reachable
+		}
+		t.pos[hole], t.pos[s] = t.pos[s], 0
+		e.slot = int32(hole)
+		hole = s
+	}
 }
 
 func (t *topTracker) items() []uint64 {
@@ -323,8 +384,8 @@ func (t *topTracker) less(i, j int) bool {
 
 func (t *topTracker) swap(i, j int) {
 	t.heap[i], t.heap[j] = t.heap[j], t.heap[i]
-	t.pos[t.heap[i].item] = i
-	t.pos[t.heap[j].item] = j
+	t.pos[t.heap[i].slot] = int32(i) + 1
+	t.pos[t.heap[j].slot] = int32(j) + 1
 }
 
 func (t *topTracker) up(i int) {

@@ -161,6 +161,17 @@ func AbsInt64(x int64) int64 {
 	return x
 }
 
+// SatAbsInt64 returns |x|, saturating math.MinInt64 to math.MaxInt64. It
+// is the magnitude to take of a sketch counter or estimate: a turnstile
+// delta is any int64, so those can hold every value, and an input must
+// not be able to panic whoever ranks them. Branch-free, because the
+// top-k tracker takes it of every estimate and their signs are random.
+func SatAbsInt64(x int64) int64 {
+	m := x >> 63     // 0, or -1 for negative x
+	a := (x ^ m) - m // |x|, except that MinInt64 stays MinInt64
+	return a + a>>63 // a>>63 is -1 only then, and MinInt64 - 1 wraps to MaxInt64
+}
+
 // MaxInt64 returns the larger of a and b.
 func MaxInt64(a, b int64) int64 {
 	if a > b {

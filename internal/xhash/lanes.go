@@ -2,75 +2,51 @@ package xhash
 
 import "math/bits"
 
-// Multi-lane GF(2^61-1) arithmetic: the same Mersenne fold as MulMod,
-// unrolled over four independent lanes. One scalar MulMod is a chain of
-// dependent operations (widening multiply, fold, two conditional
-// subtractions) whose latency the CPU cannot hide; four independent
-// lanes give the out-of-order core four such chains to interleave, so a
-// row pass that hashes four items per step runs at multiply THROUGHPUT
-// instead of multiply LATENCY. Every lane computes bit-exactly what the
-// scalar function computes — the lane functions are definitionally
-// lane-wise MulMod/AddMod, and the tests hold them to it.
+// Lazily reduced GF(2^61-1) Horner evaluation, the arithmetic under the
+// CountSketch row walk. MulMod and AddMod return canonical values and pay
+// three conditional subtractions per Horner step for it; a polynomial
+// evaluation only needs its LAST value canonical. HornerStep folds the
+// 128-bit product once with the Mersenne identity and subtracts nothing,
+// so intermediate values are merely congruent to what Poly.Hash holds at
+// the same step, and Reduce canonicalises the final one: Reduce of a
+// HornerStep chain equals Poly.Hash bit for bit (TestLazyKernelMatchesHash
+// and FuzzLazyKernel hold them to it).
+//
+// HornerStep4 is the same step over four independent lanes. One chain is
+// a sequence of dependent operations (widening multiply, fold, add) whose
+// latency the CPU cannot hide; four independent chains give the
+// out-of-order core work to interleave, so a row pass that hashes four
+// items per step runs at multiply throughput instead of multiply latency.
 
-// MulMod4 sets r[i] = (a[i] * b[i]) mod (2^61 - 1) for all four lanes.
-// r may alias a or b.
-func MulMod4(r, a, b *[4]uint64) {
-	h0, l0 := bits.Mul64(a[0], b[0])
-	h1, l1 := bits.Mul64(a[1], b[1])
-	h2, l2 := bits.Mul64(a[2], b[2])
-	h3, l3 := bits.Mul64(a[3], b[3])
-	r0 := (l0 & MersennePrime61) + (l0 >> 61) + ((h0 << 3) & MersennePrime61) + (h0 >> 58)
-	r1 := (l1 & MersennePrime61) + (l1 >> 61) + ((h1 << 3) & MersennePrime61) + (h1 >> 58)
-	r2 := (l2 & MersennePrime61) + (l2 >> 61) + ((h2 << 3) & MersennePrime61) + (h2 >> 58)
-	r3 := (l3 & MersennePrime61) + (l3 >> 61) + ((h3 << 3) & MersennePrime61) + (h3 >> 58)
-	if r0 >= MersennePrime61 {
-		r0 -= MersennePrime61
-	}
-	if r0 >= MersennePrime61 {
-		r0 -= MersennePrime61
-	}
-	if r1 >= MersennePrime61 {
-		r1 -= MersennePrime61
-	}
-	if r1 >= MersennePrime61 {
-		r1 -= MersennePrime61
-	}
-	if r2 >= MersennePrime61 {
-		r2 -= MersennePrime61
-	}
-	if r2 >= MersennePrime61 {
-		r2 -= MersennePrime61
-	}
-	if r3 >= MersennePrime61 {
-		r3 -= MersennePrime61
-	}
-	if r3 >= MersennePrime61 {
-		r3 -= MersennePrime61
-	}
-	r[0], r[1], r[2], r[3] = r0, r1, r2, r3
+// HornerStep returns a value congruent to acc*x + c mod 2^61-1 and below
+// 2^63, for acc < 2^63 and x, c < 2^61.
+//
+// Bound: acc*x < 2^124, so with acc*x = hi*2^64 + lo, hi < 2^60. Since
+// 2^61 ≡ 1, lo ≡ (lo & p) + (lo >> 61) and hi*2^64 = (hi<<3)*2^61 ≡
+// ((hi<<3) & p) + (hi >> 58) — hi<<3 < 2^63 loses no bit. The four terms
+// are at most p, 7, p and 3, so with c the sum is below 3*2^61 + 12 < 2^63:
+// a valid acc for the next step, and no addition wraps.
+func HornerStep(acc, x, c uint64) uint64 {
+	hi, lo := bits.Mul64(acc, x)
+	return (lo & MersennePrime61) + (lo >> 61) + ((hi << 3) & MersennePrime61) + (hi >> 58) + c
 }
 
-// HornerStep4 advances four Horner evaluations one step against a
-// SHARED coefficient: acc[i] = (acc[i] * x[i] + c) mod (2^61 - 1).
-// This is the inner step of evaluating one row's hash polynomial at
-// four items simultaneously; the CountSketch row walk is built on it.
+// HornerStep4 advances four Horner evaluations one step against a SHARED
+// coefficient: acc[i] = HornerStep(acc[i], x[i], c). It is the inner step
+// of evaluating one row's hash polynomial at four items at once.
 func HornerStep4(acc, x *[4]uint64, c uint64) {
-	MulMod4(acc, acc, x)
-	s0 := acc[0] + c
-	if s0 >= MersennePrime61 {
-		s0 -= MersennePrime61
+	acc[0] = HornerStep(acc[0], x[0], c)
+	acc[1] = HornerStep(acc[1], x[1], c)
+	acc[2] = HornerStep(acc[2], x[2], c)
+	acc[3] = HornerStep(acc[3], x[3], c)
+}
+
+// Reduce returns v mod 2^61-1, the canonical value in [0, 2^61-1). The
+// fold leaves at most p + 7, so one conditional subtraction finishes.
+func Reduce(v uint64) uint64 {
+	v = (v & MersennePrime61) + (v >> 61)
+	if v >= MersennePrime61 {
+		v -= MersennePrime61
 	}
-	s1 := acc[1] + c
-	if s1 >= MersennePrime61 {
-		s1 -= MersennePrime61
-	}
-	s2 := acc[2] + c
-	if s2 >= MersennePrime61 {
-		s2 -= MersennePrime61
-	}
-	s3 := acc[3] + c
-	if s3 >= MersennePrime61 {
-		s3 -= MersennePrime61
-	}
-	acc[0], acc[1], acc[2], acc[3] = s0, s1, s2, s3
+	return v
 }

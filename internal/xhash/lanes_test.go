@@ -1,0 +1,103 @@
+package xhash
+
+import (
+	"testing"
+
+	"repro/internal/util"
+)
+
+// checkLazyKernel holds the lazily reduced kernel to the hash families:
+// for a degree-1 bucket polynomial and a degree-3 sign polynomial with
+// the given coefficients, Reduce of a HornerStep chain (scalar, and each
+// lane of HornerStep4) is Poly.Hash, so reducing it mod b is Buckets.Hash
+// — by a mask when b is a power of two — and its low bit is Sign.Hash.
+// This is the evaluation sketch.CountSketch runs on every update.
+func checkLazyKernel(t *testing.T, coef [6]uint64, items [4]uint64, b uint64) {
+	t.Helper()
+	bucket := &Buckets{poly: &Poly{coeff: coef[:2]}, b: b}
+	sign := &Sign{poly: &Poly{coeff: coef[2:]}}
+	var xp [4]uint64
+	for k, it := range items {
+		xp[k] = it % MersennePrime61
+	}
+	bk := [4]uint64{coef[1], coef[1], coef[1], coef[1]}
+	HornerStep4(&bk, &xp, coef[0])
+	sg := [4]uint64{coef[5], coef[5], coef[5], coef[5]}
+	HornerStep4(&sg, &xp, coef[4])
+	HornerStep4(&sg, &xp, coef[3])
+	HornerStep4(&sg, &xp, coef[2])
+	for k, it := range items {
+		sbk := HornerStep(coef[1], xp[k], coef[0])
+		ssg := HornerStep(HornerStep(HornerStep(coef[5], xp[k], coef[4]), xp[k], coef[3]), xp[k], coef[2])
+		if bk[k] != sbk || sg[k] != ssg {
+			t.Fatalf("item %d lane %d: HornerStep4 (%d, %d) != HornerStep (%d, %d)", it, k, bk[k], sg[k], sbk, ssg)
+		}
+		if sbk >= 1<<63 || ssg >= 1<<63 {
+			t.Fatalf("item %d: lazy value (%d, %d) not below 2^63", it, sbk, ssg)
+		}
+		h := Reduce(sbk)
+		if want := bucket.poly.Hash(it); h != want {
+			t.Fatalf("coef %v item %d: bucket polynomial %d, want %d", coef, it, h, want)
+		}
+		want := bucket.Hash(it)
+		if h%b != want {
+			t.Fatalf("coef %v item %d b %d: bucket %d, want %d", coef, it, b, h%b, want)
+		}
+		if b&(b-1) == 0 && h&(b-1) != want {
+			t.Fatalf("coef %v item %d b %d: masked bucket %d, want %d", coef, it, b, h&(b-1), want)
+		}
+		if got, want := int64(Reduce(ssg)&1)<<1-1, sign.Hash(it); got != want {
+			t.Fatalf("coef %v item %d: sign %d, want %d", coef, it, got, want)
+		}
+	}
+}
+
+// kernelEdges are the values where a reduction can go wrong, as items
+// and (below p) as coefficients.
+var kernelEdges = []uint64{0, 1, 2, MersennePrime61 - 1, MersennePrime61, MersennePrime61 + 1,
+	1 << 61, 1<<62 + 5, 1<<63 - 1, 1 << 63, 1<<64 - 1}
+
+func TestLazyKernelMatchesHash(t *testing.T) {
+	const p = MersennePrime61
+	buckets := []uint64{1, 2, 3, 4096, 4206, 1 << 20, 1<<61 - 1, 1 << 61, 1 << 63}
+	// Extreme coefficients against every pair of edge items.
+	for _, coef := range [][6]uint64{
+		{p - 1, p - 1, p - 1, p - 1, p - 1, p - 1},
+		{0, 1, 0, 0, 0, 1},
+		{p - 1, 1, 1, p - 1, 0, p - 1},
+		{0, p - 1, p - 1, 0, p - 1, 1},
+	} {
+		for _, b := range buckets {
+			for i, x := range kernelEdges {
+				y := kernelEdges[(i+1)%len(kernelEdges)]
+				checkLazyKernel(t, coef, [4]uint64{x, y, ^x, x + y}, b)
+			}
+		}
+	}
+	// Random coefficients and items, with an edge mixed into each.
+	rng := util.NewSplitMix64(16)
+	for i := 0; i < 20000; i++ {
+		var coef [6]uint64
+		for k := range coef {
+			coef[k] = rng.Uint64n(p)
+		}
+		coef[rng.Uint64n(6)] = kernelEdges[rng.Uint64n(4)] // 0, 1, 2, p-1
+		items := [4]uint64{rng.Next(), rng.Next(), rng.Next(), kernelEdges[i%len(kernelEdges)]}
+		checkLazyKernel(t, coef, items, buckets[i%len(buckets)])
+	}
+}
+
+// FuzzLazyKernel lets the fuzzer pick the coefficients, the items and b.
+func FuzzLazyKernel(f *testing.F) {
+	const p = MersennePrime61
+	f.Add(uint64(0), uint64(1), uint64(2), uint64(3), uint64(4), uint64(5), uint64(6), uint64(7), uint64(4096))
+	f.Add(p-1, p-1, p-1, p-1, p-1, p-1, p-1, p, uint64(4206))
+	f.Add(p-1, p-1, p-1, p-1, p-1, p-1, uint64(1<<64-1), p+1, uint64(1))
+	f.Fuzz(func(t *testing.T, c0, c1, c2, c3, c4, c5, x, y, b uint64) {
+		if b == 0 {
+			b = 1
+		}
+		coef := [6]uint64{c0 % p, c1 % p, c2 % p, c3 % p, c4 % p, c5 % p}
+		checkLazyKernel(t, coef, [4]uint64{x, y, x ^ y, x + y}, b)
+	})
+}

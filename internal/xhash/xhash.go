@@ -12,11 +12,9 @@ import (
 const MersennePrime61 uint64 = (1 << 61) - 1
 
 // MulMod returns (a * b) mod (2^61 - 1) using 128-bit intermediate
-// arithmetic followed by Mersenne reduction. It is exported (together
-// with AddMod) so that hot loops elsewhere — the CountSketch row walk —
-// can evaluate flattened polynomial coefficients in place; the body is
-// branch-light and loop-free so the compiler can inline it into those
-// loops.
+// arithmetic followed by Mersenne reduction. With AddMod it is the fully
+// reduced arithmetic Poly.Hash is written in — the definition the lazily
+// reduced row kernel (HornerStep, Reduce) is tested against.
 func MulMod(a, b uint64) uint64 {
 	hi, lo := bits.Mul64(a, b)
 	// a*b = hi*2^64 + lo. With p = 2^61 - 1, 2^61 ≡ 1 (mod p), so
@@ -86,7 +84,7 @@ func (p *Poly) Fingerprint(h uint64) uint64 {
 // and returns the extended slice. Callers that evaluate many polynomials
 // in a tight loop — the CountSketch row walk — flatten all coefficients
 // into one contiguous array at construction time and run Horner's rule
-// inline with MulMod/AddMod, avoiding the per-evaluation pointer chase
+// inline with HornerStep/Reduce, avoiding the per-evaluation pointer chase
 // through Poly. The appended values are exactly the ones Hash uses, so an
 // inline evaluation reproduces Hash bit for bit.
 func (p *Poly) AppendCoeffs(dst []uint64) []uint64 {
