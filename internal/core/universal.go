@@ -7,6 +7,7 @@ import (
 	"repro/internal/gfunc"
 	"repro/internal/heavy"
 	"repro/internal/recursive"
+	"repro/internal/sketch"
 	"repro/internal/stream"
 	"repro/internal/util"
 	"repro/internal/xhash"
@@ -23,10 +24,10 @@ import (
 // The sketch must be sized for the worst envelope in the family: pass the
 // max of gfunc.MeasureEnvelope(g_θ, M).H() over θ as Options.Envelope.
 type Universal struct {
-	levels  []*heavy.OnePass
-	sub     []*xhash.Bernoulli
-	opts    Options           // resolved options, digested by Fingerprint
-	scratch [][]stream.Update // reusable UpdateBatch survivor buffers
+	levels []*heavy.OnePass
+	sub    []*xhash.Bernoulli
+	opts   Options      // resolved options, digested by Fingerprint
+	plan   sketch.Batch // the collapsed batch UpdateBatch hands down the levels
 }
 
 // mergeOnePassLevels folds the per-level OnePass states of src into dst
@@ -96,14 +97,12 @@ func (u *Universal) Update(item uint64, delta int64) {
 	}
 }
 
-// UpdateBatch feeds a batch of turnstile updates, routing survivors down
-// the subsampling levels exactly as per-update ingestion would.
+// UpdateBatch feeds a batch of turnstile updates, collapsed once and
+// routed down the subsampling levels exactly as per-update ingestion
+// would route it.
 func (u *Universal) UpdateBatch(batch []stream.Update) {
-	if len(batch) == 0 {
-		return
-	}
-	recursive.FeedLevels(batch, u.sub, &u.scratch, func(k int, chunk []stream.Update) {
-		u.levels[k].UpdateBatch(chunk)
+	recursive.Cascade(&u.plan, batch, u.sub, func(k int, b *sketch.Batch) {
+		u.levels[k].Apply(b)
 	})
 }
 

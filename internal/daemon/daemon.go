@@ -95,13 +95,24 @@ func (s *Server) apply(transport string, batch []stream.Update) (total uint64, e
 			return 0, fmt.Errorf("update %d: item %d outside domain [0,%d)", i, u.Item, n)
 		}
 	}
-	s.mu.Lock()
-	s.est.UpdateBatch(batch)
-	s.ingests += uint64(len(batch))
-	total = s.ingests
-	s.mu.Unlock()
+	s.locked(func() {
+		s.est.UpdateBatch(batch)
+		s.ingests += uint64(len(batch))
+		total = s.ingests
+	})
 	s.obs.ingested(transport, len(batch))
 	return total, nil
+}
+
+// locked runs fn under the state lock and releases it however fn ends.
+// Every section that calls into the estimator goes through it: net/http
+// recovers a panicking handler and keeps serving, so a lock that a panic
+// left held would block every later ingest, estimate, scrape, checkpoint
+// and drain behind one bad request.
+func (s *Server) locked(fn func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fn()
 }
 
 // IngestRequest is the /v1/ingest body: updates as [item, delta] pairs.
@@ -247,10 +258,11 @@ func writeError(w http.ResponseWriter, status int, err error) {
 func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		s.mu.Lock()
-		resp := ConfigInfo{Spec: s.spec, Fingerprint: s.fp,
-			Ingested: s.ingests, SpaceBytes: s.est.SpaceBytes()}
-		s.mu.Unlock()
+		var resp ConfigInfo
+		s.locked(func() {
+			resp = ConfigInfo{Spec: s.spec, Fingerprint: s.fp,
+				Ingested: s.ingests, SpaceBytes: s.est.SpaceBytes()}
+		})
 		writeJSON(w, http.StatusOK, resp)
 	case http.MethodPost:
 		var req CheckRequest
@@ -306,9 +318,9 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
 		return
 	}
-	s.mu.Lock()
-	data, err := s.est.MarshalBinary()
-	s.mu.Unlock()
+	var data []byte
+	var err error
+	s.locked(func() { data, err = s.est.MarshalBinary() })
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -336,9 +348,7 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	s.mu.Lock()
-	err = s.est.UnmarshalBinary(data)
-	s.mu.Unlock()
+	s.locked(func() { err = s.est.UnmarshalBinary(data) })
 	s.obs.mergeSeconds.Observe(time.Since(start).Seconds())
 	if err != nil {
 		// A fingerprint/dimension mismatch is the client's fault: it shipped
@@ -360,22 +370,25 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	s.mu.Lock()
-	// s.est is read under the lock: a membership rebuild swaps it, and
-	// an advance applied to the estimator being replaced would be lost.
-	win, ok := s.est.(backend.Windowed)
+	var now uint64
+	var ok bool
+	s.locked(func() {
+		// s.est is read under the lock: a membership rebuild swaps it, and
+		// an advance applied to the estimator being replaced would be lost.
+		var win backend.Windowed
+		if win, ok = s.est.(backend.Windowed); ok {
+			// Arbitrarily large jumps are safe: window.Advance fast-forwards
+			// across spans that expire everything instead of replaying each
+			// elapsed tick, so a client posting wall-clock epoch ticks cannot
+			// stall the daemon under its state lock.
+			now = win.Advance(req.Tick)
+		}
+	})
 	if !ok {
-		s.mu.Unlock()
 		writeError(w, http.StatusBadRequest, fmt.Errorf(
 			"daemon: kind %q summarizes the whole stream and has no tick clock; use the window kind", s.spec.Kind))
 		return
 	}
-	// Arbitrarily large jumps are safe: window.Advance fast-forwards
-	// across spans that expire everything instead of replaying each
-	// elapsed tick, so a client posting wall-clock epoch ticks cannot
-	// stall the daemon under its state lock.
-	now := win.Advance(req.Tick)
-	s.mu.Unlock()
 	s.obs.advanceSeconds.Observe(time.Since(start).Seconds())
 	writeJSON(w, http.StatusOK, map[string]uint64{"tick": now})
 }
@@ -391,9 +404,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	s.mu.Lock()
-	resp, err := s.estimate(r.URL.Query())
-	s.mu.Unlock()
+	var resp EstimateResult
+	var err error
+	s.locked(func() { resp, err = s.estimate(r.URL.Query()) })
 	s.obs.estimateSeconds.Observe(time.Since(start).Seconds())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)

@@ -400,18 +400,16 @@ func (s *Server) rebuildFrom(snaps [][]byte) error {
 			fresh.(backend.Windowed).Advance(win.Now())
 		}
 	}
-	s.mu.Lock()
-	catchUp()
-	s.mu.Unlock()
+	s.locked(catchUp)
 	for _, snap := range snaps {
 		if err := fresh.UnmarshalBinary(snap); err != nil {
 			return fmt.Errorf("daemon: rebuild: %w", err)
 		}
 	}
-	s.mu.Lock()
-	catchUp()
-	s.est = fresh
-	s.mu.Unlock()
+	s.locked(func() {
+		catchUp()
+		s.est = fresh
+	})
 	return nil
 }
 

@@ -385,18 +385,79 @@ func TestPusherContextCancel(t *testing.T) {
 }
 
 // TestMinInt64DeltaEndToEnd sends the one delta whose magnitude does not
-// fit an int64 through each ingest door. It makes every counter of the
-// item MinInt64 and so its estimate; scoring that once panicked inside
-// Server.apply with the state lock held, taking the daemon down with one
-// update. The daemon must keep answering /v1/estimate, and a second copy
-// must wrap every counter back to where it was: the estimate returns to
-// that of a daemon that never saw the item.
+// fit an int64 through each ingest door of a daemon of every kind gsumd
+// accepts. It makes the item's frequency — every counter of it, and so
+// its estimate — MinInt64, and taking the magnitude of that once
+// panicked: on the sketch kinds inside Server.apply, on `exact` inside
+// the first /v1/estimate, either way with the state lock held and never
+// released, so one update (and one read) wedged the daemon for good. The
+// daemon must keep answering /v1/estimate, and a second copy must wrap
+// the frequency back to where it was: the answer returns to the one given
+// before the item was touched, which for `onepass` is also that of a
+// serial estimator that never saw it.
 func TestMinInt64DeltaEndToEnd(t *testing.T) {
 	s := testStream(23)
-	spec := backend.Spec{Kind: backend.KindOnePass, G: "x^2", Options: testOptions(5)}
 	poison := []stream.Update{{Item: 3000, Delta: math.MinInt64}}
-	want := serialEstimator(t, spec, s).Estimate()
-
+	universal := testOptions(5)
+	universal.Envelope = 4
+	specs := []backend.Spec{
+		{Kind: backend.KindOnePass, G: "x^2", Options: testOptions(5)},
+		{Kind: backend.KindSharded, G: "x^2", Options: testOptions(5), Workers: 2},
+		{Kind: backend.KindUniversal, Options: universal},
+		windowSpec(5, 8, 2),
+		{Kind: backend.KindCountSketch, Options: testOptions(5), Rows: 5, Buckets: 1 << 10},
+		{Kind: backend.KindHeavy, G: "x^2", Options: testOptions(5)},
+		{Kind: backend.KindExact, G: "x^2", Options: testOptions(5)},
+	}
+	// check drives one daemon through one door.
+	check := func(t *testing.T, spec backend.Spec, ingest func(*Server, *Client) error) {
+		srv, c := streamServer(t, spec)
+		if err := c.Push(s.Updates()); err != nil {
+			t.Fatal(err)
+		}
+		// The kind's scalar answer: the estimate (post hoc for x^2 on
+		// `universal`), the F2 of `countsketch`, the cover weight of `heavy`.
+		estimate := func() float64 {
+			t.Helper()
+			// A daemon that panicked under its state lock still holds it;
+			// bound the wait so that shows as a failure, not a hang.
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			q := url.Values{}
+			if spec.Kind == backend.KindUniversal {
+				q.Set("g", "x^2")
+			}
+			resp, err := c.EstimateContext(ctx, q)
+			if err != nil {
+				t.Fatalf("estimate: %v", err)
+			}
+			for _, v := range []*float64{resp.Estimate, resp.F2, resp.WeightSum} {
+				if v != nil {
+					return *v
+				}
+			}
+			t.Fatalf("no estimate in %+v", resp)
+			return 0
+		}
+		want := estimate()
+		if spec.Kind == backend.KindOnePass {
+			if serial := serialEstimator(t, spec, s).Estimate(); want != serial {
+				t.Fatalf("estimate %v before the item is touched, serial %v", want, serial)
+			}
+		}
+		if err := ingest(srv, c); err != nil {
+			t.Fatalf("first MinInt64: %v", err)
+		}
+		if got := estimate(); math.IsNaN(got) {
+			t.Fatalf("estimate %v while the item holds MinInt64", got)
+		}
+		if err := ingest(srv, c); err != nil {
+			t.Fatalf("second MinInt64: %v", err)
+		}
+		if got := estimate(); got != want {
+			t.Fatalf("estimate %v after the frequency wrapped back, want %v", got, want)
+		}
+	}
 	for name, ingest := range map[string]func(*Server, *Client) error{
 		"json":      func(_ *Server, c *Client) error { return c.Push(poison) },
 		"inprocess": func(srv *Server, _ *Client) error { return srv.IngestBatch(poison) },
@@ -412,37 +473,8 @@ func TestMinInt64DeltaEndToEnd(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			srv, c := streamServer(t, spec)
-			if err := c.Push(s.Updates()); err != nil {
-				t.Fatal(err)
-			}
-			estimate := func() float64 {
-				t.Helper()
-				// A daemon whose apply panicked still holds its state lock;
-				// bound the wait so that shows as a failure, not a hang.
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				defer cancel()
-				resp, err := c.EstimateContext(ctx, url.Values{})
-				if err != nil {
-					t.Fatalf("estimate: %v", err)
-				}
-				v, ok := resp.Value()
-				if !ok {
-					t.Fatalf("no estimate in %+v", resp)
-				}
-				return v
-			}
-			if err := ingest(srv, c); err != nil {
-				t.Fatalf("first MinInt64: %v", err)
-			}
-			if got := estimate(); math.IsNaN(got) {
-				t.Fatalf("estimate %v while the item holds MinInt64", got)
-			}
-			if err := ingest(srv, c); err != nil {
-				t.Fatalf("second MinInt64: %v", err)
-			}
-			if got := estimate(); got != want {
-				t.Fatalf("estimate %v after the counters wrapped back, want %v", got, want)
+			for _, spec := range specs {
+				t.Run(string(spec.Kind), func(t *testing.T) { check(t, spec, ingest) })
 			}
 		})
 	}

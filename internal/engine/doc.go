@@ -7,9 +7,11 @@
 // Two things here rest on that:
 //
 //   - Batching: Ingest feeds a Sketcher through its UpdateBatch path in
-//     DefaultBatchSize chunks; batch paths aggregate duplicate items and
-//     touch each counter row once per distinct item, leaving the counter
-//     state exactly as per-update ingestion would.
+//     DefaultBatchSize chunks; a batch path collapses duplicate items —
+//     once per batch, whoever owns a stack of level sketches collapsing
+//     for all of them (sketch.Batch, recursive.Cascade) — and touches
+//     each counter row once per distinct item, leaving the counter state
+//     exactly as per-update ingestion would.
 //   - Chunking: Workers, Cut and ParallelChunks split an update slice
 //     into contiguous near-equal chunks, one goroutine each. Chunk
 //     boundaries are a pure function of the lengths, so whatever a caller

@@ -39,7 +39,8 @@ type Mergeable[S any] interface {
 
 // DefaultBatchSize is the chunk size Ingest uses when callers pass 0.
 // Large enough to amortize per-batch overhead (duplicate aggregation,
-// top-k re-scores), small enough to keep the scratch maps cache-resident.
+// top-k re-scores), small enough to keep the collapsed batch and its
+// scratch cache-resident.
 const DefaultBatchSize = 4096
 
 // Workers resolves a requested worker count: values < 1 mean GOMAXPROCS.

@@ -2,11 +2,14 @@ package engine_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/gfunc"
 	"repro/internal/heavy"
+	"repro/internal/hotpath"
 	"repro/internal/recursive"
 	"repro/internal/sketch"
 	"repro/internal/stream"
@@ -123,5 +126,80 @@ func TestParallelChunksPartition(t *testing.T) {
 	}
 	if total != len(updates) {
 		t.Errorf("chunks cover %d updates, want %d", total, len(updates))
+	}
+}
+
+// countSketchBatches walks v (through unexported fields too: reflection
+// may look, not touch) and reports how many CountSketches it holds and how
+// many of them own a collapsed-batch scratch (their agg field).
+func countSketchBatches(v reflect.Value, seen map[uintptr]bool) (sketches, owners int) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() || seen[v.Pointer()] {
+			return 0, 0
+		}
+		seen[v.Pointer()] = true
+		return countSketchBatches(v.Elem(), seen)
+	case reflect.Interface:
+		if v.IsNil() {
+			return 0, 0
+		}
+		return countSketchBatches(v.Elem(), seen)
+	case reflect.Slice, reflect.Array:
+		if k := v.Type().Elem().Kind(); k != reflect.Pointer && k != reflect.Interface && k != reflect.Struct {
+			return 0, 0 // counters and coefficients: nothing to find
+		}
+		for i := 0; i < v.Len(); i++ {
+			s, o := countSketchBatches(v.Index(i), seen)
+			sketches, owners = sketches+s, owners+o
+		}
+	case reflect.Struct:
+		if v.Type() == reflect.TypeOf(sketch.CountSketch{}) {
+			sketches = 1
+			if !v.FieldByName("agg").IsNil() {
+				owners = 1
+			}
+		}
+		for i := 0; i < v.NumField(); i++ {
+			s, o := countSketchBatches(v.Field(i), seen)
+			sketches, owners = sketches+s, owners+o
+		}
+	}
+	return sketches, owners
+}
+
+// TestOneCollapsePerBatch pins who collapses: a stack of level sketches
+// (the onepass, universal, twopass and sharded ingest paths) collapses a
+// batch once, at the top, and hands the levels the collapsed form, so no
+// level's CountSketch ever allocates the scratch of its own UpdateBatch
+// door. A CountSketch fed through that door is the control: it does.
+func TestOneCollapsePerBatch(t *testing.T) {
+	g := gfunc.F2Func()
+	opts := core.Options{N: 1 << 12, M: 1 << 10, Seed: 3, Envelope: 4}
+	updates := testUpdates(5, 3000)
+	twopass := core.NewTwoPass(g, opts)
+	engine.Ingest(twopass, updates, 512)
+	twopass.FinishPass1()
+	engine.Ingest(twopass, updates, 512)
+	stacks := map[string]engine.Sketcher{
+		"onepass":   core.NewOnePass(g, opts),
+		"universal": core.NewUniversal(opts),
+		"sharded":   hotpath.New(g, opts, 3),
+	}
+	for _, sk := range stacks {
+		engine.Ingest(sk, updates, 512)
+		sk.Update(7, 1)
+	}
+	stacks["twopass"] = twopass
+	for name, sk := range stacks {
+		sketches, owners := countSketchBatches(reflect.ValueOf(sk), map[uintptr]bool{})
+		if sketches < 13 || owners != 0 {
+			t.Errorf("%s: %d of %d level CountSketches collapsed a batch themselves, want 0 of at least 13", name, owners, sketches)
+		}
+	}
+	cs := sketch.NewCountSketch(5, 64, util.NewSplitMix64(1))
+	engine.Ingest(cs, updates, 512)
+	if sketches, owners := countSketchBatches(reflect.ValueOf(cs), map[uintptr]bool{}); sketches != 1 || owners != 1 {
+		t.Errorf("control: found %d CountSketches, %d owning a batch; want 1 and 1", sketches, owners)
 	}
 }

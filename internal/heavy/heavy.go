@@ -5,7 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/gfunc"
-	"repro/internal/stream"
+	"repro/internal/sketch"
 	"repro/internal/util"
 )
 
@@ -73,12 +73,13 @@ type Sketcher interface {
 	SpaceBytes() int
 }
 
-// BatchSketcher is a Sketcher with an amortized bulk ingestion path
-// (see internal/engine): UpdateBatch must leave the counter state
-// exactly as the equivalent sequence of Update calls would.
-type BatchSketcher interface {
+// CollapsedSketcher is a Sketcher that ingests a batch in collapsed form
+// (sketch.Batch: distinct items, net deltas), as a level of a recursive
+// stack is handed it: Apply must leave the counter state exactly as
+// feeding Update the batch's updates would.
+type CollapsedSketcher interface {
 	Sketcher
-	UpdateBatch(batch []stream.Update)
+	Apply(b *sketch.Batch)
 }
 
 // TwoPassSketcher is a two-pass heavy-hitter algorithm (Algorithm 1):
@@ -101,7 +102,7 @@ func ExactHeavy(g gfunc.Func, lambda float64, freqs map[uint64]int64) Cover {
 	var total float64
 	weights := make(map[uint64]float64, len(freqs))
 	for it, f := range freqs {
-		w := g.Eval(uint64(util.AbsInt64(f)))
+		w := g.Eval(uint64(util.SatAbsInt64(f)))
 		weights[it] = w
 		total += w
 	}
@@ -119,7 +120,7 @@ func ExactHeavy(g gfunc.Func, lambda float64, freqs map[uint64]int64) Cover {
 func GSumExact(g gfunc.Func, freqs map[uint64]int64) float64 {
 	var s float64
 	for _, f := range freqs {
-		s += g.Eval(uint64(util.AbsInt64(f)))
+		s += g.Eval(uint64(util.SatAbsInt64(f)))
 	}
 	return s
 }

@@ -81,6 +81,12 @@ func (o *OnePass) UpdateBatch(batch []stream.Update) {
 	o.cs.UpdateBatch(batch)
 }
 
+// Apply feeds a batch its owner already collapsed (see sketch.Batch):
+// UpdateBatch without the collapse, for a level of a recursive stack.
+func (o *OnePass) Apply(b *sketch.Batch) {
+	o.cs.Apply(b)
+}
+
 // ErrorWindow returns the additive frequency-error bound the pruning step
 // guards against. The paper writes it as (ε/2H(M))√F̂2 for a CountSketch
 // sized with λ' = λ/3H, ε' = ε/2H; with the sketch's dimensions made

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/gfunc"
 	"repro/internal/sketch"
-	"repro/internal/stream"
 	"repro/internal/util"
 )
 
@@ -98,7 +97,7 @@ func (t *TwoPass) Cover() Cover {
 		cover = append(cover, Entry{
 			Item:   it,
 			Freq:   f,
-			Weight: t.g.Eval(uint64(util.AbsInt64(f))),
+			Weight: t.g.Eval(uint64(util.SatAbsInt64(f))),
 		})
 	}
 	cover.sortByWeight()
@@ -111,19 +110,16 @@ func (t *TwoPass) SpaceBytes() int {
 	return t.cs.SpaceBytes() + t.topk*16
 }
 
-// Pass1Batch feeds a batch to the identification pass through the
-// CountSketch batch path.
-func (t *TwoPass) Pass1Batch(batch []stream.Update) {
-	t.cs.UpdateBatch(batch)
+// Pass1Apply feeds a collapsed batch (see sketch.Batch) to the
+// identification pass: the CountSketch row walk and tracker re-score.
+func (t *TwoPass) Pass1Apply(b *sketch.Batch) {
+	t.cs.Apply(b)
 }
 
-// Pass2Batch tabulates a batch in the second pass.
-func (t *TwoPass) Pass2Batch(batch []stream.Update) {
-	for _, u := range batch {
-		if _, ok := t.counts[u.Item]; ok {
-			t.counts[u.Item] += u.Delta
-		}
-	}
+// Pass2Apply tabulates a collapsed batch in the second pass: exact counts
+// add, so net deltas leave what the batch's updates would.
+func (t *TwoPass) Pass2Apply(b *sketch.Batch) {
+	b.Each(t.Pass2)
 }
 
 // MergePass1 folds another instance's first-pass state (same

@@ -16,6 +16,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/gfunc"
 	"repro/internal/hotpath"
 	"repro/internal/stream"
 	"repro/internal/util"
@@ -277,5 +278,32 @@ func TestShardedProcessBoundaries(t *testing.T) {
 func TestShardedConfigErrors(t *testing.T) {
 	if _, err := backend.Open(shardedTestSpec(100000000)); err == nil {
 		t.Fatal("Open accepted 10^8 shards")
+	}
+}
+
+// TestShardedUpdateBatchSteadyStateAllocFree is the allocation gate of
+// the routed synchronous path at the repo benchmark's dimensions (bench/
+// workloads.go: two shards of 20 levels x 7 x 4096 counters, batches of
+// 4096): once the route buffers and each shard's collapsed batch have
+// grown, a batch allocates nothing.
+func TestShardedUpdateBatchSteadyStateAllocFree(t *testing.T) {
+	se := hotpath.New(gfunc.F2Func(), core.Options{N: 1 << 20, M: 1 << 12, Eps: 0.25, Lambda: 1.0 / 16, Seed: 7}, 2)
+	rng := util.NewSplitMix64(19)
+	batches := make([][]stream.Update, 4)
+	for k := range batches {
+		batches[k] = make([]stream.Update, 4096)
+		for i := range batches[k] {
+			batches[k][i] = stream.Update{Item: rng.Uint64n(1 << 19), Delta: int64(rng.Uint64n(9)) - 4}
+		}
+	}
+	for i := 0; i < 8; i++ { // warm-up: grow the scratch and fill the trackers
+		se.UpdateBatch(batches[i%len(batches)])
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(20, func() {
+		se.UpdateBatch(batches[i%len(batches)])
+		i++
+	}); allocs != 0 {
+		t.Errorf("UpdateBatch allocated %.1f times per batch at steady state, want 0", allocs)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/heavy"
+	"repro/internal/sketch"
 	"repro/internal/stream"
 	"repro/internal/xhash"
 )
@@ -11,95 +12,70 @@ import (
 // Batch ingestion for the recursive sketch. The nested sub-universes
 // U_0 ⊇ U_1 ⊇ ... make batch routing a cascade of filters: level 0 sees
 // the whole batch and level k+1 sees the survivors of the level-k
-// subsampling hash. Survivor slices are kept per level and reused across
-// batches, so routing allocates only on the first batch.
+// subsampling hash. A batch is collapsed ONCE, by the stack's owner, into
+// one sketch.Batch (distinct items in first-seen order, net deltas, each
+// item's powers mod 2^61-1); every level is handed that same Batch, and
+// between two levels it is narrowed in place to the next sub-universe.
+// Collapsing per level would be redundant, not different: the filter of a
+// first-seen order is the first-seen order of the filter. The Batch's
+// buffers are reused across batches, so routing allocates only on the
+// first few.
 
-// FeedLevels routes a batch down the nested sub-universes, calling
-// feed(k, chunk) with the updates whose items belong to U_k. scratch
-// holds the per-level survivor buffers (allocated lazily, reused). It is
-// exported so that core.Universal, which carries the same subsampling
-// structure, can reuse the routing.
-func FeedLevels(batch []stream.Update, sub []*xhash.Bernoulli,
-	scratch *[][]stream.Update, feed func(level int, chunk []stream.Update)) {
-
-	if *scratch == nil {
-		*scratch = make([][]stream.Update, len(sub))
+// Cascade collapses batch into b and routes it down the nested
+// sub-universes: feed(k, b) sees b holding the batch's distinct items
+// that belong to U_k, with their net deltas, for every k until a level
+// receives nothing. It is exported so that core.Universal, which carries
+// the same subsampling structure, routes through it too.
+func Cascade(b *sketch.Batch, batch []stream.Update, sub []*xhash.Bernoulli, feed func(level int, b *sketch.Batch)) {
+	if len(batch) == 0 {
+		return
 	}
-	cur := batch
+	b.Collapse(batch)
 	for k := 0; ; k++ {
-		feed(k, cur)
+		feed(k, b)
 		if k == len(sub) {
 			return
 		}
-		next := (*scratch)[k][:0]
-		for _, u := range cur {
-			if sub[k].Hash(u.Item) {
-				next = append(next, u)
-			}
-		}
-		(*scratch)[k] = next
-		if len(next) == 0 {
+		if b.Subsample(sub[k]); b.Len() == 0 {
 			return
 		}
-		cur = next
-	}
-}
-
-// ingestLevel feeds a chunk to one level's sketcher, preferring its
-// batch path.
-func ingestLevel(lv heavy.Sketcher, chunk []stream.Update) {
-	if bs, ok := lv.(heavy.BatchSketcher); ok {
-		bs.UpdateBatch(chunk)
-		return
-	}
-	for _, u := range chunk {
-		lv.Update(u.Item, u.Delta)
 	}
 }
 
 // UpdateBatch feeds a batch of turnstile updates to every level whose
 // sub-universe contains each item. The counter state is identical to
-// per-update ingestion; per-level batch paths amortize the hashing.
+// per-update ingestion; the batch is collapsed once for all levels.
 func (s *Sketch) UpdateBatch(batch []stream.Update) {
-	if len(batch) == 0 {
-		return
-	}
-	FeedLevels(batch, s.sub, &s.scratch, func(k int, chunk []stream.Update) {
-		ingestLevel(s.levels[k], chunk)
+	Cascade(&s.plan, batch, s.sub, func(k int, b *sketch.Batch) {
+		if bs, ok := s.levels[k].(heavy.CollapsedSketcher); ok {
+			bs.Apply(b)
+			return
+		}
+		b.Each(s.levels[k].Update)
 	})
 }
 
 // Pass1Batch feeds a batch to the identification pass at every level
 // containing each item.
 func (s *TwoPass) Pass1Batch(batch []stream.Update) {
-	if len(batch) == 0 {
-		return
-	}
-	FeedLevels(batch, s.sub, &s.scratch, func(k int, chunk []stream.Update) {
+	Cascade(&s.plan, batch, s.sub, func(k int, b *sketch.Batch) {
 		if tp, ok := s.levels[k].(*heavy.TwoPass); ok {
-			tp.Pass1Batch(chunk)
+			tp.Pass1Apply(b)
 			return
 		}
-		for _, u := range chunk {
-			s.levels[k].Pass1(u.Item, u.Delta)
-		}
+		b.Each(s.levels[k].Pass1)
 	})
 }
 
 // Pass2Batch feeds a batch to the tabulation pass at every level
 // containing each item.
 func (s *TwoPass) Pass2Batch(batch []stream.Update) {
-	if len(batch) == 0 {
-		return
-	}
-	FeedLevels(batch, s.sub, &s.scratch, func(k int, chunk []stream.Update) {
+	Cascade(&s.plan, batch, s.sub, func(k int, b *sketch.Batch) {
 		if tp, ok := s.levels[k].(*heavy.TwoPass); ok {
-			tp.Pass2Batch(chunk)
+			tp.Pass2Apply(b)
 			return
 		}
-		for _, u := range chunk {
-			s.levels[k].Pass2(u.Item, u.Delta)
-		}
+		b.Each(s.levels[k].Pass2)
 	})
 }
 

@@ -2,7 +2,7 @@ package recursive
 
 import (
 	"repro/internal/heavy"
-	"repro/internal/stream"
+	"repro/internal/sketch"
 	"repro/internal/util"
 	"repro/internal/xhash"
 )
@@ -20,9 +20,9 @@ type Config struct {
 
 // Sketch is a one-pass recursive g-SUM sketch.
 type Sketch struct {
-	levels  []heavy.Sketcher
-	sub     []*xhash.Bernoulli // sub[k] gates membership of U_{k+1} within U_k
-	scratch [][]stream.Update  // reusable UpdateBatch survivor buffers
+	levels []heavy.Sketcher
+	sub    []*xhash.Bernoulli // sub[k] gates membership of U_{k+1} within U_k
+	plan   sketch.Batch       // the collapsed batch UpdateBatch hands down the levels
 }
 
 // New returns a fresh recursive sketch.

@@ -2,7 +2,7 @@ package recursive
 
 import (
 	"repro/internal/heavy"
-	"repro/internal/stream"
+	"repro/internal/sketch"
 	"repro/internal/util"
 	"repro/internal/xhash"
 )
@@ -19,9 +19,9 @@ type TwoPassConfig struct {
 // replayed once for candidate identification and once for exact
 // tabulation, at every level.
 type TwoPass struct {
-	levels  []heavy.TwoPassSketcher
-	sub     []*xhash.Bernoulli
-	scratch [][]stream.Update // reusable batch survivor buffers
+	levels []heavy.TwoPassSketcher
+	sub    []*xhash.Bernoulli
+	plan   sketch.Batch // the collapsed batch Pass1Batch/Pass2Batch hand down the levels
 }
 
 // NewTwoPass returns a fresh two-pass recursive sketch.

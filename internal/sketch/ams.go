@@ -18,7 +18,7 @@ type AMS struct {
 	reps   int
 	z      [][]int64
 	sign   [][]*xhash.Sign
-	agg    batchAgg // reusable UpdateBatch scratch
+	agg    Batch // reusable UpdateBatch scratch
 }
 
 // NewAMS returns an AMS sketch with the given number of median groups and

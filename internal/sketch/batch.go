@@ -1,6 +1,8 @@
 package sketch
 
 import (
+	"math/bits"
+
 	"repro/internal/stream"
 	"repro/internal/xhash"
 )
@@ -11,34 +13,42 @@ import (
 // net delta) pairs first, then walk the rows. For heavy-tailed streams
 // (the Zipf workloads of the experiments) this removes most of the hash
 // evaluations on the hot path; for streams of distinct items it costs one
-// map pass. The counter state after UpdateBatch is bit-identical to the
+// table pass. The counter state after UpdateBatch is bit-identical to the
 // equivalent sequence of Update calls.
 
-// batchAgg is reusable scratch for duplicate aggregation: the items in
-// first-seen order (deterministic iteration) with their net deltas, plus
-// an open-addressed index for interleaved-duplicate detection. All
-// buffers are retained across batches, so after the first few batches of
-// a steady stream UpdateBatch allocates nothing.
-type batchAgg struct {
+// Batch is a batch of updates in the form the sketches walk: collapsed to
+// its distinct items in first-seen order (deterministic iteration) with
+// their net deltas, and — for the CountSketch row walk — each item's value
+// mod 2^61-1 with its canonical square and cube, so every row of every
+// sketch the batch reaches evaluates its polynomials from the same powers.
+// Whoever collapses owns the Batch: a stack of CountSketches over nested
+// sub-universes (internal/recursive) collapses once, hands each level the
+// Batch with Apply and narrows it with Subsample in between. All buffers
+// are retained across batches, so after the first few batches of a steady
+// stream ingestion allocates nothing. The zero value is ready to use.
+type Batch struct {
 	// slots is an open-addressed, linear-probe hash table over the items
-	// of the current batch: slots[h] holds index+1 into order/ds (0 =
-	// empty). A flat power-of-two table probed with a strong multiplicative
-	// mix replaces the runtime map the profile showed dominating collapse.
+	// of the batch being collapsed: slots[h] holds index+1 into items/ds
+	// (0 = empty, as it is everywhere between two collapses). A flat
+	// power-of-two table probed with a strong multiplicative mix replaces
+	// the runtime map the profile showed dominating collapse.
 	slots []int32
-	order []uint64 // distinct items, first-seen order
-	ds    []int64  // net delta per order entry
-	// Hash-reuse scratch for the CountSketch batch path: per-item reduced
-	// keys (xs), per-row bucket indices and signs (hs, ss), and the
-	// per-(item, row) estimate matrix (ests) for the tracked variant, so
-	// the post-batch re-score reads settled counters without re-hashing.
-	xs   []uint64
+	items []uint64 // distinct items, first-seen order
+	ds    []int64  // net delta per item
+	// Filled by Collapse for the CountSketch walk: xs[i] = items[i] mod
+	// 2^61-1, and xhash.Powers of it.
+	xs, x2s, x3s []uint64
+	// Row scratch of CountSketch.Apply: one row's bucket indices and signs
+	// (hs, ss) and the row-major (row, item) estimate matrix (ests) of a
+	// tracked sketch, so the post-batch re-score reads settled counters
+	// without re-hashing. Subsample borrows hs for its selection bits.
 	hs   []uint64
 	ss   []int64
 	ests []int64
 }
 
 // mix64 is the SplitMix64 finalizer, a strong multiplicative bit mixer
-// used to spread items over the probe tables (batchAgg.slots here,
+// used to spread items over the probe tables (Batch.slots here,
 // topTracker.pos).
 func mix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -46,7 +56,19 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// collapse aggregates the batch, preserving first-seen item order.
+// Len returns the number of distinct items in the batch.
+func (b *Batch) Len() int { return len(b.items) }
+
+// Each calls fn with every distinct item, in first-seen order, and its
+// net delta: the batch as a sequence of updates, for whoever takes those.
+func (b *Batch) Each(fn func(item uint64, delta int64)) {
+	for i, it := range b.items {
+		fn(it, b.ds[i])
+	}
+}
+
+// aggregate collapses the batch into items/ds, preserving first-seen
+// item order.
 //
 // The scan is run-length aware — the fast path for duplicate-heavy
 // batches: consecutive updates to the same item (bursty/clustered arrival
@@ -54,24 +76,24 @@ func mix64(x uint64) uint64 {
 // with plain integer additions before the table is touched, so a run of
 // length L costs one probe instead of L. Interleaved duplicates still
 // collapse through the table as before.
-func (a *batchAgg) collapse(batch []stream.Update) {
+func (b *Batch) aggregate(batch []stream.Update) {
 	// Size the probe table at ≥2x the batch (≤50% load). Tables are always
 	// powers of two and only grow, so the mask arithmetic stays valid and
 	// steady-state batches reuse the allocation.
 	need := 2 * len(batch)
-	if len(a.slots) < need {
-		size := len(a.slots)
+	if len(b.slots) < need {
+		size := len(b.slots)
 		if size == 0 {
 			size = 64
 		}
 		for size < need {
 			size <<= 1
 		}
-		a.slots = make([]int32, size)
+		b.slots = make([]int32, size)
 	}
-	mask := uint64(len(a.slots) - 1)
-	a.order = a.order[:0]
-	a.ds = a.ds[:0]
+	mask := uint64(len(b.slots) - 1)
+	b.items = b.items[:0]
+	b.ds = b.ds[:0]
 	for i := 0; i < len(batch); {
 		it := batch[i].Item
 		d := batch[i].Delta
@@ -81,88 +103,175 @@ func (a *batchAgg) collapse(batch []stream.Update) {
 			j++
 		}
 		for h := mix64(it) & mask; ; h = (h + 1) & mask {
-			s := a.slots[h]
+			s := b.slots[h]
 			if s == 0 {
-				a.slots[h] = int32(len(a.order)) + 1
-				a.order = append(a.order, it)
-				a.ds = append(a.ds, d)
+				b.slots[h] = int32(len(b.items)) + 1
+				b.items = append(b.items, it)
+				b.ds = append(b.ds, d)
 				break
 			}
-			if a.order[s-1] == it {
-				a.ds[s-1] += d
+			if b.items[s-1] == it {
+				b.ds[s-1] += d
 				break
 			}
 		}
 		i = j
 	}
+	// The table is only needed while collapsing: clear it wholesale for
+	// the next batch (a vectorized memclr of a few tens of KB, cheap next
+	// to the row walks).
+	clear(b.slots)
 }
 
-// reset clears the scratch for the next batch. The probe table is cleared
-// wholesale (a vectorized memclr of a few tens of KB, cheap next to the
-// row walks); order and ds just truncate.
-func (a *batchAgg) reset() {
-	clear(a.slots)
-	a.order = a.order[:0]
-	a.ds = a.ds[:0]
+// Collapse makes b the collapsed form of batch for the CountSketch walk:
+// aggregate, then reduce every distinct item mod 2^61-1 and take its
+// powers once, for every row of every sketch b is applied to.
+func (b *Batch) Collapse(batch []stream.Update) {
+	b.aggregate(batch)
+	n := len(b.items)
+	if cap(b.xs) < n {
+		// items only reallocates to grow, so its capacity sizes the rest —
+		// up to the batch's length, which append's growth steps overshoot
+		// and the number of distinct items cannot.
+		c := min(cap(b.items), len(batch))
+		b.xs, b.x2s, b.x3s = make([]uint64, c), make([]uint64, c), make([]uint64, c)
+		b.hs, b.ss = make([]uint64, c), make([]int64, c)
+	}
+	b.xs, b.x2s, b.x3s = b.xs[:n], b.x2s[:n], b.x3s[:n]
+	for i, it := range b.items {
+		x := it % xhash.MersennePrime61
+		b.xs[i] = x
+		b.x2s[i], b.x3s[i] = xhash.Powers(x)
+	}
+}
+
+// Subsample narrows b to the items h selects, in place: what is left is
+// the collapsed form of the sub-stream over h's sub-universe — the filter
+// of a first-seen order is the first-seen order of the filter. Survivors
+// are compacted without a branch (the selection bit is a coin): every
+// entry is copied down to the write position, which only moves on for a
+// survivor.
+func (b *Batch) Subsample(h *xhash.Bernoulli) {
+	keep := b.hs[:len(b.items)]
+	h.Select(b.xs, keep)
+	b.items, b.ds = compact(b.items, keep), compact(b.ds, keep)
+	b.xs, b.x2s, b.x3s = compact(b.xs, keep), compact(b.x2s, keep), compact(b.x3s, keep)
+}
+
+// compact moves the entries of v whose keep bit is 1 to the front, in
+// order, and returns that prefix.
+func compact[T uint64 | int64](v []T, keep []uint64) []T {
+	v = v[:len(keep)]
+	n := 0
+	for i, k := range keep {
+		v[n] = v[i]
+		n += int(k)
+	}
+	return v[:n]
 }
 
 // UpdateBatch processes a batch of turnstile updates. The counter state
 // equals the one reached by calling Update for each element in order;
 // the top-k tracker (when present) is refreshed once per distinct item
-// against the post-batch counters instead of once per update.
+// against the post-batch counters instead of once per update. It is
+// Collapse into the sketch's own Batch, then Apply: a sketch fed through
+// Apply alone never allocates one.
 func (cs *CountSketch) UpdateBatch(batch []stream.Update) {
 	if len(batch) == 0 {
 		return
 	}
-	cs.agg.collapse(batch)
-	order := cs.agg.order
-	// Reduce every distinct item mod 2^61-1 once; every row's polynomial
-	// evaluations (hashRow) reuse the reduced key.
-	if cap(cs.agg.xs) < len(order) {
-		cs.agg.xs = make([]uint64, len(order))
+	if cs.agg == nil {
+		cs.agg = new(Batch)
 	}
-	xs := cs.agg.xs[:len(order)]
-	for i, it := range order {
-		xs[i] = it % xhash.MersennePrime61
+	cs.agg.Collapse(batch)
+	cs.Apply(cs.agg)
+}
+
+// Apply feeds a collapsed batch to the sketch: the row walk and, on a
+// tracked sketch, the re-score of the batch's items. b is only read, apart
+// from its row scratch.
+func (cs *CountSketch) Apply(b *Batch) {
+	n := len(b.items)
+	if n == 0 {
+		return
 	}
-	ds := cs.agg.ds
-	if cap(cs.agg.hs) < len(order) {
-		cs.agg.hs = make([]uint64, len(order))
-		cs.agg.ss = make([]int64, len(order))
-	}
-	hs, ss := cs.agg.hs[:len(order)], cs.agg.ss[:len(order)]
+	ds := b.ds
+	hs, ss := b.hs[:n], b.ss[:n]
 	// A tracked sketch re-scores every distinct item after the batch, which
 	// needs the same (bucket, sign) hashes as the counter update. Hash each
 	// (row, item) pair ONCE: apply row j, then read the settled row back
-	// into the estimate matrix. A row is fully updated before it is read,
-	// so the matrix holds exactly what Estimate would recompute.
+	// into row j of the estimate matrix. A row is fully updated before it
+	// is read, so the matrix holds exactly what Estimate would recompute.
 	var ests []int64
 	if cs.topK != nil {
-		if cap(cs.agg.ests) < len(order)*cs.rows {
-			cs.agg.ests = make([]int64, len(order)*cs.rows)
+		if cap(b.ests) < n*cs.rows {
+			b.ests = make([]int64, cap(b.xs)*cs.rows)
 		}
-		ests = cs.agg.ests[:len(order)*cs.rows]
+		ests = b.ests[:n*cs.rows]
 	}
 	for j := 0; j < cs.rows; j++ {
 		counts := cs.counts[j]
-		cs.hashRow(j, xs, hs, ss)
+		cs.hashRow(j, b.xs, b.x2s, b.x3s, hs, ss)
 		// Adds into a row commute and duplicates were already collapsed, so
 		// the counters end where the per-update walk would leave them.
 		for i, d := range ds {
 			counts[hs[i]] += ss[i] * d
 		}
 		if cs.topK != nil {
-			for i := range hs {
-				ests[i*cs.rows+j] = ss[i] * counts[hs[i]]
+			row := ests[j*n : (j+1)*n]
+			for i := range row {
+				row[i] = ss[i] * counts[hs[i]]
 			}
 		}
 	}
 	if cs.topK != nil {
-		for i, it := range order {
-			cs.topK.offer(it, median(ests[i*cs.rows:(i+1)*cs.rows]))
-		}
+		cs.rescore(b.items, ests)
 	}
-	cs.agg.reset()
+}
+
+// rescore offers every item of an applied batch to the tracker with its
+// post-batch estimate — the median of column i of the row-major matrix
+// ests — skipping the items whose offer is provably a no-op.
+//
+// For an item that is not tracked, on a full tracker, offer does nothing
+// iff |median| <= floor, the heap's smallest score. And if more than
+// rows/2 of the row estimates have |v| <= floor, so has the median, the
+// value a sort leaves at index rows/2: were it above the floor, so would
+// be every value from that index up, rows - rows/2 of them, leaving at
+// most rows/2 inside; were it below -floor, so would be the rows/2 + 1
+// values down from that index, leaving no more. Such an item needs
+// neither the median nor the offer, and on a stream with many more items
+// than the tracker holds that is nine items in ten. The floor is read per
+// item: an eviction raises it, and a re-scored tracked item can lower it.
+// Tracked items, and every item while the tracker fills, take the median
+// and the offer as they always did.
+//
+// "Inside" is counted without a branch (each test is close to a coin):
+// -floor <= v <= floor iff the unsigned sum v + floor is at most 2*floor.
+// From -floor up the sum is the true v + floor >= 0, which fits; below
+// -floor it wraps to 2^64 + v + floor, and that exceeding 2*floor needs
+// only v > floor - 2^64, true of every int64. (v = MinInt64 under a floor
+// of MaxInt64 counts as outside although its saturated magnitude ties the
+// floor: an undercount, which can only send an item down the exact path.)
+func (cs *CountSketch) rescore(items []uint64, ests []int64) {
+	t, n, col := cs.topK, len(items), cs.scratch
+	for i, it := range items {
+		if len(t.heap) == t.k {
+			floor := uint64(t.heap[0].score)
+			outside := uint64(0)
+			for j := i; j < len(ests); j += n {
+				_, out := bits.Sub64(2*floor, uint64(ests[j])+floor, 0)
+				outside += out
+			}
+			if int(outside) < cs.rows-cs.rows/2 && !t.tracked(it) {
+				continue
+			}
+		}
+		for j := range col {
+			col[j] = ests[j*n+i]
+		}
+		t.offer(it, median(col))
+	}
 }
 
 // UpdateBatch processes a batch of turnstile updates; the counter state
@@ -171,8 +280,8 @@ func (a *AMS) UpdateBatch(batch []stream.Update) {
 	if len(batch) == 0 {
 		return
 	}
-	a.agg.collapse(batch)
-	order, ds := a.agg.order, a.agg.ds
+	a.agg.aggregate(batch)
+	order, ds := a.agg.items, a.agg.ds
 	for g := 0; g < a.groups; g++ {
 		for r := 0; r < a.reps; r++ {
 			z, sign := a.z[g], a.sign[g][r]
@@ -183,7 +292,6 @@ func (a *AMS) UpdateBatch(batch []stream.Update) {
 			}
 		}
 	}
-	a.agg.reset()
 }
 
 // UpdateBatch processes a batch of turnstile updates; the counter state
@@ -192,8 +300,8 @@ func (cm *CountMin) UpdateBatch(batch []stream.Update) {
 	if len(batch) == 0 {
 		return
 	}
-	cm.agg.collapse(batch)
-	order, ds := cm.agg.order, cm.agg.ds
+	cm.agg.aggregate(batch)
+	order, ds := cm.agg.items, cm.agg.ds
 	for j := 0; j < cm.rows; j++ {
 		counts, bucket := cm.counts[j], cm.bucket[j]
 		for i, it := range order {
@@ -202,7 +310,6 @@ func (cm *CountMin) UpdateBatch(batch []stream.Update) {
 			}
 		}
 	}
-	cm.agg.reset()
 }
 
 // Merge adds the counters of other into cm. Dimensions must match;

@@ -43,8 +43,8 @@ func mixedBatch(seed uint64, n int) []stream.Update {
 func TestCollapseAggregatesExactly(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		batch := mixedBatch(seed, 3000)
-		var agg batchAgg
-		agg.collapse(batch)
+		var agg Batch
+		agg.aggregate(batch)
 
 		wantDelta := make(map[uint64]int64)
 		var wantOrder []uint64
@@ -54,10 +54,10 @@ func TestCollapseAggregatesExactly(t *testing.T) {
 			}
 			wantDelta[u.Item] += u.Delta
 		}
-		if len(agg.order) != len(wantOrder) {
-			t.Fatalf("seed %d: %d distinct items, want %d", seed, len(agg.order), len(wantOrder))
+		if len(agg.items) != len(wantOrder) {
+			t.Fatalf("seed %d: %d distinct items, want %d", seed, len(agg.items), len(wantOrder))
 		}
-		for i, it := range agg.order {
+		for i, it := range agg.items {
 			if it != wantOrder[i] {
 				t.Fatalf("seed %d: order[%d] = %d, want %d (first-seen order)", seed, i, it, wantOrder[i])
 			}
@@ -65,10 +65,9 @@ func TestCollapseAggregatesExactly(t *testing.T) {
 				t.Fatalf("seed %d: delta[%d] = %d, want %d", seed, agg.ds[i], i, wantDelta[it])
 			}
 		}
-		agg.reset()
 		for _, s := range agg.slots {
 			if s != 0 {
-				t.Fatal("reset left a live slot")
+				t.Fatal("aggregate left a live slot")
 			}
 		}
 	}
@@ -111,16 +110,17 @@ func TestHashRowMatchesHashFamilies(t *testing.T) {
 		// Every length mod 4, so each tail size follows a four-lane walk.
 		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 1000, 1001, 1002, 1003} {
 			items := make([]uint64, n)
-			xs := make([]uint64, n)
+			xs, x2s, x3s := make([]uint64, n), make([]uint64, n), make([]uint64, n)
 			for i := range items {
 				if items[i] = rng.Next(); i%5 == 0 {
 					items[i] = edges[rng.Uint64n(uint64(len(edges)))]
 				}
 				xs[i] = items[i] % p
+				x2s[i], x3s[i] = xhash.Powers(xs[i])
 			}
 			hs, ss := make([]uint64, n), make([]int64, n)
 			for j := 0; j < cs.rows; j++ {
-				cs.hashRow(j, xs, hs, ss)
+				cs.hashRow(j, xs, x2s, x3s, hs, ss)
 				for i, it := range items {
 					wantH, wantS := cs.bucket[j].Hash(it), cs.sign[j].Hash(it)
 					if hs[i] != wantH || ss[i] != wantS {

@@ -15,7 +15,7 @@ type CountMin struct {
 	buckets uint64
 	counts  [][]int64
 	bucket  []*xhash.Buckets
-	agg     batchAgg // reusable UpdateBatch scratch
+	agg     Batch // reusable UpdateBatch scratch
 }
 
 // NewCountMin returns a CountMin sketch with r rows and b buckets.

@@ -39,7 +39,11 @@ type CountSketch struct {
 	// seen so far, giving one-pass candidate extraction without a domain
 	// scan. It is sized by NewCountSketchTopK.
 	topK *topTracker
-	agg  batchAgg // reusable UpdateBatch scratch; sketches are not goroutine-safe
+	// agg is the Batch behind the sketch's own UpdateBatch door, allocated
+	// on its first use: a sketch fed collapsed batches (Apply) by an owner
+	// that collapsed for a whole stack of sketches never has one. Sketches
+	// are not goroutine-safe.
+	agg *Batch
 }
 
 // coefPerRow is the per-row stride of the coef cache: 2 bucket-hash
@@ -107,31 +111,24 @@ func signOf(v uint64) int64 {
 }
 
 // hashRow is rowBucketSign over a batch: hs[i], ss[i] are row j's bucket
-// index and sign for the reduced item xs[i]. It walks four items per step
-// on xhash.HornerStep4, so the four Horner chains interleave and the row
-// runs at multiply throughput instead of latency; every lane, and the
-// scalar tail, is bit-identical to rowBucketSign on the same item.
-func (cs *CountSketch) hashRow(j int, xs, hs []uint64, ss []int64) {
+// index and sign for the item whose value mod 2^61-1 is xs[i], with
+// x2s[i], x3s[i] = xhash.Powers(xs[i]). The bucket hash is one Horner
+// step; the degree-3 sign polynomial is evaluated from the powers
+// (xhash.Cubic: three independent multiplies, against the three
+// dependent steps of rowBucketSign's chain), bit-identical to
+// rowBucketSign on the same item. Two loops, not one: each keeps its
+// coefficients in registers.
+func (cs *CountSketch) hashRow(j int, xs, x2s, x3s, hs []uint64, ss []int64) {
 	c := cs.coef[coefPerRow*j : coefPerRow*j+coefPerRow : coefPerRow*j+coefPerRow]
 	b := cs.buckets
-	i := 0
-	for ; i+4 <= len(xs); i += 4 {
-		x := (*[4]uint64)(xs[i:])
-		// Bucket hash: c[1]*x + c[0], i.e. Horner from acc = c[1], one step.
-		bk := [4]uint64{c[1], c[1], c[1], c[1]}
-		xhash.HornerStep4(&bk, x, c[0])
-		// Sign hash: degree-3 Horner from acc = c[5] through c[4], c[3], c[2].
-		sg := [4]uint64{c[5], c[5], c[5], c[5]}
-		xhash.HornerStep4(&sg, x, c[4])
-		xhash.HornerStep4(&sg, x, c[3])
-		xhash.HornerStep4(&sg, x, c[2])
-		h, s := (*[4]uint64)(hs[i:]), (*[4]int64)(ss[i:])
-		for k := range bk {
-			h[k], s[k] = bucketOf(bk[k], b), signOf(sg[k])
-		}
+	x2s, x3s, hs, ss = x2s[:len(xs)], x3s[:len(xs)], hs[:len(xs)], ss[:len(xs)]
+	b0, b1 := c[0], c[1]
+	for i, x := range xs {
+		hs[i] = bucketOf(xhash.HornerStep(b1, x, b0), b)
 	}
-	for ; i < len(xs); i++ {
-		hs[i], ss[i] = cs.rowBucketSign(j, xs[i])
+	s0, s1, s2, s3 := c[2], c[3], c[4], c[5]
+	for i, x := range xs {
+		ss[i] = signOf(xhash.Cubic(s0, s1, s2, s3, x, x2s[i], x3s[i]))
 	}
 }
 
@@ -305,8 +302,14 @@ type topTracker struct {
 	heap []topEntry // min-heap on score
 	// pos indexes the heap by item: an open-addressed, linear-probe table
 	// over mix64(item), pos[s] = heap index + 1 (0 = empty). It holds at
-	// most k entries in ≥ 2k power-of-two slots; eviction removes one by
+	// most k entries in ≥ 4k power-of-two slots; eviction removes one by
 	// backward-shift, so there are no tombstones and probes stay short.
+	// At most one slot in four is taken because the batch walk asks
+	// tracked() of nearly every item of a stream, nearly always to hear no:
+	// whether the first slot is empty is then a branch the CPU mostly
+	// predicts. At one slot in two the mispredictions cost lib-uniform a
+	// tenth of its throughput; one in eight bought 3% more for twice the
+	// table, which is 16 bytes per candidate as it is.
 	pos []int32
 }
 
@@ -320,7 +323,18 @@ type topEntry struct {
 }
 
 func newTopTracker(k int) *topTracker {
-	return &topTracker{k: k, pos: make([]int32, util.NextPow2(uint64(2*k)))}
+	return &topTracker{k: k, pos: make([]int32, util.NextPow2(uint64(4*k)))}
+}
+
+// tracked reports whether item is in the heap.
+func (t *topTracker) tracked(item uint64) bool {
+	mask := uint64(len(t.pos) - 1)
+	for s := mix64(item) & mask; t.pos[s] != 0; s = (s + 1) & mask {
+		if t.heap[t.pos[s]-1].item == item {
+			return true
+		}
+	}
+	return false
 }
 
 func (t *topTracker) offer(item uint64, est int64) {

@@ -58,7 +58,7 @@ func (e *Exact) F2() float64 {
 func (e *Exact) MaxAbs() int64 {
 	var m int64
 	for _, f := range e.freq {
-		if a := util.AbsInt64(f); a > m {
+		if a := util.SatAbsInt64(f); a > m {
 			m = a
 		}
 	}

@@ -203,3 +203,84 @@ func TestMinInt64DeltaDoesNotPanic(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectMatchesOffer holds the batch walk's re-score — which skips the
+// median and the offer for an untracked item with most of its row
+// estimates inside the floor — to "offer every item the median of its
+// column", run on the map-backed reference tracker: after every batch the
+// heap (order, items, scores) is the same and the probe table indexes it.
+// The estimate matrices are made up, so the cases the proof turns on come
+// up all the time: values tying the floor from either sign, exactly half
+// the rows inside, tracked items re-scored below the floor in the middle
+// of a batch, a tracker that fills in the middle of one, both int64
+// extremes, even and odd row counts.
+func TestRejectMatchesOffer(t *testing.T) {
+	for _, rows := range []int{1, 2, 3, 4, 5, 6, 7, 8} {
+		for _, k := range []int{1, 3, 16} {
+			rng := util.NewSplitMix64(uint64(100*rows + k))
+			cs := NewCountSketchTopK(rows, 8, k, util.NewSplitMix64(1))
+			want := &mapTracker{k: k, pos: make(map[uint64]int)}
+			universe := make([]uint64, 5*k+2)
+			for i := range universe {
+				universe[i] = rng.Next()
+			}
+			for batch := 0; batch < 400; batch++ {
+				// Distinct items, as a collapsed batch has them: the first n
+				// of a fresh shuffle of the universe.
+				n := 1 + int(rng.Uint64n(uint64(len(universe))))
+				for i := 0; i < n; i++ {
+					j := i + int(rng.Uint64n(uint64(len(universe)-i)))
+					universe[i], universe[j] = universe[j], universe[i]
+				}
+				items := universe[:n]
+				floor := int64(0)
+				if len(want.heap) > 0 {
+					floor = want.heap[0].score
+				}
+				ests := make([]int64, rows*n)
+				for c := range ests {
+					switch rng.Uint64n(8) {
+					case 0, 1: // tie with the floor at the start of the batch
+						ests[c] = floor
+					case 2:
+						if ests[c] = -floor; floor == math.MaxInt64 {
+							ests[c] = math.MinInt64
+						}
+					case 3: // one step outside or inside it
+						ests[c] = floor + int64(rng.Uint64n(3)) - 1
+						if floor == math.MaxInt64 {
+							ests[c] = floor
+						}
+					case 4:
+						ests[c] = []int64{math.MinInt64, math.MaxInt64, math.MinInt64 + 1, 0}[rng.Uint64n(4)]
+					default: // a small range: many equal scores
+						ests[c] = int64(rng.Uint64n(41)) - 20
+					}
+				}
+				cs.rescore(items, ests)
+				for i, it := range items {
+					col := make([]int64, rows)
+					for j := range col {
+						col[j] = ests[j*n+i]
+					}
+					want.offer(it, util.MedianInt64(col))
+				}
+				got := cs.topK
+				if len(got.heap) != len(want.heap) {
+					t.Fatalf("rows %d k %d batch %d: %d items, want %d", rows, k, batch, len(got.heap), len(want.heap))
+				}
+				for i, e := range want.heap {
+					g := got.heap[i]
+					if g.item != e.item || g.score != e.score {
+						t.Fatalf("rows %d k %d batch %d: heap[%d] = (%d, %d), want (%d, %d)",
+							rows, k, batch, i, g.item, g.score, e.item, e.score)
+					}
+					if got.pos[g.slot] != int32(i)+1 {
+						t.Fatalf("rows %d k %d batch %d: heap[%d].slot = %d, but pos[%d] = %d",
+							rows, k, batch, i, g.slot, g.slot, got.pos[g.slot])
+					}
+				}
+			}
+		}
+	}
+}

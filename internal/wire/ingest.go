@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -86,9 +87,7 @@ type IngestAck struct {
 // WriteFrame writes a length-prefixed payload to w. It is the outer
 // framing shared by ingest frames and acks.
 func WriteFrame(w io.Writer, payload []byte) error {
-	var hdr Writer
-	hdr.U32(uint32(len(payload)))
-	if _, err := w.Write(hdr.Bytes()); err != nil {
+	if _, err := w.Write(binary.BigEndian.AppendUint32(nil, uint32(len(payload)))); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
@@ -131,12 +130,14 @@ func ReadFrame(r io.Reader, maxBytes int) ([]byte, error) {
 // batch) — the bytes to hand WriteFrame.
 func AppendIngestFrame(fingerprint, seq uint64, updates []stream.Update) []byte {
 	var w Writer
+	w.grow(26 + 16*len(updates)) // header 14, seq 8, count 4, then 16 per update
 	w.Header(IngestFrameMagic, fingerprint)
 	w.U64(seq)
 	w.U32(uint32(len(updates)))
-	for _, u := range updates {
-		w.U64(u.Item)
-		w.I64(u.Delta)
+	tail := w.extend(16 * len(updates))
+	for i, u := range updates {
+		binary.BigEndian.PutUint64(tail[16*i:], u.Item)
+		binary.BigEndian.PutUint64(tail[16*i+8:], uint64(u.Delta))
 	}
 	return w.Bytes()
 }
@@ -173,6 +174,7 @@ func UnmarshalIngestFrame(payload []byte, fingerprint uint64) (seq uint64, updat
 // AppendIngestAck serializes one ack payload.
 func AppendIngestAck(fingerprint uint64, ack IngestAck) []byte {
 	var w Writer
+	w.grow(36 + len(ack.Msg)) // header 14, seq 8, total 8, status 2, framed message
 	w.Header(IngestAckMagic, fingerprint)
 	w.U64(ack.Seq)
 	w.U64(ack.Total)

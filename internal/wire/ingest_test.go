@@ -40,6 +40,27 @@ func TestIngestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendIngestFrameAllocatesOnce is the allocation gate of the
+// stream transport's encoder: a frame is sized before it is written
+// (26 bytes and 16 per update), so encoding one costs the one allocation
+// of its payload, whatever the batch. (Encoding every scalar through
+// binary.Write used to cost two per update.)
+func TestAppendIngestFrameAllocatesOnce(t *testing.T) {
+	for _, n := range []int{0, 4, 4096} {
+		batch := make([]stream.Update, n)
+		for i := range batch {
+			batch[i] = stream.Update{Item: uint64(i) * 0x9e3779b97f4a7c15, Delta: int64(i) - 7}
+		}
+		var payload []byte
+		if allocs := testing.AllocsPerRun(20, func() { payload = AppendIngestFrame(testFP, 7, batch) }); allocs > 1 {
+			t.Errorf("%d updates: AppendIngestFrame allocated %.1f times per frame, want at most 1", n, allocs)
+		}
+		if want := 26 + 16*n; len(payload) != want {
+			t.Errorf("%d updates: frame of %d bytes, want %d", n, len(payload), want)
+		}
+	}
+}
+
 func TestIngestFrameEmptyBatch(t *testing.T) {
 	payload := AppendIngestFrame(testFP, 1, nil)
 	seq, got, err := UnmarshalIngestFrame(payload, testFP)

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -38,10 +37,29 @@ func FingerprintString(h uint64, s string) uint64 {
 	return h
 }
 
-// Writer accumulates a wire payload. The zero value is ready to use;
-// writes cannot fail (bytes.Buffer panics only on OOM).
+// Writer accumulates a wire payload by appending to one byte slice. The
+// zero value is ready to use; writes cannot fail.
 type Writer struct {
-	buf bytes.Buffer
+	buf []byte
+}
+
+// grow makes room for n more bytes, so a write of known size allocates
+// once instead of doubling its way there; at least doubling when it does
+// allocate keeps a run of them linear.
+func (w *Writer) grow(n int) {
+	if cap(w.buf)-len(w.buf) < n {
+		buf := make([]byte, len(w.buf), max(2*cap(w.buf), len(w.buf)+n))
+		copy(buf, w.buf)
+		w.buf = buf
+	}
+}
+
+// extend appends n bytes and returns them for the caller to fill: the bulk
+// writers store into the slice instead of appending value by value.
+func (w *Writer) extend(n int) []byte {
+	w.grow(n)
+	w.buf = w.buf[:len(w.buf)+n]
+	return w.buf[len(w.buf)-n:]
 }
 
 // Header writes the standard magic/version/fingerprint header.
@@ -52,41 +70,50 @@ func (w *Writer) Header(magic uint32, fingerprint uint64) {
 }
 
 // U16 appends a big-endian uint16.
-func (w *Writer) U16(v uint16) { _ = binary.Write(&w.buf, binary.BigEndian, v) }
+func (w *Writer) U16(v uint16) { w.buf = binary.BigEndian.AppendUint16(w.buf, v) }
 
 // U32 appends a big-endian uint32.
-func (w *Writer) U32(v uint32) { _ = binary.Write(&w.buf, binary.BigEndian, v) }
+func (w *Writer) U32(v uint32) { w.buf = binary.BigEndian.AppendUint32(w.buf, v) }
 
 // U64 appends a big-endian uint64.
-func (w *Writer) U64(v uint64) { _ = binary.Write(&w.buf, binary.BigEndian, v) }
+func (w *Writer) U64(v uint64) { w.buf = binary.BigEndian.AppendUint64(w.buf, v) }
 
 // I64 appends a big-endian int64.
-func (w *Writer) I64(v int64) { _ = binary.Write(&w.buf, binary.BigEndian, v) }
+func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
 
 // F64 appends a float64 by bit pattern.
 func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 
 // I64s appends a u32 count followed by the values.
 func (w *Writer) I64s(vs []int64) {
+	w.grow(4 + 8*len(vs))
 	w.U32(uint32(len(vs)))
-	_ = binary.Write(&w.buf, binary.BigEndian, vs)
+	tail := w.extend(8 * len(vs))
+	for i, v := range vs {
+		binary.BigEndian.PutUint64(tail[8*i:], uint64(v))
+	}
 }
 
 // U64s appends a u32 count followed by the values.
 func (w *Writer) U64s(vs []uint64) {
+	w.grow(4 + 8*len(vs))
 	w.U32(uint32(len(vs)))
-	_ = binary.Write(&w.buf, binary.BigEndian, vs)
+	tail := w.extend(8 * len(vs))
+	for i, v := range vs {
+		binary.BigEndian.PutUint64(tail[8*i:], v)
+	}
 }
 
 // Blob appends a u32 length followed by the raw bytes, framing a nested
 // payload (e.g. one recursive level's sketch inside the level list).
 func (w *Writer) Blob(b []byte) {
+	w.grow(4 + len(b))
 	w.U32(uint32(len(b)))
-	w.buf.Write(b)
+	w.buf = append(w.buf, b...)
 }
 
 // Bytes returns the accumulated payload.
-func (w *Writer) Bytes() []byte { return w.buf.Bytes() }
+func (w *Writer) Bytes() []byte { return w.buf }
 
 // Reader decodes a wire payload. It is sticky-error: after the first
 // failure every read returns a zero value and Err reports the cause, so

@@ -11,7 +11,12 @@ import (
 // the given coefficients, Reduce of a HornerStep chain (scalar, and each
 // lane of HornerStep4) is Poly.Hash, so reducing it mod b is Buckets.Hash
 // — by a mask when b is a power of two — and its low bit is Sign.Hash.
-// This is the evaluation sketch.CountSketch runs on every update.
+// This is the evaluation sketch.CountSketch runs on every update. The
+// batch walk's forms are held to the same references: the sign polynomial
+// from the item's powers (Cubic), and Bernoulli membership (Hash, Select)
+// against Poly.Hash % denom < numer with b as the denominator — a
+// pairwise family on the bucket coefficients, the four-coefficient chain
+// on the sign's.
 func checkLazyKernel(t *testing.T, coef [6]uint64, items [4]uint64, b uint64) {
 	t.Helper()
 	bucket := &Buckets{poly: &Poly{coeff: coef[:2]}, b: b}
@@ -48,6 +53,29 @@ func checkLazyKernel(t *testing.T, coef [6]uint64, items [4]uint64, b uint64) {
 		}
 		if got, want := int64(Reduce(ssg)&1)<<1-1, sign.Hash(it); got != want {
 			t.Fatalf("coef %v item %d: sign %d, want %d", coef, it, got, want)
+		}
+		x2, x3 := Powers(xp[k])
+		if want := MulMod(xp[k], xp[k]); x2 != want || x3 != MulMod(want, xp[k]) {
+			t.Fatalf("item %d: Powers (%d, %d), want (%d, %d)", it, x2, x3, want, MulMod(want, xp[k]))
+		}
+		if got, want := Reduce(Cubic(coef[2], coef[3], coef[4], coef[5], xp[k], x2, x3)), sign.poly.Hash(it); got != want {
+			t.Fatalf("coef %v item %d: sign polynomial from powers %d, want %d", coef, it, got, want)
+		}
+	}
+	for _, poly := range []*Poly{bucket.poly, sign.poly} {
+		for _, numer := range []uint64{0, 1, b / 2, b - b/3, b} {
+			h := &Bernoulli{poly: poly, numer: numer, denom: b}
+			var keep [4]uint64
+			h.Select(xp[:], keep[:])
+			for k, it := range items {
+				want := poly.Hash(it)%b < numer
+				if got := h.Hash(it); got != want {
+					t.Fatalf("coef %v item %d: Bernoulli(%d/%d) %v, want %v", coef, it, numer, b, got, want)
+				}
+				if (keep[k] == 1) != want || keep[k] > 1 {
+					t.Fatalf("coef %v item %d: Bernoulli(%d/%d) Select bit %d, want %v", coef, it, numer, b, keep[k], want)
+				}
+			}
 		}
 	}
 }

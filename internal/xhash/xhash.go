@@ -102,6 +102,17 @@ func (p *Poly) Hash(x uint64) uint64 {
 	return acc
 }
 
+// lazy is Hash without its reductions: xp is x already reduced mod
+// 2^61-1, and the value is only congruent to Hash(x) and below 2^63 (a
+// HornerStep chain; Reduce makes it Hash(x)).
+func (p *Poly) lazy(xp uint64) uint64 {
+	acc := p.coeff[len(p.coeff)-1]
+	for i := len(p.coeff) - 2; i >= 0; i-- {
+		acc = HornerStep(acc, xp, p.coeff[i])
+	}
+	return acc
+}
+
 // Buckets is a k-wise independent hash into a fixed number of buckets.
 type Buckets struct {
 	poly *Poly
@@ -199,6 +210,42 @@ func (h *Bernoulli) Fingerprint(d uint64) uint64 {
 // Hash reports whether x is selected (probability numer/denom over the
 // random draw of the family).
 func (h *Bernoulli) Hash(x uint64) bool {
-	// Scale the polynomial value from [0, p) into [0, denom) and compare.
-	return h.poly.Hash(x)%h.denom < h.numer
+	return h.selects(h.poly.lazy(x%MersennePrime61)) == 1
+}
+
+// selects is the one definition of membership: v is the lazily reduced
+// value of the family's polynomial at an item, and the item is selected
+// (1) if the canonical value, scaled from [0, p) into [0, denom), is
+// below numer, and not (0) otherwise. The scaling is a mask when denom is
+// a power of two — every subsampling hash of the recursive sketch is
+// Bernoulli(1/2) — and a division for any other denom; the comparison is
+// a borrow, not a branch: the bit is a coin.
+func (h *Bernoulli) selects(v uint64) uint64 {
+	v = Reduce(v)
+	if d := h.denom; d&(d-1) == 0 {
+		v &= d - 1
+	} else {
+		v %= d
+	}
+	_, below := bits.Sub64(v, h.numer, 0)
+	return below
+}
+
+// Select is Hash over a batch: keep[i] is 1 if the family selects the
+// item whose value mod 2^61-1 is xs[i], and 0 if not. A pairwise family
+// (k = 2, every subsampling hash) is one Horner step from coefficients
+// held in registers, and the items of a batch do not wait on each other;
+// any other k walks its chain.
+func (h *Bernoulli) Select(xs, keep []uint64) {
+	keep = keep[:len(xs)]
+	if c := h.poly.coeff; len(c) == 2 {
+		c0, c1 := c[0], c[1]
+		for i, x := range xs {
+			keep[i] = h.selects(HornerStep(c1, x, c0))
+		}
+		return
+	}
+	for i, x := range xs {
+		keep[i] = h.selects(h.poly.lazy(x))
+	}
 }
