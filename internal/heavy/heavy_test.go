@@ -1,7 +1,9 @@
 package heavy
 
 import (
+	"math"
 	"testing"
+	"time"
 
 	"repro/internal/gfunc"
 	"repro/internal/stream"
@@ -117,6 +119,55 @@ func TestOnePassPruningDropsUnstableHeavy(t *testing.T) {
 	// Smooth function: the same windows are stable at large x.
 	if !stableUnder(gfunc.F2Func(), 100000, 200, 0.25) {
 		t.Error("x² should be stable under ±200 at x=100000")
+	}
+}
+
+// TestStableUnderHugeWindowTerminates: counters near 2^63 (a few thousand
+// JSON deltas near 2^61 put them there) make the error window as wide as
+// int64 goes, and the geometric probe must still end — it used to step by
+// y += y/2 until y > window, which wraps negative past 2^62.4 and then
+// never exceeds the window again, inside Cover(), under the daemon's state
+// lock. 1(x>0) is stable at every scale, so it walks the whole probe; x²
+// is not, and must still say so.
+func TestStableUnderHugeWindowTerminates(t *testing.T) {
+	for _, window := range []int64{1 << 62, 1<<62 + 1<<61, math.MaxInt64} {
+		for _, tc := range []struct {
+			g    gfunc.Func
+			want bool
+		}{{gfunc.L0(), true}, {gfunc.F2Func(), false}} {
+			g := tc.g
+			done := make(chan bool, 1)
+			go func() { done <- stableUnder(g, 1<<20, window, 0.25) }()
+			select {
+			case got := <-done:
+				if got != tc.want {
+					t.Errorf("stableUnder(%s, 2^20, window %d) = %v, want %v", g.Name(), window, got, tc.want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("stableUnder(%s, 2^20, window %d) is still probing after 10 s", g.Name(), window)
+			}
+		}
+	}
+}
+
+// TestErrorWindowClampsToInt64: a window past int64 is the widest window,
+// not whatever the platform makes of an out-of-range conversion (amd64:
+// MinInt64, which every probe loop reads as "no window").
+func TestErrorWindowClampsToInt64(t *testing.T) {
+	for _, tc := range []struct {
+		f2tail float64
+		want   int64
+	}{
+		{-4, 0}, {0, 0}, {15, 0}, {16, 1}, {64e6, 2000},
+		{math.Ldexp(1, 128), 1 << 62},       // 2·√(2^128/2^6) = 2^62
+		{math.Ldexp(1, 130), math.MaxInt64}, // 2^63: one past MaxInt64
+		{math.MaxFloat64, math.MaxInt64},    //
+		{math.Inf(1), math.MaxInt64},        //
+		{math.NaN(), 0},                     //
+	} {
+		if got := windowOf(tc.f2tail, 64); got != tc.want {
+			t.Errorf("windowOf(%g, 64) = %d, want %d", tc.f2tail, got, tc.want)
+		}
 	}
 }
 

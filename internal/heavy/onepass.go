@@ -106,16 +106,26 @@ func (o *OnePass) errorWindow(cands []sketch.Candidate) int64 {
 		e := float64(c.Est)
 		f2 -= e * e
 	}
-	if f2 < 0 {
-		f2 = 0
-	}
-	w := 2 * math.Sqrt(f2/float64(o.cs.Buckets()))
-	if w < 1 {
-		// The residual tail is below one unit of frequency: point queries
-		// are exact and no stability pruning is warranted. (Flooring this
-		// at 1 would permanently prune items with |v| <= 1/ε for g with
-		// unit-scale variation, losing their mass at every level.)
+	return windowOf(f2, o.cs.Buckets())
+}
+
+// windowOf is the error window 2√(F2tail/b) as a whole number of
+// frequency units.
+func windowOf(f2tail float64, buckets uint64) int64 {
+	w := 2 * math.Sqrt(f2tail/float64(buckets))
+	switch {
+	case !(w >= 1):
+		// The residual tail is below one unit of frequency (or the
+		// candidates' squares overshot it): point queries are exact and no
+		// stability pruning is warranted. (Flooring this at 1 would
+		// permanently prune items with |v| <= 1/ε for g with unit-scale
+		// variation, losing their mass at every level.)
 		return 0
+	case w >= math.MaxInt64:
+		// Counters near 2^63 put the window past int64, where Go leaves
+		// the conversion to the platform (amd64: MinInt64, a window that
+		// prunes nothing). The widest window is the honest answer.
+		return math.MaxInt64
 	}
 	return int64(w)
 }
@@ -185,9 +195,12 @@ func stableUnder(g gfunc.Func, v uint64, window int64, eps float64) bool {
 			return false
 		}
 	}
-	for y := int64(96); y <= window; y = y + y/2 {
+	for y := int64(96); y <= window; y += y / 2 {
 		if !probe(y) || !probe(-y) {
 			return false
+		}
+		if y > window-y/2 {
+			break // the next step passes the window; past 2^62.4 it would also wrap
 		}
 	}
 	if window > 64 {
