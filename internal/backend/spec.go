@@ -140,18 +140,23 @@ func (s Spec) Normalize() (Spec, error) {
 	return s, nil
 }
 
-// Fingerprint digests the normalized Spec — kind, function, every
-// option, and the kind-specific extras — with the internal/wire fold.
-// Two processes hold merge-compatible estimators if and only if their
-// Spec fingerprints agree, which is what the daemon's /v1/config
-// handshake checks before any snapshot ships. A Spec that does not
-// normalize is digested as written (its fingerprint only ever meets
-// another in an error path).
+// Fingerprint digests the sketch layout version and the normalized Spec
+// — kind, function, every option, and the kind-specific extras — with
+// the internal/wire fold. Two processes hold merge-compatible estimators
+// if their Spec fingerprints agree, which is what the daemon's
+// /v1/config handshake checks before any snapshot ships. The layout
+// version (wire.Version) is part of it because the Spec alone does not
+// say what a build makes of it: the same Spec opens a different sketch
+// under every layout, and a worker one layout behind must be refused at
+// the handshake, not when its first snapshot fails to decode. A Spec that
+// does not normalize is digested as written (its fingerprint only ever
+// meets another in an error path).
 func (s Spec) Fingerprint() uint64 {
 	if n, err := s.Normalize(); err == nil {
 		s = n
 	}
-	h := wire.FingerprintString(0, string(s.Kind))
+	h := wire.Fingerprint(0, uint64(wire.Version))
+	h = wire.FingerprintString(h, string(s.Kind))
 	h = wire.FingerprintString(h, s.G)
 	h = wire.Fingerprint(h, core.OptionsFingerprint(s.Options))
 	h = wire.Fingerprint(h, s.Window.W)

@@ -28,7 +28,12 @@ type Options struct {
 	// ε² / log³n (floored at DefaultLambdaFloor = 1/32 to keep test-scale
 	// widths finite).
 	Lambda float64 `json:"lambda"`
-	// Levels overrides the recursive sketch depth (0 = log2 N).
+	// Levels is the recursive sketch's number of subsampling levels
+	// (0 = depth from capacity: the recursion stops at the level whose
+	// sub-universe the candidate tracker holds outright, see
+	// recursive.Depth; at most 30). The constructors resolve 0, so an
+	// estimator built with 0 and one built with the depth 0 resolves to
+	// are the same sketch, fingerprint included.
 	Levels int `json:"levels"`
 	// WidthFactor scales sketch widths for space/accuracy sweeps (0 = 1).
 	WidthFactor float64 `json:"width_factor"`
@@ -126,6 +131,7 @@ func NewOnePass(g gfunc.Func, opts Options) *OnePassEstimator {
 			}, hhRng.Fork())
 		},
 	}, rng.Fork())
+	o.Levels = sk.Levels() // Levels 0 and the depth it resolves to are one sketch
 	return &OnePassEstimator{g: g, sk: sk, opts: o}
 }
 
@@ -179,6 +185,7 @@ func NewTwoPass(g gfunc.Func, opts Options) *TwoPassEstimator {
 			}, hhRng.Fork())
 		},
 	}, rng.Fork())
+	o.Levels = sk.Levels() // Levels 0 and the depth it resolves to are one sketch
 	return &TwoPassEstimator{g: g, sk: sk, opts: o}
 }
 

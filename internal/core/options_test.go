@@ -3,6 +3,9 @@ package core
 import (
 	"math"
 	"testing"
+
+	"repro/internal/gfunc"
+	"repro/internal/stream"
 )
 
 // TestDefaultLambdaFloor pins the documented λ default: at bench scales
@@ -38,5 +41,51 @@ func TestDefaultLambdaFloor(t *testing.T) {
 	}
 	if o.Lambda != want {
 		t.Errorf("formula λ = %v, want %v", o.Lambda, want)
+	}
+}
+
+// TestTruncationIsIdentity: stopping the recursion where the tracker holds
+// the sub-universe (Levels 0, recursive.Depth) changes no estimate. Once a
+// level's cover is all of its sub-universe, CombineCovers is the identity
+// on every level below it, so the sketch at the default depth and the
+// sketch at the full ⌈log2 N⌉ levels — same seed, hence the same hash
+// functions on the levels they share — return the same float, bit for
+// bit: every one-pass tractable catalog function, two domain sizes, a flat
+// and a skewed stream, two sketch seeds.
+func TestTruncationIsIdentity(t *testing.T) {
+	seeds := []uint64{3, 11}
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	for _, lg := range []int{14, 16} {
+		n := uint64(1) << lg
+		streams := map[string]*stream.Stream{
+			"uniform": stream.Uniform(stream.GenConfig{N: n, M: 16, Seed: 5}, 1<<12),
+			"zipf":    stream.Zipf(stream.GenConfig{N: n, M: 1 << 10, Seed: 5}, 1<<12, 1.1),
+		}
+		for _, entry := range gfunc.Catalog() {
+			g := entry.Func
+			if entry.WantOnePass != gfunc.Tractable {
+				continue
+			}
+			for name, s := range streams {
+				for _, seed := range seeds {
+					opts := Options{N: n, M: 1 << 10, Lambda: 1.0 / 16, Seed: seed}
+					opts.Envelope = EnvelopeFor(g, opts)
+					shallow := NewOnePass(g, opts)
+					opts.Levels = lg
+					full := NewOnePass(g, opts)
+					if shallow.sk.Levels() >= full.sk.Levels() {
+						t.Fatalf("%s N=2^%d: default depth %d is not below the full %d", g.Name(), lg, shallow.sk.Levels(), full.sk.Levels())
+					}
+					shallow.Process(s)
+					full.Process(s)
+					if a, b := shallow.Estimate(), full.Estimate(); a != b {
+						t.Errorf("%s N=2^%d %s seed %d: %v at %d levels, %v at %d", g.Name(), lg, name, seed,
+							a, shallow.sk.Levels(), b, full.sk.Levels())
+					}
+				}
+			}
+		}
 	}
 }

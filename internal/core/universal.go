@@ -45,31 +45,19 @@ func mergeOnePassLevels(dst, src []*heavy.OnePass) error {
 }
 
 // NewUniversal builds a universal g-SUM sketch. Options.Envelope must be
-// set (there is no g to measure it from); zero falls back to 1.
+// set (there is no g to measure it from); zero falls back to 1. Its random
+// choices are NewOnePass's at the same Options: the level sketchers fork
+// from one generator, the subsampling hashes from the next.
 func NewUniversal(opts Options) *Universal {
 	o := opts.withDefaults()
 	h := o.Envelope
 	if h < 1 {
 		h = 1
 	}
-	levels := o.Levels
-	if levels == 0 {
-		levels = util.Log2Ceil(o.N)
-	}
-	if levels > 30 {
-		levels = 30
-	}
-	if levels < 1 {
-		levels = 1
-	}
 	rng := util.NewSplitMix64(o.Seed)
-	u := &Universal{
-		levels: make([]*heavy.OnePass, levels+1),
-		sub:    make([]*xhash.Bernoulli, levels),
-		opts:   o,
-	}
-	for k := 0; k <= levels; k++ {
-		u.levels[k] = heavy.NewOnePass(heavy.OnePassConfig{
+	hhRng := rng.Fork()
+	levels := recursive.BuildLevels(o.N, o.Levels, func(int) *heavy.OnePass {
+		return heavy.NewOnePass(heavy.OnePassConfig{
 			// G is only a default for Cover(); EstimateFor supplies the
 			// real query function.
 			G:           gfunc.F2Func(),
@@ -78,12 +66,10 @@ func NewUniversal(opts Options) *Universal {
 			Delta:       o.Delta,
 			H:           h,
 			WidthFactor: o.WidthFactor,
-		}, rng.Fork())
-	}
-	for k := 0; k < levels; k++ {
-		u.sub[k] = xhash.NewBernoulli(2, 1, 2, rng.Fork())
-	}
-	return u
+		}, hhRng.Fork())
+	})
+	o.Levels = len(levels) - 1 // Levels 0 and the depth it resolves to are one sketch
+	return &Universal{levels: levels, sub: recursive.Subsamplers(o.Levels, rng.Fork()), opts: o}
 }
 
 // Update feeds one turnstile update.

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/stream"
+	"repro/internal/wire"
 )
 
 // maxBodyBytes caps request bodies (ingest batches and shard snapshots).
@@ -272,8 +273,8 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 		}
 		if req.Fingerprint != s.fp {
 			writeError(w, http.StatusConflict, fmt.Errorf(
-				"spec fingerprint mismatch: peer %#x vs local %#x (different Spec; refusing before any snapshot is merged)",
-				req.Fingerprint, s.fp))
+				"spec fingerprint mismatch: peer %#x vs local %#x (different Spec, or a build with another sketch layout than this one's version %d; refusing before any snapshot is merged)",
+				req.Fingerprint, s.fp, wire.Version))
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"status": "match"})

@@ -193,8 +193,9 @@ func TestOneCollapsePerBatch(t *testing.T) {
 	stacks["twopass"] = twopass
 	for name, sk := range stacks {
 		sketches, owners := countSketchBatches(reflect.ValueOf(sk), map[uintptr]bool{})
-		if sketches < 13 || owners != 0 {
-			t.Errorf("%s: %d of %d level CountSketches collapsed a batch themselves, want 0 of at least 13", name, owners, sketches)
+		// N = 2^12 over trackers of 769: depth 4, five level sketches a stack.
+		if sketches < 5 || owners != 0 {
+			t.Errorf("%s: %d of %d level CountSketches collapsed a batch themselves, want 0 of at least 5", name, owners, sketches)
 		}
 	}
 	cs := sketch.NewCountSketch(5, 64, util.NewSplitMix64(1))

@@ -164,6 +164,15 @@ func (o *OnePass) CoverFor(g gfunc.Func) Cover {
 	return cover
 }
 
+// Capacity returns how many items the candidate tracker holds: a
+// substream with no more distinct items than this is tracked whole, which
+// is where a recursive stack of these can stop (recursive.Depth).
+func (o *OnePass) Capacity() int { return o.topk }
+
+// Tracked returns how many candidates the tracker holds now; below
+// Capacity, every item the substream has carried is among them.
+func (o *OnePass) Tracked() int { return o.cs.Tracked() }
+
 // SpaceBytes reports the CountSketch counters plus the candidate table.
 func (o *OnePass) SpaceBytes() int {
 	return o.cs.SpaceBytes() + o.topk*16

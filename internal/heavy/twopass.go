@@ -104,6 +104,10 @@ func (t *TwoPass) Cover() Cover {
 	return cover
 }
 
+// Capacity returns how many candidates the first pass keeps for the
+// second to tabulate exactly (see OnePass.Capacity).
+func (t *TwoPass) Capacity() int { return t.topk }
+
 // SpaceBytes reports the CountSketch counters plus the candidate table
 // (16 bytes per candidate).
 func (t *TwoPass) SpaceBytes() int {

@@ -9,9 +9,10 @@ import (
 
 // Config parameterizes the recursive sketch.
 type Config struct {
-	// N is the domain size; the number of levels defaults to log2(N).
+	// N is the domain size.
 	N uint64
-	// Levels overrides the level count (0 means log2 N, capped at 30).
+	// Levels is the number of subsampling levels below level 0
+	// (0 = depth from capacity, see Depth; at most 30).
 	Levels int
 	// MakeSketcher builds the per-level heavy-hitter algorithm. Level 0
 	// sees the full stream; deeper levels see subsampled streams.
@@ -25,35 +26,79 @@ type Sketch struct {
 	plan   sketch.Batch       // the collapsed batch UpdateBatch hands down the levels
 }
 
-// New returns a fresh recursive sketch.
-func New(cfg Config, rng *util.SplitMix64) *Sketch {
-	if cfg.N == 0 {
+// Depth resolves a stack's number of subsampling levels L (the stack holds
+// L+1 level sketchers over U_0 ⊇ … ⊇ U_L) for a domain of n items. An
+// explicit levels wins; 0 asks for the depth at which the recursion has
+// nothing left to add, given capacity, the number of items one level's
+// sketcher tracks exactly (its candidate tracker's size; 0 = unknown):
+//
+//	L = ⌈log2(n/capacity)⌉ + 1, at most ⌈log2 n⌉; in any case 1 ≤ L ≤ 30.
+//
+// Why stopping there is Theorem 13's recursion and not a cut of it. The
+// induction's base case asks level L for a (1±ε) cover of everything in
+// U_L, nothing more. At this L, E|U_L| = n/2^L ≤ capacity/2. The
+// subsampling hashes are pairwise independent, so Var|U_L| ≤ E|U_L| and by
+// Chebyshev P(|U_L| > capacity) ≤ (capacity/2)/(capacity/2)² = 2/capacity
+// (0.5% at the benchmark's 385), charged to δ beside the per-level failure
+// events the theorem already unions over. On the complement, level L's
+// tracker holds all of supp(v) ∩ U_L: the residual F2 behind its error
+// window is 0, the window is 0, nothing is pruned, and its cover is U_L's
+// whole support — the base case. Every level below it would be in the same
+// state and CombineCovers is then the identity on them: Ĝ_{k+1} equals the
+// survivors' weight, so Ĝ_k is level k's own sum. When the event fails,
+// level L is an ordinary heavy-hitter level, exactly as a middle level is
+// at full depth. A sketcher that does not say what it tracks (capacity 0)
+// keeps the full ⌈log2 n⌉ levels.
+func Depth(n uint64, levels, capacity int) int {
+	if n == 0 {
 		panic("recursive: domain must be positive")
 	}
+	if levels == 0 {
+		levels = util.Log2Ceil(n)
+		if capacity > 0 {
+			// ⌈log2(n/c)⌉ = ⌈log2⌈n/c⌉⌉: a power of two is a whole number.
+			levels = min(levels, util.Log2Ceil((n-1)/uint64(capacity)+1)+1)
+		}
+	}
+	return max(1, min(levels, 30))
+}
+
+// BuildLevels builds a stack's level sketchers: level 0 first, then — the
+// depth resolved from what level 0 says it tracks (an optional
+// Capacity() int, which heavy.OnePass and heavy.TwoPass have) — levels
+// 1…L. It is the one place a stack's depth is decided; core.Universal,
+// which carries its own levels, builds them here too.
+func BuildLevels[S any](n uint64, levels int, mk func(level int) S) []S {
+	first := mk(0)
+	capacity := 0
+	if c, ok := any(first).(interface{ Capacity() int }); ok {
+		capacity = c.Capacity()
+	}
+	out := make([]S, Depth(n, levels, capacity)+1)
+	out[0] = first
+	for k := 1; k < len(out); k++ {
+		out[k] = mk(k)
+	}
+	return out
+}
+
+// Subsamplers draws the hashes between consecutive levels: sub[k] keeps
+// each item of U_k in U_{k+1} with probability 1/2, pairwise independent.
+func Subsamplers(levels int, rng *util.SplitMix64) []*xhash.Bernoulli {
+	sub := make([]*xhash.Bernoulli, levels)
+	for k := range sub {
+		sub[k] = xhash.NewBernoulli(2, 1, 2, rng.Fork())
+	}
+	return sub
+}
+
+// New returns a fresh recursive sketch.
+func New(cfg Config, rng *util.SplitMix64) *Sketch {
 	if cfg.MakeSketcher == nil {
 		panic("recursive: MakeSketcher is required")
 	}
-	levels := cfg.Levels
-	if levels == 0 {
-		levels = util.Log2Ceil(cfg.N)
-	}
-	if levels > 30 {
-		levels = 30
-	}
-	if levels < 1 {
-		levels = 1
-	}
-	s := &Sketch{
-		levels: make([]heavy.Sketcher, levels+1),
-		sub:    make([]*xhash.Bernoulli, levels),
-	}
-	for k := 0; k <= levels; k++ {
-		s.levels[k] = cfg.MakeSketcher(k)
-	}
-	for k := 0; k < levels; k++ {
-		s.sub[k] = xhash.NewBernoulli(2, 1, 2, rng.Fork())
-	}
-	return s
+	levels := BuildLevels(cfg.N, cfg.Levels, cfg.MakeSketcher)
+	return &Sketch{levels: levels, sub: Subsamplers(len(levels)-1, rng)}
 }
 
 // Update feeds one turnstile update to every level whose sub-universe

@@ -35,8 +35,9 @@ func TestRecursiveSketchEstimatesGSum(t *testing.T) {
 func TestRecursiveLevelsDefault(t *testing.T) {
 	rng := util.NewSplitMix64(1)
 	sk := New(Config{N: 1 << 10, MakeSketcher: makeOnePassFactory(gfunc.F1Func(), 1, rng.Fork())}, rng.Fork())
-	if sk.Levels() != 10 {
-		t.Errorf("levels = %d, want 10", sk.Levels())
+	// Trackers of 2H/(λ/3) + 1 = 121 hold U_5 (32 items expected) outright.
+	if sk.Levels() != 5 {
+		t.Errorf("levels = %d, want 5", sk.Levels())
 	}
 }
 
@@ -121,5 +122,77 @@ func TestSpaceBytesAggregates(t *testing.T) {
 	sk := New(Config{N: 1 << 8, MakeSketcher: makeOnePassFactory(gfunc.F1Func(), 1, rng.Fork())}, rng.Fork())
 	if sk.SpaceBytes() <= 0 {
 		t.Error("SpaceBytes must be positive")
+	}
+}
+
+// benchLevel is the level sketcher of the repository's benchmark options
+// (g = x², λ = 1/16, H = 4): 7 rows of 4096 buckets over a tracker of 385.
+func benchLevel(rng *util.SplitMix64) func(int) heavy.Sketcher {
+	return func(int) heavy.Sketcher {
+		return heavy.NewOnePass(heavy.OnePassConfig{G: gfunc.F2Func(), Lambda: 1.0 / 16, Eps: 0.25, Delta: 0.2, H: 4}, rng.Fork())
+	}
+}
+
+// feedWholeDomain gives every item of [0, n) frequency 1, in batches.
+func feedWholeDomain(sk *Sketch, n uint64) {
+	batch := make([]stream.Update, 0, 4096)
+	for it := uint64(0); it < n; it++ {
+		if batch = append(batch, stream.Update{Item: it, Delta: 1}); len(batch) == cap(batch) || it == n-1 {
+			sk.UpdateBatch(batch)
+			batch = batch[:0]
+		}
+	}
+}
+
+// TestDeepestLevelHoldsItsUniverse is the assumption Depth stops the
+// recursion on, at the benchmark's options with the worst support there is
+// (every one of N = 2^20 items present): the deepest level's tracker is
+// below capacity, so it has seen all of its sub-universe, its error window
+// is 0 and its cover is that sub-universe, item for item — Theorem 13's
+// base case. Then the assumption is broken on purpose — four times the
+// items through the depth that suits N — and the deepest level is an
+// ordinary heavy-hitter level: a full tracker, no panic, and an estimate
+// still inside ε.
+func TestDeepestLevelHoldsItsUniverse(t *testing.T) {
+	const n = 1 << 20
+	rng := util.NewSplitMix64(7)
+	sk := New(Config{N: n, MakeSketcher: benchLevel(rng.Fork())}, rng.Fork())
+	if sk.Levels() != 13 {
+		t.Fatalf("%d levels, want 13", sk.Levels())
+	}
+	feedWholeDomain(sk, n)
+	deepest := sk.levels[sk.Levels()].(*heavy.OnePass)
+	universe := 0
+	for it := uint64(0); it < n; it++ {
+		if sk.member(it, sk.Levels()) {
+			universe++
+		}
+	}
+	cover := deepest.Cover()
+	if deepest.Tracked() >= deepest.Capacity() || deepest.Tracked() != universe || deepest.ErrorWindow() != 0 || len(cover) != universe {
+		t.Errorf("deepest level: %d of %d tracked, error window %d, cover of %d, over a sub-universe of %d items",
+			deepest.Tracked(), deepest.Capacity(), deepest.ErrorWindow(), len(cover), universe)
+	}
+	for _, e := range cover {
+		if !sk.member(e.Item, sk.Levels()) || e.Freq != 1 {
+			t.Fatalf("deepest cover holds item %d at frequency %d", e.Item, e.Freq)
+		}
+	}
+	if err := util.RelErr(sk.Estimate(), n); err > 0.25 {
+		t.Errorf("all of N present: relative error %.3f", err)
+	}
+
+	if testing.Short() {
+		return
+	}
+	rng = util.NewSplitMix64(7)
+	shallow := New(Config{N: 4 * n, Levels: 13, MakeSketcher: benchLevel(rng.Fork())}, rng.Fork())
+	feedWholeDomain(shallow, 4*n)
+	deepest = shallow.levels[13].(*heavy.OnePass)
+	if deepest.Tracked() != deepest.Capacity() {
+		t.Errorf("4N items through N's depth: deepest level tracks %d of %d, want a full tracker", deepest.Tracked(), deepest.Capacity())
+	}
+	if err := util.RelErr(shallow.Estimate(), 4*n); err > 0.25 {
+		t.Errorf("4N items through N's depth: relative error %.3f", err)
 	}
 }

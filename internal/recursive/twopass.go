@@ -11,7 +11,7 @@ import (
 // Algorithm 1 (or any TwoPassSketcher) into the Theorem 13 reduction.
 type TwoPassConfig struct {
 	N            uint64
-	Levels       int // 0 means log2 N, capped at 30
+	Levels       int // 0 = depth from capacity (see Depth); at most 30
 	MakeSketcher func(level int) heavy.TwoPassSketcher
 }
 
@@ -26,33 +26,11 @@ type TwoPass struct {
 
 // NewTwoPass returns a fresh two-pass recursive sketch.
 func NewTwoPass(cfg TwoPassConfig, rng *util.SplitMix64) *TwoPass {
-	if cfg.N == 0 {
-		panic("recursive: domain must be positive")
-	}
 	if cfg.MakeSketcher == nil {
 		panic("recursive: MakeSketcher is required")
 	}
-	levels := cfg.Levels
-	if levels == 0 {
-		levels = util.Log2Ceil(cfg.N)
-	}
-	if levels > 30 {
-		levels = 30
-	}
-	if levels < 1 {
-		levels = 1
-	}
-	s := &TwoPass{
-		levels: make([]heavy.TwoPassSketcher, levels+1),
-		sub:    make([]*xhash.Bernoulli, levels),
-	}
-	for k := 0; k <= levels; k++ {
-		s.levels[k] = cfg.MakeSketcher(k)
-	}
-	for k := 0; k < levels; k++ {
-		s.sub[k] = xhash.NewBernoulli(2, 1, 2, rng.Fork())
-	}
-	return s
+	levels := BuildLevels(cfg.N, cfg.Levels, cfg.MakeSketcher)
+	return &TwoPass{levels: levels, sub: Subsamplers(len(levels)-1, rng)}
 }
 
 // Pass1 feeds an update to the identification pass at every level
@@ -105,3 +83,6 @@ func (s *TwoPass) SpaceBytes() int {
 	}
 	return total
 }
+
+// Levels returns the number of subsampling levels (excluding level 0).
+func (s *TwoPass) Levels() int { return len(s.sub) }

@@ -130,6 +130,16 @@ func (cs *CountSketch) TrackedItems() []uint64 {
 	return cs.topK.items()
 }
 
+// Tracked returns how many candidates the top-k tracker holds (0 when the
+// sketch was built without one): a heap length, for gauges read on every
+// scrape.
+func (cs *CountSketch) Tracked() int {
+	if cs.topK == nil {
+		return 0
+	}
+	return len(cs.topK.heap)
+}
+
 // MergeTopK merges another sketch's counters AND its tracked candidates:
 // after the counter merge, the other side's candidates are re-offered
 // against the merged state, so a candidate heavy in either shard (or only

@@ -6,8 +6,16 @@ import (
 	"math"
 )
 
-// Version is the current layout version stamped into every header.
-const Version uint16 = 1
+// Version is the current layout version stamped into every header. A
+// reader refuses any other: state written under one layout means nothing
+// under the next, even where the bytes would still parse.
+//
+//	1: every level of a recursive stack ⌈log2 N⌉ deep drew its own
+//	   CountSketch row hashes.
+//	2: a stack stops at the level whose sub-universe its tracker holds
+//	   (recursive.Depth), and its levels evaluate one row-hash family,
+//	   level 0's (sketch.CountSketch.ShareRowHashes).
+const Version uint16 = 2
 
 // Fingerprint folds v into a running 64-bit digest h. It is a
 // splittable-mix step (multiply-xorshift), order sensitive, used to
@@ -166,7 +174,7 @@ func (r *Reader) Header(magic uint32, fingerprint uint64) error {
 	if m != magic {
 		r.fail("wire: bad magic %#x (want %#x)", m, magic)
 	} else if v != Version {
-		r.fail("wire: unsupported version %d (want %d)", v, Version)
+		r.fail("wire: written under layout version %d, this build reads version %d only", v, Version)
 	} else if fp != fingerprint {
 		r.fail("wire: fingerprint mismatch %#x vs local %#x (different seed or configuration)", fp, fingerprint)
 	}
