@@ -204,3 +204,114 @@ func TestOneCollapsePerBatch(t *testing.T) {
 		t.Errorf("control: found %d CountSketches, %d owning a batch; want 1 and 1", sketches, owners)
 	}
 }
+
+// stackHashing walks v as countSketchBatches does and reports what hashes
+// a stack's batches: the distinct row-hash families its CountSketches
+// evaluate, and, for every sketch.Batch it owns, the family that hashed
+// the last batch and the shape of the hash matrix.
+type stackHashing struct {
+	families map[uintptr]int // family -> CountSketches evaluating it
+	plans    []planHashing
+}
+
+type planHashing struct {
+	by            uintptr
+	hashed, items int
+}
+
+func (h *stackHashing) walk(v reflect.Value, seen map[uintptr]bool) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() || seen[v.Pointer()] {
+			return
+		}
+		seen[v.Pointer()] = true
+		h.walk(v.Elem(), seen)
+	case reflect.Interface:
+		if !v.IsNil() {
+			h.walk(v.Elem(), seen)
+		}
+	case reflect.Slice, reflect.Array:
+		if k := v.Type().Elem().Kind(); k != reflect.Pointer && k != reflect.Interface && k != reflect.Struct {
+			return
+		}
+		for i := 0; i < v.Len(); i++ {
+			h.walk(v.Index(i), seen)
+		}
+	case reflect.Struct:
+		switch v.Type() {
+		case reflect.TypeOf(sketch.CountSketch{}):
+			h.families[v.FieldByName("hash").Pointer()]++
+		case reflect.TypeOf(sketch.Batch{}):
+			h.plans = append(h.plans, planHashing{
+				by:     v.FieldByName("by").Pointer(),
+				hashed: v.FieldByName("hashed").Len(),
+				items:  v.FieldByName("items").Len(),
+			})
+			return
+		}
+		for i := 0; i < v.NumField(); i++ {
+			h.walk(v.Field(i), seen)
+		}
+	}
+}
+
+// TestOneHashPerBatch pins who hashes, beside TestOneCollapsePerBatch's who
+// collapses: the levels of a stack (the onepass, universal, twopass and
+// sharded ingest paths) evaluate ONE row-hash family, level 0's, and no
+// level holds coefficients of its own; a batch is hashed for that family
+// once — rows x distinct items evaluations, a matrix the levels below read
+// through the positions Subsample leaves — not once per level it reaches.
+func TestOneHashPerBatch(t *testing.T) {
+	g := gfunc.F2Func()
+	opts := core.Options{N: 1 << 12, M: 1 << 10, Seed: 3, Envelope: 4}
+	updates := testUpdates(5, 3000)
+	seen := map[uint64]bool{}
+	for _, u := range updates {
+		seen[u.Item] = true
+	}
+	distinct := len(seen)
+	twopass := core.NewTwoPass(g, opts)
+	stacks := map[string]engine.Sketcher{
+		"onepass":   core.NewOnePass(g, opts),
+		"universal": core.NewUniversal(opts),
+		"sharded":   hotpath.New(g, opts, 3),
+		"twopass":   twopass,
+	}
+	for name, sk := range stacks {
+		engine.Ingest(sk, updates, len(updates))
+		h := stackHashing{families: map[uintptr]int{}}
+		h.walk(reflect.ValueOf(sk), map[uintptr]bool{})
+		shards, rows := 1, 7 // 2 ln(2/(δ/2)) rows at δ = 0.2; the two-pass sketch takes δ whole: 5
+		switch name {
+		case "sharded":
+			shards = 3
+		case "twopass":
+			rows = 5
+		}
+		if len(h.families) != shards || len(h.plans) != shards {
+			t.Errorf("%s: %d row-hash families and %d batch plans over %d stacks, want one of each a stack", name, len(h.families), len(h.plans), shards)
+			continue
+		}
+		items := 0
+		for _, p := range h.plans {
+			if h.families[p.by] < 5 || p.hashed != rows*p.items {
+				t.Errorf("%s: a batch of %d items holds %d hashes by a family %d levels evaluate; want %d hashes by the family of all 5 or more",
+					name, p.items, p.hashed, h.families[p.by], rows*p.items)
+			}
+			items += p.items
+		}
+		if items != distinct {
+			t.Errorf("%s: the last batch was hashed for %d items, it holds %d distinct", name, items, distinct)
+		}
+	}
+	// Two stacks do not share: each draws its own family from its seed.
+	a, b := stackHashing{families: map[uintptr]int{}}, stackHashing{families: map[uintptr]int{}}
+	a.walk(reflect.ValueOf(stacks["onepass"]), map[uintptr]bool{})
+	b.walk(reflect.ValueOf(stacks["universal"]), map[uintptr]bool{})
+	for f := range a.families {
+		if b.families[f] != 0 {
+			t.Error("two stacks evaluate one family object")
+		}
+	}
+}

@@ -169,6 +169,15 @@ func (o *OnePass) CoverFor(g gfunc.Func) Cover {
 // is where a recursive stack of these can stop (recursive.Depth).
 func (o *OnePass) Capacity() int { return o.topk }
 
+// AdoptRowHashes makes o's CountSketch evaluate the row-hash family of
+// from's, which must be an *OnePass of the same dimensions, and reports
+// whether it did (sketch.CountSketch.ShareRowHashes). A recursive stack
+// calls it on levels 1…L with level 0, before anything is counted.
+func (o *OnePass) AdoptRowHashes(from any) bool {
+	f, ok := from.(*OnePass)
+	return ok && o.cs.ShareRowHashes(f.cs)
+}
+
 // Tracked returns how many candidates the tracker holds now; below
 // Capacity, every item the substream has carried is among them.
 func (o *OnePass) Tracked() int { return o.cs.Tracked() }

@@ -104,6 +104,14 @@ func (t *TwoPass) Cover() Cover {
 	return cover
 }
 
+// AdoptRowHashes makes t's first-pass CountSketch evaluate the row-hash
+// family of from's, which must be a *TwoPass of the same dimensions (see
+// OnePass.AdoptRowHashes).
+func (t *TwoPass) AdoptRowHashes(from any) bool {
+	f, ok := from.(*TwoPass)
+	return ok && t.cs.ShareRowHashes(f.cs)
+}
+
 // Capacity returns how many candidates the first pass keeps for the
 // second to tabulate exactly (see OnePass.Capacity).
 func (t *TwoPass) Capacity() int { return t.topk }

@@ -66,8 +66,11 @@ func Depth(n uint64, levels, capacity int) int {
 // BuildLevels builds a stack's level sketchers: level 0 first, then — the
 // depth resolved from what level 0 says it tracks (an optional
 // Capacity() int, which heavy.OnePass and heavy.TwoPass have) — levels
-// 1…L. It is the one place a stack's depth is decided; core.Universal,
-// which carries its own levels, builds them here too.
+// 1…L, each adopting level 0's CountSketch row hashes where it can (an
+// optional AdoptRowHashes(from any) bool, which the same two have), so
+// that a batch is hashed once for the whole stack. It is the one place a
+// stack's shape is decided; core.Universal, which carries its own levels,
+// builds them here too.
 func BuildLevels[S any](n uint64, levels int, mk func(level int) S) []S {
 	first := mk(0)
 	capacity := 0
@@ -78,6 +81,9 @@ func BuildLevels[S any](n uint64, levels int, mk func(level int) S) []S {
 	out[0] = first
 	for k := 1; k < len(out); k++ {
 		out[k] = mk(k)
+		if a, ok := any(out[k]).(interface{ AdoptRowHashes(from any) bool }); ok {
+			a.AdoptRowHashes(first)
+		}
 	}
 	return out
 }

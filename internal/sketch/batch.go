@@ -19,13 +19,16 @@ import (
 // Batch is a batch of updates in the form the sketches walk: collapsed to
 // its distinct items in first-seen order (deterministic iteration) with
 // their net deltas, and — for the CountSketch row walk — each item's value
-// mod 2^61-1 with its canonical square and cube, so every row of every
-// sketch the batch reaches evaluates its polynomials from the same powers.
+// mod 2^61-1 with its canonical square and cube, from which the first
+// sketch to walk the batch hashes every item for every row, once.
 // Whoever collapses owns the Batch: a stack of CountSketches over nested
 // sub-universes (internal/recursive) collapses once, hands each level the
-// Batch with Apply and narrows it with Subsample in between. All buffers
-// are retained across batches, so after the first few batches of a steady
-// stream ingestion allocates nothing. The zero value is ready to use.
+// Batch with Apply and narrows it with Subsample in between. Narrowing
+// moves nothing: the items, deltas and hashes stay where Collapse and the
+// first Apply put them, and sel, the positions still in the sub-universe,
+// is what shrinks. All buffers are retained across batches, so after the
+// first few batches of a steady stream ingestion allocates nothing. The
+// zero value is ready to use.
 type Batch struct {
 	// slots is an open-addressed, linear-probe hash table over the items
 	// of the batch being collapsed: slots[h] holds index+1 into items/ds
@@ -38,12 +41,21 @@ type Batch struct {
 	// Filled by Collapse for the CountSketch walk: xs[i] = items[i] mod
 	// 2^61-1, and xhash.Powers of it.
 	xs, x2s, x3s []uint64
-	// Row scratch of CountSketch.Apply: one row's bucket indices and signs
-	// (hs, ss) and the row-major (row, item) estimate matrix (ests) of a
-	// tracked sketch, so the post-batch re-score reads settled counters
-	// without re-hashing. Subsample borrows hs for its selection bits.
-	hs   []uint64
-	ss   []int64
+	// sel holds, ascending, the positions (into items, ds, xs, and the
+	// columns of hashed) of the items in the current sub-universe: all of
+	// them after Collapse, fewer after each Subsample.
+	sel []int32
+	// hashed is the rows x len(items) matrix, row-major, of family by's
+	// packed hashes: hashed[j*len(items)+i] = bucket<<1 | sign bit of item
+	// i in row j. The first sketch to Apply the batch fills it, and every
+	// sketch that evaluates the same family (the levels of a stack do, see
+	// CountSketch.ShareRowHashes) reads it instead of hashing again. by is
+	// nil until then.
+	hashed []uint32
+	by     *rowHashes
+	// ests is the row-major (row, selected item) estimate matrix of a
+	// tracked sketch's Apply, so the post-batch re-score reads settled
+	// counters without re-hashing.
 	ests []int64
 }
 
@@ -56,14 +68,15 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Len returns the number of distinct items in the batch.
-func (b *Batch) Len() int { return len(b.items) }
+// Len returns the number of distinct items in the batch (after Subsample:
+// of those in the sub-universe).
+func (b *Batch) Len() int { return len(b.sel) }
 
 // Each calls fn with every distinct item, in first-seen order, and its
 // net delta: the batch as a sequence of updates, for whoever takes those.
 func (b *Batch) Each(fn func(item uint64, delta int64)) {
-	for i, it := range b.items {
-		fn(it, b.ds[i])
+	for _, i := range b.sel {
+		fn(b.items[i], b.ds[i])
 	}
 }
 
@@ -135,39 +148,39 @@ func (b *Batch) Collapse(batch []stream.Update) {
 		// and the number of distinct items cannot.
 		c := min(cap(b.items), len(batch))
 		b.xs, b.x2s, b.x3s = make([]uint64, c), make([]uint64, c), make([]uint64, c)
-		b.hs, b.ss = make([]uint64, c), make([]int64, c)
+		b.sel = make([]int32, c)
 	}
-	b.xs, b.x2s, b.x3s = b.xs[:n], b.x2s[:n], b.x3s[:n]
+	b.xs, b.x2s, b.x3s, b.sel = b.xs[:n], b.x2s[:n], b.x3s[:n], b.sel[:n]
 	for i, it := range b.items {
 		x := it % xhash.MersennePrime61
 		b.xs[i] = x
 		b.x2s[i], b.x3s[i] = xhash.Powers(x)
+		b.sel[i] = int32(i)
 	}
+	b.by = nil
 }
 
-// Subsample narrows b to the items h selects, in place: what is left is
-// the collapsed form of the sub-stream over h's sub-universe — the filter
-// of a first-seen order is the first-seen order of the filter. Survivors
-// are compacted without a branch (the selection bit is a coin): every
-// entry is copied down to the write position, which only moves on for a
-// survivor.
+// Subsample narrows b to the items h selects: what is left is the
+// collapsed form of the sub-stream over h's sub-universe — the filter of a
+// first-seen order is the first-seen order of the filter. Only sel is
+// rewritten.
 func (b *Batch) Subsample(h *xhash.Bernoulli) {
-	keep := b.hs[:len(b.items)]
-	h.Select(b.xs, keep)
-	b.items, b.ds = compact(b.items, keep), compact(b.ds, keep)
-	b.xs, b.x2s, b.x3s = compact(b.xs, keep), compact(b.x2s, keep), compact(b.x3s, keep)
+	b.sel = h.Filter(b.xs, b.sel)
 }
 
-// compact moves the entries of v whose keep bit is 1 to the front, in
-// order, and returns that prefix.
-func compact[T uint64 | int64](v []T, keep []uint64) []T {
-	v = v[:len(keep)]
-	n := 0
-	for i, k := range keep {
-		v[n] = v[i]
-		n += int(k)
+// hashFor fills hashed with family f's hashes of every item of the batch,
+// selected or not: the family's first sketch to walk a batch sees all of
+// it (level 0 of a stack, or a sketch's own UpdateBatch door).
+func (b *Batch) hashFor(f *rowHashes) {
+	n := len(b.items)
+	if cap(b.hashed) < f.rows*n {
+		b.hashed = make([]uint32, f.rows*cap(b.xs))
 	}
-	return v[:n]
+	b.hashed = b.hashed[:f.rows*n]
+	for j := 0; j < f.rows; j++ {
+		f.hashRow(j, b.xs, b.x2s, b.x3s, b.hashed[j*n:(j+1)*n])
+	}
+	b.by = f
 }
 
 // UpdateBatch processes a batch of turnstile updates. The counter state
@@ -188,50 +201,57 @@ func (cs *CountSketch) UpdateBatch(batch []stream.Update) {
 }
 
 // Apply feeds a collapsed batch to the sketch: the row walk and, on a
-// tracked sketch, the re-score of the batch's items. b is only read, apart
-// from its row scratch.
+// tracked sketch, the re-score of the batch's items. It hashes the batch
+// only if no sketch of the same row-hash family has yet; otherwise it
+// adds, reads back and re-scores. b is only read, apart from that and its
+// scratch.
 func (cs *CountSketch) Apply(b *Batch) {
-	n := len(b.items)
-	if n == 0 {
+	sel := b.sel
+	m := len(sel)
+	if m == 0 {
 		return
 	}
-	ds := b.ds
-	hs, ss := b.hs[:n], b.ss[:n]
-	// A tracked sketch re-scores every distinct item after the batch, which
-	// needs the same (bucket, sign) hashes as the counter update. Hash each
-	// (row, item) pair ONCE: apply row j, then read the settled row back
-	// into row j of the estimate matrix. A row is fully updated before it
-	// is read, so the matrix holds exactly what Estimate would recompute.
+	if b.by != cs.hash {
+		b.hashFor(cs.hash)
+	}
+	n, ds := len(b.items), b.ds
+	// A tracked sketch re-scores every distinct item after the batch, from
+	// the same (bucket, sign) hashes as the counter update: apply row j,
+	// then read the settled row back into row j of the estimate matrix. A
+	// row is fully updated before it is read, so the matrix holds exactly
+	// what Estimate would recompute.
 	var ests []int64
 	if cs.topK != nil {
-		if cap(b.ests) < n*cs.rows {
+		if cap(b.ests) < m*cs.rows {
 			b.ests = make([]int64, cap(b.xs)*cs.rows)
 		}
-		ests = b.ests[:n*cs.rows]
+		ests = b.ests[:m*cs.rows]
 	}
 	for j := 0; j < cs.rows; j++ {
-		counts := cs.counts[j]
-		cs.hashRow(j, b.xs, b.x2s, b.x3s, hs, ss)
+		counts, hashed := cs.counts[j], b.hashed[j*n:(j+1)*n]
 		// Adds into a row commute and duplicates were already collapsed, so
 		// the counters end where the per-update walk would leave them.
-		for i, d := range ds {
-			counts[hs[i]] += ss[i] * d
+		for _, i := range sel {
+			p := hashed[i]
+			counts[p>>1] += signed(p, ds[i])
 		}
 		if cs.topK != nil {
-			row := ests[j*n : (j+1)*n]
-			for i := range row {
-				row[i] = ss[i] * counts[hs[i]]
+			row := ests[j*m : (j+1)*m]
+			for t, i := range sel {
+				p := hashed[i]
+				row[t] = signed(p, counts[p>>1])
 			}
 		}
 	}
 	if cs.topK != nil {
-		cs.rescore(b.items, ests)
+		cs.rescore(b.items, sel, ests)
 	}
 }
 
-// rescore offers every item of an applied batch to the tracker with its
-// post-batch estimate — the median of column i of the row-major matrix
-// ests — skipping the items whose offer is provably a no-op.
+// rescore offers every selected item of an applied batch to the tracker
+// with its post-batch estimate — item items[sel[t]] the median of column t
+// of the row-major matrix ests — skipping the items whose offer is
+// provably a no-op.
 //
 // For an item that is not tracked, on a full tracker, offer does nothing
 // iff |median| <= floor, the heap's smallest score. And if more than
@@ -253,9 +273,10 @@ func (cs *CountSketch) Apply(b *Batch) {
 // only v > floor - 2^64, true of every int64. (v = MinInt64 under a floor
 // of MaxInt64 counts as outside although its saturated magnitude ties the
 // floor: an undercount, which can only send an item down the exact path.)
-func (cs *CountSketch) rescore(items []uint64, ests []int64) {
-	t, n, col := cs.topK, len(items), cs.scratch
-	for i, it := range items {
+func (cs *CountSketch) rescore(items []uint64, sel []int32, ests []int64) {
+	t, n, col := cs.topK, len(sel), cs.scratch
+	for i, at := range sel {
+		it := items[at]
 		if len(t.heap) == t.k {
 			floor := uint64(t.heap[0].score)
 			outside := uint64(0)

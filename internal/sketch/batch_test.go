@@ -84,11 +84,11 @@ func TestRowHashMatchesHashFamilies(t *testing.T) {
 		it := rng.Next()
 		xp := it % xhash.MersennePrime61
 		for j := 0; j < cs.rows; j++ {
-			h, s := cs.rowBucketSign(j, xp)
-			if want := cs.bucket[j].Hash(it); h != want {
+			h, s := cs.hash.rowBucketSign(j, xp)
+			if want := cs.hash.bucket[j].Hash(it); h != want {
 				t.Fatalf("item %d row %d: bucket %d, want %d", it, j, h, want)
 			}
-			if want := cs.sign[j].Hash(it); s != want {
+			if want := cs.hash.sign[j].Hash(it); s != want {
 				t.Fatalf("item %d row %d: sign %d, want %d", it, j, s, want)
 			}
 		}
@@ -96,18 +96,26 @@ func TestRowHashMatchesHashFamilies(t *testing.T) {
 }
 
 // TestHashRowMatchesHashFamilies is TestRowHashMatchesHashFamilies for
-// the whole kernel: scalar (rowBucketSign) and batched (hashRow: the
-// four-lane walk plus its scalar tail), at the edges of the item range,
-// where the bucket reduction is a mask (power-of-two b) and where it is
-// a division. xhash's TestLazyKernelMatchesHash covers arbitrary
-// coefficients.
+// the whole kernel: scalar (rowBucketSign) and batched (hashRow, which
+// packs bucket<<1 | sign bit), at the edges of the item range, where the
+// bucket reduction is a mask (power-of-two b) and where it is a division.
+// The sketch under test evaluates a family it adopted from another, as
+// every level of a recursive stack but the first does; the references are
+// that family's own Buckets.Hash and Sign.Hash. xhash's
+// TestLazyKernelMatchesHash covers arbitrary coefficients.
 func TestHashRowMatchesHashFamilies(t *testing.T) {
 	const p = xhash.MersennePrime61
 	edges := []uint64{0, 1, p - 1, p, p + 1, 1 << 63, 1<<64 - 1}
 	for _, b := range []uint64{1, 3, 1 << 10, 4096, 4206} {
-		cs := NewCountSketch(7, b, util.NewSplitMix64(42))
+		owner := NewCountSketch(7, b, util.NewSplitMix64(42))
+		cs := NewCountSketch(7, b, util.NewSplitMix64(43))
+		if own := cs.hash; !cs.ShareRowHashes(owner) || cs.hash != owner.hash || cs.hash == own {
+			t.Fatalf("b %d: ShareRowHashes did not adopt the owner's family", b)
+		}
+		if cs.Fingerprint() != owner.Fingerprint() {
+			t.Fatalf("b %d: two sketches of one family fingerprint apart", b)
+		}
 		rng := util.NewSplitMix64(7)
-		// Every length mod 4, so each tail size follows a four-lane walk.
 		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 1000, 1001, 1002, 1003} {
 			items := make([]uint64, n)
 			xs, x2s, x3s := make([]uint64, n), make([]uint64, n), make([]uint64, n)
@@ -118,20 +126,77 @@ func TestHashRowMatchesHashFamilies(t *testing.T) {
 				xs[i] = items[i] % p
 				x2s[i], x3s[i] = xhash.Powers(xs[i])
 			}
-			hs, ss := make([]uint64, n), make([]int64, n)
+			packed := make([]uint32, n)
 			for j := 0; j < cs.rows; j++ {
-				cs.hashRow(j, xs, x2s, x3s, hs, ss)
+				cs.hash.hashRow(j, xs, x2s, x3s, packed)
 				for i, it := range items {
-					wantH, wantS := cs.bucket[j].Hash(it), cs.sign[j].Hash(it)
-					if hs[i] != wantH || ss[i] != wantS {
+					wantH, wantS := owner.hash.bucket[j].Hash(it), owner.hash.sign[j].Hash(it)
+					if h, s := uint64(packed[i]>>1), signed(packed[i], 1); h != wantH || s != wantS {
 						t.Fatalf("b %d n %d item %d row %d: hashRow (%d, %d), want (%d, %d)",
-							b, n, it, j, hs[i], ss[i], wantH, wantS)
+							b, n, it, j, h, s, wantH, wantS)
 					}
-					if h, s := cs.rowBucketSign(j, xs[i]); h != wantH || s != wantS {
+					if h, s := cs.hash.rowBucketSign(j, xs[i]); h != wantH || s != wantS {
 						t.Fatalf("b %d item %d row %d: rowBucketSign (%d, %d), want (%d, %d)",
 							b, it, j, h, s, wantH, wantS)
 					}
 				}
+			}
+		}
+	}
+	if NewCountSketch(7, 64, util.NewSplitMix64(1)).ShareRowHashes(NewCountSketch(7, 128, util.NewSplitMix64(1))) {
+		t.Error("ShareRowHashes adopted a family of other dimensions")
+	}
+}
+
+// TestSharedFamilyHashesABatchOnce: two sketches of one family fed one
+// collapsed batch, narrowed in between, as two levels of a recursive stack
+// are. The second must find the batch hashed and leave the hashes alone
+// (the matrix is poisoned where the sub-universe does not reach, and it
+// stays poisoned); what it counts must be what a sketch of its own, same
+// seed, counts from the narrowed updates.
+func TestSharedFamilyHashesABatchOnce(t *testing.T) {
+	batch := mixedBatch(5, 3000)
+	top := NewCountSketchTopK(5, 1<<9, 32, util.NewSplitMix64(9))
+	deeper := NewCountSketchTopK(5, 1<<9, 32, util.NewSplitMix64(10))
+	if !deeper.ShareRowHashes(top) {
+		t.Fatal("ShareRowHashes refused equal dimensions")
+	}
+	alone := NewCountSketchTopK(5, 1<<9, 32, util.NewSplitMix64(9))
+	sub := xhash.NewBernoulli(2, 1, 2, util.NewSplitMix64(3))
+
+	var b Batch
+	b.Collapse(batch)
+	all := b.Len()
+	top.Apply(&b)
+	if b.by != top.hash || len(b.hashed) != 5*all {
+		t.Fatalf("after the first Apply the batch holds %d hashes by %p, want %d by %p", len(b.hashed), b.by, 5*all, top.hash)
+	}
+	b.Subsample(sub)
+	if b.Len() == 0 || b.Len() == all {
+		t.Fatalf("Subsample kept %d of %d", b.Len(), all)
+	}
+	inside := make(map[int32]bool, b.Len())
+	for _, i := range b.sel {
+		inside[i] = true
+	}
+	const poison = 1<<32 - 1
+	for c := range b.hashed {
+		if !inside[int32(c%all)] {
+			b.hashed[c] = poison
+		}
+	}
+	before := append([]uint32(nil), b.hashed...)
+	deeper.Apply(&b)
+	for c, p := range b.hashed {
+		if p != before[c] {
+			t.Fatalf("the second sketch of the family rewrote hash %d", c)
+		}
+	}
+	b.Each(alone.Update)
+	for j := range alone.counts {
+		for c, v := range alone.counts[j] {
+			if deeper.counts[j][c] != v {
+				t.Fatalf("row %d bucket %d: %d through the shared hashes, %d alone", j, c, deeper.counts[j][c], v)
 			}
 		}
 	}

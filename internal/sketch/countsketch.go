@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/util"
+	"repro/internal/wire"
 	"repro/internal/xhash"
 )
 
@@ -25,15 +26,10 @@ type CountSketch struct {
 	// cache-friendly and lets Merge and EstimateF2 run a single loop.
 	flat   []int64
 	counts [][]int64
-	bucket []*xhash.Buckets
-	sign   []*xhash.Sign
-	// coef caches every row's hash-function coefficients in one flat
-	// array, coefPerRow words per row: [b0 b1 | s0 s1 s2 s3]. The hot
-	// paths (Update, Estimate, UpdateBatch) evaluate the polynomials
-	// inline from this cache instead of chasing bucket[j]/sign[j]
-	// pointers; values are bit-identical to the Buckets/Sign evaluations
-	// (see xhash.Poly.AppendCoeffs).
-	coef    []uint64
+	// hash is the row-hash family the sketch evaluates: its own, drawn at
+	// construction, or — for a level of a recursive stack — the one every
+	// level of the stack shares (ShareRowHashes).
+	hash    *rowHashes
 	scratch []int64 // per-row estimates, reused across point queries
 	// topK, if non-nil, maintains the items with the largest |estimate|
 	// seen so far, giving one-pass candidate extraction without a domain
@@ -46,34 +42,92 @@ type CountSketch struct {
 	agg *Batch
 }
 
+// rowHashes is the hash family of a CountSketch's rows: per row a pairwise
+// independent bucket hash and a 4-wise independent sign hash over
+// GF(2^61-1). It is immutable once drawn, so sketches of equal dimensions
+// may evaluate one family between them.
+type rowHashes struct {
+	rows    int
+	buckets uint64
+	bucket  []*xhash.Buckets
+	sign    []*xhash.Sign
+	// coef caches every row's coefficients in one flat array, coefPerRow
+	// words per row: [b0 b1 | s0 s1 s2 s3]. The hot paths evaluate the
+	// polynomials inline from this cache instead of chasing
+	// bucket[j]/sign[j] pointers; values are bit-identical to the
+	// Buckets/Sign evaluations (see xhash.Poly.AppendCoeffs).
+	coef []uint64
+	// digest folds the dimensions and every coefficient, in the order
+	// CountSketch.Fingerprint always folded them.
+	digest uint64
+}
+
 // coefPerRow is the per-row stride of the coef cache: 2 bucket-hash
 // coefficients (pairwise independence) + 4 sign coefficients (4-wise).
 const coefPerRow = 6
 
+// maxBuckets bounds b: the batch path packs a row's bucket index and sign
+// bit for an item into 32 bits (Batch.hashed).
+const maxBuckets = 1 << 31
+
+// newRowHashes draws the family of an r x b sketch from rng: per row, the
+// bucket hash and then the sign hash.
+func newRowHashes(r int, b uint64, rng *util.SplitMix64) *rowHashes {
+	f := &rowHashes{
+		rows:    r,
+		buckets: b,
+		bucket:  make([]*xhash.Buckets, r),
+		sign:    make([]*xhash.Sign, r),
+		coef:    make([]uint64, 0, coefPerRow*r),
+	}
+	f.digest = wire.Fingerprint(wire.Fingerprint(0, uint64(r)), b)
+	for j := 0; j < r; j++ {
+		f.bucket[j] = xhash.NewBuckets(2, b, rng.Fork())
+		f.sign[j] = xhash.NewSign(4, rng.Fork())
+		f.coef = f.bucket[j].AppendCoeffs(f.coef)
+		f.coef = f.sign[j].AppendCoeffs(f.coef)
+		f.digest = f.sign[j].Fingerprint(f.bucket[j].Fingerprint(f.digest))
+	}
+	return f
+}
+
 // NewCountSketch returns a CountSketch with r rows and b buckets, drawing
-// hash functions from rng. It panics on non-positive dimensions.
+// hash functions from rng. It panics on non-positive dimensions and on
+// more than 2^31 buckets a row.
 func NewCountSketch(r int, b uint64, rng *util.SplitMix64) *CountSketch {
-	if r <= 0 || b == 0 {
-		panic("sketch: CountSketch needs positive dimensions")
+	if r <= 0 || b == 0 || b > maxBuckets {
+		panic("sketch: CountSketch needs positive dimensions, at most 2^31 buckets a row")
 	}
 	cs := &CountSketch{
 		rows:    r,
 		buckets: b,
 		flat:    make([]int64, uint64(r)*b),
 		counts:  make([][]int64, r),
-		bucket:  make([]*xhash.Buckets, r),
-		sign:    make([]*xhash.Sign, r),
-		coef:    make([]uint64, 0, coefPerRow*r),
+		hash:    newRowHashes(r, b, rng),
 		scratch: make([]int64, r),
 	}
 	for j := 0; j < r; j++ {
 		cs.counts[j] = cs.flat[uint64(j)*b : uint64(j+1)*b : uint64(j+1)*b]
-		cs.bucket[j] = xhash.NewBuckets(2, b, rng.Fork())
-		cs.sign[j] = xhash.NewSign(4, rng.Fork())
-		cs.coef = cs.bucket[j].AppendCoeffs(cs.coef)
-		cs.coef = cs.sign[j].AppendCoeffs(cs.coef)
 	}
 	return cs
+}
+
+// ShareRowHashes makes cs evaluate other's row-hash family instead of the
+// one it drew, and reports whether it could: the two must have the same
+// dimensions. It is for construction time, before cs has counted
+// anything. A recursive stack shares level 0's family among its levels:
+// an item that reaches levels 0…k is then hashed once, not k+1 times
+// (Batch.hashed). Theorem 13 permits it — each level's CountSketch
+// guarantee is over this family given the level's substream, which is a
+// function of the subsampling hashes alone, and the levels' failure events
+// are combined by a union bound, which asks nothing of their joint
+// distribution (EXPERIMENTS.md, "Spending the ledger, round 3").
+func (cs *CountSketch) ShareRowHashes(other *CountSketch) bool {
+	if cs.rows != other.rows || cs.buckets != other.buckets {
+		return false
+	}
+	cs.hash = other.hash
+	return true
 }
 
 // rowBucketSign evaluates row j's bucket index and ±1 sign for xp (the
@@ -82,13 +136,13 @@ func NewCountSketch(r int, b uint64, rng *util.SplitMix64) *CountSketch {
 // degree-3 Horner evaluation over GF(2^61-1), lazily reduced (see
 // xhash.HornerStep) with only the two final values made canonical; the
 // bucket is that value mod b, the sign its low bit.
-func (cs *CountSketch) rowBucketSign(j int, xp uint64) (uint64, int64) {
-	c := cs.coef[coefPerRow*j : coefPerRow*j+coefPerRow : coefPerRow*j+coefPerRow]
+func (f *rowHashes) rowBucketSign(j int, xp uint64) (uint64, int64) {
+	c := f.coef[coefPerRow*j : coefPerRow*j+coefPerRow : coefPerRow*j+coefPerRow]
 	bk := xhash.HornerStep(c[1], xp, c[0])
 	sg := xhash.HornerStep(c[5], xp, c[4])
 	sg = xhash.HornerStep(sg, xp, c[3])
 	sg = xhash.HornerStep(sg, xp, c[2])
-	return bucketOf(bk, cs.buckets), signOf(sg)
+	return bucketOf(bk, f.buckets), int64(signBit(sg))<<1 - 1
 }
 
 // bucketOf maps the lazily reduced value of a bucket polynomial to
@@ -103,32 +157,40 @@ func bucketOf(v, b uint64) uint64 {
 	return v % b
 }
 
-// signOf maps the lazily reduced value of a sign polynomial to ±1: +1 if
-// the canonical value is odd, as xhash.Sign.Hash has it. Arithmetic, not
-// a branch: the bit is a fair coin.
-func signOf(v uint64) int64 {
-	return int64(xhash.Reduce(v)&1)<<1 - 1
+// signBit maps the lazily reduced value of a sign polynomial to the sign's
+// bit: 1 (the sign is +1) if the canonical value is odd, as
+// xhash.Sign.Hash has it, and 0 (−1) if not.
+func signBit(v uint64) uint64 {
+	return xhash.Reduce(v) & 1
 }
 
-// hashRow is rowBucketSign over a batch: hs[i], ss[i] are row j's bucket
-// index and sign for the item whose value mod 2^61-1 is xs[i], with
-// x2s[i], x3s[i] = xhash.Powers(xs[i]). The bucket hash is one Horner
-// step; the degree-3 sign polynomial is evaluated from the powers
-// (xhash.Cubic: three independent multiplies, against the three
+// signed returns d under the sign a packed (bucket<<1 | sign bit) hash
+// carries: d if the bit is set, −d if not. Arithmetic, not a branch: the
+// bit is a fair coin.
+func signed(p uint32, d int64) int64 {
+	m := int64(p&1) - 1 // 0 keeps d, −1 negates it
+	return (d ^ m) - m
+}
+
+// hashRow is rowBucketSign over a batch: out[i] packs row j's bucket
+// index and sign bit (bucket<<1 | bit) for the item whose value mod 2^61-1
+// is xs[i], with x2s[i], x3s[i] = xhash.Powers(xs[i]). The bucket hash is
+// one Horner step; the degree-3 sign polynomial is evaluated from the
+// powers (xhash.Cubic: three independent multiplies, against the three
 // dependent steps of rowBucketSign's chain), bit-identical to
 // rowBucketSign on the same item. Two loops, not one: each keeps its
 // coefficients in registers.
-func (cs *CountSketch) hashRow(j int, xs, x2s, x3s, hs []uint64, ss []int64) {
-	c := cs.coef[coefPerRow*j : coefPerRow*j+coefPerRow : coefPerRow*j+coefPerRow]
-	b := cs.buckets
-	x2s, x3s, hs, ss = x2s[:len(xs)], x3s[:len(xs)], hs[:len(xs)], ss[:len(xs)]
+func (f *rowHashes) hashRow(j int, xs, x2s, x3s []uint64, out []uint32) {
+	c := f.coef[coefPerRow*j : coefPerRow*j+coefPerRow : coefPerRow*j+coefPerRow]
+	b := f.buckets
+	x2s, x3s, out = x2s[:len(xs)], x3s[:len(xs)], out[:len(xs)]
 	b0, b1 := c[0], c[1]
 	for i, x := range xs {
-		hs[i] = bucketOf(xhash.HornerStep(b1, x, b0), b)
+		out[i] = uint32(bucketOf(xhash.HornerStep(b1, x, b0), b) << 1)
 	}
 	s0, s1, s2, s3 := c[2], c[3], c[4], c[5]
 	for i, x := range xs {
-		ss[i] = signOf(xhash.Cubic(s0, s1, s2, s3, x, x2s[i], x3s[i]))
+		out[i] |= uint32(signBit(xhash.Cubic(s0, s1, s2, s3, x, x2s[i], x3s[i])))
 	}
 }
 
@@ -159,9 +221,9 @@ func (cs *CountSketch) SpaceBytes() int {
 // Update processes the turnstile update (item, delta).
 func (cs *CountSketch) Update(item uint64, delta int64) {
 	xp := item % xhash.MersennePrime61
-	b := cs.buckets
+	b, f := cs.buckets, cs.hash
 	for j := 0; j < cs.rows; j++ {
-		h, s := cs.rowBucketSign(j, xp)
+		h, s := f.rowBucketSign(j, xp)
 		cs.flat[uint64(j)*b+h] += s * delta
 	}
 	if cs.topK != nil {
@@ -174,9 +236,9 @@ func (cs *CountSketch) Update(item uint64, delta int64) {
 // run on every update when top-k tracking is enabled).
 func (cs *CountSketch) Estimate(item uint64) int64 {
 	xp := item % xhash.MersennePrime61
-	b := cs.buckets
+	b, f := cs.buckets, cs.hash
 	for j := 0; j < cs.rows; j++ {
-		h, s := cs.rowBucketSign(j, xp)
+		h, s := f.rowBucketSign(j, xp)
 		cs.scratch[j] = s * cs.flat[uint64(j)*b+h]
 	}
 	return median(cs.scratch)
@@ -229,7 +291,7 @@ func (cs *CountSketch) EstimateMean(item uint64) float64 {
 	xp := item % xhash.MersennePrime61
 	var sum float64
 	for j := 0; j < cs.rows; j++ {
-		h, s := cs.rowBucketSign(j, xp)
+		h, s := cs.hash.rowBucketSign(j, xp)
 		sum += float64(s * cs.flat[uint64(j)*cs.buckets+h])
 	}
 	return sum / float64(cs.rows)

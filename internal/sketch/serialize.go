@@ -40,17 +40,11 @@ const countSketchMagic uint32 = 0x67535543 // "gSUC"
 // the same parameters from the same seed have equal fingerprints; it is
 // the quantity the wire header validates on decode.
 func (cs *CountSketch) Fingerprint() uint64 {
-	h := wire.Fingerprint(0, uint64(cs.rows))
-	h = wire.Fingerprint(h, cs.buckets)
-	for j := 0; j < cs.rows; j++ {
-		h = cs.bucket[j].Fingerprint(h)
-		h = cs.sign[j].Fingerprint(h)
-	}
 	k := uint64(0)
 	if cs.topK != nil {
 		k = uint64(cs.topK.k)
 	}
-	return wire.Fingerprint(h, k)
+	return wire.Fingerprint(cs.hash.digest, k)
 }
 
 // MarshalBinary serializes the counter state and tracked candidates.

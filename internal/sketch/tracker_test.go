@@ -257,7 +257,11 @@ func TestRejectMatchesOffer(t *testing.T) {
 						ests[c] = int64(rng.Uint64n(41)) - 20
 					}
 				}
-				cs.rescore(items, ests)
+				sel := make([]int32, n)
+				for i := range sel {
+					sel[i] = int32(i)
+				}
+				cs.rescore(items, sel, ests)
 				for i, it := range items {
 					col := make([]int64, rows)
 					for j := range col {

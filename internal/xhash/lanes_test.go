@@ -13,7 +13,7 @@ import (
 // — by a mask when b is a power of two — and its low bit is Sign.Hash.
 // This is the evaluation sketch.CountSketch runs on every update. The
 // batch walk's forms are held to the same references: the sign polynomial
-// from the item's powers (Cubic), and Bernoulli membership (Hash, Select)
+// from the item's powers (Cubic), and Bernoulli membership (Hash, Filter)
 // against Poly.Hash % denom < numer with b as the denominator — a
 // pairwise family on the bucket coefficients, the four-coefficient chain
 // on the sign's.
@@ -65,15 +65,25 @@ func checkLazyKernel(t *testing.T, coef [6]uint64, items [4]uint64, b uint64) {
 	for _, poly := range []*Poly{bucket.poly, sign.poly} {
 		for _, numer := range []uint64{0, 1, b / 2, b - b/3, b} {
 			h := &Bernoulli{poly: poly, numer: numer, denom: b}
-			var keep [4]uint64
-			h.Select(xp[:], keep[:])
-			for k, it := range items {
-				want := poly.Hash(it)%b < numer
-				if got := h.Hash(it); got != want {
-					t.Fatalf("coef %v item %d: Bernoulli(%d/%d) %v, want %v", coef, it, numer, b, got, want)
+			// Filter over a selection that skips lane 1: it must return the
+			// selected lanes among 3, 2, 0, in that order.
+			var want []int32
+			for _, k := range []int32{3, 2, 0} {
+				selected := poly.Hash(items[k])%b < numer
+				if got := h.Hash(items[k]); got != selected {
+					t.Fatalf("coef %v item %d: Bernoulli(%d/%d) %v, want %v", coef, items[k], numer, b, got, selected)
 				}
-				if (keep[k] == 1) != want || keep[k] > 1 {
-					t.Fatalf("coef %v item %d: Bernoulli(%d/%d) Select bit %d, want %v", coef, it, numer, b, keep[k], want)
+				if selected {
+					want = append(want, k)
+				}
+			}
+			got := h.Filter(xp[:], []int32{3, 2, 0})
+			if len(got) != len(want) {
+				t.Fatalf("coef %v items %v: Bernoulli(%d/%d) Filter kept %v, want %v", coef, items, numer, b, got, want)
+			}
+			for k := range got {
+				if got[k] != want[k] {
+					t.Fatalf("coef %v items %v: Bernoulli(%d/%d) Filter kept %v, want %v", coef, items, numer, b, got, want)
 				}
 			}
 		}

@@ -231,21 +231,28 @@ func (h *Bernoulli) selects(v uint64) uint64 {
 	return below
 }
 
-// Select is Hash over a batch: keep[i] is 1 if the family selects the
-// item whose value mod 2^61-1 is xs[i], and 0 if not. A pairwise family
-// (k = 2, every subsampling hash) is one Horner step from coefficients
-// held in registers, and the items of a batch do not wait on each other;
-// any other k walks its chain.
-func (h *Bernoulli) Select(xs, keep []uint64) {
-	keep = keep[:len(xs)]
+// Filter is Hash over a selection of a batch: xs[i] is the value mod
+// 2^61-1 of the batch's item i, sel lists positions into xs, and Filter
+// returns — in sel's own storage, order kept — the positions whose items
+// the family selects. Survivors are compacted without a branch (the
+// selection bit is a coin): every position is copied down to the write
+// position, which only moves on for a survivor. A pairwise family (k = 2,
+// every subsampling hash) is one Horner step from coefficients held in
+// registers, and the items of a batch do not wait on each other; any
+// other k walks its chain.
+func (h *Bernoulli) Filter(xs []uint64, sel []int32) []int32 {
+	n := 0
 	if c := h.poly.coeff; len(c) == 2 {
 		c0, c1 := c[0], c[1]
-		for i, x := range xs {
-			keep[i] = h.selects(HornerStep(c1, x, c0))
+		for _, i := range sel {
+			sel[n] = i
+			n += int(h.selects(HornerStep(c1, xs[i], c0)))
 		}
-		return
+		return sel[:n]
 	}
-	for i, x := range xs {
-		keep[i] = h.selects(h.poly.lazy(x))
+	for _, i := range sel {
+		sel[n] = i
+		n += int(h.selects(h.poly.lazy(xs[i])))
 	}
+	return sel[:n]
 }
