@@ -76,6 +76,15 @@ type CoverReporter interface {
 	Cover() heavy.Cover
 }
 
+// Layered is the capability of kinds that are one recursive stack
+// (KindOnePass, KindSharded, KindUniversal): the depth Options.Levels
+// resolved to, and whether the assumption that depth rests on holds right
+// now — the deepest level tracking fewer candidates than it can, i.e. all
+// of its sub-universe. Reading it is O(1).
+type Layered interface {
+	Depth() (levels, deepestTracked, deepestCapacity int)
+}
+
 // twoPassEstimator adapts core.TwoPassEstimator: it carries the Spec's
 // worker count so Process can run the sharded two-pass protocol.
 type twoPassEstimator struct {

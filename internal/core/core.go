@@ -157,6 +157,15 @@ func (e *OnePassEstimator) Estimate() float64 { return e.sk.Estimate() }
 // SpaceBytes reports total counter storage.
 func (e *OnePassEstimator) SpaceBytes() int { return e.sk.SpaceBytes() }
 
+// Depth reports the stack's resolved number of subsampling levels and how
+// full the deepest level's candidate tracker is: tracked below capacity
+// means that level holds its whole sub-universe, the condition the depth
+// was chosen for (recursive.Depth). O(1).
+func (e *OnePassEstimator) Depth() (levels, deepestTracked, deepestCapacity int) {
+	deepestTracked, deepestCapacity = e.sk.Deepest()
+	return e.sk.Levels(), deepestTracked, deepestCapacity
+}
+
 // TwoPassEstimator approximates g-SUM with two passes over the stream.
 type TwoPassEstimator struct {
 	g     gfunc.Func

@@ -118,6 +118,13 @@ func (u *Universal) SpaceBytes() int {
 	return total
 }
 
+// Depth reports the resolved number of subsampling levels and how full the
+// deepest level's candidate tracker is (see OnePassEstimator.Depth).
+func (u *Universal) Depth() (levels, deepestTracked, deepestCapacity int) {
+	deepestTracked, deepestCapacity = recursive.DeepestOf(u.levels)
+	return len(u.sub), deepestTracked, deepestCapacity
+}
+
 // Merge folds another universal sketch (built with identical Options,
 // including Seed) into u, level by level — the distributed-sketching
 // mode of the Section 1.1.1 application.

@@ -122,12 +122,15 @@ type IngestRequest struct {
 }
 
 // ConfigInfo is the /v1/config response: the full normalized Spec, its
-// fingerprint, and ingestion/space counters.
+// fingerprint, ingestion/space counters, and — for the kinds that are one
+// recursive stack — the number of subsampling levels Spec.Options.Levels
+// resolved to (0 in the Spec means depth from capacity).
 type ConfigInfo struct {
 	Spec        backend.Spec `json:"spec"`
 	Fingerprint uint64       `json:"fingerprint"`
 	Ingested    uint64       `json:"ingested"`
 	SpaceBytes  int          `json:"space_bytes"`
+	Levels      int          `json:"levels,omitempty"`
 }
 
 // CheckRequest is the POST /v1/config body: the sender's Spec
@@ -263,6 +266,9 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 		s.locked(func() {
 			resp = ConfigInfo{Spec: s.spec, Fingerprint: s.fp,
 				Ingested: s.ingests, SpaceBytes: s.est.SpaceBytes()}
+			if l, ok := s.est.(backend.Layered); ok {
+				resp.Levels, _, _ = l.Depth()
+			}
 		})
 		writeJSON(w, http.StatusOK, resp)
 	case http.MethodPost:

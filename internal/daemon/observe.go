@@ -192,6 +192,23 @@ func newServerMetrics(s *Server) *serverMetrics {
 			}
 			return math.NaN()
 		})
+	if _, ok := s.est.(backend.Layered); ok {
+		// The depth rule's assumption, live: tracked below capacity on the
+		// deepest level means it holds its whole sub-universe. s.est is
+		// read under the lock: a restore or a rebuild swaps it.
+		depth := func(pick func(levels, tracked, capacity int) int) func() float64 {
+			return func() (v float64) {
+				s.locked(func() { v = float64(pick(s.est.(backend.Layered).Depth())) })
+				return v
+			}
+		}
+		reg.GaugeFunc("gsumd_sketch_levels", "subsampling levels below level 0 in the recursive sketch (Options.Levels, resolved)",
+			depth(func(levels, _, _ int) int { return levels }))
+		reg.GaugeFunc("gsumd_sketch_deepest_tracked", "candidates the deepest level's tracker holds; below gsumd_sketch_deepest_capacity, that level sees its whole sub-universe",
+			depth(func(_, tracked, _ int) int { return tracked }))
+		reg.GaugeFunc("gsumd_sketch_deepest_capacity", "candidates one level's tracker can hold",
+			depth(func(_, _, capacity int) int { return capacity }))
+	}
 	if hp, ok := s.est.(*hotpath.ShardedEstimator); ok {
 		// The shard count is fixed at Open: no state lock needed, and a
 		// restore or rebuild (same Spec) cannot make it stale.

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/metrics"
+	"repro/internal/stream"
 	"repro/internal/window"
 )
 
@@ -332,5 +333,67 @@ func TestPusherMetrics(t *testing.T) {
 	sizeL := metrics.Label{Key: "cause", Value: "size"}
 	if v := mustValue(t, sc, "gsum_pusher_flushes", wL, sizeL); v != 3 {
 		t.Fatalf("size-flush gauge = %v, want 3", v)
+	}
+}
+
+// TestSketchDepthIsObservable: the depth Options.Levels = 0 resolved to,
+// and the assumption it rests on — the deepest level tracking fewer
+// candidates than it can, i.e. all of its sub-universe — are on
+// /v1/config and /metrics of every kind that is one recursive stack, read
+// from whatever estimator the daemon holds now (a restore swaps it), and
+// absent from a kind that is not.
+func TestSketchDepthIsObservable(t *testing.T) {
+	// Trackers of 2H/(λ/3) + 1 = 385 over N = 2^12: ⌈log2(4096/385)⌉ + 1 = 5.
+	const levels, capacity = 5, 385
+	whole := make([]stream.Update, 1<<12)
+	for i := range whole {
+		whole[i] = stream.Update{Item: uint64(i), Delta: 1}
+	}
+	for _, spec := range []backend.Spec{
+		{Kind: backend.KindOnePass, G: "x^2", Options: testOptions(4)},
+		{Kind: backend.KindSharded, G: "x^2", Options: testOptions(4), Workers: 2},
+		{Kind: backend.KindUniversal, G: "x^2", Options: testOptions(4)},
+	} {
+		srv, c := streamServer(t, spec)
+		info, err := c.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Spec.Options.Levels != 0 || info.Levels != levels {
+			t.Errorf("%s: /v1/config shows Spec levels %d resolved to %d, want 0 resolved to %d", spec.Kind, info.Spec.Options.Levels, info.Levels, levels)
+		}
+		sc := scrape(t, c.Base())
+		if l, tr, cp := mustValue(t, sc, "gsumd_sketch_levels"), mustValue(t, sc, "gsumd_sketch_deepest_tracked"),
+			mustValue(t, sc, "gsumd_sketch_deepest_capacity"); l != levels || tr != 0 || cp != capacity {
+			t.Errorf("%s: empty daemon reports levels %v, deepest tracked %v of %v; want %d, 0 of %d", spec.Kind, l, tr, cp, levels, capacity)
+		}
+		// Every item of the domain, once: about 4096/2^5 = 128 reach the
+		// deepest level, all of them tracked.
+		if err := c.Push(whole); err != nil {
+			t.Fatal(err)
+		}
+		tracked := mustValue(t, scrape(t, c.Base()), "gsumd_sketch_deepest_tracked")
+		if tracked < 64 || tracked >= capacity {
+			t.Errorf("%s: the whole domain leaves %v candidates on the deepest level, want about 128 and under %d", spec.Kind, tracked, capacity)
+		}
+		// A restore swaps the estimator; the gauges follow it.
+		path := CheckpointPath(t.TempDir())
+		if err := srv.WriteCheckpoint(path); err != nil {
+			t.Fatal(err)
+		}
+		fresh, fc := streamServer(t, spec)
+		if err := fresh.RestoreCheckpoint(path); err != nil {
+			t.Fatal(err)
+		}
+		if got := mustValue(t, scrape(t, fc.Base()), "gsumd_sketch_deepest_tracked"); got != tracked {
+			t.Errorf("%s: restored daemon reports %v deepest candidates, the one it was restored from %v", spec.Kind, got, tracked)
+		}
+	}
+	_, c := streamServer(t, backend.Spec{Kind: backend.KindWindow, G: "x^2", Options: testOptions(4), Window: window.Config{W: 8, K: 2}})
+	if _, ok := scrape(t, c.Base()).Value("gsumd_sketch_levels"); ok {
+		t.Error("the window kind is many stacks, not one, and reports a depth")
+	}
+	if info, err := c.Config(); err != nil || info.Levels != 0 {
+		t.Errorf("window /v1/config: levels %d, err %v", info.Levels, err)
 	}
 }

@@ -204,6 +204,19 @@ func (se *ShardedEstimator) SpaceBytes() int {
 	return total
 }
 
+// Depth reports the shards' common number of subsampling levels and how
+// full the deepest level is across them: the shards split the items
+// between them, so the merged sketch's deepest tracker holds the sum of
+// theirs, against one tracker's capacity (see core.OnePassEstimator.Depth).
+func (se *ShardedEstimator) Depth() (levels, deepestTracked, deepestCapacity int) {
+	for _, sh := range se.shards {
+		var tracked int
+		levels, tracked, deepestCapacity = sh.Depth()
+		deepestTracked += tracked
+	}
+	return levels, deepestTracked, deepestCapacity
+}
+
 // Fingerprint is the shards' common seed fingerprint (they are
 // identically configured), which is also the fingerprint of the merged
 // snapshot MarshalBinary emits.

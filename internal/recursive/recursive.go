@@ -181,3 +181,21 @@ func (s *Sketch) SpaceBytes() int {
 
 // Levels returns the number of subsampling levels (excluding level 0).
 func (s *Sketch) Levels() int { return len(s.sub) }
+
+// Deepest reports how many candidates the deepest level's sketcher tracks
+// and how many it can (both 0 if it does not say): tracked below capacity
+// is the condition the stack's depth was chosen for (Depth), read in O(1).
+func (s *Sketch) Deepest() (tracked, capacity int) {
+	return DeepestOf(s.levels)
+}
+
+// DeepestOf is Deepest for any stack's level sketchers.
+func DeepestOf[S any](levels []S) (tracked, capacity int) {
+	if d, ok := any(levels[len(levels)-1]).(interface {
+		Tracked() int
+		Capacity() int
+	}); ok {
+		return d.Tracked(), d.Capacity()
+	}
+	return 0, 0
+}

@@ -215,8 +215,26 @@ func Run(cfg Config) (*Report, error) {
 	var lastAggregate float64
 	prevTotals := make([]map[string]float64, cfg.Workers)
 
+	// The soak's load is benign — under a hundred items a worker — so the
+	// assumption the sketch's depth rests on must hold on every node at
+	// every scrape: the deepest level tracks fewer candidates than it can,
+	// i.e. all of its sub-universe (kinds that are not one recursive stack,
+	// the window kind here, have no such gauge).
+	checkDeepest := func(name string, sc *metrics.Scrape) error {
+		tracked, ok := sc.Value("gsumd_sketch_deepest_tracked")
+		if !ok {
+			return nil
+		}
+		if capacity, _ := sc.Value("gsumd_sketch_deepest_capacity"); tracked >= capacity {
+			return fmt.Errorf("soak: %s: deepest level tracks %v candidates of a capacity of %v under benign load", name, tracked, capacity)
+		}
+		return nil
+	}
 	checkWorker := func(i int, sc *metrics.Scrape) error {
 		w := workers[i]
+		if err := checkDeepest(w.name, sc); err != nil {
+			return err
+		}
 		// Counters never run backwards, scrape over scrape.
 		totals := map[string]float64{}
 		for _, name := range []string{
@@ -239,6 +257,9 @@ func Run(cfg Config) (*Report, error) {
 		return nil
 	}
 	checkCoordinator := func(sc *metrics.Scrape) error {
+		if err := checkDeepest(coord.name, sc); err != nil {
+			return err
+		}
 		// The rebuilt aggregate only ever grows: every pull round folds
 		// each retained snapshot exactly once into a fresh estimator, so
 		// a dip (or a jump past what was pushed) is a double-count or a
