@@ -3,6 +3,7 @@ package backend_test
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -81,7 +82,7 @@ type confCell struct {
 // confParent is the table at e907d1a, the commit before the sketch's
 // layout moved, from this file run there unchanged (`go test -run
 // TestConformance -v` prints rows in this form). Of 4800 estimates one is
-// outside εG (twopass, adversarial, 1(x>0), seed 27).
+// outside εG (twopass, adversarial, 1(x>0)).
 var confParent = map[string]confCell{
 	"onepass/uniform":       {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 308, shortTight: 67},
 	"onepass/zipf":          {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 361, shortTight: 95},
@@ -95,6 +96,31 @@ var confParent = map[string]confCell{
 	"sharded/uniform":       {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 307, shortTight: 66},
 	"sharded/zipf":          {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 360, shortTight: 92},
 	"sharded/adversarial":   {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 358, shortTight: 88},
+}
+
+// confLayout2 is the same table under sketch layout version 2 (wire.Version:
+// the recursion stops where the tracker holds the sub-universe, one row-hash
+// family a stack, bucket and sign from one polynomial value). With the first
+// of the three changes alone every onepass, twopass and sharded row equalled
+// confParent's, count for count — stopping the recursion changes no
+// estimate — and universal's moved only because the kind now forks its seeds
+// the way onepass does; the other two redraw hash functions, and these are
+// the counts they drew. The test holds the tree to them exactly: whatever
+// moves one of these numbers changed what the sketch computes, and says so
+// here.
+var confLayout2 = map[string]confCell{
+	"onepass/uniform":       {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 308, shortTight: 69},
+	"onepass/zipf":          {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 359, shortTight: 95},
+	"onepass/adversarial":   {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 356, shortTight: 91},
+	"twopass/uniform":       {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 336, shortTight: 82},
+	"twopass/zipf":          {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 349, shortTight: 90},
+	"twopass/adversarial":   {hits: []int{40, 40, 40, 40, 39, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 352, shortTight: 89},
+	"universal/uniform":     {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 382, shortTight: 90},
+	"universal/zipf":        {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 400, shortTight: 100},
+	"universal/adversarial": {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 398, shortTight: 100},
+	"sharded/uniform":       {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 309, shortTight: 67},
+	"sharded/zipf":          {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 362, shortTight: 93},
+	"sharded/adversarial":   {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 368, shortTight: 92},
 }
 
 // confParentSpace is SpaceBytes at e907d1a per kind, in confFuncs order.
@@ -278,6 +304,13 @@ func TestConformance(t *testing.T) {
 				key, goInts(cell.hits), goInts(cell.shortHits), cell.tight, cell.shortTight)
 			if parent, ok := confParent[key]; ok {
 				checkAgainstParent(t, key, seeds*len(funcs), *cell, parent)
+			}
+			want := confLayout2[key]
+			if testing.Short() {
+				want.hits, want.tight = want.shortHits, want.shortTight
+			}
+			if !reflect.DeepEqual(*cell, want) {
+				t.Errorf("%s: the counts moved off the ones recorded for this layout (confLayout2): something changed what the sketch computes", key)
 			}
 		}
 	}

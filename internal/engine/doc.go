@@ -9,9 +9,10 @@
 //   - Batching: Ingest feeds a Sketcher through its UpdateBatch path in
 //     DefaultBatchSize chunks; a batch path collapses duplicate items —
 //     once per batch, whoever owns a stack of level sketches collapsing
-//     for all of them (sketch.Batch, recursive.Cascade) — and touches
-//     each counter row once per distinct item, leaving the counter state
-//     exactly as per-update ingestion would.
+//     for all of them (sketch.Batch, recursive.Cascade) — hashes each
+//     distinct item once per row, for all the levels it reaches, and
+//     touches each counter row once per distinct item, leaving the
+//     counter state exactly as per-update ingestion would.
 //   - Chunking: Workers, Cut and ParallelChunks split an update slice
 //     into contiguous near-equal chunks, one goroutine each. Chunk
 //     boundaries are a pure function of the lengths, so whatever a caller

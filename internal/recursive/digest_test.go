@@ -17,9 +17,10 @@ import (
 // tabulations — after both passes over the stream of
 // core.TestOnePassStateDigest, each pass fed as full batches, ragged
 // batches and single updates. Recorded at efb0b66, before the batch
-// cascade became one shared plan (PR 19).
+// cascade became one shared plan (PR 19); re-recorded once with layout
+// version 2 (PR 21).
 func TestTwoPassStateDigest(t *testing.T) {
-	const want = "b10336dfcf2e68e29916f0777313dd7e69c645bb54283d233661122a8e32d6d9"
+	const want = "2d630be754358e7bcd107be2701420a63820932b96c0d2519d0938dd439308d5"
 	rng := util.NewSplitMix64(0x16d1635)
 	ups := make([]stream.Update, 1<<16)
 	for i := range ups {

@@ -10,7 +10,10 @@
 //
 // where U_{k+1} keeps each item of U_k with probability 1/2 under a fresh
 // pairwise-independent hash. A heavy-hitter sketcher runs on each level's
-// substream. The estimate is assembled bottom-up:
+// substream. L is the depth at which a level's candidate tracker holds its
+// whole sub-universe — ⌈log2(n/capacity)⌉ + 1, see Depth — not ⌈log2 n⌉:
+// below that level every cover is its sub-universe and the recursion adds
+// counters, not information. The estimate is assembled bottom-up:
 //
 //	Ĝ_L = Σ_{i ∈ H_L} w_i
 //	Ĝ_k = Σ_{i ∈ H_k} w_i + 2 ( Ĝ_{k+1} − Σ_{i ∈ H_k ∩ U_{k+1}} w_i )
@@ -23,8 +26,12 @@
 // Layer: the algorithm layer of ARCHITECTURE.md, wrapping one
 // internal/heavy instance per subsampling level; internal/core builds
 // directly on it.
-// Seed discipline: per level the subsample hash forks before the
-// level's sketcher (construction order is part of the contract);
+// Seed discipline: the level sketchers are built first, level 0 to L (the
+// caller's MakeSketcher decides what each draws), then the subsampling
+// hashes fork from the stack's own generator, one per level — so a stack
+// of depth L is a prefix of the stack of any greater depth from the same
+// seeds. Levels 1…L then adopt level 0's CountSketch row hashes
+// (BuildLevels): one family per stack, hashed once per batch.
 // Merge/UnmarshalBinary require same-seed instances and the composite
 // wire fingerprint folds every level's fingerprint.
 package recursive

@@ -16,6 +16,15 @@ import (
 // subsampling hashes (the sampled-substream metadata): two sketches
 // built from the same Config and seed agree on which items survive to
 // which level, which is exactly the contract merging requires.
+//
+// Layout version 2 (wire.Version) changed what those bytes hold, not how
+// they are framed. The level count is the resolved depth plus one (Depth:
+// 14 blobs where version 1 wrote 21 at the benchmark's options), and it is
+// checked against the receiver's before anything else, so a sketch of one
+// depth never decodes onto a sketch of another. And the levels of one
+// stack evaluate one CountSketch row-hash family, so their blobs carry
+// equal fingerprints; position in the list, not the fingerprint, says
+// which level a blob belongs to.
 
 const (
 	sketchMagic       uint32 = 0x67535552 // "gSUR"

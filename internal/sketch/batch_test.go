@@ -74,9 +74,9 @@ func TestCollapseAggregatesExactly(t *testing.T) {
 }
 
 // TestRowHashMatchesHashFamilies checks that the flattened-coefficient
-// inline evaluation (rowBucketSign) reproduces the Buckets/Sign hash
-// families bit for bit — the invariant that keeps wire fingerprints and
-// merged estimates unchanged by the hot-path rewrite.
+// inline evaluation (rowBucketSign) reproduces the row's xhash.Sign family
+// — Bucket and Hash — bit for bit: the invariant that lets the hot path be
+// rewritten without moving a counter.
 func TestRowHashMatchesHashFamilies(t *testing.T) {
 	cs := NewCountSketch(7, 1<<10, util.NewSplitMix64(42))
 	rng := util.NewSplitMix64(7)
@@ -85,7 +85,7 @@ func TestRowHashMatchesHashFamilies(t *testing.T) {
 		xp := it % xhash.MersennePrime61
 		for j := 0; j < cs.rows; j++ {
 			h, s := cs.hash.rowBucketSign(j, xp)
-			if want := cs.hash.bucket[j].Hash(it); h != want {
+			if want := cs.hash.sign[j].Bucket(it, cs.buckets); h != want {
 				t.Fatalf("item %d row %d: bucket %d, want %d", it, j, h, want)
 			}
 			if want := cs.hash.sign[j].Hash(it); s != want {
@@ -101,7 +101,7 @@ func TestRowHashMatchesHashFamilies(t *testing.T) {
 // bucket reduction is a mask (power-of-two b) and where it is a division.
 // The sketch under test evaluates a family it adopted from another, as
 // every level of a recursive stack but the first does; the references are
-// that family's own Buckets.Hash and Sign.Hash. xhash's
+// that family's own Sign.Bucket and Sign.Hash. xhash's
 // TestLazyKernelMatchesHash covers arbitrary coefficients.
 func TestHashRowMatchesHashFamilies(t *testing.T) {
 	const p = xhash.MersennePrime61
@@ -130,7 +130,7 @@ func TestHashRowMatchesHashFamilies(t *testing.T) {
 			for j := 0; j < cs.rows; j++ {
 				cs.hash.hashRow(j, xs, x2s, x3s, packed)
 				for i, it := range items {
-					wantH, wantS := owner.hash.bucket[j].Hash(it), owner.hash.sign[j].Hash(it)
+					wantH, wantS := owner.hash.sign[j].Bucket(it, b), owner.hash.sign[j].Hash(it)
 					if h, s := uint64(packed[i]>>1), signed(packed[i], 1); h != wantH || s != wantS {
 						t.Fatalf("b %d n %d item %d row %d: hashRow (%d, %d), want (%d, %d)",
 							b, n, it, j, h, s, wantH, wantS)

@@ -10,9 +10,12 @@ import (
 )
 
 // CountSketch is the r x b counter matrix of Charikar, Chen, and
-// Farach-Colton. Row j hashes each item to one of b buckets (pairwise
-// independent) and multiplies its contribution by a 4-wise independent sign.
-// A point query returns the median over rows of sign * counter.
+// Farach-Colton. Row j hashes each item to one of b buckets and multiplies
+// its contribution by a ±1 sign, both read off one 4-wise independent
+// polynomial value (the analysis asks pairwise independence of the
+// buckets, 4-wise of the signs, and the two independent of each other: the
+// value's disjoint bits are all three). A point query returns the median
+// over rows of sign * counter.
 //
 // With r = O(log(n/δ)) rows and b buckets, every point estimate satisfies
 // |v̂_i - v_i| <= sqrt(F2 / b) * O(1) with probability 1 - δ (the paper uses
@@ -42,51 +45,47 @@ type CountSketch struct {
 	agg *Batch
 }
 
-// rowHashes is the hash family of a CountSketch's rows: per row a pairwise
-// independent bucket hash and a 4-wise independent sign hash over
-// GF(2^61-1). It is immutable once drawn, so sketches of equal dimensions
-// may evaluate one family between them.
+// rowHashes is the hash family of a CountSketch's rows: per row ONE 4-wise
+// independent polynomial over GF(2^61-1), whose value at an item gives the
+// item's sign in the row (bit 0) and its bucket (the bits above, mod b) —
+// see xhash.Sign.Bucket. It is immutable once drawn, so sketches of equal
+// dimensions may evaluate one family between them.
 type rowHashes struct {
 	rows    int
 	buckets uint64
-	bucket  []*xhash.Buckets
 	sign    []*xhash.Sign
 	// coef caches every row's coefficients in one flat array, coefPerRow
-	// words per row: [b0 b1 | s0 s1 s2 s3]. The hot paths evaluate the
-	// polynomials inline from this cache instead of chasing
-	// bucket[j]/sign[j] pointers; values are bit-identical to the
-	// Buckets/Sign evaluations (see xhash.Poly.AppendCoeffs).
+	// words per row, constant term first. The hot paths evaluate the
+	// polynomials inline from this cache instead of chasing sign[j]
+	// pointers; values are bit-identical to the Sign evaluations (see
+	// xhash.Poly.AppendCoeffs).
 	coef []uint64
-	// digest folds the dimensions and every coefficient, in the order
-	// CountSketch.Fingerprint always folded them.
+	// digest folds the dimensions and every coefficient; it is the
+	// family's share of CountSketch.Fingerprint.
 	digest uint64
 }
 
-// coefPerRow is the per-row stride of the coef cache: 2 bucket-hash
-// coefficients (pairwise independence) + 4 sign coefficients (4-wise).
-const coefPerRow = 6
+// coefPerRow is the per-row stride of the coef cache: the 4 coefficients
+// of a 4-wise independent polynomial.
+const coefPerRow = 4
 
 // maxBuckets bounds b: the batch path packs a row's bucket index and sign
 // bit for an item into 32 bits (Batch.hashed).
 const maxBuckets = 1 << 31
 
-// newRowHashes draws the family of an r x b sketch from rng: per row, the
-// bucket hash and then the sign hash.
+// newRowHashes draws the family of an r x b sketch from rng, a fork a row.
 func newRowHashes(r int, b uint64, rng *util.SplitMix64) *rowHashes {
 	f := &rowHashes{
 		rows:    r,
 		buckets: b,
-		bucket:  make([]*xhash.Buckets, r),
 		sign:    make([]*xhash.Sign, r),
 		coef:    make([]uint64, 0, coefPerRow*r),
 	}
 	f.digest = wire.Fingerprint(wire.Fingerprint(0, uint64(r)), b)
 	for j := 0; j < r; j++ {
-		f.bucket[j] = xhash.NewBuckets(2, b, rng.Fork())
 		f.sign[j] = xhash.NewSign(4, rng.Fork())
-		f.coef = f.bucket[j].AppendCoeffs(f.coef)
 		f.coef = f.sign[j].AppendCoeffs(f.coef)
-		f.digest = f.sign[j].Fingerprint(f.bucket[j].Fingerprint(f.digest))
+		f.digest = f.sign[j].Fingerprint(f.digest)
 	}
 	return f
 }
@@ -132,65 +131,50 @@ func (cs *CountSketch) ShareRowHashes(other *CountSketch) bool {
 
 // rowBucketSign evaluates row j's bucket index and ±1 sign for xp (the
 // item already reduced mod 2^61-1) from the flat coefficient cache. It
-// reproduces bucket[j].Hash and sign[j].Hash exactly: a degree-1 and a
-// degree-3 Horner evaluation over GF(2^61-1), lazily reduced (see
-// xhash.HornerStep) with only the two final values made canonical; the
-// bucket is that value mod b, the sign its low bit.
+// reproduces sign[j].Bucket and sign[j].Hash exactly: a degree-3 Horner
+// evaluation over GF(2^61-1), lazily reduced (see xhash.HornerStep) with
+// only the final value made canonical.
 func (f *rowHashes) rowBucketSign(j int, xp uint64) (uint64, int64) {
 	c := f.coef[coefPerRow*j : coefPerRow*j+coefPerRow : coefPerRow*j+coefPerRow]
-	bk := xhash.HornerStep(c[1], xp, c[0])
-	sg := xhash.HornerStep(c[5], xp, c[4])
-	sg = xhash.HornerStep(sg, xp, c[3])
-	sg = xhash.HornerStep(sg, xp, c[2])
-	return bucketOf(bk, f.buckets), int64(signBit(sg))<<1 - 1
+	v := xhash.HornerStep(c[3], xp, c[2])
+	v = xhash.HornerStep(v, xp, c[1])
+	v = xhash.HornerStep(v, xp, c[0])
+	p := packed(xhash.Reduce(v), f.buckets)
+	return uint64(p >> 1), signed(p, 1)
 }
 
-// bucketOf maps the lazily reduced value of a bucket polynomial to
-// [0, b), as xhash.Buckets.Hash has it: the canonical value mod b. Every
-// sketch heavy.dims sizes has a power-of-two b, where that is a mask; any
-// other b pays the division.
-func bucketOf(v, b uint64) uint64 {
-	v = xhash.Reduce(v)
+// packed maps the canonical value v of a row's polynomial at an item to
+// bucket<<1 | sign bit, as xhash.Sign has them: the sign's bit is bit 0 of
+// v (set: +1), the bucket the bits above it mod b. Every sketch heavy.dims
+// sizes has a power-of-two b, where the two together are one mask; any
+// other b pays the division. b is at most maxBuckets, so the result fits.
+func packed(v, b uint64) uint32 {
 	if b&(b-1) == 0 {
-		return v & (b - 1)
+		return uint32(v & (2*b - 1))
 	}
-	return v % b
+	return uint32(v>>1%b<<1 | v&1)
 }
 
-// signBit maps the lazily reduced value of a sign polynomial to the sign's
-// bit: 1 (the sign is +1) if the canonical value is odd, as
-// xhash.Sign.Hash has it, and 0 (−1) if not.
-func signBit(v uint64) uint64 {
-	return xhash.Reduce(v) & 1
-}
-
-// signed returns d under the sign a packed (bucket<<1 | sign bit) hash
-// carries: d if the bit is set, −d if not. Arithmetic, not a branch: the
-// bit is a fair coin.
+// signed returns d under the sign a packed hash carries: d if the bit is
+// set, −d if not. Arithmetic, not a branch: the bit is a fair coin.
 func signed(p uint32, d int64) int64 {
 	m := int64(p&1) - 1 // 0 keeps d, −1 negates it
 	return (d ^ m) - m
 }
 
-// hashRow is rowBucketSign over a batch: out[i] packs row j's bucket
-// index and sign bit (bucket<<1 | bit) for the item whose value mod 2^61-1
-// is xs[i], with x2s[i], x3s[i] = xhash.Powers(xs[i]). The bucket hash is
-// one Horner step; the degree-3 sign polynomial is evaluated from the
-// powers (xhash.Cubic: three independent multiplies, against the three
-// dependent steps of rowBucketSign's chain), bit-identical to
-// rowBucketSign on the same item. Two loops, not one: each keeps its
-// coefficients in registers.
+// hashRow is rowBucketSign over a batch: out[i] is the packed hash of row
+// j for the item whose value mod 2^61-1 is xs[i], with x2s[i], x3s[i] =
+// xhash.Powers(xs[i]). The polynomial is evaluated from the powers
+// (xhash.Cubic: three independent multiplies, against the three dependent
+// steps of rowBucketSign's chain), bit-identical to rowBucketSign on the
+// same item.
 func (f *rowHashes) hashRow(j int, xs, x2s, x3s []uint64, out []uint32) {
 	c := f.coef[coefPerRow*j : coefPerRow*j+coefPerRow : coefPerRow*j+coefPerRow]
 	b := f.buckets
 	x2s, x3s, out = x2s[:len(xs)], x3s[:len(xs)], out[:len(xs)]
-	b0, b1 := c[0], c[1]
+	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
 	for i, x := range xs {
-		out[i] = uint32(bucketOf(xhash.HornerStep(b1, x, b0), b) << 1)
-	}
-	s0, s1, s2, s3 := c[2], c[3], c[4], c[5]
-	for i, x := range xs {
-		out[i] |= uint32(signBit(xhash.Cubic(s0, s1, s2, s3, x, x2s[i], x3s[i])))
+		out[i] = packed(xhash.Reduce(xhash.Cubic(c0, c1, c2, c3, x, x2s[i], x3s[i])), b)
 	}
 }
 

@@ -54,19 +54,19 @@ func ingestDigestStream(cs *CountSketch, ups []stream.Update) {
 // and the tracker's heap order, which the snapshot's sort hides. The
 // digests were recorded before the row kernel, the median and the
 // tracker index were rewritten (PR 16); those rewrites are bit-identical
-// and any later one has to be too, or change the digest on purpose. The
-// header's layout version is read as 1, the version the digests were
-// recorded under: version 2 changed how a stack of sketches is laid out
-// and left a single sketch's dimensions, hash functions, counters and
-// candidates — everything else in these bytes — where they were.
+// and any later one has to be too, or change the digest on purpose —
+// as layout version 2 did: a row reads an item's bucket and sign off one
+// polynomial value where it evaluated two, so every counter moved. The
+// digests were re-recorded once, with that change (CHANGES.md, PR 21, has
+// the values before and after).
 func TestCountSketchStateDigest(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		buckets uint64
 		want    string
 	}{
-		{"mask-4096", 4096, "69418c3453d442aa4de89272f98546daf3304db70ec1bee035f3bcae3974c86d"},
-		{"mod-4206", 4206, "03d32a949050c32dbbee594389a3861fb5db6099ca4d12b75ae44f5f004cdf80"},
+		{"mask-4096", 4096, "372fd5101fe28e81873ef306269652aa073303a8769b3ba1a0ffe18f659b9bd2"},
+		{"mod-4206", 4206, "ad3a4d4ff184b97bb1af2c6d6336054744b5dc825dac1ab97e3c64c50bb5a85a"},
 	} {
 		cs := NewCountSketchTopK(7, tc.buckets, 64, util.NewSplitMix64(16))
 		ingestDigestStream(cs, digestStream())
@@ -74,7 +74,6 @@ func TestCountSketchStateDigest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		binary.BigEndian.PutUint16(data[4:], 1)
 		h := sha256.New()
 		h.Write(data)
 		for _, it := range cs.topK.items() {

@@ -6,8 +6,11 @@
 // Layer: the sketch layer of ARCHITECTURE.md, directly above
 // internal/xhash.
 // Seed discipline: a sketch's hash functions are drawn from the
-// constructor rng in fixed per-row order (bucket hash, then sign
-// hash); Merge and UnmarshalBinary are only meaningful between
+// constructor rng, a fork per row in row order (CountSketch: one 4-wise
+// polynomial a row, read for both bucket and sign; AMS: a sign hash;
+// Count-Min: a bucket hash); a CountSketch may then be told to evaluate
+// another's family (ShareRowHashes: the levels of a recursive stack
+// share level 0's). Merge and UnmarshalBinary are only meaningful between
 // same-dimension, same-seed sketches — dimensions are checked
 // in-process, and the wire fingerprint checks the hash coefficients
 // themselves.

@@ -16,7 +16,13 @@ import (
 // rule as Merge: the receiving sketch must have been constructed with
 // identical dimensions and seed — and unlike Merge, the wire header's
 // fingerprint (a digest of the hash-function coefficients) lets the
-// decoder CHECK that contract instead of trusting the caller.
+// decoder CHECK that contract instead of trusting the caller. The
+// coefficients digested are those of the family the sketch EVALUATES: a
+// level of a recursive stack evaluates level 0's (ShareRowHashes), so
+// under layout version 2 every level of one stack carries one
+// fingerprint, and a level's payload decodes onto any level of an
+// identically seeded stack — the level list around it (internal/recursive)
+// is what keeps levels apart.
 //
 // Wire format (big endian, header per internal/wire):
 //
@@ -35,8 +41,9 @@ import (
 
 const countSketchMagic uint32 = 0x67535543 // "gSUC"
 
-// Fingerprint digests the sketch's dimensions, hash-function
-// coefficients, and tracker capacity. Two CountSketches constructed with
+// Fingerprint digests the sketch's dimensions, the coefficients of the
+// row-hash family it evaluates (folded once, when the family is drawn), and
+// its tracker capacity. Two CountSketches constructed with
 // the same parameters from the same seed have equal fingerprints; it is
 // the quantity the wire header validates on decode.
 func (cs *CountSketch) Fingerprint() uint64 {

@@ -11,10 +11,11 @@ import (
 // under the next, even where the bytes would still parse.
 //
 //	1: every level of a recursive stack ⌈log2 N⌉ deep drew its own
-//	   CountSketch row hashes.
+//	   CountSketch row hashes, a bucket and a sign polynomial per row.
 //	2: a stack stops at the level whose sub-universe its tracker holds
-//	   (recursive.Depth), and its levels evaluate one row-hash family,
-//	   level 0's (sketch.CountSketch.ShareRowHashes).
+//	   (recursive.Depth), its levels evaluate one row-hash family,
+//	   level 0's (sketch.CountSketch.ShareRowHashes), and a row reads an
+//	   item's bucket and sign off one polynomial value (xhash.Sign.Bucket).
 const Version uint16 = 2
 
 // Fingerprint folds v into a running 64-bit digest h. It is a

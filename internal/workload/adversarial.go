@@ -8,8 +8,8 @@ import (
 	"repro/internal/xhash"
 )
 
-// Adversarial is the anti-sketch scenario: it re-derives the bucket and
-// sign hash functions a CountSketch seeded with SketchSeed would draw
+// Adversarial is the anti-sketch scenario: it re-derives the row hash
+// functions a CountSketch seeded with SketchSeed would draw
 // (the construction in internal/sketch.NewCountSketch is a pure
 // function of the seed, which is exactly the property this attack
 // weaponizes), picks a victim item, and then scans the domain for
@@ -81,27 +81,24 @@ func (a Adversarial) Colliders(cfg Config) (victim uint64, decoys []uint64) {
 	items := workingSet(cfg, rng.Fork())
 	victim = items[0]
 
-	// Mirror sketch.NewCountSketch's draw order exactly: one root rng
-	// from the sketch seed, then per row a bucket family fork followed
-	// by a sign family fork.
+	// Mirror sketch.NewCountSketch's draws exactly: one root rng from the
+	// sketch seed, then a fork a row for the 4-wise polynomial the row
+	// reads both an item's bucket and its sign from.
 	srng := util.NewSplitMix64(a.sketchSeed(cfg))
-	rows := a.rows()
-	buckets := make([]*xhash.Buckets, rows)
-	signs := make([]*xhash.Sign, rows)
-	for j := 0; j < rows; j++ {
-		buckets[j] = xhash.NewBuckets(2, a.buckets(), srng.Fork())
-		signs[j] = xhash.NewSign(4, srng.Fork())
+	rows := make([]*xhash.Sign, a.rows())
+	for j := range rows {
+		rows[j] = xhash.NewSign(4, srng.Fork())
 	}
 
 	seen := map[uint64]bool{victim: true}
-	for j := 0; j < rows; j++ {
-		vb, vs := buckets[j].Hash(victim), signs[j].Hash(victim)
+	for _, h := range rows {
+		vb, vs := h.Bucket(victim, a.buckets()), h.Hash(victim)
 		found := 0
 		for x := uint64(0); x < cfg.N && found < a.collidersPerRow(); x++ {
 			if seen[x] {
 				continue
 			}
-			if buckets[j].Hash(x) == vb && signs[j].Hash(x) == vs {
+			if h.Bucket(x, a.buckets()) == vb && h.Hash(x) == vs {
 				seen[x] = true
 				decoys = append(decoys, x)
 				found++

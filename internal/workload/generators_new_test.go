@@ -94,16 +94,15 @@ func TestAdversarialCollidersCollide(t *testing.T) {
 		t.Fatalf("scan found only %d decoys for %d rows", len(decoys), adv.rows())
 	}
 	srng := util.NewSplitMix64(cfg.Seed * 7)
-	buckets := make([]*xhash.Buckets, adv.rows())
-	signs := make([]*xhash.Sign, adv.rows())
-	for j := range buckets {
-		buckets[j] = xhash.NewBuckets(2, adv.buckets(), srng.Fork())
-		signs[j] = xhash.NewSign(4, srng.Fork())
+	rows := make([]*xhash.Sign, adv.rows())
+	for j := range rows {
+		rows[j] = xhash.NewSign(4, srng.Fork())
 	}
+	b := adv.buckets()
 	for _, d := range decoys {
 		hit := false
-		for j := range buckets {
-			if buckets[j].Hash(d) == buckets[j].Hash(victim) && signs[j].Hash(d) == signs[j].Hash(victim) {
+		for _, h := range rows {
+			if h.Bucket(d, b) == h.Bucket(victim, b) && h.Hash(d) == h.Hash(victim) {
 				hit = true
 				break
 			}

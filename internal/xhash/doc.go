@@ -6,7 +6,9 @@
 // the key yields a k-wise independent family. Pairwise independence (k = 2)
 // suffices for bucket hashes; four-wise independence (k = 4) is required for
 // the variance bound of the AMS tug-of-war sketch and for CountSketch sign
-// hashes.
+// hashes. One four-wise value has bits enough for both: CountSketch reads a
+// row's sign off bit 0 of the polynomial's value and the row's bucket off
+// the bits above it (Sign.Hash, Sign.Bucket).
 //
 // Layer: substrate in ARCHITECTURE.md — the k-wise independent hash
 // families every sketch row is built from.

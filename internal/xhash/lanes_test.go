@@ -10,8 +10,9 @@ import (
 // for a degree-1 bucket polynomial and a degree-3 sign polynomial with
 // the given coefficients, Reduce of a HornerStep chain (scalar, and each
 // lane of HornerStep4) is Poly.Hash, so reducing it mod b is Buckets.Hash
-// — by a mask when b is a power of two — and its low bit is Sign.Hash.
-// This is the evaluation sketch.CountSketch runs on every update. The
+// — by a mask when b is a power of two — and its low bit is Sign.Hash, the
+// bits above it mod b Sign.Bucket. The sign polynomial's is the evaluation
+// sketch.CountSketch runs on every update. The
 // batch walk's forms are held to the same references: the sign polynomial
 // from the item's powers (Cubic), and Bernoulli membership (Hash, Filter)
 // against Poly.Hash % denom < numer with b as the denominator — a
@@ -53,6 +54,15 @@ func checkLazyKernel(t *testing.T, coef [6]uint64, items [4]uint64, b uint64) {
 		}
 		if got, want := int64(Reduce(ssg)&1)<<1-1, sign.Hash(it); got != want {
 			t.Fatalf("coef %v item %d: sign %d, want %d", coef, it, got, want)
+		}
+		// The sign polynomial's value is also the row's bucket hash: the
+		// bits above the sign's, mod b — one mask over both for a
+		// power-of-two b (what sketch.packed takes).
+		if got, want := Reduce(ssg)>>1%b, sign.Bucket(it, b); got != want {
+			t.Fatalf("coef %v item %d b %d: bucket from the sign value %d, want %d", coef, it, b, got, want)
+		}
+		if want := sign.Bucket(it, b); b&(b-1) == 0 && b <= 1<<31 && Reduce(ssg)&(2*b-1)>>1 != want {
+			t.Fatalf("coef %v item %d b %d: masked bucket from the sign value %d, want %d", coef, it, b, Reduce(ssg)&(2*b-1)>>1, want)
 		}
 		x2, x3 := Powers(xp[k])
 		if want := MulMod(xp[k], xp[k]); x2 != want || x3 != MulMod(want, xp[k]) {

@@ -172,6 +172,18 @@ func (h *Sign) AppendCoeffs(dst []uint64) []uint64 {
 	return h.poly.AppendCoeffs(dst)
 }
 
+// Bucket maps x to one of b buckets from the SAME polynomial value whose
+// low bit is Hash's sign: bit 0 is the sign, the bits above it, mod b, the
+// bucket. The value is uniform over [0, 2^61-1) up to one part in 2^61, so
+// for b up to 2^31 the pair (bucket, sign) is within 2^-29 of uniform over
+// [0, b) x {-1, +1} — 2^-48 at the few thousand buckets a sketch has —
+// and, the family being k-wise independent, the pairs of any k items are
+// independent: one 4-wise polynomial serves CountSketch as both its
+// pairwise bucket hash and its 4-wise sign hash.
+func (h *Sign) Bucket(x, b uint64) uint64 {
+	return h.poly.Hash(x) >> 1 % b
+}
+
 // Hash maps x to -1 or +1.
 func (h *Sign) Hash(x uint64) int64 {
 	// Use the low bit of the polynomial value. The polynomial value is
