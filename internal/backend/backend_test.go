@@ -276,6 +276,7 @@ func TestNormalizeRejectsInvalidSpecs(t *testing.T) {
 		{"window without W", specWith(func(s *Spec) { s.Kind = KindWindow }), "Window.W"},
 		{"window K of 1", specWith(func(s *Spec) { s.Kind = KindWindow; s.Window = window.Config{W: 4, K: 1} }), "Window.K"},
 		{"universal without envelope or G", Spec{Kind: KindUniversal, Options: core.Options{N: 4}}, "Envelope"},
+		{"countsketch wider than a packed hash", Spec{Kind: KindCountSketch, Options: core.Options{N: 4}, Buckets: 1<<31 + 1}, "Buckets must be at most"},
 	}
 	for _, c := range cases {
 		if _, err := c.spec.Normalize(); err == nil || !strings.Contains(err.Error(), c.want) {

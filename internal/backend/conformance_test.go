@@ -30,10 +30,11 @@ import (
 // it (confParent), as PRs 16 and 19 judged theirs against state digests.
 //
 // What the assertions hold under: ε = 0.25, δ = 0.2 (Options' defaults),
-// λ = 1/16 — the benchmark's options at N = 2^14 — i.e. the repository's
-// floor on λ (core.DefaultLambdaFloor and up), not Theorem 13's
-// ε²/log³ n, which at this N is 2^-15.5 and would size every level at
-// 2^21 buckets. The rates below are the price of that deviation: none.
+// λ = 1/16 — the benchmark's options at N = 2^14 — i.e. a λ at or above
+// the repository's floor (core.DefaultLambdaFloor), not Theorem 13's
+// ε²/log³ n, which at this N is 2^-15.4 and would size every level of the
+// x² sketch at over 2^23 buckets. The rates below are the price of that
+// deviation: none.
 
 // confOptions are bench/workloads.go's sketchOptions on a 2^14 domain.
 var confOptions = core.Options{N: 1 << 14, M: 1 << 12, Eps: 0.25, Lambda: 1.0 / 16}

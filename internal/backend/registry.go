@@ -196,6 +196,9 @@ func init() {
 			if s.Buckets == 0 {
 				s.Buckets = 1 << 10
 			}
+			if s.Buckets > sketch.MaxBuckets {
+				return fmt.Errorf("backend: countsketch: Buckets must be at most %d, got %d", uint64(sketch.MaxBuckets), s.Buckets)
+			}
 			// The kind is function-free; canonicalize G away here so every
 			// frontend fingerprints the same sketch identically.
 			s.G = ""

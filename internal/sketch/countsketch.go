@@ -69,9 +69,9 @@ type rowHashes struct {
 // of a 4-wise independent polynomial.
 const coefPerRow = 4
 
-// maxBuckets bounds b: the batch path packs a row's bucket index and sign
+// MaxBuckets bounds b: the batch path packs a row's bucket index and sign
 // bit for an item into 32 bits (Batch.hashed).
-const maxBuckets = 1 << 31
+const MaxBuckets = 1 << 31
 
 // newRowHashes draws the family of an r x b sketch from rng, a fork a row.
 func newRowHashes(r int, b uint64, rng *util.SplitMix64) *rowHashes {
@@ -94,7 +94,7 @@ func newRowHashes(r int, b uint64, rng *util.SplitMix64) *rowHashes {
 // hash functions from rng. It panics on non-positive dimensions and on
 // more than 2^31 buckets a row.
 func NewCountSketch(r int, b uint64, rng *util.SplitMix64) *CountSketch {
-	if r <= 0 || b == 0 || b > maxBuckets {
+	if r <= 0 || b == 0 || b > MaxBuckets {
 		panic("sketch: CountSketch needs positive dimensions, at most 2^31 buckets a row")
 	}
 	cs := &CountSketch{
@@ -147,7 +147,7 @@ func (f *rowHashes) rowBucketSign(j int, xp uint64) (uint64, int64) {
 // bucket<<1 | sign bit, as xhash.Sign has them: the sign's bit is bit 0 of
 // v (set: +1), the bucket the bits above it mod b. Every sketch heavy.dims
 // sizes has a power-of-two b, where the two together are one mask; any
-// other b pays the division. b is at most maxBuckets, so the result fits.
+// other b pays the division. b is at most MaxBuckets, so the result fits.
 func packed(v, b uint64) uint32 {
 	if b&(b-1) == 0 {
 		return uint32(v & (2*b - 1))
