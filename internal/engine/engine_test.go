@@ -129,42 +129,49 @@ func TestParallelChunksPartition(t *testing.T) {
 	}
 }
 
-// countSketchBatches walks v (through unexported fields too: reflection
-// may look, not touch) and reports how many CountSketches it holds and how
-// many of them own a collapsed-batch scratch (their agg field).
-func countSketchBatches(v reflect.Value, seen map[uintptr]bool) (sketches, owners int) {
+// walkStructs visits every struct value reachable from v (through
+// unexported fields too: reflection may look, not touch), each pointer
+// once. visit reports whether to descend into the struct's fields.
+func walkStructs(v reflect.Value, seen map[uintptr]bool, visit func(reflect.Value) bool) {
 	switch v.Kind() {
 	case reflect.Pointer:
 		if v.IsNil() || seen[v.Pointer()] {
-			return 0, 0
+			return
 		}
 		seen[v.Pointer()] = true
-		return countSketchBatches(v.Elem(), seen)
+		walkStructs(v.Elem(), seen, visit)
 	case reflect.Interface:
-		if v.IsNil() {
-			return 0, 0
+		if !v.IsNil() {
+			walkStructs(v.Elem(), seen, visit)
 		}
-		return countSketchBatches(v.Elem(), seen)
 	case reflect.Slice, reflect.Array:
 		if k := v.Type().Elem().Kind(); k != reflect.Pointer && k != reflect.Interface && k != reflect.Struct {
-			return 0, 0 // counters and coefficients: nothing to find
+			return // counters and coefficients: nothing to find
 		}
 		for i := 0; i < v.Len(); i++ {
-			s, o := countSketchBatches(v.Index(i), seen)
-			sketches, owners = sketches+s, owners+o
+			walkStructs(v.Index(i), seen, visit)
 		}
 	case reflect.Struct:
-		if v.Type() == reflect.TypeOf(sketch.CountSketch{}) {
-			sketches = 1
-			if !v.FieldByName("agg").IsNil() {
-				owners = 1
+		if visit(v) {
+			for i := 0; i < v.NumField(); i++ {
+				walkStructs(v.Field(i), seen, visit)
 			}
 		}
-		for i := 0; i < v.NumField(); i++ {
-			s, o := countSketchBatches(v.Field(i), seen)
-			sketches, owners = sketches+s, owners+o
-		}
 	}
+}
+
+// countSketchBatches reports how many CountSketches sk holds and how many
+// of them own a collapsed-batch scratch (their agg field).
+func countSketchBatches(sk any) (sketches, owners int) {
+	walkStructs(reflect.ValueOf(sk), map[uintptr]bool{}, func(v reflect.Value) bool {
+		if v.Type() == reflect.TypeOf(sketch.CountSketch{}) {
+			sketches++
+			if !v.FieldByName("agg").IsNil() {
+				owners++
+			}
+		}
+		return true
+	})
 	return sketches, owners
 }
 
@@ -192,7 +199,7 @@ func TestOneCollapsePerBatch(t *testing.T) {
 	}
 	stacks["twopass"] = twopass
 	for name, sk := range stacks {
-		sketches, owners := countSketchBatches(reflect.ValueOf(sk), map[uintptr]bool{})
+		sketches, owners := countSketchBatches(sk)
 		// N = 2^12 over trackers of 769: depth 4, five level sketches a stack.
 		if sketches < 5 || owners != 0 {
 			t.Errorf("%s: %d of %d level CountSketches collapsed a batch themselves, want 0 of at least 5", name, owners, sketches)
@@ -200,15 +207,14 @@ func TestOneCollapsePerBatch(t *testing.T) {
 	}
 	cs := sketch.NewCountSketch(5, 64, util.NewSplitMix64(1))
 	engine.Ingest(cs, updates, 512)
-	if sketches, owners := countSketchBatches(reflect.ValueOf(cs), map[uintptr]bool{}); sketches != 1 || owners != 1 {
+	if sketches, owners := countSketchBatches(cs); sketches != 1 || owners != 1 {
 		t.Errorf("control: found %d CountSketches, %d owning a batch; want 1 and 1", sketches, owners)
 	}
 }
 
-// stackHashing walks v as countSketchBatches does and reports what hashes
-// a stack's batches: the distinct row-hash families its CountSketches
-// evaluate, and, for every sketch.Batch it owns, the family that hashed
-// the last batch and the shape of the hash matrix.
+// stackHashing is what hashes a stack's batches: the distinct row-hash
+// families its CountSketches evaluate, and, for every sketch.Batch it owns,
+// the family that hashed the last batch and the shape of the hash matrix.
 type stackHashing struct {
 	families map[uintptr]int // family -> CountSketches evaluating it
 	plans    []planHashing
@@ -219,26 +225,9 @@ type planHashing struct {
 	hashed, items int
 }
 
-func (h *stackHashing) walk(v reflect.Value, seen map[uintptr]bool) {
-	switch v.Kind() {
-	case reflect.Pointer:
-		if v.IsNil() || seen[v.Pointer()] {
-			return
-		}
-		seen[v.Pointer()] = true
-		h.walk(v.Elem(), seen)
-	case reflect.Interface:
-		if !v.IsNil() {
-			h.walk(v.Elem(), seen)
-		}
-	case reflect.Slice, reflect.Array:
-		if k := v.Type().Elem().Kind(); k != reflect.Pointer && k != reflect.Interface && k != reflect.Struct {
-			return
-		}
-		for i := 0; i < v.Len(); i++ {
-			h.walk(v.Index(i), seen)
-		}
-	case reflect.Struct:
+func hashingOf(sk any) stackHashing {
+	h := stackHashing{families: map[uintptr]int{}}
+	walkStructs(reflect.ValueOf(sk), map[uintptr]bool{}, func(v reflect.Value) bool {
 		switch v.Type() {
 		case reflect.TypeOf(sketch.CountSketch{}):
 			h.families[v.FieldByName("hash").Pointer()]++
@@ -248,12 +237,11 @@ func (h *stackHashing) walk(v reflect.Value, seen map[uintptr]bool) {
 				hashed: v.FieldByName("hashed").Len(),
 				items:  v.FieldByName("items").Len(),
 			})
-			return
+			return false
 		}
-		for i := 0; i < v.NumField(); i++ {
-			h.walk(v.Field(i), seen)
-		}
-	}
+		return true
+	})
+	return h
 }
 
 // TestOneHashPerBatch pins who hashes, beside TestOneCollapsePerBatch's who
@@ -280,8 +268,7 @@ func TestOneHashPerBatch(t *testing.T) {
 	}
 	for name, sk := range stacks {
 		engine.Ingest(sk, updates, len(updates))
-		h := stackHashing{families: map[uintptr]int{}}
-		h.walk(reflect.ValueOf(sk), map[uintptr]bool{})
+		h := hashingOf(sk)
 		shards, rows := 1, 7 // 2 ln(2/(δ/2)) rows at δ = 0.2; the two-pass sketch takes δ whole: 5
 		switch name {
 		case "sharded":
@@ -306,11 +293,9 @@ func TestOneHashPerBatch(t *testing.T) {
 		}
 	}
 	// Two stacks do not share: each draws its own family from its seed.
-	a, b := stackHashing{families: map[uintptr]int{}}, stackHashing{families: map[uintptr]int{}}
-	a.walk(reflect.ValueOf(stacks["onepass"]), map[uintptr]bool{})
-	b.walk(reflect.ValueOf(stacks["universal"]), map[uintptr]bool{})
-	for f := range a.families {
-		if b.families[f] != 0 {
+	other := hashingOf(stacks["universal"])
+	for f := range hashingOf(stacks["onepass"]).families {
+		if other.families[f] != 0 {
 			t.Error("two stacks evaluate one family object")
 		}
 	}

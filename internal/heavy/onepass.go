@@ -170,12 +170,13 @@ func (o *OnePass) CoverFor(g gfunc.Func) Cover {
 func (o *OnePass) Capacity() int { return o.topk }
 
 // AdoptRowHashes makes o's CountSketch evaluate the row-hash family of
-// from's, which must be an *OnePass of the same dimensions, and reports
-// whether it did (sketch.CountSketch.ShareRowHashes). A recursive stack
-// calls it on levels 1…L with level 0, before anything is counted.
-func (o *OnePass) AdoptRowHashes(from any) bool {
-	f, ok := from.(*OnePass)
-	return ok && o.cs.ShareRowHashes(f.cs)
+// from's, if from is an *OnePass of the same dimensions; otherwise o keeps
+// its own (sketch.CountSketch.ShareRowHashes). A recursive stack calls it
+// on levels 1…L with level 0, before anything is counted.
+func (o *OnePass) AdoptRowHashes(from any) {
+	if f, ok := from.(*OnePass); ok {
+		o.cs.ShareRowHashes(f.cs)
+	}
 }
 
 // Tracked returns how many candidates the tracker holds now; below

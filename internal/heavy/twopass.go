@@ -105,11 +105,12 @@ func (t *TwoPass) Cover() Cover {
 }
 
 // AdoptRowHashes makes t's first-pass CountSketch evaluate the row-hash
-// family of from's, which must be a *TwoPass of the same dimensions (see
+// family of from's, if from is a *TwoPass of the same dimensions (see
 // OnePass.AdoptRowHashes).
-func (t *TwoPass) AdoptRowHashes(from any) bool {
-	f, ok := from.(*TwoPass)
-	return ok && t.cs.ShareRowHashes(f.cs)
+func (t *TwoPass) AdoptRowHashes(from any) {
+	if f, ok := from.(*TwoPass); ok {
+		t.cs.ShareRowHashes(f.cs)
+	}
 }
 
 // Capacity returns how many candidates the first pass keeps for the

@@ -67,7 +67,7 @@ func Depth(n uint64, levels, capacity int) int {
 // depth resolved from what level 0 says it tracks (an optional
 // Capacity() int, which heavy.OnePass and heavy.TwoPass have) — levels
 // 1…L, each adopting level 0's CountSketch row hashes where it can (an
-// optional AdoptRowHashes(from any) bool, which the same two have), so
+// optional AdoptRowHashes(from any), which the same two have), so
 // that a batch is hashed once for the whole stack. It is the one place a
 // stack's shape is decided; core.Universal, which carries its own levels,
 // builds them here too.
@@ -81,7 +81,7 @@ func BuildLevels[S any](n uint64, levels int, mk func(level int) S) []S {
 	out[0] = first
 	for k := 1; k < len(out); k++ {
 		out[k] = mk(k)
-		if a, ok := any(out[k]).(interface{ AdoptRowHashes(from any) bool }); ok {
+		if a, ok := any(out[k]).(interface{ AdoptRowHashes(from any) }); ok {
 			a.AdoptRowHashes(first)
 		}
 	}
