@@ -78,11 +78,13 @@ type CoverReporter interface {
 
 // Layered is the capability of kinds that are one recursive stack
 // (KindOnePass, KindSharded, KindUniversal): the depth Options.Levels
-// resolved to, and whether the assumption that depth rests on holds right
+// resolved to, whether the assumption that depth rests on holds right
 // now — the deepest level tracking fewer candidates than it can, i.e. all
-// of its sub-universe. Reading it is O(1).
+// of its sub-universe — and the CountSketch rows and buckets heavy.dims
+// resolved for every level. Reading either is O(1).
 type Layered interface {
 	Depth() (levels, deepestTracked, deepestCapacity int)
+	Dims() (rows int, buckets uint64)
 }
 
 // twoPassEstimator adapts core.TwoPassEstimator: it carries the Spec's

@@ -12,7 +12,8 @@ import (
 // per-element error below 1/n², so a union bound over his <= n elements
 // keeps the whole DISJ+IND protocol correct. The same Chernoff argument
 // powers the paper's standard "repeat O(log 1/δ) times and take the
-// median" amplification (used by core.MedianOnePass and the MLE grid).
+// median" amplification (the MLE grid's; a g-SUM sketch spends the same
+// bytes on rows instead — EXPERIMENTS.md, "Spending the ledger, round 4").
 
 // MajorityCopies returns the ℓ of Theorem 44 for a target domain size n:
 // ℓ = ceil(96 ln n), the constant from the proof's Chernoff bound.

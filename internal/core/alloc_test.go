@@ -10,7 +10,7 @@ import (
 
 // TestUpdateBatchSteadyStateAllocFree is the allocation gate of the
 // serial ingest path at the repo benchmark's dimensions (bench/
-// workloads.go: 20 levels of 7 x 4096 counters, batches of 4096): once
+// workloads.go: 14 levels of 5 x 4096 counters, batches of 4096): once
 // the stack's one collapsed batch and the trackers have grown, a batch
 // allocates nothing at any level, near-distinct or duplicate-heavy.
 func TestUpdateBatchSteadyStateAllocFree(t *testing.T) {

@@ -22,7 +22,15 @@ type Options struct {
 	M int64 `json:"m"`
 	// Eps is the target relative accuracy ε (default 0.25).
 	Eps float64 `json:"eps"`
-	// Delta is the per-estimator failure probability δ (default 0.2).
+	// Delta is the per-estimator failure probability δ (default 0.2). It
+	// sets the CountSketch rows of every level and nothing else:
+	// ⌈2 ln(2/δ)⌉ made odd in one pass (Algorithm 2 gives its sketch δ/2:
+	// 5 rows at 0.2, 7 at 0.1, 11 at 0.01), ⌈2 ln(1/δ)⌉ in two, at least 5
+	// (heavy.dims). Measured at the default, ε 0.25, λ 1/16: 0 of 4000
+	// estimates outside εG over ten generators × ten functions × 40 seeds,
+	// a failure rate under 0.1% at 95% confidence where δ allows 20%; the
+	// rows below 5 that would spend that slack lose flat streams from
+	// N = 2^20 up (EXPERIMENTS.md, "Spending the ledger, round 4").
 	Delta float64 `json:"delta"`
 	// Lambda is the heaviness parameter λ; 0 means the Theorem 13 setting
 	// ε² / log³n (floored at DefaultLambdaFloor = 1/32 to keep test-scale
@@ -166,6 +174,10 @@ func (e *OnePassEstimator) Depth() (levels, deepestTracked, deepestCapacity int)
 	return e.sk.Levels(), deepestTracked, deepestCapacity
 }
 
+// Dims reports the CountSketch rows and buckets heavy.dims resolved for
+// every level of the stack.
+func (e *OnePassEstimator) Dims() (rows int, buckets uint64) { return e.sk.Dims() }
+
 // TwoPassEstimator approximates g-SUM with two passes over the stream.
 type TwoPassEstimator struct {
 	g     gfunc.Func
@@ -288,67 +300,3 @@ func (e *ExactEstimator) Estimate() float64 {
 
 // SpaceBytes reports the (linear) storage.
 func (e *ExactEstimator) SpaceBytes() int { return len(e.freq) * 16 }
-
-// MedianOnePass runs 2k+1 independent OnePass estimators and returns the
-// median estimate, the standard success-probability amplification from
-// 2/3 to 1 - exp(-Ω(k)).
-type MedianOnePass struct {
-	runs []*OnePassEstimator
-}
-
-// NewMedianOnePass builds copies independent one-pass estimators (copies
-// should be odd; it is incremented if even).
-func NewMedianOnePass(g gfunc.Func, opts Options, copies int) *MedianOnePass {
-	if copies < 1 {
-		copies = 1
-	}
-	if copies%2 == 0 {
-		copies++
-	}
-	o := opts.withDefaults()
-	rng := util.NewSplitMix64(o.Seed)
-	runs := make([]*OnePassEstimator, copies)
-	for i := range runs {
-		oi := o
-		oi.Seed = rng.Next()
-		runs[i] = NewOnePass(g, oi)
-	}
-	return &MedianOnePass{runs: runs}
-}
-
-// Update feeds one turnstile update to every copy.
-func (m *MedianOnePass) Update(item uint64, delta int64) {
-	for _, r := range m.runs {
-		r.Update(item, delta)
-	}
-}
-
-// UpdateBatch feeds a batch of turnstile updates to every copy.
-func (m *MedianOnePass) UpdateBatch(batch []stream.Update) {
-	for _, r := range m.runs {
-		r.UpdateBatch(batch)
-	}
-}
-
-// Process consumes an entire stream through the batched path.
-func (m *MedianOnePass) Process(s *stream.Stream) {
-	engine.Ingest(m, s.Updates(), 0)
-}
-
-// Estimate returns the median of the copies' estimates.
-func (m *MedianOnePass) Estimate() float64 {
-	ests := make([]float64, len(m.runs))
-	for i, r := range m.runs {
-		ests[i] = r.Estimate()
-	}
-	return util.MedianFloat64(ests)
-}
-
-// SpaceBytes reports the total storage across copies.
-func (m *MedianOnePass) SpaceBytes() int {
-	total := 0
-	for _, r := range m.runs {
-		total += r.SpaceBytes()
-	}
-	return total
-}

@@ -108,6 +108,9 @@ func TestExactEstimatorMatchesVector(t *testing.T) {
 	}
 }
 
+// TestMedianAmplification: Theorem 44's amplification needs no type of its
+// own — independent seeds and a median are the whole of it. (One sketch
+// with the same bytes in rows does better; EXPERIMENTS.md, round 4.)
 func TestMedianAmplification(t *testing.T) {
 	s := zipfStream(8)
 	g := gfunc.F2Func()
@@ -115,9 +118,13 @@ func TestMedianAmplification(t *testing.T) {
 	exact.Process(s)
 	truth := exact.Estimate()
 
-	m := NewMedianOnePass(g, Options{N: s.N(), M: 1 << 10, Eps: 0.25, Seed: 4}, 5)
-	m.Process(s)
-	if err := util.RelErr(m.Estimate(), truth); err > 0.3 {
+	ests := make([]float64, 5)
+	for i := range ests {
+		e := NewOnePass(g, Options{N: s.N(), M: 1 << 10, Eps: 0.25, Seed: 4 + uint64(i)})
+		e.Process(s)
+		ests[i] = e.Estimate()
+	}
+	if err := util.RelErr(util.MedianFloat64(ests), truth); err > 0.3 {
 		t.Errorf("median-of-5 relative error %.3f > 0.3", err)
 	}
 }

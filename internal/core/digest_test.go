@@ -18,10 +18,12 @@ import (
 // bit-identical and any later one has to be too, or change the digest on
 // purpose — as layout version 2 did (PR 21: 14 levels where there were
 // 21, one row-hash family for the stack, bucket and sign from one
-// polynomial value), under which it was re-recorded, once; CHANGES.md has
-// the values before and after.
+// polynomial value), under which it was re-recorded, once, and layout
+// version 3 (PR 27: heavy.dims' rows from the measured frontier, 5 rows of
+// 4096 buckets a level where there were 7), once more; CHANGES.md has the
+// values before and after each.
 func TestOnePassStateDigest(t *testing.T) {
-	const want = "41fb55ee0ee6582412b07b1cc99a009ecedb318edbde173cae3ccc0f3faa4f1a"
+	const want = "215f27a82da7940b966c9a4b652f5c487a749dab4620a5ef8ab943d1978cc799"
 	rng := util.NewSplitMix64(0x16d1635)
 	ups := make([]stream.Update, 1<<16)
 	for i := range ups {
@@ -33,7 +35,7 @@ func TestOnePassStateDigest(t *testing.T) {
 		}
 		ups[i] = stream.Update{Item: it, Delta: d}
 	}
-	// The options of the repo benchmark (bench/workloads.go): 7 rows of
+	// The options of the repo benchmark (bench/workloads.go): 5 rows of
 	// 4096 buckets per level.
 	e := NewOnePass(gfunc.F2Func(), Options{N: 1 << 20, M: 1 << 12, Eps: 0.25, Lambda: 1.0 / 16, Seed: 7})
 	half := len(ups) / 2
@@ -63,9 +65,10 @@ func TestOnePassStateDigest(t *testing.T) {
 // door: the same stream, fed the same three ways, at the benchmark's
 // dimensions. Recorded at efb0b66, before the cascade became one shared
 // batch plan (PR 19); re-recorded once with layout version 2 (PR 21),
-// which also made the kind fork its seeds as onepass does.
+// which also made the kind fork its seeds as onepass does, and once with
+// layout version 3 (PR 27, the sizing).
 func TestUniversalStateDigest(t *testing.T) {
-	const want = "b4f3e61465a5567d2c1458b65c63a11d85e7f6adf301ac7fd11630f72664f1a6"
+	const want = "5aed0f27a7db29a91692e6b7c194b3bb98e63fafe234546fcf50aeb31e83ff0d"
 	rng := util.NewSplitMix64(0x16d1635)
 	ups := make([]stream.Update, 1<<16)
 	for i := range ups {

@@ -86,17 +86,3 @@ func FuzzOffsetEstimatorUnmarshal(f *testing.F) {
 		_ = e.UnmarshalBinary(data) // must not panic
 	})
 }
-
-func FuzzMedianOnePassUnmarshal(f *testing.F) {
-	src := NewMedianOnePass(gfunc.F2Func(), fuzzOpts(), 3)
-	src.Update(5, 3)
-	valid, err := src.MarshalBinary()
-	if err != nil {
-		f.Fatal(err)
-	}
-	addSeeds(f, valid)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m := NewMedianOnePass(gfunc.F2Func(), fuzzOpts(), 3)
-		_ = m.UnmarshalBinary(data) // must not panic
-	})
-}

@@ -23,7 +23,6 @@ const (
 	twoPassEstMagic uint32 = 0x67535546 // "gSUF"
 	universalMagic  uint32 = 0x67535555 // "gSUU"
 	offsetMagic     uint32 = 0x6753554f // "gSUO"
-	medianMagic     uint32 = 0x6753554d // "gSUM"
 	exactMagic      uint32 = 0x67535558 // "gSUX"
 )
 
@@ -271,50 +270,6 @@ func (e *ExactEstimator) UnmarshalBinary(data []byte) error {
 	}
 	for i, it := range items {
 		e.Update(it, freqs[i])
-	}
-	return nil
-}
-
-// Fingerprint digests the copy count and each copy's configuration.
-func (m *MedianOnePass) Fingerprint() uint64 {
-	h := wire.Fingerprint(0, uint64(len(m.runs)))
-	for _, run := range m.runs {
-		h = wire.Fingerprint(h, run.Fingerprint())
-	}
-	return h
-}
-
-// MarshalBinary serializes every independent copy.
-func (m *MedianOnePass) MarshalBinary() ([]byte, error) {
-	var w wire.Writer
-	w.Header(medianMagic, m.Fingerprint())
-	w.U32(uint32(len(m.runs)))
-	for i, run := range m.runs {
-		blob, err := run.MarshalBinary()
-		if err != nil {
-			return nil, fmt.Errorf("core: MedianOnePass copy %d: %w", i, err)
-		}
-		w.Blob(blob)
-	}
-	return w.Bytes(), nil
-}
-
-// UnmarshalBinary adds a serialized shard into every copy (merge
-// semantics): the median of merged copies is the amplified estimate of
-// the union stream.
-func (m *MedianOnePass) UnmarshalBinary(data []byte) error {
-	r := wire.NewReader(data)
-	if err := r.Header(medianMagic, m.Fingerprint()); err != nil {
-		return fmt.Errorf("core: MedianOnePass: %w", err)
-	}
-	blobs, err := r.Blobs(len(m.runs))
-	if err != nil {
-		return fmt.Errorf("core: MedianOnePass: %w", err)
-	}
-	for i := range m.runs {
-		if err := m.runs[i].UnmarshalBinary(blobs[i]); err != nil {
-			return fmt.Errorf("core: MedianOnePass copy %d: %w", i, err)
-		}
 	}
 	return nil
 }

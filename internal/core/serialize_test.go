@@ -188,27 +188,6 @@ func TestOffsetEstimatorWireMergeEqualsSerial(t *testing.T) {
 	}
 }
 
-func TestMedianOnePassWireMergeEqualsSerial(t *testing.T) {
-	g := gfunc.F2Func()
-	s := wireStream(13)
-	opts := wireOpts(8)
-
-	serial := NewMedianOnePass(g, opts, 3)
-	serial.Process(s)
-
-	coord := NewMedianOnePass(g, opts, 3)
-	shardAndShip(t, s, func() interface {
-		Update(uint64, int64)
-		MarshalBinary() ([]byte, error)
-	} {
-		return NewMedianOnePass(g, opts, 3)
-	}, coord)
-
-	if a, b := serial.Estimate(), coord.Estimate(); a != b {
-		t.Errorf("wire-merged median estimate %.17g != serial %.17g", b, a)
-	}
-}
-
 func TestRoundTripAcrossConstructedPair(t *testing.T) {
 	// Marshal from one instance, unmarshal into a freshly built twin, and
 	// re-marshal: the twin's payload must equal the original, i.e. the

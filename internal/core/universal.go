@@ -125,6 +125,9 @@ func (u *Universal) Depth() (levels, deepestTracked, deepestCapacity int) {
 	return len(u.sub), deepestTracked, deepestCapacity
 }
 
+// Dims reports every level's CountSketch rows and buckets.
+func (u *Universal) Dims() (rows int, buckets uint64) { return recursive.DimsOf(u.levels) }
+
 // Merge folds another universal sketch (built with identical Options,
 // including Seed) into u, level by level — the distributed-sketching
 // mode of the Section 1.1.1 application.

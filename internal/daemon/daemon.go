@@ -123,14 +123,17 @@ type IngestRequest struct {
 
 // ConfigInfo is the /v1/config response: the full normalized Spec, its
 // fingerprint, ingestion/space counters, and — for the kinds that are one
-// recursive stack — the number of subsampling levels Spec.Options.Levels
-// resolved to (0 in the Spec means depth from capacity).
+// recursive stack — the sizing it resolved to: subsampling levels (0 in the
+// Spec means depth from capacity) and each level's rows, buckets, tracker.
 type ConfigInfo struct {
 	Spec        backend.Spec `json:"spec"`
 	Fingerprint uint64       `json:"fingerprint"`
 	Ingested    uint64       `json:"ingested"`
 	SpaceBytes  int          `json:"space_bytes"`
 	Levels      int          `json:"levels,omitempty"`
+	Rows        int          `json:"rows,omitempty"`
+	Buckets     uint64       `json:"buckets,omitempty"`
+	Tracker     int          `json:"tracker,omitempty"`
 }
 
 // CheckRequest is the POST /v1/config body: the sender's Spec
@@ -267,7 +270,8 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 			resp = ConfigInfo{Spec: s.spec, Fingerprint: s.fp,
 				Ingested: s.ingests, SpaceBytes: s.est.SpaceBytes()}
 			if l, ok := s.est.(backend.Layered); ok {
-				resp.Levels, _, _ = l.Depth()
+				resp.Levels, _, resp.Tracker = l.Depth()
+				resp.Rows, resp.Buckets = l.Dims()
 			}
 		})
 		writeJSON(w, http.StatusOK, resp)

@@ -196,18 +196,22 @@ func newServerMetrics(s *Server) *serverMetrics {
 		// The depth rule's assumption, live: tracked below capacity on the
 		// deepest level means it holds its whole sub-universe. s.est is
 		// read under the lock: a restore or a rebuild swaps it.
-		depth := func(pick func(levels, tracked, capacity int) int) func() float64 {
+		layered := func(pick func(l backend.Layered) int) func() float64 {
 			return func() (v float64) {
-				s.locked(func() { v = float64(pick(s.est.(backend.Layered).Depth())) })
+				s.locked(func() { v = float64(pick(s.est.(backend.Layered))) })
 				return v
 			}
 		}
 		reg.GaugeFunc("gsumd_sketch_levels", "subsampling levels below level 0 in the recursive sketch (Options.Levels, resolved)",
-			depth(func(levels, _, _ int) int { return levels }))
+			layered(func(l backend.Layered) int { levels, _, _ := l.Depth(); return levels }))
 		reg.GaugeFunc("gsumd_sketch_deepest_tracked", "candidates the deepest level's tracker holds; below gsumd_sketch_deepest_capacity, that level sees its whole sub-universe",
-			depth(func(_, tracked, _ int) int { return tracked }))
+			layered(func(l backend.Layered) int { _, tracked, _ := l.Depth(); return tracked }))
 		reg.GaugeFunc("gsumd_sketch_deepest_capacity", "candidates one level's tracker can hold",
-			depth(func(_, _, capacity int) int { return capacity }))
+			layered(func(l backend.Layered) int { _, _, capacity := l.Depth(); return capacity }))
+		reg.GaugeFunc("gsumd_sketch_rows", "CountSketch rows in every level (heavy.dims, from Options.Delta)",
+			layered(func(l backend.Layered) int { rows, _ := l.Dims(); return rows }))
+		reg.GaugeFunc("gsumd_sketch_buckets", "CountSketch buckets a row in every level (heavy.dims, from Lambda, Eps and the envelope)",
+			layered(func(l backend.Layered) int { _, buckets := l.Dims(); return int(buckets) }))
 	}
 	if hp, ok := s.est.(*hotpath.ShardedEstimator); ok {
 		// The shard count is fixed at Open: no state lock needed, and a

@@ -336,15 +336,17 @@ func TestPusherMetrics(t *testing.T) {
 	}
 }
 
-// TestSketchDepthIsObservable: the depth Options.Levels = 0 resolved to,
-// and the assumption it rests on — the deepest level tracking fewer
-// candidates than it can, i.e. all of its sub-universe — are on
-// /v1/config and /metrics of every kind that is one recursive stack, read
-// from whatever estimator the daemon holds now (a restore swaps it), and
-// absent from a kind that is not.
+// TestSketchDepthIsObservable: the sizing the Spec resolved to — the depth
+// Options.Levels = 0 stands for, and every level's rows, buckets and
+// tracker capacity as heavy.dims sized them — and the assumption the depth
+// rests on — the deepest level tracking fewer candidates than it can, i.e.
+// all of its sub-universe — are on /v1/config and /metrics of every kind
+// that is one recursive stack, read from whatever estimator the daemon
+// holds now (a restore swaps it), and absent from a kind that is not.
 func TestSketchDepthIsObservable(t *testing.T) {
 	// Trackers of 2H/(λ/3) + 1 = 385 over N = 2^12: ⌈log2(4096/385)⌉ + 1 = 5.
-	const levels, capacity = 5, 385
+	// ⌈2 ln(1/(δ/2))⌉ = 5 rows of 16H/(λ/3) = 3072 buckets, rounded up.
+	const levels, capacity, rows, buckets = 5, 385, 5, 4096
 	whole := make([]stream.Update, 1<<12)
 	for i := range whole {
 		whole[i] = stream.Update{Item: uint64(i), Delta: 1}
@@ -363,6 +365,11 @@ func TestSketchDepthIsObservable(t *testing.T) {
 			t.Errorf("%s: /v1/config shows Spec levels %d resolved to %d, want 0 resolved to %d", spec.Kind, info.Spec.Options.Levels, info.Levels, levels)
 		}
 		sc := scrape(t, c.Base())
+		if info.Rows != rows || info.Buckets != buckets || info.Tracker != capacity ||
+			mustValue(t, sc, "gsumd_sketch_rows") != rows || mustValue(t, sc, "gsumd_sketch_buckets") != buckets {
+			t.Errorf("%s: /v1/config shows %d rows of %d buckets over a tracker of %d, /metrics %v of %v; want %d of %d over %d on both",
+				spec.Kind, info.Rows, info.Buckets, info.Tracker, mustValue(t, sc, "gsumd_sketch_rows"), mustValue(t, sc, "gsumd_sketch_buckets"), rows, buckets, capacity)
+		}
 		if l, tr, cp := mustValue(t, sc, "gsumd_sketch_levels"), mustValue(t, sc, "gsumd_sketch_deepest_tracked"),
 			mustValue(t, sc, "gsumd_sketch_deepest_capacity"); l != levels || tr != 0 || cp != capacity {
 			t.Errorf("%s: empty daemon reports levels %v, deepest tracked %v of %v; want %d, 0 of %d", spec.Kind, l, tr, cp, levels, capacity)
@@ -393,7 +400,7 @@ func TestSketchDepthIsObservable(t *testing.T) {
 	if _, ok := scrape(t, c.Base()).Value("gsumd_sketch_levels"); ok {
 		t.Error("the window kind is many stacks, not one, and reports a depth")
 	}
-	if info, err := c.Config(); err != nil || info.Levels != 0 {
-		t.Errorf("window /v1/config: levels %d, err %v", info.Levels, err)
+	if info, err := c.Config(); err != nil || info.Levels != 0 || info.Rows != 0 || info.Buckets != 0 || info.Tracker != 0 {
+		t.Errorf("window /v1/config: levels %d, %d rows of %d buckets over %d, err %v", info.Levels, info.Rows, info.Buckets, info.Tracker, err)
 	}
 }

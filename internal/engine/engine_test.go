@@ -28,7 +28,6 @@ var (
 	_ engine.BatchSketcher = (*core.OnePassEstimator)(nil)
 	_ engine.BatchSketcher = (*core.ExactEstimator)(nil)
 	_ engine.BatchSketcher = (*core.Universal)(nil)
-	_ engine.BatchSketcher = (*core.MedianOnePass)(nil)
 
 	_ engine.Mergeable[*sketch.CountSketch]    = (*sketch.CountSketch)(nil)
 	_ engine.Mergeable[*sketch.AMS]            = (*sketch.AMS)(nil)
@@ -269,12 +268,9 @@ func TestOneHashPerBatch(t *testing.T) {
 	for name, sk := range stacks {
 		engine.Ingest(sk, updates, len(updates))
 		h := hashingOf(sk)
-		shards, rows := 1, 7 // 2 ln(2/(δ/2)) rows at δ = 0.2; the two-pass sketch takes δ whole: 5
-		switch name {
-		case "sharded":
+		shards, rows := 1, 5 // ⌈2 ln(1/(δ/2))⌉ rows at δ = 0.2; the two-pass sketch takes δ whole: ⌈3.2⌉ made odd
+		if name == "sharded" {
 			shards = 3
-		case "twopass":
-			rows = 5
 		}
 		if len(h.families) != shards || len(h.plans) != shards {
 			t.Errorf("%s: %d row-hash families and %d batch plans over %d stacks, want one of each a stack", name, len(h.families), len(h.plans), shards)

@@ -9,6 +9,11 @@
 //     from Appendix D.1;
 //   - an exact baseline for ground truth in tests and experiments.
 //
+// Sizing: dims turns (λ, ε, δ, H) into rows, buckets and tracked candidates
+// for both algorithms — the analysis' forms, constants measured by the
+// sizing frontier (frontier_test.go; EXPERIMENTS.md "Spending the ledger,
+// round 4"). Moving one moves what every Spec opens: a wire.Version bump.
+//
 // Layer: the algorithm layer of ARCHITECTURE.md, between the raw
 // sketches and the recursive sketch.
 // Seed discipline: all hash state forks from the constructor rng in

@@ -21,15 +21,6 @@ type Entry struct {
 // (g, λ)-heavy hitter, each with weight within (1±ε) of g(|v_i|).
 type Cover []Entry
 
-// Items returns the item identities in the cover.
-func (c Cover) Items() []uint64 {
-	out := make([]uint64, len(c))
-	for i, e := range c {
-		out[i] = e.Item
-	}
-	return out
-}
-
 // Contains reports whether the cover includes the item.
 func (c Cover) Contains(item uint64) bool {
 	for _, e := range c {
@@ -125,10 +116,49 @@ func GSumExact(g gfunc.Func, freqs map[uint64]int64) float64 {
 	return s
 }
 
+// sizing holds dims' constants. The forms they sit in are the analysis';
+// the values are priced — the sizing frontier (frontier_test.go) walked
+// them down until the (ε, δ) guarantee stopped holding, EXPERIMENTS.md
+// "Spending the ledger, round 4" — and one variable, so that the frontier's
+// test-only hook can set them. Nothing else writes it.
+type sizing struct {
+	rows     int     // 0: from δ, as dims says; the hook sets a count outright
+	idWidth  float64 // buckets: the larger of idWidth · H/λ (telling a heavy item from the
+	epsWidth float64 // tail) and epsWidth · H/(λε²) (its frequency to 1±ε), rounded by dims
+	tracker  float64 // candidates = ⌈tracker · H/λ⌉ + 1
+}
+
+var dimsSizing = sizing{
+	// The analysis': a point query errs by about √(F2/b), so b ∝ H/λ finds
+	// a λ/H-heavy item and b ∝ H/(λε²) reads it to 1±ε. Measured: sizing
+	// v2's 16 and 1, kept. Every N = 2^14 cell clears 1 − δ at a quarter of
+	// this width; the flat stream at N = 2^20 clears at half of it and
+	// loses the aggregate on 40 seeds of 40 at a quarter (the pruning
+	// window's residual, OnePass.ErrorWindow) — a 2x margin here, none at
+	// half, which is also where the referee's short seeds and the sweep's
+	// smoke matrix stop agreeing with their records.
+	idWidth: 16, epsWidth: 1,
+	// The analysis': at most H/λ items are λ/H-heavy for F2; twice that
+	// rides out the tracker's churn. Measured to be the cheap side — a
+	// stack's depth follows it (recursive.Depth), so half the tracker is
+	// one more level of counters, and less accurate: v2's 2 stays.
+	tracker: 2,
+}
+
 // dims computes CountSketch dimensions for a heavy-hitter configuration:
 // rows from the failure probability, buckets from the heaviness and
-// envelope parameters. widthFactor scales the bucket count (experiments
-// sweep it; 1.0 is the theoretically shaped default).
+// envelope parameters, by dimsSizing's forms.
+//
+// Rows are ⌈2 ln(1/δ)⌉, at least 5, made odd for a true median. The
+// analysis': a median fails when half its rows do, so c·ln(1/δ). Measured:
+// c = 2 — 5 rows at Algorithm 2's δ/2 = 0.1, where sizing v2's ⌈2 ln(2/δ)⌉
+// gave 7 — and the floor: every N = 2^14 cell clears 1 − δ at 3 rows, the
+// flat stream at N = 2^20 needs the 5.
+//
+// widthFactor scales the bucket count before the one rounding there is —
+// up to a power of two (a row's bucket is a mask; at least 8) — so the
+// sketch is never narrower than asked for, and factors less than 2x apart
+// can build the same one.
 func dims(lambda, eps, delta, h, widthFactor float64) (rows int, buckets uint64, topk int) {
 	if lambda <= 0 || lambda > 1 {
 		panic("heavy: lambda must be in (0, 1]")
@@ -136,22 +166,12 @@ func dims(lambda, eps, delta, h, widthFactor float64) (rows int, buckets uint64,
 	if h < 1 {
 		h = 1
 	}
-	rows = int(math.Ceil(2 * math.Log(2/delta)))
-	if rows < 5 {
-		rows = 5
+	z := dimsSizing
+	if rows = z.rows; rows == 0 {
+		rows = max(5, int(math.Ceil(2*math.Log(1/delta)))) | 1
 	}
-	if rows%2 == 0 {
-		rows++ // odd row count gives a true median
-	}
-	// Buckets: a λ/H-heavy item for F2 has v² >= (λ/H) F2, and the point
-	// query errs by ~ sqrt(F2/b), so identification needs b ≳ 16 H/λ and
-	// (1±ε) frequency accuracy on heavy items needs b ≳ H/(λ ε²).
-	b := widthFactor * math.Max(16*h/lambda, h/(lambda*eps*eps))
-	if b < 8 {
-		b = 8
-	}
-	buckets = util.NextPow2(uint64(b))
-	// Candidates tracked: all items that could be λ/H-heavy for F2.
-	topk = int(math.Ceil(2*h/lambda)) + 1
+	b := widthFactor * math.Max(z.idWidth*h/lambda, z.epsWidth*h/(lambda*eps*eps))
+	buckets = util.NextPow2(uint64(max(b, 8)))
+	topk = int(math.Ceil(z.tracker*h/lambda)) + 1
 	return rows, buckets, topk
 }

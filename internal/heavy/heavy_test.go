@@ -31,35 +31,63 @@ func TestExactHeavyDefinition(t *testing.T) {
 	}
 }
 
+// TestOnePassCoverFindsExactHeavy holds Algorithm 2 to Definition 12 at
+// the rate it is promised at, in the referee's form: over 100 seeded
+// (stream, sketch) pairs at δ = 0.1, H — every (g, λ)-heavy hitter of
+// ExactHeavy in the cover with its weight in 1 ± ε — and the aggregate
+// form of D — H, and Σ|w − g(v)| over the cover within ε of the stream's
+// g-SUM, which is all Theorem 13's sum takes from a cover (EXPERIMENTS.md,
+// "Spending the ledger, round 4") — must each reach the lower
+// Bin(100, 0.9) quantile at 10^−6. The per-entry form of D, every cover
+// entry in 1 ± ε, is recorded, not held to the rate: it is what moved
+// when the sizing did (the entries it loses are frequency-2 and -3 items
+// read one unit off, see OnePass.ErrorWindow), and the counts at sizing
+// v2 and at the shipped one are constants of the commit.
 func TestOnePassCoverFindsExactHeavy(t *testing.T) {
+	const (
+		seeds       = 100
+		lambda, eps = 0.05, 0.25
+		delta       = 0.1
+	)
 	g := gfunc.F2Func()
-	for seed := uint64(1); seed <= 5; seed++ {
-		s, freqs := skewedStream(seed)
-		lambda := 0.05
-		h := gfunc.MeasureEnvelope(g, 1<<10).H()
-		op := NewOnePass(OnePassConfig{G: g, Lambda: lambda, Eps: 0.25, Delta: 0.1, H: h},
-			util.NewSplitMix64(seed*31))
-		s.Each(func(u stream.Update) { op.Update(u.Item, u.Delta) })
-		cover := op.Cover()
-
-		want := ExactHeavy(g, lambda, freqs)
-		for _, e := range want {
-			if !cover.Contains(e.Item) {
-				t.Errorf("seed %d: (g,λ)-heavy item %d (weight %.4g) missing from 1-pass cover",
-					seed, e.Item, e.Weight)
+	h := gfunc.MeasureEnvelope(g, 1<<10).H()
+	floor := 0 // the lower Bin(seeds, 1 − δ) quantile at 10^−6, as the referee's floors are
+	for 1-BinomialTail(seeds, floor+1, 1-delta) <= 1e-6 {
+		floor++
+	}
+	for _, tc := range []struct {
+		sizing   string
+		perEntry int // seeds on which every cover entry is in 1 ± ε
+	}{
+		{"v2", 99},  // ⌈2 ln(2/0.05)⌉ made odd = 9 rows × 4096, tracker 481
+		{"v3", 100}, // 7 × 4096, tracker 481
+	} {
+		restore := func() {}
+		if tc.sizing == "v2" {
+			restore = SetSizing(9, 1, 2)
+		}
+		var hits [3]int
+		for seed := uint64(1); seed <= seeds; seed++ {
+			s, freqs := skewedStream(seed)
+			op := NewOnePass(OnePassConfig{G: g, Lambda: lambda, Eps: eps, Delta: delta, H: h},
+				util.NewSplitMix64(seed*31))
+			s.Each(func(u stream.Update) { op.Update(u.Item, u.Delta) })
+			for ev, ok := range CoverEvents(g, op.Cover(), ExactHeavy(g, lambda, freqs), func(it uint64) int64 { return freqs[it] }, eps, GSumExact(g, freqs)) {
+				if ok {
+					hits[ev]++
+				}
 			}
 		}
-		// Weights of covered true-heavy items must be within (1±ε).
-		for _, e := range cover {
-			f, ok := freqs[e.Item]
-			if !ok {
-				continue
-			}
-			trueW := g.Eval(uint64(util.AbsInt64(f)))
-			if trueW > 0 && util.RelErr(e.Weight, trueW) > 0.25 {
-				t.Errorf("seed %d: weight of %d is %.4g, want %.4g (err > ε)",
-					seed, e.Item, e.Weight, trueW)
-			}
+		heavyOK, aggOK, entryOK := hits[EvH], hits[EvAgg], hits[EvD]
+		restore()
+		t.Logf("sizing %s: H %d, aggregate D %d, per-entry D %d of %d seeds (floor %d)", tc.sizing, heavyOK, aggOK, entryOK, seeds, floor)
+		if heavyOK < floor || aggOK < floor {
+			t.Errorf("sizing %s: H on %d and aggregate D on %d of %d seeds; Bin(%d, %v) is below %d with probability 1e-6",
+				tc.sizing, heavyOK, aggOK, seeds, seeds, 1-delta, floor)
+		}
+		if entryOK != tc.perEntry {
+			t.Errorf("sizing %s: every cover entry in 1 ± ε on %d of %d seeds, recorded %d: something changed what the sketch computes",
+				tc.sizing, entryOK, seeds, tc.perEntry)
 		}
 	}
 }
@@ -187,9 +215,44 @@ func TestCoverHelpers(t *testing.T) {
 	if c.WeightSum() != 8 {
 		t.Errorf("WeightSum = %v, want 8", c.WeightSum())
 	}
-	items := c.Items()
-	if len(items) != 2 {
-		t.Errorf("Items = %v", items)
+}
+
+// TestDimsTable pins the shipped sizing: rows ⌈2 ln(1/δ)⌉, at least 5,
+// made odd; buckets the power of two at or above widthFactor ·
+// max(16H/λ, H/(λε²)) (at least 8); candidates ⌈2H/λ⌉ + 1. One rounding,
+// upward, so a width factor never builds a narrower sketch than it names
+// and factors a power of two apart never build the same one.
+func TestDimsTable(t *testing.T) {
+	for _, tc := range []struct {
+		lambda, eps, delta, h, wf float64
+		rows                      int
+		buckets                   uint64
+		topk                      int
+	}{
+		// The benchmark's level: Algorithm 2 at ε 0.25, δ 0.2 → δ/2,
+		// λ 1/16 → λ/3, H 4. Sizing v2 built 7 rows of the same.
+		{1.0 / 48, 0.25, 0.1, 4, 1, 5, 4096, 385},        // 3072
+		{1.0 / 48, 0.25, 0.1, 4, 2, 5, 8192, 385},        // 6144
+		{1.0 / 48, 0.25, 0.1, 4, 0.75, 5, 4096, 385},     // 2304: the plateau under 1 ends at 2/3
+		{1.0 / 48, 0.25, 0.1, 4, 0.5, 5, 2048, 385},      // 1536
+		{1.0 / 48, 0.25, 0.1, 4, 0.375, 5, 2048, 385},    // 1152
+		{1.0 / 48, 0.25, 0.1, 4, 0.25, 5, 1024, 385},     // 768
+		{1.0 / 48, 0.25, 0.1, 4, 0.001, 5, 8, 385},       // the floor
+		{1.0 / 48, 0.25, 0.1, 0.5, 1, 5, 1024, 97},       // H below 1 is 1: 768
+		{1.0 / 48, 0.1, 0.1, 4, 1, 5, 32768, 385},        // ε takes over below 1/4: 19200
+		{1.0 / 48, 0.25, 0.05, 4, 1, 7, 4096, 385},       // δ 0.1 → δ/2: ⌈5.99⌉ = 6, made odd; v2 9
+		{1.0 / 48, 0.25, 0.005, 4, 1, 11, 4096, 385},     // ⌈10.6⌉; v2 13
+		{1.0 / 48, 0.25, 0.45, 4, 1, 5, 4096, 385},       // ⌈1.6⌉ = 2: the floor of 5
+		{1.0 / 32, 1.0 / 3, 0.2, 4, 1, 5, 2048, 257},     // Algorithm 1 at the same options: λ/2, ε = 1/3, δ whole; as v2
+		{1.0 / 32, 1.0 / 3, 0.2, 3.998, 1, 5, 2048, 257}, // x²'s measured envelope at M = 2^12: 2047; as v2
+		{1.0 / 60, 0.25, 0.05, 4, 1, 7, 4096, 481},       // heavy_test.go's skewed stream (λ 0.05, δ 0.1): 3840; v2 9 rows
+		{1, 0.25, 0.1, 1, 1, 5, 16, 3},                   // λ = 1
+	} {
+		rows, buckets, topk := dims(tc.lambda, tc.eps, tc.delta, tc.h, tc.wf)
+		if rows != tc.rows || buckets != tc.buckets || topk != tc.topk {
+			t.Errorf("dims(λ %.4g, ε %.3g, δ %v, H %v, width %v) = %d rows × %d buckets, %d candidates; want %d × %d, %d",
+				tc.lambda, tc.eps, tc.delta, tc.h, tc.wf, rows, buckets, topk, tc.rows, tc.buckets, tc.topk)
+		}
 	}
 }
 

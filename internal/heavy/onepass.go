@@ -96,6 +96,21 @@ func (o *OnePass) Apply(b *sketch.Batch) {
 // F̂2 comes from the CountSketch row norms (an AMS-equivalent estimator;
 // see sketch.CountSketch.EstimateF2), so Algorithm 2 needs no second
 // structure.
+//
+// A blind spot, measured (EXPERIMENTS.md, "Spending the ledger, round 4"):
+// the residual is F̂2 less the tracked candidates' squares. (1) A tracker
+// holding every item of the stream leaves 0 and no window, yet tracked
+// items share a row's bucket with each other with probability about k/b
+// (0.07 at the 300/4096 of heavy_test.go's skewed stream, 0.15 at half
+// that width; 0.09 and 0.19 at the benchmark level's 385), and a
+// frequency-2 or -3 item with most rows shared reads a unit off, outside
+// 1 ± ε: an entry in a thousand at the narrower width. (2) On a flat
+// stream the candidates are the largest of 10^5 noisy estimates: their
+// squares are a third of F̂2 at 5 × 4096 (0.30–0.34 from 2^18 to 2^22
+// items; a quarter at v2's 7 rows), two thirds at 5 × 2048, and past 1 —
+// window 0, nothing pruned, the estimate lost — at 5 × 1024 or 3 × 2048.
+// Light entries in (1): Σ|w − g(v)| over the cover stays inside ε·g-SUM,
+// all Theorem 13 takes from a cover, and what the tests hold.
 func (o *OnePass) ErrorWindow() int64 {
 	return o.errorWindow(o.cs.TopK())
 }
@@ -178,6 +193,9 @@ func (o *OnePass) AdoptRowHashes(from any) {
 		o.cs.ShareRowHashes(f.cs)
 	}
 }
+
+// Dims returns the CountSketch's rows and buckets, as dims resolved them.
+func (o *OnePass) Dims() (rows int, buckets uint64) { return o.cs.Rows(), o.cs.Buckets() }
 
 // Tracked returns how many candidates the tracker holds now; below
 // Capacity, every item the substream has carried is among them.

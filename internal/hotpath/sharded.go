@@ -217,6 +217,9 @@ func (se *ShardedEstimator) Depth() (levels, deepestTracked, deepestCapacity int
 	return levels, deepestTracked, deepestCapacity
 }
 
+// Dims reports the shards' common per-level CountSketch rows and buckets.
+func (se *ShardedEstimator) Dims() (rows int, buckets uint64) { return se.shards[0].Dims() }
+
 // Fingerprint is the shards' common seed fingerprint (they are
 // identically configured), which is also the fingerprint of the merged
 // snapshot MarshalBinary emits.

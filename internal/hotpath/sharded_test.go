@@ -283,7 +283,7 @@ func TestShardedConfigErrors(t *testing.T) {
 
 // TestShardedUpdateBatchSteadyStateAllocFree is the allocation gate of
 // the routed synchronous path at the repo benchmark's dimensions (bench/
-// workloads.go: two shards of 20 levels x 7 x 4096 counters, batches of
+// workloads.go: two shards of 14 levels x 5 x 4096 counters, batches of
 // 4096): once the route buffers and each shard's collapsed batch have
 // grown, a batch allocates nothing.
 func TestShardedUpdateBatchSteadyStateAllocFree(t *testing.T) {

@@ -61,13 +61,19 @@ func (bareSketcher) SpaceBytes() int      { return 0 }
 func TestStacksAgreeOnDepth(t *testing.T) {
 	g := gfunc.F2Func()
 	// The benchmark's options: trackers of 2H/(λ/3) + 1 = 385 one-pass and
-	// 2H/(λ/2) + 1 = 257 two-pass candidates over N = 2^20.
+	// 2H/(λ/2) + 1 = 257 two-pass candidates over N = 2^20 — the sizing
+	// frontier left heavy.dims' tracker where it was (a smaller one is a
+	// deeper stack, and more bytes), so the depths are sizing v2's while a
+	// level went from 7 rows of 4096 to 5.
 	opts := core.Options{N: 1 << 20, M: 1 << 12, Eps: 0.25, Lambda: 1.0 / 16, Seed: 7}
 	opts.Envelope = core.EnvelopeFor(g, opts)
 	one := heavy.NewOnePass(heavy.OnePassConfig{G: g, Lambda: opts.Lambda, Eps: 0.25, Delta: 0.2, H: opts.Envelope}, util.NewSplitMix64(1))
 	two := heavy.NewTwoPass(heavy.TwoPassConfig{G: g, Lambda: opts.Lambda, Delta: 0.2, H: opts.Envelope}, util.NewSplitMix64(1))
 	if one.Capacity() != 385 || two.Capacity() != 257 {
 		t.Fatalf("capacities %d and %d, want 385 and 257", one.Capacity(), two.Capacity())
+	}
+	if rows, buckets := one.Dims(); rows != 5 || buckets != 4096 {
+		t.Fatalf("a one-pass level of %d rows × %d buckets, want 5 × 4096", rows, buckets)
 	}
 	wantOne, wantTwo := recursive.Depth(opts.N, 0, 385), recursive.Depth(opts.N, 0, 257)
 	if wantOne != 13 || wantTwo != 13 {

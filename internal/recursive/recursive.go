@@ -182,11 +182,23 @@ func (s *Sketch) SpaceBytes() int {
 // Levels returns the number of subsampling levels (excluding level 0).
 func (s *Sketch) Levels() int { return len(s.sub) }
 
+// Dims reports every level's CountSketch rows and buckets (see DimsOf).
+func (s *Sketch) Dims() (rows int, buckets uint64) { return DimsOf(s.levels) }
+
 // Deepest reports how many candidates the deepest level's sketcher tracks
 // and how many it can (both 0 if it does not say): tracked below capacity
 // is the condition the stack's depth was chosen for (Depth), read in O(1).
 func (s *Sketch) Deepest() (tracked, capacity int) {
 	return DeepestOf(s.levels)
+}
+
+// DimsOf reports the rows and buckets of a stack's level sketchers (0 if
+// they do not say): BuildLevels makes every level alike, so level 0's.
+func DimsOf[S any](levels []S) (rows int, buckets uint64) {
+	if d, ok := any(levels[0]).(interface{ Dims() (int, uint64) }); ok {
+		return d.Dims()
+	}
+	return 0, 0
 }
 
 // DeepestOf is Deepest for any stack's level sketchers.

@@ -126,7 +126,7 @@ func TestSpaceBytesAggregates(t *testing.T) {
 }
 
 // benchLevel is the level sketcher of the repository's benchmark options
-// (g = x², λ = 1/16, H = 4): 7 rows of 4096 buckets over a tracker of 385.
+// (g = x², λ = 1/16, H = 4): 5 rows of 4096 buckets over a tracker of 385.
 func benchLevel(rng *util.SplitMix64) func(int) heavy.Sketcher {
 	return func(int) heavy.Sketcher {
 		return heavy.NewOnePass(heavy.OnePassConfig{G: gfunc.F2Func(), Lambda: 1.0 / 16, Eps: 0.25, Delta: 0.2, H: 4}, rng.Fork())

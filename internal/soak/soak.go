@@ -218,8 +218,14 @@ func Run(cfg Config) (*Report, error) {
 	// The soak's load is benign — under a hundred items a worker — so the
 	// assumption the sketch's depth rests on must hold on every node at
 	// every scrape: the deepest level tracks fewer candidates than it can,
-	// i.e. all of its sub-universe (kinds that are not one recursive stack,
-	// the window kind here, have no such gauge).
+	// i.e. all of its sub-universe. And the sizing gauges say what a fresh
+	// Open of the Spec resolves (heavy.dims), whatever a rebuild swapped in.
+	// Kinds that are not one recursive stack, the window kind here, have no
+	// such gauges.
+	ref, err := backend.Open(spec)
+	if err != nil {
+		return nil, err
+	}
 	checkDeepest := func(name string, sc *metrics.Scrape) error {
 		tracked, ok := sc.Value("gsumd_sketch_deepest_tracked")
 		if !ok {
@@ -227,6 +233,11 @@ func Run(cfg Config) (*Report, error) {
 		}
 		if capacity, _ := sc.Value("gsumd_sketch_deepest_capacity"); tracked >= capacity {
 			return fmt.Errorf("soak: %s: deepest level tracks %v candidates of a capacity of %v under benign load", name, tracked, capacity)
+		}
+		rows, _ := sc.Value("gsumd_sketch_rows")
+		buckets, _ := sc.Value("gsumd_sketch_buckets")
+		if r, b := ref.(backend.Layered).Dims(); rows != float64(r) || buckets != float64(b) {
+			return fmt.Errorf("soak: %s: reports %v rows of %v buckets, the Spec opens as %d of %d", name, rows, buckets, r, b)
 		}
 		return nil
 	}

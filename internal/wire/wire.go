@@ -16,7 +16,10 @@ import (
 //	   (recursive.Depth), its levels evaluate one row-hash family,
 //	   level 0's (sketch.CountSketch.ShareRowHashes), and a row reads an
 //	   item's bucket and sign off one polynomial value (xhash.Sign.Bucket).
-const Version uint16 = 2
+//	3: the same Spec is a smaller sketch: heavy.dims takes its rows from
+//	   the measured sizing frontier (5 rows of 4096 buckets a level at the
+//	   benchmark's options, where version 2 built 7).
+const Version uint16 = 3
 
 // Fingerprint folds v into a running 64-bit digest h. It is a
 // splittable-mix step (multiply-xorshift), order sensitive, used to
