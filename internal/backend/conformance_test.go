@@ -342,8 +342,7 @@ func TestConformance(t *testing.T) {
 // the parent commit. A layout change that redraws hash functions redraws
 // every count, so single cells are held to the theorem only; the row's
 // totals, inside εG and inside εG/4, may fall below the parent's by no more
-// than confFalseFail allows two draws at the parent's rate to differ: 4.9
-// standard deviations of the difference of two Bin(trials, p̂).
+// than parentSlack.
 func checkAgainstParent(t *testing.T, key string, trials int, cell, parent confCell) {
 	t.Helper()
 	sum := func(v []int) (n int) {
@@ -363,10 +362,52 @@ func checkAgainstParent(t *testing.T, key string, trials int, cell, parent confC
 		rows[0].was, rows[1].was = sum(parent.shortHits), parent.shortTight
 	}
 	for _, r := range rows {
-		p := float64(r.was) / float64(trials)
-		slack := int(math.Ceil(4.9 * math.Sqrt(2*float64(trials)*p*(1-p))))
-		if r.now < r.was-slack {
+		if slack := parentSlack(trials, r.was); r.now < r.was-slack {
 			t.Errorf("%s: %d of %d estimates inside %s, e907d1a had %d (slack %d)", key, r.now, trials, r.what, r.was, slack)
+		}
+	}
+}
+
+// parentSlack is how far a row's count may fall below the parent's was of
+// trials: as far as confFalseFail allows two draws at the parent's rate p̂ to
+// differ, 4.9 standard deviations of the difference of two Bin(trials, p̂).
+// At p̂ = 0 or 1 that variance is 0, and any draw but the parent's own would
+// fail; a count of 0 or trials says only that the rate is within 3/trials of
+// it (the rule of three, 95%), so there the variance is taken at that rate.
+func parentSlack(trials, was int) int {
+	p := float64(was) / float64(trials)
+	if was == 0 || was == trials {
+		p = 3 / float64(trials)
+	}
+	return int(math.Ceil(4.9 * math.Sqrt(2*float64(trials)*p*(1-p))))
+}
+
+// TestParentSlack: a full (or empty) parent row gets the rule-of-three
+// slack, and every row strictly between keeps the slack it had.
+func TestParentSlack(t *testing.T) {
+	for _, tc := range []struct {
+		trials, was, now, slack int
+		pass                    bool
+	}{
+		{100, 100, 97, 12, true},
+		{100, 100, 70, 12, false},
+		{400, 400, 399, 12, true},
+		{400, 400, 388, 12, true},
+		{400, 400, 387, 12, false},
+		// 0 < p̂ < 1: 4.9·sqrt(2·trials·p̂(1−p̂)), as before the rule of three.
+		{400, 399, 392, 7, true},
+		{400, 399, 391, 7, false},
+		{100, 97, 85, 12, true},
+		{400, 308, 249, 59, true},
+		{400, 308, 248, 59, false},
+	} {
+		slack := parentSlack(tc.trials, tc.was)
+		if old := int(math.Ceil(4.9 * math.Sqrt(2*float64(tc.was)*(1-float64(tc.was)/float64(tc.trials))))); tc.was > 0 && tc.was < tc.trials && slack != old {
+			t.Errorf("parentSlack(%d, %d) = %d, the 0 < p̂ < 1 formula gives %d", tc.trials, tc.was, slack, old)
+		}
+		if slack != tc.slack || (tc.now >= tc.was-slack) != tc.pass {
+			t.Errorf("parentSlack(%d, %d) = %d, want %d; %d of %d passes = %v, want %v",
+				tc.trials, tc.was, slack, tc.slack, tc.now, tc.trials, tc.now >= tc.was-slack, tc.pass)
 		}
 	}
 }
