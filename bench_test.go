@@ -301,7 +301,7 @@ func BenchmarkAblationPruning(b *testing.B) {
 					if !ok {
 						continue
 					}
-					trueW := g.Eval(uint64(util.AbsInt64(f)))
+					trueW := g.Eval(uint64(util.SatAbsInt64(f)))
 					if e := util.RelErr(entry.Weight, trueW); e > worst {
 						worst = e
 					}

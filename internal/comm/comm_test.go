@@ -25,7 +25,7 @@ func (x *exactEstimator) Update(item uint64, delta int64) { x.e.Update(item, del
 func (x *exactEstimator) Estimate() float64 {
 	var sum float64
 	x.e.Each(func(_ uint64, f int64) {
-		sum += x.g.Eval(uint64(util.AbsInt64(f)))
+		sum += x.g.Eval(uint64(util.SatAbsInt64(f)))
 	})
 	return sum
 }
@@ -138,7 +138,7 @@ func TestMinCombinationProperty(t *testing.T) {
 		if a*q[0]+b*q[1] != 1 {
 			return false
 		}
-		qb := util.AbsInt64(q[1])
+		qb := util.SatAbsInt64(q[1])
 		return qb <= a
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

@@ -36,11 +36,11 @@ func MinCombination(u []int64, d int64, maxNorm int) ([]int64, bool) {
 	// minimal norm). Values are bounded: |val| <= maxNorm * max|u| + |d|.
 	maxU := int64(0)
 	for _, x := range u {
-		if a := util.AbsInt64(x); a > maxU {
+		if a := util.SatAbsInt64(x); a > maxU {
 			maxU = a
 		}
 	}
-	bound := int64(maxNorm)*maxU + util.AbsInt64(d) + 1
+	bound := int64(maxNorm)*maxU + util.SatAbsInt64(d) + 1
 	visited := map[int64]int{0: 0}
 	states := []state{{val: 0, parent: -1}}
 	frontier := []int{0}
@@ -51,7 +51,7 @@ func MinCombination(u []int64, d int64, maxNorm int) ([]int64, bool) {
 			for i, ui := range u {
 				for _, stp := range [2]int64{ui, -ui} {
 					nv := v + stp
-					if util.AbsInt64(nv) > bound {
+					if util.SatAbsInt64(nv) > bound {
 						continue
 					}
 					if _, ok := visited[nv]; ok {
@@ -84,7 +84,7 @@ func MinCombination(u []int64, d int64, maxNorm int) ([]int64, bool) {
 func NormOf(q []int64) int64 {
 	var s int64
 	for _, c := range q {
-		s += util.AbsInt64(c)
+		s += util.SatAbsInt64(c)
 	}
 	return s
 }
@@ -240,7 +240,7 @@ func NewGeneralDistSolver(u []int64, d int64, t int, l int, rng *util.SplitMix64
 	}
 	var a int64
 	for _, v := range u {
-		if av := util.AbsInt64(v); av > a {
+		if av := util.SatAbsInt64(v); av > a {
 			a = av
 		}
 	}

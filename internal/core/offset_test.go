@@ -20,7 +20,7 @@ func TestOffsetEstimatorMatchesExact(t *testing.T) {
 		var truth float64
 		for i := uint64(0); i < s.N(); i++ {
 			f := v[i]
-			truth += g.Eval(uint64(util.AbsInt64(f)))
+			truth += g.Eval(uint64(util.SatAbsInt64(f)))
 		}
 		e := NewOffsetEstimator(g, Options{
 			N: s.N(), M: 1 << 10, Eps: 0.2, Seed: seed * 31, Lambda: 1.0 / 16,

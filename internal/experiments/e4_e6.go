@@ -30,7 +30,7 @@ func (x *commExact) Update(item uint64, delta int64) { x.e.Update(item, delta) }
 
 func (x *commExact) Estimate() float64 {
 	var sum float64
-	x.e.Each(func(_ uint64, f int64) { sum += x.g.Eval(uint64(util.AbsInt64(f))) })
+	x.e.Each(func(_ uint64, f int64) { sum += x.g.Eval(uint64(util.SatAbsInt64(f))) })
 	return sum
 }
 

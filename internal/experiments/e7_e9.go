@@ -56,7 +56,7 @@ func E7NearlyPeriodic(quick bool) Table {
 				v := s.Vector()
 				for _, e := range cover {
 					if e.Item == want &&
-						e.Weight == g.Eval(uint64(util.AbsInt64(v[want]))) {
+						e.Weight == g.Eval(uint64(util.SatAbsInt64(v[want]))) {
 						exactW++
 					}
 				}

@@ -67,7 +67,7 @@ func TestGnpHeavyNoFalseIdentities(t *testing.T) {
 				t.Errorf("seed %d: reported item %d not in stream", seed, e.Item)
 				continue
 			}
-			if want := g.Eval(uint64(util.AbsInt64(f))); want != e.Weight {
+			if want := g.Eval(uint64(util.SatAbsInt64(f))); want != e.Weight {
 				t.Errorf("seed %d: item %d weight %.4g, want %.4g", seed, e.Item, e.Weight, want)
 			}
 		}

@@ -112,7 +112,7 @@ func TestTwoPassCoverExactWeights(t *testing.T) {
 		}
 		// Two-pass weights are exact (ε = 0).
 		for _, e := range cover {
-			trueW := g.Eval(uint64(util.AbsInt64(freqs[e.Item])))
+			trueW := g.Eval(uint64(util.SatAbsInt64(freqs[e.Item])))
 			if e.Weight != trueW {
 				t.Errorf("seed %d: item %d weight %.6g != exact %.6g",
 					seed, e.Item, e.Weight, trueW)

@@ -101,7 +101,7 @@ func (s *Stream) MaxAbsFrequency() int64 {
 	var m int64
 	for _, u := range s.updates {
 		cur[u.Item] += u.Delta
-		if a := util.AbsInt64(cur[u.Item]); a > m {
+		if a := util.SatAbsInt64(cur[u.Item]); a > m {
 			m = a
 		}
 	}
@@ -114,9 +114,9 @@ func (s *Stream) CheckTurnstileBound(m int64) error {
 	cur := make(map[uint64]int64, 64)
 	for j, u := range s.updates {
 		cur[u.Item] += u.Delta
-		if util.AbsInt64(cur[u.Item]) > m {
+		if util.SatAbsInt64(cur[u.Item]) > m {
 			return fmt.Errorf("stream: prefix %d puts |v_%d| = %d > M = %d",
-				j+1, u.Item, util.AbsInt64(cur[u.Item]), m)
+				j+1, u.Item, util.SatAbsInt64(cur[u.Item]), m)
 		}
 	}
 	return nil
@@ -154,7 +154,7 @@ func (v Vector) F2() float64 {
 func (v Vector) F1() float64 {
 	var f1 float64
 	for _, c := range v {
-		f1 += float64(util.AbsInt64(c))
+		f1 += float64(util.SatAbsInt64(c))
 	}
 	return f1
 }
@@ -166,7 +166,7 @@ func (v Vector) F0() int { return len(v) }
 func (v Vector) MaxAbs() int64 {
 	var m int64
 	for _, c := range v {
-		if a := util.AbsInt64(c); a > m {
+		if a := util.SatAbsInt64(c); a > m {
 			m = a
 		}
 	}
@@ -178,7 +178,7 @@ func (v Vector) MaxAbs() int64 {
 func (v Vector) Sum(g func(uint64) float64) float64 {
 	var s float64
 	for _, c := range v {
-		s += g(uint64(util.AbsInt64(c)))
+		s += g(uint64(util.SatAbsInt64(c)))
 	}
 	return s
 }

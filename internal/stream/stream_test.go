@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -57,6 +59,22 @@ func TestTurnstileBoundCheck(t *testing.T) {
 	}
 	if err := s.CheckTurnstileBound(4); err == nil {
 		t.Error("expected violation of M=4 (prefix reaches 5)")
+	}
+}
+
+// TestTurnstileBoundNamesAMinInt64Prefix: a frequency of math.MinInt64 has
+// no int64 magnitude, and the check still returns its error naming the
+// first violating prefix instead of panicking (ROADMAP item 8).
+func TestTurnstileBoundNamesAMinInt64Prefix(t *testing.T) {
+	s := New(8)
+	s.Add(3, 1)
+	s.Add(2, math.MinInt64)
+	err := s.CheckTurnstileBound(1 << 40)
+	if err == nil || !strings.Contains(err.Error(), "prefix 2 ") {
+		t.Errorf("CheckTurnstileBound = %v, want an error naming prefix 2", err)
+	}
+	if got := s.MaxAbsFrequency(); got != math.MaxInt64 {
+		t.Errorf("MaxAbsFrequency = %d, want the saturated %d", got, int64(math.MaxInt64))
 	}
 }
 

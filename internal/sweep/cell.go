@@ -156,7 +156,7 @@ func topItems(v stream.Vector, k int) []uint64 {
 		}
 	}
 	sort.Slice(items, func(i, j int) bool {
-		ai, aj := util.AbsInt64(v[items[i]]), util.AbsInt64(v[items[j]])
+		ai, aj := util.SatAbsInt64(v[items[i]]), util.SatAbsInt64(v[items[j]])
 		if ai != aj {
 			return ai > aj
 		}

@@ -149,23 +149,12 @@ func AlmostEqual(a, b, tol float64) bool {
 	return diff <= tol*scale
 }
 
-// AbsInt64 returns |x|. It panics on math.MinInt64, which cannot occur for
-// stream frequencies bounded by the turnstile promise |v_i| <= M.
-func AbsInt64(x int64) int64 {
-	if x == math.MinInt64 {
-		panic("util: AbsInt64 overflow")
-	}
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 // SatAbsInt64 returns |x|, saturating math.MinInt64 to math.MaxInt64. It
-// is the magnitude to take of a sketch counter or estimate: a turnstile
-// delta is any int64, so those can hold every value, and an input must
-// not be able to panic whoever ranks them. Branch-free, because the
-// top-k tracker takes it of every estimate and their signs are random.
+// is the magnitude to take of any int64 the repository holds — a sketch
+// counter, an estimate, a stream frequency: a turnstile delta is any
+// int64, so those can hold every value, and an input must not be able to
+// panic whoever ranks or checks them. Branch-free, because the top-k
+// tracker takes it of every estimate and their signs are random.
 func SatAbsInt64(x int64) int64 {
 	m := x >> 63     // 0, or -1 for negative x
 	a := (x ^ m) - m // |x|, except that MinInt64 stays MinInt64

@@ -113,8 +113,8 @@ func TestLog2Ceil(t *testing.T) {
 }
 
 func TestAbsMinMax(t *testing.T) {
-	if AbsInt64(-7) != 7 || AbsInt64(7) != 7 {
-		t.Error("AbsInt64 wrong")
+	if SatAbsInt64(-7) != 7 || SatAbsInt64(7) != 7 {
+		t.Error("SatAbsInt64 wrong")
 	}
 	if MaxInt64(2, 3) != 3 || MinInt64(2, 3) != 2 {
 		t.Error("min/max wrong")

@@ -47,7 +47,7 @@ func topOf(v stream.Vector) uint64 {
 	var top uint64
 	var best int64
 	for it, c := range v {
-		if a := util.AbsInt64(c); a > best {
+		if a := util.SatAbsInt64(c); a > best {
 			best, top = a, it
 		}
 	}
@@ -72,9 +72,9 @@ func TestDriftHeadRotates(t *testing.T) {
 	share := func(v stream.Vector) float64 {
 		var total, top int64
 		for _, c := range v {
-			total += util.AbsInt64(c)
+			total += util.SatAbsInt64(c)
 		}
-		top = util.AbsInt64(v[topOf(v)])
+		top = util.SatAbsInt64(v[topOf(v)])
 		return float64(top) / float64(total)
 	}
 	if share(last) <= share(first) {
