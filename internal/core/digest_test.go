@@ -20,10 +20,11 @@ import (
 // 21, one row-hash family for the stack, bucket and sign from one
 // polynomial value), under which it was re-recorded, once, and layout
 // version 3 (PR 27: heavy.dims' rows from the measured frontier, 5 rows of
-// 4096 buckets a level where there were 7), once more; CHANGES.md has the
-// values before and after each.
+// 4096 buckets a level where there were 7), once more, and layout version
+// 4 (PR 29: the same counters as zigzag varints with zero runs), once
+// more; CHANGES.md has the values before and after each.
 func TestOnePassStateDigest(t *testing.T) {
-	const want = "215f27a82da7940b966c9a4b652f5c487a749dab4620a5ef8ab943d1978cc799"
+	const want = "8561fdef86654fce418865eec41c2f5177b8637f8c40b1c511d7f40222715abb"
 	rng := util.NewSplitMix64(0x16d1635)
 	ups := make([]stream.Update, 1<<16)
 	for i := range ups {
@@ -65,10 +66,11 @@ func TestOnePassStateDigest(t *testing.T) {
 // door: the same stream, fed the same three ways, at the benchmark's
 // dimensions. Recorded at efb0b66, before the cascade became one shared
 // batch plan (PR 19); re-recorded once with layout version 2 (PR 21),
-// which also made the kind fork its seeds as onepass does, and once with
-// layout version 3 (PR 27, the sizing).
+// which also made the kind fork its seeds as onepass does, once with
+// layout version 3 (PR 27, the sizing), and once with version 4 (PR 29,
+// the row codec).
 func TestUniversalStateDigest(t *testing.T) {
-	const want = "5aed0f27a7db29a91692e6b7c194b3bb98e63fafe234546fcf50aeb31e83ff0d"
+	const want = "6bb277b46e5ade4ed23055e494b9383146049f9d2d35e473d5dee1c9d6d31efb"
 	rng := util.NewSplitMix64(0x16d1635)
 	ups := make([]stream.Update, 1<<16)
 	for i := range ups {

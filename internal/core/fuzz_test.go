@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/gfunc"
+	"repro/internal/sketch/sketchtest"
 )
 
 func fuzzOpts() Options {
@@ -35,7 +36,7 @@ func FuzzOnePassEstimatorUnmarshal(f *testing.F) {
 	addSeeds(f, valid)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e := NewOnePass(gfunc.F2Func(), fuzzOpts())
-		_ = e.UnmarshalBinary(data) // must not panic
+		sketchtest.RefusedIsNoOp(t, e, e.UnmarshalBinary, data)
 	})
 }
 
@@ -51,8 +52,8 @@ func FuzzTwoPassEstimatorUnmarshal(f *testing.F) {
 	addSeeds(f, valid)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e := NewTwoPass(gfunc.F2Func(), fuzzOpts())
-		_ = e.UnmarshalBinary(data)     // must not panic
-		_ = e.UnmarshalCandidates(data) // must not panic
+		sketchtest.RefusedIsNoOp(t, e, e.UnmarshalBinary, data)
+		sketchtest.RefusedIsNoOp(t, e, e.UnmarshalCandidates, data)
 	})
 }
 
@@ -68,7 +69,7 @@ func FuzzUniversalUnmarshal(f *testing.F) {
 	addSeeds(f, valid)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		u := NewUniversal(opts)
-		_ = u.UnmarshalBinary(data) // must not panic
+		sketchtest.RefusedIsNoOp(t, u, u.UnmarshalBinary, data)
 	})
 }
 
@@ -83,6 +84,6 @@ func FuzzOffsetEstimatorUnmarshal(f *testing.F) {
 	addSeeds(f, valid)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e := NewOffsetEstimator(g0, fuzzOpts())
-		_ = e.UnmarshalBinary(data) // must not panic
+		sketchtest.RefusedIsNoOp(t, e, e.UnmarshalBinary, data)
 	})
 }

@@ -70,17 +70,30 @@ func (e *OnePassEstimator) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary adds a serialized shard estimator into e (merge
 // semantics). The receiver must have been built with identical g and
-// Options, including Seed; the fingerprint verifies this on decode.
+// Options, including Seed; the fingerprint verifies this on decode, and
+// the whole payload is checked before any counter moves.
 func (e *OnePassEstimator) UnmarshalBinary(data []byte) error {
+	merge, err := e.stageBinary(data)
+	if err != nil {
+		return err
+	}
+	merge()
+	return nil
+}
+
+// stageBinary checks a payload whole against e and returns the merge
+// that adds it in (the wire.Stager split, unexported: OffsetEstimator
+// stages both its halves before merging either).
+func (e *OnePassEstimator) stageBinary(data []byte) (func(), error) {
 	r := wire.NewReader(data)
 	if err := r.Header(onePassEstMagic, e.Fingerprint()); err != nil {
-		return fmt.Errorf("core: OnePassEstimator: %w", err)
+		return nil, fmt.Errorf("core: OnePassEstimator: %w", err)
 	}
 	blob := r.Blob()
 	if err := r.Err(); err != nil {
-		return fmt.Errorf("core: OnePassEstimator: %w", err)
+		return nil, fmt.Errorf("core: OnePassEstimator: %w", err)
 	}
-	return e.sk.UnmarshalBinary(blob)
+	return e.sk.StageBinary(blob)
 }
 
 // Fingerprint digests the estimator's function and resolved Options.
@@ -158,7 +171,8 @@ func (u *Universal) MarshalBinary() ([]byte, error) {
 // (merge semantics) — the distributed mode of the Section 1.1.1
 // function-independent sketch: workers ship snapshots, the coordinator
 // folds them, and EstimateFor answers post-hoc g-SUM queries over the
-// union stream.
+// union stream. Every level's payload is checked before any level's
+// counters move.
 func (u *Universal) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	if err := r.Header(universalMagic, u.Fingerprint()); err != nil {
@@ -168,11 +182,17 @@ func (u *Universal) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return fmt.Errorf("core: Universal: %w", err)
 	}
-	for k := range u.levels {
-		if err := u.levels[k].UnmarshalBinary(blobs[k]); err != nil {
-			return fmt.Errorf("core: Universal level %d: %w", k, err)
+	merge, err := wire.StageEach(len(u.levels), func(k int) (func(), error) {
+		merge, err := u.levels[k].StageBinary(blobs[k])
+		if err != nil {
+			return nil, fmt.Errorf("core: Universal level %d: %w", k, err)
 		}
+		return merge, nil
+	})
+	if err != nil {
+		return err
 	}
+	merge()
 	return nil
 }
 
@@ -204,7 +224,8 @@ func (e *OffsetEstimator) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary adds a serialized shard estimator into e (merge
-// semantics on both sub-estimators).
+// semantics on both sub-estimators; both are checked before either
+// merges).
 func (e *OffsetEstimator) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	if err := r.Header(offsetMagic, e.Fingerprint()); err != nil {
@@ -215,10 +236,17 @@ func (e *OffsetEstimator) UnmarshalBinary(data []byte) error {
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("core: OffsetEstimator: %w", err)
 	}
-	if err := e.pos.UnmarshalBinary(pos); err != nil {
+	mergePos, err := e.pos.stageBinary(pos)
+	if err != nil {
 		return err
 	}
-	return e.l0.UnmarshalBinary(l0)
+	mergeL0, err := e.l0.stageBinary(l0)
+	if err != nil {
+		return err
+	}
+	mergePos()
+	mergeL0()
+	return nil
 }
 
 // Fingerprint digests the exact baseline's configuration: only the

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/gfunc"
+	"repro/internal/sketch/sketchtest"
 	"repro/internal/stream"
 )
 
@@ -212,5 +215,55 @@ func TestRoundTripAcrossConstructedPair(t *testing.T) {
 	}
 	if string(again) != string(data) {
 		t.Error("re-marshaled payload differs from the original round trip")
+	}
+}
+
+// TestRefusedUnmarshalChangesNothing: a well-framed snapshot whose last
+// counter row is bad — the deepest level of the last stack it carries —
+// is refused with nothing merged: the receiver marshals byte-identically
+// before and after. For Universal the bad row sits in its last level; for
+// OffsetEstimator in its second half, after the whole first.
+func TestRefusedUnmarshalChangesNothing(t *testing.T) {
+	type estimator interface {
+		Process(*stream.Stream)
+		MarshalBinary() ([]byte, error)
+		UnmarshalBinary([]byte) error
+	}
+	opts := wireOpts(8)
+	g0 := gfunc.NewG0("1+x", func(x uint64) float64 { return 1 + float64(x) })
+	for name, mk := range map[string]func() estimator{
+		"universal": func() estimator {
+			o := opts
+			o.Envelope = 4
+			return NewUniversal(o)
+		},
+		"onepass": func() estimator { return NewOnePass(gfunc.F2Func(), opts) },
+		"offset":  func() estimator { return NewOffsetEstimator(g0, opts) },
+	} {
+		src, dst := mk(), mk()
+		src.Process(wireStream(21))
+		dst.Process(wireStream(22))
+		snap, err := src.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, err := dst.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = dst.UnmarshalBinary(sketchtest.BreakLastRow(t, snap))
+		if err == nil || !strings.Contains(err.Error(), "wire: row of") {
+			t.Errorf("%s: a snapshot with a bad last row: %v, want the row refused", name, err)
+		}
+		after, err := dst.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Errorf("%s: a refused snapshot changed the receiver", name)
+		}
+		if err := dst.UnmarshalBinary(snap); err != nil {
+			t.Errorf("%s: the snapshot the bad one is cut from: %v", name, err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"bytes"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/core"
+	"repro/internal/stream"
 	"repro/internal/window"
 )
 
@@ -458,5 +460,74 @@ func TestRestoreDriftMessageNamesBothFingerprints(t *testing.T) {
 		if !strings.Contains(msg, want) {
 			t.Errorf("drift error %q lacks %q", msg, want)
 		}
+	}
+}
+
+// liveState is what a refused restore or merge must leave alone: the
+// estimator's snapshot and the ingest counter.
+func liveState(t *testing.T, srv *Server) ([]byte, uint64) {
+	t.Helper()
+	var snap []byte
+	var ingests uint64
+	var err error
+	srv.locked(func() { snap, err = srv.est.MarshalBinary(); ingests = srv.ingests })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap, ingests
+}
+
+// TestCheckpointTruncatedAtEveryOffset: a checkpoint cut at any byte
+// offset — in its header, its counters, the last row of its deepest
+// level — is refused with the live daemon's state and ingest counter
+// untouched, and only the whole file restores, whole.
+func TestCheckpointTruncatedAtEveryOffset(t *testing.T) {
+	spec := backend.Spec{Kind: backend.KindOnePass, G: "x^2",
+		Options: core.Options{N: 1 << 8, M: 1 << 6, Eps: 0.5, Seed: 3, Lambda: 1.0 / 4}}
+	src, err := NewServer(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := NewServer(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill := func(srv *Server, seed uint64) {
+		s := stream.Zipf(stream.GenConfig{N: 1 << 8, M: 1 << 6, Seed: seed}, 40, 1.1)
+		if err := srv.IngestBatch(s.Updates()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fill(src, 1)
+	fill(live, 2)
+	path := CheckpointPath(t.TempDir())
+	if err := src.WriteCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, ingests := liveState(t, live)
+	for cut := 0; cut < len(ckpt); cut++ {
+		if err := os.WriteFile(path, ckpt[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := live.RestoreCheckpoint(path); err == nil {
+			t.Fatalf("a checkpoint cut to %d of %d bytes restored", cut, len(ckpt))
+		}
+		if snap, n := liveState(t, live); n != ingests || !bytes.Equal(snap, before) {
+			t.Fatalf("a checkpoint cut to %d of %d bytes was refused, but the live state moved", cut, len(ckpt))
+		}
+	}
+	if err := os.WriteFile(path, ckpt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := live.RestoreCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	want, wantIngests := liveState(t, src)
+	if got, n := liveState(t, live); n != wantIngests || !bytes.Equal(got, want) {
+		t.Errorf("the whole checkpoint restored to other state (%d ingested, want %d)", n, wantIngests)
 	}
 }

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"bytes"
 	"net/http/httptest"
 	"net/url"
 	"strconv"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/core"
+	"repro/internal/sketch/sketchtest"
 	"repro/internal/stream"
 	"repro/internal/window"
 )
@@ -474,5 +476,49 @@ func TestWindowMergeRejectsClockDrift(t *testing.T) {
 	}
 	if err := coord.Merge(snap); err != nil {
 		t.Fatalf("merge after synchronizing clocks: %v", err)
+	}
+}
+
+// TestRefusedMergeLeavesTheAggregate: /v1/merge of a well-framed snapshot
+// whose deepest level carries one bad row answers 409, and the live
+// aggregate is as it was — before layout version 4 the levels above the
+// bad row had already been added when the 409 went out.
+func TestRefusedMergeLeavesTheAggregate(t *testing.T) {
+	spec := onePassSpec(42)
+	mk := func(seed uint64) *Client {
+		srv, err := NewServer(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		c := NewClient(ts.URL, nil)
+		if err := c.Push(testStream(seed).Updates()); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	worker, coord := mk(3), mk(4)
+	snap, err := worker.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := coord.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = coord.Merge(sketchtest.BreakLastRow(t, snap))
+	if err == nil || !strings.Contains(err.Error(), "409") || !strings.Contains(err.Error(), "wire: row of") {
+		t.Errorf("merge of a snapshot with a bad last row: %v, want a 409 naming the row", err)
+	}
+	after, err := coord.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Error("a refused merge changed the live aggregate")
+	}
+	if err := coord.Merge(snap); err != nil {
+		t.Errorf("the snapshot the bad one is cut from: %v", err)
 	}
 }

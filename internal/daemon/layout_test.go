@@ -50,15 +50,16 @@ func asLayout(payload []byte, v uint16) []byte {
 // TestOlderLayoutIsRefusedAtTheDoor: the same Spec opens a different
 // sketch under every layout version, so "equal Specs" stopped meaning
 // "merge-compatible" the moment the layout moved. A build any layout
-// behind — version 1's own hashes a level, version 2's sizing — must be
+// behind — version 1's own hashes a level, version 2's sizing, version 3's
+// 8 bytes a counter — must be
 // turned away where the mismatch is cheap and legible — the /v1/config
 // handshake, naming this build's version; the snapshot's header and the
 // checkpoint's, naming both — with nothing merged, and a daemon that
 // refused must go on serving from the state it had.
 func TestOlderLayoutIsRefusedAtTheDoor(t *testing.T) {
 	spec := onePassSpec(42)
-	if wire.Version != 3 {
-		t.Fatalf("wire.Version = %d: the sizing heavy.dims takes from the measured frontier is version 3", wire.Version)
+	if wire.Version != 4 {
+		t.Fatalf("wire.Version = %d: counter rows as zigzag varints with zero runs are version 4", wire.Version)
 	}
 	if own := specFingerprintAt(t, spec, wire.Version); own != spec.Fingerprint() {
 		t.Fatalf("the test's fold gives %#x for this build's version, Spec.Fingerprint %#x", own, spec.Fingerprint())

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/gfunc"
+	"repro/internal/sketch/sketchtest"
 	"repro/internal/util"
 )
 
@@ -52,7 +53,7 @@ func FuzzOnePassUnmarshal(f *testing.F) {
 	addSeeds(f, valid)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		op := fuzzOnePass()
-		_ = op.UnmarshalBinary(data) // must not panic
+		sketchtest.RefusedIsNoOp(t, op, op.UnmarshalBinary, data)
 	})
 }
 
@@ -73,8 +74,8 @@ func FuzzTwoPassUnmarshal(f *testing.F) {
 	f.Add(cands)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tp := fuzzTwoPass()
-		_ = tp.UnmarshalBinary(data)     // must not panic
-		_ = tp.UnmarshalCandidates(data) // must not panic
+		sketchtest.RefusedIsNoOp(t, tp, tp.UnmarshalBinary, data)
+		sketchtest.RefusedIsNoOp(t, tp, tp.UnmarshalCandidates, data)
 	})
 }
 
@@ -88,6 +89,6 @@ func FuzzGnpUnmarshal(f *testing.F) {
 	addSeeds(f, valid)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		gh := fuzzGnp()
-		_ = gh.UnmarshalBinary(data) // must not panic
+		sketchtest.RefusedIsNoOp(t, gh, gh.UnmarshalBinary, data)
 	})
 }

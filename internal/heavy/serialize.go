@@ -46,17 +46,22 @@ func (o *OnePass) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary adds serialized shard state into o (merge semantics):
 // counters add by linearity and the shard's candidates are re-offered
-// against the merged state, exactly as Merge does in-process.
-func (o *OnePass) UnmarshalBinary(data []byte) error {
+// against the merged state, exactly as Merge does in-process. A payload
+// refused anywhere leaves o as it was.
+func (o *OnePass) UnmarshalBinary(data []byte) error { return wire.Unmarshal(o, data) }
+
+// StageBinary checks a payload whole against o and returns the merge
+// that adds it in (wire.Stager).
+func (o *OnePass) StageBinary(data []byte) (func(), error) {
 	r := wire.NewReader(data)
 	if err := r.Header(onePassMagic, o.Fingerprint()); err != nil {
-		return fmt.Errorf("heavy: OnePass: %w", err)
+		return nil, fmt.Errorf("heavy: OnePass: %w", err)
 	}
 	blob := r.Blob()
 	if err := r.Err(); err != nil {
-		return fmt.Errorf("heavy: OnePass: %w", err)
+		return nil, fmt.Errorf("heavy: OnePass: %w", err)
 	}
-	return o.cs.UnmarshalBinary(blob)
+	return o.cs.StageBinary(blob)
 }
 
 // Fingerprint digests the Algorithm 1 configuration: the function name,
@@ -91,55 +96,62 @@ func (t *TwoPass) MarshalBinary() ([]byte, error) {
 // The first-pass counters merge by linearity (MergePass1). If the
 // payload carries a candidate set, the receiver must either hold none
 // yet (it adopts the sender's, as AdoptCandidates) or hold the identical
-// set (tabulations add, as MergePass2).
-func (t *TwoPass) UnmarshalBinary(data []byte) error {
+// set (tabulations add, as MergePass2). A payload refused anywhere leaves
+// t as it was.
+func (t *TwoPass) UnmarshalBinary(data []byte) error { return wire.Unmarshal(t, data) }
+
+// StageBinary checks a payload whole against t — the first-pass sketch
+// and the candidate section — and returns the merge that adds it in
+// (wire.Stager).
+func (t *TwoPass) StageBinary(data []byte) (func(), error) {
 	r := wire.NewReader(data)
 	if err := r.Header(twoPassMagic, t.Fingerprint()); err != nil {
-		return fmt.Errorf("heavy: TwoPass: %w", err)
+		return nil, fmt.Errorf("heavy: TwoPass: %w", err)
 	}
 	blob := r.Blob()
 	cands := r.U64s()
 	counts := r.I64s()
 	if err := r.Err(); err != nil {
-		return fmt.Errorf("heavy: TwoPass: %w", err)
+		return nil, fmt.Errorf("heavy: TwoPass: %w", err)
 	}
 	if len(counts) != len(cands) {
-		return fmt.Errorf("heavy: TwoPass: %d tabulations for %d candidates", len(counts), len(cands))
+		return nil, fmt.Errorf("heavy: TwoPass: %d tabulations for %d candidates", len(counts), len(cands))
 	}
-	// Validate the candidate section BEFORE mutating anything, so an
-	// incompatible payload never leaves t half-merged.
 	adopt := false
 	if len(cands) > 0 {
 		switch {
 		case len(t.cands) == 0:
 			adopt = true
 		case len(t.cands) != len(cands):
-			return fmt.Errorf("heavy: TwoPass: candidate set mismatch (%d vs %d)", len(t.cands), len(cands))
+			return nil, fmt.Errorf("heavy: TwoPass: candidate set mismatch (%d vs %d)", len(t.cands), len(cands))
 		default:
 			for _, it := range cands {
 				if _, ok := t.counts[it]; !ok {
-					return fmt.Errorf("heavy: TwoPass: candidate %d not in local set", it)
+					return nil, fmt.Errorf("heavy: TwoPass: candidate %d not in local set", it)
 				}
 			}
 		}
 	}
-	if err := t.cs.UnmarshalBinary(blob); err != nil {
-		return err
+	mergePass1, err := t.cs.StageBinary(blob)
+	if err != nil {
+		return nil, err
 	}
-	switch {
-	case len(cands) == 0:
-	case adopt:
-		t.cands = append(t.cands[:0], cands...)
-		t.counts = make(map[uint64]int64, len(cands))
-		for i, it := range cands {
-			t.counts[it] = counts[i]
+	return func() {
+		mergePass1()
+		switch {
+		case len(cands) == 0:
+		case adopt:
+			t.cands = append(t.cands[:0], cands...)
+			t.counts = make(map[uint64]int64, len(cands))
+			for i, it := range cands {
+				t.counts[it] = counts[i]
+			}
+		default:
+			for i, it := range cands {
+				t.counts[it] += counts[i]
+			}
 		}
-	default:
-		for i, it := range cands {
-			t.counts[it] += counts[i]
-		}
-	}
-	return nil
+	}, nil
 }
 
 // MarshalCandidates serializes only the candidate identities extracted
@@ -155,20 +167,34 @@ func (t *TwoPass) MarshalCandidates() ([]byte, error) {
 // UnmarshalCandidates adopts a serialized candidate set, resetting the
 // second-pass tabulations to zero (AdoptCandidates over the wire).
 func (t *TwoPass) UnmarshalCandidates(data []byte) error {
+	adopt, err := t.StageCandidates(data)
+	if err != nil {
+		return err
+	}
+	adopt()
+	return nil
+}
+
+// StageCandidates checks a candidate payload whole and returns the
+// adoption UnmarshalCandidates performs, which cannot fail: the
+// candidate-set analog of StageBinary, for decoders that adopt a set a
+// level and must refuse all levels or none.
+func (t *TwoPass) StageCandidates(data []byte) (func(), error) {
 	r := wire.NewReader(data)
 	if err := r.Header(candsMagic, t.Fingerprint()); err != nil {
-		return fmt.Errorf("heavy: TwoPass candidates: %w", err)
+		return nil, fmt.Errorf("heavy: TwoPass candidates: %w", err)
 	}
 	cands := r.U64s()
 	if err := r.Err(); err != nil {
-		return fmt.Errorf("heavy: TwoPass candidates: %w", err)
+		return nil, fmt.Errorf("heavy: TwoPass candidates: %w", err)
 	}
-	t.cands = append(t.cands[:0], cands...)
-	t.counts = make(map[uint64]int64, len(cands))
-	for _, it := range cands {
-		t.counts[it] = 0
-	}
-	return nil
+	return func() {
+		t.cands = append(t.cands[:0], cands...)
+		t.counts = make(map[uint64]int64, len(cands))
+		for _, it := range cands {
+			t.counts[it] = 0
+		}
+	}, nil
 }
 
 // Fingerprint digests the Appendix D.1 configuration: domain, substream
@@ -216,14 +242,18 @@ func (gh *GnpHeavy) MarshalBinary() ([]byte, error) {
 // semantics): the trial sums m and the bit-restricted sums mbit are
 // linear in the frequency vector, so addition yields the state of the
 // union stream.
-func (gh *GnpHeavy) UnmarshalBinary(data []byte) error {
+func (gh *GnpHeavy) UnmarshalBinary(data []byte) error { return wire.Unmarshal(gh, data) }
+
+// StageBinary checks a payload whole against gh and returns the merge
+// that adds it in (wire.Stager).
+func (gh *GnpHeavy) StageBinary(data []byte) (func(), error) {
 	r := wire.NewReader(data)
 	if err := r.Header(gnpMagic, gh.Fingerprint()); err != nil {
-		return fmt.Errorf("heavy: GnpHeavy: %w", err)
+		return nil, fmt.Errorf("heavy: GnpHeavy: %w", err)
 	}
 	c, d, bits := int(r.U32()), int(r.U32()), int(r.U32())
 	if r.Err() == nil && (c != gh.c || d != gh.d || bits != gh.bitsN) {
-		return fmt.Errorf("heavy: GnpHeavy: dimension mismatch: wire %dx%dx%d vs local %dx%dx%d",
+		return nil, fmt.Errorf("heavy: GnpHeavy: dimension mismatch: wire %dx%dx%d vs local %dx%dx%d",
 			c, d, bits, gh.c, gh.d, gh.bitsN)
 	}
 	m := make([]int64, gh.c*gh.d)
@@ -232,18 +262,19 @@ func (gh *GnpHeavy) UnmarshalBinary(data []byte) error {
 	r.I64sInto(mbit)
 	updates := r.U64()
 	if err := r.Err(); err != nil {
-		return fmt.Errorf("heavy: GnpHeavy: %w", err)
+		return nil, fmt.Errorf("heavy: GnpHeavy: %w", err)
 	}
-	for s := 0; s < gh.c; s++ {
-		for t := 0; t < gh.d; t++ {
-			gh.m[s][t] += m[s*gh.d+t]
-			for b := 0; b < gh.bitsN; b++ {
-				gh.mbit[s][t][b] += mbit[(s*gh.d+t)*gh.bitsN+b]
+	return func() {
+		for s := 0; s < gh.c; s++ {
+			for t := 0; t < gh.d; t++ {
+				gh.m[s][t] += m[s*gh.d+t]
+				for b := 0; b < gh.bitsN; b++ {
+					gh.mbit[s][t][b] += mbit[(s*gh.d+t)*gh.bitsN+b]
+				}
 			}
 		}
-	}
-	gh.updates += int(updates)
-	return nil
+		gh.updates += int(updates)
+	}, nil
 }
 
 // Merge folds another GnpHeavy instance (same configuration and seed)

@@ -18,12 +18,13 @@ import (
 // core.TestOnePassStateDigest, each pass fed as full batches, ragged
 // batches and single updates. Recorded at efb0b66, before the batch
 // cascade became one shared plan (PR 19); re-recorded once with layout
-// version 2 (PR 21) and once with version 3 (PR 27), which moved no
+// version 2 (PR 21), once with version 3 (PR 27), which moved no
 // counter here — Algorithm 1's dims call resolves to 5 rows of 2048
 // buckets over 257 candidates under either sizing — only the version
-// every header carries.
+// every header carries, and once with version 4 (PR 29), which writes the
+// same first-pass counters in the row codec.
 func TestTwoPassStateDigest(t *testing.T) {
-	const want = "96f1b4148c406a7c3835004e54c3e92d86e1d43dab31b3916af3d78faa6a89b4"
+	const want = "2a1cc4345af693f4774203f42e4790850bd40967e81e91005eac54521341ac2a"
 	rng := util.NewSplitMix64(0x16d1635)
 	ups := make([]stream.Update, 1<<16)
 	for i := range ups {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/gfunc"
 	"repro/internal/heavy"
+	"repro/internal/sketch/sketchtest"
 	"repro/internal/util"
 )
 
@@ -61,7 +62,7 @@ func FuzzRecursiveUnmarshal(f *testing.F) {
 	addSeeds(f, valid)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sk := fuzzRecursive()
-		_ = sk.UnmarshalBinary(data) // must not panic
+		sketchtest.RefusedIsNoOp(t, sk, sk.UnmarshalBinary, data)
 	})
 }
 
@@ -82,7 +83,7 @@ func FuzzRecursiveTwoPassUnmarshal(f *testing.F) {
 	f.Add(cands)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sk := fuzzRecursiveTwoPass()
-		_ = sk.UnmarshalBinary(data)     // must not panic
-		_ = sk.UnmarshalCandidates(data) // must not panic
+		sketchtest.RefusedIsNoOp(t, sk, sk.UnmarshalBinary, data)
+		sketchtest.RefusedIsNoOp(t, sk, sk.UnmarshalCandidates, data)
 	})
 }

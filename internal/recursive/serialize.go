@@ -70,11 +70,17 @@ func (s *Sketch) Fingerprint() uint64 {
 // sketchers must implement encoding.BinaryMarshaler (heavy.OnePass
 // does).
 func (s *Sketch) MarshalBinary() ([]byte, error) {
+	return marshalLevels(sketchMagic, s.Fingerprint(), s.levels)
+}
+
+// marshalLevels writes the header and one blob per level: the one
+// encoding behind both recursive sketches.
+func marshalLevels[S any](magic uint32, fp uint64, levels []S) ([]byte, error) {
 	var w wire.Writer
-	w.Header(sketchMagic, s.Fingerprint())
-	w.U32(uint32(len(s.levels)))
-	for k, lv := range s.levels {
-		m, ok := lv.(encoding.BinaryMarshaler)
+	w.Header(magic, fp)
+	w.U32(uint32(len(levels)))
+	for k, lv := range levels {
+		m, ok := any(lv).(encoding.BinaryMarshaler)
 		if !ok {
 			return nil, fmt.Errorf("recursive: level %d sketcher %T does not support serialization", k, lv)
 		}
@@ -90,27 +96,42 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary adds serialized shard state into s, level by level
 // (merge semantics, as Merge). The receiver must have been built with
 // identical Config and seed; the header fingerprint verifies the
-// subsampling hashes AND every level's configuration, and the payload
-// framing is validated in full, before any counter is touched.
-func (s *Sketch) UnmarshalBinary(data []byte) error {
+// subsampling hashes AND every level's configuration, and every level's
+// payload is checked whole (StageBinary) before any level's counters
+// move, so a payload refused at any depth leaves s as it was.
+func (s *Sketch) UnmarshalBinary(data []byte) error { return wire.Unmarshal(s, data) }
+
+// StageBinary checks a payload whole against s — the level list and
+// every level's payload — and returns the merge that adds it in
+// (wire.Stager). Every level sketcher must implement wire.Stager
+// (heavy.OnePass does).
+func (s *Sketch) StageBinary(data []byte) (func(), error) {
+	return stageLevels(data, sketchMagic, s.Fingerprint(), s.levels)
+}
+
+// stageLevels reads a level list under the given header and stages every
+// level's blob onto the matching level: the one decode behind both
+// recursive sketches.
+func stageLevels[S any](data []byte, magic uint32, fp uint64, levels []S) (func(), error) {
 	r := wire.NewReader(data)
-	if err := r.Header(sketchMagic, s.Fingerprint()); err != nil {
-		return fmt.Errorf("recursive: %w", err)
+	if err := r.Header(magic, fp); err != nil {
+		return nil, fmt.Errorf("recursive: %w", err)
 	}
-	blobs, err := r.Blobs(len(s.levels))
+	blobs, err := r.Blobs(len(levels))
 	if err != nil {
-		return fmt.Errorf("recursive: %w", err)
+		return nil, fmt.Errorf("recursive: %w", err)
 	}
-	for k := range s.levels {
-		u, ok := s.levels[k].(encoding.BinaryUnmarshaler)
+	return wire.StageEach(len(levels), func(k int) (func(), error) {
+		st, ok := any(levels[k]).(wire.Stager)
 		if !ok {
-			return fmt.Errorf("recursive: level %d sketcher %T does not support serialization", k, s.levels[k])
+			return nil, fmt.Errorf("recursive: level %d sketcher %T does not support serialization", k, levels[k])
 		}
-		if err := u.UnmarshalBinary(blobs[k]); err != nil {
-			return fmt.Errorf("recursive: level %d: %w", k, err)
+		merge, err := st.StageBinary(blobs[k])
+		if err != nil {
+			return nil, fmt.Errorf("recursive: level %d: %w", k, err)
 		}
-	}
-	return nil
+		return merge, nil
+	})
 }
 
 // Fingerprint digests the two-pass sketch's level count, subsampling
@@ -123,53 +144,27 @@ func (s *TwoPass) Fingerprint() uint64 {
 // counters, candidates, tabulations). All level sketchers must
 // implement encoding.BinaryMarshaler (heavy.TwoPass does).
 func (s *TwoPass) MarshalBinary() ([]byte, error) {
-	var w wire.Writer
-	w.Header(twoPassMagic, s.Fingerprint())
-	w.U32(uint32(len(s.levels)))
-	for k, lv := range s.levels {
-		m, ok := lv.(encoding.BinaryMarshaler)
-		if !ok {
-			return nil, fmt.Errorf("recursive: level %d sketcher %T does not support serialization", k, lv)
-		}
-		blob, err := m.MarshalBinary()
-		if err != nil {
-			return nil, fmt.Errorf("recursive: level %d: %w", k, err)
-		}
-		w.Blob(blob)
-	}
-	return w.Bytes(), nil
+	return marshalLevels(twoPassMagic, s.Fingerprint(), s.levels)
 }
 
 // UnmarshalBinary adds serialized two-pass shard state into s, level by
 // level (merge semantics; see heavy.TwoPass.UnmarshalBinary for the
-// candidate-set rules). Framing and configuration are validated in full
-// before any level is mutated.
-func (s *TwoPass) UnmarshalBinary(data []byte) error {
-	r := wire.NewReader(data)
-	if err := r.Header(twoPassMagic, s.Fingerprint()); err != nil {
-		return fmt.Errorf("recursive: %w", err)
-	}
-	blobs, err := r.Blobs(len(s.levels))
-	if err != nil {
-		return fmt.Errorf("recursive: %w", err)
-	}
-	for k := range s.levels {
-		u, ok := s.levels[k].(encoding.BinaryUnmarshaler)
-		if !ok {
-			return fmt.Errorf("recursive: level %d sketcher %T does not support serialization", k, s.levels[k])
-		}
-		if err := u.UnmarshalBinary(blobs[k]); err != nil {
-			return fmt.Errorf("recursive: level %d: %w", k, err)
-		}
-	}
-	return nil
+// candidate-set rules). Every level's payload is checked whole before any
+// level is mutated.
+func (s *TwoPass) UnmarshalBinary(data []byte) error { return wire.Unmarshal(s, data) }
+
+// StageBinary checks a payload whole against s and returns the merge
+// that adds it in (wire.Stager). Every level sketcher must implement
+// wire.Stager (heavy.TwoPass does).
+func (s *TwoPass) StageBinary(data []byte) (func(), error) {
+	return stageLevels(data, twoPassMagic, s.Fingerprint(), s.levels)
 }
 
 // candidateCodec is the candidate-set half of the distributed two-pass
 // protocol (heavy.TwoPass implements it).
 type candidateCodec interface {
 	MarshalCandidates() ([]byte, error)
-	UnmarshalCandidates([]byte) error
+	StageCandidates([]byte) (func(), error)
 }
 
 // MarshalCandidates serializes the per-level candidate sets extracted by
@@ -194,8 +189,8 @@ func (s *TwoPass) MarshalCandidates() ([]byte, error) {
 }
 
 // UnmarshalCandidates adopts serialized per-level candidate sets,
-// resetting every level's tabulations to zero. Framing is validated in
-// full before any level is mutated.
+// resetting every level's tabulations to zero. Every level's set is
+// checked before any level adopts one.
 func (s *TwoPass) UnmarshalCandidates(data []byte) error {
 	r := wire.NewReader(data)
 	if err := r.Header(twoPassCandsMagic, s.Fingerprint()); err != nil {
@@ -205,14 +200,20 @@ func (s *TwoPass) UnmarshalCandidates(data []byte) error {
 	if err != nil {
 		return fmt.Errorf("recursive: %w", err)
 	}
-	for k := range s.levels {
+	adopt, err := wire.StageEach(len(s.levels), func(k int) (func(), error) {
 		c, ok := s.levels[k].(candidateCodec)
 		if !ok {
-			return fmt.Errorf("recursive: level %d sketcher %T does not support candidate exchange", k, s.levels[k])
+			return nil, fmt.Errorf("recursive: level %d sketcher %T does not support candidate exchange", k, s.levels[k])
 		}
-		if err := c.UnmarshalCandidates(blobs[k]); err != nil {
-			return fmt.Errorf("recursive: level %d: %w", k, err)
+		adopt, err := c.StageCandidates(blobs[k])
+		if err != nil {
+			return nil, fmt.Errorf("recursive: level %d: %w", k, err)
 		}
+		return adopt, nil
+	})
+	if err != nil {
+		return err
 	}
+	adopt()
 	return nil
 }

@@ -1,10 +1,13 @@
 package recursive
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/gfunc"
 	"repro/internal/heavy"
+	"repro/internal/sketch/sketchtest"
 	"repro/internal/stream"
 	"repro/internal/util"
 )
@@ -151,5 +154,57 @@ func TestRecursiveTwoPassWireProtocolEqualsSerial(t *testing.T) {
 
 	if got := coord.Estimate(); got != want {
 		t.Errorf("wire two-pass estimate %.17g != serial %.17g", got, want)
+	}
+}
+
+// TestRefusedUnmarshalChangesNothing: a well-framed snapshot whose deepest
+// level carries one bad row is refused with no level merged — the receiver
+// marshals byte-identically before and after — for both recursive
+// sketches. Before layout version 4 levels 0 to L−1 were added before the
+// last level's row was read.
+func TestRefusedUnmarshalChangesNothing(t *testing.T) {
+	type wireSketch interface {
+		MarshalBinary() ([]byte, error)
+		UnmarshalBinary([]byte) error
+	}
+	for name, mk := range map[string]func(fill *stream.Stream) wireSketch{
+		"onepass": func(fill *stream.Stream) wireSketch {
+			sk := newWireSketch(5)
+			for _, u := range fill.Updates() {
+				sk.Update(u.Item, u.Delta)
+			}
+			return sk
+		},
+		"twopass": func(fill *stream.Stream) wireSketch {
+			sk := newWireTwoPass(5)
+			for _, u := range fill.Updates() {
+				sk.Pass1(u.Item, u.Delta)
+			}
+			return sk
+		},
+	} {
+		src, dst := mk(lightStream(31)), mk(lightStream(32))
+		snap, err := src.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, err := dst.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = dst.UnmarshalBinary(sketchtest.BreakLastRow(t, snap))
+		if err == nil || !strings.Contains(err.Error(), "wire: row of") {
+			t.Errorf("%s: a snapshot with a bad last row: %v, want the row refused", name, err)
+		}
+		after, err := dst.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Errorf("%s: a refused snapshot changed the receiver", name)
+		}
+		if err := dst.UnmarshalBinary(snap); err != nil {
+			t.Errorf("%s: the snapshot the bad one is cut from: %v", name, err)
+		}
 	}
 }

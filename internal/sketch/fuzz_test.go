@@ -3,6 +3,7 @@ package sketch
 import (
 	"testing"
 
+	"repro/internal/sketch/sketchtest"
 	"repro/internal/util"
 )
 
@@ -12,9 +13,10 @@ func fuzzSketch() *CountSketch {
 	return NewCountSketchTopK(3, 64, 4, util.NewSplitMix64(1))
 }
 
-// FuzzCountSketchUnmarshal asserts UnmarshalBinary never panics:
+// FuzzCountSketchUnmarshal asserts UnmarshalBinary never panics —
 // truncated, corrupted, and wrong-magic payloads must all return errors
-// (or succeed harmlessly), never crash the decoder.
+// (or succeed harmlessly), never crash the decoder — and that a payload
+// it refuses leaves the receiver as it was.
 func FuzzCountSketchUnmarshal(f *testing.F) {
 	src := fuzzSketch()
 	src.Update(7, 3)
@@ -35,6 +37,6 @@ func FuzzCountSketchUnmarshal(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cs := fuzzSketch()
-		_ = cs.UnmarshalBinary(data) // must not panic
+		sketchtest.RefusedIsNoOp(t, cs, cs.UnmarshalBinary, data)
 	})
 }

@@ -27,8 +27,18 @@ import (
 // Wire format (big endian, header per internal/wire):
 //
 //	magic u32 | version u16 | fingerprint u64
-//	rows u32 | buckets u64 | rows × (u32 count + counters i64...)
+//	rows u32 | buckets u64 | rows × row
 //	tracked u32 | tracked item ids u64...
+//
+// where a row (wire.Writer.Row, layout version 4) is its u32 counter
+// count, then one token per nonzero counter — the uvarint of its zigzag
+// form — or per maximal run of zeros — a 0 byte and the uvarint of the
+// run's length. Most of a stack's counters are 0 (every bucket of a deep
+// level that no sampled item reached) or small, so a snapshot at the
+// benchmark's state is about a tenth of version 3's 8 bytes a counter.
+// Decoding checks the whole payload against the receiver's dimensions
+// before any counter moves (StageBinary), and walks the rows again to add
+// them in: no staging copy of the counters is made.
 //
 // The tracked-item section carries the top-k candidate ids (when the
 // sketch was built with NewCountSketchTopK); estimates are recomputed on
@@ -61,7 +71,7 @@ func (cs *CountSketch) MarshalBinary() ([]byte, error) {
 	w.U32(uint32(cs.rows))
 	w.U64(cs.buckets)
 	for j := 0; j < cs.rows; j++ {
-		w.I64s(cs.counts[j])
+		w.Row(cs.counts[j])
 	}
 	if cs.topK != nil {
 		items := cs.topK.items()
@@ -76,50 +86,55 @@ func (cs *CountSketch) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary ADDS the serialized counter state into cs (merge
 // semantics, matching the linearity of the sketch). cs must have been
 // constructed with the same dimensions and seed as the sender; both are
-// verified via the header fingerprint. The whole payload is decoded and
-// validated BEFORE any counter is touched, so an error never leaves cs
-// half-merged. To load a shard into an empty sketch, construct a fresh
+// verified via the header fingerprint. The whole payload is checked
+// BEFORE any counter is touched (StageBinary), so an error never leaves
+// cs half-merged. To load a shard into an empty sketch, construct a fresh
 // sketch first.
-func (cs *CountSketch) UnmarshalBinary(data []byte) error {
+func (cs *CountSketch) UnmarshalBinary(data []byte) error { return wire.Unmarshal(cs, data) }
+
+// StageBinary checks a payload whole against cs — header, dimensions,
+// every row's length and tokens, the tracked ids, no trailing bytes —
+// and returns the merge that adds it in (wire.Stager).
+func (cs *CountSketch) StageBinary(data []byte) (func(), error) {
 	r := wire.NewReader(data)
 	if err := r.Header(countSketchMagic, cs.Fingerprint()); err != nil {
-		return fmt.Errorf("sketch: %w", err)
+		return nil, fmt.Errorf("sketch: %w", err)
 	}
 	rows := r.U32()
 	buckets := r.U64()
 	if r.Err() == nil && (int(rows) != cs.rows || buckets != cs.buckets) {
-		return fmt.Errorf("sketch: dimension mismatch: wire %dx%d vs local %dx%d",
+		return nil, fmt.Errorf("sketch: dimension mismatch: wire %dx%d vs local %dx%d",
 			rows, buckets, cs.rows, cs.buckets)
 	}
-	staged := make([][]int64, cs.rows)
+	counters := data[len(data)-r.Len():]
 	for j := 0; j < cs.rows; j++ {
-		staged[j] = make([]int64, cs.buckets)
-		r.I64sInto(staged[j])
+		r.CheckRow(len(cs.counts[j]))
 		if r.Err() != nil {
-			return fmt.Errorf("sketch: row %d: %w", j, r.Err())
+			return nil, fmt.Errorf("sketch: row %d: %w", j, r.Err())
 		}
 	}
 	items := r.U64s()
+	r.End()
 	if err := r.Err(); err != nil {
-		return fmt.Errorf("sketch: %w", err)
+		return nil, fmt.Errorf("sketch: %w", err)
 	}
-	for j := 0; j < cs.rows; j++ {
-		for i, v := range staged[j] {
-			cs.counts[j][i] += v
+	return func() {
+		r := wire.NewReader(counters)
+		for j := 0; j < cs.rows; j++ {
+			r.AddRow(cs.counts[j])
 		}
-	}
-	if cs.topK != nil {
-		// Mirror MergeTopK: offer the shard's candidates against the
-		// merged counters, then re-score our own survivors too, so wire
-		// merges and in-process merges admit the same candidate sets.
-		for _, it := range items {
-			cs.topK.offer(it, cs.Estimate(it))
+		if cs.topK != nil {
+			// Mirror MergeTopK: offer the shard's candidates against the
+			// merged counters, then re-score our own survivors too, so wire
+			// merges and in-process merges admit the same candidate sets.
+			for _, it := range items {
+				cs.topK.offer(it, cs.Estimate(it))
+			}
+			for _, it := range cs.topK.items() {
+				cs.topK.offer(it, cs.Estimate(it))
+			}
 		}
-		for _, it := range cs.topK.items() {
-			cs.topK.offer(it, cs.Estimate(it))
-		}
-	}
-	return nil
+	}, nil
 }
 
 // TrackedItems returns the identities currently held by the top-k tracker

@@ -1,9 +1,13 @@
 package sketch
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
+	"repro/internal/sketch/sketchtest"
 	"repro/internal/util"
+	"repro/internal/wire"
 )
 
 func TestMarshalUnmarshalRoundTrip(t *testing.T) {
@@ -157,5 +161,59 @@ func TestMergeTopKUnionCandidates(t *testing.T) {
 	}
 	if found[3] < 85000 {
 		t.Errorf("union-heavy item has estimate %d, want ~90000", found[3])
+	}
+}
+
+// TestRefusedUnmarshalChangesNothing: a well-framed payload with one bad
+// row late in it — the last row a counter short or a counter long — or a
+// trailing byte is refused, and the receiver marshals byte-identically
+// before and after. (Malformed tokens: wire's TestRowRefusesMalformedTokens.)
+func TestRefusedUnmarshalChangesNothing(t *testing.T) {
+	src := NewCountSketchTopK(5, 512, 8, util.NewSplitMix64(41))
+	dst := NewCountSketchTopK(5, 512, 8, util.NewSplitMix64(41))
+	feed(src, testVector(42, 300, 80))
+	feed(dst, testVector(43, 300, 80))
+	payload := func(last func(w *wire.Writer, row []int64), trailing ...byte) []byte {
+		var w wire.Writer
+		w.Header(countSketchMagic, src.Fingerprint())
+		w.U32(uint32(src.rows))
+		w.U64(src.buckets)
+		for j := 0; j < src.rows-1; j++ {
+			w.Row(src.counts[j])
+		}
+		last(&w, src.counts[src.rows-1])
+		w.U64s(src.TrackedItems())
+		return append(w.Bytes(), trailing...)
+	}
+	whole := func(w *wire.Writer, row []int64) { w.Row(row) }
+	for name, bad := range map[string][]byte{
+		"short last row": payload(func(w *wire.Writer, row []int64) { w.Row(row[:len(row)-1]) }),
+		"long last row": payload(func(w *wire.Writer, row []int64) {
+			w.Row(append(append([]int64(nil), row...), 1))
+		}),
+		"trailing byte": payload(whole, 0),
+		"sketchtest":    sketchtest.BreakLastRow(t, payload(whole)),
+	} {
+		before, err := dst.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.UnmarshalBinary(bad); err == nil {
+			t.Errorf("%s: payload accepted", name)
+		}
+		after, err := dst.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Errorf("%s: a refused payload changed the receiver", name)
+		}
+	}
+	err := dst.UnmarshalBinary(sketchtest.BreakLastRow(t, payload(whole)))
+	if want := "row 4: wire: row of 511 counters, want 512"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("sketchtest.BreakLastRow: %v, want the refusal of the last row (%q)", err, want)
+	}
+	if err := dst.UnmarshalBinary(payload(whole)); err != nil {
+		t.Errorf("the well-formed payload the bad ones are cut from: %v", err)
 	}
 }

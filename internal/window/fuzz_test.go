@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/sketch"
+	"repro/internal/sketch/sketchtest"
 	"repro/internal/util"
 )
 
@@ -25,9 +26,10 @@ func fuzzWindow() *Window[*sketch.CountSketch] {
 	return w
 }
 
-// FuzzWindowUnmarshal asserts UnmarshalBinary never panics: truncated,
+// FuzzWindowUnmarshal asserts UnmarshalBinary never panics — truncated,
 // corrupted, wrong-magic, wrong-clock, and wrong-boundary payloads must
-// all return errors (or succeed harmlessly), never crash the decoder.
+// all return errors (or succeed harmlessly), never crash the decoder —
+// and that a payload it refuses leaves the window as it was.
 func FuzzWindowUnmarshal(f *testing.F) {
 	src := fuzzWindow()
 	valid, err := src.MarshalBinary()
@@ -49,6 +51,6 @@ func FuzzWindowUnmarshal(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w := fuzzWindow()
-		_ = w.UnmarshalBinary(data) // must not panic
+		sketchtest.RefusedIsNoOp(t, w, w.UnmarshalBinary, data)
 	})
 }

@@ -17,19 +17,26 @@
 // counter state only. This is the seed-discipline rule of
 // sketch.CountSketch.Merge, promoted to a checked wire invariant.
 //
+// Counter rows — the bulk of every sketch payload — travel through one
+// codec (Writer.Row, Reader.CheckRow, Reader.AddRow): a row's u32 length,
+// then a zigzag varint per nonzero counter and a 0 byte plus a varint
+// length per run of zeros. A row's declared length is checked against the
+// receiver's buckets, not against the bytes remaining: a row of zeros is
+// a few bytes whatever its length.
+//
 // Decoders must never panic on corrupt input: the Reader is
 // sticky-error, validates every length field against the bytes actually
-// remaining, and caps allocations accordingly.
+// remaining (or, for rows, the receiver's dimensions), and caps
+// allocations accordingly.
 //
-// Merge-semantics decoders validate headers, fingerprints, and framing
-// BEFORE mutating the receiver, and leaf decoders stage the whole
-// payload first, so the common failure modes (wrong seed/configuration,
-// truncation in transit) never leave a half-merged sketch. The one
-// remaining window is byte corruption deep inside a nested blob of a
-// multi-level payload that still parses at the outer layers: a decode
-// error after some levels applied. Callers that cannot rule that out
-// must treat a failed UnmarshalBinary as poisoning the receiver and
-// rebuild it (cheap: reconstruct from the seed and replay snapshots).
+// Merge-semantics decoders never half-merge: a refused payload leaves
+// the receiver byte-identical. Every decoder that walks nested payloads
+// into live state is a Stager — StageBinary checks its whole payload,
+// every nested part included, changing nothing, and returns the merge,
+// which cannot fail — and stages every part before it merges any
+// (StageEach). So a corrupt byte in the last row of the deepest level
+// of a snapshot is refused with nothing added, and the daemon's
+// /v1/merge answers its 409 with the live aggregate as it was.
 //
 // Layer: substrate in ARCHITECTURE.md — every serialized summary is
 // built from this package's header, writer, and sticky-error reader.

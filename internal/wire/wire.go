@@ -19,7 +19,10 @@ import (
 //	3: the same Spec is a smaller sketch: heavy.dims takes its rows from
 //	   the measured sizing frontier (5 rows of 4096 buckets a level at the
 //	   benchmark's options, where version 2 built 7).
-const Version uint16 = 3
+//	4: the same sketch in new bytes: a CountSketch writes its counter rows
+//	   through the row codec (Writer.Row), zigzag varints with zero runs,
+//	   where version 3 wrote 8 bytes a counter.
+const Version uint16 = 4
 
 // Fingerprint folds v into a running 64-bit digest h. It is a
 // splittable-mix step (multiply-xorshift), order sensitive, used to
@@ -114,6 +117,38 @@ func (w *Writer) U64s(vs []uint64) {
 	for i, v := range vs {
 		binary.BigEndian.PutUint64(tail[8*i:], v)
 	}
+}
+
+// Row appends a counter row: its u32 length, then one token per nonzero
+// counter or maximal run of zeros — a nonzero counter as the uvarint of
+// its zigzag form (v<<1 ^ v>>63, so small magnitudes of either sign take
+// one byte), a run of zeros as a 0 byte and the uvarint of the run's
+// length. The zigzag form of a nonzero counter is nonzero, so its varint
+// never starts with a 0 byte and the two tokens cannot be confused. A
+// row of 4096 zeros is 3 bytes after its length, a counter of magnitude
+// below 64 one.
+func (w *Writer) Row(vs []int64) {
+	w.U32(uint32(len(vs)))
+	buf := w.buf
+	for i := 0; i < len(vs); {
+		v := vs[i]
+		if v == 0 {
+			j := i + 1
+			for j < len(vs) && vs[j] == 0 {
+				j++
+			}
+			buf = binary.AppendUvarint(append(buf, 0), uint64(j-i))
+			i = j
+			continue
+		}
+		if u := uint64(v<<1) ^ uint64(v>>63); u < 0x80 {
+			buf = append(buf, byte(u))
+		} else {
+			buf = binary.AppendUvarint(buf, u)
+		}
+		i++
+	}
+	w.buf = buf
 }
 
 // Blob appends a u32 length followed by the raw bytes, framing a nested
@@ -261,7 +296,8 @@ func (r *Reader) U64s() []uint64 {
 }
 
 // I64sInto reads a counted int64 list of exactly the given length into
-// dst (the in-place path for counter rows of known dimensions).
+// dst (GnpHeavy's trial counters, which travel raw; CountSketch rows go
+// through the row codec).
 func (r *Reader) I64sInto(dst []int64) {
 	n := r.count(8)
 	if r.err != nil {
@@ -273,6 +309,94 @@ func (r *Reader) I64sInto(dst []int64) {
 	}
 	for i := range dst {
 		dst[i] = r.I64()
+	}
+}
+
+// CheckRow reads a counter row (Writer.Row) and checks it whole: it must
+// declare n counters — the receiver's buckets, not a bound from the bytes
+// remaining, since a row of zeros is a few bytes — and every token must
+// parse, no varint may run past 64 bits or the payload, no run may be 0
+// or reach past the row's end. It changes nothing but the read position.
+func (r *Reader) CheckRow(n int) { r.row(n, nil) }
+
+// AddRow reads a counter row of len(dst) counters and adds it into dst.
+// A malformed row is refused with dst partly added, so it is for rows
+// CheckRow has passed: a decoder checks its whole payload first and only
+// then adds (Stager).
+func (r *Reader) AddRow(dst []int64) { r.row(len(dst), dst) }
+
+// row walks a row of n counters, adding each into dst when dst is not
+// nil. A token's first byte decides it: 0 opens a run of zeros, below
+// 0x80 is a whole varint — the common case, decoded inline — and above it
+// the varint continues.
+func (r *Reader) row(n int, dst []int64) {
+	if m := r.U32(); r.err == nil && uint64(m) != uint64(n) {
+		r.fail("wire: row of %d counters, want %d", m, n)
+	}
+	if r.err != nil {
+		return
+	}
+	data, pos := r.data, r.pos
+	for i := 0; i < n; {
+		if pos >= len(data) {
+			r.fail("wire: truncated row: counter %d of %d at offset %d", i, n, pos)
+			return
+		}
+		b := data[pos]
+		if b == 0 {
+			run, k := uvarint(data[pos+1:])
+			if k <= 0 {
+				r.failVarint(k, pos+1)
+				return
+			}
+			if run == 0 || run > uint64(n-i) {
+				r.fail("wire: run of %d zeros at counter %d of a %d-counter row", run, i, n)
+				return
+			}
+			pos += 1 + k
+			i += int(run)
+			continue
+		}
+		u, k := uint64(b), 1
+		if b >= 0x80 {
+			if u, k = binary.Uvarint(data[pos:]); k <= 0 {
+				r.failVarint(k, pos)
+				return
+			}
+		}
+		if dst != nil {
+			dst[i] += int64(u>>1) ^ -int64(u&1)
+		}
+		pos += k
+		i++
+	}
+	r.pos = pos
+}
+
+// uvarint is binary.Uvarint with the one-byte case inline.
+func uvarint(b []byte) (uint64, int) {
+	if len(b) > 0 && b[0] < 0x80 {
+		return uint64(b[0]), 1
+	}
+	return binary.Uvarint(b)
+}
+
+// failVarint records why binary.Uvarint refused the varint at offset pos:
+// k == 0, the payload ended inside it; k < 0, it runs past 64 bits.
+func (r *Reader) failVarint(k, pos int) {
+	if k == 0 {
+		r.fail("wire: truncated varint at offset %d", pos)
+	} else {
+		r.fail("wire: varint past 64 bits at offset %d", pos)
+	}
+}
+
+// End fails unless every byte of the payload has been read: a decoder
+// that has read its whole layout calls it, so bytes after it are refused,
+// not ignored.
+func (r *Reader) End() {
+	if r.err == nil && r.Len() != 0 {
+		r.fail("wire: %d trailing bytes after payload", r.Len())
 	}
 }
 
@@ -302,4 +426,45 @@ func (r *Reader) Blobs(want int) ([][]byte, error) {
 		return nil, r.err
 	}
 	return blobs, nil
+}
+
+// Stager is a merge-semantics decoder split in two, so that a payload is
+// checked whole before anything merges. StageBinary reads data against the
+// receiver and checks every byte of it — header, framing, every counter
+// row, every nested payload — changing nothing; if it accepts, the merge
+// it returns adds the payload into the receiver and cannot fail. A decoder
+// that nests others stages every part before it merges any (StageEach), so
+// a payload refused at any depth leaves its receiver as it was.
+type Stager interface {
+	StageBinary(data []byte) (merge func(), err error)
+}
+
+// Unmarshal stages data into s and merges it if the whole payload checks:
+// the body of a Stager's UnmarshalBinary.
+func Unmarshal(s Stager, data []byte) error {
+	merge, err := s.StageBinary(data)
+	if err != nil {
+		return err
+	}
+	merge()
+	return nil
+}
+
+// StageEach stages n parts in order — stage(k) stages the k-th — and
+// returns the merge of all of them, or the first refusal with no part
+// merged.
+func StageEach(n int, stage func(k int) (func(), error)) (func(), error) {
+	merges := make([]func(), n)
+	for k := range merges {
+		m, err := stage(k)
+		if err != nil {
+			return nil, err
+		}
+		merges[k] = m
+	}
+	return func() {
+		for _, m := range merges {
+			m()
+		}
+	}, nil
 }
