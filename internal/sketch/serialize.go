@@ -127,11 +127,17 @@ func (cs *CountSketch) StageBinary(data []byte) (func(), error) {
 			// Mirror MergeTopK: offer the shard's candidates against the
 			// merged counters, then re-score our own survivors too, so wire
 			// merges and in-process merges admit the same candidate sets.
+			// A receiver that tracked nothing (a restore, a pull's rebuild)
+			// has no survivors but the candidates just scored against these
+			// counters, and re-offering a score changes no heap.
+			rescore := len(cs.topK.heap) > 0
 			for _, it := range items {
 				cs.topK.offer(it, cs.Estimate(it))
 			}
-			for _, it := range cs.topK.items() {
-				cs.topK.offer(it, cs.Estimate(it))
+			if rescore {
+				for _, it := range cs.topK.items() {
+					cs.topK.offer(it, cs.Estimate(it))
+				}
 			}
 		}
 	}, nil

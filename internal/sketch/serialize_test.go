@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -138,6 +139,29 @@ func TestUnmarshalTrackerMatchesMergeTopK(t *testing.T) {
 		if a[i] != b[i] {
 			t.Errorf("candidate %d: merge %+v vs wire %+v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestUnmarshalIntoEmptyTrackerSkipsNothing: a receiver that tracked
+// nothing skips re-scoring its survivors, which are the candidates just
+// scored; re-offering them would leave the heap exactly as it is.
+func TestUnmarshalIntoEmptyTrackerSkipsNothing(t *testing.T) {
+	src := NewCountSketchTopK(5, 512, 16, util.NewSplitMix64(12))
+	feed(src, testVector(44, 400, 60))
+	data, err := src.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := NewCountSketchTopK(5, 512, 16, util.NewSplitMix64(12))
+	if err := dst.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	heap := append([]topEntry(nil), dst.topK.heap...)
+	for _, it := range dst.topK.items() {
+		dst.topK.offer(it, dst.Estimate(it))
+	}
+	if len(heap) == 0 || !reflect.DeepEqual(heap, dst.topK.heap) {
+		t.Errorf("re-scoring the survivors of a decode into an empty tracker moved its heap (%d entries)", len(heap))
 	}
 }
 

@@ -344,7 +344,7 @@ func (r *Reader) row(n int, dst []int64) {
 		}
 		b := data[pos]
 		if b == 0 {
-			run, k := uvarint(data[pos+1:])
+			run, k := binary.Uvarint(data[pos+1:])
 			if k <= 0 {
 				r.failVarint(k, pos+1)
 				return
@@ -371,14 +371,6 @@ func (r *Reader) row(n int, dst []int64) {
 		i++
 	}
 	r.pos = pos
-}
-
-// uvarint is binary.Uvarint with the one-byte case inline.
-func uvarint(b []byte) (uint64, int) {
-	if len(b) > 0 && b[0] < 0x80 {
-		return uint64(b[0]), 1
-	}
-	return binary.Uvarint(b)
 }
 
 // failVarint records why binary.Uvarint refused the varint at offset pos:
