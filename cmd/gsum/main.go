@@ -491,7 +491,7 @@ func runQuery(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("query", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "http://127.0.0.1:7600", "gsumd base URL (the coordinator)")
-	gname := fs.String("g", "", "catalog function for universal-backend queries")
+	gname := fs.String("g", "", "catalog function for post-hoc queries (onepass, sharded and window daemons)")
 	item := fs.String("item", "", "item id for countsketch point queries")
 	pull := fs.String("pull", "", "comma-separated worker URLs to snapshot+merge before querying")
 	if code, ok := cliflag.Parse(fs, args, stderr); !ok {

@@ -119,14 +119,14 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	addr := fs.String("addr", "127.0.0.1:7600", "listen address")
 	kind := fs.String("backend", "onepass",
 		"estimator kind: "+strings.Join(backend.Kinds(), " | ")+` ("list" prints them and exits)`)
-	fname := fs.String("f", "x^2", "catalog function (g-summing kinds; default query for universal)")
+	fname := fs.String("f", "x^2", "catalog function (g-summing kinds; the answer to a bare /v1/estimate)")
 	n := fs.Uint64("n", 1<<12, "domain size")
 	m := fs.Int64("m", 1<<10, "max |frequency|")
 	eps := fs.Float64("eps", 0.25, "target accuracy")
 	delta := fs.Float64("delta", 0.2, "failure probability")
 	lambda := fs.Float64("lambda", 0, "heaviness (0 = Theorem 13 default)")
 	seed := fs.Uint64("seed", 1, "root seed; must match across daemons that merge")
-	envelope := fs.Float64("envelope", 0, "envelope H(M) for the universal kind (0 = measure from -f)")
+	envelope := fs.Float64("envelope", 0, "envelope H(M) to size the sketch for (0 = measure from -f); /v1/estimate?g= answers any function it covers")
 	rows := fs.Int("rows", 0, "countsketch rows (0 = default 5)")
 	buckets := fs.Uint64("buckets", 0, "countsketch buckets (0 = default 1024)")
 	topk := fs.Int("topk", 0, "countsketch tracked candidates (0 = no tracker)")

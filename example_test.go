@@ -91,21 +91,29 @@ func ExampleClassify() {
 	// 1/x: one-pass intractable, two-pass intractable
 }
 
-// ExampleNewUniversalSketch answers post-hoc g-SUM queries from one
-// function-independent sketch (the §1.1.1 application): sketch once,
-// query for any function in the family afterwards.
-func ExampleNewUniversalSketch() {
+// ExampleFuncQuerier answers post-hoc g-SUM queries from one
+// function-independent sketch (the §1.1.1 application): a one-pass
+// sketch sized for the family's largest envelope, queried afterwards for
+// any function in the family.
+func ExampleFuncQuerier() {
 	s := universal.NewStream(1 << 10)
 	for i := uint64(0); i < 100; i++ {
 		s.Add(i, int64(i%4)+1)
 	}
-	u := universal.NewUniversalSketch(universal.Options{N: 1 << 10, M: 8, Seed: 7, Envelope: 16})
-	u.Process(s)
+	est, err := universal.Open(universal.Spec{Kind: universal.KindOnePass, G: "x^2",
+		Options: universal.Options{N: 1 << 10, M: 8, Seed: 7, Envelope: 16}})
+	if err != nil {
+		panic(err)
+	}
+	if err := universal.Process(est, s); err != nil {
+		panic(err)
+	}
 
 	exactF1 := universal.NewExactEstimator(universal.F1())
 	exactF1.Process(s)
+	f1 := est.(universal.FuncQuerier).EstimateFor(universal.F1())
 	fmt.Printf("F1 exact %.0f, post-hoc estimate within 25%%: %v\n",
-		exactF1.Estimate(), within(u.EstimateFor(universal.F1()), exactF1.Estimate(), 0.25))
+		exactF1.Estimate(), within(f1, exactF1.Estimate(), 0.25))
 	// Output:
 	// F1 exact 250, post-hoc estimate within 25%: true
 }

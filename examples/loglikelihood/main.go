@@ -1,9 +1,10 @@
 // Loglikelihood: the Section 1.1.1 application. Stream coordinates are
 // i.i.d. samples from an unknown discrete distribution; the negative
 // log-likelihood ℓ(θ) = -Σ_i log p(v_i; θ) is a g-SUM for the generally
-// non-monotonic g_θ(x) = -log p(x; θ). One universal (function-
-// independent) sketch answers ℓ(θ) for a whole grid of θ after a single
-// pass, yielding a streaming approximate maximum-likelihood estimate.
+// non-monotonic g_θ(x) = -log p(x; θ). The one-pass sketch does not
+// depend on g: sized for the grid's largest envelope, one sketch answers
+// ℓ(θ) for a whole grid of θ after a single pass (EstimateFor), yielding
+// a streaming approximate maximum-likelihood estimate.
 //
 //	go run ./examples/loglikelihood
 package main

@@ -142,6 +142,37 @@ func TestOpenShardMergeEqualsSerial(t *testing.T) {
 	}
 }
 
+// TestEstimateForOwnGIsEstimate: the kinds that answer post-hoc queries
+// (onepass, sharded on 2 workers, window) answer EstimateFor of their own
+// Spec.G bit for bit as Estimate, and no other kind answers them.
+func TestEstimateForOwnGIsEstimate(t *testing.T) {
+	s := testStream(7)
+	posthoc := map[Kind]bool{KindOnePass: true, KindSharded: true, KindWindow: true}
+	for _, name := range Kinds() {
+		spec := specFor(Kind(name), 17)
+		spec.Workers = 2
+		est, err := Open(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fq, ok := est.(FuncQuerier)
+		if ok != posthoc[spec.Kind] {
+			t.Errorf("%s: answers post-hoc queries %v, want %v", name, ok, posthoc[spec.Kind])
+		}
+		if !ok {
+			continue
+		}
+		ingest(t, est, s)
+		g, err := CatalogFunc(spec.G)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, b := fq.EstimateFor(g), est.Estimate(); a != b {
+			t.Errorf("%s: EstimateFor(%s) %.17g != Estimate %.17g", name, spec.G, a, b)
+		}
+	}
+}
+
 // TestSpecFingerprintSensitivity: a Spec differing in any single field
 // fingerprints differently, so the daemon handshake rejects it before
 // any snapshot is merged.
@@ -153,7 +184,7 @@ func TestSpecFingerprintSensitivity(t *testing.T) {
 		name string
 		mut  func(*Spec)
 	}{
-		{"Kind", func(s *Spec) { s.Kind = KindUniversal }},
+		{"Kind", func(s *Spec) { s.Kind = KindSharded }},
 		{"G", func(s *Spec) { s.G = "x^1" }},
 		{"Options.N", func(s *Spec) { s.Options.N = 1 << 13 }},
 		{"Options.M", func(s *Spec) { s.Options.M = 1 << 11 }},
@@ -269,13 +300,13 @@ func TestNormalizeRejectsInvalidSpecs(t *testing.T) {
 		{"lambda too big", specWith(func(s *Spec) { s.Options.Lambda = 2 }), "Options.Lambda"},
 		{"levels too deep", specWith(func(s *Spec) { s.Options.Levels = 31 }), "Options.Levels"},
 		{"removed parallel kind", specWith(func(s *Spec) { s.Kind = "parallel" }), "unknown kind"},
+		{"removed universal kind", specWith(func(s *Spec) { s.Kind = "universal"; s.Options.Envelope = 16 }), "unknown kind"},
 		{"negative workers", specWith(func(s *Spec) { s.Workers = -1 }), "Workers"},
 		{"sharded workers over the cap", specWith(func(s *Spec) { s.Kind = KindSharded; s.Workers = 100000000 }), "Workers must be at most"},
 		{"unknown function", specWith(func(s *Spec) { s.G = "nope" }), "unknown catalog function"},
 		{"missing function", specWith(func(s *Spec) { s.G = "" }), "catalog function name is required"},
 		{"window without W", specWith(func(s *Spec) { s.Kind = KindWindow }), "Window.W"},
 		{"window K of 1", specWith(func(s *Spec) { s.Kind = KindWindow; s.Window = window.Config{W: 4, K: 1} }), "Window.K"},
-		{"universal without envelope or G", Spec{Kind: KindUniversal, Options: core.Options{N: 4}}, "Envelope"},
 		{"countsketch wider than a packed hash", Spec{Kind: KindCountSketch, Options: core.Options{N: 4}, Buckets: 1<<31 + 1}, "Buckets must be at most"},
 	}
 	for _, c := range cases {

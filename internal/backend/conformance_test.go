@@ -47,7 +47,13 @@ const (
 
 // confKinds are the kinds that answer a g-SUM through the recursive
 // sketch. window is onepass per bucket and exact is the oracle.
-var confKinds = []backend.Kind{backend.KindOnePass, backend.KindTwoPass, backend.KindUniversal, backend.KindSharded}
+var confKinds = []backend.Kind{backend.KindOnePass, backend.KindTwoPass, confUniversal, backend.KindSharded}
+
+// confUniversal labels the rows of the §1.1.1 universal sketch: one
+// onepass sketch a seed, sized for the largest envelope of confFuncs and
+// queried post hoc with each of them (FuncQuerier). It was a kind of its
+// own until it was folded into onepass, and its rows kept their counts.
+const confUniversal backend.Kind = "universal"
 
 // confWorkloads are fixed streams of 2^14 updates over 2^12 items: no heavy
 // hitter at all, a heavy tail, and a stream built to collide in a
@@ -147,10 +153,10 @@ var confLayout3 = map[string]confCell{
 
 // confParentSpace is SpaceBytes at e907d1a per kind, in confFuncs order.
 var confParentSpace = map[backend.Kind][]int{
-	backend.KindOnePass:   {3533040, 1766640, 3506160, 1753200, 883440, 14039520, 7016880, 14039520, 14017200, 888240},
-	backend.KindTwoPass:   {1290480, 645360, 1272480, 636480, 322800, 5100000, 2548080, 5100000, 5085120, 633120},
-	backend.KindUniversal: {14039520, 14039520, 14039520, 14039520, 14039520, 14039520, 14039520, 14039520, 14039520, 14039520},
-	backend.KindSharded:   {7066080, 3533280, 7012320, 3506400, 1766880, 28079040, 14033760, 28079040, 28034400, 1776480},
+	backend.KindOnePass: {3533040, 1766640, 3506160, 1753200, 883440, 14039520, 7016880, 14039520, 14017200, 888240},
+	backend.KindTwoPass: {1290480, 645360, 1272480, 636480, 322800, 5100000, 2548080, 5100000, 5085120, 633120},
+	confUniversal:       {14039520, 14039520, 14039520, 14039520, 14039520, 14039520, 14039520, 14039520, 14039520, 14039520},
+	backend.KindSharded: {7066080, 3533280, 7012320, 3506400, 1766880, 28079040, 14033760, 28079040, 28034400, 1776480},
 }
 
 // binomialLowerQuantile returns the largest k with P(Bin(n, p) < k) ≤ alpha:
@@ -229,9 +235,9 @@ func TestConformance(t *testing.T) {
 		switch kind {
 		case backend.KindSharded:
 			spec.Workers = 2
-		case backend.KindUniversal:
+		case confUniversal:
 			// One sketch, sized for the whole family, queried with each g.
-			spec.G, spec.Options.Envelope = "", maxEnvelope
+			spec.Kind, spec.Options.Envelope = backend.KindOnePass, maxEnvelope
 		}
 		return spec
 	}
@@ -279,7 +285,7 @@ func TestConformance(t *testing.T) {
 				}
 				for seed := uint64(1); seed <= uint64(seeds); seed++ {
 					for _, kind := range confKinds {
-						if kind == backend.KindUniversal {
+						if kind == confUniversal {
 							u := confRun(t, specFor(kind, 0, seed), s)
 							for gi, g := range funcs {
 								score(kind, gi, seed, u, u.(backend.FuncQuerier).EstimateFor(g))
@@ -300,7 +306,7 @@ func TestConformance(t *testing.T) {
 		for gi, g := range funcs {
 			h, shards := envelopes[gi], 1
 			switch kind {
-			case backend.KindUniversal:
+			case confUniversal:
 				h = maxEnvelope
 			case backend.KindSharded:
 				shards = 2

@@ -65,7 +65,11 @@ type PointQuerier interface {
 }
 
 // FuncQuerier is the capability of kinds answering post-hoc g-SUM
-// queries for arbitrary catalog functions (KindUniversal).
+// queries for arbitrary catalog functions from one state (KindOnePass,
+// KindSharded, KindWindow: the §1.1.1 universal sketch). EstimateFor(g)
+// of the Spec's own G is Estimate; any other g holds only if its envelope
+// is within the Options.Envelope the sketch was sized for, so open it
+// with the largest envelope of the functions it will be asked for.
 type FuncQuerier interface {
 	EstimateFor(g gfunc.Func) float64
 }
@@ -77,11 +81,11 @@ type CoverReporter interface {
 }
 
 // Layered is the capability of kinds that are one recursive stack
-// (KindOnePass, KindSharded, KindUniversal): the depth Options.Levels
-// resolved to, whether the assumption that depth rests on holds right
-// now — the deepest level tracking fewer candidates than it can, i.e. all
-// of its sub-universe — and the CountSketch rows and buckets heavy.dims
-// resolved for every level. Reading either is O(1).
+// (KindOnePass, KindSharded): the depth Options.Levels resolved to,
+// whether the assumption that depth rests on holds right now — the
+// deepest level tracking fewer candidates than it can, i.e. all of its
+// sub-universe — and the CountSketch rows and buckets heavy.dims resolved
+// for every level. Reading either is O(1).
 type Layered interface {
 	Depth() (levels, deepestTracked, deepestCapacity int)
 	Dims() (rows int, buckets uint64)
@@ -92,20 +96,6 @@ type Layered interface {
 type twoPassEstimator struct {
 	*core.TwoPassEstimator
 	workers int
-}
-
-// universalEstimator adapts core.Universal: Estimate answers for the
-// Spec's G (F2 when unset); EstimateFor answers post hoc.
-type universalEstimator struct {
-	*core.Universal
-	g gfunc.Func // nil when the Spec named no function
-}
-
-func (u *universalEstimator) Estimate() float64 {
-	if u.g != nil {
-		return u.EstimateFor(u.g)
-	}
-	return u.EstimateFor(gfunc.F2Func())
 }
 
 // windowEstimator adapts window.Estimator to the tick-free Estimator

@@ -122,40 +122,6 @@ func init() {
 		},
 	})
 	register(&builder{
-		kind:     KindUniversal,
-		describe: "function-independent sketch answering post-hoc g-SUM queries (§1.1.1)",
-		normalize: func(s *Spec) error {
-			if s.Options.Envelope != 0 {
-				if s.G != "" {
-					if _, err := CatalogFunc(s.G); err != nil {
-						return fmt.Errorf("backend: universal: %w", err)
-					}
-				}
-				return nil
-			}
-			if s.G == "" {
-				return fmt.Errorf("backend: universal kind needs Options.Envelope (the max H(M) over the query family) or G to measure it from")
-			}
-			g, err := CatalogFunc(s.G)
-			if err != nil {
-				return fmt.Errorf("backend: universal: %w", err)
-			}
-			s.Options.Envelope = core.EnvelopeFor(g, s.Options)
-			return nil
-		},
-		open: func(s Spec) (Estimator, error) {
-			u := &universalEstimator{Universal: core.NewUniversal(s.Options)}
-			if s.G != "" {
-				g, err := CatalogFunc(s.G)
-				if err != nil {
-					return nil, err
-				}
-				u.g = g
-			}
-			return u, nil
-		},
-	})
-	register(&builder{
 		kind:     KindWindow,
 		describe: "sliding-window one-pass estimator (estimates cover the last Window.W ticks)",
 		needsG:   true,
@@ -278,10 +244,6 @@ func Merge(dst, src Estimator) error {
 	case *core.OnePassEstimator:
 		if s, ok := src.(*core.OnePassEstimator); ok {
 			return d.Merge(s)
-		}
-	case *universalEstimator:
-		if s, ok := src.(*universalEstimator); ok {
-			return d.Universal.Merge(s.Universal)
 		}
 	case *windowEstimator:
 		if s, ok := src.(*windowEstimator); ok {

@@ -28,9 +28,6 @@ const (
 	// hash, fed batches over bounded channels during Process and merged
 	// by linearity on Estimate/Marshal.
 	KindSharded Kind = "sharded"
-	// KindUniversal is the §1.1.1 function-independent sketch answering
-	// post-hoc g-SUM queries (the FuncQuerier capability).
-	KindUniversal Kind = "universal"
 	// KindWindow is the sliding-window one-pass estimator: updates land
 	// at the current tick, Advance (the Windowed capability) moves the
 	// clock, and Estimate covers the trailing Window.W ticks.
@@ -59,9 +56,11 @@ type Spec struct {
 	// Kind selects the registered estimator family.
 	Kind Kind `json:"kind"`
 	// G names the catalog function to sum. Required for the onepass,
-	// twopass, sharded, window, heavy, and exact kinds. Optional for
-	// universal (the default query function, and the envelope source
-	// when Options.Envelope is 0); ignored by countsketch.
+	// twopass, sharded, window, heavy, and exact kinds; ignored by
+	// countsketch. It is the envelope source when Options.Envelope is 0.
+	// The onepass, sharded and window kinds also answer post-hoc queries
+	// for other functions from the same state (FuncQuerier): size such a
+	// sketch for all of them with Options.Envelope, their largest H(M).
 	G string `json:"g,omitempty"`
 	// Options parameterizes the sketches (see core.Options).
 	Options core.Options `json:"options"`

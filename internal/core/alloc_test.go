@@ -29,8 +29,7 @@ func TestUpdateBatchSteadyStateAllocFree(t *testing.T) {
 		}
 	}
 	for name, feed := range map[string]func([]stream.Update){
-		"onepass":   NewOnePass(gfunc.F2Func(), opts).UpdateBatch,
-		"universal": NewUniversal(opts).UpdateBatch,
+		"onepass": NewOnePass(gfunc.F2Func(), opts).UpdateBatch,
 	} {
 		for i := 0; i < 8; i++ { // warm-up: grow the scratch and fill the trackers
 			feed(batches[i%len(batches)])

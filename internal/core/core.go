@@ -162,6 +162,12 @@ func (e *OnePassEstimator) Process(s *stream.Stream) {
 // Estimate returns the g-SUM estimate. Call once, after the stream.
 func (e *OnePassEstimator) Estimate() float64 { return e.sk.Estimate() }
 
+// EstimateFor returns the g-SUM estimate for any g, read from the same
+// state (the §1.1.1 universal sketch; recursive.Sketch.EstimateFor). It
+// holds for a g whose envelope is within the one the sketch was sized for:
+// set Options.Envelope to the largest over the functions to be asked.
+func (e *OnePassEstimator) EstimateFor(g gfunc.Func) float64 { return e.sk.EstimateFor(g) }
+
 // SpaceBytes reports total counter storage.
 func (e *OnePassEstimator) SpaceBytes() int { return e.sk.SpaceBytes() }
 

@@ -77,12 +77,14 @@ func TestTwoPassTractableAccuracy(t *testing.T) {
 	}
 }
 
+// TestUniversalSketchMultiQuery: one one-pass sketch, sized for the
+// family's largest envelope, answers every function in it post hoc.
 func TestUniversalSketchMultiQuery(t *testing.T) {
 	s := zipfStream(3)
 	// Envelope must dominate every queried function; X2Log has the
 	// largest envelope in this family.
 	h := gfunc.MeasureEnvelope(gfunc.X2Log(), 1<<10).H()
-	u := NewUniversal(Options{N: s.N(), M: 1 << 10, Eps: 0.25, Seed: 99, Envelope: h})
+	u := NewOnePass(gfunc.F2Func(), Options{N: s.N(), M: 1 << 10, Eps: 0.25, Seed: 99, Envelope: h})
 	u.Process(s)
 
 	for _, g := range []gfunc.Func{gfunc.F2Func(), gfunc.F1Func(), gfunc.X2Log()} {

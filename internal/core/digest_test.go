@@ -60,49 +60,3 @@ func TestOnePassStateDigest(t *testing.T) {
 		t.Errorf("state digest %s, want %s", got, want)
 	}
 }
-
-// TestUniversalStateDigest is TestOnePassStateDigest for the `universal`
-// kind, whose batch path routes the same subsampling cascade from its own
-// door: the same stream, fed the same three ways, at the benchmark's
-// dimensions. Recorded at efb0b66, before the cascade became one shared
-// batch plan (PR 19); re-recorded once with layout version 2 (PR 21),
-// which also made the kind fork its seeds as onepass does, once with
-// layout version 3 (PR 27, the sizing), and once with version 4 (PR 29,
-// the row codec).
-func TestUniversalStateDigest(t *testing.T) {
-	const want = "6bb277b46e5ade4ed23055e494b9383146049f9d2d35e473d5dee1c9d6d31efb"
-	rng := util.NewSplitMix64(0x16d1635)
-	ups := make([]stream.Update, 1<<16)
-	for i := range ups {
-		it := rng.Uint64n(1 << 15)
-		d := int64(rng.Uint64n(9)) - 4
-		if rng.Uint64n(8) == 0 {
-			it = rng.Uint64n(32)
-			d = int64(rng.Uint64n(2001)) - 1000
-		}
-		ups[i] = stream.Update{Item: it, Delta: d}
-	}
-	opts := Options{N: 1 << 20, M: 1 << 12, Eps: 0.25, Lambda: 1.0 / 16, Seed: 7}
-	opts.Envelope = EnvelopeFor(gfunc.F2Func(), opts)
-	u := NewUniversal(opts)
-	half := len(ups) / 2
-	for i := 0; i < half; i += 4096 {
-		u.UpdateBatch(ups[i : i+4096])
-	}
-	i := half
-	for n := 1; i+n <= len(ups)-1024; n = n%257 + 1 {
-		u.UpdateBatch(ups[i : i+n])
-		i += n
-	}
-	for _, up := range ups[i:] {
-		u.Update(up.Item, up.Delta)
-	}
-	data, err := u.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(data)
-	if got := hex.EncodeToString(sum[:]); got != want {
-		t.Errorf("state digest %s, want %s", got, want)
-	}
-}

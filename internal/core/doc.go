@@ -10,9 +10,11 @@
 //     frequencies in a second pass;
 //   - Exact: the linear-space baseline.
 //
-// Universal provides the function-independent sketch of Section 1.1.1:
-// one pass over the stream, then post-hoc g-SUM queries for any function
-// in a family (used by the approximate-MLE application).
+// The one-pass estimator is also the function-independent sketch of
+// Section 1.1.1: its state does not depend on g, so
+// OnePassEstimator.EstimateFor answers post-hoc g-SUM queries for any
+// function in a family whose envelopes Options.Envelope covers (used by
+// the approximate-MLE application).
 //
 // Layer: the estimator layer of ARCHITECTURE.md, wrapping
 // internal/recursive and internal/heavy below it and feeding the

@@ -56,34 +56,3 @@ func FuzzTwoPassEstimatorUnmarshal(f *testing.F) {
 		sketchtest.RefusedIsNoOp(t, e, e.UnmarshalCandidates, data)
 	})
 }
-
-func FuzzUniversalUnmarshal(f *testing.F) {
-	opts := fuzzOpts()
-	opts.Envelope = 2
-	src := NewUniversal(opts)
-	src.Update(5, 3)
-	valid, err := src.MarshalBinary()
-	if err != nil {
-		f.Fatal(err)
-	}
-	addSeeds(f, valid)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		u := NewUniversal(opts)
-		sketchtest.RefusedIsNoOp(t, u, u.UnmarshalBinary, data)
-	})
-}
-
-func FuzzOffsetEstimatorUnmarshal(f *testing.F) {
-	g0 := gfunc.NewG0("1+x", func(x uint64) float64 { return 1 + float64(x) })
-	src := NewOffsetEstimator(g0, fuzzOpts())
-	src.Update(5, 3)
-	valid, err := src.MarshalBinary()
-	if err != nil {
-		f.Fatal(err)
-	}
-	addSeeds(f, valid)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		e := NewOffsetEstimator(g0, fuzzOpts())
-		sketchtest.RefusedIsNoOp(t, e, e.UnmarshalBinary, data)
-	})
-}

@@ -99,35 +99,6 @@ func TestTwoPassRunParallelMatchesSerialExactly(t *testing.T) {
 	}
 }
 
-func TestUniversalCutAndMergeMatchesSerialExactly(t *testing.T) {
-	queries := []gfunc.Func{gfunc.F2Func(), gfunc.F1Func(), gfunc.L0()}
-	h := 0.0
-	for _, g := range queries {
-		if e := gfunc.MeasureEnvelope(g, 1<<10).H(); e > h {
-			h = e
-		}
-	}
-	for _, workers := range []int{2, 4} {
-		for seed := uint64(1); seed <= 3; seed++ {
-			s := parallelTestStream(seed)
-			opts := Options{N: s.N(), M: 1 << 10, Eps: 0.25, Seed: 5, Lambda: 1.0 / 16, Envelope: h}
-
-			serial := NewUniversal(opts)
-			serial.Process(s)
-
-			merged := cutAndMerge(t, s, workers,
-				func() *Universal { return NewUniversal(opts) },
-				(*Universal).Merge)
-			for _, g := range queries {
-				if a, b := serial.EstimateFor(g), merged.EstimateFor(g); a != b {
-					t.Errorf("workers=%d seed=%d g=%s: merged %.17g != serial %.17g",
-						workers, seed, g.Name(), b, a)
-				}
-			}
-		}
-	}
-}
-
 func TestMergeOverflowRegimeCloseAgreement(t *testing.T) {
 	// With more distinct items than the candidate trackers can hold, the
 	// serial and merged trackers may disagree about marginal light items.

@@ -21,8 +21,6 @@ import (
 const (
 	onePassEstMagic uint32 = 0x67535545 // "gSUE"
 	twoPassEstMagic uint32 = 0x67535546 // "gSUF"
-	universalMagic  uint32 = 0x67535555 // "gSUU"
-	offsetMagic     uint32 = 0x6753554f // "gSUO"
 	exactMagic      uint32 = 0x67535558 // "gSUX"
 )
 
@@ -73,27 +71,15 @@ func (e *OnePassEstimator) MarshalBinary() ([]byte, error) {
 // Options, including Seed; the fingerprint verifies this on decode, and
 // the whole payload is checked before any counter moves.
 func (e *OnePassEstimator) UnmarshalBinary(data []byte) error {
-	merge, err := e.stageBinary(data)
-	if err != nil {
-		return err
-	}
-	merge()
-	return nil
-}
-
-// stageBinary checks a payload whole against e and returns the merge
-// that adds it in (the wire.Stager split, unexported: OffsetEstimator
-// stages both its halves before merging either).
-func (e *OnePassEstimator) stageBinary(data []byte) (func(), error) {
 	r := wire.NewReader(data)
 	if err := r.Header(onePassEstMagic, e.Fingerprint()); err != nil {
-		return nil, fmt.Errorf("core: OnePassEstimator: %w", err)
+		return fmt.Errorf("core: OnePassEstimator: %w", err)
 	}
 	blob := r.Blob()
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("core: OnePassEstimator: %w", err)
+		return fmt.Errorf("core: OnePassEstimator: %w", err)
 	}
-	return e.sk.StageBinary(blob)
+	return e.sk.UnmarshalBinary(blob)
 }
 
 // Fingerprint digests the estimator's function and resolved Options.
@@ -139,114 +125,6 @@ func (e *TwoPassEstimator) MarshalCandidates() ([]byte, error) {
 // tabulation pass.
 func (e *TwoPassEstimator) UnmarshalCandidates(data []byte) error {
 	return e.sk.UnmarshalCandidates(data)
-}
-
-// Fingerprint digests the universal sketch's resolved Options and the
-// subsampling hashes.
-func (u *Universal) Fingerprint() uint64 {
-	h := optionsFingerprint(u.opts)
-	h = wire.Fingerprint(h, uint64(len(u.levels)))
-	for _, b := range u.sub {
-		h = b.Fingerprint(h)
-	}
-	return h
-}
-
-// MarshalBinary serializes every level's Algorithm 2 state.
-func (u *Universal) MarshalBinary() ([]byte, error) {
-	var w wire.Writer
-	w.Header(universalMagic, u.Fingerprint())
-	w.U32(uint32(len(u.levels)))
-	for k, lv := range u.levels {
-		blob, err := lv.MarshalBinary()
-		if err != nil {
-			return nil, fmt.Errorf("core: Universal level %d: %w", k, err)
-		}
-		w.Blob(blob)
-	}
-	return w.Bytes(), nil
-}
-
-// UnmarshalBinary adds a serialized shard sketch into u, level by level
-// (merge semantics) — the distributed mode of the Section 1.1.1
-// function-independent sketch: workers ship snapshots, the coordinator
-// folds them, and EstimateFor answers post-hoc g-SUM queries over the
-// union stream. Every level's payload is checked before any level's
-// counters move.
-func (u *Universal) UnmarshalBinary(data []byte) error {
-	r := wire.NewReader(data)
-	if err := r.Header(universalMagic, u.Fingerprint()); err != nil {
-		return fmt.Errorf("core: Universal: %w", err)
-	}
-	blobs, err := r.Blobs(len(u.levels))
-	if err != nil {
-		return fmt.Errorf("core: Universal: %w", err)
-	}
-	merge, err := wire.StageEach(len(u.levels), func(k int) (func(), error) {
-		merge, err := u.levels[k].StageBinary(blobs[k])
-		if err != nil {
-			return nil, fmt.Errorf("core: Universal level %d: %w", k, err)
-		}
-		return merge, nil
-	})
-	if err != nil {
-		return err
-	}
-	merge()
-	return nil
-}
-
-// Fingerprint digests the offset estimator's configuration via its two
-// sub-estimators.
-func (e *OffsetEstimator) Fingerprint() uint64 {
-	h := wire.Fingerprint(0, e.n)
-	h = wire.FingerprintFloat(h, e.scale)
-	h = wire.Fingerprint(h, e.pos.Fingerprint())
-	return wire.Fingerprint(h, e.l0.Fingerprint())
-}
-
-// MarshalBinary serializes the Appendix A estimator: the restriction
-// sub-estimator and the F0 (L0 indicator) sub-estimator.
-func (e *OffsetEstimator) MarshalBinary() ([]byte, error) {
-	var w wire.Writer
-	w.Header(offsetMagic, e.Fingerprint())
-	pos, err := e.pos.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	l0, err := e.l0.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	w.Blob(pos)
-	w.Blob(l0)
-	return w.Bytes(), nil
-}
-
-// UnmarshalBinary adds a serialized shard estimator into e (merge
-// semantics on both sub-estimators; both are checked before either
-// merges).
-func (e *OffsetEstimator) UnmarshalBinary(data []byte) error {
-	r := wire.NewReader(data)
-	if err := r.Header(offsetMagic, e.Fingerprint()); err != nil {
-		return fmt.Errorf("core: OffsetEstimator: %w", err)
-	}
-	pos := r.Blob()
-	l0 := r.Blob()
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("core: OffsetEstimator: %w", err)
-	}
-	mergePos, err := e.pos.stageBinary(pos)
-	if err != nil {
-		return err
-	}
-	mergeL0, err := e.l0.stageBinary(l0)
-	if err != nil {
-		return err
-	}
-	mergePos()
-	mergeL0()
-	return nil
 }
 
 // Fingerprint digests the exact baseline's configuration: only the

@@ -90,29 +90,6 @@ func TestOnePassEstimatorUnmarshalRejectsMismatch(t *testing.T) {
 	}
 }
 
-func TestUniversalWireMergeEqualsSerial(t *testing.T) {
-	s := wireStream(5)
-	opts := wireOpts(7)
-	opts.Envelope = 4
-
-	serial := NewUniversal(opts)
-	serial.Process(s)
-
-	coord := NewUniversal(opts)
-	shardAndShip(t, s, func() interface {
-		Update(uint64, int64)
-		MarshalBinary() ([]byte, error)
-	} {
-		return NewUniversal(opts)
-	}, coord)
-
-	for _, g := range []gfunc.Func{gfunc.F2Func(), gfunc.F1Func(), gfunc.L0()} {
-		if a, b := serial.EstimateFor(g), coord.EstimateFor(g); a != b {
-			t.Errorf("%s: wire-merged estimate %.17g != serial %.17g", g.Name(), b, a)
-		}
-	}
-}
-
 func TestTwoPassEstimatorWireProtocolEqualsSerial(t *testing.T) {
 	g := gfunc.X2Log()
 	s := wireStream(9)
@@ -170,27 +147,6 @@ func TestTwoPassEstimatorWireProtocolEqualsSerial(t *testing.T) {
 	}
 }
 
-func TestOffsetEstimatorWireMergeEqualsSerial(t *testing.T) {
-	g0 := gfunc.NewG0("1+x", func(x uint64) float64 { return 1 + float64(x) })
-	s := wireStream(11)
-	opts := wireOpts(6)
-
-	serial := NewOffsetEstimator(g0, opts)
-	serial.Process(s)
-
-	coord := NewOffsetEstimator(g0, opts)
-	shardAndShip(t, s, func() interface {
-		Update(uint64, int64)
-		MarshalBinary() ([]byte, error)
-	} {
-		return NewOffsetEstimator(g0, opts)
-	}, coord)
-
-	if a, b := serial.Estimate(), coord.Estimate(); a != b {
-		t.Errorf("wire-merged offset estimate %.17g != serial %.17g", b, a)
-	}
-}
-
 func TestRoundTripAcrossConstructedPair(t *testing.T) {
 	// Marshal from one instance, unmarshal into a freshly built twin, and
 	// re-marshal: the twin's payload must equal the original, i.e. the
@@ -219,51 +175,34 @@ func TestRoundTripAcrossConstructedPair(t *testing.T) {
 }
 
 // TestRefusedUnmarshalChangesNothing: a well-framed snapshot whose last
-// counter row is bad — the deepest level of the last stack it carries —
-// is refused with nothing merged: the receiver marshals byte-identically
-// before and after. For Universal the bad row sits in its last level; for
-// OffsetEstimator in its second half, after the whole first.
+// counter row is bad — the deepest level of the stack it carries — is
+// refused with nothing merged: the receiver marshals byte-identically
+// before and after.
 func TestRefusedUnmarshalChangesNothing(t *testing.T) {
-	type estimator interface {
-		Process(*stream.Stream)
-		MarshalBinary() ([]byte, error)
-		UnmarshalBinary([]byte) error
-	}
 	opts := wireOpts(8)
-	g0 := gfunc.NewG0("1+x", func(x uint64) float64 { return 1 + float64(x) })
-	for name, mk := range map[string]func() estimator{
-		"universal": func() estimator {
-			o := opts
-			o.Envelope = 4
-			return NewUniversal(o)
-		},
-		"onepass": func() estimator { return NewOnePass(gfunc.F2Func(), opts) },
-		"offset":  func() estimator { return NewOffsetEstimator(g0, opts) },
-	} {
-		src, dst := mk(), mk()
-		src.Process(wireStream(21))
-		dst.Process(wireStream(22))
-		snap, err := src.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		before, err := dst.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = dst.UnmarshalBinary(sketchtest.BreakLastRow(t, snap))
-		if err == nil || !strings.Contains(err.Error(), "wire: row of") {
-			t.Errorf("%s: a snapshot with a bad last row: %v, want the row refused", name, err)
-		}
-		after, err := dst.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(before, after) {
-			t.Errorf("%s: a refused snapshot changed the receiver", name)
-		}
-		if err := dst.UnmarshalBinary(snap); err != nil {
-			t.Errorf("%s: the snapshot the bad one is cut from: %v", name, err)
-		}
+	src, dst := NewOnePass(gfunc.F2Func(), opts), NewOnePass(gfunc.F2Func(), opts)
+	src.Process(wireStream(21))
+	dst.Process(wireStream(22))
+	snap, err := src.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := dst.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = dst.UnmarshalBinary(sketchtest.BreakLastRow(t, snap))
+	if err == nil || !strings.Contains(err.Error(), "wire: row of") {
+		t.Errorf("a snapshot with a bad last row: %v, want the row refused", err)
+	}
+	after, err := dst.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Error("a refused snapshot changed the receiver")
+	}
+	if err := dst.UnmarshalBinary(snap); err != nil {
+		t.Errorf("the snapshot the bad one is cut from: %v", err)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/backend"
+	"repro/internal/core"
 	"repro/internal/stream"
 	"repro/internal/wire"
 )
@@ -166,7 +167,7 @@ type CoverEntry struct {
 //
 //   - Estimate: the g-SUM (or windowed) estimate; nil only for cover
 //     and bare-f2 responses.
-//   - G: the catalog function the estimate is for (universal kinds).
+//   - G: the catalog function a ?g= post-hoc query asked for.
 //   - Item: echoed back for ?item= point queries, with the per-item
 //     frequency estimate in Estimate.
 //   - F2: a countsketch daemon's second-moment estimate when no ?item=
@@ -414,16 +415,46 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
 		return
 	}
+	q := r.URL.Query()
+	if err := s.sizedFor(q.Get("g")); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	start := time.Now()
 	var resp EstimateResult
 	var err error
-	s.locked(func() { resp, err = s.estimate(r.URL.Query()) })
+	s.locked(func() { resp, err = s.estimate(q) })
 	s.obs.estimateSeconds.Observe(time.Since(start).Seconds())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// sizedFor refuses a ?g= function the sketch was not sized for: one other
+// than Spec.G whose own envelope H(M) exceeds the Options.Envelope the
+// Spec sized the sketch for, where EstimateFor would answer outside its
+// guarantee. Measuring an envelope takes milliseconds, so it runs before
+// the state lock; an unknown name, or a kind without post-hoc queries, is
+// left for estimate to refuse.
+func (s *Server) sizedFor(name string) error {
+	if name == "" || name == s.spec.G {
+		return nil
+	}
+	g, err := backend.CatalogFunc(name)
+	var post bool
+	s.locked(func() { _, post = s.est.(backend.FuncQuerier) })
+	if err != nil || !post {
+		return nil
+	}
+	own := s.spec.Options
+	own.Envelope = 0
+	if h := core.EnvelopeFor(g, own); h > s.spec.Options.Envelope {
+		return fmt.Errorf("%s has envelope H(M) = %g, above the %g this sketch was sized for (Options.Envelope); open it with an envelope that covers every function it will be asked for",
+			name, h, s.spec.Options.Envelope)
+	}
+	return nil
 }
 
 func (s *Server) estimate(q url.Values) (EstimateResult, error) {
@@ -457,12 +488,6 @@ func (s *Server) estimate(q url.Values) (EstimateResult, error) {
 			entries[i] = CoverEntry{Item: c.Item, Freq: c.Freq, Weight: c.Weight}
 		}
 		return EstimateResult{Cover: entries, WeightSum: f64p(cover.WeightSum())}, nil
-	case backend.FuncQuerier:
-		if s.spec.G == "" {
-			_, err := backend.CatalogFunc("")
-			return EstimateResult{}, fmt.Errorf("kind %q needs ?g=<name> (or a Spec.G default): %w", s.spec.Kind, err)
-		}
-		return EstimateResult{G: s.spec.G, Estimate: f64p(s.est.Estimate())}, nil
 	case backend.PointQuerier:
 		return EstimateResult{F2: f64p(e.EstimateF2())}, nil
 	case backend.Windowed:

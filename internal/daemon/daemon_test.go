@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bytes"
+	"fmt"
 	"net/http/httptest"
 	"net/url"
 	"strconv"
@@ -137,11 +138,16 @@ func TestE2ERecursiveOnePassBackend(t *testing.T) {
 	}
 }
 
+// TestE2EUniversalBackendPostHocQueries: the §1.1.1 universal sketch is a
+// onepass Spec whose Options.Envelope covers every function it will be
+// asked for (x^2's 3.99, x^1's 2, 1(x>0)'s 1 under 4). A 2-worker +
+// coordinator cluster answers each ?g= as the in-process EstimateFor
+// does, bit for bit.
 func TestE2EUniversalBackendPostHocQueries(t *testing.T) {
 	s := testStream(9)
 	opts := testOptions(31)
 	opts.Envelope = 4
-	spec := backend.Spec{Kind: backend.KindUniversal, Options: opts}
+	spec := backend.Spec{Kind: backend.KindOnePass, G: "x^2", Options: opts}
 	cc := cluster(t, spec, s)
 
 	serial := serialEstimator(t, spec, s).(backend.FuncQuerier)
@@ -158,6 +164,50 @@ func TestE2EUniversalBackendPostHocQueries(t *testing.T) {
 		if est := *got.Estimate; est != serial.EstimateFor(g) {
 			t.Errorf("%s: daemon estimate %.17g != serial %.17g", name, est, serial.EstimateFor(g))
 		}
+	}
+}
+
+// TestPostHocQueryRefusesFunctionsPastTheEnvelope: every kind that answers
+// ?g= answers a function its Spec's Options.Envelope covers, bit for bit as
+// the in-process EstimateFor, and refuses with a 400 naming both envelopes
+// one it does not: sized for x^2 (H = 3.99 at M = 2^10), x^1 (H = 2) is
+// admitted and x^3 (H = 1024) is not.
+func TestPostHocQueryRefusesFunctionsPastTheEnvelope(t *testing.T) {
+	s := testStream(11)
+	inside, err := backend.CatalogFunc("x^1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	past, err := backend.CatalogFunc("x^3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []backend.Spec{
+		{Kind: backend.KindOnePass, G: "x^2", Options: testOptions(3)},
+		{Kind: backend.KindSharded, G: "x^2", Options: testOptions(3), Workers: 2},
+		windowSpec(3, 8, 2),
+	} {
+		t.Run(string(spec.Kind), func(t *testing.T) {
+			srv, c := streamServer(t, spec)
+			if err := c.Push(s.Updates()); err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.Estimate(url.Values{"g": {inside.Name()}})
+			if err != nil {
+				t.Fatalf("%s inside the envelope: %v", inside.Name(), err)
+			}
+			want := serialEstimator(t, spec, s).(backend.FuncQuerier).EstimateFor(inside)
+			if got.G != inside.Name() || *got.Estimate != want {
+				t.Errorf("?g=%s answered %q %.17g, in-process EstimateFor %.17g", inside.Name(), got.G, *got.Estimate, want)
+			}
+			sized := srv.Spec().Options.Envelope
+			h := core.EnvelopeFor(past, core.Options{M: spec.Options.M})
+			_, err = c.Estimate(url.Values{"g": {past.Name()}})
+			if err == nil || !strings.Contains(err.Error(), "400") ||
+				!strings.Contains(err.Error(), fmt.Sprintf("%g", h)) || !strings.Contains(err.Error(), fmt.Sprintf("%g", sized)) {
+				t.Errorf("?g=%s (H = %g) on a sketch sized for %g: %v, want a 400 naming both", past.Name(), h, sized, err)
+			}
+		})
 	}
 }
 

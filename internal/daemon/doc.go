@@ -21,9 +21,11 @@
 //	                   /v1/snapshot payload from a worker with the same
 //	                   Spec; the wire fingerprint is checked, 409 on drift).
 //	GET  /v1/estimate  the estimate as JSON; extras depend on the kind's
-//	                   capabilities (?g=<name> for universal post-hoc
-//	                   queries, ?item=<id> for countsketch point queries,
-//	                   cover entries for heavy, clock fields for window).
+//	                   capabilities (?g=<name> post-hoc queries on onepass,
+//	                   sharded and window, 400 for a function whose
+//	                   envelope the Spec's Options.Envelope does not cover;
+//	                   ?item=<id> for countsketch point queries, cover
+//	                   entries for heavy, clock fields for window).
 //	POST /v1/advance   JSON {"tick": T} — move the window kind's tick
 //	                   clock (past ticks are a no-op; kinds without a
 //	                   clock answer 400).

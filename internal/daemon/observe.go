@@ -174,7 +174,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			defer s.mu.Unlock()
 			return float64(s.est.SpaceBytes())
 		})
-	reg.GaugeFunc("gsumd_estimate", "the current estimate, as a bare /v1/estimate would answer it (NaN when the kind needs query parameters)",
+	reg.GaugeFunc("gsumd_estimate", "the current estimate, as a bare /v1/estimate would answer it (NaN when it cannot)",
 		func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()

@@ -351,10 +351,14 @@ func TestSketchDepthIsObservable(t *testing.T) {
 	for i := range whole {
 		whole[i] = stream.Update{Item: uint64(i), Delta: 1}
 	}
+	// The third is the §1.1.1 universal sketch: onepass summing x^1, sized
+	// for an envelope of 4, which x^2's 3.99 at this M sizes alike.
+	universal := testOptions(4)
+	universal.Envelope = 4
 	for _, spec := range []backend.Spec{
 		{Kind: backend.KindOnePass, G: "x^2", Options: testOptions(4)},
 		{Kind: backend.KindSharded, G: "x^2", Options: testOptions(4), Workers: 2},
-		{Kind: backend.KindUniversal, G: "x^2", Options: testOptions(4)},
+		{Kind: backend.KindOnePass, G: "x^1", Options: universal},
 	} {
 		srv, c := streamServer(t, spec)
 		info, err := c.Config()

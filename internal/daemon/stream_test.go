@@ -394,23 +394,28 @@ func TestPusherContextCancel(t *testing.T) {
 // daemon must keep answering /v1/estimate, and a second copy must wrap
 // the frequency back to where it was: the answer returns to the one given
 // before the item was touched, which for `onepass` is also that of a
-// serial estimator that never saw it.
+// serial estimator that never saw it. The `universal` daemon is the
+// §1.1.1 sketch: a onepass daemon summing x^1, sized for x^2's envelope
+// and asked for x^2 post hoc.
 func TestMinInt64DeltaEndToEnd(t *testing.T) {
 	s := testStream(23)
 	poison := []stream.Update{{Item: 3000, Delta: math.MinInt64}}
 	universal := testOptions(5)
 	universal.Envelope = 4
-	specs := []backend.Spec{
-		{Kind: backend.KindOnePass, G: "x^2", Options: testOptions(5)},
-		{Kind: backend.KindSharded, G: "x^2", Options: testOptions(5), Workers: 2},
-		{Kind: backend.KindUniversal, Options: universal},
-		windowSpec(5, 8, 2),
-		{Kind: backend.KindCountSketch, Options: testOptions(5), Rows: 5, Buckets: 1 << 10},
-		{Kind: backend.KindHeavy, G: "x^2", Options: testOptions(5)},
-		{Kind: backend.KindExact, G: "x^2", Options: testOptions(5)},
+	specs := []struct {
+		name string
+		spec backend.Spec
+	}{
+		{"onepass", backend.Spec{Kind: backend.KindOnePass, G: "x^2", Options: testOptions(5)}},
+		{"sharded", backend.Spec{Kind: backend.KindSharded, G: "x^2", Options: testOptions(5), Workers: 2}},
+		{"universal", backend.Spec{Kind: backend.KindOnePass, G: "x^1", Options: universal}},
+		{"window", windowSpec(5, 8, 2)},
+		{"countsketch", backend.Spec{Kind: backend.KindCountSketch, Options: testOptions(5), Rows: 5, Buckets: 1 << 10}},
+		{"heavy", backend.Spec{Kind: backend.KindHeavy, G: "x^2", Options: testOptions(5)}},
+		{"exact", backend.Spec{Kind: backend.KindExact, G: "x^2", Options: testOptions(5)}},
 	}
 	// check drives one daemon through one door.
-	check := func(t *testing.T, spec backend.Spec, ingest func(*Server, *Client) error) {
+	check := func(t *testing.T, name string, spec backend.Spec, ingest func(*Server, *Client) error) {
 		srv, c := streamServer(t, spec)
 		if err := c.Push(s.Updates()); err != nil {
 			t.Fatal(err)
@@ -424,7 +429,7 @@ func TestMinInt64DeltaEndToEnd(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 			q := url.Values{}
-			if spec.Kind == backend.KindUniversal {
+			if name == "universal" {
 				q.Set("g", "x^2")
 			}
 			resp, err := c.EstimateContext(ctx, q)
@@ -440,7 +445,7 @@ func TestMinInt64DeltaEndToEnd(t *testing.T) {
 			return 0
 		}
 		want := estimate()
-		if spec.Kind == backend.KindOnePass {
+		if name == "onepass" {
 			if serial := serialEstimator(t, spec, s).Estimate(); want != serial {
 				t.Fatalf("estimate %v before the item is touched, serial %v", want, serial)
 			}
@@ -473,8 +478,8 @@ func TestMinInt64DeltaEndToEnd(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			for _, spec := range specs {
-				t.Run(string(spec.Kind), func(t *testing.T) { check(t, spec, ingest) })
+			for _, tc := range specs {
+				t.Run(tc.name, func(t *testing.T) { check(t, tc.name, tc.spec, ingest) })
 			}
 		})
 	}

@@ -11,7 +11,7 @@ import (
 // the repository: the raw linear sketches (sketch.CountSketch,
 // sketch.AMS, sketch.CountMin), the heavy-hitter layer (heavy.OnePass),
 // the recursive sketch (recursive.Sketch), and the public estimators
-// (core.OnePassEstimator, core.ExactEstimator, core.Universal).
+// (core.OnePassEstimator, core.TwoPassEstimator, core.ExactEstimator).
 type Sketcher interface {
 	// Update feeds one turnstile update (item, delta).
 	Update(item uint64, delta int64)

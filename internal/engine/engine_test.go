@@ -27,7 +27,6 @@ var (
 	_ engine.BatchSketcher = (*recursive.Sketch)(nil)
 	_ engine.BatchSketcher = (*core.OnePassEstimator)(nil)
 	_ engine.BatchSketcher = (*core.ExactEstimator)(nil)
-	_ engine.BatchSketcher = (*core.Universal)(nil)
 
 	_ engine.Mergeable[*sketch.CountSketch]    = (*sketch.CountSketch)(nil)
 	_ engine.Mergeable[*sketch.AMS]            = (*sketch.AMS)(nil)
@@ -35,7 +34,6 @@ var (
 	_ engine.Mergeable[*heavy.OnePass]         = (*heavy.OnePass)(nil)
 	_ engine.Mergeable[*recursive.Sketch]      = (*recursive.Sketch)(nil)
 	_ engine.Mergeable[*core.OnePassEstimator] = (*core.OnePassEstimator)(nil)
-	_ engine.Mergeable[*core.Universal]        = (*core.Universal)(nil)
 )
 
 func TestCutCoversExactly(t *testing.T) {
@@ -175,7 +173,7 @@ func countSketchBatches(sk any) (sketches, owners int) {
 }
 
 // TestOneCollapsePerBatch pins who collapses: a stack of level sketches
-// (the onepass, universal, twopass and sharded ingest paths) collapses a
+// (the onepass, twopass and sharded ingest paths) collapses a
 // batch once, at the top, and hands the levels the collapsed form, so no
 // level's CountSketch ever allocates the scratch of its own UpdateBatch
 // door. A CountSketch fed through that door is the control: it does.
@@ -188,9 +186,8 @@ func TestOneCollapsePerBatch(t *testing.T) {
 	twopass.FinishPass1()
 	engine.Ingest(twopass, updates, 512)
 	stacks := map[string]engine.Sketcher{
-		"onepass":   core.NewOnePass(g, opts),
-		"universal": core.NewUniversal(opts),
-		"sharded":   hotpath.New(g, opts, 3),
+		"onepass": core.NewOnePass(g, opts),
+		"sharded": hotpath.New(g, opts, 3),
 	}
 	for _, sk := range stacks {
 		engine.Ingest(sk, updates, 512)
@@ -244,8 +241,8 @@ func hashingOf(sk any) stackHashing {
 }
 
 // TestOneHashPerBatch pins who hashes, beside TestOneCollapsePerBatch's who
-// collapses: the levels of a stack (the onepass, universal, twopass and
-// sharded ingest paths) evaluate ONE row-hash family, level 0's, and no
+// collapses: the levels of a stack (the onepass, twopass and sharded
+// ingest paths) evaluate ONE row-hash family, level 0's, and no
 // level holds coefficients of its own; a batch is hashed for that family
 // once — rows x distinct items evaluations, a matrix the levels below read
 // through the positions Subsample leaves — not once per level it reaches.
@@ -260,10 +257,9 @@ func TestOneHashPerBatch(t *testing.T) {
 	distinct := len(seen)
 	twopass := core.NewTwoPass(g, opts)
 	stacks := map[string]engine.Sketcher{
-		"onepass":   core.NewOnePass(g, opts),
-		"universal": core.NewUniversal(opts),
-		"sharded":   hotpath.New(g, opts, 3),
-		"twopass":   twopass,
+		"onepass": core.NewOnePass(g, opts),
+		"sharded": hotpath.New(g, opts, 3),
+		"twopass": twopass,
 	}
 	for name, sk := range stacks {
 		engine.Ingest(sk, updates, len(updates))
@@ -289,7 +285,7 @@ func TestOneHashPerBatch(t *testing.T) {
 		}
 	}
 	// Two stacks do not share: each draws its own family from its seed.
-	other := hashingOf(stacks["universal"])
+	other := hashingOf(stacks["twopass"])
 	for f := range hashingOf(stacks["onepass"]).families {
 		if other.families[f] != 0 {
 			t.Error("two stacks evaluate one family object")

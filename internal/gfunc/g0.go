@@ -136,11 +136,10 @@ func (g G0Func) Eval(x uint64) float64 { return g.eval(x) }
 // Restriction returns the class-G function h with h(0) = 0 and
 // h(x) = g(x)/g(1) for x >= 1: the positive part that the standard
 // zero-one-law machinery (and the sketching algorithms) operate on. The
-// full sum is recovered affinely:
+// full sum is recovered affinely, F0 being the number of nonzero
+// coordinates:
 //
-//	Σ_{i∈[n]} g(|v_i|) = (n - F0) · g(0) + g(1) · Σ_{v_i≠0} h(|v_i|),
-//
-// which core.NewOffsetEstimator implements with an L0 sketch for F0.
+//	Σ_{i∈[n]} g(|v_i|) = (n - F0) · g(0) + g(1) · Σ_{v_i≠0} h(|v_i|).
 func (g G0Func) Restriction() Func {
 	return Normalize(g.name+"|x>0", func(x uint64) float64 {
 		return g.eval(x)

@@ -182,17 +182,21 @@ func (se *ShardedEstimator) merged() (*core.OnePassEstimator, error) {
 	return dst, nil
 }
 
-// Estimate merges the shards and answers from the union state — by
-// linearity, exactly the serial estimator's answer over the same
-// updates. The shards and the merge target are all built from one
-// (g, opts), so the merge cannot fail except for a bug in this package;
-// that panics rather than returning a silent garbage estimate.
-func (se *ShardedEstimator) Estimate() float64 {
+// Estimate is EstimateFor the shards' own g.
+func (se *ShardedEstimator) Estimate() float64 { return se.EstimateFor(se.g) }
+
+// EstimateFor merges the shards and answers for g from the union state
+// (core.OnePassEstimator.EstimateFor) — by linearity, exactly the serial
+// estimator's answer over the same updates. The shards and the merge
+// target are all built from one (g, opts), so the merge cannot fail
+// except for a bug in this package; that panics rather than returning a
+// silent garbage estimate.
+func (se *ShardedEstimator) EstimateFor(g gfunc.Func) float64 {
 	m, err := se.merged()
 	if err != nil {
 		panic("hotpath: Estimate: " + err.Error())
 	}
-	return m.Estimate()
+	return m.EstimateFor(g)
 }
 
 // SpaceBytes reports the total sketch state across shards.

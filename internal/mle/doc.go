@@ -8,13 +8,14 @@
 // (e.g. Poisson mixtures) — exactly the class this paper newly handles.
 //
 // Because the paper's sketch is linear and independent of g, a single
-// universal sketch answers ℓ(θ) for every θ in a discretized parameter
-// grid; amplifying by O(log |Θ|) independent copies makes all answers
+// one-pass sketch, sized for the worst envelope of the grid, answers ℓ(θ)
+// for every θ in a discretized parameter grid post hoc (EstimateFor);
+// amplifying by O(log |Θ|) independent copies makes all answers
 // simultaneously correct, and θ̂ = argmin_θ ℓ̂(θ) then satisfies
 // ℓ(θ̂) <= (1+ε) min_θ ℓ(θ).
 //
 // Layer: satellite off the spine in ARCHITECTURE.md — the §1.1.1
-// approximate-MLE application on top of core.Universal.
+// approximate-MLE application on top of core.OnePassEstimator.
 // Seed discipline: inherits core's rules; it owns no sketch state of
 // its own.
 package mle

@@ -176,17 +176,18 @@ func (m *Model) ExactLogLikelihood(v stream.Vector, n uint64) float64 {
 }
 
 // Estimator performs streaming approximate MLE over a model grid Θ using
-// R independent universal sketches (R = O(log |Θ|) drives the failure
-// probability below 1/|Θ|, so all grid answers hold simultaneously).
+// R independent universal sketches — one-pass sketches queried post hoc
+// with every g_θ (R = O(log |Θ|) drives the failure probability below
+// 1/|Θ|, so all grid answers hold simultaneously).
 type Estimator struct {
 	models []*Model
 	n      uint64
-	runs   []*core.Universal
+	runs   []*core.OnePassEstimator
 }
 
 // NewEstimator builds the MLE estimator. opts.N must be the number of
-// coordinates n; the universal sketches are sized by the worst envelope
-// across the grid.
+// coordinates n; the sketches are sized by the worst envelope across the
+// grid.
 func NewEstimator(models []*Model, opts core.Options, copies int) *Estimator {
 	if len(models) == 0 {
 		panic("mle: empty model grid")
@@ -209,11 +210,11 @@ func NewEstimator(models []*Model, opts core.Options, copies int) *Estimator {
 		}
 	}
 	rng := util.NewSplitMix64(opts.Seed)
-	runs := make([]*core.Universal, copies)
+	runs := make([]*core.OnePassEstimator, copies)
 	for i := range runs {
 		oi := opts
 		oi.Seed = rng.Next()
-		runs[i] = core.NewUniversal(oi)
+		runs[i] = core.NewOnePass(models[0].G, oi)
 	}
 	return &Estimator{models: models, n: opts.N, runs: runs}
 }

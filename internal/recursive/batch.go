@@ -24,8 +24,8 @@ import (
 // Cascade collapses batch into b and routes it down the nested
 // sub-universes: feed(k, b) sees b holding the batch's distinct items
 // that belong to U_k, with their net deltas, for every k until a level
-// receives nothing. It is exported so that core.Universal, which carries
-// the same subsampling structure, routes through it too.
+// receives nothing. The one-pass and the two-pass stack both route through
+// it.
 func Cascade(b *sketch.Batch, batch []stream.Update, sub []*xhash.Bernoulli, feed func(level int, b *sketch.Batch)) {
 	if len(batch) == 0 {
 		return

@@ -53,9 +53,9 @@ func (bareSketcher) Update(uint64, int64) {}
 func (bareSketcher) Cover() heavy.Cover   { return nil }
 func (bareSketcher) SpaceBytes() int      { return 0 }
 
-// TestStacksAgreeOnDepth: the three stacks — recursive.Sketch,
-// recursive.TwoPass, core.Universal — resolve Levels 0 through the one
-// rule, each from its own level sketcher's capacity, and write the depth
+// TestStacksAgreeOnDepth: the two stacks — recursive.Sketch (the onepass
+// estimator, post-hoc queries included) and recursive.TwoPass — resolve
+// Levels 0 through the one rule, each from its own level sketcher's capacity, and write the depth
 // back where the fingerprint reads it, so Levels 0 and the depth it
 // resolves to are one sketch.
 func TestStacksAgreeOnDepth(t *testing.T) {
@@ -118,11 +118,6 @@ func TestStacksAgreeOnDepth(t *testing.T) {
 	}
 	if err := b.UnmarshalBinary(snap); err != nil {
 		t.Errorf("a Levels %d estimator refused a Levels 0 snapshot: %v", wantOne, err)
-	}
-	ua, ub := core.NewUniversal(opts), core.NewUniversal(resolved)
-	if ua.SpaceBytes() != (wantOne+1)*perLevel || ua.Fingerprint() != ub.Fingerprint() {
-		t.Errorf("universal: Levels 0 holds %d B under fingerprint %#x; Levels %d holds %d B under %#x; want %d B and one fingerprint",
-			ua.SpaceBytes(), ua.Fingerprint(), wantOne, ub.SpaceBytes(), ub.Fingerprint(), (wantOne+1)*perLevel)
 	}
 	resolved.Levels = wantTwo
 	ta, tb := core.NewTwoPass(g, opts), core.NewTwoPass(g, resolved)

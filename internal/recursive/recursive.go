@@ -1,6 +1,9 @@
 package recursive
 
 import (
+	"fmt"
+
+	"repro/internal/gfunc"
 	"repro/internal/heavy"
 	"repro/internal/sketch"
 	"repro/internal/util"
@@ -69,8 +72,7 @@ func Depth(n uint64, levels, capacity int) int {
 // 1…L, each adopting level 0's CountSketch row hashes where it can (an
 // optional AdoptRowHashes(from any), which the same two have), so
 // that a batch is hashed once for the whole stack. It is the one place a
-// stack's shape is decided; core.Universal, which carries its own levels,
-// builds them here too.
+// stack's shape is decided, for the one-pass and the two-pass stack alike.
 func BuildLevels[S any](n uint64, levels int, mk func(level int) S) []S {
 	first := mk(0)
 	capacity := 0
@@ -134,10 +136,30 @@ func (s *Sketch) member(item uint64, k int) bool {
 // It finalizes the level sketchers, so it must be called once, after the
 // stream has been fully consumed.
 func (s *Sketch) Estimate() float64 {
-	l := len(s.levels) - 1
-	covers := make([]heavy.Cover, l+1)
-	for k := 0; k <= l; k++ {
-		covers[k] = s.levels[k].Cover()
+	return s.combine(func(_ int, lv heavy.Sketcher) heavy.Cover { return lv.Cover() })
+}
+
+// EstimateFor is Estimate for g in place of the function the levels were
+// built for: the §1.1.1 universal sketch. A level's state does not depend
+// on g, so any g whose envelope the levels were sized for is read out of
+// the same state, as many times as asked. Every level reads its cover
+// through an optional CoverFor(gfunc.Func) heavy.Cover, which heavy.OnePass
+// has; a stack of sketchers without one panics.
+func (s *Sketch) EstimateFor(g gfunc.Func) float64 {
+	return s.combine(func(k int, lv heavy.Sketcher) heavy.Cover {
+		q, ok := lv.(interface{ CoverFor(gfunc.Func) heavy.Cover })
+		if !ok {
+			panic(fmt.Sprintf("recursive: level %d sketcher %T cannot read a cover for another function", k, lv))
+		}
+		return q.CoverFor(g)
+	})
+}
+
+// combine reads every level's cover and combines them bottom-up.
+func (s *Sketch) combine(cover func(level int, lv heavy.Sketcher) heavy.Cover) float64 {
+	covers := make([]heavy.Cover, len(s.levels))
+	for k, lv := range s.levels {
+		covers[k] = cover(k, lv)
 	}
 	return CombineCovers(covers, func(level int, item uint64) bool {
 		return s.sub[level].Hash(item)
@@ -147,8 +169,8 @@ func (s *Sketch) Estimate() float64 {
 // CombineCovers assembles the bottom-up Braverman-Ostrovsky estimator from
 // per-level covers. survives(k, item) must report whether item belongs to
 // sub-universe U_{k+1} (i.e. passed the level-k subsampling hash). It is
-// exported so that multi-pass and universal estimators can reuse the
-// combine step with their own cover extraction.
+// exported so that the two-pass sketch reuses the combine step with its
+// own cover extraction.
 func CombineCovers(covers []heavy.Cover, survives func(level int, item uint64) bool) float64 {
 	l := len(covers) - 1
 	est := covers[l].WeightSum()

@@ -32,6 +32,26 @@ func TestRecursiveSketchEstimatesGSum(t *testing.T) {
 	}
 }
 
+// coverOnly is a level sketcher with a cover for its own function only.
+type coverOnly struct{}
+
+func (coverOnly) Update(uint64, int64) {}
+func (coverOnly) Cover() heavy.Cover   { return nil }
+func (coverOnly) SpaceBytes() int      { return 0 }
+
+// TestEstimateForNeedsCoverFor: a post-hoc query on a stack whose levels
+// cannot read a cover for another function panics instead of answering
+// for the levels' own.
+func TestEstimateForNeedsCoverFor(t *testing.T) {
+	sk := New(Config{N: 1 << 6, Levels: 1, MakeSketcher: func(int) heavy.Sketcher { return coverOnly{} }}, util.NewSplitMix64(1))
+	defer func() {
+		if recover() == nil {
+			t.Error("EstimateFor answered from levels without CoverFor")
+		}
+	}()
+	sk.EstimateFor(gfunc.F1Func())
+}
+
 func TestRecursiveLevelsDefault(t *testing.T) {
 	rng := util.NewSplitMix64(1)
 	sk := New(Config{N: 1 << 10, MakeSketcher: makeOnePassFactory(gfunc.F1Func(), 1, rng.Fork())}, rng.Fork())

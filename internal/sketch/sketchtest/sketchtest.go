@@ -20,8 +20,8 @@ import (
 const countSketchMagic uint32 = 0x67535543
 
 // BreakLastRow returns a copy of payload in which the last CountSketch it
-// carries — the deepest level of a recursive stack, the last of a
-// universal sketch's levels — has its last counter row declare one
+// carries — the deepest level of a recursive stack, say — has its last
+// counter row declare one
 // counter fewer than its buckets. Every frame around that row still
 // parses; a decoder refuses the payload only once it reaches the row.
 func BreakLastRow(t testing.TB, payload []byte) []byte {

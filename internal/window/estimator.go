@@ -11,6 +11,7 @@ import (
 // trailing W ticks. It is what the daemon's "window" backend and the
 // bench runner's windowed mode serve.
 type Estimator struct {
+	g   gfunc.Func
 	win *Window[*core.OnePassEstimator]
 }
 
@@ -25,7 +26,7 @@ func NewEstimator(g gfunc.Func, opts core.Options, cfg Config) (*Estimator, erro
 	if err != nil {
 		return nil, err
 	}
-	return &Estimator{win: win}, nil
+	return &Estimator{g: g, win: win}, nil
 }
 
 // Update feeds one time-stamped turnstile update.
@@ -61,17 +62,21 @@ func (e *Estimator) StaleBound() uint64 { return e.win.StaleBound() }
 func (e *Estimator) SpaceBytes() int { return e.win.SpaceBytes() }
 
 // Estimate returns the g-SUM estimate over the trailing window (plus at
-// most StaleBound stale ticks). It folds the live buckets into a fresh
-// estimator in deterministic order, so identical windows estimate
-// bit-identically.
-func (e *Estimator) Estimate() float64 {
+// most StaleBound stale ticks): EstimateFor the window's own g.
+func (e *Estimator) Estimate() float64 { return e.EstimateFor(e.g) }
+
+// EstimateFor returns the estimate for g over the same window, read from
+// the same buckets (core.OnePassEstimator.EstimateFor). It folds the live
+// buckets into a fresh estimator in deterministic order, so identical
+// windows estimate bit-identically.
+func (e *Estimator) EstimateFor(g gfunc.Func) float64 {
 	merged, err := e.win.Merged()
 	if err != nil {
 		// Buckets come from one factory; a merge failure is an invariant
 		// violation, not an input error.
 		panic("window: " + err.Error())
 	}
-	return merged.Estimate()
+	return merged.EstimateFor(g)
 }
 
 // Merge folds another estimator's window into e (same configuration,

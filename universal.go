@@ -15,9 +15,10 @@
 //
 //  2. How? NewOnePassEstimator and NewTwoPassEstimator implement the
 //     paper's Algorithms 2 and 1 inside the Braverman-Ostrovsky recursive
-//     sketch (Theorem 13), and NewUniversalSketch exposes the
-//     function-independent linear sketch that answers post-hoc g-SUM
-//     queries for whole function families (the §1.1.1 MLE application).
+//     sketch (Theorem 13). The one-pass sketch is also function
+//     independent: sized for an Options.Envelope, its EstimateFor answers
+//     post-hoc g-SUM queries for whole function families (the §1.1.1 MLE
+//     application).
 //
 // Everything is deterministic given a seed, uses only the standard
 // library, and is exercised end to end by the E1-E15 experiment suite
@@ -28,9 +29,9 @@
 // across Spec.Workers persistent one-pass shards that merge by
 // linearity, so worker count never changes the counters.
 //
-// The sketch-backed estimators (OnePassEstimator, TwoPassEstimator,
-// UniversalSketch) implement encoding.BinaryMarshaler and
-// encoding.BinaryUnmarshaler with merge semantics: UnmarshalBinary ADDS
+// The sketch-backed estimators (OnePassEstimator, TwoPassEstimator)
+// implement encoding.BinaryMarshaler and encoding.BinaryUnmarshaler with
+// merge semantics: UnmarshalBinary ADDS
 // a serialized shard's counters into the receiver, and a fingerprint in
 // the wire header (internal/wire) rejects payloads from a sketch built
 // with a different seed or configuration. This is what cmd/gsumd builds
@@ -44,7 +45,7 @@
 // configuration object, one constructor, one streaming contract:
 //
 //	spec := universal.Spec{
-//		Kind:    universal.KindOnePass,       // or twopass, universal, window, ...
+//		Kind:    universal.KindOnePass,       // or twopass, sharded, window, ...
 //		G:       "x^2 lg(1+x)",               // catalog function name
 //		Options: universal.Options{N: 1 << 12, M: 1 << 10},
 //	}
@@ -87,7 +88,6 @@ const (
 	KindOnePass     = backend.KindOnePass
 	KindTwoPass     = backend.KindTwoPass
 	KindSharded     = backend.KindSharded
-	KindUniversal   = backend.KindUniversal
 	KindWindow      = backend.KindWindow
 	KindCountSketch = backend.KindCountSketch
 	KindHeavy       = backend.KindHeavy
@@ -110,7 +110,9 @@ type Windowed = backend.Windowed
 type TwoPassSink = backend.TwoPass
 
 // FuncQuerier is the capability of kinds answering post-hoc g-SUM
-// queries for arbitrary catalog functions (KindUniversal).
+// queries for arbitrary catalog functions from one state (KindOnePass,
+// KindSharded, KindWindow), inside the Options.Envelope they were sized
+// for.
 type FuncQuerier = backend.FuncQuerier
 
 // Open validates spec and constructs the estimator through the backend
@@ -233,10 +235,6 @@ type TwoPassEstimator = core.TwoPassEstimator
 // ExactEstimator is the linear-space baseline.
 type ExactEstimator = core.ExactEstimator
 
-// UniversalSketch is the function-independent linear sketch supporting
-// post-hoc g-SUM queries (§1.1.1).
-type UniversalSketch = core.Universal
-
 // NewOnePassEstimator builds the one-pass estimator for g.
 func NewOnePassEstimator(g Func, opts Options) *OnePassEstimator {
 	return core.NewOnePass(g, opts)
@@ -249,10 +247,6 @@ func NewTwoPassEstimator(g Func, opts Options) *TwoPassEstimator {
 
 // NewExactEstimator builds the exact linear-space baseline for g.
 func NewExactEstimator(g Func) *ExactEstimator { return core.NewExact(g) }
-
-// NewUniversalSketch builds a function-independent sketch; set
-// opts.Envelope to the max envelope of the functions you will query.
-func NewUniversalSketch(opts Options) *UniversalSketch { return core.NewUniversal(opts) }
 
 // Window is a sliding-window g-SUM estimator: an exponential histogram
 // of one-pass estimator buckets answering Σ g(|v_i|) over only the last

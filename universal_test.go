@@ -51,9 +51,11 @@ func TestPublicTwoPassFlow(t *testing.T) {
 	}
 }
 
+// TestPublicUniversalSketch: the §1.1.1 universal sketch is a one-pass
+// estimator sized for the family's envelope, queried post hoc.
 func TestPublicUniversalSketch(t *testing.T) {
 	s := stream.Zipf(stream.GenConfig{N: 1 << 12, M: 1 << 10, Seed: 5}, 300, 1.1)
-	u := NewUniversalSketch(Options{N: s.N(), M: 1 << 10, Seed: 7, Envelope: 16})
+	u := NewOnePassEstimator(F2(), Options{N: s.N(), M: 1 << 10, Seed: 7, Envelope: 16})
 	u.Process(s)
 	for _, g := range []Func{F2(), F1(), X2Log()} {
 		exact := NewExactEstimator(g)
