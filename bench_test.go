@@ -218,7 +218,7 @@ func BenchmarkIngest(b *testing.B) {
 	b.Run("serial-batched", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			e := core.NewOnePass(g, opts)
-			e.Process(s) // engine.Ingest: UpdateBatch in DefaultBatchSize chunks
+			e.Process(s) // stream.Batches: UpdateBatch in 4096-update chunks
 		}
 		report(b)
 	})
@@ -403,13 +403,12 @@ func BenchmarkAblationWidth(b *testing.B) {
 	}
 }
 
-// --- regression-gated process benchmarks (scripts/benchdiff) --------------
+// --- process benchmarks ------------------------------------------------------
 
-// The BenchmarkProcess* family is the CI performance gate: the bench job
-// runs exactly these, and scripts/benchdiff fails the build when any
-// ns/op regresses by more than 2x against the committed
-// BENCH_baseline.json. Keep them small enough for -benchtime=3x runs and
-// deterministic (fixed stream, fixed seeds).
+// The BenchmarkProcess* family prices whole-stream ingest per kind. CI
+// compiles and runs each once; the performance record is the repository
+// benchmark's (bench/run.sh, BENCH_<pr>.json). Keep them small enough for
+// -benchtime=3x runs and deterministic (fixed stream, fixed seeds).
 
 // processBenchStream is a 128k-update skewed insertion stream, large
 // enough to exercise batching and sharding, small enough for CI.
@@ -441,7 +440,6 @@ func BenchmarkProcessWorkload(b *testing.B) {
 	cfg := workload.Config{N: 1 << 16, Items: 4096, Length: 1 << 17, Seed: 7}
 	for _, gen := range workload.Generators() {
 		gen := gen
-		// Subbenchmark names feed scripts/benchdiff: BenchmarkProcessWorkload/zipf etc.
 		b.Run(gen.Name(), func(b *testing.B) {
 			s := gen.Generate(cfg)
 			opts := processBenchOpts(s)
@@ -455,7 +453,7 @@ func BenchmarkProcessWorkload(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepCell joins the regression gate for the sweep engine: one
+// BenchmarkSweepCell prices the sweep engine's unit of work: one
 // serial cell of the built-in smoke matrix end to end — scenario
 // generation, ingestion, estimate, and point-query scoring — the unit of
 // work `gsum sweep` fans out per process.
@@ -491,12 +489,10 @@ func BenchmarkProcessSnapshotMerge(b *testing.B) {
 	}
 }
 
-// --- regression-gated window benchmarks (scripts/benchdiff) ---------------
+// --- window benchmarks --------------------------------------------------------
 
-// The BenchmarkWindow* family joins BenchmarkProcess* in the CI
-// regression gate (scripts/benchdiff gates both prefixes against
-// BENCH_baseline.json). It covers the three windowed hot paths: ticked
-// ingestion, clock advancement (seal/compact/expire), and the
+// The BenchmarkWindow* family covers the three windowed hot paths:
+// ticked ingestion, clock advancement (seal/compact/expire), and the
 // snapshot/merge wire cycle.
 
 // windowBenchTicked is the shared windowed scenario: the zipf workload

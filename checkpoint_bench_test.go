@@ -1,7 +1,6 @@
 package universal
 
-// BenchmarkCheckpoint gates the daemon's checkpoint serialization cost
-// (scripts/benchdiff, alongside the Process/Window/Open families): one
+// BenchmarkCheckpoint prices the daemon's checkpoint serialization: one
 // iteration is a full atomic checkpoint of a loaded daemon — marshal
 // the sketch under the state lock, write a temp file, fsync, rename.
 // The durability loop runs this every -checkpoint-every interval, so a

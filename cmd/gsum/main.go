@@ -36,7 +36,6 @@ import (
 	universal "repro"
 	"repro/internal/cliflag"
 	"repro/internal/daemon"
-	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/gfunc"
 	"repro/internal/stream"
@@ -204,7 +203,7 @@ func runEstimate(args []string, stdout, stderr io.Writer) int {
 		g.Name(), *n, *m, *items, *alpha)
 	if *workers != 1 {
 		fmt.Fprintf(stdout, "ingestion: sharded across %d workers (merged by linearity)\n",
-			engine.Workers(*workers))
+			util.Workers(*workers))
 	}
 	fmt.Fprintf(stdout, "exact   %.6g  (%d bytes)\n", truth, exact.SpaceBytes())
 	fmt.Fprintf(stdout, "%d-pass  %.6g  (%d bytes), relative error %.4f\n",
@@ -438,7 +437,7 @@ func runPush(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Uint64("seed", 1, "stream seed (same on every worker)")
 	shard := fs.Int("shard", 0, "this worker's shard index")
 	of := fs.Int("of", 1, "total number of shards")
-	batch := fs.Int("batch", engine.DefaultBatchSize, "updates per request/frame")
+	batch := fs.Int("batch", daemon.DefaultPushBatch, "updates per request/frame")
 	useStream := fs.Bool("stream", false, "push over the persistent binary stream (/v1/stream) instead of JSON POSTs")
 	if code, ok := cliflag.Parse(fs, args, stderr); !ok {
 		return code
@@ -454,7 +453,7 @@ func runPush(args []string, stdout, stderr io.Writer) int {
 
 	s := stream.Zipf(stream.GenConfig{N: *n, M: *m, Seed: *seed}, *items, *alpha)
 	updates := s.Updates()
-	lo, hi := engine.Cut(len(updates), *of, *shard)
+	lo, hi := util.Cut(len(updates), *of, *shard)
 	chunk := updates[lo:hi]
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

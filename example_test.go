@@ -54,10 +54,9 @@ func ExampleOpen() {
 	// same spec merges: true; drifted seed merges: false
 }
 
-// ExampleNewOnePassEstimator estimates F2 = Σ v_i² in one pass over a
-// small turnstile stream and compares against the exact sum.
-func ExampleNewOnePassEstimator() {
-	g := universal.F2()               // g(x) = x²
+// ExampleOpen_onePass estimates F2 = Σ v_i² in one pass over a small
+// turnstile stream and compares against the exact sum.
+func ExampleOpen_onePass() {
 	s := universal.NewStream(1 << 10) // domain [0, 1024)
 	for i := uint64(0); i < 64; i++ {
 		s.Add(i, int64(i%8)+1) // frequencies 1..8
@@ -65,11 +64,9 @@ func ExampleNewOnePassEstimator() {
 	s.Add(3, 2)
 	s.Add(3, -2) // turnstile: deletions cancel
 
-	est := universal.NewOnePassEstimator(g, universal.Options{N: 1 << 10, M: 16, Seed: 1})
-	est.Process(s)
-
-	exact := universal.NewExactEstimator(g)
-	exact.Process(s)
+	est := mustOpen(universal.Spec{Kind: universal.KindOnePass, G: "x^2", // g(x) = x²
+		Options: universal.Options{N: 1 << 10, M: 16, Seed: 1}}, s)
+	exact := mustOpen(universal.Spec{Kind: universal.KindExact, G: "x^2", Options: universal.Options{N: 1 << 10}}, s)
 	fmt.Printf("exact %.0f, estimate within 25%%: %v\n",
 		exact.Estimate(), within(est.Estimate(), exact.Estimate(), 0.25))
 	// Output:
@@ -109,8 +106,8 @@ func ExampleFuncQuerier() {
 		panic(err)
 	}
 
-	exactF1 := universal.NewExactEstimator(universal.F1())
-	exactF1.Process(s)
+	exactF1 := mustOpen(universal.Spec{Kind: universal.KindExact, G: universal.F1().Name(),
+		Options: universal.Options{N: 1 << 10}}, s)
 	f1 := est.(universal.FuncQuerier).EstimateFor(universal.F1())
 	fmt.Printf("F1 exact %.0f, post-hoc estimate within 25%%: %v\n",
 		exactF1.Estimate(), within(f1, exactF1.Estimate(), 0.25))
@@ -118,40 +115,47 @@ func ExampleFuncQuerier() {
 	// F1 exact 250, post-hoc estimate within 25%: true
 }
 
-// ExampleWindow estimates F2 over only the last 4 ticks of a stream:
+// ExampleWindowed estimates F2 over only the last 4 ticks of a stream:
 // early traffic expires as the clock advances, so the windowed estimate
 // tracks the recent suffix, not the whole history.
-func ExampleWindow() {
-	g := universal.F2()
-	win, err := universal.NewWindow(g,
-		universal.Options{N: 1 << 10, M: 1 << 10, Seed: 2},
-		universal.WindowConfig{W: 4})
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
+func ExampleWindowed() {
+	spec := universal.Spec{Kind: universal.KindWindow, G: "x^2",
+		Options: universal.Options{N: 1 << 10, M: 1 << 10, Seed: 2}}
+	spec.Window.W = 4
+	est := mustOpen(spec, universal.NewStream(1<<10))
+	win := est.(universal.Windowed)
 	// Ticks 0..9: at tick t, items 0..15 each arrive once.
 	for tick := uint64(0); tick < 10; tick++ {
+		win.Advance(tick)
 		for i := uint64(0); i < 16; i++ {
-			if err := win.Update(i, 1, tick); err != nil {
-				fmt.Println(err)
-				return
-			}
+			est.Update(i, 1)
 		}
 	}
-	// The window covers ticks 6..9 (plus at most StaleBound stale
-	// ticks): each item has frequency 4..4+StaleBound there, far below
-	// its all-time frequency 10.
-	est := win.Estimate()
+	// The window covers ticks 6..9 (plus the Stale ticks its oldest
+	// bucket still carries): each item has frequency 4..4+Stale there,
+	// far below its all-time frequency 10.
 	wholeStream := 16 * float64(10*10)
 	windowOnly := 16 * float64(4*4)
-	maxCovered := 16 * float64((4+win.StaleBound())*(4+win.StaleBound()))
+	maxCovered := 16 * float64((4+win.Stale())*(4+win.Stale()))
+	estimate := est.Estimate()
 	fmt.Printf("estimate in [window, window+stale]: %v\n",
-		est >= windowOnly && est <= maxCovered)
-	fmt.Printf("well below whole-stream F2: %v\n", est < wholeStream/2)
+		estimate >= windowOnly && estimate <= maxCovered)
+	fmt.Printf("well below whole-stream F2: %v\n", estimate < wholeStream/2)
 	// Output:
 	// estimate in [window, window+stale]: true
 	// well below whole-stream F2: true
+}
+
+// mustOpen opens spec and ingests s through it.
+func mustOpen(spec universal.Spec, s *universal.Stream) universal.Estimator {
+	est, err := universal.Open(spec)
+	if err != nil {
+		panic(err)
+	}
+	if err := universal.Process(est, s); err != nil {
+		panic(err)
+	}
+	return est
 }
 
 // within reports |est - exact| <= frac * exact.

@@ -14,6 +14,7 @@ import (
 	"os"
 
 	universal "repro"
+	"repro/internal/core"
 	"repro/internal/stream"
 	"repro/internal/util"
 )
@@ -74,19 +75,25 @@ func run(w io.Writer) error {
 		s.AddCopies(user(), 200000+rng.Int63n(400000)) // bots
 	}
 
-	exact := universal.NewExactEstimator(g)
-	exact.Process(s)
-	truth := exact.Estimate()
+	// The exact bill keeps one (user, clicks) pair per user: 16 bytes each.
+	clicks := s.Vector()
+	truth := clicks.Sum(g.Eval)
 
-	est := universal.NewOnePassEstimator(g, universal.Options{
-		N: nUsers, M: m, Eps: 0.2, Seed: seed,
-	})
-	est.Process(s)
-	got := est.Estimate()
+	// The fee curve is not a catalog function, so the sketch is the
+	// function-independent one (§1.1.1): a onepass Spec sized for the fee's
+	// envelope, asked for the fee after the pass.
+	opts := universal.Options{N: nUsers, M: m, Eps: 0.2, Seed: seed}
+	opts.Envelope = core.EnvelopeFor(g, opts)
+	est, err := universal.Open(universal.Spec{Kind: universal.KindOnePass, G: universal.F1().Name(), Options: opts})
+	if err != nil {
+		return err
+	}
+	if err := universal.Process(est, s); err != nil {
+		return err
+	}
+	got := est.(universal.FuncQuerier).EstimateFor(g)
 
-	scale := g.Eval(1) // 1.0 by normalization; fee(1)/scale recovers dollars
-	_ = scale
-	fmt.Fprintf(w, "total fee (exact):    %12.1f fee-units  (space %d B)\n", truth*fee(1), exact.SpaceBytes())
+	fmt.Fprintf(w, "total fee (exact):    %12.1f fee-units  (space %d B)\n", truth*fee(1), 16*clicks.F0())
 	fmt.Fprintf(w, "total fee (sketched): %12.1f fee-units  (space %d B)\n", got*fee(1), est.SpaceBytes())
 	fmt.Fprintf(w, "relative error: %.4f (target 0.2)\n", util.RelErr(got, truth))
 	fmt.Fprintln(w)

@@ -1,9 +1,8 @@
 package universal
 
-// Benchmark for the sharded hot path (internal/hotpath).
-// BenchmarkProcessSharded joins the BenchmarkProcess* regression gate
-// (BENCH_baseline.json via scripts/benchdiff); run it across `-cpu`
-// values for the Serial/Sharded table in EXPERIMENTS.md.
+// Benchmark for the sharded hot path (internal/hotpath). Run it across
+// `-cpu` values beside BenchmarkProcessSerial for the Serial/Sharded
+// table in EXPERIMENTS.md.
 
 import "testing"
 

@@ -1,14 +1,13 @@
 package universal
 
-// The BenchmarkDaemonIngest* family gates the daemon ingest transports
-// (scripts/benchdiff, alongside the Process/Window/Open/Checkpoint
-// families): one iteration pushes the standard 128k-update bench stream
-// into a daemon three ways — straight into the server's apply path
-// (the no-wire ceiling), over per-batch JSON POSTs to /v1/ingest, and
-// over the persistent binary /v1/stream transport through the async
-// Pusher. The acceptance bar for the stream transport is ns/op within
-// 2x of the in-process ceiling: the wire format exists to make the
-// transport disappear from the profile, and this gate keeps it gone.
+// The BenchmarkDaemonIngest* family prices the daemon ingest transports:
+// one iteration pushes the standard 128k-update bench stream into a
+// daemon three ways — straight into the server's apply path (the
+// no-wire ceiling), over per-batch JSON POSTs to /v1/ingest, and over
+// the persistent binary /v1/stream transport through the async Pusher.
+// The bar for the stream transport is ns/op within 2x of the in-process
+// ceiling: the wire format exists to make the transport disappear from
+// the profile.
 
 import (
 	"context"
@@ -17,7 +16,6 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/daemon"
-	"repro/internal/engine"
 )
 
 // ingestBenchServer builds the standard onepass daemon for the bench
@@ -42,8 +40,8 @@ func BenchmarkDaemonIngestInProcess(b *testing.B) {
 	updates := s.Updates()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for lo := 0; lo < len(updates); lo += engine.DefaultBatchSize {
-			hi := lo + engine.DefaultBatchSize
+		for lo := 0; lo < len(updates); lo += daemon.DefaultPushBatch {
+			hi := lo + daemon.DefaultPushBatch
 			if hi > len(updates) {
 				hi = len(updates)
 			}

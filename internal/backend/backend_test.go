@@ -1,11 +1,13 @@
 package backend
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/stream"
+	"repro/internal/util"
 	"repro/internal/window"
 )
 
@@ -323,4 +325,45 @@ func specWith(mut func(*Spec)) Spec {
 	s := specFor(KindOnePass, 1)
 	mut(&s)
 	return s
+}
+
+// TestProcessFeedsBatchesOf4096: backend.Process on onepass leaves the
+// estimator exactly as UpdateBatch fed 4096 updates at a time —
+// estimate and snapshot bytes — on 3×4096+17 updates over more distinct
+// items than a tracker holds, where a batch boundary shows in the
+// candidates.
+func TestProcessFeedsBatchesOf4096(t *testing.T) {
+	spec := specFor(KindOnePass, 5)
+	rng := util.NewSplitMix64(3)
+	s := stream.New(spec.Options.N)
+	for i := 0; i < 3*4096+17; i++ {
+		s.Add(rng.Uint64n(spec.Options.N), rng.Int63n(5)+1)
+	}
+	processed, err := Open(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Process(processed, s); err != nil {
+		t.Fatal(err)
+	}
+	chunked, err := Open(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	updates := s.Updates()
+	for lo := 0; lo < len(updates); lo += 4096 {
+		chunked.UpdateBatch(updates[lo:min(lo+4096, len(updates))])
+	}
+	a, err := processed.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := chunked.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if processed.Estimate() != chunked.Estimate() || !bytes.Equal(a, b) {
+		t.Errorf("Process: estimate %v; 4096-update batches: %v; snapshots equal: %v",
+			processed.Estimate(), chunked.Estimate(), bytes.Equal(a, b))
+	}
 }

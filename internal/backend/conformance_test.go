@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/gfunc"
 	"repro/internal/stream"
 	"repro/internal/workload"
@@ -205,10 +204,10 @@ func confRun(t *testing.T, spec backend.Spec, s *stream.Stream) backend.Estimato
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine.Ingest(est, s.Updates(), 0)
+	stream.Batches(s.Updates(), est.UpdateBatch)
 	if tp, ok := est.(backend.TwoPass); ok {
 		tp.FinishPass1()
-		engine.Ingest(est, s.Updates(), 0)
+		stream.Batches(s.Updates(), est.UpdateBatch)
 	}
 	return est
 }

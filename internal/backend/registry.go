@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/heavy"
 	"repro/internal/hotpath"
 	"repro/internal/sketch"
@@ -230,7 +229,7 @@ func Process(est Estimator, s *stream.Stream) error {
 		// result independent of scheduling (see internal/hotpath).
 		return e.Process(s.Updates())
 	default:
-		engine.Ingest(est, s.Updates(), 0)
+		stream.Batches(s.Updates(), est.UpdateBatch)
 		return nil
 	}
 }

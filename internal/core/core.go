@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"repro/internal/engine"
 	"repro/internal/gfunc"
 	"repro/internal/heavy"
 	"repro/internal/recursive"
@@ -82,18 +81,13 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
-func (o Options) withDefaults() Options { return o.WithDefaults() }
-
 // EnvelopeFor resolves the envelope H(M) for g under the options — the
 // exact defaulting the estimator constructors apply (Envelope override,
 // M clamp, cap for functions with no finite envelope). Exported so
 // layers that pre-pin the envelope into shared Options (internal/window
 // builds many estimators that must resolve to byte-identical
 // configuration) cannot drift from the constructors' policy.
-func EnvelopeFor(g gfunc.Func, o Options) float64 { return envelopeFor(g, o) }
-
-// envelopeFor resolves the envelope H(M) for g under the options.
-func envelopeFor(g gfunc.Func, o Options) float64 {
+func EnvelopeFor(g gfunc.Func, o Options) float64 {
 	if o.Envelope > 0 {
 		return o.Envelope
 	}
@@ -120,8 +114,8 @@ type OnePassEstimator struct {
 
 // NewOnePass builds the Theorem 2 estimator for g.
 func NewOnePass(g gfunc.Func, opts Options) *OnePassEstimator {
-	o := opts.withDefaults()
-	h := envelopeFor(g, o)
+	o := opts.WithDefaults()
+	h := EnvelopeFor(g, o)
 	o.Envelope = h // shard clones reuse the measured envelope instead of re-scanning g
 	rng := util.NewSplitMix64(o.Seed)
 	hhRng := rng.Fork()
@@ -156,7 +150,7 @@ func (e *OnePassEstimator) UpdateBatch(batch []stream.Update) {
 
 // Process consumes an entire stream through the batched ingestion path.
 func (e *OnePassEstimator) Process(s *stream.Stream) {
-	engine.Ingest(e, s.Updates(), 0)
+	stream.Batches(s.Updates(), e.sk.UpdateBatch)
 }
 
 // Estimate returns the g-SUM estimate. Call once, after the stream.
@@ -194,8 +188,8 @@ type TwoPassEstimator struct {
 
 // NewTwoPass builds the Theorem 3 estimator for g.
 func NewTwoPass(g gfunc.Func, opts Options) *TwoPassEstimator {
-	o := opts.withDefaults()
-	h := envelopeFor(g, o)
+	o := opts.WithDefaults()
+	h := EnvelopeFor(g, o)
 	o.Envelope = h // shard clones reuse the measured envelope instead of re-scanning g
 	rng := util.NewSplitMix64(o.Seed)
 	hhRng := rng.Fork()
@@ -219,9 +213,9 @@ func NewTwoPass(g gfunc.Func, opts Options) *TwoPassEstimator {
 // Run executes both passes over a replayable stream (through the batched
 // ingestion path) and returns the estimate.
 func (e *TwoPassEstimator) Run(s *stream.Stream) float64 {
-	forBatches(s.Updates(), e.sk.Pass1Batch)
+	stream.Batches(s.Updates(), e.sk.Pass1Batch)
 	e.FinishPass1()
-	forBatches(s.Updates(), e.sk.Pass2Batch)
+	stream.Batches(s.Updates(), e.sk.Pass2Batch)
 	return e.sk.Estimate()
 }
 

@@ -1,20 +1,9 @@
 package core
 
 import (
-	"repro/internal/engine"
 	"repro/internal/stream"
+	"repro/internal/util"
 )
-
-// forBatches walks updates in engine.DefaultBatchSize chunks.
-func forBatches(updates []stream.Update, fn func(batch []stream.Update)) {
-	for lo := 0; lo < len(updates); lo += engine.DefaultBatchSize {
-		hi := lo + engine.DefaultBatchSize
-		if hi > len(updates) {
-			hi = len(updates)
-		}
-		fn(updates[lo:hi])
-	}
-}
 
 // RunParallel executes both passes of the two-pass estimator over
 // `workers` contiguous chunks of the stream (< 1 means GOMAXPROCS).
@@ -23,7 +12,7 @@ func forBatches(updates []stream.Update, fn func(batch []stream.Update)) {
 // them to the workers, and pass 2 tabulates each chunk exactly — exact
 // counts add linearly too, so the result equals a serial Run.
 func (e *TwoPassEstimator) RunParallel(s *stream.Stream, workers int) (float64, error) {
-	w := engine.Workers(workers)
+	w := util.Workers(workers)
 	updates := s.Updates()
 	if w <= 1 || len(updates) <= 1 {
 		return e.Run(s), nil
@@ -33,11 +22,11 @@ func (e *TwoPassEstimator) RunParallel(s *stream.Stream, workers int) (float64, 
 	}
 	ests := make([]*TwoPassEstimator, w)
 	ests[0] = e
-	engine.ParallelChunks(updates, w, func(i int, chunk []stream.Update) {
+	util.ParallelChunks(updates, w, func(i int, chunk []stream.Update) {
 		if ests[i] == nil {
 			ests[i] = NewTwoPass(e.g, e.opts)
 		}
-		forBatches(chunk, ests[i].sk.Pass1Batch)
+		stream.Batches(chunk, ests[i].sk.Pass1Batch)
 	})
 	for i := 1; i < w; i++ {
 		if err := e.sk.MergePass1(ests[i].sk); err != nil {
@@ -50,8 +39,8 @@ func (e *TwoPassEstimator) RunParallel(s *stream.Stream, workers int) (float64, 
 			return 0, err
 		}
 	}
-	engine.ParallelChunks(updates, w, func(i int, chunk []stream.Update) {
-		forBatches(chunk, ests[i].sk.Pass2Batch)
+	util.ParallelChunks(updates, w, func(i int, chunk []stream.Update) {
+		stream.Batches(chunk, ests[i].sk.Pass2Batch)
 	})
 	for i := 1; i < w; i++ {
 		if err := e.sk.MergePass2(ests[i].sk); err != nil {

@@ -3,9 +3,9 @@ package core
 import (
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/gfunc"
 	"repro/internal/stream"
+	"repro/internal/util"
 )
 
 // The merge promise: cut a stream into contiguous chunks, ingest each into
@@ -38,8 +38,8 @@ func cutAndMerge[S interface{ UpdateBatch([]stream.Update) }](t *testing.T, s *s
 	for i := range shards {
 		shards[i] = newShard()
 	}
-	engine.ParallelChunks(s.Updates(), workers, func(i int, chunk []stream.Update) {
-		forBatches(chunk, shards[i].UpdateBatch)
+	util.ParallelChunks(s.Updates(), workers, func(i int, chunk []stream.Update) {
+		stream.Batches(chunk, shards[i].UpdateBatch)
 	})
 	for i := 1; i < workers; i++ {
 		if err := merge(shards[0], shards[i]); err != nil {

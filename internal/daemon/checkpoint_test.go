@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -32,7 +33,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	if err := NewClient(ts.URL, nil).Push(s.Updates()); err != nil {
+	if err := NewClient(ts.URL, nil).PushContext(context.Background(), s.Updates()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -62,7 +63,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if *got.Estimate != *want.Estimate {
 		t.Errorf("restored estimate %v != original %v", *got.Estimate, *want.Estimate)
 	}
-	info, err := NewClient(ts2.URL, nil).Config()
+	info, err := NewClient(ts2.URL, nil).ConfigContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestKillAndRestartE2E(t *testing.T) {
 
 	w1, coord := newSrv(), newSrv()
 	w1TS, coordTS := mk(w1), mk(coord)
-	if err := NewClient(w1TS.URL, nil).Push(updates[:half]); err != nil {
+	if err := NewClient(w1TS.URL, nil).PushContext(context.Background(), updates[:half]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -258,13 +259,13 @@ func TestKillAndRestartE2E(t *testing.T) {
 	ckptPath := CheckpointPath(stateDir)
 	w2 := newSrv()
 	w2TS := httptest.NewServer(w2.Handler())
-	if err := NewClient(w2TS.URL, nil).Push(w2Updates[:ckptAt]); err != nil {
+	if err := NewClient(w2TS.URL, nil).PushContext(context.Background(), w2Updates[:ckptAt]); err != nil {
 		t.Fatal(err)
 	}
 	if err := w2.WriteCheckpoint(ckptPath); err != nil {
 		t.Fatal(err)
 	}
-	if err := NewClient(w2TS.URL, nil).Push(w2Updates[ckptAt : ckptAt+ckptAt/2]); err != nil {
+	if err := NewClient(w2TS.URL, nil).PushContext(context.Background(), w2Updates[ckptAt:ckptAt+ckptAt/2]); err != nil {
 		t.Fatal(err)
 	}
 	w2TS.CloseClientConnections()
@@ -279,12 +280,12 @@ func TestKillAndRestartE2E(t *testing.T) {
 		t.Fatalf("restart from checkpoint: %v", err)
 	}
 	w2bTS := mk(w2b)
-	if err := NewClient(w2bTS.URL, nil).Push(w2Updates[ckptAt:]); err != nil {
+	if err := NewClient(w2bTS.URL, nil).PushContext(context.Background(), w2Updates[ckptAt:]); err != nil {
 		t.Fatal(err)
 	}
 
 	cc := NewClient(coordTS.URL, nil)
-	if err := cc.PullFrom([]string{w1TS.URL, w2bTS.URL}); err != nil {
+	if err := cc.PullFromContext(context.Background(), []string{w1TS.URL, w2bTS.URL}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := cc.Estimate(nil)

@@ -22,13 +22,12 @@ import (
 const DefaultTimeout = 10 * time.Second
 
 // Client talks to one gsumd daemon. context.Context is first-class:
-// every verb has a ctx-first XxxContext form (cancel a push mid-flight,
-// bound a pull round, tie the whole CLI to SIGINT), and the short names
-// are thin Background shims for callers that don't need one. Every
-// request is additionally bounded: a nil http.Client gets
-// DefaultTimeout, and multi-peer operations (PullFromContext) carry a
-// per-request deadline so one dead worker costs at most one timeout,
-// not the whole loop.
+// every verb is ctx-first (cancel a push mid-flight, bound a pull round,
+// tie the whole CLI to SIGINT); only Estimate and Snapshot keep a
+// Background() form. Every request is additionally bounded: a nil
+// http.Client gets DefaultTimeout, and multi-peer operations
+// (PullFromContext) carry a per-request deadline so one dead worker
+// costs at most one timeout, not the whole loop.
 type Client struct {
 	base string
 	hc   *http.Client
@@ -130,11 +129,6 @@ func (c *Client) PushContext(ctx context.Context, updates []stream.Update) error
 	return c.postOK(ctx, "/v1/ingest", "application/json", body)
 }
 
-// Push is PushContext with a background context.
-func (c *Client) Push(updates []stream.Update) error {
-	return c.PushContext(context.Background(), updates)
-}
-
 // AdvanceContext moves a window backend's tick clock to tick via
 // /v1/advance and returns the daemon's resulting clock (past ticks are
 // a no-op, so the returned clock may be ahead of the argument).
@@ -160,11 +154,6 @@ func (c *Client) AdvanceContext(ctx context.Context, tick uint64) (uint64, error
 	return out.Tick, nil
 }
 
-// Advance is AdvanceContext with a background context.
-func (c *Client) Advance(tick uint64) (uint64, error) {
-	return c.AdvanceContext(context.Background(), tick)
-}
-
 // SnapshotContext fetches the daemon's serialized sketch state.
 func (c *Client) SnapshotContext(ctx context.Context) ([]byte, error) {
 	resp, err := c.do(ctx, http.MethodGet, "/v1/snapshot", "", nil)
@@ -187,7 +176,9 @@ func (c *Client) SnapshotContext(ctx context.Context) ([]byte, error) {
 	return data, nil
 }
 
-// Snapshot is SnapshotContext with a background context.
+// Snapshot is SnapshotContext with a background context. It stays
+// beside the ctx-first verbs only while the repository benchmark's
+// harness (bench/) calls it.
 func (c *Client) Snapshot() ([]byte, error) {
 	return c.SnapshotContext(context.Background())
 }
@@ -195,11 +186,6 @@ func (c *Client) Snapshot() ([]byte, error) {
 // MergeContext ships a serialized shard sketch to /v1/merge.
 func (c *Client) MergeContext(ctx context.Context, snapshot []byte) error {
 	return c.postOK(ctx, "/v1/merge", "application/octet-stream", snapshot)
-}
-
-// Merge is MergeContext with a background context.
-func (c *Client) Merge(snapshot []byte) error {
-	return c.MergeContext(context.Background(), snapshot)
 }
 
 // CheckSpecContext posts a Spec fingerprint to the daemon's /v1/config
@@ -211,11 +197,6 @@ func (c *Client) CheckSpecContext(ctx context.Context, fingerprint uint64) error
 		return err
 	}
 	return c.postOK(ctx, "/v1/config", "application/json", body)
-}
-
-// CheckSpec is CheckSpecContext with a background context.
-func (c *Client) CheckSpec(fingerprint uint64) error {
-	return c.CheckSpecContext(context.Background(), fingerprint)
 }
 
 // RegisterContext announces a worker's base URL to the coordinator this
@@ -230,11 +211,6 @@ func (c *Client) RegisterContext(ctx context.Context, workerAddr string) error {
 	ctx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
 	return c.postOK(ctx, "/v1/register", "application/json", body)
-}
-
-// Register is RegisterContext with a background context.
-func (c *Client) Register(workerAddr string) error {
-	return c.RegisterContext(context.Background(), workerAddr)
 }
 
 // PullFromContext fetches a snapshot from every worker daemon and
@@ -286,11 +262,6 @@ func (c *Client) PullFromContext(ctx context.Context, workers []string) error {
 	return nil
 }
 
-// PullFrom is PullFromContext with a background context.
-func (c *Client) PullFrom(workers []string) error {
-	return c.PullFromContext(context.Background(), workers)
-}
-
 // EstimateContext queries /v1/estimate with the given parameters and
 // returns the decoded, typed result. Which fields are set depends on
 // the daemon kind's capabilities — see EstimateResult.
@@ -314,7 +285,9 @@ func (c *Client) EstimateContext(ctx context.Context, params url.Values) (Estima
 	return out, nil
 }
 
-// Estimate is EstimateContext with a background context.
+// Estimate is EstimateContext with a background context. It stays
+// beside the ctx-first verbs only while the repository benchmark's
+// harness (bench/) calls it.
 func (c *Client) Estimate(params url.Values) (EstimateResult, error) {
 	return c.EstimateContext(context.Background(), params)
 }
@@ -335,9 +308,4 @@ func (c *Client) ConfigContext(ctx context.Context) (ConfigInfo, error) {
 		return ConfigInfo{}, err
 	}
 	return info, nil
-}
-
-// Config is ConfigContext with a background context.
-func (c *Client) Config() (ConfigInfo, error) {
-	return c.ConfigContext(context.Background())
 }

@@ -62,10 +62,10 @@ func TestClientTimesOutOnHungServer(t *testing.T) {
 	ts := stalledServer(t)
 	c := NewClient(ts.URL, &http.Client{Timeout: 100 * time.Millisecond})
 	start := time.Now()
-	if err := c.Push([]stream.Update{{Item: 1, Delta: 1}}); err == nil {
+	if err := c.PushContext(context.Background(), []stream.Update{{Item: 1, Delta: 1}}); err == nil {
 		t.Error("Push against a stalled daemon returned nil")
 	}
-	if err := c.CheckSpec(42); err == nil {
+	if err := c.CheckSpecContext(context.Background(), 42); err == nil {
 		t.Error("CheckSpec against a stalled daemon returned nil")
 	}
 	if _, err := c.Snapshot(); err == nil {
@@ -94,13 +94,13 @@ func TestPullFromDeadWorkerFailsFastWithZeroMerges(t *testing.T) {
 	}
 	good, coord := mkDaemon(), mkDaemon()
 	hung := stalledServer(t)
-	if err := NewClient(good.URL, nil).Push(s.Updates()); err != nil {
+	if err := NewClient(good.URL, nil).PushContext(context.Background(), s.Updates()); err != nil {
 		t.Fatal(err)
 	}
 
 	cc := NewClient(coord.URL, &http.Client{Timeout: 200 * time.Millisecond})
 	start := time.Now()
-	err := cc.PullFrom([]string{good.URL, hung.URL})
+	err := cc.PullFromContext(context.Background(), []string{good.URL, hung.URL})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("PullFrom with a hung worker returned nil")
@@ -114,7 +114,7 @@ func TestPullFromDeadWorkerFailsFastWithZeroMerges(t *testing.T) {
 
 	// Zero merges: the handshake phase walks every worker before any
 	// snapshot ships, so the healthy worker's data must not have landed.
-	info, err := NewClient(coord.URL, nil).Config()
+	info, err := NewClient(coord.URL, nil).ConfigContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,12 +214,12 @@ func TestPushRejectsItemsBeyondInt64(t *testing.T) {
 
 	// Client-side: 2^63 and above never reach the wire.
 	for _, item := range []uint64{1 << 63, math.MaxUint64} {
-		err := c.Push([]stream.Update{{Item: item, Delta: 1}})
+		err := c.PushContext(context.Background(), []stream.Update{{Item: item, Delta: 1}})
 		if err == nil || !strings.Contains(err.Error(), "int64 range") {
 			t.Errorf("item %d: got %v, want an int64-range error", item, err)
 		}
 	}
-	info, err := c.Config()
+	info, err := c.ConfigContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestPushRejectsItemsBeyondInt64(t *testing.T) {
 	}
 
 	// Boundary: 2^63-1 is representable and must be accepted.
-	if err := c.Push([]stream.Update{{Item: math.MaxInt64, Delta: 2}}); err != nil {
+	if err := c.PushContext(context.Background(), []stream.Update{{Item: math.MaxInt64, Delta: 2}}); err != nil {
 		t.Fatalf("boundary item 2^63-1 rejected: %v", err)
 	}
 	got, err := c.Estimate(nil)

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"net/url"
@@ -45,14 +46,14 @@ func cluster(t *testing.T, spec backend.Spec, s *stream.Stream) *Client {
 
 	updates := s.Updates()
 	n := len(updates)
-	if err := NewClient(w1.URL, nil).Push(updates[:n/2]); err != nil {
+	if err := NewClient(w1.URL, nil).PushContext(context.Background(), updates[:n/2]); err != nil {
 		t.Fatal(err)
 	}
-	if err := NewClient(w2.URL, nil).Push(updates[n/2:]); err != nil {
+	if err := NewClient(w2.URL, nil).PushContext(context.Background(), updates[n/2:]); err != nil {
 		t.Fatal(err)
 	}
 	cc := NewClient(coord.URL, nil)
-	if err := cc.PullFrom([]string{w1.URL, w2.URL}); err != nil {
+	if err := cc.PullFromContext(context.Background(), []string{w1.URL, w2.URL}); err != nil {
 		t.Fatal(err)
 	}
 	return cc
@@ -189,7 +190,7 @@ func TestPostHocQueryRefusesFunctionsPastTheEnvelope(t *testing.T) {
 	} {
 		t.Run(string(spec.Kind), func(t *testing.T) {
 			srv, c := streamServer(t, spec)
-			if err := c.Push(s.Updates()); err != nil {
+			if err := c.PushContext(context.Background(), s.Updates()); err != nil {
 				t.Fatal(err)
 			}
 			got, err := c.Estimate(url.Values{"g": {inside.Name()}})
@@ -222,7 +223,7 @@ func TestConfigServesSpecAndFingerprint(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
-	info, err := NewClient(ts.URL, nil).Config()
+	info, err := NewClient(ts.URL, nil).ConfigContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,14 +265,14 @@ func TestPullFromRejectsSpecMismatchBeforeMerge(t *testing.T) {
 		return NewClient(ts.URL, nil)
 	}
 	coord, okWorker, badWorker := mk(good), mk(good), mk(drifted)
-	if err := okWorker.Push(s.Updates()); err != nil {
+	if err := okWorker.PushContext(context.Background(), s.Updates()); err != nil {
 		t.Fatal(err)
 	}
-	if err := badWorker.Push(s.Updates()); err != nil {
+	if err := badWorker.PushContext(context.Background(), s.Updates()); err != nil {
 		t.Fatal(err)
 	}
 
-	err := coord.PullFrom([]string{okWorker.base, badWorker.base})
+	err := coord.PullFromContext(context.Background(), []string{okWorker.base, badWorker.base})
 	if err == nil {
 		t.Fatal("PullFrom accepted a worker with a drifted Spec")
 	}
@@ -281,7 +282,7 @@ func TestPullFromRejectsSpecMismatchBeforeMerge(t *testing.T) {
 
 	// The handshake runs before any snapshot moves: even the matching
 	// worker's data must NOT have been merged.
-	info, err := coord.Config()
+	info, err := coord.ConfigContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,10 +296,10 @@ func TestPullFromRejectsSpecMismatchBeforeMerge(t *testing.T) {
 	}
 
 	// Direct handshake checks: matching fingerprint 200, drifted 409.
-	if err := okWorker.CheckSpec(good.Fingerprint()); err != nil {
+	if err := okWorker.CheckSpecContext(context.Background(), good.Fingerprint()); err != nil {
 		t.Errorf("matching fingerprint rejected: %v", err)
 	}
-	if err := badWorker.CheckSpec(good.Fingerprint()); err == nil || !strings.Contains(err.Error(), "409") {
+	if err := badWorker.CheckSpecContext(context.Background(), good.Fingerprint()); err == nil || !strings.Contains(err.Error(), "409") {
 		t.Errorf("drifted daemon did not answer 409: %v", err)
 	}
 }
@@ -319,7 +320,7 @@ func TestMergeRejectsMismatchedConfiguration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Merge(snap); err == nil {
+	if err := b.MergeContext(context.Background(), snap); err == nil {
 		t.Error("expected merge of a different-seed snapshot to be rejected")
 	}
 }
@@ -332,7 +333,7 @@ func TestIngestRejectsOutOfDomainItems(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	err = NewClient(ts.URL, nil).Push([]stream.Update{{Item: 99, Delta: 1}})
+	err = NewClient(ts.URL, nil).PushContext(context.Background(), []stream.Update{{Item: 99, Delta: 1}})
 	if err == nil {
 		t.Error("expected out-of-domain item to be rejected")
 	}
@@ -387,25 +388,25 @@ func windowCluster(t *testing.T, spec backend.Spec, updates []stream.Update, tic
 			for run < hi && ticks[run] == ticks[lo] {
 				run++
 			}
-			if _, err := c.Advance(ticks[lo]); err != nil {
+			if _, err := c.AdvanceContext(context.Background(), ticks[lo]); err != nil {
 				t.Fatal(err)
 			}
-			if err := c.Push(updates[lo:run]); err != nil {
+			if err := c.PushContext(context.Background(), updates[lo:run]); err != nil {
 				t.Fatal(err)
 			}
 			lo = run
 		}
-		if _, err := c.Advance(last); err != nil {
+		if _, err := c.AdvanceContext(context.Background(), last); err != nil {
 			t.Fatal(err)
 		}
 	}
 	n := len(updates)
 	push(w1, 0, n/2)
 	push(w2, n/2, n)
-	if _, err := coord.Advance(last); err != nil {
+	if _, err := coord.AdvanceContext(context.Background(), last); err != nil {
 		t.Fatal(err)
 	}
-	if err := coord.PullFrom([]string{w1.base, w2.base}); err != nil {
+	if err := coord.PullFromContext(context.Background(), []string{w1.base, w2.base}); err != nil {
 		t.Fatal(err)
 	}
 	return coord
@@ -462,18 +463,18 @@ func TestAdvanceEndpoint(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	c := NewClient(ts.URL, nil)
-	now, err := c.Advance(9)
+	now, err := c.AdvanceContext(context.Background(), 9)
 	if err != nil || now != 9 {
 		t.Fatalf("advance to 9: now=%d err=%v", now, err)
 	}
-	now, err = c.Advance(3) // past tick: clock must not move backward
+	now, err = c.AdvanceContext(context.Background(), 3) // past tick: clock must not move backward
 	if err != nil || now != 9 {
 		t.Fatalf("advance to past tick: now=%d err=%v", now, err)
 	}
 
 	// A wall-clock-sized jump completes immediately (window.Advance
 	// fast-forwards) instead of replaying ~10^9 ticks under the lock.
-	if now, err := c.Advance(1753680000); err != nil || now != 1753680000 {
+	if now, err := c.AdvanceContext(context.Background(), 1753680000); err != nil || now != 1753680000 {
 		t.Fatalf("epoch-seconds jump: now=%d err=%v", now, err)
 	}
 
@@ -484,7 +485,7 @@ func TestAdvanceEndpoint(t *testing.T) {
 	}
 	tsp := httptest.NewServer(plain.Handler())
 	t.Cleanup(tsp.Close)
-	if _, err := NewClient(tsp.URL, nil).Advance(1); err == nil {
+	if _, err := NewClient(tsp.URL, nil).AdvanceContext(context.Background(), 1); err == nil {
 		t.Fatal("onepass kind accepted /v1/advance")
 	}
 
@@ -511,20 +512,20 @@ func TestWindowMergeRejectsClockDrift(t *testing.T) {
 		return NewClient(ts.URL, nil)
 	}
 	worker, coord := mk(), mk()
-	if _, err := worker.Advance(5); err != nil {
+	if _, err := worker.AdvanceContext(context.Background(), 5); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := worker.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := coord.Merge(snap); err == nil {
+	if err := coord.MergeContext(context.Background(), snap); err == nil {
 		t.Fatal("coordinator at tick 0 merged a tick-5 snapshot")
 	}
-	if _, err := coord.Advance(5); err != nil {
+	if _, err := coord.AdvanceContext(context.Background(), 5); err != nil {
 		t.Fatal(err)
 	}
-	if err := coord.Merge(snap); err != nil {
+	if err := coord.MergeContext(context.Background(), snap); err != nil {
 		t.Fatalf("merge after synchronizing clocks: %v", err)
 	}
 }
@@ -543,7 +544,7 @@ func TestRefusedMergeLeavesTheAggregate(t *testing.T) {
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
 		c := NewClient(ts.URL, nil)
-		if err := c.Push(testStream(seed).Updates()); err != nil {
+		if err := c.PushContext(context.Background(), testStream(seed).Updates()); err != nil {
 			t.Fatal(err)
 		}
 		return c
@@ -557,7 +558,7 @@ func TestRefusedMergeLeavesTheAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = coord.Merge(sketchtest.BreakLastRow(t, snap))
+	err = coord.MergeContext(context.Background(), sketchtest.BreakLastRow(t, snap))
 	if err == nil || !strings.Contains(err.Error(), "409") || !strings.Contains(err.Error(), "wire: row of") {
 		t.Errorf("merge of a snapshot with a bad last row: %v, want a 409 naming the row", err)
 	}
@@ -568,7 +569,7 @@ func TestRefusedMergeLeavesTheAggregate(t *testing.T) {
 	if !bytes.Equal(before, after) {
 		t.Error("a refused merge changed the live aggregate")
 	}
-	if err := coord.Merge(snap); err != nil {
+	if err := coord.MergeContext(context.Background(), snap); err != nil {
 		t.Errorf("the snapshot the bad one is cut from: %v", err)
 	}
 }

@@ -33,8 +33,8 @@
 //	                   ingest/space counters.
 //	POST /v1/config    JSON {"fingerprint": F} — the pre-merge handshake:
 //	                   200 when F matches this daemon's Spec fingerprint,
-//	                   409 Conflict otherwise. Client.PullFrom checks every
-//	                   worker this way BEFORE pulling any snapshot, so a
+//	                   409 Conflict otherwise. Client.PullFromContext checks
+//	                   every worker this way BEFORE pulling any snapshot, so a
 //	                   drifted deployment fails with zero merges.
 //	POST /v1/register  JSON {"addr": "http://worker:7601"} — a worker
 //	                   announces itself to the coordinator's membership
@@ -62,10 +62,11 @@
 // distributed work-queue systems: workers sit close to the traffic and
 // absorb updates; the coordinator owns the query surface.
 //
-// Client is the typed HTTP client for all of the above; every verb has
-// a context-first form (PushContext, EstimateContext, ...) with a
-// Background() shim under the old name, and /v1/estimate responses
-// decode into the typed EstimateResult the server itself encodes.
+// Client is the typed HTTP client for all of the above; every verb is
+// context-first (PushContext, EstimateContext, ...), and /v1/estimate
+// responses decode into the typed EstimateResult the server itself
+// encodes. Loopback serves a Server on a 127.0.0.1 port beside its
+// Client: the in-process node of the bench runner and the soak.
 // Pusher is the asynchronous push session (bounded queue, batching by
 // size and age, backpressure instead of drops) over either transport:
 // JSON POSTs or the /v1/stream binary framing.

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"net/http/httptest"
@@ -72,14 +73,14 @@ func TestOlderLayoutIsRefusedAtTheDoor(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	c := NewClient(ts.URL, nil)
-	if err := c.Push(testStream(3).Updates()); err != nil {
+	if err := c.PushContext(context.Background(), testStream(3).Updates()); err != nil {
 		t.Fatal(err)
 	}
 	before, err := c.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CheckSpec(spec.Fingerprint()); err != nil {
+	if err := c.CheckSpecContext(context.Background(), spec.Fingerprint()); err != nil {
 		t.Errorf("handshake with the daemon's own fingerprint: %v", err)
 	}
 	path := CheckpointPath(t.TempDir())
@@ -108,13 +109,13 @@ func TestOlderLayoutIsRefusedAtTheDoor(t *testing.T) {
 
 		// The handshake: a worker of the older build. A fingerprint does
 		// not say which layout folded it, so the refusal names this one's.
-		if err := c.CheckSpec(older); err == nil || !strings.Contains(err.Error(), "409") ||
+		if err := c.CheckSpecContext(context.Background(), older); err == nil || !strings.Contains(err.Error(), "409") ||
 			!strings.Contains(err.Error(), "layout") || !strings.Contains(err.Error(), ours) {
 			t.Errorf("handshake with a layout-%d fingerprint: %v; want a 409 that names the layout, and this build's %s, as a cause", old, err, ours)
 		}
 
 		// A snapshot stamped by the older layout: refused whole.
-		if err := c.Merge(asLayout(before, old)); !names(err) {
+		if err := c.MergeContext(context.Background(), asLayout(before, old)); !names(err) {
 			t.Errorf("merge of a layout-%d snapshot: %v; want a refusal naming both versions", old, err)
 		}
 		after, err := c.Snapshot()
@@ -140,14 +141,14 @@ func TestOlderLayoutIsRefusedAtTheDoor(t *testing.T) {
 		fts := httptest.NewServer(fresh.Handler())
 		t.Cleanup(fts.Close)
 		fc := NewClient(fts.URL, nil)
-		info, err := fc.Config()
+		info, err := fc.ConfigContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if info.Ingested != 0 {
 			t.Errorf("after a refused checkpoint the daemon reports %d ingested updates, want an empty start", info.Ingested)
 		}
-		if err := fc.Push(testStream(3).Updates()); err != nil {
+		if err := fc.PushContext(context.Background(), testStream(3).Updates()); err != nil {
 			t.Errorf("after a refused checkpoint the daemon does not ingest: %v", err)
 		}
 		got, err := fc.Snapshot()

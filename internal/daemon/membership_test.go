@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"context"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -60,16 +61,16 @@ func TestRegisterEndpointAndMembers(t *testing.T) {
 	t.Cleanup(ts.Close)
 	cc := NewClient(ts.URL, nil)
 
-	if err := cc.Register("http://127.0.0.1:7601"); err != nil {
+	if err := cc.RegisterContext(context.Background(), "http://127.0.0.1:7601"); err != nil {
 		t.Fatal(err)
 	}
-	if err := cc.Register("http://127.0.0.1:7601"); err != nil { // idempotent
+	if err := cc.RegisterContext(context.Background(), "http://127.0.0.1:7601"); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	if err := cc.Register("http://127.0.0.1:7602"); err != nil {
+	if err := cc.RegisterContext(context.Background(), "http://127.0.0.1:7602"); err != nil {
 		t.Fatal(err)
 	}
-	if err := cc.Register("not a url"); err == nil {
+	if err := cc.RegisterContext(context.Background(), "not a url"); err == nil {
 		t.Error("garbage register address accepted")
 	}
 
@@ -203,7 +204,7 @@ func TestAutoPullRebuildsWithoutDoubleCounting(t *testing.T) {
 	t.Cleanup(m.Stop)
 
 	// Round 1: half the stream on w1.
-	if err := NewClient(w1.URL, nil).Push(updates[:half]); err != nil {
+	if err := NewClient(w1.URL, nil).PushContext(context.Background(), updates[:half]); err != nil {
 		t.Fatal(err)
 	}
 	m.ProbeAll()
@@ -236,7 +237,7 @@ func TestAutoPullRebuildsWithoutDoubleCounting(t *testing.T) {
 
 	// Round 2: the other half lands on w2; the next pull sees the whole
 	// stream, bit-identical to serial.
-	if err := NewClient(w2.URL, nil).Push(updates[half:]); err != nil {
+	if err := NewClient(w2.URL, nil).PushContext(context.Background(), updates[half:]); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.PullAll(); err != nil {
@@ -297,7 +298,7 @@ func TestAdvanceDuringRebuildIsNotLost(t *testing.T) {
 		done := make(chan error, 1)
 		go func() { done <- srv.rebuildFrom(snaps) }()
 		time.Sleep(undisturbed * time.Duration(round%4) / 4)
-		if acked, err = c.Advance(acked + 1); err != nil {
+		if acked, err = c.AdvanceContext(context.Background(), acked+1); err != nil {
 			t.Fatal(err)
 		}
 		midRebuild := len(done) == 0
@@ -346,10 +347,10 @@ func TestPullKeepsDeadWorkersLastSnapshot(t *testing.T) {
 	cts := httptest.NewServer(coord.Handler())
 	t.Cleanup(cts.Close)
 
-	if err := NewClient(wts.URL, nil).Push(updates[:half]); err != nil {
+	if err := NewClient(wts.URL, nil).PushContext(context.Background(), updates[:half]); err != nil {
 		t.Fatal(err)
 	}
-	if err := NewClient(w2ts.URL, nil).Push(updates[half:]); err != nil {
+	if err := NewClient(w2ts.URL, nil).PushContext(context.Background(), updates[half:]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -426,7 +427,7 @@ func TestMembershipLoopsEndToEnd(t *testing.T) {
 	// Workers join through the HTTP registration path.
 	cc := NewClient(cts.URL, nil)
 	for _, w := range []string{w1.URL, w2.URL} {
-		if err := cc.Register(w); err != nil {
+		if err := cc.RegisterContext(context.Background(), w); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -435,10 +436,10 @@ func TestMembershipLoopsEndToEnd(t *testing.T) {
 		Timeout: 2 * time.Second, Logf: t.Logf})
 	t.Cleanup(m.Stop)
 
-	if err := NewClient(w1.URL, nil).Push(updates[:half]); err != nil {
+	if err := NewClient(w1.URL, nil).PushContext(context.Background(), updates[:half]); err != nil {
 		t.Fatal(err)
 	}
-	if err := NewClient(w2.URL, nil).Push(updates[half:]); err != nil {
+	if err := NewClient(w2.URL, nil).PushContext(context.Background(), updates[half:]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -508,7 +509,7 @@ func TestSelfHealingClusterE2E(t *testing.T) {
 	t.Cleanup(cts.Close)
 	cc := NewClient(cts.URL, nil)
 	for _, w := range []string{w1.URL, "http://" + w2addr} {
-		if err := cc.Register(w); err != nil {
+		if err := cc.RegisterContext(context.Background(), w); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -520,10 +521,10 @@ func TestSelfHealingClusterE2E(t *testing.T) {
 
 	// Normal operation: both workers ingest, w2 checkpoints, the
 	// coordinator aggregates.
-	if err := NewClient(w1.URL, nil).Push(updates[:half]); err != nil {
+	if err := NewClient(w1.URL, nil).PushContext(context.Background(), updates[:half]); err != nil {
 		t.Fatal(err)
 	}
-	if err := NewClient("http://"+w2addr, nil).Push(w2Updates[:ckptAt]); err != nil {
+	if err := NewClient("http://"+w2addr, nil).PushContext(context.Background(), w2Updates[:ckptAt]); err != nil {
 		t.Fatal(err)
 	}
 	if err := w2srv.WriteCheckpoint(ckptPath); err != nil {
@@ -535,7 +536,7 @@ func TestSelfHealingClusterE2E(t *testing.T) {
 	}
 
 	// Crash: post-checkpoint updates die with the process.
-	if err := NewClient("http://"+w2addr, nil).Push(w2Updates[ckptAt : ckptAt+ckptAt/2]); err != nil {
+	if err := NewClient("http://"+w2addr, nil).PushContext(context.Background(), w2Updates[ckptAt:ckptAt+ckptAt/2]); err != nil {
 		t.Fatal(err)
 	}
 	w2.CloseClientConnections()
@@ -563,7 +564,7 @@ func TestSelfHealingClusterE2E(t *testing.T) {
 	w2b.Listener = l2
 	w2b.Start()
 	t.Cleanup(w2b.Close)
-	if err := NewClient("http://"+w2addr, nil).Push(w2Updates[ckptAt:]); err != nil {
+	if err := NewClient("http://"+w2addr, nil).PushContext(context.Background(), w2Updates[ckptAt:]); err != nil {
 		t.Fatal(err)
 	}
 

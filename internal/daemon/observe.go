@@ -20,8 +20,8 @@ import (
 // instruments are registered once in newServerMetrics, so the full
 // metric catalog is this file; the hot-path hooks (ingest counters, the
 // batch-size histogram, stream acks) are single atomic operations and
-// stay within benchmark noise of the uninstrumented path (gated by
-// BenchmarkDaemonIngest* in the benchdiff baseline).
+// stay within benchmark noise of the uninstrumented path (the
+// repository benchmark's daemon.apply rung against backend.update).
 //
 // Scrape-computed gauges (goroutines, heap, the estimate itself, the
 // window clock) are GaugeFuncs: they cost nothing between scrapes and

@@ -54,7 +54,7 @@ func TestMetricsEndpointCountsIngest(t *testing.T) {
 	spec := backend.Spec{Kind: backend.KindOnePass, G: "x^2", Options: testOptions(4)}
 	srv, c := streamServer(t, spec)
 
-	if err := c.Push(s.Updates()[:100]); err != nil {
+	if err := c.PushContext(context.Background(), s.Updates()[:100]); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.IngestBatch(s.Updates()[100:150]); err != nil {
@@ -157,7 +157,7 @@ func TestWindowMetricsGauges(t *testing.T) {
 	spec := backend.Spec{Kind: backend.KindWindow, G: "x^2", Options: testOptions(8),
 		Window: window.Config{W: 4}}
 	_, c := streamServer(t, spec)
-	if _, err := c.Advance(9); err != nil {
+	if _, err := c.AdvanceContext(context.Background(), 9); err != nil {
 		t.Fatal(err)
 	}
 	sc := scrape(t, c.Base())
@@ -361,7 +361,7 @@ func TestSketchDepthIsObservable(t *testing.T) {
 		{Kind: backend.KindOnePass, G: "x^1", Options: universal},
 	} {
 		srv, c := streamServer(t, spec)
-		info, err := c.Config()
+		info, err := c.ConfigContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,7 +380,7 @@ func TestSketchDepthIsObservable(t *testing.T) {
 		}
 		// Every item of the domain, once: about 4096/2^5 = 128 reach the
 		// deepest level, all of them tracked.
-		if err := c.Push(whole); err != nil {
+		if err := c.PushContext(context.Background(), whole); err != nil {
 			t.Fatal(err)
 		}
 		tracked := mustValue(t, scrape(t, c.Base()), "gsumd_sketch_deepest_tracked")
@@ -404,7 +404,7 @@ func TestSketchDepthIsObservable(t *testing.T) {
 	if _, ok := scrape(t, c.Base()).Value("gsumd_sketch_levels"); ok {
 		t.Error("the window kind is many stacks, not one, and reports a depth")
 	}
-	if info, err := c.Config(); err != nil || info.Levels != 0 || info.Rows != 0 || info.Buckets != 0 || info.Tracker != 0 {
+	if info, err := c.ConfigContext(context.Background()); err != nil || info.Levels != 0 || info.Rows != 0 || info.Buckets != 0 || info.Tracker != 0 {
 		t.Errorf("window /v1/config: levels %d, %d rows of %d buckets over %d, err %v", info.Levels, info.Rows, info.Buckets, info.Tracker, err)
 	}
 }

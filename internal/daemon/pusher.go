@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/url"
 	"os"
-	"strings"
 	"sync"
 	"time"
 
@@ -528,6 +527,15 @@ type streamConn struct {
 	bw   *bufio.Writer
 }
 
+// dialAddr is the host:port a stream dial connects to: the URL's own
+// port, or 80 when it names none. An IPv6 literal keeps its brackets.
+func dialAddr(u *url.URL) string {
+	if u.Port() != "" {
+		return u.Host
+	}
+	return net.JoinHostPort(u.Hostname(), "80")
+}
+
 // dialStream dials the daemon and upgrades the connection to the
 // framed streaming protocol (POST /v1/stream, 101 Switching
 // Protocols). The handshake is bounded by ctx (or the client timeout);
@@ -541,12 +549,8 @@ func (c *Client) dialStream(ctx context.Context) (*streamConn, error) {
 	if u.Scheme != "http" {
 		return nil, fmt.Errorf("daemon: the stream transport needs an http base URL, got %q", c.base)
 	}
-	host := u.Host
-	if !strings.Contains(host, ":") {
-		host += ":80"
-	}
 	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", host)
+	conn, err := d.DialContext(ctx, "tcp", dialAddr(u))
 	if err != nil {
 		return nil, fmt.Errorf("daemon: stream dial: %w", err)
 	}

@@ -112,7 +112,7 @@ func TestStreamWindowedBitIdentical(t *testing.T) {
 		if err := p.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Advance(tick); err != nil {
+		if _, err := c.AdvanceContext(context.Background(), tick); err != nil {
 			t.Fatal(err)
 		}
 		if err := p.Push(updates[lo:hi]); err != nil {
@@ -417,7 +417,7 @@ func TestMinInt64DeltaEndToEnd(t *testing.T) {
 	// check drives one daemon through one door.
 	check := func(t *testing.T, name string, spec backend.Spec, ingest func(*Server, *Client) error) {
 		srv, c := streamServer(t, spec)
-		if err := c.Push(s.Updates()); err != nil {
+		if err := c.PushContext(context.Background(), s.Updates()); err != nil {
 			t.Fatal(err)
 		}
 		// The kind's scalar answer: the estimate (post hoc for x^2 on
@@ -464,7 +464,7 @@ func TestMinInt64DeltaEndToEnd(t *testing.T) {
 		}
 	}
 	for name, ingest := range map[string]func(*Server, *Client) error{
-		"json":      func(_ *Server, c *Client) error { return c.Push(poison) },
+		"json":      func(_ *Server, c *Client) error { return c.PushContext(context.Background(), poison) },
 		"inprocess": func(srv *Server, _ *Client) error { return srv.IngestBatch(poison) },
 		"stream": func(_ *Server, c *Client) error {
 			p, err := c.NewPusher(context.Background(), PusherConfig{Stream: true})
@@ -482,5 +482,25 @@ func TestMinInt64DeltaEndToEnd(t *testing.T) {
 				t.Run(tc.name, func(t *testing.T) { check(t, tc.name, tc.spec, ingest) })
 			}
 		})
+	}
+}
+
+// TestDialAddr: a base URL without a port dials port 80, and an IPv6
+// literal keeps its brackets either way, so http://[::1] dials [::1]:80
+// rather than failing with "missing port in address".
+func TestDialAddr(t *testing.T) {
+	for base, want := range map[string]string{
+		"http://h":          "h:80",
+		"http://h:7600":     "h:7600",
+		"http://[::1]":      "[::1]:80",
+		"http://[::1]:7600": "[::1]:7600",
+	} {
+		u, err := url.Parse(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := dialAddr(u); got != want {
+			t.Errorf("%s dials %q, want %q", base, got, want)
+		}
 	}
 }

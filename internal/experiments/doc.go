@@ -10,9 +10,8 @@
 // 1-pass/2-pass separation (E3, E11), and the lower bounds as executable
 // reductions whose undersized solvers demonstrably fail (E4, E5, E6).
 //
-// Layer: harness layer in ARCHITECTURE.md, alongside internal/engine
-// and internal/workload; cmd/gsum experiments and bench_test.go are
-// its front ends.
+// Layer: harness layer in ARCHITECTURE.md, alongside internal/workload;
+// cmd/gsum experiments and bench_test.go are its front ends.
 // Seed discipline: every experiment pins explicit seeds so EXPERIMENTS.md
 // tables reproduce run to run.
 package experiments

@@ -32,7 +32,7 @@
 // cost, so the language's own bounded queue is used (the measurements
 // are in EXPERIMENTS.md, "Sharded hot path").
 //
-// Layer: above core (the shards are core.OnePassEstimators) and engine
+// Layer: above core (the shards are core.OnePassEstimators) and util
 // (chunking, worker resolution), below backend (the registry registers
 // New as the "sharded" kind).
 // Seed discipline: New builds every shard, and every merge target, from

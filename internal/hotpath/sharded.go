@@ -5,9 +5,9 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/gfunc"
 	"repro/internal/stream"
+	"repro/internal/util"
 )
 
 // queueDepth is the capacity, in batches, of each shard's channel: deep
@@ -17,7 +17,7 @@ const queueDepth = 64
 // batchSize is how many routed updates a router buffers per shard
 // before sending the batch: smaller batches keep shards busier, larger
 // ones amortize the channel handoff.
-const batchSize = engine.DefaultBatchSize / 4
+const batchSize = stream.BatchSize / 4
 
 // ShardedEstimator owns P identically-configured one-pass shards and
 // routes every update to shard hash(item) mod P. Process ingests
@@ -49,7 +49,7 @@ type ShardedEstimator struct {
 // the same seeds and hash functions — the seed discipline the
 // bit-identity contract rests on.
 func New(g gfunc.Func, opts core.Options, shards int) *ShardedEstimator {
-	p := engine.Workers(shards)
+	p := util.Workers(shards)
 	se := &ShardedEstimator{
 		g:      g,
 		opts:   opts,
@@ -122,7 +122,7 @@ func (se *ShardedEstimator) UpdateBatch(batch []stream.Update) {
 func (se *ShardedEstimator) Process(updates []stream.Update) error {
 	p := len(se.shards)
 	if p == 1 || len(updates) < 2*batchSize {
-		engine.Ingest(se, updates, 0)
+		stream.Batches(updates, se.UpdateBatch)
 		return nil
 	}
 
@@ -140,7 +140,7 @@ func (se *ShardedEstimator) Process(updates []stream.Update) error {
 		}(queues[i], se.shards[i])
 	}
 
-	engine.ParallelChunks(updates, p, func(_ int, chunk []stream.Update) {
+	util.ParallelChunks(updates, p, func(_ int, chunk []stream.Update) {
 		local := make([][]stream.Update, p)
 		for i := range local {
 			local[i] = se.pool.Get().([]stream.Update)

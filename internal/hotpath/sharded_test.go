@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/gfunc"
 	"repro/internal/hotpath"
 	"repro/internal/stream"
@@ -101,7 +100,7 @@ func TestShardedSynchronousPathMatchesSerial(t *testing.T) {
 	// entry points must land in the same shard state.
 	updates := s.Updates()
 	half := len(updates) / 2
-	engine.Ingest(e, updates[:half], 0)
+	stream.Batches(updates[:half], e.UpdateBatch)
 	for _, u := range updates[half:] {
 		e.Update(u.Item, u.Delta)
 	}
@@ -135,8 +134,8 @@ func TestShardedUnmarshalMerges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine.Ingest(a, updates[:half], 0)
-	engine.Ingest(b, updates[half:], 0)
+	stream.Batches(updates[:half], a.UpdateBatch)
+	stream.Batches(updates[half:], b.UpdateBatch)
 	blob, err := b.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +258,7 @@ func TestShardedProcessBoundaries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			engine.Ingest(batched, s.Updates(), bs)
+			feed(batched, s.Updates(), bs)
 
 			for path, e := range map[string]backend.Estimator{"Process": processed, "UpdateBatch": batched} {
 				est, blob := state(e)

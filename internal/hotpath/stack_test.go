@@ -1,71 +1,27 @@
-package engine_test
+package hotpath_test
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/gfunc"
-	"repro/internal/heavy"
 	"repro/internal/hotpath"
-	"repro/internal/recursive"
 	"repro/internal/sketch"
 	"repro/internal/stream"
 	"repro/internal/util"
 )
 
-// Compile-time checks that the unified Sketcher contract really does
-// unify every layer: raw sketches, the heavy-hitter layer, the recursive
-// sketch, and the public estimators.
-var (
-	_ engine.BatchSketcher = (*sketch.CountSketch)(nil)
-	_ engine.BatchSketcher = (*sketch.AMS)(nil)
-	_ engine.BatchSketcher = (*sketch.CountMin)(nil)
-	_ engine.BatchSketcher = (*heavy.OnePass)(nil)
-	_ engine.BatchSketcher = (*recursive.Sketch)(nil)
-	_ engine.BatchSketcher = (*core.OnePassEstimator)(nil)
-	_ engine.BatchSketcher = (*core.ExactEstimator)(nil)
-
-	_ engine.Mergeable[*sketch.CountSketch]    = (*sketch.CountSketch)(nil)
-	_ engine.Mergeable[*sketch.AMS]            = (*sketch.AMS)(nil)
-	_ engine.Mergeable[*sketch.CountMin]       = (*sketch.CountMin)(nil)
-	_ engine.Mergeable[*heavy.OnePass]         = (*heavy.OnePass)(nil)
-	_ engine.Mergeable[*recursive.Sketch]      = (*recursive.Sketch)(nil)
-	_ engine.Mergeable[*core.OnePassEstimator] = (*core.OnePassEstimator)(nil)
-)
-
-func TestCutCoversExactly(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 100, 1 << 16} {
-		for _, w := range []int{1, 2, 3, 4, 7, 16} {
-			prev := 0
-			for i := 0; i < w; i++ {
-				lo, hi := engine.Cut(n, w, i)
-				if lo != prev {
-					t.Fatalf("n=%d w=%d chunk %d: lo=%d, want %d", n, w, i, lo, prev)
-				}
-				if hi < lo {
-					t.Fatalf("n=%d w=%d chunk %d: hi=%d < lo=%d", n, w, i, hi, lo)
-				}
-				prev = hi
-			}
-			if prev != n {
-				t.Fatalf("n=%d w=%d: chunks end at %d, want %d", n, w, prev, n)
-			}
-		}
-	}
+// batcher is what the stack tests feed: any summary with a batch path.
+type batcher interface {
+	Update(item uint64, delta int64)
+	UpdateBatch(batch []stream.Update)
 }
 
-func TestWorkersResolution(t *testing.T) {
-	if got := engine.Workers(3); got != 3 {
-		t.Errorf("Workers(3) = %d", got)
-	}
-	if got := engine.Workers(0); got < 1 {
-		t.Errorf("Workers(0) = %d, want >= 1", got)
-	}
-	if got := engine.Workers(-5); got < 1 {
-		t.Errorf("Workers(-5) = %d, want >= 1", got)
+// feed hands updates to b's batch path in chunks of size.
+func feed(b batcher, updates []stream.Update, size int) {
+	for lo := 0; lo < len(updates); lo += size {
+		b.UpdateBatch(updates[lo:min(lo+size, len(updates))])
 	}
 }
 
@@ -76,54 +32,6 @@ func testUpdates(seed uint64, n int) []stream.Update {
 		out[i] = stream.Update{Item: rng.Uint64n(512), Delta: rng.Int63n(9) - 4}
 	}
 	return out
-}
-
-// marshal serializes a plain CountSketch's counters for bit-exact
-// comparison.
-func marshal(t *testing.T, cs *sketch.CountSketch) []byte {
-	t.Helper()
-	b, err := cs.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-func TestIngestBatchPathBitIdentical(t *testing.T) {
-	updates := testUpdates(11, 5000)
-	serial := sketch.NewCountSketch(7, 256, util.NewSplitMix64(42))
-	for _, u := range updates {
-		serial.Update(u.Item, u.Delta)
-	}
-	batched := sketch.NewCountSketch(7, 256, util.NewSplitMix64(42))
-	engine.Ingest(batched, updates, 0)
-	if !bytes.Equal(marshal(t, serial), marshal(t, batched)) {
-		t.Error("batched ingestion diverged from per-update ingestion")
-	}
-	// A second batched run with an odd batch size must also agree.
-	odd := sketch.NewCountSketch(7, 256, util.NewSplitMix64(42))
-	engine.Ingest(odd, updates, 137)
-	if !bytes.Equal(marshal(t, serial), marshal(t, odd)) {
-		t.Error("odd batch size diverged from per-update ingestion")
-	}
-}
-
-func TestParallelChunksPartition(t *testing.T) {
-	updates := testUpdates(7, 999)
-	seen := make([]int, 8)
-	var total int
-	engine.ParallelChunks(updates, 8, func(i int, chunk []stream.Update) {
-		seen[i] = len(chunk)
-	})
-	for _, n := range seen {
-		if n == 0 {
-			t.Error("empty chunk handed to a worker")
-		}
-		total += n
-	}
-	if total != len(updates) {
-		t.Errorf("chunks cover %d updates, want %d", total, len(updates))
-	}
 }
 
 // walkStructs visits every struct value reachable from v (through
@@ -182,15 +90,15 @@ func TestOneCollapsePerBatch(t *testing.T) {
 	opts := core.Options{N: 1 << 12, M: 1 << 10, Seed: 3, Envelope: 4}
 	updates := testUpdates(5, 3000)
 	twopass := core.NewTwoPass(g, opts)
-	engine.Ingest(twopass, updates, 512)
+	feed(twopass, updates, 512)
 	twopass.FinishPass1()
-	engine.Ingest(twopass, updates, 512)
-	stacks := map[string]engine.Sketcher{
+	feed(twopass, updates, 512)
+	stacks := map[string]batcher{
 		"onepass": core.NewOnePass(g, opts),
 		"sharded": hotpath.New(g, opts, 3),
 	}
 	for _, sk := range stacks {
-		engine.Ingest(sk, updates, 512)
+		feed(sk, updates, 512)
 		sk.Update(7, 1)
 	}
 	stacks["twopass"] = twopass
@@ -202,7 +110,7 @@ func TestOneCollapsePerBatch(t *testing.T) {
 		}
 	}
 	cs := sketch.NewCountSketch(5, 64, util.NewSplitMix64(1))
-	engine.Ingest(cs, updates, 512)
+	feed(cs, updates, 512)
 	if sketches, owners := countSketchBatches(cs); sketches != 1 || owners != 1 {
 		t.Errorf("control: found %d CountSketches, %d owning a batch; want 1 and 1", sketches, owners)
 	}
@@ -256,13 +164,13 @@ func TestOneHashPerBatch(t *testing.T) {
 	}
 	distinct := len(seen)
 	twopass := core.NewTwoPass(g, opts)
-	stacks := map[string]engine.Sketcher{
+	stacks := map[string]batcher{
 		"onepass": core.NewOnePass(g, opts),
 		"sharded": hotpath.New(g, opts, 3),
 		"twopass": twopass,
 	}
 	for name, sk := range stacks {
-		engine.Ingest(sk, updates, len(updates))
+		feed(sk, updates, len(updates))
 		h := hashingOf(sk)
 		shards, rows := 1, 5 // ⌈2 ln(1/(δ/2))⌉ rows at δ = 0.2; the two-pass sketch takes δ whole: ⌈3.2⌉ made odd
 		if name == "sharded" {

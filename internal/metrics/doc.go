@@ -12,8 +12,8 @@
 // All instruments are lock-free on the hot path (atomics only; a
 // histogram Observe is one atomic add per bucket boundary crossed plus
 // a CAS loop for the sum), so ingest-path instrumentation stays within
-// benchmark noise of the uninstrumented code — the benchdiff gate on
-// BenchmarkDaemonIngest* holds this. Registration is not hot-path:
+// benchmark noise of the uninstrumented code — the repository
+// benchmark's daemon.apply rung (bench/) measures this. Registration is not hot-path:
 // instruments are created once at construction time, and registering
 // the same name with an identical label set twice panics (a programmer
 // error caught at boot, not a silent metric merge).

@@ -314,36 +314,3 @@ func (a *AMS) UpdateBatch(batch []stream.Update) {
 		}
 	}
 }
-
-// UpdateBatch processes a batch of turnstile updates; the counter state
-// is bit-identical to per-update ingestion.
-func (cm *CountMin) UpdateBatch(batch []stream.Update) {
-	if len(batch) == 0 {
-		return
-	}
-	cm.agg.aggregate(batch)
-	order, ds := cm.agg.items, cm.agg.ds
-	for j := 0; j < cm.rows; j++ {
-		counts, bucket := cm.counts[j], cm.bucket[j]
-		for i, it := range order {
-			if d := ds[i]; d != 0 {
-				counts[bucket.Hash(it)] += d
-			}
-		}
-	}
-}
-
-// Merge adds the counters of other into cm. Dimensions must match;
-// callers are responsible for seed discipline (same hash functions), as
-// with CountSketch.Merge.
-func (cm *CountMin) Merge(other *CountMin) error {
-	if cm.rows != other.rows || cm.buckets != other.buckets {
-		return errDimension("CountMin", cm.rows*int(cm.buckets), other.rows*int(other.buckets))
-	}
-	for j := 0; j < cm.rows; j++ {
-		for i := range cm.counts[j] {
-			cm.counts[j][i] += other.counts[j][i]
-		}
-	}
-	return nil
-}

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/stream"
@@ -254,23 +255,42 @@ func TestUpdateBatchMatchesUpdateExactly(t *testing.T) {
 			t.Fatalf("AMS estimate: batch %v vs single %v", ae, be)
 		}
 	})
-	t.Run("countmin", func(t *testing.T) {
-		a := NewCountMin(5, 1<<9, util.NewSplitMix64(9))
-		b := NewCountMin(5, 1<<9, util.NewSplitMix64(9))
-		for _, c := range chunks {
-			a.UpdateBatch(c)
+}
+
+// TestIngestBatchPathBitIdentical feeds a CountSketch through
+// stream.Batches, the chunking every whole-stream ingest door uses, and
+// through an odd chunk size: both leave the counters of per-update
+// ingestion, byte for byte.
+func TestIngestBatchPathBitIdentical(t *testing.T) {
+	rng := util.NewSplitMix64(11)
+	updates := make([]stream.Update, 5000)
+	for i := range updates {
+		updates[i] = stream.Update{Item: rng.Uint64n(512), Delta: rng.Int63n(9) - 4}
+	}
+	marshal := func(cs *CountSketch) []byte {
+		b, err := cs.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, u := range batch {
-			b.Update(u.Item, u.Delta)
-		}
-		rng := util.NewSplitMix64(1)
-		for i := 0; i < 2000; i++ {
-			it := rng.Uint64n(512)
-			if ae, be := a.Estimate(it), b.Estimate(it); ae != be {
-				t.Fatalf("CountMin estimate(%d): batch %d vs single %d", it, ae, be)
-			}
-		}
-	})
+		return b
+	}
+	serial := NewCountSketch(7, 256, util.NewSplitMix64(42))
+	for _, u := range updates {
+		serial.Update(u.Item, u.Delta)
+	}
+	batched := NewCountSketch(7, 256, util.NewSplitMix64(42))
+	stream.Batches(updates, batched.UpdateBatch)
+	if !bytes.Equal(marshal(serial), marshal(batched)) {
+		t.Error("batched ingestion diverged from per-update ingestion")
+	}
+	// A second batched run with an odd batch size must also agree.
+	odd := NewCountSketch(7, 256, util.NewSplitMix64(42))
+	for lo := 0; lo < len(updates); lo += 137 {
+		odd.UpdateBatch(updates[lo:min(lo+137, len(updates))])
+	}
+	if !bytes.Equal(marshal(serial), marshal(odd)) {
+		t.Error("odd batch size diverged from per-update ingestion")
+	}
 }
 
 // TestUpdateBatchSteadyStateAllocFree is the acceptance gate for the
@@ -311,9 +331,5 @@ func TestUpdateBatchSteadyStateAllocFree(t *testing.T) {
 	t.Run("ams", func(t *testing.T) {
 		a := NewAMS(5, 4, util.NewSplitMix64(1))
 		check(t, a.UpdateBatch)
-	})
-	t.Run("countmin", func(t *testing.T) {
-		cm := NewCountMin(5, 1<<10, util.NewSplitMix64(1))
-		check(t, cm.UpdateBatch)
 	})
 }

@@ -164,24 +164,6 @@ func TestAMSForErrorSizing(t *testing.T) {
 	}
 }
 
-func TestCountMinOverestimates(t *testing.T) {
-	// In the insertion-only regime CountMin never underestimates.
-	rng := util.NewSplitMix64(19)
-	v := make(stream.Vector)
-	for i := 0; i < 300; i++ {
-		v[rng.Uint64n(1<<16)] = 1 + rng.Int63n(50)
-	}
-	cm := NewCountMin(5, 512, util.NewSplitMix64(20))
-	for it, f := range v {
-		cm.Update(it, f)
-	}
-	for it, f := range v {
-		if cm.Estimate(it) < f {
-			t.Errorf("CountMin underestimated item %d: %d < %d", it, cm.Estimate(it), f)
-		}
-	}
-}
-
 func TestExactBaseline(t *testing.T) {
 	e := NewExact()
 	e.Update(1, 5)

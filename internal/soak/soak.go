@@ -3,9 +3,6 @@ package soak
 import (
 	"context"
 	"fmt"
-	"io"
-	"net"
-	"net/http"
 	"net/url"
 	"strings"
 	"time"
@@ -87,55 +84,24 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// node is one in-process daemon on a real loopback listener.
+// node is one named in-process daemon on a real loopback listener.
 type node struct {
-	name    string
-	srv     *daemon.Server
-	httpSrv *http.Server
-	client  *daemon.Client
-	base    string
+	name string
+	*daemon.Loopback
 }
 
 func startNode(name string, spec backend.Spec) (*node, error) {
-	srv, err := daemon.NewServer(spec)
+	l, err := daemon.StartLoopback(spec)
 	if err != nil {
 		return nil, fmt.Errorf("soak: %s: %w", name, err)
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("soak: %s: %w", name, err)
-	}
-	n := &node{name: name, srv: srv, base: "http://" + l.Addr().String()}
-	n.httpSrv = &http.Server{Handler: srv.Handler()}
-	go func() { _ = n.httpSrv.Serve(l) }()
-	srv.SetReady(true)
-	n.client = daemon.NewClient(n.base, nil)
-	return n, nil
-}
-
-func (n *node) stop() {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	_ = n.httpSrv.Shutdown(ctx)
-	_ = n.srv.DrainStreams(ctx)
+	return &node{name: name, Loopback: l}, nil
 }
 
 // scrape fetches and parses one node's /metrics, returning the raw text
 // alongside so the caller can keep it as an artifact.
 func (n *node) scrape() (*metrics.Scrape, []byte, error) {
-	resp, err := http.Get(n.base + "/metrics")
-	if err != nil {
-		return nil, nil, fmt.Errorf("soak: scrape %s: %w", n.name, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, nil, fmt.Errorf("soak: scrape %s: %s", n.name, resp.Status)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, nil, fmt.Errorf("soak: scrape %s: %w", n.name, err)
-	}
-	sc, err := metrics.Parse(strings.NewReader(string(raw)))
+	sc, raw, err := n.Scrape()
 	if err != nil {
 		return nil, nil, fmt.Errorf("soak: scrape %s: %w", n.name, err)
 	}
@@ -167,27 +133,27 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer coord.stop()
+	defer coord.Stop()
 	workers := make([]*node, cfg.Workers)
 	for i := range workers {
 		w, err := startNode(fmt.Sprintf("worker%d", i), spec)
 		if err != nil {
 			return nil, err
 		}
-		defer w.stop()
+		defer w.Stop()
 		workers[i] = w
-		if err := coord.srv.Membership().Add(w.base); err != nil {
+		if err := coord.Server.Membership().Add(w.Client.Base()); err != nil {
 			return nil, fmt.Errorf("soak: membership: %w", err)
 		}
 	}
 	// Membership loops run hot so heartbeats and pulls genuinely overlap
 	// the ingest load (that overlap is half the point of the soak).
-	coord.srv.Membership().Start(daemon.MembershipConfig{
+	coord.Server.Membership().Start(daemon.MembershipConfig{
 		Heartbeat: 50 * time.Millisecond, PullEvery: 75 * time.Millisecond})
 	membershipUp := true
 	defer func() {
 		if membershipUp {
-			coord.srv.Membership().Stop()
+			coord.Server.Membership().Stop()
 		}
 	}()
 
@@ -200,7 +166,7 @@ func Run(cfg Config) (*Report, error) {
 	for i, w := range workers {
 		chunks[i] = stream.Zipf(stream.GenConfig{N: spec.Options.N, M: spec.Options.M,
 			Seed: cfg.Seed*1013 + uint64(i)}, 90, 1.1).Updates()
-		p, err := w.client.NewPusher(context.Background(), daemon.PusherConfig{
+		p, err := w.Client.NewPusher(context.Background(), daemon.PusherConfig{
 			Stream: i%2 == 0, MaxBatch: 128,
 			Metrics: pushReg,
 			Labels:  []metrics.Label{{Key: "worker", Value: w.name}},
@@ -308,7 +274,7 @@ func Run(cfg Config) (*Report, error) {
 			}
 			tick++
 			for _, n := range append(append([]*node(nil), workers...), coord) {
-				if _, err := n.client.Advance(tick); err != nil {
+				if _, err := n.Client.AdvanceContext(context.Background(), tick); err != nil {
 					return nil, fmt.Errorf("soak: advance %s: %w", n.name, err)
 				}
 			}
@@ -344,12 +310,12 @@ func Run(cfg Config) (*Report, error) {
 			return nil, fmt.Errorf("soak: close %s: %w", workers[i].name, err)
 		}
 	}
-	coord.srv.Membership().Stop()
+	coord.Server.Membership().Stop()
 	membershipUp = false
 
 	// Post-quiesce pulls: twice, and the estimate gauge must not move
 	// between them — rebuilds replace, they never accumulate.
-	if err := coord.srv.Membership().PullAll(); err != nil {
+	if err := coord.Server.Membership().PullAll(); err != nil {
 		return nil, fmt.Errorf("soak: final pull: %w", err)
 	}
 	scA, _, err := coord.scrape()
@@ -357,7 +323,7 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	estA, okA := scA.Value("gsumd_estimate")
-	if err := coord.srv.Membership().PullAll(); err != nil {
+	if err := coord.Server.Membership().PullAll(); err != nil {
 		return nil, fmt.Errorf("soak: second pull: %w", err)
 	}
 	scB, rawB, err := coord.scrape()
@@ -499,7 +465,7 @@ func Run(cfg Config) (*Report, error) {
 		}
 	}
 	rep.SerialEstimate = serial.Estimate()
-	resp, err := coord.client.Estimate(url.Values{})
+	resp, err := coord.Client.EstimateContext(context.Background(), url.Values{})
 	if err != nil {
 		return nil, fmt.Errorf("soak: final estimate: %w", err)
 	}

@@ -15,6 +15,20 @@ type Update struct {
 	Delta int64
 }
 
+// BatchSize is the chunk Batches feeds a batch path: large enough to
+// amortize per-batch work (duplicate aggregation, top-k re-scores), small
+// enough to keep the collapsed batch and its scratch cache-resident.
+const BatchSize = 4096
+
+// Batches calls fn on consecutive chunks of at most BatchSize updates.
+// A batch path leaves the counters exactly as per-update ingestion would
+// (linearity), so the chunking changes nothing but the speed.
+func Batches(updates []Update, fn func(batch []Update)) {
+	for lo := 0; lo < len(updates); lo += BatchSize {
+		fn(updates[lo:min(lo+BatchSize, len(updates))])
+	}
+}
+
 // Stream is an in-memory turnstile stream over the domain [0, N). It holds
 // the update list so that multi-pass algorithms (Algorithm 1 of the paper)
 // can replay it. Stream corresponds to an element of D(n, m).

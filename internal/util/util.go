@@ -3,8 +3,53 @@ package util
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
 )
+
+// Workers resolves a requested worker count: values < 1 mean GOMAXPROCS.
+func Workers(requested int) int {
+	if requested < 1 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return requested
+}
+
+// Cut returns the half-open range [lo, hi) of chunk i when n items are
+// split into w contiguous near-equal chunks.
+func Cut(n, w, i int) (lo, hi int) {
+	return i * n / w, (i + 1) * n / w
+}
+
+// ParallelChunks splits items into workers contiguous chunks and calls
+// fn(i, chunk) concurrently, one goroutine per non-empty chunk. It
+// returns after every call finishes. fn must not touch state shared with
+// other chunk indices. With workers <= 1 it calls fn(0, items) inline.
+// Chunk boundaries are a pure function of the lengths (Cut), so whatever
+// a caller builds on them is independent of goroutine scheduling.
+func ParallelChunks[T any](items []T, workers int, fn func(shard int, chunk []T)) {
+	if workers <= 1 || len(items) <= 1 {
+		fn(0, items)
+		return
+	}
+	if workers > len(items) {
+		workers = len(items)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		lo, hi := Cut(len(items), workers, i)
+		if lo == hi {
+			continue
+		}
+		wg.Add(1)
+		go func(i int, chunk []T) {
+			defer wg.Done()
+			fn(i, chunk)
+		}(i, items[lo:hi])
+	}
+	wg.Wait()
+}
 
 // SplitMix64 is a tiny, fast, splittable PRNG used to derive seeds for hash
 // families and generators. It is deterministic for a given state and is the

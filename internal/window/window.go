@@ -3,7 +3,6 @@ package window
 import (
 	"fmt"
 
-	"repro/internal/engine"
 	"repro/internal/stream"
 	"repro/internal/wire"
 )
@@ -12,10 +11,18 @@ import (
 // is satisfied by every linear sketch in the repository (the raw
 // sketches, the heavy-hitter layer, the public estimators). The Merge,
 // Fingerprint, and UnmarshalBinary methods carry the usual
-// seed-discipline obligations (see internal/engine and internal/wire).
+// seed-discipline obligations (see internal/wire).
 type Sketch[S any] interface {
-	engine.Sketcher
-	engine.Mergeable[S]
+	// Update feeds one turnstile update (item, delta).
+	Update(item uint64, delta int64)
+	// UpdateBatch feeds a batch, leaving the counters as the equivalent
+	// Update calls would (linearity).
+	UpdateBatch(batch []stream.Update)
+	// SpaceBytes reports counter storage.
+	SpaceBytes() int
+	// Merge folds an identically-configured, same-seed sketch into the
+	// receiver: the state of the union stream.
+	Merge(other S) error
 	Fingerprint() uint64
 	MarshalBinary() ([]byte, error)
 	UnmarshalBinary(data []byte) error
@@ -319,13 +326,13 @@ func (w *Window[S]) open() *bucket[S] {
 }
 
 // UpdateBatch feeds a batch of updates that all share one tick through
-// the open bucket's amortized batch path (engine.Ingest).
+// the open bucket's amortized batch path, in stream.BatchSize chunks.
 func (w *Window[S]) UpdateBatch(batch []stream.Update, tick uint64) error {
 	if tick < w.now {
 		return fmt.Errorf("window: tick %d is in the past (clock at %d); ticks must be non-decreasing", tick, w.now)
 	}
 	w.Advance(tick)
-	engine.Ingest(w.open().sk, batch, 0)
+	stream.Batches(batch, w.open().sk.UpdateBatch)
 	return nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/gfunc"
 	"repro/internal/sketch"
 	"repro/internal/stream"
@@ -331,7 +330,7 @@ func TestEstimatorSerialVsParallel(t *testing.T) {
 			shards[i] = newWindowEstimator(t, cfg)
 		}
 		for i := range shards {
-			lo, hi := engine.Cut(len(drive), workers, i)
+			lo, hi := util.Cut(len(drive), workers, i)
 			for _, u := range drive[lo:hi] {
 				if err := shards[i].Update(u.item, 1, u.tick); err != nil {
 					t.Fatal(err)
@@ -376,7 +375,7 @@ func TestWindowSerialVsParallelSnapshots(t *testing.T) {
 		shards := make([]*Window[*sketch.CountSketch], workers)
 		for i := range shards {
 			shards[i] = mustWindow(t, cfg)
-			lo, hi := engine.Cut(len(drive), workers, i)
+			lo, hi := util.Cut(len(drive), workers, i)
 			for _, u := range drive[lo:hi] {
 				if err := shards[i].Update(u.item, 1, u.tick); err != nil {
 					t.Fatal(err)
@@ -463,5 +462,54 @@ func TestEstimatorStaleReporting(t *testing.T) {
 	}
 	if est.SpaceBytes() <= 0 {
 		t.Fatalf("space still %d after an update", est.SpaceBytes())
+	}
+}
+
+// chunkUpdates is 3×4096+17 updates over more distinct items than a
+// tracker holds, so where a batch boundary falls shows in the candidates.
+func chunkUpdates() []stream.Update {
+	rng := util.NewSplitMix64(3)
+	updates := make([]stream.Update, 3*4096+17)
+	for i := range updates {
+		updates[i] = stream.Update{Item: rng.Uint64n(1 << 14), Delta: rng.Int63n(5) + 1}
+	}
+	return updates
+}
+
+// TestEstimatorUpdateBatchChunks: one UpdateBatch of 3×4096+17 updates
+// leaves the window exactly as the same updates fed in 4096-update
+// batches — estimate and snapshot bytes — because the open bucket takes
+// a batch in 4096-update chunks.
+func TestEstimatorUpdateBatchChunks(t *testing.T) {
+	opts := core.Options{N: 1 << 14, M: 1 << 10, Eps: 0.25, Lambda: 1.0 / 16, Seed: 5}
+	updates := chunkUpdates()
+	feeds := []func(e *Estimator) error{
+		func(e *Estimator) error { return e.UpdateBatch(updates, 3) },
+		func(e *Estimator) error {
+			for lo := 0; lo < len(updates); lo += 4096 {
+				if err := e.UpdateBatch(updates[lo:min(lo+4096, len(updates))], 3); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	}
+	var est [2]float64
+	var blob [2][]byte
+	for i, feed := range feeds {
+		e, err := NewEstimator(gfunc.F2Func(), opts, Config{W: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := feed(e); err != nil {
+			t.Fatal(err)
+		}
+		est[i] = e.Estimate()
+		if blob[i], err = e.MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if est[0] != est[1] || !bytes.Equal(blob[0], blob[1]) {
+		t.Errorf("one batch: estimate %v; 4096-update batches: %v; snapshots equal: %v", est[0], est[1], bytes.Equal(blob[0], blob[1]))
 	}
 }

@@ -3,8 +3,6 @@ package workload
 import (
 	"context"
 	"fmt"
-	"net"
-	"net/http"
 	"net/url"
 	"strings"
 	"time"
@@ -12,7 +10,6 @@ import (
 	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/daemon"
-	"repro/internal/engine"
 	"repro/internal/gfunc"
 	"repro/internal/stream"
 	"repro/internal/util"
@@ -50,7 +47,7 @@ type BenchSpec struct {
 	// GOMAXPROCS) and the worker daemon count for daemon (< 1 means 1).
 	Workers int
 	// PushBatch is the updates-per-request size for the daemon backend
-	// (0 = engine.DefaultBatchSize).
+	// (0 = daemon.DefaultPushBatch).
 	PushBatch int
 	// Transport selects how the daemon backend ships updates: "json"
 	// (the default; one POST /v1/ingest per batch) or "stream" (one
@@ -138,231 +135,67 @@ func (s BenchSpec) spec(n uint64) backend.Spec {
 // count, as long as the candidate trackers stay within capacity (see
 // internal/core/merge.go) — `gsum bench` is therefore also an
 // end-to-end check of the serial/sharded/distributed equality.
+//
+// Windowed runs (Window > 0) generate the stream with a tick dimension
+// (Ticked), open the registry's window kind, and score the estimate
+// against the exact g-SUM over the trailing Window ticks. The bucket
+// structure is a pure function of the tick sequence, so the contract
+// carries over. A whole-stream run is the same thing with one tick: its
+// stream is a single tick-run and no clock is advanced.
 func RunBench(spec BenchSpec) (BenchResult, error) {
 	if spec.Generator == nil {
 		return BenchResult{}, fmt.Errorf("workload: bench needs a generator")
 	}
-	if spec.Window > 0 {
-		return runWindowedBench(spec)
-	}
 	cfg := spec.Cfg.withDefaults()
 	genStart := time.Now()
-	s := spec.Generator.Generate(cfg)
+	var ts *TickedStream
+	if spec.Window > 0 {
+		ts = Ticked(spec.Generator, cfg)
+	} else {
+		s := spec.Generator.Generate(cfg)
+		ts = &TickedStream{Stream: s, Ticks: make([]uint64, s.Len())}
+	}
 	genElapsed := time.Since(genStart)
 
-	v := s.Vector()
-	exact := v.Sum(spec.G.Eval)
+	var truth stream.Vector
+	if spec.Window > 0 {
+		truth = ts.WindowVector(uint64(spec.Window))
+	} else {
+		truth = ts.Stream.Vector()
+	}
+	exact := truth.Sum(spec.G.Eval)
 
-	sp := spec.spec(s.N())
-
-	var est float64
-	var space int
-	var elapsed time.Duration
+	sp := spec.spec(ts.Stream.N())
+	var run benchRun
+	var err error
 	workers := 1
 	switch spec.Backend {
-	case "", "serial", "sharded":
-		if spec.Backend == "sharded" {
-			workers = engine.Workers(spec.Workers)
-			sp.Kind = backend.KindSharded
-			sp.Workers = spec.Workers
-		} else {
-			spec.Backend = "serial"
+	case "", "serial":
+		spec.Backend = "serial"
+		run, err = runInProcess(ts, sp)
+	case "sharded":
+		// The sharded hot path carries no tick clock to its shards;
+		// windowed runs need the ticked ingest loop, so the combination is
+		// rejected rather than silently ignoring the window.
+		if spec.Window > 0 {
+			return BenchResult{}, fmt.Errorf("workload: the sharded backend does not support windowed runs (use serial or daemon)")
 		}
-		start := time.Now()
-		e, err := backend.Open(sp)
-		if err != nil {
-			return BenchResult{}, err
-		}
-		if err := backend.Process(e, s); err != nil {
-			return BenchResult{}, err
-		}
-		elapsed = time.Since(start)
-		est, space = e.Estimate(), e.SpaceBytes()
+		workers = util.Workers(spec.Workers)
+		sp.Kind = backend.KindSharded
+		sp.Workers = spec.Workers
+		run, err = runInProcess(ts, sp)
 	case "daemon":
 		// One worker daemon unless more were requested; GOMAXPROCS is a
 		// shard count, not a daemon count.
 		if workers = spec.Workers; workers < 1 {
 			workers = 1
 		}
-		var err error
-		est, space, elapsed, err = runDaemonBench(s, spec, sp, workers)
-		if err != nil {
-			return BenchResult{}, err
-		}
+		run, err = runDaemon(ts, spec, sp, workers)
 	default:
 		return BenchResult{}, fmt.Errorf("workload: unknown backend %q (%s)", spec.Backend, strings.Join(Backends, ", "))
 	}
-
-	return BenchResult{
-		Workload:      spec.Generator.Name(),
-		Backend:       spec.Backend,
-		Workers:       workers,
-		Updates:       s.Len(),
-		Distinct:      v.F0(),
-		GenElapsed:    genElapsed,
-		Elapsed:       elapsed,
-		UpdatesPerSec: float64(s.Len()) / elapsed.Seconds(),
-		Exact:         exact,
-		Estimate:      est,
-		RelErr:        util.RelErr(est, exact),
-		SpaceBytes:    space,
-		Transport:     spec.resultTransport(),
-	}, nil
-}
-
-// localDaemon is one in-process gsumd instance on a loopback listener.
-type localDaemon struct {
-	srv    *http.Server
-	client *daemon.Client
-	base   string
-}
-
-// startDaemon builds a gsumd server for the Spec and serves it on
-// 127.0.0.1:0 (kernel-assigned port).
-func startDaemon(sp backend.Spec) (*localDaemon, error) {
-	s, err := daemon.NewServer(sp)
 	if err != nil {
-		return nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	srv := &http.Server{Handler: s.Handler()}
-	go func() { _ = srv.Serve(ln) }()
-	base := "http://" + ln.Addr().String()
-	return &localDaemon{srv: srv, client: daemon.NewClient(base, nil), base: base}, nil
-}
-
-func (d *localDaemon) close() { _ = d.srv.Close() }
-
-// runDaemonBench exercises the full distributed topology in-process:
-// `workers` worker daemons ingest disjoint contiguous shards of the
-// stream over HTTP (/v1/ingest), and a coordinator daemon pulls and
-// merges their snapshots (/v1/snapshot → /v1/merge) before answering
-// /v1/estimate. Every daemon is built from the SAME Spec, so the merged
-// estimate equals the serial one exactly (seed discipline + linearity;
-// the /v1/config fingerprint handshake proves the former before any
-// snapshot ships). The returned duration covers ingest through
-// estimate; daemon startup (listeners, sketch construction) is
-// excluded, mirroring how the other backends exclude stream generation.
-func runDaemonBench(s *stream.Stream, spec BenchSpec, sp backend.Spec, workers int) (float64, int, time.Duration, error) {
-	coord, err := startDaemon(sp)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	defer coord.close()
-	ws := make([]*localDaemon, workers)
-	urls := make([]string, workers)
-	for i := range ws {
-		if ws[i], err = startDaemon(sp); err != nil {
-			return 0, 0, 0, err
-		}
-		defer ws[i].close()
-		urls[i] = ws[i].base
-	}
-
-	batch := spec.PushBatch
-	if batch <= 0 {
-		batch = engine.DefaultBatchSize
-	}
-	transport, err := spec.transport()
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	ctx := context.Background()
-	updates := s.Updates()
-	start := time.Now()
-	for i, w := range ws {
-		lo, hi := engine.Cut(len(updates), workers, i)
-		p, err := w.client.NewPusher(ctx, daemon.PusherConfig{
-			Stream: transport == "stream", MaxBatch: batch})
-		if err != nil {
-			return 0, 0, 0, fmt.Errorf("worker %d: %w", i, err)
-		}
-		pushErr := p.Push(updates[lo:hi])
-		if err := p.Close(); err != nil {
-			return 0, 0, 0, fmt.Errorf("worker %d: %w", i, err)
-		}
-		if pushErr != nil {
-			return 0, 0, 0, fmt.Errorf("worker %d: %w", i, pushErr)
-		}
-	}
-	if err := coord.client.PullFromContext(ctx, urls); err != nil {
-		return 0, 0, 0, err
-	}
-	resp, err := coord.client.EstimateContext(ctx, url.Values{})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	elapsed := time.Since(start)
-	est, ok := resp.Value()
-	if !ok {
-		return 0, 0, 0, fmt.Errorf("workload: daemon estimate response missing numeric estimate: %+v", resp)
-	}
-	space := 0
-	if info, err := coord.client.ConfigContext(ctx); err == nil {
-		space = info.SpaceBytes
-	}
-	return est, space, elapsed, nil
-}
-
-// --- windowed mode ---------------------------------------------------------
-
-// runWindowedBench is the sliding-window variant of RunBench: the
-// scenario stream gains a tick dimension (Ticked), every backend opens
-// the registry's window kind (in-process, or behind gsumd with
-// /v1/advance), and the estimate is scored against the exact g-SUM
-// over the trailing Window ticks. The determinism contract carries
-// over: bucket structure is a pure function of the tick sequence, so
-// serial and daemon windowed estimates at any worker count are
-// bit-identical (same tracker-capacity caveat as whole-stream runs).
-func runWindowedBench(spec BenchSpec) (BenchResult, error) {
-	cfg := spec.Cfg.withDefaults()
-	genStart := time.Now()
-	ts := Ticked(spec.Generator, cfg)
-	genElapsed := time.Since(genStart)
-	last := ts.LastTick()
-	w := uint64(spec.Window)
-
-	wv := ts.WindowVector(w)
-	exact := wv.Sum(spec.G.Eval)
-
-	sp := spec.spec(ts.Stream.N())
-
-	var est float64
-	var space int
-	var stale uint64
-	var elapsed time.Duration
-	workers := 1
-	switch spec.Backend {
-	case "", "serial":
-		spec.Backend = "serial"
-		start := time.Now()
-		e, win, err := openWindowed(sp)
-		if err != nil {
-			return BenchResult{}, err
-		}
-		ingestTicked(e, win, ts, 0, ts.Stream.Len())
-		win.Advance(last)
-		est, space, stale = e.Estimate(), e.SpaceBytes(), win.Stale()
-		elapsed = time.Since(start)
-	case "sharded":
-		// The sharded hot path carries no tick clock to its shards;
-		// windowed runs need the ticked ingest loop, so the combination is
-		// rejected rather than silently ignoring the window.
-		return BenchResult{}, fmt.Errorf("workload: the sharded backend does not support windowed runs (use serial or daemon)")
-	case "daemon":
-		if workers = spec.Workers; workers < 1 {
-			workers = 1
-		}
-		var err error
-		est, space, stale, elapsed, err = runWindowedDaemonBench(ts, spec, sp, workers)
-		if err != nil {
-			return BenchResult{}, err
-		}
-	default:
-		return BenchResult{}, fmt.Errorf("workload: unknown backend %q (%s)", spec.Backend, strings.Join(Backends, ", "))
+		return BenchResult{}, err
 	}
 
 	return BenchResult{
@@ -370,98 +203,121 @@ func runWindowedBench(spec BenchSpec) (BenchResult, error) {
 		Backend:       spec.Backend,
 		Workers:       workers,
 		Updates:       ts.Stream.Len(),
-		Distinct:      wv.F0(),
+		Distinct:      truth.F0(),
 		GenElapsed:    genElapsed,
-		Elapsed:       elapsed,
-		UpdatesPerSec: float64(ts.Stream.Len()) / elapsed.Seconds(),
+		Elapsed:       run.elapsed,
+		UpdatesPerSec: float64(ts.Stream.Len()) / run.elapsed.Seconds(),
 		Exact:         exact,
-		Estimate:      est,
-		RelErr:        util.RelErr(est, exact),
-		SpaceBytes:    space,
+		Estimate:      run.est,
+		RelErr:        util.RelErr(run.est, exact),
+		SpaceBytes:    run.space,
 		Transport:     spec.resultTransport(),
 		Window:        spec.Window,
-		LastTick:      last,
-		StaleTicks:    stale,
+		LastTick:      ts.LastTick(),
+		StaleTicks:    run.stale,
 	}, nil
 }
 
-// openWindowed opens the window kind and returns both faces of it: the
-// unified Estimator and the Windowed clock capability.
-func openWindowed(sp backend.Spec) (backend.Estimator, backend.Windowed, error) {
+// benchRun is what one runner measured: the estimate, the state's
+// bytes, the stale ticks the estimate still covers (windowed runs), and
+// the time from the first update in to the estimate out.
+type benchRun struct {
+	est     float64
+	space   int
+	stale   uint64
+	elapsed time.Duration
+}
+
+// runInProcess opens sp and ingests the stream in this process. A
+// whole-stream run goes through backend.Process, the sharded kind's
+// concurrent path included; a windowed one advances the clock to each
+// tick-run's tick and feeds the run through the batch path, then advances
+// to the last tick.
+func runInProcess(ts *TickedStream, sp backend.Spec) (benchRun, error) {
+	start := time.Now()
 	e, err := backend.Open(sp)
 	if err != nil {
-		return nil, nil, err
+		return benchRun{}, err
 	}
-	win, ok := e.(backend.Windowed)
-	if !ok {
-		return nil, nil, fmt.Errorf("workload: kind %q has no tick clock", sp.Kind)
+	var stale uint64
+	if win, ok := e.(backend.Windowed); ok {
+		updates := ts.Stream.Updates()
+		_ = ts.EachRun(0, len(updates), func(lo, hi int, tick uint64) error {
+			win.Advance(tick)
+			e.UpdateBatch(updates[lo:hi])
+			return nil
+		})
+		win.Advance(ts.LastTick())
+		stale = win.Stale()
+	} else if err := backend.Process(e, ts.Stream); err != nil {
+		return benchRun{}, err
 	}
-	return e, win, nil
+	est := e.Estimate()
+	return benchRun{est: est, space: e.SpaceBytes(), stale: stale, elapsed: time.Since(start)}, nil
 }
 
-// ingestTicked feeds updates [lo, hi) of a ticked stream into the
-// estimator, advancing the clock at each tick boundary and batching
-// every run of equal-tick updates through the amortized batch path.
-func ingestTicked(e backend.Estimator, win backend.Windowed, ts *TickedStream, lo, hi int) {
-	updates := ts.Stream.Updates()
-	_ = ts.EachRun(lo, hi, func(lo, hi int, tick uint64) error {
-		win.Advance(tick)
-		e.UpdateBatch(updates[lo:hi])
-		return nil
-	})
-}
-
-// runWindowedDaemonBench drives the windowed distributed topology:
-// window-kind worker daemons absorb tick-stamped shards (advancing
-// their clocks via /v1/advance between tick runs), every clock is
-// synchronized to the final tick, and the coordinator pull-merges the
-// worker windows before answering /v1/estimate.
-func runWindowedDaemonBench(ts *TickedStream, spec BenchSpec, sp backend.Spec, workers int) (float64, int, uint64, time.Duration, error) {
-	coord, err := startDaemon(sp)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	defer coord.close()
-	ws := make([]*localDaemon, workers)
-	urls := make([]string, workers)
-	for i := range ws {
-		if ws[i], err = startDaemon(sp); err != nil {
-			return 0, 0, 0, 0, err
-		}
-		defer ws[i].close()
-		urls[i] = ws[i].base
-	}
-
-	batch := spec.PushBatch
-	if batch <= 0 {
-		batch = engine.DefaultBatchSize
-	}
+// runDaemon exercises the full distributed topology in-process:
+// `workers` loopback worker daemons ingest disjoint contiguous shards of
+// the stream through a Pusher, and a coordinator daemon pulls and merges
+// their snapshots (/v1/snapshot → /v1/merge) before answering
+// /v1/estimate. Every daemon is built from the SAME Spec, so the merged
+// estimate equals the serial one exactly (seed discipline + linearity;
+// the /v1/config fingerprint handshake proves the former before any
+// snapshot ships). A windowed Spec also moves every clock: each worker
+// advances to a tick-run's tick before pushing the run, and every clock
+// ends at the last tick before the pull. The returned duration covers
+// ingest through estimate; daemon startup (listeners, sketch
+// construction) is excluded, mirroring how RunBench excludes stream
+// generation.
+func runDaemon(ts *TickedStream, spec BenchSpec, sp backend.Spec, workers int) (benchRun, error) {
 	transport, err := spec.transport()
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return benchRun{}, err
 	}
+	coord, err := daemon.StartLoopback(sp)
+	if err != nil {
+		return benchRun{}, err
+	}
+	defer coord.Stop()
+	ws := make([]*daemon.Loopback, workers)
+	urls := make([]string, workers)
+	for i := range ws {
+		if ws[i], err = daemon.StartLoopback(sp); err != nil {
+			return benchRun{}, err
+		}
+		defer ws[i].Stop()
+		urls[i] = ws[i].Client.Base()
+	}
+
 	ctx := context.Background()
+	windowed := sp.Kind == backend.KindWindow
+	advance := func(c *daemon.Client, tick uint64) error {
+		if !windowed {
+			return nil
+		}
+		_, err := c.AdvanceContext(ctx, tick)
+		return err
+	}
 	updates := ts.Stream.Updates()
 	last := ts.LastTick()
 	start := time.Now()
-	for i, wkr := range ws {
-		lo, hi := engine.Cut(len(updates), workers, i)
-		p, err := wkr.client.NewPusher(ctx, daemon.PusherConfig{
-			Stream: transport == "stream", MaxBatch: batch})
+	for i, w := range ws {
+		lo, hi := util.Cut(len(updates), workers, i)
+		p, err := w.Client.NewPusher(ctx, daemon.PusherConfig{
+			Stream: transport == "stream", MaxBatch: spec.PushBatch})
 		if err != nil {
-			return 0, 0, 0, 0, fmt.Errorf("worker %d: %w", i, err)
+			return benchRun{}, fmt.Errorf("worker %d: %w", i, err)
 		}
 		// The clock and the data ride different channels (POST
 		// /v1/advance vs the push transport), so every Advance is
 		// preceded by a Flush: all updates of the previous tick run must
 		// be applied before the clock moves, or the daemon would stamp
-		// them into the wrong tick. This is the async-Pusher analogue of
-		// ingestTicked's strict advance/ingest interleaving.
+		// them into the wrong tick.
 		err = ts.EachRun(lo, hi, func(lo, hi int, tick uint64) error {
 			if err := p.Flush(); err != nil {
 				return err
 			}
-			if _, err := wkr.client.AdvanceContext(ctx, tick); err != nil {
+			if err := advance(w.Client, tick); err != nil {
 				return err
 			}
 			return p.Push(updates[lo:hi])
@@ -470,34 +326,34 @@ func runWindowedDaemonBench(ts *TickedStream, spec BenchSpec, sp backend.Spec, w
 			err = cerr
 		}
 		if err == nil {
-			_, err = wkr.client.AdvanceContext(ctx, last)
+			err = advance(w.Client, last)
 		}
 		if err != nil {
-			return 0, 0, 0, 0, fmt.Errorf("worker %d: %w", i, err)
+			return benchRun{}, fmt.Errorf("worker %d: %w", i, err)
 		}
 	}
-	if _, err := coord.client.AdvanceContext(ctx, last); err != nil {
-		return 0, 0, 0, 0, err
+	if err := advance(coord.Client, last); err != nil {
+		return benchRun{}, err
 	}
-	if err := coord.client.PullFromContext(ctx, urls); err != nil {
-		return 0, 0, 0, 0, err
+	if err := coord.Client.PullFromContext(ctx, urls); err != nil {
+		return benchRun{}, err
 	}
-	resp, err := coord.client.EstimateContext(ctx, url.Values{})
+	resp, err := coord.Client.EstimateContext(ctx, url.Values{})
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return benchRun{}, err
 	}
 	elapsed := time.Since(start)
 	est, ok := resp.Value()
 	if !ok {
-		return 0, 0, 0, 0, fmt.Errorf("workload: daemon estimate response missing numeric estimate: %+v", resp)
+		return benchRun{}, fmt.Errorf("workload: daemon estimate response missing numeric estimate: %+v", resp)
 	}
-	stale := uint64(0)
+	var stale uint64
 	if resp.StaleTicks != nil {
 		stale = *resp.StaleTicks
 	}
-	space := 0
-	if info, err := coord.client.Config(); err == nil {
-		space = info.SpaceBytes
+	info, err := coord.Client.ConfigContext(ctx)
+	if err != nil {
+		return benchRun{}, fmt.Errorf("workload: coordinator config: %w", err)
 	}
-	return est, space, stale, elapsed, nil
+	return benchRun{est: est, space: info.SpaceBytes, stale: stale, elapsed: elapsed}, nil
 }

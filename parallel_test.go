@@ -38,8 +38,7 @@ func TestPublicShardedKindMatchesSerialExactly(t *testing.T) {
 		s := parallelStream(7)
 		opts := Options{N: s.N(), M: 1 << 10, Eps: 0.25, Seed: 42, Lambda: 1.0 / 16}
 
-		serial := NewOnePassEstimator(g, opts)
-		serial.Process(s)
+		serial := mustOpen(t, Spec{Kind: KindOnePass, G: g.Name(), Options: opts}, s)
 
 		sharded := openSharded(t, opts, workers)
 		if err := Process(sharded, s); err != nil {
@@ -56,14 +55,8 @@ func TestPublicTwoPassRunParallelMatchesSerialExactly(t *testing.T) {
 	s := parallelStream(9)
 	opts := Options{N: s.N(), M: 1 << 10, Eps: 0.25, Seed: 4, Lambda: 1.0 / 16}
 
-	serial := NewTwoPassEstimator(g, opts)
-	want := serial.Run(s)
-
-	par := NewTwoPassEstimator(g, opts)
-	got, err := par.RunParallel(s, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := mustOpen(t, Spec{Kind: KindTwoPass, G: g.Name(), Options: opts, Workers: 1}, s).Estimate()
+	got := mustOpen(t, Spec{Kind: KindTwoPass, G: g.Name(), Options: opts, Workers: 4}, s).Estimate()
 	if got != want {
 		t.Errorf("parallel two-pass %.17g != serial %.17g", got, want)
 	}
@@ -234,10 +227,11 @@ func TestBatchAndSingleUpdatePathsAgreeThroughPublicAPI(t *testing.T) {
 	s := parallelStream(55)
 	opts := Options{N: s.N(), M: 1 << 10, Eps: 0.25, Seed: 6, Lambda: 1.0 / 16}
 
-	one := NewOnePassEstimator(g, opts)
+	spec := Spec{Kind: KindOnePass, G: g.Name(), Options: opts}
+	one := mustOpen(t, spec, NewStream(s.N()))
 	s.Each(func(u Update) { one.Update(u.Item, u.Delta) })
 
-	batched := NewOnePassEstimator(g, opts)
+	batched := mustOpen(t, spec, NewStream(s.N()))
 	batched.UpdateBatch(s.Updates())
 
 	if a, b := one.Estimate(), batched.Estimate(); a != b {

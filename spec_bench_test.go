@@ -1,12 +1,11 @@
 package universal
 
-// Benches for the Spec/Open layer, gated by scripts/benchdiff alongside
-// the Process/Window hot paths: BenchmarkOpen and
-// BenchmarkSpecFingerprint bound the cost of registry construction and
-// the pre-merge handshake, and BenchmarkProcessRegistry re-runs the
+// Benches for the Spec/Open layer, beside the Process/Window hot paths:
+// BenchmarkOpen and BenchmarkSpecFingerprint price registry construction
+// and the pre-merge handshake, and BenchmarkProcessRegistry re-runs the
 // BenchmarkProcessSerial workload through the unified Estimator
-// interface so a regression in the dispatch path (or an accidental
-// de-devirtualization) is caught against the concrete-type baseline.
+// interface, so the dispatch path's cost (or an accidental
+// de-devirtualization) shows against the concrete type's.
 
 import "testing"
 
@@ -44,7 +43,7 @@ func BenchmarkSpecFingerprint(b *testing.B) {
 // registry: the same stream and options, but the estimator is resolved
 // by Open and driven through Estimator interface dispatch. Compare its
 // ns/op with BenchmarkProcessSerial's to see the (absence of) interface
-// indirection cost on the ingest hot path; both are gated.
+// indirection cost on the ingest hot path.
 func BenchmarkProcessRegistry(b *testing.B) {
 	s := processBenchStream()
 	spec := specBenchSpec(s)

@@ -13,7 +13,7 @@
 //     slow-jumping, slow-dropping, and predictable (Theorem 2); two passes
 //     work iff g is slow-jumping and slow-dropping (Theorem 3).
 //
-//  2. How? NewOnePassEstimator and NewTwoPassEstimator implement the
+//  2. How? Open builds them: KindOnePass and KindTwoPass implement the
 //     paper's Algorithms 2 and 1 inside the Braverman-Ostrovsky recursive
 //     sketch (Theorem 13). The one-pass sketch is also function
 //     independent: sized for an Options.Envelope, its EstimateFor answers
@@ -29,9 +29,8 @@
 // across Spec.Workers persistent one-pass shards that merge by
 // linearity, so worker count never changes the counters.
 //
-// The sketch-backed estimators (OnePassEstimator, TwoPassEstimator)
-// implement encoding.BinaryMarshaler and encoding.BinaryUnmarshaler with
-// merge semantics: UnmarshalBinary ADDS
+// Every Estimator implements encoding.BinaryMarshaler and
+// encoding.BinaryUnmarshaler with merge semantics: UnmarshalBinary ADDS
 // a serialized shard's counters into the receiver, and a fingerprint in
 // the wire header (internal/wire) rejects payloads from a sketch built
 // with a different seed or configuration. This is what cmd/gsumd builds
@@ -56,8 +55,7 @@
 //	universal.Process(est, s)
 //	fmt.Println(est.Estimate())
 //
-// The NewXxx constructors below remain as typed shims over the same
-// machinery. See examples/ for runnable programs and the README for the
+// See examples/ for runnable programs and the README for the
 // old-constructor → Spec migration table.
 package universal
 
@@ -66,14 +64,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/gfunc"
 	"repro/internal/stream"
-	"repro/internal/window"
 )
 
 // Spec is the typed, serializable description of any estimator in this
 // repository: a Kind, a catalog function name, Options, and the
-// kind-specific extras. Open(Spec) is the unified constructor; the
-// legacy NewXxx constructors below remain as thin shims over the same
-// machinery. Spec has a canonical JSON encoding (CanonicalJSON) and a
+// kind-specific extras. Open(Spec) is the one constructor. Spec has a
+// canonical JSON encoding (CanonicalJSON) and a
 // configuration fingerprint (Fingerprint) that distributed deployments
 // exchange to prove they built identical sketches BEFORE shipping
 // snapshots (gsumd's /v1/config handshake answers 409 on drift).
@@ -223,47 +219,3 @@ func DefaultCheckConfig() CheckConfig { return gfunc.DefaultCheckConfig() }
 // Classify runs the zero-one-law property checkers (Definitions 6-9) on g
 // and returns the Theorem 2 / Theorem 3 verdicts.
 func Classify(g Func, cfg CheckConfig) Classification { return gfunc.Classify(g, cfg) }
-
-// OnePassEstimator approximates g-SUM in one pass (Theorem 2's upper
-// bound: Algorithm 2 inside the recursive sketch).
-type OnePassEstimator = core.OnePassEstimator
-
-// TwoPassEstimator approximates g-SUM in two passes (Theorem 3's upper
-// bound: Algorithm 1 inside the recursive sketch).
-type TwoPassEstimator = core.TwoPassEstimator
-
-// ExactEstimator is the linear-space baseline.
-type ExactEstimator = core.ExactEstimator
-
-// NewOnePassEstimator builds the one-pass estimator for g.
-func NewOnePassEstimator(g Func, opts Options) *OnePassEstimator {
-	return core.NewOnePass(g, opts)
-}
-
-// NewTwoPassEstimator builds the two-pass estimator for g.
-func NewTwoPassEstimator(g Func, opts Options) *TwoPassEstimator {
-	return core.NewTwoPass(g, opts)
-}
-
-// NewExactEstimator builds the exact linear-space baseline for g.
-func NewExactEstimator(g Func) *ExactEstimator { return core.NewExact(g) }
-
-// Window is a sliding-window g-SUM estimator: an exponential histogram
-// of one-pass estimator buckets answering Σ g(|v_i|) over only the last
-// W ticks of the stream (internal/window). Feed it with Update(item,
-// delta, tick), move time with Advance(tick), and Estimate covers the
-// trailing window — expired traffic is guaranteed gone once it is
-// W+StaleBound() ticks behind the clock.
-type Window = window.Estimator
-
-// WindowConfig parameterizes a Window: W is the window length in ticks;
-// K trades buckets for expiry granularity (0 = default 2).
-type WindowConfig = window.Config
-
-// NewWindow builds a sliding-window one-pass estimator for g. Like all
-// estimators, two Windows built from the same (g, opts, cfg) — on any
-// machines — merge exactly, provided their clocks advanced through the
-// same tick sequence.
-func NewWindow(g Func, opts Options, cfg WindowConfig) (*Window, error) {
-	return window.NewEstimator(g, opts, cfg)
-}

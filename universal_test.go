@@ -12,6 +12,20 @@ import (
 	"repro/internal/util"
 )
 
+// mustOpen opens spec through the public door, ingests s, and returns
+// the estimator.
+func mustOpen(t *testing.T, spec Spec, s *Stream) Estimator {
+	t.Helper()
+	e, err := Open(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Process(e, s); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 func TestPublicQuickstartFlow(t *testing.T) {
 	g := X2Log()
 	s := NewStream(1 << 12)
@@ -19,8 +33,7 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	s.Add(9, -2)
 	s.Add(7, -1)
 
-	est := NewOnePassEstimator(g, Options{N: 1 << 12, M: 1 << 10, Seed: 1})
-	est.Process(s)
+	est := mustOpen(t, Spec{Kind: KindOnePass, G: g.Name(), Options: Options{N: 1 << 12, M: 1 << 10, Seed: 1}}, s)
 	want := g.Eval(2) * 2 // |v_7| = 2, |v_9| = 2
 	if util.RelErr(est.Estimate(), want) > 0.05 {
 		t.Errorf("quickstart estimate %.4g, want %.4g", est.Estimate(), want)
@@ -43,10 +56,9 @@ func TestPublicClassifyMatchesVerdictConstants(t *testing.T) {
 func TestPublicTwoPassFlow(t *testing.T) {
 	g := SinSqrtX2()
 	s := stream.Zipf(stream.GenConfig{N: 1 << 12, M: 1 << 10, Seed: 2}, 300, 1.1)
-	exact := NewExactEstimator(g)
-	exact.Process(s)
-	two := NewTwoPassEstimator(g, Options{N: s.N(), M: 1 << 10, Seed: 3})
-	if util.RelErr(two.Run(s), exact.Estimate()) > 0.3 {
+	exact := mustOpen(t, Spec{Kind: KindExact, G: g.Name(), Options: Options{N: s.N()}}, s)
+	two := mustOpen(t, Spec{Kind: KindTwoPass, G: g.Name(), Options: Options{N: s.N(), M: 1 << 10, Seed: 3}}, s)
+	if util.RelErr(two.Estimate(), exact.Estimate()) > 0.3 {
 		t.Error("2-pass estimate out of tolerance on unpredictable g")
 	}
 }
@@ -55,11 +67,9 @@ func TestPublicTwoPassFlow(t *testing.T) {
 // estimator sized for the family's envelope, queried post hoc.
 func TestPublicUniversalSketch(t *testing.T) {
 	s := stream.Zipf(stream.GenConfig{N: 1 << 12, M: 1 << 10, Seed: 5}, 300, 1.1)
-	u := NewOnePassEstimator(F2(), Options{N: s.N(), M: 1 << 10, Seed: 7, Envelope: 16})
-	u.Process(s)
+	u := mustOpen(t, Spec{Kind: KindOnePass, G: F2().Name(), Options: Options{N: s.N(), M: 1 << 10, Seed: 7, Envelope: 16}}, s).(FuncQuerier)
 	for _, g := range []Func{F2(), F1(), X2Log()} {
-		exact := NewExactEstimator(g)
-		exact.Process(s)
+		exact := mustOpen(t, Spec{Kind: KindExact, G: g.Name(), Options: Options{N: s.N()}}, s)
 		if util.RelErr(u.EstimateFor(g), exact.Estimate()) > 0.3 {
 			t.Errorf("universal sketch misestimates %s", g.Name())
 		}
@@ -100,13 +110,12 @@ func TestPublicLEta(t *testing.T) {
 }
 
 func TestPublicEstimatorMergeExposed(t *testing.T) {
-	g := F2()
-	opts := Options{N: 1 << 10, M: 1 << 8, Seed: 11, Lambda: 1.0 / 8}
-	a := NewOnePassEstimator(g, opts)
-	b := NewOnePassEstimator(g, opts)
+	spec := Spec{Kind: KindOnePass, G: F2().Name(), Options: Options{N: 1 << 10, M: 1 << 8, Seed: 11, Lambda: 1.0 / 8}}
+	a := mustOpen(t, spec, NewStream(1<<10))
+	b := mustOpen(t, spec, NewStream(1<<10))
 	a.Update(1, 10)
 	b.Update(2, 20)
-	if err := a.Merge(b); err != nil {
+	if err := Merge(a, b); err != nil {
 		t.Fatal(err)
 	}
 	if util.RelErr(a.Estimate(), 500) > 0.1 {
