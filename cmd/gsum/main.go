@@ -230,7 +230,6 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 	workers := fs.Int("workers", 1, "shards for sharded (0 = GOMAXPROCS) / worker daemons for daemon (min 1)")
 	backend := fs.String("backend", "serial", "ingestion backend: "+strings.Join(workload.Backends, ", ")+
 		` ("list" prints the registered backend kinds and exits)`)
-	transport := fs.String("transport", "json", `daemon backend wire transport: "json" (per-batch POSTs) or "stream" (persistent binary frames)`)
 	win := fs.Int("window", 0, "sliding-window mode: estimate only the last W ticks (0 = whole stream)")
 	ticks := fs.Int("ticks", workload.DefaultTicks, "tick span of the generated stream (windowed mode)")
 	windowk := fs.Int("windowk", 0, "histogram buckets per span class: higher = fewer stale ticks, more space (0 = default 2)")
@@ -359,7 +358,6 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 		Opts:      opts,
 		Backend:   *backend,
 		Workers:   *workers,
-		Transport: *transport,
 		Window:    *win,
 		WindowK:   *windowk,
 	})
@@ -378,12 +376,8 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "window: last %d of %d ticks (clock at %d, %d stale tick(s) included)\n",
 			res.Window, *ticks, res.LastTick, res.StaleTicks)
 	}
-	backendLabel := res.Backend
-	if res.Transport != "" {
-		backendLabel += "/" + res.Transport
-	}
 	fmt.Fprintf(stdout, "backend %s (%d worker(s)): %.0f updates/s (%v)\n",
-		backendLabel, res.Workers, res.UpdatesPerSec, res.Elapsed.Round(time.Millisecond))
+		res.Backend, res.Workers, res.UpdatesPerSec, res.Elapsed.Round(time.Millisecond))
 	fmt.Fprintf(stdout, "g = %s\n", g.Name())
 	fmt.Fprintf(stdout, "exact    %.6g\n", res.Exact)
 	fmt.Fprintf(stdout, "estimate %.6g  relative error %.4f  (%d sketch bytes)\n",
@@ -423,9 +417,8 @@ func runExperiments(args []string, stdout, stderr io.Writer) int {
 // two-terminal walkthrough in the README. Every worker in a deployment
 // runs the same command with a different -shard index; together they
 // cover the stream exactly once. All pushing goes through the async
-// daemon.Pusher (bounded queue, batched frames); -stream switches the
-// transport from JSON POSTs to the persistent binary stream, where
-// every batch is individually acknowledged after the daemon applies it.
+// daemon.Pusher: a bounded queue feeding frames over one /v1/stream
+// connection, each acknowledged after the daemon applies it.
 func runPush(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("push", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -437,8 +430,7 @@ func runPush(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Uint64("seed", 1, "stream seed (same on every worker)")
 	shard := fs.Int("shard", 0, "this worker's shard index")
 	of := fs.Int("of", 1, "total number of shards")
-	batch := fs.Int("batch", daemon.DefaultPushBatch, "updates per request/frame")
-	useStream := fs.Bool("stream", false, "push over the persistent binary stream (/v1/stream) instead of JSON POSTs")
+	batch := fs.Int("batch", daemon.DefaultPushBatch, "updates per frame")
 	if code, ok := cliflag.Parse(fs, args, stderr); !ok {
 		return code
 	}
@@ -459,7 +451,7 @@ func runPush(args []string, stdout, stderr io.Writer) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	c := daemon.NewClient(*addr, nil)
-	p, err := c.NewPusher(ctx, daemon.PusherConfig{Stream: *useStream, MaxBatch: *batch})
+	p, err := c.NewPusher(ctx, daemon.PusherConfig{MaxBatch: *batch})
 	if err != nil {
 		fmt.Fprintf(stderr, "gsum push: %v\n", err)
 		return 1
@@ -474,12 +466,8 @@ func runPush(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	st := p.Stats()
-	transport := "json"
-	if *useStream {
-		transport = "stream"
-	}
-	fmt.Fprintf(stdout, "pushed %d updates in %d %s batch(es) (shard %d/%d of a %d-update stream) to %s\n",
-		st.Acked, st.Frames, transport, *shard, *of, len(updates), *addr)
+	fmt.Fprintf(stdout, "pushed %d updates in %d stream frame(s) (shard %d/%d of a %d-update stream) to %s\n",
+		st.Acked, st.Frames, *shard, *of, len(updates), *addr)
 	return 0
 }
 

@@ -176,6 +176,12 @@ func TestUnknownSubcommandFlagFailsWithUsage(t *testing.T) {
 			t.Errorf("%s -bogus: stderr %q missing flag usage listing", sub, stderr)
 		}
 	}
+	// No flag picks an ingest transport: every client streams.
+	for _, args := range [][]string{{"push", "-stream"}, {"bench", "-transport", "stream"}} {
+		if _, _, code := gsum(t, args...); code != 2 {
+			t.Errorf("%v: exit code %d, want 2", args, code)
+		}
+	}
 }
 
 func TestSubcommandHelpExitsZero(t *testing.T) {

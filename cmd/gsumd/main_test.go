@@ -325,7 +325,7 @@ func TestStreamDrainDurability(t *testing.T) {
 
 	c := daemon.NewClient("http://"+addr, nil)
 	p, err := c.NewPusher(context.Background(), daemon.PusherConfig{
-		Stream: true, MaxBatch: 64, MaxBuffered: 64, MaxInFlight: 1})
+		MaxBatch: 64, MaxBuffered: 64, MaxInFlight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestStreamDrainDurability(t *testing.T) {
 		t.Fatalf("restart did not restore the checkpoint:\n%s", out2.String())
 	}
 	c2 := daemon.NewClient("http://"+addr2, nil)
-	p2, err := c2.NewPusher(context.Background(), daemon.PusherConfig{Stream: true})
+	p2, err := c2.NewPusher(context.Background(), daemon.PusherConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

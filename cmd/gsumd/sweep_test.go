@@ -22,13 +22,12 @@ import (
 // deploys, not a lookalike.
 func TestSweepCellMatchesStandaloneDaemon(t *testing.T) {
 	cfg, err := sweep.Config{
-		Spec:       backend.Spec{G: "x^2"},
-		Stream:     workload.Config{N: 1 << 12, Items: 256, Length: 20000, Seed: 3},
-		Workloads:  []string{"drift"},
-		Backends:   []string{"serial", "daemon"},
-		Transports: []string{"stream"},
-		Eps:        []float64{0.25},
-		PointK:     8,
+		Spec:      backend.Spec{G: "x^2"},
+		Stream:    workload.Config{N: 1 << 12, Items: 256, Length: 20000, Seed: 3},
+		Workloads: []string{"drift"},
+		Backends:  []string{"serial", "daemon"},
+		Eps:       []float64{0.25},
+		PointK:    8,
 	}.Normalize()
 	if err != nil {
 		t.Fatal(err)
@@ -41,8 +40,8 @@ func TestSweepCellMatchesStandaloneDaemon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if daemonCell.Backend != "daemon" || daemonCell.Transport != "stream" {
-		t.Fatalf("cell 1 is %+v, want the daemon/stream cell", daemonCell.Cell)
+	if daemonCell.Backend != "daemon" {
+		t.Fatalf("cell 1 is %+v, want the daemon cell", daemonCell.Cell)
 	}
 	if serialCell.Estimate != daemonCell.Estimate {
 		t.Fatalf("sweep cells diverge before the daemon comparison: serial %v vs daemon %v",
@@ -67,7 +66,7 @@ func TestSweepCellMatchesStandaloneDaemon(t *testing.T) {
 	}
 	s := gen.Generate(cfg.Stream)
 	c := daemon.NewClient("http://"+addr, nil)
-	p, err := c.NewPusher(context.Background(), daemon.PusherConfig{Stream: true})
+	p, err := c.NewPusher(context.Background(), daemon.PusherConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

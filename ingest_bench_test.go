@@ -1,13 +1,12 @@
 package universal
 
-// The BenchmarkDaemonIngest* family prices the daemon ingest transports:
-// one iteration pushes the standard 128k-update bench stream into a
-// daemon three ways — straight into the server's apply path (the
-// no-wire ceiling), over per-batch JSON POSTs to /v1/ingest, and over
-// the persistent binary /v1/stream transport through the async Pusher.
-// The bar for the stream transport is ns/op within 2x of the in-process
-// ceiling: the wire format exists to make the transport disappear from
-// the profile.
+// The BenchmarkDaemonIngest* family prices the daemon ingest path: one
+// iteration pushes the standard 128k-update bench stream into a daemon
+// two ways — straight into the server's apply path (the no-wire
+// ceiling), and over the persistent binary /v1/stream connection
+// through the async Pusher. The bar for the stream is ns/op within 2x of
+// the in-process ceiling: the wire format exists to make the transport
+// disappear from the profile.
 
 import (
 	"context"
@@ -32,7 +31,7 @@ func ingestBenchServer(b *testing.B) *daemon.Server {
 }
 
 // BenchmarkDaemonIngestInProcess is the no-wire ceiling: the same
-// batches the transports carry, applied straight through the server's
+// batches the stream carries, applied straight through the server's
 // ingest path (state lock + UpdateBatch), no serialization, no socket.
 func BenchmarkDaemonIngestInProcess(b *testing.B) {
 	s := processBenchStream()
@@ -52,10 +51,11 @@ func BenchmarkDaemonIngestInProcess(b *testing.B) {
 	}
 }
 
-// benchPush measures one full Pusher session per iteration over a live
-// loopback daemon: open, push the whole bench stream, flush, close.
-func benchPush(b *testing.B, stream bool) {
-	b.Helper()
+// BenchmarkDaemonIngestStream measures one full Pusher session per
+// iteration over a live loopback daemon: open one persistent hijacked
+// connection, push the whole bench stream as length-prefixed binary
+// frames with per-frame acks, flush, close.
+func BenchmarkDaemonIngestStream(b *testing.B) {
 	s := processBenchStream()
 	srv := ingestBenchServer(b)
 	ts := httptest.NewServer(srv.Handler())
@@ -65,7 +65,7 @@ func benchPush(b *testing.B, stream bool) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, err := c.NewPusher(ctx, daemon.PusherConfig{Stream: stream})
+		p, err := c.NewPusher(ctx, daemon.PusherConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -80,11 +80,3 @@ func benchPush(b *testing.B, stream bool) {
 		}
 	}
 }
-
-// BenchmarkDaemonIngestJSON is the legacy transport: one POST
-// /v1/ingest per 4096-update batch, JSON encode/decode on both ends.
-func BenchmarkDaemonIngestJSON(b *testing.B) { benchPush(b, false) }
-
-// BenchmarkDaemonIngestStream is the binary transport: one persistent
-// hijacked connection, length-prefixed binary frames, per-frame acks.
-func BenchmarkDaemonIngestStream(b *testing.B) { benchPush(b, true) }

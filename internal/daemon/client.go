@@ -107,12 +107,10 @@ func (c *Client) postOK(ctx context.Context, path, contentType string, body []by
 }
 
 // PushContext sends a batch of updates to /v1/ingest as one JSON
-// request. Item IDs above math.MaxInt64 are rejected here: the JSON
-// transport carries items as int64, and letting such an ID wrap would
-// silently turn it negative on the wire. For sustained traffic prefer a
-// Pusher (batching + bounded queue) over calling this in a loop, and
-// the binary stream transport (NewPusher with PusherConfig.Stream) over
-// JSON.
+// request: the curl endpoint's contract in Go, kept for its tests. Item
+// IDs above math.MaxInt64 are rejected here: the JSON body carries items
+// as int64, and letting such an ID wrap would silently turn it negative
+// on the wire. Clients ingest through a Pusher, which streams.
 func (c *Client) PushContext(ctx context.Context, updates []stream.Update) error {
 	req := IngestRequest{Updates: make([][2]int64, len(updates))}
 	for i, u := range updates {

@@ -9,7 +9,8 @@
 // Endpoints (all under /v1):
 //
 //	POST /v1/ingest    JSON {"updates": [[item, delta], ...]} — batched
-//	                   turnstile updates through the unified Estimator.
+//	                   turnstile updates through the unified Estimator;
+//	                   the curl-friendly door (every Go client streams).
 //	POST /v1/stream    upgrades the connection (hijack, 101 Switching
 //	                   Protocols) to the persistent binary ingest stream:
 //	                   length-prefixed wire ingest frames in, one ack per
@@ -68,8 +69,8 @@
 // encodes. Loopback serves a Server on a 127.0.0.1 port beside its
 // Client: the in-process node of the bench runner and the soak.
 // Pusher is the asynchronous push session (bounded queue, batching by
-// size and age, backpressure instead of drops) over either transport:
-// JSON POSTs or the /v1/stream binary framing.
+// size and age, backpressure instead of drops) over one /v1/stream
+// connection; it is how every Go client ingests.
 //
 // Durability and self-healing: Server.WriteCheckpoint atomically
 // persists the wire snapshot (temp file + fsync + rename) with the Spec

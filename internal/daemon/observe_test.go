@@ -60,7 +60,7 @@ func TestMetricsEndpointCountsIngest(t *testing.T) {
 	if err := srv.IngestBatch(s.Updates()[100:150]); err != nil {
 		t.Fatal(err)
 	}
-	p, err := c.NewPusher(context.Background(), PusherConfig{Stream: true, MaxBatch: 64})
+	p, err := c.NewPusher(context.Background(), PusherConfig{MaxBatch: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,8 +291,7 @@ func TestPusherMetrics(t *testing.T) {
 	_, c := streamServer(t, spec)
 	reg := metrics.New()
 	p, err := c.NewPusher(context.Background(), PusherConfig{
-		Stream: true, MaxBatch: 64,
-		Metrics: reg, Labels: []metrics.Label{{Key: "worker", Value: "w0"}},
+		MaxBatch: 64, Metrics: reg, Labels: []metrics.Label{{Key: "worker", Value: "w0"}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -19,10 +19,9 @@ import (
 
 // Pusher defaults.
 const (
-	// DefaultPushBatch is the updates-per-frame (or per-JSON-request)
-	// batch size.
+	// DefaultPushBatch is the updates-per-frame batch size.
 	DefaultPushBatch = 4096
-	// DefaultMaxInFlight bounds unacked frames on the stream transport.
+	// DefaultMaxInFlight bounds unacked frames.
 	DefaultMaxInFlight = 4
 	// DefaultFlushEvery bounds how long a partial batch may age before
 	// it is sent anyway.
@@ -37,12 +36,10 @@ var ErrDraining = errors.New("daemon draining")
 
 // PusherConfig tunes an asynchronous Pusher.
 type PusherConfig struct {
-	// Stream selects the binary streaming transport (one persistent
-	// connection, length-prefixed frames, per-frame acks). False means
-	// JSON POSTs to /v1/ingest — same batching and bounded queue,
-	// per-request overhead.
+	// Deprecated: ignored; every Pusher streams. bench/ sets it; ROADMAP
+	// item 3(a) deletes it.
 	Stream bool
-	// MaxBatch is the updates per frame/request (0 = DefaultPushBatch).
+	// MaxBatch is the updates per frame (0 = DefaultPushBatch).
 	MaxBatch int
 	// MaxBuffered caps the queue in updates; Push blocks when full
 	// (0 = 4 * MaxBatch). It never drops.
@@ -51,9 +48,9 @@ type PusherConfig struct {
 	MaxInFlight int
 	// FlushEvery bounds a partial batch's age (0 = DefaultFlushEvery).
 	FlushEvery time.Duration
-	// AckTimeout bounds how long the stream transport waits for an ack
-	// while frames are in flight (0 = 1 minute). A daemon that stops
-	// acking surfaces as an error instead of a hang.
+	// AckTimeout bounds how long the Pusher waits for an ack while frames
+	// are in flight (0 = 1 minute). A daemon that stops acking surfaces as
+	// an error instead of a hang.
 	AckTimeout time.Duration
 	// Metrics, when non-nil, registers this Pusher's client-side
 	// instruments (queue depth, in-flight frames, session counters,
@@ -91,15 +88,13 @@ func (cfg PusherConfig) withDefaults() PusherConfig {
 type PusherStats struct {
 	// Enqueued is how many updates Push has accepted.
 	Enqueued uint64
-	// Sent is how many updates have left the queue for the transport.
+	// Sent is how many updates have left the queue for the connection.
 	Sent uint64
-	// Acked is how many updates the daemon has acknowledged applying
-	// (for the JSON transport, how many POSTs returned 200).
+	// Acked is how many updates the daemon has acknowledged applying.
 	Acked uint64
-	// Frames is how many frames/requests carried them.
+	// Frames is how many frames carried them.
 	Frames uint64
-	// Total is the daemon's ingest counter from the last ack (stream
-	// transport only).
+	// Total is the daemon's ingest counter from the last ack.
 	Total uint64
 	// FlushSize / FlushAge / FlushRequest / FlushClose count why each
 	// frame left the queue: the batch filled (size), the FlushEvery
@@ -108,22 +103,20 @@ type PusherStats struct {
 	FlushSize, FlushAge, FlushRequest, FlushClose uint64
 }
 
-// Pusher is an asynchronous, batching push session against one daemon:
-// Push enqueues into a bounded buffer and returns immediately (blocking
-// only when the buffer is full — backpressure, never drops), a
-// background worker flushes batches by size and age, and Close flushes
-// whatever remains and waits for every ack. Errors are sticky: the
-// first transport or daemon error fails all subsequent calls, and
-// Close reports it. A Pusher is safe for concurrent Push calls.
+// Pusher is an asynchronous, batching push session against one daemon
+// over one /v1/stream connection: Push enqueues into a bounded buffer
+// and returns immediately (blocking only when the buffer is full —
+// backpressure, never drops), a background worker sends batches as
+// frames by size and age, and Close flushes whatever remains and waits
+// for every ack. Errors are sticky: the first connection or daemon
+// error fails all subsequent calls, and Close reports it. A Pusher is
+// safe for concurrent Push calls.
 //
-// On the stream transport an ack is a durability receipt (see
-// /v1/stream); Stats().Acked is exactly the prefix of the session that
-// survives a daemon drain.
+// An ack is a durability receipt (see /v1/stream); Stats().Acked is
+// exactly the prefix of the session that survives a daemon drain.
 type Pusher struct {
-	c   *Client
 	cfg PusherConfig
-	ctx context.Context
-	sc  *streamConn // nil on the JSON transport
+	sc  *streamConn
 	fp  uint64
 
 	mu        sync.Mutex
@@ -138,40 +131,34 @@ type Pusher struct {
 	nextSeq   uint64
 	ackedSeq  uint64
 	unacked   int            // updates taken from buf, not yet acked
-	pending   map[uint64]int // stream: in-flight seq -> update count
+	pending   map[uint64]int // in-flight seq -> update count
 	stats     PusherStats
 	workerEnd chan struct{}
 	readerEnd chan struct{}
 }
 
 // NewPusher opens an asynchronous push session against the daemon this
-// client points at. ctx governs the whole session: dialing, every JSON
-// send, and cancellation (a canceled ctx fails the session with ctx's
-// error). The stream transport fetches the daemon's Spec fingerprint
-// via /v1/config first, so a misconfigured client fails here, not
-// mid-stream.
+// client points at. ctx governs the whole session: dialing and
+// cancellation (a canceled ctx fails the session with ctx's error). The
+// daemon's Spec fingerprint is fetched via /v1/config first, so a
+// misconfigured client fails here, not mid-stream.
 func (c *Client) NewPusher(ctx context.Context, cfg PusherConfig) (*Pusher, error) {
+	info, err := c.ConfigContext(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("daemon: stream handshake: %w", err)
+	}
+	sc, err := c.dialStream(ctx)
+	if err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
-	p := &Pusher{c: c, cfg: cfg, ctx: ctx,
-		pending: make(map[uint64]int), workerEnd: make(chan struct{})}
+	p := &Pusher{cfg: cfg, sc: sc, fp: info.Fingerprint, pending: make(map[uint64]int),
+		workerEnd: make(chan struct{}), readerEnd: make(chan struct{})}
 	p.cond = sync.NewCond(&p.mu)
 	if cfg.Metrics != nil {
 		p.registerMetrics(cfg.Metrics, cfg.Labels)
 	}
-	if cfg.Stream {
-		info, err := c.ConfigContext(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("daemon: stream handshake: %w", err)
-		}
-		p.fp = info.Fingerprint
-		sc, err := c.dialStream(ctx)
-		if err != nil {
-			return nil, err
-		}
-		p.sc = sc
-		p.readerEnd = make(chan struct{})
-		go p.readAcks()
-	}
+	go p.readAcks()
 	go p.worker()
 	// A canceled session ctx wakes every blocked Push/Flush.
 	if ctx.Done() != nil {
@@ -214,7 +201,7 @@ func (p *Pusher) registerMetrics(reg *metrics.Registry, labels []metrics.Label) 
 			return float64(p.stats.Acked)
 		}), labels...)
 	reg.GaugeFunc("gsum_pusher_frames",
-		"frames/requests sent this session", read(func() float64 {
+		"frames sent this session", read(func() float64 {
 			return float64(p.stats.Frames)
 		}), labels...)
 	for _, c := range []struct {
@@ -303,8 +290,7 @@ func (p *Pusher) armTimerLocked() {
 }
 
 // Flush sends everything buffered and waits until the daemon has acked
-// it all (stream) or every request returned (JSON), then reports the
-// sticky error if any.
+// it all, then reports the sticky error if any.
 func (p *Pusher) Flush() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -333,10 +319,8 @@ func (p *Pusher) Close() error {
 	}
 	p.mu.Unlock()
 	<-p.workerEnd
-	if p.sc != nil {
-		_ = p.sc.conn.Close()
-		<-p.readerEnd
-	}
+	_ = p.sc.conn.Close()
+	<-p.readerEnd
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if flushErr != nil {
@@ -345,8 +329,8 @@ func (p *Pusher) Close() error {
 	return p.err
 }
 
-// worker drains the buffer into the transport: full batches
-// immediately, partial ones on age, explicit Flush, or Close.
+// worker drains the buffer into frames: full batches immediately,
+// partial ones on age, explicit Flush, or Close.
 func (p *Pusher) worker() {
 	defer close(p.workerEnd)
 	for {
@@ -392,36 +376,38 @@ func (p *Pusher) worker() {
 		p.unacked += n
 		p.stats.Sent += uint64(n)
 		p.stats.Frames++
-		// Stream transport: respect the in-flight window before writing.
-		if p.sc != nil {
-			for p.err == nil && len(p.pending) >= p.cfg.MaxInFlight {
-				p.cond.Wait()
-			}
-			if p.err != nil {
-				p.mu.Unlock()
-				return
-			}
-			p.nextSeq++
-			seq := p.nextSeq
-			p.pending[seq] = n
-			p.mu.Unlock()
-			if err := p.sendFrame(seq, batch); err != nil {
-				p.fail(err)
-				return
-			}
-			continue
+		// Respect the in-flight window before writing.
+		for p.err == nil && len(p.pending) >= p.cfg.MaxInFlight {
+			p.cond.Wait()
 		}
-		p.mu.Unlock()
-		if err := p.c.PushContext(p.ctx, batch); err != nil {
-			p.fail(err)
+		if p.err != nil {
+			p.mu.Unlock()
 			return
 		}
-		p.mu.Lock()
-		p.unacked -= n
-		p.stats.Acked += uint64(n)
-		p.cond.Broadcast()
+		p.nextSeq++
+		seq := p.nextSeq
+		p.pending[seq] = n
 		p.mu.Unlock()
+		if err := p.sendFrame(seq, batch); err != nil {
+			p.failSend(err)
+			return
+		}
 	}
+}
+
+// failSend records a send error once the ack reader has had its say. A
+// daemon that refuses a frame acks the refusal and closes with later
+// frames unread, which resets the connection under the next write; the
+// refusal is on the socket before the reset, so waiting for the reader
+// (bounded by AckTimeout) lets the daemon's stated reason win.
+func (p *Pusher) failSend(err error) {
+	t := time.NewTimer(p.cfg.AckTimeout)
+	defer t.Stop()
+	select {
+	case <-p.readerEnd:
+	case <-t.C:
+	}
+	p.fail(err)
 }
 
 // sendFrame writes one frame and refreshes the ack-stall deadline.

@@ -1,15 +1,22 @@
 package daemon
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/backend"
+	"repro/internal/stream"
+	"repro/internal/wire"
 )
 
 // TestPusherFlushCloseRaceInFlightAck hammers Flush and Close against a
@@ -28,7 +35,7 @@ func TestPusherFlushCloseRaceInFlightAck(t *testing.T) {
 	srv.streams.applyDelay = time.Millisecond
 
 	p, err := c.NewPusher(context.Background(), PusherConfig{
-		Stream: true, MaxBatch: 32, MaxBuffered: 64, MaxInFlight: 2})
+		MaxBatch: 32, MaxBuffered: 64, MaxInFlight: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +119,7 @@ func TestPusherDrainingRedeliverableCount(t *testing.T) {
 
 	updates := s.Updates()
 	p, err := c.NewPusher(context.Background(), PusherConfig{
-		Stream: true, MaxBatch: 32,
+		MaxBatch: 32,
 		// Buffer the whole session so Push returns immediately and
 		// Enqueued is exact before the drain hits.
 		MaxBuffered: len(updates), MaxInFlight: 2})
@@ -169,5 +176,76 @@ func TestPusherDrainingRedeliverableCount(t *testing.T) {
 	if uint64(len(updates))-lost != applied {
 		t.Fatalf("redelivering %d of %d implies %d durable; daemon has %d",
 			lost, len(updates), uint64(len(updates))-lost, applied)
+	}
+}
+
+// TestPusherRefusalReasonBeatsReset: a daemon that refuses a frame acks
+// the refusal and closes with frames unread, which resets the
+// connection under the Pusher's next write. The refusal is on the socket
+// before the reset, so the session's error must be the daemon's stated
+// reason, never the reset — however far behind the ack reader is. The
+// fake peer puts it far behind on purpose: it reads a burst of frames,
+// answers them all in one write (OK acks, then a refusal of the last)
+// and closes at once, while the worker keeps writing single-update
+// frames into the reset.
+func TestPusherRefusalReasonBeatsReset(t *testing.T) {
+	const (
+		fp     = 0x5eed
+		burst  = 1024 // acks ahead of the refusal, ~45 KB: inside one receive window
+		reason = "frame refused by the fake peer"
+	)
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/config", func(w http.ResponseWriter, r *http.Request) {
+		_ = json.NewEncoder(w).Encode(ConfigInfo{Fingerprint: fp})
+	})
+	mux.HandleFunc("/v1/stream", func(w http.ResponseWriter, r *http.Request) {
+		conn, rw, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer conn.Close() // with frames still arriving: the reset
+		_, _ = rw.WriteString("HTTP/1.1 101 Switching Protocols\r\nUpgrade: " + StreamProtocol + "\r\nConnection: Upgrade\r\n\r\n")
+		_ = rw.Flush()
+		var acks bytes.Buffer
+		for seq := uint64(1); seq <= burst+1; seq++ {
+			payload, err := wire.ReadFrame(rw, wire.MaxIngestFrameBytes)
+			if err != nil {
+				t.Errorf("peer read: %v", err)
+				return
+			}
+			got, _, err := wire.UnmarshalIngestFrame(payload, fp)
+			if err != nil || got != seq {
+				t.Errorf("peer: frame %d (%v), want %d", got, err, seq)
+				return
+			}
+			ack := wire.IngestAck{Seq: seq, Total: seq, Status: wire.IngestAckOK}
+			if seq == burst+1 {
+				ack = wire.IngestAck{Seq: burst, Total: burst, Status: wire.IngestAckError, Msg: reason}
+			}
+			_ = wire.WriteFrame(&acks, wire.AppendIngestAck(fp, ack))
+		}
+		_, _ = rw.Write(acks.Bytes())
+		_ = rw.Flush()
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	const frames = 1 << 16
+	updates := make([]stream.Update, frames)
+	for i := range updates {
+		updates[i] = stream.Update{Item: uint64(i), Delta: 1}
+	}
+	p, err := NewClient(ts.URL, nil).NewPusher(context.Background(), PusherConfig{
+		MaxBatch: 1, MaxBuffered: frames, MaxInFlight: frames})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = p.Push(updates)
+	if cerr := p.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil || !strings.Contains(err.Error(), reason) {
+		t.Fatalf("session error %v, want the peer's reason %q", err, reason)
 	}
 }

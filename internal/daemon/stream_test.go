@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -47,7 +46,7 @@ func TestStreamPushBitIdentical(t *testing.T) {
 	}
 
 	_, c := streamServer(t, spec)
-	p, err := c.NewPusher(context.Background(), PusherConfig{Stream: true, MaxBatch: 128})
+	p, err := c.NewPusher(context.Background(), PusherConfig{MaxBatch: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +95,7 @@ func TestStreamWindowedBitIdentical(t *testing.T) {
 	win := serial.(backend.Windowed)
 
 	_, c := streamServer(t, spec)
-	p, err := c.NewPusher(context.Background(), PusherConfig{Stream: true, MaxBatch: 256})
+	p, err := c.NewPusher(context.Background(), PusherConfig{MaxBatch: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +147,7 @@ func TestStreamBackpressure(t *testing.T) {
 
 	const maxBatch = 32
 	p, err := c.NewPusher(context.Background(), PusherConfig{
-		Stream: true, MaxBatch: maxBatch, MaxBuffered: maxBatch, MaxInFlight: 1})
+		MaxBatch: maxBatch, MaxBuffered: maxBatch, MaxInFlight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +184,7 @@ func TestStreamDrainAcksAreDurable(t *testing.T) {
 	srv.streams.applyDelay = time.Millisecond
 
 	p, err := c.NewPusher(context.Background(), PusherConfig{
-		Stream: true, MaxBatch: 64, MaxBuffered: 64, MaxInFlight: 1})
+		MaxBatch: 64, MaxBuffered: 64, MaxInFlight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +222,7 @@ func TestStreamDrainAcksAreDurable(t *testing.T) {
 	}
 
 	// New stream sessions are refused while draining.
-	if _, err := c.NewPusher(context.Background(), PusherConfig{Stream: true}); err == nil {
+	if _, err := c.NewPusher(context.Background(), PusherConfig{}); err == nil {
 		t.Fatal("NewPusher succeeded against a draining daemon")
 	}
 }
@@ -236,7 +235,7 @@ func TestStreamFingerprintDrift(t *testing.T) {
 	spec := backend.Spec{Kind: backend.KindOnePass, G: "x^2", Options: testOptions(7)}
 	srv, c := streamServer(t, spec)
 
-	p, err := c.NewPusher(context.Background(), PusherConfig{Stream: true, MaxBatch: 128})
+	p, err := c.NewPusher(context.Background(), PusherConfig{MaxBatch: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +265,7 @@ func TestStreamFingerprintDrift(t *testing.T) {
 func TestStreamDomainRejected(t *testing.T) {
 	spec := backend.Spec{Kind: backend.KindOnePass, G: "x^2", Options: testOptions(7)}
 	_, c := streamServer(t, spec)
-	p, err := c.NewPusher(context.Background(), PusherConfig{Stream: true})
+	p, err := c.NewPusher(context.Background(), PusherConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,66 +278,13 @@ func TestStreamDomainRejected(t *testing.T) {
 	}
 }
 
-// TestPusherJSONTransport runs the same bounded async pipeline over
-// plain /v1/ingest POSTs and checks the estimate and the counters.
-func TestPusherJSONTransport(t *testing.T) {
-	s := testStream(19)
-	spec := backend.Spec{Kind: backend.KindOnePass, G: "x^2", Options: testOptions(7)}
-
-	serial, err := backend.Open(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := backend.Process(serial, s); err != nil {
-		t.Fatal(err)
-	}
-
-	_, c := streamServer(t, spec)
-	p, err := c.NewPusher(context.Background(), PusherConfig{MaxBatch: 777})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Concurrent producers: the Pusher is the serialization point.
-	var wg sync.WaitGroup
-	updates := s.Updates()
-	half := len(updates) / 2
-	for _, part := range [][]stream.Update{updates[:half], updates[half:]} {
-		wg.Add(1)
-		go func(part []stream.Update) {
-			defer wg.Done()
-			if err := p.Push(part); err != nil {
-				t.Errorf("push: %v", err)
-			}
-		}(part)
-	}
-	wg.Wait()
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if st := p.Stats(); st.Acked != uint64(s.Len()) {
-		t.Fatalf("acked %d of %d", st.Acked, s.Len())
-	}
-
-	resp, err := c.Estimate(url.Values{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := resp.Value()
-	if !ok {
-		t.Fatalf("no estimate in %+v", resp)
-	}
-	if want := serial.Estimate(); got != want {
-		t.Fatalf("json pusher estimate %v != serial %v", got, want)
-	}
-}
-
 // TestPusherFlushByAge: a partial batch must not sit in the buffer past
 // FlushEvery even with no further pushes.
 func TestPusherFlushByAge(t *testing.T) {
 	spec := backend.Spec{Kind: backend.KindOnePass, G: "x^2", Options: testOptions(7)}
 	_, c := streamServer(t, spec)
 	p, err := c.NewPusher(context.Background(), PusherConfig{
-		Stream: true, MaxBatch: 1 << 20, FlushEvery: 10 * time.Millisecond})
+		MaxBatch: 1 << 20, FlushEvery: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +311,7 @@ func TestPusherContextCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	p, err := c.NewPusher(ctx, PusherConfig{
-		Stream: true, MaxBatch: 32, MaxBuffered: 32, MaxInFlight: 1})
+		MaxBatch: 32, MaxBuffered: 32, MaxInFlight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +413,7 @@ func TestMinInt64DeltaEndToEnd(t *testing.T) {
 		"json":      func(_ *Server, c *Client) error { return c.PushContext(context.Background(), poison) },
 		"inprocess": func(srv *Server, _ *Client) error { return srv.IngestBatch(poison) },
 		"stream": func(_ *Server, c *Client) error {
-			p, err := c.NewPusher(context.Background(), PusherConfig{Stream: true})
+			p, err := c.NewPusher(context.Background(), PusherConfig{})
 			if err != nil {
 				return err
 			}

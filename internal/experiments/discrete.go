@@ -1,4 +1,20 @@
-package discrete
+package experiments
+
+// Appendix D.4: the discretized model of the function class and the
+// counting argument (Theorem 57) showing that nearly periodic functions
+// are vanishingly rare; experiment E13 runs it.
+//
+// The model fixes M, M' ∈ poly(n) and considers
+//
+//	GD = { g : [M]0 → [M']0 : g(0) = 0, g(1) = M', g(x) > 0 for x > 0 }.
+//
+// Bn ⊆ GD is the discretized analogue of the nearly periodic functions:
+// (1) some pair has a (log n)^8 drop, and (2) every pair with at least a
+// ½(log n)^8 drop nearly repeats at the reduction's offsets. Tn contains
+// the witness family of Lemma 59 (functions with minimum value at least
+// M'/log n, all of which are approximable in polylog space because every
+// point query error is a relative error). Theorem 57: |Bn|/|Tn| <=
+// 2^{-Ω(M log log n)}.
 
 import (
 	"math"
@@ -6,52 +22,52 @@ import (
 	"repro/internal/util"
 )
 
-// Func is a discretized function: Values[x] = g(x) for x in [0, M], with
+// discreteFunc is a discretized function: Values[x] = g(x) for x in [0, M], with
 // Values[0] = 0, Values[1] = M'.
-type Func struct {
+type discreteFunc struct {
 	Values []uint64 // length M+1
 	MPrime uint64
 }
 
-// New validates and wraps a value table.
-func New(values []uint64, mPrime uint64) Func {
+// newDiscrete validates and wraps a value table.
+func newDiscrete(values []uint64, mPrime uint64) discreteFunc {
 	if len(values) < 2 {
-		panic("discrete: need at least domain {0, 1}")
+		panic("experiments: need at least domain {0, 1}")
 	}
 	if values[0] != 0 {
-		panic("discrete: g(0) must be 0")
+		panic("experiments: g(0) must be 0")
 	}
 	if values[1] != mPrime {
-		panic("discrete: g(1) must be M'")
+		panic("experiments: g(1) must be M'")
 	}
 	for x := 1; x < len(values); x++ {
 		if values[x] == 0 {
-			panic("discrete: g(x) must be positive for x > 0")
+			panic("experiments: g(x) must be positive for x > 0")
 		}
 	}
-	return Func{Values: values, MPrime: mPrime}
+	return discreteFunc{Values: values, MPrime: mPrime}
 }
 
-// Random samples a uniform element of GD: g(x) uniform in [1, M'] for
+// randomDiscrete samples a uniform element of GD: g(x) uniform in [1, M'] for
 // x in [2, M], pinned g(0)=0, g(1)=M'.
-func Random(m int, mPrime uint64, rng *util.SplitMix64) Func {
+func randomDiscrete(m int, mPrime uint64, rng *util.SplitMix64) discreteFunc {
 	values := make([]uint64, m+1)
 	values[1] = mPrime
 	for x := 2; x <= m; x++ {
 		values[x] = 1 + rng.Uint64n(mPrime)
 	}
-	return Func{Values: values, MPrime: mPrime}
+	return discreteFunc{Values: values, MPrime: mPrime}
 }
 
-// M returns the domain bound.
-func (f Func) M() int { return len(f.Values) - 1 }
+// m returns the domain bound.
+func (f discreteFunc) m() int { return len(f.Values) - 1 }
 
-// InTn reports membership in the Lemma 59 witness family: every positive
+// inTn reports membership in the Lemma 59 witness family: every positive
 // value at least M'/log n. Such functions have g(x)/g(y) <= log n for all
 // x, y >= 1, so a CountSketch estimate with small relative frequency error
 // yields a small relative g-SUM error: approximable in O(log³n log M)
 // bits.
-func (f Func) InTn(logN float64) bool {
+func (f discreteFunc) inTn(logN float64) bool {
 	floor := float64(f.MPrime) / logN
 	for x := 1; x < len(f.Values); x++ {
 		if float64(f.Values[x]) < floor {
@@ -61,7 +77,7 @@ func (f Func) InTn(logN float64) bool {
 	return true
 }
 
-// InBn reports membership in the discretized nearly periodic class:
+// inBn reports membership in the discretized nearly periodic class:
 //
 //  1. ∃ x, y ∈ [M]: g(x) >= (log n)^8 g(y), and
 //  2. ∀ x, y ∈ [M] with g(x) >= ½(log n)^8 g(y):
@@ -70,10 +86,10 @@ func (f Func) InTn(logN float64) bool {
 //
 // (the two offsets are where the turnstile INDEX reduction of
 // Proposition 60 lands; |y-x| = 0 and x+y = x cases are vacuous).
-func (f Func) InBn(logN float64) bool {
+func (f discreteFunc) inBn(logN float64) bool {
 	drop := math.Pow(logN, 8)
 	rel := 1 / (logN * logN)
-	m := f.M()
+	m := f.m()
 
 	hasDrop := false
 	g := func(x int) float64 { return float64(f.Values[x]) }
@@ -116,24 +132,24 @@ func (f Func) InBn(logN float64) bool {
 	return true
 }
 
-// CountEstimate Monte-Carlo samples GD and returns the observed fractions
+// countDiscrete Monte-Carlo samples GD and returns the observed fractions
 // of Bn-like and Tn functions. For laptop-scale parameters the Bn fraction
 // is (usually exactly) zero — which is Theorem 57's content; the table in
 // experiment E13 reports the counts alongside the analytic bound.
-func CountEstimate(m int, mPrime uint64, logN float64, samples int, rng *util.SplitMix64) (bn, tn int) {
+func countDiscrete(m int, mPrime uint64, logN float64, samples int, rng *util.SplitMix64) (bn, tn int) {
 	for i := 0; i < samples; i++ {
-		f := Random(m, mPrime, rng)
-		if f.InBn(logN) {
+		f := randomDiscrete(m, mPrime, rng)
+		if f.inBn(logN) {
 			bn++
 		}
-		if f.InTn(logN) {
+		if f.inTn(logN) {
 			tn++
 		}
 	}
 	return bn, tn
 }
 
-// TheoremBoundLogRatio returns log2 of the Theorem 57 bound on |Bn|/|Tn|,
+// theoremBoundLogRatio returns log2 of the Theorem 57 bound on |Bn|/|Tn|,
 // combining Lemma 62's upper bound on |Bn| (in the proof's final form,
 // with the Lemma 61 matching of size W = M/8 - 1 forcing W coordinates
 // into windows of width 2M'/log²n)
@@ -143,7 +159,7 @@ func CountEstimate(m int, mPrime uint64, logN float64, samples int, rng *util.Sp
 // with Lemma 59's lower bound |Tn| >= (M' - M'/log n)^{M-1}. The exponent
 // is -Ω(M log log n): it turns negative once log2 log n exceeds ~4.5 and
 // then decreases linearly in M.
-func TheoremBoundLogRatio(m int, mPrime uint64, logN float64) float64 {
+func theoremBoundLogRatio(m int, mPrime uint64, logN float64) float64 {
 	mp := float64(mPrime)
 	mf := float64(m)
 	w := mf/8 - 1
@@ -156,18 +172,18 @@ func TheoremBoundLogRatio(m int, mPrime uint64, logN float64) float64 {
 	return logBn - logTn
 }
 
-// Pair is a (value, partner) pair from the Lemma 61 matching.
-type Pair struct {
+// matchedPair is a (value, partner) pair from the Lemma 61 matching.
+type matchedPair struct {
 	I, D uint64 // the pair (i, |i - j|)
 }
 
-// DistinctPairMatching implements Lemma 61: given S ⊆ [M] and j, find a
+// distinctPairMatching implements Lemma 61: given S ⊆ [M] and j, find a
 // set W of pairs (i, |i-j|) with i ∈ S such that ALL values appearing in
 // W (both coordinates) are distinct, with |W| >= |S|/4 - 1. The
 // construction follows the proof: build the functional graph i -> |i-j|
 // on S \ {j, j/2}, break in-degree-2 vertices (preferring to delete
 // cyclic edges), and take a maximal matching on the remaining paths.
-func DistinctPairMatching(s []uint64, j uint64) []Pair {
+func distinctPairMatching(s []uint64, j uint64) []matchedPair {
 	// candidate edges
 	type edge struct{ from, to uint64 }
 	var edges []edge
@@ -210,14 +226,14 @@ func DistinctPairMatching(s []uint64, j uint64) []Pair {
 	// Greedy maximal matching on remaining edges with globally distinct
 	// values.
 	used := make(map[uint64]bool)
-	var out []Pair
+	var out []matchedPair
 	for ei, e := range edges {
 		if deleted[ei] || used[e.from] || used[e.to] {
 			continue
 		}
 		used[e.from] = true
 		used[e.to] = true
-		out = append(out, Pair{I: e.from, D: e.to})
+		out = append(out, matchedPair{I: e.from, D: e.to})
 	}
 	return out
 }

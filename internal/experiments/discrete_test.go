@@ -1,4 +1,4 @@
-package discrete
+package experiments
 
 import (
 	"testing"
@@ -19,28 +19,28 @@ func TestNewValidates(t *testing.T) {
 					t.Errorf("expected panic for %v", bad)
 				}
 			}()
-			New(bad, 8)
+			newDiscrete(bad, 8)
 		}()
 	}
-	New([]uint64{0, 8, 3, 5}, 8) // valid
+	newDiscrete([]uint64{0, 8, 3, 5}, 8) // valid
 }
 
 func TestInTn(t *testing.T) {
 	// logN = 4, M' = 64: floor is 16.
-	f := New([]uint64{0, 64, 20, 16}, 64)
-	if !f.InTn(4) {
+	f := newDiscrete([]uint64{0, 64, 20, 16}, 64)
+	if !f.inTn(4) {
 		t.Error("all values >= 16 should be in Tn")
 	}
-	g := New([]uint64{0, 64, 15, 16}, 64)
-	if g.InTn(4) {
+	g := newDiscrete([]uint64{0, 64, 15, 16}, 64)
+	if g.inTn(4) {
 		t.Error("value 15 < 16 should be outside Tn")
 	}
 }
 
 func TestInBnNeedsDrop(t *testing.T) {
 	// logN = 2: drop threshold 2^8 = 256. A flat function has no drop.
-	flat := New([]uint64{0, 300, 300, 300, 300}, 300)
-	if flat.InBn(2) {
+	flat := newDiscrete([]uint64{0, 300, 300, 300, 300}, 300)
+	if flat.inBn(2) {
 		t.Error("flat function cannot be in Bn (no drop)")
 	}
 }
@@ -51,15 +51,15 @@ func TestInBnNearRepeatRequired(t *testing.T) {
 	// g(x) vs g(x±2) equal. Pairs (x odd big, y even small): |y-x| odd ->
 	// big value too. Check it lands in Bn.
 	vals := []uint64{0, 1024, 1, 1024, 1, 1024, 1, 1024, 1}
-	f := New(vals, 1024)
-	if !f.InBn(2) {
+	f := newDiscrete(vals, 1024)
+	if !f.inBn(2) {
 		t.Error("periodic big/small alternation should be Bn-like")
 	}
 	// Break the repetition at one point: now a constrained pair fails.
 	vals2 := append([]uint64(nil), vals...)
 	vals2[7] = 50 // g(7) no longer ~ g(5)
-	g := New(vals2, 1024)
-	if g.InBn(2) {
+	g := newDiscrete(vals2, 1024)
+	if g.inBn(2) {
 		t.Error("broken repetition should leave Bn")
 	}
 }
@@ -68,7 +68,7 @@ func TestRandomFunctionsAlmostNeverBn(t *testing.T) {
 	// Theorem 57's empirical face: random members of GD are essentially
 	// never nearly periodic, while a constant fraction is in Tn.
 	rng := util.NewSplitMix64(11)
-	bn, tn := CountEstimate(16, 64, 2.5, 3000, rng)
+	bn, tn := countDiscrete(16, 64, 2.5, 3000, rng)
 	if bn > 0 {
 		t.Errorf("found %d Bn members among 3000 random functions; expected ~0", bn)
 	}
@@ -80,9 +80,9 @@ func TestRandomFunctionsAlmostNeverBn(t *testing.T) {
 func TestTheoremBoundGoesNegative(t *testing.T) {
 	// The log2 bound on |Bn|/|Tn| must decrease (toward -inf) as M grows
 	// with n = 2^(logN) fixed large enough.
-	prev := TheoremBoundLogRatio(64, 1<<20, 64)
+	prev := theoremBoundLogRatio(64, 1<<20, 64)
 	for _, m := range []int{128, 256, 512} {
-		cur := TheoremBoundLogRatio(m, 1<<20, 64)
+		cur := theoremBoundLogRatio(m, 1<<20, 64)
 		if cur >= prev {
 			t.Errorf("bound did not decrease at M=%d: %v >= %v", m, cur, prev)
 		}
@@ -100,7 +100,7 @@ func TestDistinctPairMatchingValuesDistinct(t *testing.T) {
 		for _, r := range raw {
 			s = append(s, uint64(r%2048)+1)
 		}
-		w := DistinctPairMatching(s, j)
+		w := distinctPairMatching(s, j)
 		seen := make(map[uint64]bool)
 		for _, p := range w {
 			if seen[p.I] || seen[p.D] || p.I == p.D {
@@ -140,7 +140,7 @@ func TestDistinctPairMatchingSizeBound(t *testing.T) {
 		for v := range set {
 			s = append(s, v)
 		}
-		w := DistinctPairMatching(s, j)
+		w := distinctPairMatching(s, j)
 		if len(w) < len(s)/4-1 {
 			t.Fatalf("matching size %d < |S|/4-1 = %d (|S|=%d, j=%d)",
 				len(w), len(s)/4-1, len(s), j)

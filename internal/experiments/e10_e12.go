@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/encode"
 	"repro/internal/gfunc"
 	"repro/internal/heavy"
 	"repro/internal/stream"
@@ -84,11 +83,11 @@ func E11HigherOrder(quick bool) Table {
 		Title:  "Higher-order encoding (§1.1.4): induced g' breaks 1-pass, not 2-pass",
 		Header: []string{"packing", "local var g'", "local var x²", "1-pass err", "2-pass err"},
 	}
-	p, err := encode.NewPacking(16, 2)
+	p, err := newPacking(16, 2)
 	if err != nil {
 		panic(err)
 	}
-	induced := p.Induced("(d0+4*d1)^2", func(d []uint64) float64 {
+	induced := p.induced("(d0+4*d1)^2", func(d []uint64) float64 {
 		s := float64(d[0] + 4*d[1])
 		return s * s
 	})
@@ -104,7 +103,7 @@ func E11HigherOrder(quick bool) Table {
 		truth := exact.Estimate()
 
 		opts := core.Options{
-			N: s.N(), M: int64(p.MaxPacked()), Eps: 0.25, Seed: seed * 131,
+			N: s.N(), M: int64(p.maxPacked()), Eps: 0.25, Seed: seed * 131,
 			Lambda: 1.0 / 16, Envelope: 8,
 		}
 		one := core.NewOnePass(induced, opts)
@@ -115,8 +114,8 @@ func E11HigherOrder(quick bool) Table {
 		errs2 = append(errs2, util.RelErr(two.Run(s), truth))
 	}
 	t.AddRow("b=16,k=2",
-		fmtF(encode.LocalVariability(induced, p.MaxPacked())),
-		fmtF(encode.LocalVariability(gfunc.F2Func(), p.MaxPacked())),
+		fmtF(localVariability(induced, p.maxPacked())),
+		fmtF(localVariability(gfunc.F2Func(), p.maxPacked())),
 		fmtF(util.MedianFloat64(errs1)), fmtF(util.MedianFloat64(errs2)))
 	t.AddNote("expected shape: induced local variability near 1; 2-pass error stays small, 1-pass degrades")
 	return t
@@ -127,7 +126,7 @@ func E11HigherOrder(quick bool) Table {
 // item count exceeds the sketches' candidate capacity, so point queries
 // carry genuine error and the induced function's local variability is
 // exposed to the pruning step.
-func matrixStream(p encode.Packing, seed uint64) *stream.Stream {
+func matrixStream(p packing, seed uint64) *stream.Stream {
 	rng := util.NewSplitMix64(seed * 977)
 	s := stream.New(1 << 13)
 	used := make(map[uint64]struct{})
@@ -145,10 +144,10 @@ func matrixStream(p encode.Packing, seed uint64) *stream.Stream {
 		// Updates arrive per-attribute as the encoding prescribes:
 		// attribute j contributes b^j per logical increment.
 		for k := int64(0); k < d0; k++ {
-			s.Add(it, p.DeltaFor(0))
+			s.Add(it, p.deltaFor(0))
 		}
 		for k := int64(0); k < d1; k++ {
-			s.Add(it, p.DeltaFor(1))
+			s.Add(it, p.deltaFor(1))
 		}
 	}
 	return s

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/comm"
-	"repro/internal/discrete"
 	"repro/internal/gfunc"
 	"repro/internal/util"
 )
@@ -43,14 +42,14 @@ func E13DiscreteCounting(quick bool) Table {
 		{16, 64, 4},
 	}
 	for _, c := range cases {
-		bn, tn := discrete.CountEstimate(c.m, c.mp, c.logN, samples, rng.Fork())
+		bn, tn := countDiscrete(c.m, c.mp, c.logN, samples, rng.Fork())
 		t.AddRow(fmt.Sprint(c.m), fmt.Sprint(c.mp), fmtF(c.logN),
 			fmt.Sprint(samples), fmt.Sprint(bn), fmt.Sprint(tn), "(sampled)")
 	}
 	// The analytic bound at theorem scale (too large to sample).
 	for _, m := range []int{64, 256, 1024} {
 		t.AddRow(fmt.Sprint(m), "2^20", "64", "-", "-", "-",
-			fmtF(discrete.TheoremBoundLogRatio(m, 1<<20, 64)))
+			fmtF(theoremBoundLogRatio(m, 1<<20, 64)))
 	}
 	t.AddNote("expected shape: Bn hits vanish as M grows (a handful at M=8, none beyond), Tn hits plentiful at moderate log n; the analytic exponent decreases linearly in M (2^{-Ω(M log log n)})")
 	return t

@@ -1,4 +1,4 @@
-package encode
+package experiments
 
 import (
 	"testing"
@@ -8,13 +8,13 @@ import (
 )
 
 func TestPackUnpackRoundTrip(t *testing.T) {
-	p, err := NewPacking(16, 3)
+	p, err := newPacking(16, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := func(a, b, c uint8) bool {
 		digits := []uint64{uint64(a % 16), uint64(b % 16), uint64(c % 16)}
-		got := p.Unpack(p.Pack(digits))
+		got := p.unpack(p.pack(digits))
 		for i := range digits {
 			if got[i] != digits[i] {
 				return false
@@ -28,16 +28,16 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 }
 
 func TestDeltaForMatchesPack(t *testing.T) {
-	// Adding DeltaFor(j) to a packed value increments digit j (absent
+	// Adding deltaFor(j) to a packed value increments digit j (absent
 	// carries), which is exactly the b^j-copies encoding of an update.
-	p, err := NewPacking(8, 4)
+	p, err := newPacking(8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := p.Pack([]uint64{3, 1, 0, 5})
-	y := uint64(int64(x) + p.DeltaFor(2))
+	x := p.pack([]uint64{3, 1, 0, 5})
+	y := uint64(int64(x) + p.deltaFor(2))
 	want := []uint64{3, 1, 1, 5}
-	got := p.Unpack(y)
+	got := p.unpack(y)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("after update: %v, want %v", got, want)
@@ -46,25 +46,25 @@ func TestDeltaForMatchesPack(t *testing.T) {
 }
 
 func TestNewPackingRejectsOverflow(t *testing.T) {
-	if _, err := NewPacking(1<<32, 3); err == nil {
+	if _, err := newPacking(1<<32, 3); err == nil {
 		t.Error("expected overflow rejection")
 	}
-	if _, err := NewPacking(1, 2); err == nil {
+	if _, err := newPacking(1, 2); err == nil {
 		t.Error("expected rejection of base 1")
 	}
 }
 
 func TestInducedFunctionClassG(t *testing.T) {
-	p, err := NewPacking(8, 2)
+	p, err := newPacking(8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// g(d) = (d0 + d1)²: a smooth multivariate function.
-	g := p.Induced("(d0+d1)^2", func(d []uint64) float64 {
+	g := p.induced("(d0+d1)^2", func(d []uint64) float64 {
 		s := float64(d[0] + d[1])
 		return s * s
 	})
-	if err := gfunc.Validate(g, p.MaxPacked()); err != nil {
+	if err := gfunc.Validate(g, p.maxPacked()); err != nil {
 		t.Error(err)
 	}
 }
@@ -72,17 +72,17 @@ func TestInducedFunctionClassG(t *testing.T) {
 func TestInducedHasHighLocalVariability(t *testing.T) {
 	// The paper's Section 1.1.4 claim: even a smooth multivariate g
 	// induces a wildly varying g' (a +1 step rolls the low digit).
-	p, err := NewPacking(16, 2)
+	p, err := newPacking(16, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	induced := p.Induced("(d0+4*d1)^2", func(d []uint64) float64 {
+	induced := p.induced("(d0+4*d1)^2", func(d []uint64) float64 {
 		s := float64(d[0] + 4*d[1])
 		return s * s
 	})
 	smooth := gfunc.F2Func()
-	vInduced := LocalVariability(induced, p.MaxPacked())
-	vSmooth := LocalVariability(smooth, p.MaxPacked())
+	vInduced := localVariability(induced, p.maxPacked())
+	vSmooth := localVariability(smooth, p.maxPacked())
 	if vInduced < 0.5 {
 		t.Errorf("induced local variability %.3f, expected > 0.5", vInduced)
 	}
@@ -95,8 +95,8 @@ func TestInducedHasHighLocalVariability(t *testing.T) {
 }
 
 func TestMaxPacked(t *testing.T) {
-	p, _ := NewPacking(10, 3)
-	if p.MaxPacked() != 999 {
-		t.Errorf("MaxPacked = %d, want 999", p.MaxPacked())
+	p, _ := newPacking(10, 3)
+	if p.maxPacked() != 999 {
+		t.Errorf("maxPacked = %d, want 999", p.maxPacked())
 	}
 }

@@ -23,11 +23,6 @@ func fuzzTwoPass() *TwoPass {
 	}, util.NewSplitMix64(6))
 }
 
-func fuzzGnp() *GnpHeavy {
-	return NewGnpHeavy(GnpHeavyConfig{N: 64, Lambda: 0.5, Trials: 4, Substreams: 8},
-		util.NewSplitMix64(7))
-}
-
 func addSeeds(f *testing.F, valid []byte) {
 	f.Add(valid)
 	for _, cut := range []int{0, 3, 13, 14, 30, len(valid) - 1} {
@@ -76,19 +71,5 @@ func FuzzTwoPassUnmarshal(f *testing.F) {
 		tp := fuzzTwoPass()
 		sketchtest.RefusedIsNoOp(t, tp, tp.UnmarshalBinary, data)
 		sketchtest.RefusedIsNoOp(t, tp, tp.UnmarshalCandidates, data)
-	})
-}
-
-func FuzzGnpUnmarshal(f *testing.F) {
-	src := fuzzGnp()
-	src.Update(3, 8)
-	valid, err := src.MarshalBinary()
-	if err != nil {
-		f.Fatal(err)
-	}
-	addSeeds(f, valid)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		gh := fuzzGnp()
-		sketchtest.RefusedIsNoOp(t, gh, gh.UnmarshalBinary, data)
 	})
 }

@@ -33,15 +33,14 @@ import (
 // evades the Lemma 23 lower bound: the INDEX reduction fails because
 // g_np(x + y) = g_np(x) at every period y.
 type GnpHeavy struct {
-	n       uint64
-	c       int
-	d       int
-	bitsN   int
-	part    *xhash.Buckets       // item -> substream
-	xsel    [][]*xhash.Bernoulli // [substream][trial] -> item selector
-	m       [][]int64            // [substream][trial] total selected mass
-	mbit    [][][]int64          // [substream][trial][bit] selected mass with id bit set
-	updates int
+	n     uint64
+	c     int
+	d     int
+	bitsN int
+	part  *xhash.Buckets       // item -> substream
+	xsel  [][]*xhash.Bernoulli // [substream][trial] -> item selector
+	m     [][]int64            // [substream][trial] total selected mass
+	mbit  [][][]int64          // [substream][trial][bit] selected mass with id bit set
 }
 
 // GnpHeavyConfig configures the Appendix D.1 algorithm.
@@ -110,7 +109,6 @@ func (gh *GnpHeavy) Update(item uint64, delta int64) {
 			}
 		}
 	}
-	gh.updates++
 }
 
 // Cover returns the recovered heavy hitters: per substream, at most one

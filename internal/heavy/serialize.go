@@ -16,7 +16,6 @@ import (
 const (
 	onePassMagic uint32 = 0x67535548 // "gSUH"
 	twoPassMagic uint32 = 0x67535532 // "gSU2"
-	gnpMagic     uint32 = 0x6753554e // "gSUN"
 	candsMagic   uint32 = 0x67535551 // "gSUQ" — two-pass candidate set
 )
 
@@ -195,103 +194,4 @@ func (t *TwoPass) StageCandidates(data []byte) (func(), error) {
 			t.counts[it] = 0
 		}
 	}, nil
-}
-
-// Fingerprint digests the Appendix D.1 configuration: domain, substream
-// and trial counts, and every selection hash.
-func (gh *GnpHeavy) Fingerprint() uint64 {
-	h := wire.Fingerprint(0, gh.n)
-	h = wire.Fingerprint(h, uint64(gh.c))
-	h = wire.Fingerprint(h, uint64(gh.d))
-	h = wire.Fingerprint(h, uint64(gh.bitsN))
-	h = gh.part.Fingerprint(h)
-	for s := 0; s < gh.c; s++ {
-		for t := 0; t < gh.d; t++ {
-			h = gh.xsel[s][t].Fingerprint(h)
-		}
-	}
-	return h
-}
-
-// MarshalBinary serializes the per-substream trial counters. Layout:
-// header | c u32 | d u32 | bitsN u32 | m (c*d i64) | mbit (c*d*bitsN i64)
-// | updates u64.
-func (gh *GnpHeavy) MarshalBinary() ([]byte, error) {
-	var w wire.Writer
-	w.Header(gnpMagic, gh.Fingerprint())
-	w.U32(uint32(gh.c))
-	w.U32(uint32(gh.d))
-	w.U32(uint32(gh.bitsN))
-	flat := make([]int64, 0, gh.c*gh.d)
-	for s := 0; s < gh.c; s++ {
-		flat = append(flat, gh.m[s]...)
-	}
-	w.I64s(flat)
-	flat = make([]int64, 0, gh.c*gh.d*gh.bitsN)
-	for s := 0; s < gh.c; s++ {
-		for t := 0; t < gh.d; t++ {
-			flat = append(flat, gh.mbit[s][t]...)
-		}
-	}
-	w.I64s(flat)
-	w.U64(uint64(gh.updates))
-	return w.Bytes(), nil
-}
-
-// UnmarshalBinary adds serialized shard counters into gh (merge
-// semantics): the trial sums m and the bit-restricted sums mbit are
-// linear in the frequency vector, so addition yields the state of the
-// union stream.
-func (gh *GnpHeavy) UnmarshalBinary(data []byte) error { return wire.Unmarshal(gh, data) }
-
-// StageBinary checks a payload whole against gh and returns the merge
-// that adds it in (wire.Stager).
-func (gh *GnpHeavy) StageBinary(data []byte) (func(), error) {
-	r := wire.NewReader(data)
-	if err := r.Header(gnpMagic, gh.Fingerprint()); err != nil {
-		return nil, fmt.Errorf("heavy: GnpHeavy: %w", err)
-	}
-	c, d, bits := int(r.U32()), int(r.U32()), int(r.U32())
-	if r.Err() == nil && (c != gh.c || d != gh.d || bits != gh.bitsN) {
-		return nil, fmt.Errorf("heavy: GnpHeavy: dimension mismatch: wire %dx%dx%d vs local %dx%dx%d",
-			c, d, bits, gh.c, gh.d, gh.bitsN)
-	}
-	m := make([]int64, gh.c*gh.d)
-	r.I64sInto(m)
-	mbit := make([]int64, gh.c*gh.d*gh.bitsN)
-	r.I64sInto(mbit)
-	updates := r.U64()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("heavy: GnpHeavy: %w", err)
-	}
-	return func() {
-		for s := 0; s < gh.c; s++ {
-			for t := 0; t < gh.d; t++ {
-				gh.m[s][t] += m[s*gh.d+t]
-				for b := 0; b < gh.bitsN; b++ {
-					gh.mbit[s][t][b] += mbit[(s*gh.d+t)*gh.bitsN+b]
-				}
-			}
-		}
-		gh.updates += int(updates)
-	}, nil
-}
-
-// Merge folds another GnpHeavy instance (same configuration and seed)
-// into gh in-process; the counters are linear, so the result is the
-// state of the union stream.
-func (gh *GnpHeavy) Merge(other *GnpHeavy) error {
-	if gh.Fingerprint() != other.Fingerprint() {
-		return fmt.Errorf("heavy: GnpHeavy merge configuration/seed mismatch")
-	}
-	for s := 0; s < gh.c; s++ {
-		for t := 0; t < gh.d; t++ {
-			gh.m[s][t] += other.m[s][t]
-			for b := 0; b < gh.bitsN; b++ {
-				gh.mbit[s][t][b] += other.mbit[s][t][b]
-			}
-		}
-	}
-	gh.updates += other.updates
-	return nil
 }

@@ -156,69 +156,3 @@ func TestTwoPassWireProtocolEqualsSerial(t *testing.T) {
 		}
 	}
 }
-
-func TestGnpWireMergeEqualsSerial(t *testing.T) {
-	cfg := GnpHeavyConfig{N: 1 << 10, Lambda: 0.5}
-	mk := func() *GnpHeavy { return NewGnpHeavy(cfg, util.NewSplitMix64(21)) }
-
-	// A planted g_np-heavy item: frequency with a low ι among multiples
-	// of higher powers of two.
-	updates := []stream.Update{{Item: 5, Delta: 3}, {Item: 9, Delta: 16}, {Item: 100, Delta: 8}}
-	serial := mk()
-	for _, u := range updates {
-		serial.Update(u.Item, u.Delta)
-	}
-
-	shard1, shard2, coord := mk(), mk(), mk()
-	shard1.Update(updates[0].Item, updates[0].Delta)
-	shard2.Update(updates[1].Item, updates[1].Delta)
-	shard2.Update(updates[2].Item, updates[2].Delta)
-	for _, sh := range []*GnpHeavy{shard1, shard2} {
-		data, err := sh.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := coord.UnmarshalBinary(data); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	want, got := serial.Cover(), coord.Cover()
-	if len(got) != len(want) {
-		t.Fatalf("wire cover has %d entries, serial %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("cover[%d] = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-
-	// In-process Merge must agree with the wire path.
-	merged := mk()
-	if err := merged.Merge(shard1); err != nil {
-		t.Fatal(err)
-	}
-	if err := merged.Merge(shard2); err != nil {
-		t.Fatal(err)
-	}
-	mc := merged.Cover()
-	if len(mc) != len(want) {
-		t.Fatalf("merged cover has %d entries, serial %d", len(mc), len(want))
-	}
-}
-
-func TestGnpUnmarshalRejectsWrongSeed(t *testing.T) {
-	cfg := GnpHeavyConfig{N: 1 << 8, Lambda: 0.5}
-	a := NewGnpHeavy(cfg, util.NewSplitMix64(1))
-	b := NewGnpHeavy(cfg, util.NewSplitMix64(2))
-	data, err := a.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.UnmarshalBinary(data); err == nil {
-		t.Error("expected fingerprint mismatch decoding onto a different seed")
-	}
-	if err := b.Merge(a); err == nil {
-		t.Error("expected Merge to reject a different seed")
-	}
-}

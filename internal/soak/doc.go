@@ -1,6 +1,6 @@
 // Package soak boots a real gsumd worker/coordinator topology
 // in-process — real loopback listeners, the production daemon.Server
-// HTTP surface, membership loops, both ingest transports — and drives a
+// HTTP surface, membership loops, Pushers over /v1/stream — and drives a
 // sustained mixed workload against it while scraping every node's
 // /metrics endpoint. The operational invariants are asserted from the
 // scrapes themselves, the way an alerting rule would see them: every

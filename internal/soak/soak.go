@@ -18,9 +18,8 @@ import (
 // Config parameterizes one soak run. The zero value is not usable; see
 // the field defaults.
 type Config struct {
-	// Workers is the worker daemon count (default 2). Even-indexed
-	// workers ingest over the binary stream transport, odd-indexed ones
-	// over JSON POSTs, so one run exercises both paths.
+	// Workers is the worker daemon count (default 2). Each ingests
+	// through its own Pusher over /v1/stream.
 	Workers int
 	// Windowed selects the window kind with a tick advanced every
 	// round; false runs the flat one-pass kind.
@@ -167,9 +166,9 @@ func Run(cfg Config) (*Report, error) {
 		chunks[i] = stream.Zipf(stream.GenConfig{N: spec.Options.N, M: spec.Options.M,
 			Seed: cfg.Seed*1013 + uint64(i)}, 90, 1.1).Updates()
 		p, err := w.Client.NewPusher(context.Background(), daemon.PusherConfig{
-			Stream: i%2 == 0, MaxBatch: 128,
-			Metrics: pushReg,
-			Labels:  []metrics.Label{{Key: "worker", Value: w.name}},
+			MaxBatch: 128,
+			Metrics:  pushReg,
+			Labels:   []metrics.Label{{Key: "worker", Value: w.name}},
 		})
 		if err != nil {
 			return nil, fmt.Errorf("soak: pusher %s: %w", w.name, err)
@@ -356,34 +355,24 @@ func Run(cfg Config) (*Report, error) {
 		if v, ok := sc.Value("gsumd_ingested_updates"); !ok || v != pushed {
 			return nil, fmt.Errorf("soak: %s ingested %v, pushed %v", w.name, v, pushed)
 		}
-		transport := "json"
-		if i%2 == 0 {
-			transport = "stream"
-		}
 		applied, ok := sc.Value("gsumd_ingest_updates_total",
-			metrics.Label{Key: "transport", Value: transport})
+			metrics.Label{Key: "transport", Value: "stream"})
 		if !ok || applied != pushed {
-			return nil, fmt.Errorf("soak: %s applied %v over %s, pushed %v", w.name, applied, transport, pushed)
+			return nil, fmt.Errorf("soak: %s applied %v over the stream, pushed %v", w.name, applied, pushed)
 		}
-		if transport == "stream" {
-			// Ack receipts: at quiesce, every applied update is acked —
-			// acks are issued only after apply, and Close waited for all
-			// of them.
-			acked, _ := sc.Value("gsumd_stream_acked_updates_total")
-			if acked != applied {
-				return nil, fmt.Errorf("soak: %s acked %v != applied %v", w.name, acked, applied)
-			}
-			frames, _ := sc.Value("gsumd_stream_acked_frames_total")
-			bs, _ := sc.Value("gsumd_ingest_batch_size_count")
-			if frames == 0 || frames != bs {
-				return nil, fmt.Errorf("soak: %s acked %v frames, observed %v batches", w.name, frames, bs)
-			}
-			if conns, _ := sc.Value("gsumd_stream_connections"); conns != 0 {
-				return nil, fmt.Errorf("soak: %s still reports %v live stream connections", w.name, conns)
-			}
+		// Ack receipts: at quiesce, every applied update is acked — acks
+		// are issued only after apply, and Close waited for all of them.
+		acked, _ := sc.Value("gsumd_stream_acked_updates_total")
+		if acked != applied {
+			return nil, fmt.Errorf("soak: %s acked %v != applied %v", w.name, acked, applied)
 		}
-		if v, ok := sc.Value("gsumd_ingest_batch_size_count"); !ok || v == 0 {
-			return nil, fmt.Errorf("soak: %s batch-size histogram empty", w.name)
+		frames, _ := sc.Value("gsumd_stream_acked_frames_total")
+		bs, _ := sc.Value("gsumd_ingest_batch_size_count")
+		if frames == 0 || frames != bs {
+			return nil, fmt.Errorf("soak: %s acked %v frames, observed %v batches", w.name, frames, bs)
+		}
+		if conns, _ := sc.Value("gsumd_stream_connections"); conns != 0 {
+			return nil, fmt.Errorf("soak: %s still reports %v live stream connections", w.name, conns)
 		}
 		if cfg.Windowed {
 			if v, ok := sc.Value("gsumd_window_tick"); !ok || v != float64(tick) {

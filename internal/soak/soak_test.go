@@ -78,7 +78,7 @@ func runSoak(t *testing.T, cfg Config) *Report {
 	return rep
 }
 
-// TestSoakFlat is the headline soak: 2 stream + JSON workers and a
+// TestSoakFlat is the headline soak: 2 streaming workers and a
 // coordinator under sustained flat load, all invariants asserted from
 // /metrics scrapes, final estimate bit-identical to serial.
 func TestSoakFlat(t *testing.T) {

@@ -76,7 +76,6 @@ func RunCell(cfg Config, index int) (CellResult, error) {
 		Opts:      opts,
 		Backend:   cell.Backend,
 		Workers:   cell.Workers,
-		Transport: cell.Transport,
 		Window:    int(cfg.Spec.Window.W),
 		WindowK:   cfg.Spec.Window.K,
 	})

@@ -14,8 +14,7 @@ import (
 // JSON file. The estimator block is the repository's canonical Spec JSON
 // (the same encoding gsumd serves on /v1/config), the stream block is
 // workload.Config, and the remaining fields are the matrix axes: every
-// combination of workload x backend x (transport, daemon cells only) x
-// eps x workers becomes one cell.
+// combination of workload x backend x eps x workers becomes one cell.
 type Config struct {
 	// Spec is the base estimator configuration for every cell. Kind is
 	// derived per cell (onepass/sharded/window by backend and window
@@ -31,9 +30,6 @@ type Config struct {
 	Workloads []string `json:"workloads"`
 	// Backends names the ingestion topologies (workload.Backends).
 	Backends []string `json:"backends"`
-	// Transports lists the daemon wire transports ("json", "stream");
-	// it multiplies daemon cells only. Empty means ["json"].
-	Transports []string `json:"transports,omitempty"`
 	// Eps lists the accuracy targets to sweep.
 	Eps []float64 `json:"eps"`
 	// Workers lists the shard/daemon counts to sweep. Empty means [1].
@@ -129,14 +125,6 @@ func (c Config) Normalize() (Config, error) {
 				b, strings.Join(workload.Backends, ", "))
 		}
 	}
-	if len(c.Transports) == 0 {
-		c.Transports = []string{"json"}
-	}
-	for _, tr := range c.Transports {
-		if tr != "json" && tr != "stream" {
-			return Config{}, fmt.Errorf("sweep: unknown transport %q (json, stream)", tr)
-		}
-	}
 	if len(c.Eps) == 0 {
 		return Config{}, fmt.Errorf("sweep: eps must list at least one accuracy target")
 	}
@@ -216,43 +204,31 @@ func contains(xs []string, x string) bool {
 // the contract that lets a worker process told only "-cell N" agree with
 // the merging parent about what N means.
 type Cell struct {
-	Index     int     `json:"index"`
-	Workload  string  `json:"workload"`
-	Backend   string  `json:"backend"`
-	Transport string  `json:"transport,omitempty"`
-	Eps       float64 `json:"eps"`
-	Workers   int     `json:"workers"`
+	Index    int     `json:"index"`
+	Workload string  `json:"workload"`
+	Backend  string  `json:"backend"`
+	Eps      float64 `json:"eps"`
+	Workers  int     `json:"workers"`
 }
 
 // ID is the cell's human-readable identity, used in the report and the
 // missing-cell listing.
 func (c Cell) ID() string {
-	b := c.Backend
-	if c.Transport != "" {
-		b += "/" + c.Transport
-	}
-	return fmt.Sprintf("%s %s eps=%g w=%d", c.Workload, b, c.Eps, c.Workers)
+	return fmt.Sprintf("%s %s eps=%g w=%d", c.Workload, c.Backend, c.Eps, c.Workers)
 }
 
 // Cells enumerates the matrix in deterministic order: workloads outermost
-// (as listed), then backends, transports (daemon cells only), eps,
-// workers. Call it on a normalized Config.
+// (as listed), then backends, eps, workers. Call it on a normalized
+// Config.
 func (c Config) Cells() []Cell {
 	var cells []Cell
 	for _, w := range c.Workloads {
 		for _, b := range c.Backends {
-			trs := []string{""}
-			if b == "daemon" {
-				trs = c.Transports
-			}
-			for _, tr := range trs {
-				for _, e := range c.Eps {
-					for _, wk := range c.Workers {
-						cells = append(cells, Cell{
-							Index: len(cells), Workload: w, Backend: b,
-							Transport: tr, Eps: e, Workers: wk,
-						})
-					}
+			for _, e := range c.Eps {
+				for _, wk := range c.Workers {
+					cells = append(cells, Cell{
+						Index: len(cells), Workload: w, Backend: b, Eps: e, Workers: wk,
+					})
 				}
 			}
 		}

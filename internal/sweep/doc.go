@@ -1,8 +1,7 @@
 // Package sweep is the scenario sweep engine behind `gsum sweep`: a
 // config-file-driven matrix runner that crosses workload scenarios,
-// ingestion backends, accuracy targets, worker counts, and (for the
-// daemon backend) wire transports into cells, fans the cells out across
-// worker processes, and merges the per-cell JSON results into one
+// ingestion backends, accuracy targets and worker counts into cells,
+// fans the cells out across worker processes, and merges the per-cell JSON results into one
 // deterministic markdown accuracy report.
 //
 // Layer: sweep sits above internal/workload (each cell is one RunBench

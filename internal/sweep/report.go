@@ -26,9 +26,6 @@ func Report(w io.Writer, cfg Config, m Merged, timing bool) error {
 	fmt.Fprintln(w, "# gsum sweep report")
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "- matrix: workloads [%s] x backends [%s]", strings.Join(cfg.Workloads, " "), strings.Join(cfg.Backends, " "))
-	if contains(cfg.Backends, "daemon") {
-		fmt.Fprintf(w, " x transports [%s] (daemon only)", strings.Join(cfg.Transports, " "))
-	}
 	fmt.Fprintf(w, " x eps [%s] x workers [%s] = %d cells\n", joinFloats(cfg.Eps), joinInts(cfg.Workers), m.Total)
 	fmt.Fprintf(w, "- stream: n=%d items=%d length=%d seed=%d", cfg.Stream.N, cfg.Stream.Items, cfg.Stream.Length, cfg.Stream.Seed)
 	if cfg.Stream.Ticks > 0 {
@@ -49,12 +46,8 @@ func Report(w io.Writer, cfg Config, m Merged, timing bool) error {
 	fmt.Fprintln(w, "| # | workload | backend | eps | w | updates | distinct | exact | estimate | rel err | pt mean err | pt max err | bytes |")
 	fmt.Fprintln(w, "|---|---|---|---|---|---|---|---|---|---|---|---|---|")
 	for _, c := range m.Cells {
-		backendLabel := c.Backend
-		if c.Transport != "" {
-			backendLabel += "/" + c.Transport
-		}
 		fmt.Fprintf(w, "| %d | %s | %s | %s | %d | %d | %d | %s | %s | %s | %s | %s | %d |\n",
-			c.Index, c.Workload, backendLabel, fmtG(c.Eps), c.Workers, c.Updates, c.Distinct,
+			c.Index, c.Workload, c.Backend, fmtG(c.Eps), c.Workers, c.Updates, c.Distinct,
 			fmtG(c.Exact), fmtG(c.Estimate), fmtG(c.RelErr), fmtG(c.PointMeanErr), fmtG(c.PointMaxErr), c.Space)
 	}
 

@@ -111,8 +111,8 @@ func TestConfigNormalize(t *testing.T) {
 	if n.Spec.Options.Seed != 7 || n.Spec.Options.M != 1<<10 || n.PointK != 8 {
 		t.Fatalf("defaults not resolved: %+v", n.Spec.Options)
 	}
-	if len(n.Workers) != 1 || n.Workers[0] != 1 || len(n.Transports) != 1 || n.Transports[0] != "json" {
-		t.Fatalf("workers/transports defaults not resolved: %v %v", n.Workers, n.Transports)
+	if len(n.Workers) != 1 || n.Workers[0] != 1 {
+		t.Fatalf("workers default not resolved: %v", n.Workers)
 	}
 	cases := []struct {
 		name string
@@ -126,7 +126,6 @@ func TestConfigNormalize(t *testing.T) {
 		{"no backends", func(c Config) Config { c.Backends = nil; return c }, "backends"},
 		{"unknown backend", func(c Config) Config { c.Backends = []string{"quantum"}; return c }, "unknown backend"},
 		{"removed parallel backend", func(c Config) Config { c.Backends = []string{"serial", "parallel"}; return c }, "unknown backend"},
-		{"unknown transport", func(c Config) Config { c.Transports = []string{"carrier-pigeon"}; return c }, "transport"},
 		{"no eps", func(c Config) Config { c.Eps = nil; return c }, "eps"},
 		{"eps out of range", func(c Config) Config { c.Eps = []float64{1.5}; return c }, "eps"},
 		{"negative workers", func(c Config) Config { c.Workers = []int{-1}; return c }, "workers"},
@@ -159,12 +158,10 @@ func TestConfigNormalize(t *testing.T) {
 }
 
 // TestCellsDeterministic: the cell list is a pure function of the
-// normalized config, transports multiply only daemon cells, and every
-// index matches its position.
+// normalized config, and every index matches its position.
 func TestCellsDeterministic(t *testing.T) {
 	cfg := goldenConfig()
 	cfg.Backends = []string{"serial", "sharded", "daemon"}
-	cfg.Transports = []string{"json", "stream"}
 	cfg.Eps = []float64{0.25, 0.5}
 	cfg.Workers = []int{1, 2}
 	n, err := cfg.Normalize()
@@ -172,8 +169,8 @@ func TestCellsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := n.Cells(), n.Cells()
-	// 2 workloads x (serial + sharded + daemon*2 transports) x 2 eps x 2 workers.
-	if want := 2 * 4 * 2 * 2; len(a) != want {
+	// 2 workloads x 3 backends x 2 eps x 2 workers.
+	if want := 2 * 3 * 2 * 2; len(a) != want {
 		t.Fatalf("got %d cells, want %d", len(a), want)
 	}
 	for i := range a {
@@ -182,9 +179,6 @@ func TestCellsDeterministic(t *testing.T) {
 		}
 		if a[i].Index != i {
 			t.Fatalf("cell %d carries index %d", i, a[i].Index)
-		}
-		if (a[i].Transport != "") != (a[i].Backend == "daemon") {
-			t.Fatalf("cell %d: transport %q on backend %q", i, a[i].Transport, a[i].Backend)
 		}
 	}
 }

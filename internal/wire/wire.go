@@ -295,23 +295,6 @@ func (r *Reader) U64s() []uint64 {
 	return out
 }
 
-// I64sInto reads a counted int64 list of exactly the given length into
-// dst (GnpHeavy's trial counters, which travel raw; CountSketch rows go
-// through the row codec).
-func (r *Reader) I64sInto(dst []int64) {
-	n := r.count(8)
-	if r.err != nil {
-		return
-	}
-	if n != len(dst) {
-		r.fail("wire: list length %d, want %d", n, len(dst))
-		return
-	}
-	for i := range dst {
-		dst[i] = r.I64()
-	}
-}
-
 // CheckRow reads a counter row (Writer.Row) and checks it whole: it must
 // declare n counters — the receiver's buckets, not a bound from the bytes
 // remaining, since a row of zeros is a few bytes — and every token must

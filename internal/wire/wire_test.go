@@ -91,17 +91,6 @@ func TestReaderIsStickyAndAllocationCapped(t *testing.T) {
 	}
 }
 
-func TestI64sIntoLengthMismatch(t *testing.T) {
-	var w Writer
-	w.I64s([]int64{1, 2})
-	r := NewReader(w.Bytes())
-	dst := make([]int64, 3)
-	r.I64sInto(dst)
-	if r.Err() == nil {
-		t.Error("expected length mismatch error")
-	}
-}
-
 func TestFingerprintSensitivity(t *testing.T) {
 	a := Fingerprint(0, 1)
 	b := Fingerprint(0, 2)

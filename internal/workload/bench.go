@@ -46,15 +46,9 @@ type BenchSpec struct {
 	// Workers is the shard count for the sharded backend (< 1 means
 	// GOMAXPROCS) and the worker daemon count for daemon (< 1 means 1).
 	Workers int
-	// PushBatch is the updates-per-request size for the daemon backend
-	// (0 = daemon.DefaultPushBatch).
+	// PushBatch is the updates-per-frame size for the daemon backend's
+	// Pushers (0 = daemon.DefaultPushBatch).
 	PushBatch int
-	// Transport selects how the daemon backend ships updates: "json"
-	// (the default; one POST /v1/ingest per batch) or "stream" (one
-	// persistent binary /v1/stream connection per worker, framed batches
-	// with per-frame acks). Either way the pushing goes through the
-	// async daemon.Pusher, so the comparison isolates the wire format.
-	Transport string
 	// Window, when positive, switches the run to sliding-window mode:
 	// the scenario stream is generated with a tick dimension (Ticked;
 	// Cfg.Ticks sets the stream's tick span) and the estimate covers
@@ -80,9 +74,6 @@ type BenchResult struct {
 	Estimate      float64
 	RelErr        float64
 	SpaceBytes    int
-	// Transport is the daemon backend's wire transport ("json" or
-	// "stream"; empty for in-process backends).
-	Transport string
 	// Windowed-mode extras: the window length (0 for whole-stream runs),
 	// the final tick of the stream, and how many ticks beyond the window
 	// the estimate still included (bounded by the histogram's documented
@@ -90,27 +81,6 @@ type BenchResult struct {
 	Window     int
 	LastTick   uint64
 	StaleTicks uint64
-}
-
-// resultTransport is the normalized transport for a BenchResult: set
-// only for the daemon backend, where a wire format was actually used.
-func (s BenchSpec) resultTransport() string {
-	if s.Backend != "daemon" {
-		return ""
-	}
-	tr, _ := s.transport()
-	return tr
-}
-
-// transport normalizes and validates BenchSpec.Transport.
-func (s BenchSpec) transport() (string, error) {
-	switch s.Transport {
-	case "", "json":
-		return "json", nil
-	case "stream":
-		return "stream", nil
-	}
-	return "", fmt.Errorf("workload: unknown transport %q (json, stream)", s.Transport)
 }
 
 // spec assembles the one backend.Spec a run resolves everything
@@ -211,7 +181,6 @@ func RunBench(spec BenchSpec) (BenchResult, error) {
 		Estimate:      run.est,
 		RelErr:        util.RelErr(run.est, exact),
 		SpaceBytes:    run.space,
-		Transport:     spec.resultTransport(),
 		Window:        spec.Window,
 		LastTick:      ts.LastTick(),
 		StaleTicks:    run.stale,
@@ -258,7 +227,7 @@ func runInProcess(ts *TickedStream, sp backend.Spec) (benchRun, error) {
 
 // runDaemon exercises the full distributed topology in-process:
 // `workers` loopback worker daemons ingest disjoint contiguous shards of
-// the stream through a Pusher, and a coordinator daemon pulls and merges
+// the stream through a Pusher over /v1/stream, and a coordinator daemon pulls and merges
 // their snapshots (/v1/snapshot → /v1/merge) before answering
 // /v1/estimate. Every daemon is built from the SAME Spec, so the merged
 // estimate equals the serial one exactly (seed discipline + linearity;
@@ -270,10 +239,6 @@ func runInProcess(ts *TickedStream, sp backend.Spec) (benchRun, error) {
 // construction) is excluded, mirroring how RunBench excludes stream
 // generation.
 func runDaemon(ts *TickedStream, spec BenchSpec, sp backend.Spec, workers int) (benchRun, error) {
-	transport, err := spec.transport()
-	if err != nil {
-		return benchRun{}, err
-	}
 	coord, err := daemon.StartLoopback(sp)
 	if err != nil {
 		return benchRun{}, err
@@ -303,13 +268,12 @@ func runDaemon(ts *TickedStream, spec BenchSpec, sp backend.Spec, workers int) (
 	start := time.Now()
 	for i, w := range ws {
 		lo, hi := util.Cut(len(updates), workers, i)
-		p, err := w.Client.NewPusher(ctx, daemon.PusherConfig{
-			Stream: transport == "stream", MaxBatch: spec.PushBatch})
+		p, err := w.Client.NewPusher(ctx, daemon.PusherConfig{MaxBatch: spec.PushBatch})
 		if err != nil {
 			return benchRun{}, fmt.Errorf("worker %d: %w", i, err)
 		}
 		// The clock and the data ride different channels (POST
-		// /v1/advance vs the push transport), so every Advance is
+		// /v1/advance vs the stream), so every Advance is
 		// preceded by a Flush: all updates of the previous tick run must
 		// be applied before the clock moves, or the daemon would stamp
 		// them into the wrong tick.

@@ -158,18 +158,18 @@ func TestWindowedBenchBackendsAgreeExactly(t *testing.T) {
 		if want.Window != 8 || want.LastTick == 0 {
 			t.Fatalf("%s: windowed result not populated: %+v", gen.Name(), want)
 		}
-		for i, transport := range []string{"json", "stream"} {
+		for _, workers := range []int{2, 3} {
 			dm := spec
-			dm.Backend, dm.Workers, dm.Transport = "daemon", 2+i, transport
+			dm.Backend, dm.Workers = "daemon", workers
 			got, err := RunBench(dm)
 			if err != nil {
-				t.Fatalf("%s daemon/%s: %v", gen.Name(), transport, err)
+				t.Fatalf("%s daemon x%d: %v", gen.Name(), workers, err)
 			}
 			if got.Estimate != want.Estimate {
-				t.Fatalf("%s daemon/%s estimate %v != serial %v", gen.Name(), transport, got.Estimate, want.Estimate)
+				t.Fatalf("%s daemon x%d estimate %v != serial %v", gen.Name(), workers, got.Estimate, want.Estimate)
 			}
 			if got.StaleTicks != want.StaleTicks {
-				t.Fatalf("%s daemon/%s stale %d != serial %d", gen.Name(), transport, got.StaleTicks, want.StaleTicks)
+				t.Fatalf("%s daemon x%d stale %d != serial %d", gen.Name(), workers, got.StaleTicks, want.StaleTicks)
 			}
 		}
 	}

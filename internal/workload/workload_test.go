@@ -171,47 +171,40 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 
 // TestBenchBackendsAgreeExactly is the end-to-end acceptance check:
 // serial, sharded (concurrent hash-routed shards), and daemon (HTTP
-// worker/coordinator, over both the JSON and the binary stream
-// transport) backends return bit-identical estimates for the same seed,
-// for every workload.
+// worker/coordinator, pushed over /v1/stream) backends return
+// bit-identical estimates for the same seed, for every workload.
 func TestBenchBackendsAgreeExactly(t *testing.T) {
 	g := gfunc.F2Func()
 	opts := core.Options{M: 1 << 10, Eps: 0.25, Seed: 21, Lambda: 1.0 / 16}
 	cfg := Config{N: 1 << 12, Items: 200, Length: 8000, Seed: 5}
-	combos := []struct{ backend, transport string }{
-		{"serial", ""}, {"sharded", ""},
-		{"daemon", "json"}, {"daemon", "stream"},
-	}
+	backends := []string{"serial", "sharded", "daemon"}
 	for _, gen := range Generators() {
 		gen := gen
 		t.Run(gen.Name(), func(t *testing.T) {
 			var ests []float64
-			for _, combo := range combos {
+			for _, backend := range backends {
 				res, err := RunBench(BenchSpec{
 					Generator: gen, Cfg: cfg, G: g, Opts: opts,
-					Backend: combo.backend, Workers: 3, Transport: combo.transport,
+					Backend: backend, Workers: 3,
 				})
 				if err != nil {
-					t.Fatalf("%s/%s: %v", combo.backend, combo.transport, err)
+					t.Fatalf("%s: %v", backend, err)
 				}
 				if res.Updates != cfg.Length {
-					t.Fatalf("%s: %d updates, want %d", combo.backend, res.Updates, cfg.Length)
+					t.Fatalf("%s: %d updates, want %d", backend, res.Updates, cfg.Length)
 				}
 				if res.Exact <= 0 {
-					t.Fatalf("%s: exact %v", combo.backend, res.Exact)
+					t.Fatalf("%s: exact %v", backend, res.Exact)
 				}
 				if res.RelErr > 1.0 {
-					t.Errorf("%s: relative error %.3f is implausibly large", combo.backend, res.RelErr)
-				}
-				if res.Transport != combo.transport {
-					t.Fatalf("%s: result transport %q, want %q", combo.backend, res.Transport, combo.transport)
+					t.Errorf("%s: relative error %.3f is implausibly large", backend, res.RelErr)
 				}
 				ests = append(ests, res.Estimate)
 			}
 			for i := 1; i < len(ests); i++ {
 				if ests[i] != ests[0] {
-					t.Fatalf("backend %s/%s estimate %v != %s estimate %v",
-						combos[i].backend, combos[i].transport, ests[i], combos[0].backend, ests[0])
+					t.Fatalf("backend %s estimate %v != %s estimate %v",
+						backends[i], ests[i], backends[0], ests[0])
 				}
 			}
 		})

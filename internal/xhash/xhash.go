@@ -136,11 +136,6 @@ func (h *Buckets) Hash(x uint64) uint64 {
 	return h.poly.Hash(x) % h.b
 }
 
-// Fingerprint folds the bucket count and polynomial into the digest.
-func (h *Buckets) Fingerprint(d uint64) uint64 {
-	return h.poly.Fingerprint(wire.Fingerprint(d, h.b))
-}
-
 // AppendCoeffs appends the underlying polynomial's coefficients to dst;
 // see Poly.AppendCoeffs. The bucket reduction (mod B) is not part of the
 // coefficients and must be applied by the inline evaluator.
