@@ -144,6 +144,51 @@ func TestOpenShardMergeEqualsSerial(t *testing.T) {
 	}
 }
 
+// TestMergeOfAnotherSeedIsRefused: Merge refuses a src opened from a
+// Spec that differs only in Seed — its counters come from other hash
+// functions — for every kind, the ones that merge in memory included, and
+// the refused merge leaves dst's snapshot bytes as they were. exact has no
+// seed (its fingerprint is the function's) and still merges.
+func TestMergeOfAnotherSeedIsRefused(t *testing.T) {
+	s := testStream(7)
+	for _, name := range Kinds() {
+		kind := Kind(name)
+		t.Run(name, func(t *testing.T) {
+			dst, err := Open(specFor(kind, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, err := Open(specFor(kind, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ingest(t, dst, s)
+			ingest(t, src, s)
+			before, err := dst.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = Merge(dst, src)
+			if kind == KindExact {
+				if err != nil {
+					t.Errorf("exact kind refused a merge across seeds: %v", err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatal("merged a sketch of another seed")
+			}
+			after, err := dst.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Error("a refused merge changed the receiver's snapshot")
+			}
+		})
+	}
+}
+
 // TestEstimateForOwnGIsEstimate: the kinds that answer post-hoc queries
 // (onepass, sharded on 2 workers, window) answer EstimateFor of their own
 // Spec.G bit for bit as Estimate, and no other kind answers them.

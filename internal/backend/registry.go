@@ -234,11 +234,15 @@ func Process(est Estimator, s *stream.Stream) error {
 	}
 }
 
-// Merge folds src into dst. Both must come from Open of equal Specs
-// (same fingerprint). Kinds with an in-memory merge use it; the rest
-// fold through the wire format, whose fingerprint enforces the
-// equal-configuration contract either way.
+// Merge folds src into dst. Both must come from Open of equal Specs:
+// Merge refuses a src whose fingerprint differs from dst's (another seed,
+// function or shape) before either path runs, leaving dst as it was.
+// Kinds with an in-memory merge then use it; the rest fold through the
+// wire format.
 func Merge(dst, src Estimator) error {
+	if df, sf := dst.Fingerprint(), src.Fingerprint(); df != sf {
+		return fmt.Errorf("backend: merge refused: fingerprint %#x is not the receiver's %#x (different seed or configuration)", sf, df)
+	}
 	switch d := dst.(type) {
 	case *core.OnePassEstimator:
 		if s, ok := src.(*core.OnePassEstimator); ok {

@@ -196,7 +196,7 @@ func NewTwoPass(g gfunc.Func, opts Options) *TwoPassEstimator {
 	sk := recursive.NewTwoPass(recursive.TwoPassConfig{
 		N:      o.N,
 		Levels: o.Levels,
-		MakeSketcher: func(level int) heavy.TwoPassSketcher {
+		MakeSketcher: func(level int) *heavy.TwoPass {
 			return heavy.NewTwoPass(heavy.TwoPassConfig{
 				G:           g,
 				Lambda:      o.Lambda,

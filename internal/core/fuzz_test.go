@@ -53,6 +53,5 @@ func FuzzTwoPassEstimatorUnmarshal(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e := NewTwoPass(gfunc.F2Func(), fuzzOpts())
 		sketchtest.RefusedIsNoOp(t, e, e.UnmarshalBinary, data)
-		sketchtest.RefusedIsNoOp(t, e, e.UnmarshalCandidates, data)
 	})
 }

@@ -114,19 +114,6 @@ func (e *TwoPassEstimator) UnmarshalBinary(data []byte) error {
 	return e.sk.UnmarshalBinary(blob)
 }
 
-// MarshalCandidates serializes the coordinator's per-level candidate
-// sets after FinishPass1 (the distribution half of the distributed
-// two-pass protocol).
-func (e *TwoPassEstimator) MarshalCandidates() ([]byte, error) {
-	return e.sk.MarshalCandidates()
-}
-
-// UnmarshalCandidates adopts a coordinator's candidate sets before the
-// tabulation pass.
-func (e *TwoPassEstimator) UnmarshalCandidates(data []byte) error {
-	return e.sk.UnmarshalCandidates(data)
-}
-
 // Fingerprint digests the exact baseline's configuration: only the
 // function identity matters (the frequency map is shape-free).
 func (e *ExactEstimator) Fingerprint() uint64 {

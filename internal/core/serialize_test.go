@@ -117,12 +117,15 @@ func TestTwoPassEstimatorWireProtocolEqualsSerial(t *testing.T) {
 		}
 	}
 	coord.FinishPass1()
-	cands, err := coord.MarshalCandidates()
+	// The coordinator's snapshot carries its candidate sets: a worker,
+	// holding none, adopts them (its own pass-1 counters are not read
+	// again).
+	snap, err := coord.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []*TwoPassEstimator{w1, w2} {
-		if err := w.UnmarshalCandidates(cands); err != nil {
+		if err := w.UnmarshalBinary(snap); err != nil {
 			t.Fatal(err)
 		}
 	}

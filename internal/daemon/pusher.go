@@ -29,9 +29,10 @@ const (
 )
 
 // ErrDraining is wrapped by Pusher errors when the daemon announced a
-// graceful drain mid-stream. Every frame acked before it is durable
-// (the daemon checkpoints after flushing acks); the Pusher's unsent and
-// unacked updates are the caller's to redeliver after the restart.
+// graceful drain mid-stream, or when a Push came after a drain that found
+// nothing unacked. Every frame acked before it is durable (the daemon
+// checkpoints after flushing acks); the Pusher's unsent and unacked
+// updates are the caller's to redeliver after the restart.
 var ErrDraining = errors.New("daemon draining")
 
 // PusherConfig tunes an asynchronous Pusher.
@@ -248,13 +249,19 @@ func (p *Pusher) Stats() PusherStats {
 // Push enqueues updates, blocking only while the bounded buffer is full
 // (backpressure: a slow daemon slows the producer; nothing is dropped).
 // It returns the sticky session error, under which nothing further is
-// enqueued.
+// enqueued. A Push after a drain the daemon announced while nothing was
+// unacked sends nothing: it records a sticky ErrDraining-wrapped error
+// naming how many of its updates were not sent, which Close reports.
 func (p *Pusher) Push(updates []stream.Update) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, u := range updates {
+	for i, u := range updates {
 		for p.err == nil && !p.closed && len(p.buf) >= p.cfg.MaxBuffered {
 			p.cond.Wait()
+		}
+		if p.err == nil && p.closed && p.draining {
+			p.err = fmt.Errorf("daemon: %w after acking %d updates; %d updates pushed after the drain were not sent",
+				ErrDraining, p.stats.Acked, len(updates)-i)
 		}
 		if p.err != nil {
 			return p.err
@@ -304,9 +311,9 @@ func (p *Pusher) Flush() error {
 
 // Close flushes, tears the session down, and reports the sticky error.
 // A drain announced by the daemon after everything was acked is a clean
-// close; with updates still unacked it surfaces as an ErrDraining-
-// wrapped error naming how much must be redelivered. Close is
-// idempotent.
+// close, unless a later Push found the session drained (see Push); with
+// updates still unacked it surfaces as an ErrDraining-wrapped error
+// naming how much must be redelivered. Close is idempotent.
 func (p *Pusher) Close() error {
 	flushErr := p.Flush()
 	p.mu.Lock()
@@ -480,8 +487,8 @@ func (p *Pusher) readAcks() {
 				if lost == 0 {
 					// Clean cut: every update we sent is durable. Treat
 					// as end-of-session, not an error, unless more work
-					// arrives (Push after this fails below).
-					p.err = nil
+					// arrives: a later Push records the drain as the
+					// session's error.
 					p.closed = true
 				} else {
 					p.err = fmt.Errorf("daemon: %w after acking %d updates; %d unacked updates must be redelivered: %s",

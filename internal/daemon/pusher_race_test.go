@@ -179,6 +179,50 @@ func TestPusherDrainingRedeliverableCount(t *testing.T) {
 	}
 }
 
+// TestPusherPushAfterCleanDrainNamesTheDrain: a drain that lands with
+// nothing buffered or unacked ends the session cleanly, and a Push after
+// it must not hide that: it sends nothing, fails with an ErrDraining-
+// wrapped error naming how many updates were not sent, and Close reports
+// the same error. Deterministic: the drain ack has been read (readerEnd)
+// before the second Push.
+func TestPusherPushAfterCleanDrainNamesTheDrain(t *testing.T) {
+	updates := testStream(29).Updates()[:128]
+	spec := backend.Spec{Kind: backend.KindOnePass, G: "x^2", Options: testOptions(7)}
+	srv, c := streamServer(t, spec)
+	p, err := c.NewPusher(context.Background(), PusherConfig{MaxBatch: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Push(updates[:64]); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	drainCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.DrainStreams(drainCtx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	<-p.readerEnd
+
+	pushErr := p.Push(updates[64:])
+	closeErr := p.Close()
+	for name, err := range map[string]error{"Push": pushErr, "Close": closeErr} {
+		if !errors.Is(err, ErrDraining) {
+			t.Errorf("%s after a clean drain returned %v, want an ErrDraining-wrapped error", name, err)
+		} else if !strings.Contains(err.Error(), "64 updates pushed after the drain were not sent") {
+			t.Errorf("%s error %q does not name the 64 unsent updates", name, err)
+		}
+	}
+	srv.mu.Lock()
+	applied := srv.ingests
+	srv.mu.Unlock()
+	if st := p.Stats(); st.Acked != 64 || st.Enqueued != 64 || applied != 64 {
+		t.Errorf("acked %d, enqueued %d, daemon applied %d; want 64 each", st.Acked, st.Enqueued, applied)
+	}
+}
+
 // TestPusherRefusalReasonBeatsReset: a daemon that refuses a frame acks
 // the refusal and closes with frames unread, which resets the
 // connection under the Pusher's next write. The refusal is on the socket

@@ -62,14 +62,16 @@ func FuzzTwoPassUnmarshal(f *testing.F) {
 		f.Fatal(err)
 	}
 	addSeeds(f, valid)
-	cands, err := src.MarshalCandidates()
+	// A snapshot taken mid pass 1 holds no candidate set yet.
+	mid := fuzzTwoPass()
+	mid.Pass1(9, 4)
+	pass1, err := mid.MarshalBinary()
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(cands)
+	f.Add(pass1)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tp := fuzzTwoPass()
 		sketchtest.RefusedIsNoOp(t, tp, tp.UnmarshalBinary, data)
-		sketchtest.RefusedIsNoOp(t, tp, tp.UnmarshalCandidates, data)
 	})
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/gfunc"
-	"repro/internal/sketch"
 	"repro/internal/util"
 )
 
@@ -52,8 +51,12 @@ func (c Cover) sortByWeight() {
 }
 
 // Sketcher is a one-pass heavy-hitter algorithm: it ingests turnstile
-// updates and finalizes into a cover. The recursive sketch of Theorem 13
-// composes per-level Sketchers into a g-SUM estimator.
+// updates and finalizes into a cover. It is the type of
+// recursive.Config.MakeSketcher, and that is the only reason it is still
+// here: the stacks' levels are concrete (*OnePass in the one-pass stack,
+// *TwoPass in the two-pass one), but the benchmark harness names this
+// type and is frozen until ROADMAP item 3(a), which changes
+// MakeSketcher's type and deletes this interface.
 type Sketcher interface {
 	Update(item uint64, delta int64)
 	// Cover finalizes and returns the (g, λ, ε)-cover. It may be called
@@ -61,27 +64,6 @@ type Sketcher interface {
 	Cover() Cover
 	// SpaceBytes reports counter storage, the quantity the space bounds
 	// govern.
-	SpaceBytes() int
-}
-
-// CollapsedSketcher is a Sketcher that ingests a batch in collapsed form
-// (sketch.Batch: distinct items, net deltas), as a level of a recursive
-// stack is handed it: Apply must leave the counter state exactly as
-// feeding Update the batch's updates would.
-type CollapsedSketcher interface {
-	Sketcher
-	Apply(b *sketch.Batch)
-}
-
-// TwoPassSketcher is a two-pass heavy-hitter algorithm (Algorithm 1):
-// the stream is presented once to Pass1 and then again to Pass2.
-type TwoPassSketcher interface {
-	Pass1(item uint64, delta int64)
-	// FinishPass1 must be called between the passes; it extracts the
-	// candidate set that Pass2 tabulates.
-	FinishPass1()
-	Pass2(item uint64, delta int64)
-	Cover() Cover
 	SpaceBytes() int
 }
 

@@ -98,11 +98,11 @@ func TestTwoPassCoverExactWeights(t *testing.T) {
 		s, freqs := skewedStream(seed)
 		lambda := 0.05
 		h := gfunc.MeasureEnvelope(g, 1<<10).H()
-		cover := RunTwoPass(TwoPassConfig{G: g, Lambda: lambda, Delta: 0.1, H: h},
-			util.NewSplitMix64(seed*37),
-			func(fn func(item uint64, delta int64)) {
-				s.Each(func(u stream.Update) { fn(u.Item, u.Delta) })
-			})
+		tp := NewTwoPass(TwoPassConfig{G: g, Lambda: lambda, Delta: 0.1, H: h}, util.NewSplitMix64(seed*37))
+		s.Each(func(u stream.Update) { tp.Pass1(u.Item, u.Delta) })
+		tp.FinishPass1()
+		s.Each(func(u stream.Update) { tp.Pass2(u.Item, u.Delta) })
+		cover := tp.Cover()
 
 		want := ExactHeavy(g, lambda, freqs)
 		for _, e := range want {

@@ -185,13 +185,11 @@ func (o *OnePass) CoverFor(g gfunc.Func) Cover {
 func (o *OnePass) Capacity() int { return o.topk }
 
 // AdoptRowHashes makes o's CountSketch evaluate the row-hash family of
-// from's, if from is an *OnePass of the same dimensions; otherwise o keeps
-// its own (sketch.CountSketch.ShareRowHashes). A recursive stack calls it
-// on levels 1…L with level 0, before anything is counted.
-func (o *OnePass) AdoptRowHashes(from any) {
-	if f, ok := from.(*OnePass); ok {
-		o.cs.ShareRowHashes(f.cs)
-	}
+// from's, if from's has the same dimensions; otherwise o keeps its own
+// (sketch.CountSketch.ShareRowHashes). A recursive stack calls it on
+// levels 1…L with level 0, before anything is counted.
+func (o *OnePass) AdoptRowHashes(from *OnePass) {
+	o.cs.ShareRowHashes(from.cs)
 }
 
 // Dims returns the CountSketch's rows and buckets, as dims resolved them.

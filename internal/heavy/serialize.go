@@ -16,7 +16,6 @@ import (
 const (
 	onePassMagic uint32 = 0x67535548 // "gSUH"
 	twoPassMagic uint32 = 0x67535532 // "gSU2"
-	candsMagic   uint32 = 0x67535551 // "gSUQ" — two-pass candidate set
 )
 
 // Fingerprint digests the Algorithm 2 configuration: the function name,
@@ -149,49 +148,6 @@ func (t *TwoPass) StageBinary(data []byte) (func(), error) {
 			for i, it := range cands {
 				t.counts[it] += counts[i]
 			}
-		}
-	}, nil
-}
-
-// MarshalCandidates serializes only the candidate identities extracted
-// by FinishPass1, the coordinator -> worker half of the distributed
-// two-pass protocol (the counter-free analog of AdoptCandidates).
-func (t *TwoPass) MarshalCandidates() ([]byte, error) {
-	var w wire.Writer
-	w.Header(candsMagic, t.Fingerprint())
-	w.U64s(t.cands)
-	return w.Bytes(), nil
-}
-
-// UnmarshalCandidates adopts a serialized candidate set, resetting the
-// second-pass tabulations to zero (AdoptCandidates over the wire).
-func (t *TwoPass) UnmarshalCandidates(data []byte) error {
-	adopt, err := t.StageCandidates(data)
-	if err != nil {
-		return err
-	}
-	adopt()
-	return nil
-}
-
-// StageCandidates checks a candidate payload whole and returns the
-// adoption UnmarshalCandidates performs, which cannot fail: the
-// candidate-set analog of StageBinary, for decoders that adopt a set a
-// level and must refuse all levels or none.
-func (t *TwoPass) StageCandidates(data []byte) (func(), error) {
-	r := wire.NewReader(data)
-	if err := r.Header(candsMagic, t.Fingerprint()); err != nil {
-		return nil, fmt.Errorf("heavy: TwoPass candidates: %w", err)
-	}
-	cands := r.U64s()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("heavy: TwoPass candidates: %w", err)
-	}
-	return func() {
-		t.cands = append(t.cands[:0], cands...)
-		t.counts = make(map[uint64]int64, len(cands))
-		for _, it := range cands {
-			t.counts[it] = 0
 		}
 	}, nil
 }

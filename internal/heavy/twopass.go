@@ -105,12 +105,10 @@ func (t *TwoPass) Cover() Cover {
 }
 
 // AdoptRowHashes makes t's first-pass CountSketch evaluate the row-hash
-// family of from's, if from is a *TwoPass of the same dimensions (see
+// family of from's, if from's has the same dimensions (see
 // OnePass.AdoptRowHashes).
-func (t *TwoPass) AdoptRowHashes(from any) {
-	if f, ok := from.(*TwoPass); ok {
-		t.cs.ShareRowHashes(f.cs)
-	}
+func (t *TwoPass) AdoptRowHashes(from *TwoPass) {
+	t.cs.ShareRowHashes(from.cs)
 }
 
 // Capacity returns how many candidates the first pass keeps for the
@@ -168,14 +166,4 @@ func (t *TwoPass) MergePass2(other *TwoPass) {
 			t.counts[it] += c
 		}
 	}
-}
-
-// RunTwoPass runs Algorithm 1 over a replayable update sequence and
-// returns the cover. each must iterate the same updates on every call.
-func RunTwoPass(cfg TwoPassConfig, rng *util.SplitMix64, each func(fn func(item uint64, delta int64))) Cover {
-	t := NewTwoPass(cfg, rng)
-	each(t.Pass1)
-	t.FinishPass1()
-	each(t.Pass2)
-	return t.Cover()
 }

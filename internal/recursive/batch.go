@@ -3,7 +3,6 @@ package recursive
 import (
 	"fmt"
 
-	"repro/internal/heavy"
 	"repro/internal/sketch"
 	"repro/internal/stream"
 	"repro/internal/xhash"
@@ -47,11 +46,7 @@ func Cascade(b *sketch.Batch, batch []stream.Update, sub []*xhash.Bernoulli, fee
 // per-update ingestion; the batch is collapsed once for all levels.
 func (s *Sketch) UpdateBatch(batch []stream.Update) {
 	Cascade(&s.plan, batch, s.sub, func(k int, b *sketch.Batch) {
-		if bs, ok := s.levels[k].(heavy.CollapsedSketcher); ok {
-			bs.Apply(b)
-			return
-		}
-		b.Each(s.levels[k].Update)
+		s.levels[k].Apply(b)
 	})
 }
 
@@ -59,11 +54,7 @@ func (s *Sketch) UpdateBatch(batch []stream.Update) {
 // containing each item.
 func (s *TwoPass) Pass1Batch(batch []stream.Update) {
 	Cascade(&s.plan, batch, s.sub, func(k int, b *sketch.Batch) {
-		if tp, ok := s.levels[k].(*heavy.TwoPass); ok {
-			tp.Pass1Apply(b)
-			return
-		}
-		b.Each(s.levels[k].Pass1)
+		s.levels[k].Pass1Apply(b)
 	})
 }
 
@@ -71,11 +62,7 @@ func (s *TwoPass) Pass1Batch(batch []stream.Update) {
 // containing each item.
 func (s *TwoPass) Pass2Batch(batch []stream.Update) {
 	Cascade(&s.plan, batch, s.sub, func(k int, b *sketch.Batch) {
-		if tp, ok := s.levels[k].(*heavy.TwoPass); ok {
-			tp.Pass2Apply(b)
-			return
-		}
-		b.Each(s.levels[k].Pass2)
+		s.levels[k].Pass2Apply(b)
 	})
 }
 
@@ -88,12 +75,7 @@ func (s *TwoPass) MergePass1(other *TwoPass) error {
 			len(s.levels), len(other.levels))
 	}
 	for k := range s.levels {
-		a, okA := s.levels[k].(*heavy.TwoPass)
-		b, okB := other.levels[k].(*heavy.TwoPass)
-		if !okA || !okB {
-			return fmt.Errorf("recursive: level %d sketcher does not support pass-1 merging", k)
-		}
-		if err := a.MergePass1(b); err != nil {
+		if err := s.levels[k].MergePass1(other.levels[k]); err != nil {
 			return fmt.Errorf("recursive: level %d: %w", k, err)
 		}
 	}
@@ -110,12 +92,7 @@ func (s *TwoPass) AdoptCandidates(from *TwoPass) error {
 			len(s.levels), len(from.levels))
 	}
 	for k := range s.levels {
-		a, okA := s.levels[k].(*heavy.TwoPass)
-		b, okB := from.levels[k].(*heavy.TwoPass)
-		if !okA || !okB {
-			return fmt.Errorf("recursive: level %d sketcher does not support candidate adoption", k)
-		}
-		a.AdoptCandidates(b)
+		s.levels[k].AdoptCandidates(from.levels[k])
 	}
 	return nil
 }
@@ -128,12 +105,7 @@ func (s *TwoPass) MergePass2(other *TwoPass) error {
 			len(s.levels), len(other.levels))
 	}
 	for k := range s.levels {
-		a, okA := s.levels[k].(*heavy.TwoPass)
-		b, okB := other.levels[k].(*heavy.TwoPass)
-		if !okA || !okB {
-			return fmt.Errorf("recursive: level %d sketcher does not support pass-2 merging", k)
-		}
-		a.MergePass2(b)
+		s.levels[k].MergePass2(other.levels[k])
 	}
 	return nil
 }

@@ -12,8 +12,8 @@ import (
 
 // TestDepthRule holds recursive.Depth to its definition — ⌈log2(n/cap)⌉ + 1
 // levels, at most ⌈log2 n⌉, at least 1, at most 30 — and to its corners:
-// an explicit level count wins, and a sketcher that does not say what it
-// tracks keeps the full depth.
+// an explicit level count wins, and capacity 0 (unknown) keeps the full
+// depth.
 func TestDepthRule(t *testing.T) {
 	// want[i][j] is the depth for ns[i] over a tracker of caps[j].
 	ns := []uint64{1, 2, 385, 386, 1 << 14, 1 << 20, 1 << 30, 1 << 40}
@@ -45,13 +45,6 @@ func TestDepthRule(t *testing.T) {
 		}
 	}
 }
-
-// bareSketcher is a level sketcher with no Capacity method.
-type bareSketcher struct{}
-
-func (bareSketcher) Update(uint64, int64) {}
-func (bareSketcher) Cover() heavy.Cover   { return nil }
-func (bareSketcher) SpaceBytes() int      { return 0 }
 
 // TestStacksAgreeOnDepth: the two stacks — recursive.Sketch (the onepass
 // estimator, post-hoc queries included) and recursive.TwoPass — resolve
@@ -86,17 +79,15 @@ func TestStacksAgreeOnDepth(t *testing.T) {
 	if sk.Levels() != wantOne {
 		t.Errorf("recursive.Sketch: %d levels, want %d", sk.Levels(), wantOne)
 	}
-	tp := recursive.NewTwoPass(recursive.TwoPassConfig{N: opts.N, MakeSketcher: func(int) heavy.TwoPassSketcher {
+	tp := recursive.NewTwoPass(recursive.TwoPassConfig{N: opts.N, MakeSketcher: func(int) *heavy.TwoPass {
 		return heavy.NewTwoPass(heavy.TwoPassConfig{G: g, Lambda: opts.Lambda, Delta: 0.2, H: opts.Envelope}, util.NewSplitMix64(1))
 	}}, util.NewSplitMix64(2))
 	if tp.Levels() != wantTwo {
 		t.Errorf("recursive.TwoPass: %d levels, want %d", tp.Levels(), wantTwo)
 	}
-	bare := recursive.New(recursive.Config{N: opts.N, MakeSketcher: func(int) heavy.Sketcher { return bareSketcher{} }}, util.NewSplitMix64(2))
-	if bare.Levels() != 20 {
-		t.Errorf("a sketcher without Capacity: %d levels, want the full 20", bare.Levels())
-	}
-	explicit := recursive.New(recursive.Config{N: opts.N, Levels: 5, MakeSketcher: func(int) heavy.Sketcher { return bareSketcher{} }}, util.NewSplitMix64(2))
+	explicit := recursive.New(recursive.Config{N: opts.N, Levels: 5, MakeSketcher: func(int) heavy.Sketcher {
+		return heavy.NewOnePass(heavy.OnePassConfig{G: g, Lambda: opts.Lambda, Eps: 0.25, Delta: 0.2, H: opts.Envelope}, util.NewSplitMix64(1))
+	}}, util.NewSplitMix64(2))
 	if explicit.Levels() != 5 {
 		t.Errorf("explicit Levels 5: %d levels", explicit.Levels())
 	}

@@ -41,7 +41,7 @@ func TestTwoPassStateDigest(t *testing.T) {
 	hh := seed.Fork()
 	sk := NewTwoPass(TwoPassConfig{
 		N: 1 << 20,
-		MakeSketcher: func(int) heavy.TwoPassSketcher {
+		MakeSketcher: func(int) *heavy.TwoPass {
 			return heavy.NewTwoPass(heavy.TwoPassConfig{G: g, Lambda: 1.0 / 16, Delta: 0.2, H: 4}, hh.Fork())
 		},
 	}, seed.Fork())

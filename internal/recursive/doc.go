@@ -26,12 +26,15 @@
 // Layer: the algorithm layer of ARCHITECTURE.md, wrapping one
 // internal/heavy instance per subsampling level; internal/core builds
 // directly on it.
+// Levels: the one-pass stack (Sketch) runs heavy.OnePass (Algorithm 2)
+// on every level, the two-pass stack (TwoPass) heavy.TwoPass (Algorithm
+// 1); the caller's MakeSketcher builds each level.
 // Seed discipline: the level sketchers are built first, level 0 to L (the
 // caller's MakeSketcher decides what each draws), then the subsampling
 // hashes fork from the stack's own generator, one per level — so a stack
 // of depth L is a prefix of the stack of any greater depth from the same
-// seeds. Levels 1…L then adopt level 0's CountSketch row hashes
-// (BuildLevels): one family per stack, hashed once per batch.
+// seeds. Levels 1…L then adopt level 0's CountSketch row hashes: one
+// family per stack, hashed once per batch.
 // Merge/UnmarshalBinary require same-seed instances and the composite
 // wire fingerprint folds every level's fingerprint.
 package recursive

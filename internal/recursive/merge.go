@@ -1,16 +1,6 @@
 package recursive
 
-import (
-	"fmt"
-
-	"repro/internal/heavy"
-)
-
-// Merger is implemented by level sketchers that support distributed
-// merging (heavy.OnePass does).
-type Merger interface {
-	Merge(other *heavy.OnePass) error
-}
+import "fmt"
 
 // Merge folds another recursive sketch (same configuration and seed) into
 // s, level by level. Both sketches must have been built by New with
@@ -23,12 +13,7 @@ func (s *Sketch) Merge(other *Sketch) error {
 			len(s.levels), len(other.levels))
 	}
 	for k := range s.levels {
-		a, okA := s.levels[k].(*heavy.OnePass)
-		b, okB := other.levels[k].(*heavy.OnePass)
-		if !okA || !okB {
-			return fmt.Errorf("recursive: level %d sketcher does not support merging", k)
-		}
-		if err := a.Merge(b); err != nil {
+		if err := s.levels[k].Merge(other.levels[k]); err != nil {
 			return fmt.Errorf("recursive: level %d: %w", k, err)
 		}
 	}

@@ -18,13 +18,18 @@ type Config struct {
 	// (0 = depth from capacity, see Depth; at most 30).
 	Levels int
 	// MakeSketcher builds the per-level heavy-hitter algorithm. Level 0
-	// sees the full stream; deeper levels see subsampled streams.
+	// sees the full stream; deeper levels see subsampled streams. Every
+	// level must be a *heavy.OnePass (New panics on anything else): the
+	// field keeps the heavy.Sketcher type only because the benchmark
+	// harness names it, and ROADMAP item 3(a), which unfreezes that
+	// harness, changes it to func(level int) *heavy.OnePass and deletes
+	// heavy.Sketcher.
 	MakeSketcher func(level int) heavy.Sketcher
 }
 
-// Sketch is a one-pass recursive g-SUM sketch.
+// Sketch is a one-pass recursive g-SUM sketch: Algorithm 2 on every level.
 type Sketch struct {
-	levels []heavy.Sketcher
+	levels []*heavy.OnePass
 	sub    []*xhash.Bernoulli // sub[k] gates membership of U_{k+1} within U_k
 	plan   sketch.Batch       // the collapsed batch UpdateBatch hands down the levels
 }
@@ -50,8 +55,7 @@ type Sketch struct {
 // state and CombineCovers is then the identity on them: Ĝ_{k+1} equals the
 // survivors' weight, so Ĝ_k is level k's own sum. When the event fails,
 // level L is an ordinary heavy-hitter level, exactly as a middle level is
-// at full depth. A sketcher that does not say what it tracks (capacity 0)
-// keeps the full ⌈log2 n⌉ levels.
+// at full depth. Capacity 0 (unknown) keeps the full ⌈log2 n⌉ levels.
 func Depth(n uint64, levels, capacity int) int {
 	if n == 0 {
 		panic("recursive: domain must be positive")
@@ -66,26 +70,25 @@ func Depth(n uint64, levels, capacity int) int {
 	return max(1, min(levels, 30))
 }
 
-// BuildLevels builds a stack's level sketchers: level 0 first, then — the
-// depth resolved from what level 0 says it tracks (an optional
-// Capacity() int, which heavy.OnePass and heavy.TwoPass have) — levels
-// 1…L, each adopting level 0's CountSketch row hashes where it can (an
-// optional AdoptRowHashes(from any), which the same two have), so
-// that a batch is hashed once for the whole stack. It is the one place a
-// stack's shape is decided, for the one-pass and the two-pass stack alike.
-func BuildLevels[S any](n uint64, levels int, mk func(level int) S) []S {
+// level is what buildLevels asks of a stack's level sketcher; heavy.OnePass
+// and heavy.TwoPass are the two there are.
+type level[S any] interface {
+	Capacity() int
+	AdoptRowHashes(from S)
+}
+
+// buildLevels builds a stack's level sketchers: level 0 first, then — the
+// depth resolved from what level 0 tracks — levels 1…L, each adopting
+// level 0's CountSketch row hashes, so that a batch is hashed once for the
+// whole stack. It is the one place a stack's shape is decided, for the
+// one-pass and the two-pass stack alike.
+func buildLevels[S level[S]](n uint64, levels int, mk func(level int) S) []S {
 	first := mk(0)
-	capacity := 0
-	if c, ok := any(first).(interface{ Capacity() int }); ok {
-		capacity = c.Capacity()
-	}
-	out := make([]S, Depth(n, levels, capacity)+1)
+	out := make([]S, Depth(n, levels, first.Capacity())+1)
 	out[0] = first
 	for k := 1; k < len(out); k++ {
 		out[k] = mk(k)
-		if a, ok := any(out[k]).(interface{ AdoptRowHashes(from any) }); ok {
-			a.AdoptRowHashes(first)
-		}
+		out[k].AdoptRowHashes(first)
 	}
 	return out
 }
@@ -100,12 +103,20 @@ func Subsamplers(levels int, rng *util.SplitMix64) []*xhash.Bernoulli {
 	return sub
 }
 
-// New returns a fresh recursive sketch.
+// New returns a fresh recursive sketch. It panics if MakeSketcher builds
+// anything but a *heavy.OnePass, naming the type it got.
 func New(cfg Config, rng *util.SplitMix64) *Sketch {
 	if cfg.MakeSketcher == nil {
 		panic("recursive: MakeSketcher is required")
 	}
-	levels := BuildLevels(cfg.N, cfg.Levels, cfg.MakeSketcher)
+	levels := buildLevels(cfg.N, cfg.Levels, func(k int) *heavy.OnePass {
+		sk := cfg.MakeSketcher(k)
+		lv, ok := sk.(*heavy.OnePass)
+		if !ok {
+			panic(fmt.Sprintf("recursive: level %d sketcher is a %T, want a *heavy.OnePass", k, sk))
+		}
+		return lv
+	})
 	return &Sketch{levels: levels, sub: Subsamplers(len(levels)-1, rng)}
 }
 
@@ -136,30 +147,22 @@ func (s *Sketch) member(item uint64, k int) bool {
 // It finalizes the level sketchers, so it must be called once, after the
 // stream has been fully consumed.
 func (s *Sketch) Estimate() float64 {
-	return s.combine(func(_ int, lv heavy.Sketcher) heavy.Cover { return lv.Cover() })
+	return s.combine((*heavy.OnePass).Cover)
 }
 
 // EstimateFor is Estimate for g in place of the function the levels were
 // built for: the §1.1.1 universal sketch. A level's state does not depend
 // on g, so any g whose envelope the levels were sized for is read out of
-// the same state, as many times as asked. Every level reads its cover
-// through an optional CoverFor(gfunc.Func) heavy.Cover, which heavy.OnePass
-// has; a stack of sketchers without one panics.
+// the same state (heavy.OnePass.CoverFor), as many times as asked.
 func (s *Sketch) EstimateFor(g gfunc.Func) float64 {
-	return s.combine(func(k int, lv heavy.Sketcher) heavy.Cover {
-		q, ok := lv.(interface{ CoverFor(gfunc.Func) heavy.Cover })
-		if !ok {
-			panic(fmt.Sprintf("recursive: level %d sketcher %T cannot read a cover for another function", k, lv))
-		}
-		return q.CoverFor(g)
-	})
+	return s.combine(func(lv *heavy.OnePass) heavy.Cover { return lv.CoverFor(g) })
 }
 
 // combine reads every level's cover and combines them bottom-up.
-func (s *Sketch) combine(cover func(level int, lv heavy.Sketcher) heavy.Cover) float64 {
+func (s *Sketch) combine(cover func(lv *heavy.OnePass) heavy.Cover) float64 {
 	covers := make([]heavy.Cover, len(s.levels))
 	for k, lv := range s.levels {
-		covers[k] = cover(k, lv)
+		covers[k] = cover(lv)
 	}
 	return CombineCovers(covers, func(level int, item uint64) bool {
 		return s.sub[level].Hash(item)
@@ -204,32 +207,14 @@ func (s *Sketch) SpaceBytes() int {
 // Levels returns the number of subsampling levels (excluding level 0).
 func (s *Sketch) Levels() int { return len(s.sub) }
 
-// Dims reports every level's CountSketch rows and buckets (see DimsOf).
-func (s *Sketch) Dims() (rows int, buckets uint64) { return DimsOf(s.levels) }
+// Dims reports every level's CountSketch rows and buckets: buildLevels
+// makes every level alike, so level 0's.
+func (s *Sketch) Dims() (rows int, buckets uint64) { return s.levels[0].Dims() }
 
 // Deepest reports how many candidates the deepest level's sketcher tracks
-// and how many it can (both 0 if it does not say): tracked below capacity
-// is the condition the stack's depth was chosen for (Depth), read in O(1).
+// and how many it can: tracked below capacity is the condition the stack's
+// depth was chosen for (Depth), read in O(1).
 func (s *Sketch) Deepest() (tracked, capacity int) {
-	return DeepestOf(s.levels)
-}
-
-// DimsOf reports the rows and buckets of a stack's level sketchers (0 if
-// they do not say): BuildLevels makes every level alike, so level 0's.
-func DimsOf[S any](levels []S) (rows int, buckets uint64) {
-	if d, ok := any(levels[0]).(interface{ Dims() (int, uint64) }); ok {
-		return d.Dims()
-	}
-	return 0, 0
-}
-
-// DeepestOf is Deepest for any stack's level sketchers.
-func DeepestOf[S any](levels []S) (tracked, capacity int) {
-	if d, ok := any(levels[len(levels)-1]).(interface {
-		Tracked() int
-		Capacity() int
-	}); ok {
-		return d.Tracked(), d.Capacity()
-	}
-	return 0, 0
+	d := s.levels[len(s.levels)-1]
+	return d.Tracked(), d.Capacity()
 }

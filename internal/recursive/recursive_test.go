@@ -1,6 +1,7 @@
 package recursive
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/gfunc"
@@ -32,24 +33,22 @@ func TestRecursiveSketchEstimatesGSum(t *testing.T) {
 	}
 }
 
-// coverOnly is a level sketcher with a cover for its own function only.
-type coverOnly struct{}
+// bareLevel is a heavy.Sketcher that is not a *heavy.OnePass.
+type bareLevel struct{}
 
-func (coverOnly) Update(uint64, int64) {}
-func (coverOnly) Cover() heavy.Cover   { return nil }
-func (coverOnly) SpaceBytes() int      { return 0 }
+func (bareLevel) Update(uint64, int64) {}
+func (bareLevel) Cover() heavy.Cover   { return nil }
+func (bareLevel) SpaceBytes() int      { return 0 }
 
-// TestEstimateForNeedsCoverFor: a post-hoc query on a stack whose levels
-// cannot read a cover for another function panics instead of answering
-// for the levels' own.
-func TestEstimateForNeedsCoverFor(t *testing.T) {
-	sk := New(Config{N: 1 << 6, Levels: 1, MakeSketcher: func(int) heavy.Sketcher { return coverOnly{} }}, util.NewSplitMix64(1))
+// TestNewNamesAForeignLevel: a level that is not Algorithm 2 is a
+// programming error, caught once at construction with the type named.
+func TestNewNamesAForeignLevel(t *testing.T) {
 	defer func() {
-		if recover() == nil {
-			t.Error("EstimateFor answered from levels without CoverFor")
+		if msg, _ := recover().(string); !strings.Contains(msg, "recursive.bareLevel") {
+			t.Errorf("New over a foreign level: panic %q, want one naming recursive.bareLevel", msg)
 		}
 	}()
-	sk.EstimateFor(gfunc.F1Func())
+	New(Config{N: 1 << 6, Levels: 1, MakeSketcher: func(int) heavy.Sketcher { return bareLevel{} }}, util.NewSplitMix64(1))
 }
 
 func TestRecursiveLevelsDefault(t *testing.T) {
@@ -121,7 +120,7 @@ func TestTwoPassRecursiveMatchesExact(t *testing.T) {
 		hhRng := rng.Fork()
 		sk := NewTwoPass(TwoPassConfig{
 			N: s.N(),
-			MakeSketcher: func(level int) heavy.TwoPassSketcher {
+			MakeSketcher: func(level int) *heavy.TwoPass {
 				return heavy.NewTwoPass(heavy.TwoPassConfig{
 					G: g, Lambda: 0.05, Delta: 0.1, H: h,
 				}, hhRng.Fork())
@@ -181,7 +180,7 @@ func TestDeepestLevelHoldsItsUniverse(t *testing.T) {
 		t.Fatalf("%d levels, want 13", sk.Levels())
 	}
 	feedWholeDomain(sk, n)
-	deepest := sk.levels[sk.Levels()].(*heavy.OnePass)
+	deepest := sk.levels[sk.Levels()]
 	universe := 0
 	for it := uint64(0); it < n; it++ {
 		if sk.member(it, sk.Levels()) {
@@ -208,7 +207,7 @@ func TestDeepestLevelHoldsItsUniverse(t *testing.T) {
 	rng = util.NewSplitMix64(7)
 	shallow := New(Config{N: 4 * n, Levels: 13, MakeSketcher: benchLevel(rng.Fork())}, rng.Fork())
 	feedWholeDomain(shallow, 4*n)
-	deepest = shallow.levels[13].(*heavy.OnePass)
+	deepest = shallow.levels[13]
 	if deepest.Tracked() != deepest.Capacity() {
 		t.Errorf("4N items through N's depth: deepest level tracks %d of %d, want a full tracker", deepest.Tracked(), deepest.Capacity())
 	}

@@ -27,9 +27,8 @@ import (
 // which level a blob belongs to.
 
 const (
-	sketchMagic       uint32 = 0x67535552 // "gSUR"
-	twoPassMagic      uint32 = 0x67535554 // "gSUT"
-	twoPassCandsMagic uint32 = 0x67535556 // "gSUV"
+	sketchMagic  uint32 = 0x67535552 // "gSUR"
+	twoPassMagic uint32 = 0x67535554 // "gSUT"
 )
 
 // subFingerprint digests the subsampling Bernoulli hashes.
@@ -41,21 +40,13 @@ func subFingerprint(sub []*xhash.Bernoulli) uint64 {
 	return h
 }
 
-// fingerprinter is implemented by level sketchers whose configuration
-// can be digested (heavy.OnePass and heavy.TwoPass are).
-type fingerprinter interface {
-	Fingerprint() uint64
-}
-
 // levelsFingerprint folds every level's own fingerprint into h, so a
 // configuration difference at ANY level is caught by the outer header
 // before any counter is touched.
-func levelsFingerprint[S any](h uint64, levels []S) uint64 {
+func levelsFingerprint[S interface{ Fingerprint() uint64 }](h uint64, levels []S) uint64 {
 	h = wire.Fingerprint(h, uint64(len(levels)))
 	for _, lv := range levels {
-		if fp, ok := any(lv).(fingerprinter); ok {
-			h = wire.Fingerprint(h, fp.Fingerprint())
-		}
+		h = wire.Fingerprint(h, lv.Fingerprint())
 	}
 	return h
 }
@@ -66,25 +57,19 @@ func (s *Sketch) Fingerprint() uint64 {
 	return levelsFingerprint(subFingerprint(s.sub), s.levels)
 }
 
-// MarshalBinary serializes every level's sketch state. All level
-// sketchers must implement encoding.BinaryMarshaler (heavy.OnePass
-// does).
+// MarshalBinary serializes every level's sketch state.
 func (s *Sketch) MarshalBinary() ([]byte, error) {
 	return marshalLevels(sketchMagic, s.Fingerprint(), s.levels)
 }
 
 // marshalLevels writes the header and one blob per level: the one
 // encoding behind both recursive sketches.
-func marshalLevels[S any](magic uint32, fp uint64, levels []S) ([]byte, error) {
+func marshalLevels[S encoding.BinaryMarshaler](magic uint32, fp uint64, levels []S) ([]byte, error) {
 	var w wire.Writer
 	w.Header(magic, fp)
 	w.U32(uint32(len(levels)))
 	for k, lv := range levels {
-		m, ok := any(lv).(encoding.BinaryMarshaler)
-		if !ok {
-			return nil, fmt.Errorf("recursive: level %d sketcher %T does not support serialization", k, lv)
-		}
-		blob, err := m.MarshalBinary()
+		blob, err := lv.MarshalBinary()
 		if err != nil {
 			return nil, fmt.Errorf("recursive: level %d: %w", k, err)
 		}
@@ -103,8 +88,7 @@ func (s *Sketch) UnmarshalBinary(data []byte) error { return wire.Unmarshal(s, d
 
 // StageBinary checks a payload whole against s — the level list and
 // every level's payload — and returns the merge that adds it in
-// (wire.Stager). Every level sketcher must implement wire.Stager
-// (heavy.OnePass does).
+// (wire.Stager).
 func (s *Sketch) StageBinary(data []byte) (func(), error) {
 	return stageLevels(data, sketchMagic, s.Fingerprint(), s.levels)
 }
@@ -112,7 +96,7 @@ func (s *Sketch) StageBinary(data []byte) (func(), error) {
 // stageLevels reads a level list under the given header and stages every
 // level's blob onto the matching level: the one decode behind both
 // recursive sketches.
-func stageLevels[S any](data []byte, magic uint32, fp uint64, levels []S) (func(), error) {
+func stageLevels[S wire.Stager](data []byte, magic uint32, fp uint64, levels []S) (func(), error) {
 	r := wire.NewReader(data)
 	if err := r.Header(magic, fp); err != nil {
 		return nil, fmt.Errorf("recursive: %w", err)
@@ -122,11 +106,7 @@ func stageLevels[S any](data []byte, magic uint32, fp uint64, levels []S) (func(
 		return nil, fmt.Errorf("recursive: %w", err)
 	}
 	return wire.StageEach(len(levels), func(k int) (func(), error) {
-		st, ok := any(levels[k]).(wire.Stager)
-		if !ok {
-			return nil, fmt.Errorf("recursive: level %d sketcher %T does not support serialization", k, levels[k])
-		}
-		merge, err := st.StageBinary(blobs[k])
+		merge, err := levels[k].StageBinary(blobs[k])
 		if err != nil {
 			return nil, fmt.Errorf("recursive: level %d: %w", k, err)
 		}
@@ -141,8 +121,9 @@ func (s *TwoPass) Fingerprint() uint64 {
 }
 
 // MarshalBinary serializes every level's two-pass state (first-pass
-// counters, candidates, tabulations). All level sketchers must
-// implement encoding.BinaryMarshaler (heavy.TwoPass does).
+// counters, candidates, tabulations). It is also how a coordinator hands
+// its candidate sets to workers in another process: a receiver holding
+// none adopts the payload's (heavy.TwoPass.UnmarshalBinary).
 func (s *TwoPass) MarshalBinary() ([]byte, error) {
 	return marshalLevels(twoPassMagic, s.Fingerprint(), s.levels)
 }
@@ -154,66 +135,7 @@ func (s *TwoPass) MarshalBinary() ([]byte, error) {
 func (s *TwoPass) UnmarshalBinary(data []byte) error { return wire.Unmarshal(s, data) }
 
 // StageBinary checks a payload whole against s and returns the merge
-// that adds it in (wire.Stager). Every level sketcher must implement
-// wire.Stager (heavy.TwoPass does).
+// that adds it in (wire.Stager).
 func (s *TwoPass) StageBinary(data []byte) (func(), error) {
 	return stageLevels(data, twoPassMagic, s.Fingerprint(), s.levels)
-}
-
-// candidateCodec is the candidate-set half of the distributed two-pass
-// protocol (heavy.TwoPass implements it).
-type candidateCodec interface {
-	MarshalCandidates() ([]byte, error)
-	StageCandidates([]byte) (func(), error)
-}
-
-// MarshalCandidates serializes the per-level candidate sets extracted by
-// FinishPass1 — the coordinator -> worker half of the distributed
-// two-pass protocol (AdoptCandidates over the wire).
-func (s *TwoPass) MarshalCandidates() ([]byte, error) {
-	var w wire.Writer
-	w.Header(twoPassCandsMagic, s.Fingerprint())
-	w.U32(uint32(len(s.levels)))
-	for k, lv := range s.levels {
-		c, ok := lv.(candidateCodec)
-		if !ok {
-			return nil, fmt.Errorf("recursive: level %d sketcher %T does not support candidate exchange", k, lv)
-		}
-		blob, err := c.MarshalCandidates()
-		if err != nil {
-			return nil, fmt.Errorf("recursive: level %d: %w", k, err)
-		}
-		w.Blob(blob)
-	}
-	return w.Bytes(), nil
-}
-
-// UnmarshalCandidates adopts serialized per-level candidate sets,
-// resetting every level's tabulations to zero. Every level's set is
-// checked before any level adopts one.
-func (s *TwoPass) UnmarshalCandidates(data []byte) error {
-	r := wire.NewReader(data)
-	if err := r.Header(twoPassCandsMagic, s.Fingerprint()); err != nil {
-		return fmt.Errorf("recursive: candidates: %w", err)
-	}
-	blobs, err := r.Blobs(len(s.levels))
-	if err != nil {
-		return fmt.Errorf("recursive: %w", err)
-	}
-	adopt, err := wire.StageEach(len(s.levels), func(k int) (func(), error) {
-		c, ok := s.levels[k].(candidateCodec)
-		if !ok {
-			return nil, fmt.Errorf("recursive: level %d sketcher %T does not support candidate exchange", k, s.levels[k])
-		}
-		adopt, err := c.StageCandidates(blobs[k])
-		if err != nil {
-			return nil, fmt.Errorf("recursive: level %d: %w", k, err)
-		}
-		return adopt, nil
-	})
-	if err != nil {
-		return err
-	}
-	adopt()
-	return nil
 }

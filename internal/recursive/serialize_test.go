@@ -87,7 +87,7 @@ func newWireTwoPass(seed uint64) *TwoPass {
 	rng := util.NewSplitMix64(seed)
 	return NewTwoPass(TwoPassConfig{
 		N: 1 << 12,
-		MakeSketcher: func(level int) heavy.TwoPassSketcher {
+		MakeSketcher: func(level int) *heavy.TwoPass {
 			return heavy.NewTwoPass(heavy.TwoPassConfig{
 				G: g, Lambda: 0.05, Delta: 0.1, H: h,
 			}, rng.Fork())
@@ -127,12 +127,15 @@ func TestRecursiveTwoPassWireProtocolEqualsSerial(t *testing.T) {
 		}
 	}
 	coord.FinishPass1()
-	cands, err := coord.MarshalCandidates()
+	// The coordinator's snapshot carries its candidate sets: a worker,
+	// holding none, adopts them (its own pass-1 counters are not read
+	// again).
+	snap, err := coord.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []*TwoPass{w1, w2} {
-		if err := w.UnmarshalCandidates(cands); err != nil {
+		if err := w.UnmarshalBinary(snap); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,18 +8,18 @@ import (
 )
 
 // TwoPassConfig parameterizes the two-pass recursive sketch, which wires
-// Algorithm 1 (or any TwoPassSketcher) into the Theorem 13 reduction.
+// Algorithm 1 into the Theorem 13 reduction.
 type TwoPassConfig struct {
 	N            uint64
 	Levels       int // 0 = depth from capacity (see Depth); at most 30
-	MakeSketcher func(level int) heavy.TwoPassSketcher
+	MakeSketcher func(level int) *heavy.TwoPass
 }
 
 // TwoPass is the two-pass variant of the recursive sketch: the stream is
 // replayed once for candidate identification and once for exact
 // tabulation, at every level.
 type TwoPass struct {
-	levels []heavy.TwoPassSketcher
+	levels []*heavy.TwoPass
 	sub    []*xhash.Bernoulli
 	plan   sketch.Batch // the collapsed batch Pass1Batch/Pass2Batch hand down the levels
 }
@@ -29,7 +29,7 @@ func NewTwoPass(cfg TwoPassConfig, rng *util.SplitMix64) *TwoPass {
 	if cfg.MakeSketcher == nil {
 		panic("recursive: MakeSketcher is required")
 	}
-	levels := BuildLevels(cfg.N, cfg.Levels, cfg.MakeSketcher)
+	levels := buildLevels(cfg.N, cfg.Levels, cfg.MakeSketcher)
 	return &TwoPass{levels: levels, sub: Subsamplers(len(levels)-1, rng)}
 }
 

@@ -137,9 +137,9 @@ func Describe(k Kind) string { return backend.Describe(k) }
 // through the batched path.
 func Process(est Estimator, s *Stream) error { return backend.Process(est, s) }
 
-// Merge folds src into dst. Both must come from Open of equal Specs;
-// kinds without an in-memory merge fold through the wire format, whose
-// fingerprint enforces the equal-configuration contract either way.
+// Merge folds src into dst. Both must come from Open of equal Specs: a
+// src whose fingerprint differs from dst's is refused and dst is left as
+// it was, whether the kind merges in memory or through the wire format.
 func Merge(dst, src Estimator) error { return backend.Merge(dst, src) }
 
 // Func is a function g in the paper's class G (g(0)=0, g(1)=1, g(x)>0 for
