@@ -3,7 +3,7 @@
 //	gsum classify                 classify the paper's function catalog
 //	gsum classify -f x^2          classify one named catalog function
 //	gsum estimate [flags]         estimate a g-SUM on a generated stream
-//	gsum estimate -workers 8      ... through the sharded kind (8 shards)
+//	gsum estimate -workers 8      ... through the sharded kind (8 chunks)
 //	gsum bench -workload zipf     benchmark a workload scenario end to end
 //	gsum bench -backend daemon    ... through an in-process gsumd topology
 //	gsum bench -backend list      print the registered backend kinds
@@ -16,8 +16,8 @@
 //	gsum query [flags]            query a gsumd daemon's estimate
 //
 // Every run is deterministic given -seed (and, for estimate, -workers:
-// the sharded kind merges by linearity, so worker count does not
-// change the counters — see internal/hotpath).
+// the sharded kind merges contiguous chunks by linearity, so worker
+// count does not change the counters — see core.ProcessParallel).
 package main
 
 import (
@@ -149,7 +149,7 @@ func runEstimate(args []string, stdout, stderr io.Writer) int {
 	eps := fs.Float64("eps", 0.25, "target accuracy")
 	seed := fs.Uint64("seed", 1, "random seed")
 	passes := fs.Int("passes", 1, "1 or 2 passes")
-	workers := fs.Int("workers", 1, "ingestion workers (0 = GOMAXPROCS, 1 = serial)")
+	workers := fs.Int("workers", 1, "ingestion workers: contiguous chunks sketched in parallel, then merged into one sketch (0 = GOMAXPROCS, 1 = serial)")
 	if code, ok := cliflag.Parse(fs, args, stderr); !ok {
 		return code
 	}
@@ -227,7 +227,7 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 	alpha := fs.Float64("alpha", 1.1, "zipf/bursty skew exponent")
 	eps := fs.Float64("eps", 0.25, "target accuracy")
 	seed := fs.Uint64("seed", 1, "random seed (stream and sketch)")
-	workers := fs.Int("workers", 1, "shards for sharded (0 = GOMAXPROCS) / worker daemons for daemon (min 1)")
+	workers := fs.Int("workers", 1, "chunks for sharded (0 = GOMAXPROCS) / worker daemons for daemon (min 1)")
 	backend := fs.String("backend", "serial", "ingestion backend: "+strings.Join(workload.Backends, ", ")+
 		` ("list" prints the registered backend kinds and exits)`)
 	win := fs.Int("window", 0, "sliding-window mode: estimate only the last W ticks (0 = whole stream)")

@@ -426,7 +426,7 @@ func TestBenchConfigFileMatchesFlags(t *testing.T) {
 	}
 }
 
-// TestBenchShardedBackend: the sharded hot path is reachable from the
+// TestBenchShardedBackend: the sharded kind is reachable from the
 // CLI and prints the same estimate as serial.
 func TestBenchShardedBackend(t *testing.T) {
 	extract := func(stdout string) string {

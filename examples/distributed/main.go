@@ -3,9 +3,9 @@
 // shard from the same Spec, merge. This example shows three faces of
 // that fact:
 //
-//   - the sharded kind (Kind: "sharded"), whose Process routes the
-//     stream by item hash across persistent worker shards and merges
-//     them on Estimate, producing the SAME estimate as a serial run;
+//   - the sharded kind (Kind: "sharded"), whose Process sketches
+//     contiguous chunks of the stream in parallel and merges them once,
+//     producing the SAME estimate as a serial run;
 //
 //   - manual multi-machine style sharding: every "machine" opens the
 //     same Spec, sketches its own shard, and a coordinator folds the
@@ -66,7 +66,7 @@ func run(w io.Writer) error {
 	}
 
 	// The sharded kind: same Spec plus Workers. Same Seed => same hash
-	// functions; hash-routed shards; linearity-based merge.
+	// functions; chunks cut by position; linearity-based merge.
 	sspec := spec
 	sspec.Kind = universal.KindSharded
 	sspec.Workers = workers

@@ -1,17 +1,16 @@
 package universal
 
-// Benchmark for the sharded hot path (internal/hotpath). Run it across
+// Benchmark for the sharded kind's chunk-parallel Process. Run it across
 // `-cpu` values beside BenchmarkProcessSerial for the Serial/Sharded
 // table in EXPERIMENTS.md.
 
 import "testing"
 
-// BenchmarkProcessSharded is the channel-fed concurrent ingest of the
-// same 128k-update stream BenchmarkProcessSerial consumes. The
-// estimator is opened ONCE: Process neither constructs shards nor
-// merges them (merging happens on Estimate), so this measures pure
-// ingest throughput — partition, channel handoff, per-shard batched
-// sketching.
+// BenchmarkProcessSharded is the chunk-parallel ingest of the same
+// 128k-update stream BenchmarkProcessSerial consumes. The estimator is
+// opened ONCE; every Process builds a stack per chunk, sketches the
+// chunks concurrently and merges them into the resident one, so this
+// measures the whole of it: clone, batched sketching, merge.
 func BenchmarkProcessSharded(b *testing.B) {
 	s := processBenchStream()
 	e, err := Open(Spec{Kind: KindSharded, G: "x^2", Workers: 8, Options: processBenchOpts(s)})

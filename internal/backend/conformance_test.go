@@ -2,6 +2,7 @@ package backend_test
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"reflect"
 	"strings"
@@ -150,6 +151,21 @@ var confLayout3 = map[string]confCell{
 	"sharded/adversarial":   {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 372, shortTight: 92},
 }
 
+// confLayout4 is confLayout3 with the sharded rows re-recorded once, when
+// the referee began to feed that kind through backend.Process: two
+// contiguous chunks, each into its own stack, merged in order. The counters
+// are serial's; the trackers, full at 2^12 items, hold what the merge
+// admitted. Every estimate is still inside εG; the εG/4 column moved by at
+// most 16 of 400 (adversarial: 372 to 356). Every other row is
+// confLayout3's.
+var confLayout4 = func() map[string]confCell {
+	m := maps.Clone(confLayout3)
+	m["sharded/uniform"] = confCell{hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 309, shortTight: 71}
+	m["sharded/zipf"] = confCell{hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 363, shortTight: 94}
+	m["sharded/adversarial"] = confCell{hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 356, shortTight: 92}
+	return m
+}()
+
 // confParentSpace is SpaceBytes at e907d1a per kind, in confFuncs order.
 var confParentSpace = map[backend.Kind][]int{
 	backend.KindOnePass: {3533040, 1766640, 3506160, 1753200, 883440, 14039520, 7016880, 14039520, 14017200, 888240},
@@ -193,21 +209,19 @@ func confKey(kind backend.Kind, w workload.Generator) string {
 	return string(kind) + "/" + w.Name()
 }
 
-// confRun ingests s into a fresh estimator of the kind, in batches on the
-// calling goroutine, twice around FinishPass1 for a two-pass kind. Not
-// backend.Process: the sharded kind's concurrent path hands a shard its
-// batches in an order the scheduler picks, a full tracker keeps history,
-// and a referee's counts have to be constants of the commit.
+// confRun ingests s into a fresh estimator of the kind through
+// backend.Process, the door every frontend uses. specFor fixes every
+// worker count, so the result is a constant of (stream, Spec) — the
+// sharded kind cuts chunks by position and merges them in order — as a
+// referee's counts must be.
 func confRun(t *testing.T, spec backend.Spec, s *stream.Stream) backend.Estimator {
 	t.Helper()
 	est, err := backend.Open(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream.Batches(s.Updates(), est.UpdateBatch)
-	if tp, ok := est.(backend.TwoPass); ok {
-		tp.FinishPass1()
-		stream.Batches(s.Updates(), est.UpdateBatch)
+	if err := backend.Process(est, s); err != nil {
+		t.Fatal(err)
 	}
 	return est
 }
@@ -232,6 +246,10 @@ func TestConformance(t *testing.T) {
 		spec := backend.Spec{Kind: kind, G: funcs[gi].Name(), Options: confOptions}
 		spec.Options.Seed, spec.Options.Envelope = seed, envelopes[gi]
 		switch kind {
+		case backend.KindTwoPass:
+			// Serial: Workers 0 would chunk by GOMAXPROCS, a property of
+			// the host, not of the commit.
+			spec.Workers = 1
 		case backend.KindSharded:
 			spec.Workers = 2
 		case confUniversal:
@@ -303,14 +321,11 @@ func TestConformance(t *testing.T) {
 
 	for _, kind := range confKinds {
 		for gi, g := range funcs {
-			h, shards := envelopes[gi], 1
-			switch kind {
-			case confUniversal:
+			h := envelopes[gi]
+			if kind == confUniversal {
 				h = maxEnvelope
-			case backend.KindSharded:
-				shards = 2
 			}
-			if bound := shards * spaceEnvelope(opts, h); space[kind][gi] > bound {
+			if bound := spaceEnvelope(opts, h); space[kind][gi] > bound {
 				t.Errorf("%s %s: SpaceBytes %d outside the stated envelope %d", kind, g.Name(), space[kind][gi], bound)
 			}
 			if was := confParentSpace[kind]; was != nil && space[kind][gi] > was[gi] {
@@ -332,12 +347,12 @@ func TestConformance(t *testing.T) {
 			if parent, ok := confParent[key]; ok {
 				checkAgainstParent(t, key, seeds*len(funcs), *cell, parent)
 			}
-			want := confLayout3[key]
+			want := confLayout4[key]
 			if testing.Short() {
 				want.hits, want.tight = want.shortHits, want.shortTight
 			}
 			if !reflect.DeepEqual(*cell, want) {
-				t.Errorf("%s: the counts moved off the ones recorded for this layout (confLayout3): something changed what the sketch computes", key)
+				t.Errorf("%s: the counts moved off the ones recorded for this layout (confLayout4): something changed what the sketch computes", key)
 			}
 		}
 	}

@@ -98,6 +98,14 @@ type twoPassEstimator struct {
 	workers int
 }
 
+// shardedEstimator is the sharded kind: one resident onepass sketch, whose
+// every method is that sketch's own, and the Spec's worker count, which
+// Process hands to ProcessParallel.
+type shardedEstimator struct {
+	*core.OnePassEstimator
+	workers int
+}
+
 // windowEstimator adapts window.Estimator to the tick-free Estimator
 // surface: updates land at the current clock tick, and Advance (the
 // Windowed capability) moves time.

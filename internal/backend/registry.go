@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/heavy"
-	"repro/internal/hotpath"
 	"repro/internal/sketch"
 	"repro/internal/stream"
 	"repro/internal/util"
@@ -30,10 +29,10 @@ type builder struct {
 
 var registry = map[Kind]*builder{}
 
-// maxShardedWorkers bounds Spec.Workers for the sharded kind. Every
-// shard is a full one-pass sketch (megabytes at default options) and a
-// Spec arrives from config files, so an absurd count must fail in
-// Normalize rather than exhaust memory in Open.
+// maxShardedWorkers bounds Spec.Workers for the sharded kind. Process
+// builds a full one-pass sketch per chunk (megabytes at default options)
+// and a Spec arrives from config files, so an absurd count must fail in
+// Normalize rather than exhaust memory in Process.
 const maxShardedWorkers = 256
 
 func register(b *builder) {
@@ -103,11 +102,11 @@ func init() {
 	})
 	register(&builder{
 		kind:     KindSharded,
-		describe: "one-pass estimator behind the sharded hot path (per-core shards fed hash-routed batches over bounded channels)",
+		describe: "one-pass estimator whose Process ingests Workers contiguous chunks in parallel and merges them once",
 		needsG:   true,
 		normalize: func(s *Spec) error {
 			if s.Workers > maxShardedWorkers {
-				return fmt.Errorf("backend: sharded: Workers must be at most %d (each shard is a full one-pass sketch), got %d",
+				return fmt.Errorf("backend: sharded: Workers must be at most %d (Process builds a full one-pass sketch per chunk), got %d",
 					maxShardedWorkers, s.Workers)
 			}
 			return nil
@@ -117,7 +116,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return hotpath.New(g, s.Options, s.Workers), nil
+			return &shardedEstimator{core.NewOnePass(g, s.Options), s.Workers}, nil
 		},
 	})
 	register(&builder{
@@ -211,9 +210,10 @@ func init() {
 }
 
 // Process drives a whole in-memory stream through est using its richest
-// capability: the sharded kind fans it out to its shards, the two-pass
-// kind replays it for both passes (chunked when its Spec set Workers),
-// and every other kind streams it through the batched ingestion path.
+// capability: the sharded kind ingests contiguous chunks in parallel and
+// merges them once, the two-pass kind replays it for both passes (chunked
+// when its Spec set Workers), and every other kind streams it through the
+// batched ingestion path.
 // This is the one bulk-ingest door; frontends call it instead of
 // switching on concrete types.
 func Process(est Estimator, s *stream.Stream) error {
@@ -224,10 +224,10 @@ func Process(est Estimator, s *stream.Stream) error {
 		// worker count.
 		_, err := e.RunParallel(s, e.workers)
 		return err
-	case *hotpath.ShardedEstimator:
-		// The concurrent path; shard-by-hash keeps the merged
-		// result independent of scheduling (see internal/hotpath).
-		return e.Process(s.Updates())
+	case *shardedEstimator:
+		// Chunks are cut by position, so the result is a constant of
+		// (stream, workers) whatever the scheduler does.
+		return e.ProcessParallel(s, e.workers)
 	default:
 		stream.Batches(s.Updates(), est.UpdateBatch)
 		return nil
@@ -243,9 +243,9 @@ func Merge(dst, src Estimator) error {
 	if df, sf := dst.Fingerprint(), src.Fingerprint(); df != sf {
 		return fmt.Errorf("backend: merge refused: fingerprint %#x is not the receiver's %#x (different seed or configuration)", sf, df)
 	}
-	switch d := dst.(type) {
+	switch d := unwrapSharded(dst).(type) {
 	case *core.OnePassEstimator:
-		if s, ok := src.(*core.OnePassEstimator); ok {
+		if s, ok := unwrapSharded(src).(*core.OnePassEstimator); ok {
 			return d.Merge(s)
 		}
 	case *windowEstimator:
@@ -266,4 +266,13 @@ func Merge(dst, src Estimator) error {
 		return err
 	}
 	return dst.UnmarshalBinary(blob)
+}
+
+// unwrapSharded returns the resident sketch of a sharded estimator, which
+// merges in memory as any onepass one does, and every other kind as is.
+func unwrapSharded(e Estimator) Estimator {
+	if s, ok := e.(*shardedEstimator); ok {
+		return s.OnePassEstimator
+	}
+	return e
 }

@@ -23,10 +23,10 @@ const (
 	// KindTwoPass is the Theorem 3 two-pass g-SUM estimator: replay the
 	// stream, call FinishPass1 (the TwoPass capability), replay again.
 	KindTwoPass Kind = "twopass"
-	// KindSharded is the one-pass estimator behind the sharded hot
-	// path: Workers per-core shards (0 = GOMAXPROCS) partitioned by item
-	// hash, fed batches over bounded channels during Process and merged
-	// by linearity on Estimate/Marshal.
+	// KindSharded is the one-pass estimator with a parallel Process: it
+	// sketches Workers contiguous chunks of the stream (0 = GOMAXPROCS)
+	// concurrently and merges them by linearity into its one resident
+	// sketch. Every other method is the onepass kind's.
 	KindSharded Kind = "sharded"
 	// KindWindow is the sliding-window one-pass estimator: updates land
 	// at the current tick, Advance (the Windowed capability) moves the
@@ -66,11 +66,10 @@ type Spec struct {
 	Options core.Options `json:"options"`
 	// Window parameterizes the window kind (ignored by the others).
 	Window window.Config `json:"window"`
-	// Workers is the shard count for the sharded kind (0 = GOMAXPROCS,
-	// at most 256) and the chunk count of the twopass
-	// kind's Process (0 = GOMAXPROCS, 1 = serial). Distributed frontends
-	// reuse it as the worker daemon count. Other kinds ingest serially
-	// and ignore it.
+	// Workers is the chunk count of Process for the sharded kind (0 =
+	// GOMAXPROCS, at most 256) and the twopass kind (0 = GOMAXPROCS,
+	// 1 = serial). Distributed frontends reuse it as the worker daemon
+	// count. Other kinds ingest serially and ignore it.
 	Workers int `json:"workers,omitempty"`
 	// Rows, Buckets, and TopK size the countsketch kind directly
 	// (defaults 5, 1024, and 0 = no candidate tracker).

@@ -18,7 +18,8 @@
 //
 // Layer: the estimator layer of ARCHITECTURE.md, wrapping
 // internal/recursive and internal/heavy below it and feeding the
-// harness/service layers (hotpath, workload, window, daemon) above.
+// harness/service layers (workload, window, daemon) above. The sharded
+// kind is OnePassEstimator with ProcessParallel as its Process.
 // Seed discipline: all randomness forks from Options.Seed in fixed
 // construction order; estimators Merge/UnmarshalBinary only against
 // instances built from identical Options including Seed, and the wire

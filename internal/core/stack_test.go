@@ -1,12 +1,10 @@
-package hotpath_test
+package core
 
 import (
 	"reflect"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/gfunc"
-	"repro/internal/hotpath"
 	"repro/internal/sketch"
 	"repro/internal/stream"
 	"repro/internal/util"
@@ -23,6 +21,22 @@ func feed(b batcher, updates []stream.Update, size int) {
 	for lo := 0; lo < len(updates); lo += size {
 		b.UpdateBatch(updates[lo:min(lo+size, len(updates))])
 	}
+}
+
+// chunked returns a one-pass stack that has ingested a stream of three
+// full batches through ProcessParallel at 3 workers: the sharded kind's
+// resident stack, after two clones were merged into it and dropped.
+func chunked(t *testing.T, g gfunc.Func, opts Options) *OnePassEstimator {
+	t.Helper()
+	e := NewOnePass(g, opts)
+	s := stream.New(opts.N)
+	for _, u := range testUpdates(9, 3*stream.BatchSize) {
+		s.Add(u.Item, u.Delta)
+	}
+	if err := e.ProcessParallel(s, 3); err != nil {
+		t.Fatal(err)
+	}
+	return e
 }
 
 func testUpdates(seed uint64, n int) []stream.Update {
@@ -81,21 +95,21 @@ func countSketchBatches(sk any) (sketches, owners int) {
 }
 
 // TestOneCollapsePerBatch pins who collapses: a stack of level sketches
-// (the onepass, twopass and sharded ingest paths) collapses a
+// (the onepass, twopass and chunked ingest paths) collapses a
 // batch once, at the top, and hands the levels the collapsed form, so no
 // level's CountSketch ever allocates the scratch of its own UpdateBatch
 // door. A CountSketch fed through that door is the control: it does.
 func TestOneCollapsePerBatch(t *testing.T) {
 	g := gfunc.F2Func()
-	opts := core.Options{N: 1 << 12, M: 1 << 10, Seed: 3, Envelope: 4}
+	opts := Options{N: 1 << 12, M: 1 << 10, Seed: 3, Envelope: 4}
 	updates := testUpdates(5, 3000)
-	twopass := core.NewTwoPass(g, opts)
+	twopass := NewTwoPass(g, opts)
 	feed(twopass, updates, 512)
 	twopass.FinishPass1()
 	feed(twopass, updates, 512)
 	stacks := map[string]batcher{
-		"onepass": core.NewOnePass(g, opts),
-		"sharded": hotpath.New(g, opts, 3),
+		"onepass": NewOnePass(g, opts),
+		"sharded": chunked(t, g, opts),
 	}
 	for _, sk := range stacks {
 		feed(sk, updates, 512)
@@ -149,47 +163,43 @@ func hashingOf(sk any) stackHashing {
 }
 
 // TestOneHashPerBatch pins who hashes, beside TestOneCollapsePerBatch's who
-// collapses: the levels of a stack (the onepass, twopass and sharded
+// collapses: the levels of a stack (the onepass, twopass and chunked
 // ingest paths) evaluate ONE row-hash family, level 0's, and no
 // level holds coefficients of its own; a batch is hashed for that family
 // once — rows x distinct items evaluations, a matrix the levels below read
 // through the positions Subsample leaves — not once per level it reaches.
+// The stack ProcessParallel leaves behind is one stack too: the clones it
+// merged brought no family or batch plan into it.
 func TestOneHashPerBatch(t *testing.T) {
 	g := gfunc.F2Func()
-	opts := core.Options{N: 1 << 12, M: 1 << 10, Seed: 3, Envelope: 4}
+	opts := Options{N: 1 << 12, M: 1 << 10, Seed: 3, Envelope: 4}
 	updates := testUpdates(5, 3000)
 	seen := map[uint64]bool{}
 	for _, u := range updates {
 		seen[u.Item] = true
 	}
 	distinct := len(seen)
-	twopass := core.NewTwoPass(g, opts)
+	twopass := NewTwoPass(g, opts)
 	stacks := map[string]batcher{
-		"onepass": core.NewOnePass(g, opts),
-		"sharded": hotpath.New(g, opts, 3),
+		"onepass": NewOnePass(g, opts),
+		"sharded": chunked(t, g, opts),
 		"twopass": twopass,
 	}
 	for name, sk := range stacks {
 		feed(sk, updates, len(updates))
 		h := hashingOf(sk)
-		shards, rows := 1, 5 // ⌈2 ln(1/(δ/2))⌉ rows at δ = 0.2; the two-pass sketch takes δ whole: ⌈3.2⌉ made odd
-		if name == "sharded" {
-			shards = 3
-		}
-		if len(h.families) != shards || len(h.plans) != shards {
-			t.Errorf("%s: %d row-hash families and %d batch plans over %d stacks, want one of each a stack", name, len(h.families), len(h.plans), shards)
+		rows := 5 // ⌈2 ln(1/(δ/2))⌉ rows at δ = 0.2; the two-pass sketch takes δ whole: ⌈3.2⌉ made odd
+		if len(h.families) != 1 || len(h.plans) != 1 {
+			t.Errorf("%s: %d row-hash families and %d batch plans, want one of each", name, len(h.families), len(h.plans))
 			continue
 		}
-		items := 0
-		for _, p := range h.plans {
-			if h.families[p.by] < 5 || p.hashed != rows*p.items {
-				t.Errorf("%s: a batch of %d items holds %d hashes by a family %d levels evaluate; want %d hashes by the family of all 5 or more",
-					name, p.items, p.hashed, h.families[p.by], rows*p.items)
-			}
-			items += p.items
+		p := h.plans[0]
+		if h.families[p.by] < 5 || p.hashed != rows*p.items {
+			t.Errorf("%s: a batch of %d items holds %d hashes by a family %d levels evaluate; want %d hashes by the family of all 5 or more",
+				name, p.items, p.hashed, h.families[p.by], rows*p.items)
 		}
-		if items != distinct {
-			t.Errorf("%s: the last batch was hashed for %d items, it holds %d distinct", name, items, distinct)
+		if p.items != distinct {
+			t.Errorf("%s: the last batch was hashed for %d items, it holds %d distinct", name, p.items, distinct)
 		}
 	}
 	// Two stacks do not share: each draws its own family from its seed.

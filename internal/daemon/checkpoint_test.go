@@ -510,7 +510,12 @@ func TestCheckpointTruncatedAtEveryOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	before, ingests := liveState(t, live)
+	// Each cut gets a path of its own: rewriting one file in place stalls
+	// on some filesystems for tens of milliseconds a time, and production
+	// checkpoints never do it (they write a temp file and rename it).
+	cuts := t.TempDir()
 	for cut := 0; cut < len(ckpt); cut++ {
+		path := filepath.Join(cuts, fmt.Sprintf("cut-%d", cut))
 		if err := os.WriteFile(path, ckpt[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}

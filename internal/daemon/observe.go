@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"repro/internal/backend"
-	"repro/internal/hotpath"
 	"repro/internal/metrics"
+	"repro/internal/util"
 )
 
 // The daemon's observability surface: every Server carries a
@@ -213,11 +213,12 @@ func newServerMetrics(s *Server) *serverMetrics {
 		reg.GaugeFunc("gsumd_sketch_buckets", "CountSketch buckets a row in every level (heavy.dims, from Lambda, Eps and the envelope)",
 			layered(func(l backend.Layered) int { _, buckets := l.Dims(); return int(buckets) }))
 	}
-	if hp, ok := s.est.(*hotpath.ShardedEstimator); ok {
-		// The shard count is fixed at Open: no state lock needed, and a
-		// restore or rebuild (same Spec) cannot make it stale.
-		reg.GaugeFunc("gsumd_hotpath_shards", "per-core sketch shards behind the sharded kind",
-			func() float64 { return float64(hp.Shards()) })
+	if s.spec.Kind == backend.KindSharded {
+		// The worker count is fixed by the Spec: no state lock needed, and
+		// a restore or rebuild (same Spec) cannot make it stale.
+		workers := float64(util.Workers(s.spec.Workers))
+		reg.GaugeFunc("gsumd_hotpath_shards", "chunks the sharded kind's Process ingests in parallel (Spec.Workers, resolved); one sketch stays resident",
+			func() float64 { return workers })
 	}
 	if _, ok := s.est.(backend.Windowed); ok {
 		reg.GaugeFunc("gsumd_window_tick", "the window kind's tick clock",

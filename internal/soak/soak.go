@@ -26,7 +26,7 @@ type Config struct {
 	Windowed bool
 	// Kind overrides the flat estimator kind ("" = onepass). The only
 	// other supported value is backend.KindSharded, which runs every
-	// daemon on the sharded hot path; the serial ground-truth replay
+	// daemon on the sharded kind; the serial ground-truth replay
 	// then uses the onepass kind, so the run also proves the cross-kind
 	// contract (sharded daemons == one serial onepass, bit for bit).
 	// Incompatible with Windowed.
@@ -422,7 +422,7 @@ func Run(cfg Config) (*Report, error) {
 	// same tick grouping, must yield the coordinator's estimate exactly —
 	// linear sketches make distribution invisible, bit for bit. A sharded
 	// soak deliberately replays through the PLAIN onepass kind: passing
-	// means the hot path is indistinguishable from serial ingest even
+	// means the sharded kind is indistinguishable from serial ingest even
 	// across the daemon snapshot/merge protocol.
 	replaySpec := spec
 	if spec.Kind == backend.KindSharded {

@@ -1,7 +1,7 @@
 // Package util provides small shared helpers used across the repro:
 // deterministic RNG plumbing, order statistics, float comparisons, and
 // the contiguous chunking (Workers, Cut, ParallelChunks) that the two-pass
-// candidate exchange, the sharded router and the bench topologies split
+// candidate exchange, the sharded kind's Process and the bench topologies split
 // a stream with.
 //
 // Layer: substrate in ARCHITECTURE.md.

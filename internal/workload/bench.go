@@ -20,7 +20,7 @@ import (
 // ingestion backend, measure wall-clock throughput, and score the
 // estimate against the exact g-SUM. The backends cover the deployment
 // shapes of the repository — in-process serial, the concurrent
-// sharded hot path, and the gsumd worker/coordinator HTTP topology (spun up in-process on loopback
+// chunk-parallel sharded kind, and the gsumd worker/coordinator HTTP topology (spun up in-process on loopback
 // listeners, so a single `gsum bench -backend daemon` run exercises the
 // full distributed path end to end). Every estimator — serial,
 // per-shard, or behind a daemon — is resolved through the backend
@@ -144,7 +144,7 @@ func RunBench(spec BenchSpec) (BenchResult, error) {
 		spec.Backend = "serial"
 		run, err = runInProcess(ts, sp)
 	case "sharded":
-		// The sharded hot path carries no tick clock to its shards;
+		// The sharded kind's Process carries no tick clock to its chunks;
 		// windowed runs need the ticked ingest loop, so the combination is
 		// rejected rather than silently ignoring the window.
 		if spec.Window > 0 {

@@ -170,7 +170,7 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 }
 
 // TestBenchBackendsAgreeExactly is the end-to-end acceptance check:
-// serial, sharded (concurrent hash-routed shards), and daemon (HTTP
+// serial, sharded (contiguous chunks sketched concurrently), and daemon (HTTP
 // worker/coordinator, pushed over /v1/stream) backends return
 // bit-identical estimates for the same seed, for every workload.
 func TestBenchBackendsAgreeExactly(t *testing.T) {

@@ -1,8 +1,8 @@
 package universal
 
 // Race and property coverage for concurrent ingestion and merging. Run
-// with -race: the sharded-kind tests drive the real routers and shard
-// consumers, so any unsynchronized shard state shows up here.
+// with -race: the sharded-kind tests drive the real chunk goroutines and
+// merge, so any unsynchronized state shows up here.
 
 import (
 	"bytes"

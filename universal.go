@@ -25,9 +25,10 @@
 // (internal/experiments, cmd/gsum) documented in EXPERIMENTS.md.
 //
 // Ingestion is batched and shardable: every estimator has an amortized
-// UpdateBatch path, and Kind "sharded" routes a stream by item hash
-// across Spec.Workers persistent one-pass shards that merge by
-// linearity, so worker count never changes the counters.
+// UpdateBatch path, and Kind "sharded" ingests Spec.Workers contiguous
+// chunks of a stream in parallel and merges them into its one resident
+// one-pass sketch by linearity, so worker count never changes the
+// counters.
 //
 // Every Estimator implements encoding.BinaryMarshaler and
 // encoding.BinaryUnmarshaler with merge semantics: UnmarshalBinary ADDS
@@ -132,9 +133,9 @@ func ParseSpec(data []byte) (Spec, error) { return backend.ParseSpec(data) }
 func Describe(k Kind) string { return backend.Describe(k) }
 
 // Process drives a whole in-memory stream through est using its richest
-// capability: KindSharded routes it by item hash to concurrent per-core shards,
-// KindTwoPass replays it for both passes, everything else streams it
-// through the batched path.
+// capability: KindSharded ingests contiguous chunks in parallel and merges
+// them once, KindTwoPass replays it for both passes, everything else
+// streams it through the batched path.
 func Process(est Estimator, s *Stream) error { return backend.Process(est, s) }
 
 // Merge folds src into dst. Both must come from Open of equal Specs: a
