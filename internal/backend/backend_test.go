@@ -350,6 +350,7 @@ func TestNormalizeRejectsInvalidSpecs(t *testing.T) {
 		{"removed universal kind", specWith(func(s *Spec) { s.Kind = "universal"; s.Options.Envelope = 16 }), "unknown kind"},
 		{"negative workers", specWith(func(s *Spec) { s.Workers = -1 }), "Workers"},
 		{"sharded workers over the cap", specWith(func(s *Spec) { s.Kind = KindSharded; s.Workers = 100000000 }), "Workers must be at most"},
+		{"twopass workers over the cap", specWith(func(s *Spec) { s.Kind = KindTwoPass; s.Workers = 257 }), "Workers must be at most"},
 		{"unknown function", specWith(func(s *Spec) { s.G = "nope" }), "unknown catalog function"},
 		{"missing function", specWith(func(s *Spec) { s.G = "" }), "catalog function name is required"},
 		{"window without W", specWith(func(s *Spec) { s.Kind = KindWindow }), "Window.W"},

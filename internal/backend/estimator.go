@@ -15,6 +15,12 @@ import (
 // fingerprint rejects payloads from a different configuration). Open
 // returns one of these for any Spec; richer behavior is reached through
 // the optional capability interfaces below.
+//
+// Counters are int64 and wrap on overflow, which keeps them linear. An
+// overflowed frequency reads as its wrapped value and magnitudes saturate
+// at MaxInt64, so an overflowed estimate is the g-SUM of the wrapped
+// frequency vector: finite whenever g(MaxInt64) is, never a panic, and
+// unrelated to the true sum.
 type Estimator interface {
 	// Update feeds one turnstile update.
 	Update(item uint64, delta int64)

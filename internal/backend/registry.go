@@ -29,12 +29,6 @@ type builder struct {
 
 var registry = map[Kind]*builder{}
 
-// maxShardedWorkers bounds Spec.Workers for the sharded kind. Process
-// builds a full one-pass sketch per chunk (megabytes at default options)
-// and a Spec arrives from config files, so an absurd count must fail in
-// Normalize rather than exhaust memory in Process.
-const maxShardedWorkers = 256
-
 func register(b *builder) {
 	if _, dup := registry[b.kind]; dup {
 		panic("backend: duplicate kind " + string(b.kind))
@@ -104,13 +98,6 @@ func init() {
 		kind:     KindSharded,
 		describe: "one-pass estimator whose Process ingests Workers contiguous chunks in parallel and merges them once",
 		needsG:   true,
-		normalize: func(s *Spec) error {
-			if s.Workers > maxShardedWorkers {
-				return fmt.Errorf("backend: sharded: Workers must be at most %d (Process builds a full one-pass sketch per chunk), got %d",
-					maxShardedWorkers, s.Workers)
-			}
-			return nil
-		},
 		open: func(s Spec) (Estimator, error) {
 			g, err := CatalogFunc(s.G)
 			if err != nil {
@@ -254,7 +241,7 @@ func Merge(dst, src Estimator) error {
 		}
 	case *countSketchEstimator:
 		if s, ok := src.(*countSketchEstimator); ok {
-			return d.CountSketch.Merge(s.CountSketch)
+			return d.CountSketch.MergeTopK(s.CountSketch)
 		}
 	case *heavyEstimator:
 		if s, ok := src.(*heavyEstimator); ok {

@@ -66,10 +66,9 @@ type Spec struct {
 	Options core.Options `json:"options"`
 	// Window parameterizes the window kind (ignored by the others).
 	Window window.Config `json:"window"`
-	// Workers is the chunk count of Process for the sharded kind (0 =
-	// GOMAXPROCS, at most 256) and the twopass kind (0 = GOMAXPROCS,
-	// 1 = serial). Distributed frontends reuse it as the worker daemon
-	// count. Other kinds ingest serially and ignore it.
+	// Workers is the chunk count of Process for the sharded and twopass
+	// kinds (0 = GOMAXPROCS, 1 = serial, at most 256). Distributed
+	// frontends reuse it as the worker daemon count; other kinds ignore it.
 	Workers int `json:"workers,omitempty"`
 	// Rows, Buckets, and TopK size the countsketch kind directly
 	// (defaults 5, 1024, and 0 = no candidate tracker).
@@ -77,6 +76,10 @@ type Spec struct {
 	Buckets uint64 `json:"buckets,omitempty"`
 	TopK    int    `json:"topk,omitempty"`
 }
+
+// maxWorkers bounds Spec.Workers: a parallel Process builds a full sketch
+// per chunk, so an absurd count must fail here, not exhaust memory there.
+const maxWorkers = 256
 
 // Normalize validates s and resolves every defaulted field, returning
 // the canonical Spec that Open, Fingerprint, and CanonicalJSON operate
@@ -116,8 +119,8 @@ func (s Spec) Normalize() (Spec, error) {
 	if o.Envelope < 0 {
 		return Spec{}, fmt.Errorf("backend: %s: Options.Envelope must be non-negative, got %v", s.Kind, o.Envelope)
 	}
-	if s.Workers < 0 {
-		return Spec{}, fmt.Errorf("backend: %s: Workers must be non-negative, got %d", s.Kind, s.Workers)
+	if s.Workers < 0 || s.Workers > maxWorkers {
+		return Spec{}, fmt.Errorf("backend: %s: Workers must be at most %d and non-negative (Process builds a full sketch per chunk), got %d", s.Kind, maxWorkers, s.Workers)
 	}
 	s.Options = o.WithDefaults()
 	if b.needsG {

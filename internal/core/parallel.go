@@ -18,7 +18,7 @@ import (
 // (workers ≤ 1, or under 2·stream.BatchSize updates) it is Process.
 func (e *OnePassEstimator) ProcessParallel(s *stream.Stream, workers int) error {
 	updates := s.Updates()
-	w := min(util.Workers(workers), len(updates)/stream.BatchSize)
+	w := chunks(len(updates), workers)
 	if w <= 1 {
 		e.Process(s)
 		return nil
@@ -39,20 +39,23 @@ func (e *OnePassEstimator) ProcessParallel(s *stream.Stream, workers int) error 
 	return nil
 }
 
-// RunParallel executes both passes of the two-pass estimator over
-// `workers` contiguous chunks of the stream (< 1 means GOMAXPROCS).
-// Pass 1 runs on per-worker shards and merges (the CountSketch state is
-// linear); the coordinator extracts the candidate sets once, distributes
-// them to the workers, and pass 2 tabulates each chunk exactly — exact
-// counts add linearly too, so the result equals a serial Run.
+// chunks is how many contiguous chunks a parallel Process cuts n updates
+// into: one per worker (< 1 means GOMAXPROCS), each ≥ stream.BatchSize.
+func chunks(n, workers int) int {
+	return min(util.Workers(workers), n/stream.BatchSize)
+}
+
+// RunParallel executes both passes of the two-pass estimator over the
+// chunks ProcessParallel would cut (one chunk is a serial Run). Pass 1
+// runs on per-chunk shards and merges (the CountSketch state is linear);
+// the coordinator extracts the candidate sets once, distributes them to
+// the workers, and pass 2 tabulates each chunk exactly — exact counts add
+// linearly too, so the result equals a serial Run.
 func (e *TwoPassEstimator) RunParallel(s *stream.Stream, workers int) (float64, error) {
-	w := util.Workers(workers)
 	updates := s.Updates()
-	if w <= 1 || len(updates) <= 1 {
+	w := chunks(len(updates), workers)
+	if w <= 1 {
 		return e.Run(s), nil
-	}
-	if w > len(updates) {
-		w = len(updates)
 	}
 	ests := make([]*TwoPassEstimator, w)
 	ests[0] = e

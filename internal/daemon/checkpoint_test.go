@@ -21,70 +21,6 @@ func onePassSpec(seed uint64) backend.Spec {
 	return backend.Spec{Kind: backend.KindOnePass, G: "x^2", Options: testOptions(seed)}
 }
 
-// TestCheckpointRoundTrip: write a checkpoint mid-stream, restore it
-// into a second daemon built from the same Spec, and the estimate and
-// ingest counter carry over exactly.
-func TestCheckpointRoundTrip(t *testing.T) {
-	spec := onePassSpec(42)
-	s := testStream(3)
-	srv, err := NewServer(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	if err := NewClient(ts.URL, nil).PushContext(context.Background(), s.Updates()); err != nil {
-		t.Fatal(err)
-	}
-
-	path := CheckpointPath(t.TempDir())
-	if err := srv.WriteCheckpoint(path); err != nil {
-		t.Fatal(err)
-	}
-
-	restored, err := NewServer(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.RestoreCheckpoint(path); err != nil {
-		t.Fatal(err)
-	}
-	ts2 := httptest.NewServer(restored.Handler())
-	t.Cleanup(ts2.Close)
-
-	want, err := NewClient(ts.URL, nil).Estimate(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := NewClient(ts2.URL, nil).Estimate(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got.Estimate != *want.Estimate {
-		t.Errorf("restored estimate %v != original %v", *got.Estimate, *want.Estimate)
-	}
-	info, err := NewClient(ts2.URL, nil).ConfigContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Ingested != uint64(len(s.Updates())) {
-		t.Errorf("restored ingest counter %d, want %d", info.Ingested, len(s.Updates()))
-	}
-
-	// Restore is replace, not merge: restoring the same checkpoint again
-	// must not double the state.
-	if err := restored.RestoreCheckpoint(path); err != nil {
-		t.Fatal(err)
-	}
-	got2, err := NewClient(ts2.URL, nil).Estimate(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got2.Estimate != *want.Estimate {
-		t.Errorf("second restore changed the estimate: %v != %v", *got2.Estimate, *want.Estimate)
-	}
-}
-
 // TestRestoreRefusesDriftedFingerprint: a checkpoint written under a
 // different Spec (one field off — the seed) is refused at boot with
 // both fingerprints surfaced, and the in-memory state stays untouched.

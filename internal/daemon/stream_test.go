@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/stream"
-	"repro/internal/window"
 )
 
 // streamServer spins up one daemon on a real listener (the stream path
@@ -27,112 +26,6 @@ func streamServer(t *testing.T, spec backend.Spec) (*Server, *Client) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, NewClient(ts.URL, nil)
-}
-
-// TestStreamPushBitIdentical is the tentpole invariant on the binary
-// transport: a stream pushed over /v1/stream yields the exact serial
-// estimate — the wire format changes the bytes on the wire, never the
-// counters.
-func TestStreamPushBitIdentical(t *testing.T) {
-	s := testStream(3)
-	spec := backend.Spec{Kind: backend.KindOnePass, G: "x^2", Options: testOptions(7)}
-
-	serial, err := backend.Open(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := backend.Process(serial, s); err != nil {
-		t.Fatal(err)
-	}
-
-	_, c := streamServer(t, spec)
-	p, err := c.NewPusher(context.Background(), PusherConfig{MaxBatch: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Push(s.Updates()); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st := p.Stats()
-	if st.Acked != uint64(s.Len()) {
-		t.Fatalf("acked %d of %d updates", st.Acked, s.Len())
-	}
-	if st.Total != uint64(s.Len()) {
-		t.Fatalf("daemon ingest counter %d, want %d", st.Total, s.Len())
-	}
-	if st.Frames < 2 {
-		t.Fatalf("expected multiple frames at MaxBatch=128 for %d updates, got %d", s.Len(), st.Frames)
-	}
-
-	resp, err := c.Estimate(url.Values{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := resp.Value()
-	if !ok {
-		t.Fatalf("no estimate in %+v", resp)
-	}
-	if want := serial.Estimate(); got != want {
-		t.Fatalf("stream estimate %v != serial %v", got, want)
-	}
-}
-
-// TestStreamWindowedBitIdentical repeats the invariant on the window
-// kind: Flush-before-Advance keeps the tick stamping exact, so the
-// windowed estimate over the stream transport equals the in-process one.
-func TestStreamWindowedBitIdentical(t *testing.T) {
-	s := testStream(5)
-	spec := backend.Spec{Kind: backend.KindWindow, G: "x^2", Options: testOptions(9),
-		Window: window.Config{W: 4}}
-
-	serial, err := backend.Open(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	win := serial.(backend.Windowed)
-
-	_, c := streamServer(t, spec)
-	p, err := c.NewPusher(context.Background(), PusherConfig{MaxBatch: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Interleave ticks with update runs on both sides identically.
-	updates := s.Updates()
-	runs := 8
-	for r := 0; r < runs; r++ {
-		lo, hi := r*len(updates)/runs, (r+1)*len(updates)/runs
-		tick := uint64(r + 1)
-		win.Advance(tick)
-		serial.UpdateBatch(updates[lo:hi])
-		if err := p.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.AdvanceContext(context.Background(), tick); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Push(updates[lo:hi]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	resp, err := c.Estimate(url.Values{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := resp.Value()
-	if !ok {
-		t.Fatalf("no estimate in %+v", resp)
-	}
-	if want := serial.Estimate(); got != want {
-		t.Fatalf("windowed stream estimate %v != serial %v", got, want)
-	}
 }
 
 // TestStreamBackpressure slows the daemon's per-frame apply and checks

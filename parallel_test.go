@@ -8,8 +8,6 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/heavy"
-	"repro/internal/recursive"
 	"repro/internal/sketch"
 	"repro/internal/stream"
 	"repro/internal/util"
@@ -128,96 +126,6 @@ func TestCountSketchMergeOrderInsensitive(t *testing.T) {
 		}
 		if !bytes.Equal(want, got) {
 			t.Errorf("merge order %v: counters diverge from single-shard ingestion", order)
-		}
-	}
-}
-
-// coversEqual compares two covers entry-wise.
-func coversEqual(a, b heavy.Cover) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func TestHeavyOnePassMergeAgreesWithSingleShard(t *testing.T) {
-	g := F2()
-	s := parallelStream(33)
-	chunks := chunk3(s)
-	mk := func() *heavy.OnePass {
-		return heavy.NewOnePass(heavy.OnePassConfig{
-			G: g, Lambda: 1.0 / 16, Eps: 0.25, Delta: 0.2, H: 4,
-		}, util.NewSplitMix64(17))
-	}
-
-	single := mk()
-	for _, c := range chunks {
-		single.UpdateBatch(c)
-	}
-	want := single.Cover()
-
-	for _, order := range [][3]int{{0, 1, 2}, {2, 0, 1}, {1, 2, 0}} {
-		shards := [3]*heavy.OnePass{}
-		for i, c := range chunks {
-			shards[i] = mk()
-			shards[i].UpdateBatch(c)
-		}
-		dst := shards[order[0]]
-		for _, i := range order[1:] {
-			if err := dst.Merge(shards[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got := dst.Cover(); !coversEqual(want, got) {
-			t.Errorf("merge order %v: cover diverges from single-shard ingestion\n got %v\nwant %v",
-				order, got, want)
-		}
-	}
-}
-
-func TestRecursiveSketchMergeAgreesWithSingleShard(t *testing.T) {
-	g := F2()
-	s := parallelStream(44)
-	chunks := chunk3(s)
-	mk := func() *recursive.Sketch {
-		rng := util.NewSplitMix64(23)
-		hh := rng.Fork()
-		return recursive.New(recursive.Config{
-			N:      s.N(),
-			Levels: 8,
-			MakeSketcher: func(level int) heavy.Sketcher {
-				return heavy.NewOnePass(heavy.OnePassConfig{
-					G: g, Lambda: 1.0 / 16, Eps: 0.25, Delta: 0.2, H: 4,
-				}, hh.Fork())
-			},
-		}, rng.Fork())
-	}
-
-	single := mk()
-	for _, c := range chunks {
-		single.UpdateBatch(c)
-	}
-	want := single.Estimate()
-
-	for _, order := range [][3]int{{0, 1, 2}, {2, 0, 1}, {1, 2, 0}} {
-		shards := [3]*recursive.Sketch{}
-		for i, c := range chunks {
-			shards[i] = mk()
-			shards[i].UpdateBatch(c)
-		}
-		dst := shards[order[0]]
-		for _, i := range order[1:] {
-			if err := dst.Merge(shards[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got := dst.Estimate(); got != want {
-			t.Errorf("merge order %v: estimate %.17g != single-shard %.17g", order, got, want)
 		}
 	}
 }
