@@ -91,10 +91,13 @@ type CoverReporter interface {
 // whether the assumption that depth rests on holds right now — the
 // deepest level tracking fewer candidates than it can, i.e. all of its
 // sub-universe — and the CountSketch rows and buckets heavy.dims resolved
-// for every level. Reading either is O(1).
+// for every level. Reading either is O(1). CountersDigest digests every
+// level's counters and nothing else: two same-seed stacks that ingested
+// one multiset agree on it by linearity, whatever their trackers hold.
 type Layered interface {
 	Depth() (levels, deepestTracked, deepestCapacity int)
 	Dims() (rows int, buckets uint64)
+	CountersDigest() uint64
 }
 
 // twoPassEstimator adapts core.TwoPassEstimator: it carries the Spec's

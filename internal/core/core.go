@@ -178,6 +178,10 @@ func (e *OnePassEstimator) Depth() (levels, deepestTracked, deepestCapacity int)
 // every level of the stack.
 func (e *OnePassEstimator) Dims() (rows int, buckets uint64) { return e.sk.Dims() }
 
+// CountersDigest digests the stack's counters alone
+// (recursive.Sketch.CountersDigest).
+func (e *OnePassEstimator) CountersDigest() uint64 { return e.sk.CountersDigest() }
+
 // TwoPassEstimator approximates g-SUM with two passes over the stream.
 type TwoPassEstimator struct {
 	g     gfunc.Func

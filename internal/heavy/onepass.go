@@ -195,6 +195,10 @@ func (o *OnePass) AdoptRowHashes(from *OnePass) {
 // Dims returns the CountSketch's rows and buckets, as dims resolved them.
 func (o *OnePass) Dims() (rows int, buckets uint64) { return o.cs.Rows(), o.cs.Buckets() }
 
+// FoldCounters folds the CountSketch's counters into the digest h
+// (sketch.CountSketch.FoldCounters).
+func (o *OnePass) FoldCounters(h uint64) uint64 { return o.cs.FoldCounters(h) }
+
 // Tracked returns how many candidates the tracker holds now; below
 // Capacity, every item the substream has carried is among them.
 func (o *OnePass) Tracked() int { return o.cs.Tracked() }

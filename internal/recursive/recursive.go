@@ -211,6 +211,18 @@ func (s *Sketch) Levels() int { return len(s.sub) }
 // makes every level alike, so level 0's.
 func (s *Sketch) Dims() (rows int, buckets uint64) { return s.levels[0].Dims() }
 
+// CountersDigest digests every level's counters, level 0 first
+// (heavy.OnePass.FoldCounters): equal for any two same-seed stacks that
+// ingested one multiset, however cut and merged, where the trackers past
+// capacity may differ.
+func (s *Sketch) CountersDigest() uint64 {
+	var h uint64
+	for _, lv := range s.levels {
+		h = lv.FoldCounters(h)
+	}
+	return h
+}
+
 // Deepest reports how many candidates the deepest level's sketcher tracks
 // and how many it can: tracked below capacity is the condition the stack's
 // depth was chosen for (Depth), read in O(1).

@@ -143,6 +143,17 @@ func (cs *CountSketch) StageBinary(data []byte) (func(), error) {
 	}, nil
 }
 
+// FoldCounters folds every counter, row by row, into the running digest
+// h (wire.Fingerprint) and returns it: the counters alone, not the tracked
+// candidates, so two sketches of one seed that ingested the same multiset
+// in any order, or in merged pieces, fold to the same value by linearity.
+func (cs *CountSketch) FoldCounters(h uint64) uint64 {
+	for _, c := range cs.flat {
+		h = wire.Fingerprint(h, uint64(c))
+	}
+	return h
+}
+
 // TrackedItems returns the identities currently held by the top-k tracker
 // (nil when the sketch was built without one). Exposed for merge logic.
 func (cs *CountSketch) TrackedItems() []uint64 {

@@ -39,6 +39,11 @@ type CellResult struct {
 	PointK       int     `json:"point_k"`
 	PointMeanErr float64 `json:"point_mean_err"`
 	PointMaxErr  float64 `json:"point_max_err"`
+	// The final state's counters digest (hex) and a level's tracker
+	// capacity (workload.BenchResult), for the report's equality section:
+	// empty and 0 for a windowed run.
+	Counters string `json:"counters,omitempty"`
+	Tracker  int    `json:"tracker,omitempty"`
 	// Wall-clock timing: real measurements, NOT deterministic. Kept in
 	// the per-cell files; surfaced only by the report's -timing opt-in.
 	ElapsedNS     int64   `json:"elapsed_ns,omitempty"`
@@ -69,9 +74,10 @@ func RunCell(cfg Config, index int) (CellResult, error) {
 	}
 	opts := cfg.Spec.Options
 	opts.Eps = cell.Eps
+	scfg := cfg.stream(cell)
 	res, err := workload.RunBench(workload.BenchSpec{
 		Generator: gen,
-		Cfg:       cfg.Stream,
+		Cfg:       scfg,
 		G:         g,
 		Opts:      opts,
 		Backend:   cell.Backend,
@@ -82,9 +88,13 @@ func RunCell(cfg Config, index int) (CellResult, error) {
 	if err != nil {
 		return CellResult{}, fmt.Errorf("sweep: cell %d (%s): %w", index, cell.ID(), err)
 	}
-	mean, max, err := pointQueryErrs(cfg, gen)
+	mean, max, err := pointQueryErrs(cfg, scfg, gen)
 	if err != nil {
 		return CellResult{}, fmt.Errorf("sweep: cell %d (%s): %w", index, cell.ID(), err)
+	}
+	var counters string
+	if res.Tracker > 0 {
+		counters = fmt.Sprintf("%016x", res.Counters)
 	}
 	return CellResult{
 		Cell:          cell,
@@ -101,19 +111,21 @@ func RunCell(cfg Config, index int) (CellResult, error) {
 		PointK:        cfg.PointK,
 		PointMeanErr:  mean,
 		PointMaxErr:   max,
+		Counters:      counters,
+		Tracker:       res.Tracker,
 		ElapsedNS:     res.Elapsed.Nanoseconds(),
 		UpdatesPerSec: res.UpdatesPerSec,
 	}, nil
 }
 
-// pointQueryErrs ingests the cell's flat stream into a CountSketch drawn
+// pointQueryErrs ingests the cell's flat stream (scfg) into a CountSketch drawn
 // from the sweep's sketch seed and scores the PointK largest true items:
 // relative error of EstimateItem against the exact frequency, mean and
 // max. The sketch is opened through the backend registry (countsketch
 // kind, default 5x1024 geometry), so this is exactly the sketch the
 // adversarial generator targets when it aims at Spec.Options.Seed.
-func pointQueryErrs(cfg Config, gen workload.Generator) (mean, max float64, err error) {
-	s := gen.Generate(cfg.Stream)
+func pointQueryErrs(cfg Config, scfg workload.Config, gen workload.Generator) (mean, max float64, err error) {
+	s := gen.Generate(scfg)
 	e, err := backend.Open(backend.Spec{
 		Kind:    backend.KindCountSketch,
 		Options: core.Options{N: s.N(), M: cfg.Spec.Options.M, Seed: cfg.Spec.Options.Seed},

@@ -34,6 +34,10 @@ type Config struct {
 	Eps []float64 `json:"eps"`
 	// Workers lists the shard/daemon counts to sweep. Empty means [1].
 	Workers []int `json:"workers,omitempty"`
+	// Items lists stream sizes to sweep, each in place of Stream.Items for
+	// its cells (which are then labelled with it). Empty sweeps
+	// Stream.Items alone.
+	Items []int `json:"items,omitempty"`
 	// Alpha overrides the skew exponent of the skew-parameterized
 	// scenarios (zipf, bursty, permuted, diurnal). 0 keeps the
 	// per-generator defaults.
@@ -141,6 +145,11 @@ func (c Config) Normalize() (Config, error) {
 			return Config{}, fmt.Errorf("sweep: workers must be non-negative, got %d", w)
 		}
 	}
+	for _, n := range c.Items {
+		if n <= 0 {
+			return Config{}, fmt.Errorf("sweep: items must be positive, got %d", n)
+		}
+	}
 	if c.PointK <= 0 {
 		c.PointK = DefaultPointK
 	}
@@ -206,6 +215,7 @@ func contains(xs []string, x string) bool {
 type Cell struct {
 	Index    int     `json:"index"`
 	Workload string  `json:"workload"`
+	Items    int     `json:"items,omitempty"` // 0: Stream.Items (no Items axis)
 	Backend  string  `json:"backend"`
 	Eps      float64 `json:"eps"`
 	Workers  int     `json:"workers"`
@@ -214,26 +224,51 @@ type Cell struct {
 // ID is the cell's human-readable identity, used in the report and the
 // missing-cell listing.
 func (c Cell) ID() string {
-	return fmt.Sprintf("%s %s eps=%g w=%d", c.Workload, c.Backend, c.Eps, c.Workers)
+	return fmt.Sprintf("%s %s eps=%g w=%d", c.scenario(), c.Backend, c.Eps, c.Workers)
+}
+
+// scenario names the cell's stream: its workload, and its size when the
+// matrix has an Items axis.
+func (c Cell) scenario() string {
+	if c.Items > 0 {
+		return fmt.Sprintf("%s items=%d", c.Workload, c.Items)
+	}
+	return c.Workload
 }
 
 // Cells enumerates the matrix in deterministic order: workloads outermost
-// (as listed), then backends, eps, workers. Call it on a normalized
-// Config.
+// (as listed), then items, backends, eps, workers. Call it on a
+// normalized Config.
 func (c Config) Cells() []Cell {
+	items := c.Items
+	if len(items) == 0 {
+		items = []int{0}
+	}
 	var cells []Cell
 	for _, w := range c.Workloads {
-		for _, b := range c.Backends {
-			for _, e := range c.Eps {
-				for _, wk := range c.Workers {
-					cells = append(cells, Cell{
-						Index: len(cells), Workload: w, Backend: b, Eps: e, Workers: wk,
-					})
+		for _, n := range items {
+			for _, b := range c.Backends {
+				for _, e := range c.Eps {
+					for _, wk := range c.Workers {
+						cells = append(cells, Cell{
+							Index: len(cells), Workload: w, Items: n, Backend: b, Eps: e, Workers: wk,
+						})
+					}
 				}
 			}
 		}
 	}
 	return cells
+}
+
+// stream is the scenario configuration of cell: Stream, sized by the
+// cell's Items when the matrix has that axis.
+func (c Config) stream(cell Cell) workload.Config {
+	s := c.Stream
+	if cell.Items > 0 {
+		s.Items = cell.Items
+	}
+	return s
 }
 
 // Generator resolves a sweep workload name to a configured generator:
@@ -272,7 +307,11 @@ func (c Config) Generator(name string) (workload.Generator, error) {
 
 // Smoke returns the built-in `gsum sweep -smoke` matrix: a benign and an
 // adversarial scenario through the in-process backends, small enough for
-// a CI short-mode step.
+// a CI short-mode step, at two sizes. 256 items stay within a level's
+// tracker (385 at these options), so both backends hold the same
+// candidates and their estimates are bit-identical; 512 overflow it, so
+// they are held to equal counters and each estimate within eps of exact
+// (Report's "counters" verdict).
 func Smoke() Config {
 	c, err := Config{
 		Spec:      backend.Spec{G: "x^2"},
@@ -281,6 +320,7 @@ func Smoke() Config {
 		Backends:  []string{"serial", "sharded"},
 		Eps:       []float64{0.25},
 		Workers:   []int{2},
+		Items:     []int{256, 512},
 		PointK:    8,
 	}.Normalize()
 	if err != nil {

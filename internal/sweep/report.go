@@ -60,19 +60,19 @@ func Report(w io.Writer, cfg Config, m Merged, timing bool) error {
 	fmt.Fprintln(w, "| workload | eps | cells | estimates | equal |")
 	fmt.Fprintln(w, "|---|---|---|---|---|")
 	type groupKey struct {
-		workload string
+		scenario string
 		eps      float64
 	}
 	groups := make(map[groupKey][]CellResult)
 	var order []groupKey
 	for _, c := range m.Cells {
-		k := groupKey{c.Workload, c.Eps}
+		k := groupKey{c.scenario(), c.Eps}
 		if _, ok := groups[k]; !ok {
 			order = append(order, k)
 		}
 		groups[k] = append(groups[k], c)
 	}
-	allEqual := true
+	allEqual, byCounters := true, false
 	for _, k := range order {
 		cs := groups[k]
 		distinct := []string{}
@@ -84,11 +84,23 @@ func Report(w io.Writer, cfg Config, m Merged, timing bool) error {
 			}
 		}
 		verdict := "yes"
-		if len(distinct) != 1 {
+		switch {
+		case len(distinct) == 1:
+		case countersHold(cs):
+			verdict = "counters"
+			byCounters = true
+		default:
 			verdict = "DIVERGED"
 			allEqual = false
 		}
-		fmt.Fprintf(w, "| %s | %s | %d | %s | %s |\n", k.workload, fmtG(k.eps), len(cs), strings.Join(distinct, ", "), verdict)
+		fmt.Fprintf(w, "| %s | %s | %d | %s | %s |\n", k.scenario, fmtG(k.eps), len(cs), strings.Join(distinct, ", "), verdict)
+	}
+	if byCounters {
+		fmt.Fprintln(w)
+		fmt.Fprintln(w, "`counters`: the group's streams have more distinct items than a level's")
+		fmt.Fprintln(w, "tracker holds, so which candidates survive depends on how the stream was")
+		fmt.Fprintln(w, "cut. Its cells hold equal counters (by linearity) and every estimate is")
+		fmt.Fprintln(w, "within eps of exact.")
 	}
 	if !allEqual {
 		fmt.Fprintln(w)
@@ -118,6 +130,19 @@ func Report(w io.Writer, cfg Config, m Merged, timing bool) error {
 		}
 	}
 	return nil
+}
+
+// countersHold reports whether a group whose estimates differ still keeps
+// the contract for streams past tracker capacity: every cell overflowed
+// its trackers, all share one counters digest, and every estimate is
+// within eps of exact.
+func countersHold(cs []CellResult) bool {
+	for _, c := range cs {
+		if c.Counters == "" || c.Distinct <= c.Tracker || c.Counters != cs[0].Counters || !(c.RelErr <= c.Eps) {
+			return false
+		}
+	}
+	return true
 }
 
 // fmtG formats a float the way the whole report does: shortest

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -286,7 +287,9 @@ func TestAdversarialCellDegradesPointQueries(t *testing.T) {
 // TestRunFansOutProcesses: the full fan-out across real worker
 // processes completes the smoke matrix, and a rerun into a fresh
 // directory produces a byte-identical report — determinism across
-// process boundaries, not just within one.
+// process boundaries, not just within one. Each size keeps its contract:
+// the cells within tracker capacity agree on the estimate bit for bit,
+// the ones past it on the counters digest, each estimate within eps.
 func TestRunFansOutProcesses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
@@ -295,6 +298,7 @@ func TestRunFansOutProcesses(t *testing.T) {
 	base := t.TempDir()
 	cfgPath := writeConfig(t, base, cfg)
 
+	var cells []CellResult
 	render := func(dir string) string {
 		res, err := Run(cfg, dir, testLauncher(cfgPath, dir, ""))
 		if err != nil {
@@ -306,6 +310,7 @@ func TestRunFansOutProcesses(t *testing.T) {
 		if !res.Merged.Complete() {
 			t.Fatalf("missing cells: %v", res.Merged.Missing)
 		}
+		cells = res.Merged.Cells
 		var buf bytes.Buffer
 		if err := Report(&buf, cfg, res.Merged, false); err != nil {
 			t.Fatal(err)
@@ -319,6 +324,39 @@ func TestRunFansOutProcesses(t *testing.T) {
 	}
 	if !strings.Contains(first, "| yes |") || strings.Contains(first, "DIVERGED") {
 		t.Errorf("equality section did not verify:\n%s", first)
+	}
+
+	type group struct {
+		workload string
+		items    int
+	}
+	first0 := map[group]CellResult{}
+	var within, past int
+	for _, c := range cells {
+		g := group{c.Workload, c.Items}
+		ref, seen := first0[g]
+		if !seen {
+			first0[g] = c
+			ref = c
+		}
+		if c.Counters == "" || c.Counters != ref.Counters {
+			t.Errorf("%s: counters %q, %s's %q", c.ID, c.Counters, ref.ID, ref.Counters)
+		}
+		if c.Distinct <= c.Tracker {
+			within++
+			if c.Estimate != ref.Estimate {
+				t.Errorf("%s: estimate %v, %s's %v: within tracker capacity (%d of %d)",
+					c.ID, c.Estimate, ref.ID, ref.Estimate, c.Distinct, c.Tracker)
+			}
+		} else {
+			past++
+			if !(c.RelErr <= c.Eps) {
+				t.Errorf("%s: rel err %v past eps %v", c.ID, c.RelErr, c.Eps)
+			}
+		}
+	}
+	if within == 0 || past == 0 {
+		t.Errorf("smoke matrix has %d cells within tracker capacity and %d past it, want both", within, past)
 	}
 }
 
@@ -394,5 +432,41 @@ func TestTimingOptIn(t *testing.T) {
 	}
 	if !strings.Contains(timed.String(), "Throughput") {
 		t.Error("-timing report lacks the wall-clock section")
+	}
+}
+
+// TestReportCountersVerdict: a group whose estimates differ passes as
+// `counters` only when every cell overflowed its trackers, all share one
+// counters digest and every estimate is within eps of exact; otherwise it
+// diverged.
+func TestReportCountersVerdict(t *testing.T) {
+	cfg := goldenConfig()
+	cfg.Backends = []string{"serial", "sharded"}
+	cell := func(i int, backend string, est float64, distinct int, counters string) CellResult {
+		return CellResult{
+			Cell:     Cell{Index: i, Workload: "zipf", Backend: backend, Eps: 0.25, Workers: 1},
+			Distinct: distinct, Exact: 100, Estimate: est, RelErr: math.Abs(est-100) / 100,
+			Counters: counters, Tracker: 385,
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		a, b CellResult
+		want string
+	}{
+		{"equal estimates", cell(0, "serial", 101, 512, "aa"), cell(1, "sharded", 101, 512, "bb"), "| yes |"},
+		{"past capacity, equal counters", cell(0, "serial", 101, 512, "aa"), cell(1, "sharded", 102, 512, "aa"), "| counters |"},
+		{"past capacity, other counters", cell(0, "serial", 101, 512, "aa"), cell(1, "sharded", 102, 512, "bb"), "DIVERGED"},
+		{"past capacity, past eps", cell(0, "serial", 101, 512, "aa"), cell(1, "sharded", 130, 512, "aa"), "DIVERGED"},
+		{"within capacity", cell(0, "serial", 101, 256, "aa"), cell(1, "sharded", 102, 256, "aa"), "DIVERGED"},
+	} {
+		m := Merged{Total: 2, Cells: []CellResult{tc.a, tc.b}}
+		var buf bytes.Buffer
+		if err := Report(&buf, cfg, m, false); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(buf.String(), tc.want) {
+			t.Errorf("%s: report lacks %q:\n%s", tc.name, tc.want, buf.String())
+		}
 	}
 }

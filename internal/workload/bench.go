@@ -81,6 +81,14 @@ type BenchResult struct {
 	Window     int
 	LastTick   uint64
 	StaleTicks uint64
+	// For a recursive stack (backend.Layered; 0 otherwise): the digest of
+	// its counters alone, equal across backends and worker counts by
+	// linearity, and a level's tracker capacity. A stream with more
+	// distinct items than Tracker overflows the trackers, whose candidate
+	// sets then depend on how the stream was cut, so only Counters is
+	// then held equal across backends, not the Estimate.
+	Counters uint64
+	Tracker  int
 }
 
 // spec assembles the one backend.Spec a run resolves everything
@@ -184,17 +192,31 @@ func RunBench(spec BenchSpec) (BenchResult, error) {
 		Window:        spec.Window,
 		LastTick:      ts.LastTick(),
 		StaleTicks:    run.stale,
+		Counters:      run.counters,
+		Tracker:       run.tracker,
 	}, nil
 }
 
 // benchRun is what one runner measured: the estimate, the state's
-// bytes, the stale ticks the estimate still covers (windowed runs), and
-// the time from the first update in to the estimate out.
+// bytes, the stale ticks the estimate still covers (windowed runs), the
+// time from the first update in to the estimate out, and the final
+// state's counters digest and tracker capacity (BenchResult).
 type benchRun struct {
-	est     float64
-	space   int
-	stale   uint64
-	elapsed time.Duration
+	est      float64
+	space    int
+	stale    uint64
+	elapsed  time.Duration
+	counters uint64
+	tracker  int
+}
+
+// layered fills run's counters digest and tracker capacity from e, if e
+// is one recursive stack.
+func (run *benchRun) layered(e backend.Estimator) {
+	if l, ok := e.(backend.Layered); ok {
+		_, _, run.tracker = l.Depth()
+		run.counters = l.CountersDigest()
+	}
 }
 
 // runInProcess opens sp and ingests the stream in this process. A
@@ -222,7 +244,9 @@ func runInProcess(ts *TickedStream, sp backend.Spec) (benchRun, error) {
 		return benchRun{}, err
 	}
 	est := e.Estimate()
-	return benchRun{est: est, space: e.SpaceBytes(), stale: stale, elapsed: time.Since(start)}, nil
+	run := benchRun{est: est, space: e.SpaceBytes(), stale: stale, elapsed: time.Since(start)}
+	run.layered(e)
+	return run, nil
 }
 
 // runDaemon exercises the full distributed topology in-process:
@@ -319,5 +343,22 @@ func runDaemon(ts *TickedStream, spec BenchSpec, sp backend.Spec, workers int) (
 	if err != nil {
 		return benchRun{}, fmt.Errorf("workload: coordinator config: %w", err)
 	}
-	return benchRun{est: est, space: info.SpaceBytes, stale: stale, elapsed: elapsed}, nil
+	run := benchRun{est: est, space: info.SpaceBytes, stale: stale, elapsed: elapsed}
+	// A stack's counters, read off the coordinator's snapshot restored
+	// into a fresh sketch of the same Spec.
+	restored, err := backend.Open(sp)
+	if err != nil {
+		return benchRun{}, err
+	}
+	if _, ok := restored.(backend.Layered); ok {
+		snap, err := coord.Client.SnapshotContext(ctx)
+		if err == nil {
+			err = restored.UnmarshalBinary(snap)
+		}
+		if err != nil {
+			return benchRun{}, fmt.Errorf("workload: coordinator snapshot: %w", err)
+		}
+		run.layered(restored)
+	}
+	return run, nil
 }
