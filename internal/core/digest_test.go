@@ -22,9 +22,11 @@ import (
 // version 3 (PR 27: heavy.dims' rows from the measured frontier, 5 rows of
 // 4096 buckets a level where there were 7), once more, and layout version
 // 4 (PR 29: the same counters as zigzag varints with zero runs), once
-// more; CHANGES.md has the values before and after each.
+// more, and layout version 5 (PR 40: half the buckets, the pruning
+// window's fixed point, tracked ids through the id codec), once more;
+// CHANGES.md has the values before and after each.
 func TestOnePassStateDigest(t *testing.T) {
-	const want = "8561fdef86654fce418865eec41c2f5177b8637f8c40b1c511d7f40222715abb"
+	const want = "5499b6dcc2374593bfd083eda0c59c04cae972c9d1ab351ecdbb8903b3bacf6e"
 	rng := util.NewSplitMix64(0x16d1635)
 	ups := make([]stream.Update, 1<<16)
 	for i := range ups {

@@ -344,8 +344,8 @@ func TestPusherMetrics(t *testing.T) {
 // holds now (a restore swaps it), and absent from a kind that is not.
 func TestSketchDepthIsObservable(t *testing.T) {
 	// Trackers of 2H/(λ/3) + 1 = 385 over N = 2^12: ⌈log2(4096/385)⌉ + 1 = 5.
-	// ⌈2 ln(1/(δ/2))⌉ = 5 rows of 16H/(λ/3) = 3072 buckets, rounded up.
-	const levels, capacity, rows, buckets = 5, 385, 5, 4096
+	// ⌈2 ln(1/(δ/2))⌉ = 5 rows of 8H/(λ/3) = 1536 buckets, rounded up.
+	const levels, capacity, rows, buckets = 5, 385, 5, 2048
 	whole := make([]stream.Update, 1<<12)
 	for i := range whole {
 		whole[i] = stream.Update{Item: uint64(i), Delta: 1}

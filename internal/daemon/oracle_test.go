@@ -170,7 +170,7 @@ func (seq sequence) literal() string {
 }
 
 // state is what a door shows at the end of a sequence (no snapshot for
-// twopass, whose bytes secondPass checks after the first pass).
+// twopass, whose bytes secondPass checks after each pass).
 type state struct {
 	counters [][]int64
 	snapshot []byte
@@ -329,10 +329,9 @@ func runSequence(seq sequence, open opener) (err error) {
 
 // secondPass finishes a twopass subject and replay, and holds
 // backend.Process (RunParallel at the Spec's Workers) of the whole
-// multiset to the replay. A candidate set is written in its tracker's
-// TopK order, which ties leave to the history, so snapshot bytes are
-// compared after the first pass; after the second, the counters (the
-// tabulation's keys are the set) and the estimate are.
+// multiset to the replay. While the trackers hold every item, snapshot
+// bytes are compared after each pass: a candidate set is written
+// ascending by id, so its bytes are the set's, whatever history built it.
 func secondPass(seq sequence, spec backend.Spec, subject, replay backend.Estimator, kept []stream.Update) error {
 	if !seq.Wide && !bytes.Equal(marshal(subject), marshal(replay)) {
 		return fmt.Errorf("first-pass snapshot differs from the serial replay's")
@@ -344,6 +343,9 @@ func secondPass(seq sequence, spec backend.Spec, subject, replay backend.Estimat
 	for _, u := range kept {
 		replay.Update(u.Item, u.Delta)
 	}
+	if !seq.Wide && !bytes.Equal(marshal(subject), marshal(replay)) {
+		return fmt.Errorf("second-pass snapshot differs from the serial replay's")
+	}
 	p, err := backend.Open(spec)
 	if err != nil {
 		return err
@@ -351,7 +353,7 @@ func secondPass(seq sequence, spec backend.Spec, subject, replay backend.Estimat
 	if err := backend.Process(p, streamOf(kept)); err != nil {
 		return err
 	}
-	if err := compare(seq, state{counters: counters(p), estimate: p.Estimate()}, replay); err != nil {
+	if err := compare(seq, state{counters: counters(p), snapshot: marshal(p), estimate: p.Estimate()}, replay); err != nil {
 		return fmt.Errorf("twopass Process at %d workers: %w", seq.Workers, err)
 	}
 	return nil

@@ -178,7 +178,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamLoop reads, applies, and acks frames until the client closes,
-// an error ends the session, or the daemon drains.
+// an error ends the session, or the daemon drains. It runs on a goroutine
+// of its own, where net/http does not recover a panic, so it recovers one
+// itself: a panic while applying a frame fails the session the way a
+// refused frame does — an error ack naming the panic, counted in
+// gsumd_stream_rejected_frames_total — and the daemon serves on. That
+// frame is not acked, and its batch may be partly applied, as a panic
+// leaves a /v1/ingest batch.
 func (s *Server) streamLoop(conn net.Conn, bufrw *bufio.ReadWriter) {
 	st := &s.streams
 	defer st.remove(conn)
@@ -201,6 +207,12 @@ func (s *Server) streamLoop(conn net.Conn, bufrw *bufio.ReadWriter) {
 		_ = sendAck(wire.IngestAck{Seq: lastSeq, Total: lastTotal,
 			Status: wire.IngestAckError, Msg: err.Error()})
 	}
+	var current uint64 // the frame in hand
+	defer func() {
+		if r := recover(); r != nil {
+			fail(fmt.Errorf("daemon: frame %d: panic: %v (its batch may be partly applied)", current, r))
+		}
+	}()
 
 	for {
 		// A drain must end the session after the frame in hand even if
@@ -240,6 +252,7 @@ func (s *Server) streamLoop(conn net.Conn, bufrw *bufio.ReadWriter) {
 			fail(fmt.Errorf("daemon: stream frame: %w", err))
 			return
 		}
+		current = seq
 		if st.applyDelay > 0 {
 			time.Sleep(st.applyDelay)
 		}

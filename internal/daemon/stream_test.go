@@ -3,6 +3,7 @@ package daemon
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"net/http/httptest"
 	"net/url"
@@ -341,5 +342,71 @@ func TestDialAddr(t *testing.T) {
 		if got := dialAddr(u); got != want {
 			t.Errorf("%s dials %q, want %q", base, got, want)
 		}
+	}
+}
+
+// panicOn is an estimator that panics when a batch carries item.
+type panicOn struct {
+	backend.Estimator
+	item uint64
+}
+
+func (p panicOn) UpdateBatch(batch []stream.Update) {
+	for _, u := range batch {
+		if u.Item == p.item {
+			panic(fmt.Sprintf("poisoned item %d", u.Item))
+		}
+	}
+	p.Estimator.UpdateBatch(batch)
+}
+
+// TestStreamPanicFailsTheSessionOnly: a panic while applying a frame runs
+// on the stream's own goroutine, where net/http recovers nothing. It must
+// fail that session with the panic's message, counted as a rejected
+// frame, and leave the daemon serving: /v1/config answers and another
+// stream still ingests.
+func TestStreamPanicFailsTheSessionOnly(t *testing.T) {
+	spec := backend.Spec{Kind: backend.KindOnePass, G: "x^2", Options: testOptions(7)}
+	srv, c := streamServer(t, spec)
+	srv.est = panicOn{Estimator: srv.est, item: 13}
+	ctx := context.Background()
+
+	p, err := c.NewPusher(ctx, PusherConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Push([]stream.Update{{Item: 12, Delta: 1}, {Item: 13, Delta: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err == nil || !strings.Contains(err.Error(), "poisoned item 13") {
+		t.Fatalf("a frame that panics: Close = %v, want the panic's message", err)
+	}
+	if got := srv.obs.streamRejects.Value(); got != 1 {
+		t.Errorf("gsumd_stream_rejected_frames_total = %d after the panic, want 1", got)
+	}
+
+	if _, err := c.ConfigContext(ctx); err != nil {
+		t.Fatalf("/v1/config after a stream's panic: %v", err)
+	}
+	p, err = c.NewPusher(ctx, PusherConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := c.ConfigContext(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Push([]stream.Update{{Item: 1, Delta: 2}, {Item: 2, Delta: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatalf("a second stream after the panic: %v", err)
+	}
+	after, err := c.ConfigContext(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Ingested != before.Ingested+2 {
+		t.Errorf("the second stream ingested %d updates, want 2", after.Ingested-before.Ingested)
 	}
 }

@@ -112,14 +112,15 @@ type sizing struct {
 
 var dimsSizing = sizing{
 	// The analysis': a point query errs by about √(F2/b), so b ∝ H/λ finds
-	// a λ/H-heavy item and b ∝ H/(λε²) reads it to 1±ε. Measured: sizing
-	// v2's 16 and 1, kept. Every N = 2^14 cell clears 1 − δ at a quarter of
-	// this width; the flat stream at N = 2^20 clears at half of it and
-	// loses the aggregate on 40 seeds of 40 at a quarter (the pruning
-	// window's residual, OnePass.ErrorWindow) — a 2x margin here, none at
-	// half, which is also where the referee's short seeds and the sweep's
-	// smoke matrix stop agreeing with their records.
-	idWidth: 16, epsWidth: 1,
+	// a λ/H-heavy item and b ∝ H/(λε²) reads it to 1±ε. Measured
+	// (EXPERIMENTS.md, "Spending the ledger, round 5"): the knee is at a
+	// quarter of sizing v2's 16 and 1 — with the pruning window's fixed
+	// point (OnePass.ErrorWindow) every cell of the walk and the flat
+	// stream of 2^22 items clear 1 − δ there, and the flat stream loses
+	// its window at an eighth — so the shipped terms are twice the knee's,
+	// a stated 2x margin: half of v2's, 5 rows of 2048 buckets a level at
+	// the benchmark's options (layout version 5; version 4 shipped v2's).
+	idWidth: 8, epsWidth: 0.5,
 	// The analysis': at most H/λ items are λ/H-heavy for F2; twice that
 	// rides out the tracker's churn. Measured to be the cheap side — a
 	// stack's depth follows it (recursive.Depth), so half the tracker is

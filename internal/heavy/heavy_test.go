@@ -42,7 +42,8 @@ func TestExactHeavyDefinition(t *testing.T) {
 // entry in 1 ± ε, is recorded, not held to the rate: it is what moved
 // when the sizing did (the entries it loses are frequency-2 and -3 items
 // read one unit off, see OnePass.ErrorWindow), and the counts at sizing
-// v2 and at the shipped one are constants of the commit.
+// v2, at layout version 4's width and at the shipped one are constants
+// of the commit.
 func TestOnePassCoverFindsExactHeavy(t *testing.T) {
 	const (
 		seeds       = 100
@@ -57,15 +58,18 @@ func TestOnePassCoverFindsExactHeavy(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		sizing   string
+		set      func() (restore func())
 		perEntry int // seeds on which every cover entry is in 1 ± ε
 	}{
-		{"v2", 99},  // ⌈2 ln(2/0.05)⌉ made odd = 9 rows × 4096, tracker 481
-		{"v3", 100}, // 7 × 4096, tracker 481
+		// ⌈2 ln(2/0.05)⌉ made odd = 9 rows × 4096, tracker 481
+		{"v2", func() func() { return SetSizing(9, 1, 2) }, 99},
+		// 7 × 4096, tracker 481: versions 3 and 4
+		{"v4", func() func() { return SetSizing(7, 1, 2) }, 100},
+		// 7 × 2048, tracker 481: the entries lost are frequency-2 and -3
+		// items read a unit off (OnePass.ErrorWindow)
+		{"v5", func() func() { return func() {} }, 85},
 	} {
-		restore := func() {}
-		if tc.sizing == "v2" {
-			restore = SetSizing(9, 1, 2)
-		}
+		restore := tc.set()
 		var hits [3]int
 		for seed := uint64(1); seed <= seeds; seed++ {
 			s, freqs := skewedStream(seed)
@@ -219,7 +223,7 @@ func TestCoverHelpers(t *testing.T) {
 
 // TestDimsTable pins the shipped sizing: rows ⌈2 ln(1/δ)⌉, at least 5,
 // made odd; buckets the power of two at or above widthFactor ·
-// max(16H/λ, H/(λε²)) (at least 8); candidates ⌈2H/λ⌉ + 1. One rounding,
+// max(8H/λ, H/(2λε²)) (at least 8); candidates ⌈2H/λ⌉ + 1. One rounding,
 // upward, so a width factor never builds a narrower sketch than it names
 // and factors a power of two apart never build the same one.
 func TestDimsTable(t *testing.T) {
@@ -230,23 +234,24 @@ func TestDimsTable(t *testing.T) {
 		topk                      int
 	}{
 		// The benchmark's level: Algorithm 2 at ε 0.25, δ 0.2 → δ/2,
-		// λ 1/16 → λ/3, H 4. Sizing v2 built 7 rows of the same.
-		{1.0 / 48, 0.25, 0.1, 4, 1, 5, 4096, 385},        // 3072
-		{1.0 / 48, 0.25, 0.1, 4, 2, 5, 8192, 385},        // 6144
-		{1.0 / 48, 0.25, 0.1, 4, 0.75, 5, 4096, 385},     // 2304: the plateau under 1 ends at 2/3
-		{1.0 / 48, 0.25, 0.1, 4, 0.5, 5, 2048, 385},      // 1536
-		{1.0 / 48, 0.25, 0.1, 4, 0.375, 5, 2048, 385},    // 1152
-		{1.0 / 48, 0.25, 0.1, 4, 0.25, 5, 1024, 385},     // 768
+		// λ 1/16 → λ/3, H 4. Sizing v2 built 7 rows of twice the width,
+		// layout version 4 5 rows of twice the width.
+		{1.0 / 48, 0.25, 0.1, 4, 1, 5, 2048, 385},        // 1536
+		{1.0 / 48, 0.25, 0.1, 4, 2, 5, 4096, 385},        // 3072
+		{1.0 / 48, 0.25, 0.1, 4, 0.75, 5, 2048, 385},     // 1152: the plateau under 1 ends at 2/3
+		{1.0 / 48, 0.25, 0.1, 4, 0.5, 5, 1024, 385},      // 768
+		{1.0 / 48, 0.25, 0.1, 4, 0.375, 5, 1024, 385},    // 576
+		{1.0 / 48, 0.25, 0.1, 4, 0.25, 5, 512, 385},      // 384
 		{1.0 / 48, 0.25, 0.1, 4, 0.001, 5, 8, 385},       // the floor
-		{1.0 / 48, 0.25, 0.1, 0.5, 1, 5, 1024, 97},       // H below 1 is 1: 768
-		{1.0 / 48, 0.1, 0.1, 4, 1, 5, 32768, 385},        // ε takes over below 1/4: 19200
-		{1.0 / 48, 0.25, 0.05, 4, 1, 7, 4096, 385},       // δ 0.1 → δ/2: ⌈5.99⌉ = 6, made odd; v2 9
-		{1.0 / 48, 0.25, 0.005, 4, 1, 11, 4096, 385},     // ⌈10.6⌉; v2 13
-		{1.0 / 48, 0.25, 0.45, 4, 1, 5, 4096, 385},       // ⌈1.6⌉ = 2: the floor of 5
-		{1.0 / 32, 1.0 / 3, 0.2, 4, 1, 5, 2048, 257},     // Algorithm 1 at the same options: λ/2, ε = 1/3, δ whole; as v2
-		{1.0 / 32, 1.0 / 3, 0.2, 3.998, 1, 5, 2048, 257}, // x²'s measured envelope at M = 2^12: 2047; as v2
-		{1.0 / 60, 0.25, 0.05, 4, 1, 7, 4096, 481},       // heavy_test.go's skewed stream (λ 0.05, δ 0.1): 3840; v2 9 rows
-		{1, 0.25, 0.1, 1, 1, 5, 16, 3},                   // λ = 1
+		{1.0 / 48, 0.25, 0.1, 0.5, 1, 5, 512, 97},        // H below 1 is 1: 384
+		{1.0 / 48, 0.1, 0.1, 4, 1, 5, 16384, 385},        // ε takes over below 1/4: 9600
+		{1.0 / 48, 0.25, 0.05, 4, 1, 7, 2048, 385},       // δ 0.1 → δ/2: ⌈5.99⌉ = 6, made odd; v2 9
+		{1.0 / 48, 0.25, 0.005, 4, 1, 11, 2048, 385},     // ⌈10.6⌉; v2 13
+		{1.0 / 48, 0.25, 0.45, 4, 1, 5, 2048, 385},       // ⌈1.6⌉ = 2: the floor of 5
+		{1.0 / 32, 1.0 / 3, 0.2, 4, 1, 5, 1024, 257},     // Algorithm 1 at the same options: λ/2, ε = 1/3, δ whole: 1024
+		{1.0 / 32, 1.0 / 3, 0.2, 3.998, 1, 5, 1024, 257}, // x²'s measured envelope at M = 2^12: 1023.4
+		{1.0 / 60, 0.25, 0.05, 4, 1, 7, 2048, 481},       // heavy_test.go's skewed stream (λ 0.05, δ 0.1): 1920; v2 9 rows
+		{1, 0.25, 0.1, 1, 1, 5, 8, 3},                    // λ = 1: 8, the floor
 	} {
 		rows, buckets, topk := dims(tc.lambda, tc.eps, tc.delta, tc.h, tc.wf)
 		if rows != tc.rows || buckets != tc.buckets || topk != tc.topk {

@@ -97,31 +97,61 @@ func (o *OnePass) Apply(b *sketch.Batch) {
 // see sketch.CountSketch.EstimateF2), so Algorithm 2 needs no second
 // structure.
 //
-// A blind spot, measured (EXPERIMENTS.md, "Spending the ledger, round 4"):
-// the residual is F̂2 less the tracked candidates' squares. (1) A tracker
-// holding every item of the stream leaves 0 and no window, yet tracked
-// items share a row's bucket with each other with probability about k/b
-// (0.07 at the 300/4096 of heavy_test.go's skewed stream, 0.15 at half
-// that width; 0.09 and 0.19 at the benchmark level's 385), and a
-// frequency-2 or -3 item with most rows shared reads a unit off, outside
-// 1 ± ε: an entry in a thousand at the narrower width. (2) On a flat
-// stream the candidates are the largest of 10^5 noisy estimates: their
-// squares are a third of F̂2 at 5 × 4096 (0.30–0.34 from 2^18 to 2^22
-// items; a quarter at v2's 7 rows), two thirds at 5 × 2048, and past 1 —
-// window 0, nothing pruned, the estimate lost — at 5 × 1024 or 3 × 2048.
-// Light entries in (1): Σ|w − g(v)| over the cover stays inside ε·g-SUM,
-// all Theorem 13 takes from a cover, and what the tests hold.
+// The tail is F̂2 less the squares of the candidates that stand clear of
+// the window they imply: the fixed point of
+//
+//	w ← windowOf(F̂2 − Σ_{|v̂| > τ·w} v̂², b),  from w = windowOf(F̂2, b),
+//
+// with τ = windowTau. Each step can only narrow the window and so admit
+// more candidates, and the candidates come in decreasing |v̂| (TopK), so
+// the ones subtracted are a prefix and the walk takes one step per
+// candidate at most. Subtracting every tracked candidate instead (layout
+// version 4) fails on a flat stream (EXPERIMENTS.md, "Spending the
+// ledger", rounds 4 and 5): there the candidates are the largest of 10^5
+// noisy estimates, their squares are a third of F̂2 at 5 × 4096 (0.30–0.34
+// from 2^18 to 2^22 items), two thirds at 5 × 2048, and past 1 — window 0,
+// nothing pruned, the estimate lost — at 5 × 1024. Noise sits within a
+// window or so of zero, so the fixed point leaves it in the tail; a heavy
+// item stands clear and comes out. A tracker holding every item of a
+// stream still leaves a window near 0, and a frequency-2 or -3 item
+// whose rows are shared with other tracked items reads a unit off,
+// outside 1 ± ε: per-entry D in TestOnePassCoverFindsExactHeavy. Those
+// entries are light: Σ|w − g(v)| over the cover stays inside ε·g-SUM, all
+// Theorem 13 takes from a cover, and what the tests hold.
 func (o *OnePass) ErrorWindow() int64 {
 	return o.errorWindow(o.cs.TopK())
 }
 
+// windowTau is τ, how many windows clear of zero a candidate's estimate
+// must stand for its square to leave the tail. Priced on the sizing
+// frontier (EXPERIMENTS.md, "Spending the ledger, round 5"): at 1 the
+// flat stream at a quarter width loses its window as before; 1.5 and 2
+// keep it; 2 misses the referee's adversarial cells at half width, and 3
+// or more its uniform ones.
+const windowTau = 1.5
+
+// errorWindow is ErrorWindow over cands, in decreasing |Est| (TopK's
+// order).
 func (o *OnePass) errorWindow(cands []sketch.Candidate) int64 {
-	f2 := o.cs.EstimateF2()
-	for _, c := range cands {
-		e := float64(c.Est)
-		f2 -= e * e
+	tail := o.cs.EstimateF2()
+	b := o.cs.Buckets()
+	w := windowOf(tail, b)
+	for k := 0; k < len(cands); {
+		next := k
+		for ; next < len(cands); next++ {
+			e := math.Abs(float64(cands[next].Est))
+			if !(e > windowTau*float64(w)) {
+				break
+			}
+			tail -= e * e
+		}
+		if next == k {
+			break
+		}
+		k = next
+		w = windowOf(tail, b)
 	}
-	return windowOf(f2, o.cs.Buckets())
+	return w
 }
 
 // windowOf is the error window 2√(F2tail/b) as a whole number of

@@ -72,7 +72,8 @@ func (t *TwoPass) Fingerprint() uint64 {
 
 // MarshalBinary serializes the full Algorithm 1 state: the first-pass
 // CountSketch, the extracted candidate identities (empty before
-// FinishPass1), and their second-pass tabulations.
+// FinishPass1; ascending, through the id codec wire.Writer.IDs), and
+// their second-pass tabulations in the same order.
 func (t *TwoPass) MarshalBinary() ([]byte, error) {
 	var w wire.Writer
 	w.Header(twoPassMagic, t.Fingerprint())
@@ -81,7 +82,7 @@ func (t *TwoPass) MarshalBinary() ([]byte, error) {
 		return nil, err
 	}
 	w.Blob(blob)
-	w.U64s(t.cands)
+	w.IDs(t.cands)
 	counts := make([]int64, len(t.cands))
 	for i, it := range t.cands {
 		counts[i] = t.counts[it]
@@ -107,7 +108,7 @@ func (t *TwoPass) StageBinary(data []byte) (func(), error) {
 		return nil, fmt.Errorf("heavy: TwoPass: %w", err)
 	}
 	blob := r.Blob()
-	cands := r.U64s()
+	cands := r.IDs()
 	counts := r.I64s()
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("heavy: TwoPass: %w", err)

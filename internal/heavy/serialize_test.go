@@ -192,7 +192,7 @@ func TestTwoPassSnapshotRefusesForeignCandidates(t *testing.T) {
 			t.Fatal(err)
 		}
 		w.Blob(blob)
-		w.U64s(cands)
+		w.IDs(cands)
 		w.I64s(counts)
 		return w.Bytes()
 	}

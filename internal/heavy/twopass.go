@@ -2,6 +2,7 @@ package heavy
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/gfunc"
 	"repro/internal/sketch"
@@ -69,12 +70,15 @@ func (t *TwoPass) Pass1(item uint64, delta int64) {
 }
 
 // FinishPass1 extracts the candidate identities, discarding the estimated
-// frequencies exactly as Algorithm 1 specifies.
+// frequencies exactly as Algorithm 1 specifies. They are kept ascending by
+// id, so the candidate set, not the tracker's history, decides their
+// order and a snapshot's bytes.
 func (t *TwoPass) FinishPass1() {
 	for _, c := range t.cs.TopK() {
 		t.cands = append(t.cands, c.Item)
 		t.counts[c.Item] = 0
 	}
+	slices.Sort(t.cands)
 }
 
 // Pass2 tabulates exact frequencies for the candidates.

@@ -13,7 +13,7 @@ import (
 
 // TestTwoPassStateDigest pins the full state of a two-pass recursive
 // sketch — every level's first-pass counters, the candidate identities
-// FinishPass1 extracted (in extraction order) and their second-pass
+// FinishPass1 extracted (ascending by id) and their second-pass
 // tabulations — after both passes over the stream of
 // core.TestOnePassStateDigest, each pass fed as full batches, ragged
 // batches and single updates. Recorded at efb0b66, before the batch
@@ -21,10 +21,12 @@ import (
 // version 2 (PR 21), once with version 3 (PR 27), which moved no
 // counter here — Algorithm 1's dims call resolves to 5 rows of 2048
 // buckets over 257 candidates under either sizing — only the version
-// every header carries, and once with version 4 (PR 29), which writes the
-// same first-pass counters in the row codec.
+// every header carries, once with version 4 (PR 29), which writes the
+// same first-pass counters in the row codec, and once with version 5
+// (PR 40): 5 rows of 1024 buckets, the candidates ascending through the
+// id codec.
 func TestTwoPassStateDigest(t *testing.T) {
-	const want = "2a1cc4345af693f4774203f42e4790850bd40967e81e91005eac54521341ac2a"
+	const want = "dc5f7f44dc54dbc55d99eb80b145666a6e0bd73e934010a8ca0c0b3da1e78792"
 	rng := util.NewSplitMix64(0x16d1635)
 	ups := make([]stream.Update, 1<<16)
 	for i := range ups {

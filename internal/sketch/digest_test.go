@@ -60,18 +60,20 @@ func ingestDigestStream(cs *CountSketch, ups []stream.Update) {
 // digests were re-recorded once, with that change (CHANGES.md, PR 21, has
 // the values before and after), once for layout version 3 (PR 27),
 // which moved no counter of a bare CountSketch, only the version its
-// header carries, and once for version 4 (PR 29), which moved no counter
-// either: the rows are written as zigzag varints with zero runs. With
-// raw rows and a version-3 header the tree still gives the version-3
-// digests (CHANGES.md, PR 29).
+// header carries, once for version 4 (PR 29), which moved no counter
+// either: the rows are written as zigzag varints with zero runs (with
+// raw rows and a version-3 header the tree gave the version-3 digests,
+// CHANGES.md, PR 29), and once for version 5 (PR 40), which moved no
+// counter of a bare CountSketch either: the version, and the tracked ids
+// through the id codec.
 func TestCountSketchStateDigest(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		buckets uint64
 		want    string
 	}{
-		{"mask-4096", 4096, "e7c54abbadeaf6a5f7973f2b97af87971d7a377f9c2e99ea8d63802b765155f2"},
-		{"mod-4206", 4206, "1ff5b5f3b41e45ddc76f21cbb5ff84401f3e3311e3e5913279f5ba88dd39d753"},
+		{"mask-4096", 4096, "612c3d45d92a91ede4e495772cdc3b97c57f2431a4b7125707e8623d1295a3e4"},
+		{"mod-4206", 4206, "5bef58bbd0a874a1d4b6a4b4236f1c655c2fd2f06f50fd38f494883534a66f68"},
 	} {
 		cs := NewCountSketchTopK(7, tc.buckets, 64, util.NewSplitMix64(16))
 		ingestDigestStream(cs, digestStream())

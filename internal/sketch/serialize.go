@@ -28,7 +28,7 @@ import (
 //
 //	magic u32 | version u16 | fingerprint u64
 //	rows u32 | buckets u64 | rows × row
-//	tracked u32 | tracked item ids u64...
+//	tracked item ids (wire.Writer.IDs)
 //
 // where a row (wire.Writer.Row, layout version 4) is its u32 counter
 // count, then one token per nonzero counter — the uvarint of its zigzag
@@ -43,11 +43,12 @@ import (
 // The tracked-item section carries the top-k candidate ids (when the
 // sketch was built with NewCountSketchTopK); estimates are recomputed on
 // the receiving side, so only identities travel. The ids are written in
-// ascending order — the tracker's heap layout depends on insertion
-// history, so sorting is what makes the encoding canonical: two sketches
-// holding the same counters and the same candidate SET marshal to
-// identical bytes no matter how they arrived at that state (serial
-// ingest, sharded ingest, or a chain of merges).
+// ascending order, as the id codec's gaps (layout version 5: about two
+// bytes an id where version 4 wrote eight) — the tracker's heap layout
+// depends on insertion history, so sorting is what makes the encoding
+// canonical: two sketches holding the same counters and the same
+// candidate SET marshal to identical bytes no matter how they arrived at
+// that state (serial ingest, sharded ingest, or a chain of merges).
 
 const countSketchMagic uint32 = 0x67535543 // "gSUC"
 
@@ -76,9 +77,9 @@ func (cs *CountSketch) MarshalBinary() ([]byte, error) {
 	if cs.topK != nil {
 		items := cs.topK.items()
 		sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-		w.U64s(items)
+		w.IDs(items)
 	} else {
-		w.U64s(nil)
+		w.IDs(nil)
 	}
 	return w.Bytes(), nil
 }
@@ -113,7 +114,7 @@ func (cs *CountSketch) StageBinary(data []byte) (func(), error) {
 			return nil, fmt.Errorf("sketch: row %d: %w", j, r.Err())
 		}
 	}
-	items := r.U64s()
+	items := r.IDs()
 	r.End()
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("sketch: %w", err)

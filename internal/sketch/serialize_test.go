@@ -3,6 +3,7 @@ package sketch
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -206,7 +207,9 @@ func TestRefusedUnmarshalChangesNothing(t *testing.T) {
 			w.Row(src.counts[j])
 		}
 		last(&w, src.counts[src.rows-1])
-		w.U64s(src.TrackedItems())
+		tracked := src.TrackedItems()
+		slices.Sort(tracked)
+		w.IDs(tracked)
 		return append(w.Bytes(), trailing...)
 	}
 	whole := func(w *wire.Writer, row []int64) { w.Row(row) }

@@ -55,7 +55,8 @@ func Report(w io.Writer, cfg Config, m Merged, timing bool) error {
 	fmt.Fprintln(w, "## Cross-backend equality")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "Cells sharing (workload, eps) differ only in ingestion topology; the")
-	fmt.Fprintln(w, "seed-discipline + linearity contract says their estimates are bit-identical.")
+	fmt.Fprintln(w, "seed-discipline + linearity contract says their counters are bit-identical,")
+	fmt.Fprintln(w, "and their estimates too while the trackers hold every item.")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "| workload | eps | cells | estimates | equal |")
 	fmt.Fprintln(w, "|---|---|---|---|---|")

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -200,6 +202,114 @@ func FuzzRow(f *testing.F) {
 			if got[i] != row[i] {
 				t.Fatalf("counter %d: decodes to %d, want %d", i, got[i], row[i])
 			}
+		}
+	})
+}
+
+// idBytes is an id-set header declaring n ids followed by raw varints.
+func idBytes(n uint32, varints ...byte) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, n), varints...)
+}
+
+// TestIDsRoundTrip: an ascending set decodes to itself, the extremes
+// included, and a tracker's worth of ids over a 2^20 universe takes
+// about two bytes an id.
+func TestIDsRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	tracker := make([]uint64, 0, 385)
+	seen := map[uint64]bool{}
+	for len(tracker) < cap(tracker) {
+		if id := uint64(rng.Intn(1 << 20)); !seen[id] {
+			seen[id] = true
+			tracker = append(tracker, id)
+		}
+	}
+	sort.Slice(tracker, func(i, j int) bool { return tracker[i] < tracker[j] })
+	for name, ids := range map[string][]uint64{
+		"empty":    nil,
+		"zero":     {0},
+		"extremes": {0, 1, 127, 128, 1 << 40, math.MaxUint64 - 1, math.MaxUint64},
+		"max":      {math.MaxUint64},
+		"tracker":  tracker,
+	} {
+		var w Writer
+		w.IDs(ids)
+		r := NewReader(w.Bytes())
+		got := r.IDs()
+		if r.Err() != nil || r.Len() != 0 || !slices.Equal(got, ids) {
+			t.Errorf("%s: decodes to %v (%v, %d bytes left), want %v", name, got, r.Err(), r.Len(), ids)
+		}
+		if name == "tracker" && len(w.Bytes()) > 4+5*len(ids)/2 {
+			t.Errorf("a tracker of %d ids over 2^20 takes %d bytes, want at most 2.5 an id", len(ids), len(w.Bytes()))
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("IDs wrote a set out of order")
+		}
+	}()
+	var w Writer
+	w.IDs([]uint64{3, 3})
+}
+
+// TestIDsRefuseMalformed: a malformed id set is refused with the cause
+// named.
+func TestIDsRefuseMalformed(t *testing.T) {
+	past := append(bytes.Repeat([]byte{0xff}, 9), 0x01) // 2^64 − 1
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"zero gap", idBytes(2, 5, 0), "repeats id 5"},
+		{"sum past 2^64", idBytes(2, append(past, 1)...), "passes 2^64"},
+		{"gap past 2^64", idBytes(2, append([]byte{2}, past...)...), "passes 2^64"},
+		{"non-minimal varint", idBytes(1, 0x81, 0x00), "not minimal"},
+		{"varint past 64 bits", idBytes(1, append(bytes.Repeat([]byte{0xff}, 10), 0x01)...), "past 64 bits"},
+		{"varint ends early", idBytes(2, 1, 0x80), "truncated varint"},
+		{"count past the bytes", idBytes(3, 1, 2), "truncated list"},
+		{"no header", []byte{0, 0}, "truncated payload"},
+	} {
+		r := NewReader(tc.data)
+		if got := r.IDs(); r.Err() == nil || !strings.Contains(r.Err().Error(), tc.want) || got != nil {
+			t.Errorf("%s: IDs = %v, %v; want nothing and an error containing %q", tc.name, got, r.Err(), tc.want)
+		}
+	}
+}
+
+// FuzzCandidateIDs: decoding arbitrary bytes as an id set never panics;
+// a set it accepts is strictly ascending — a zero gap and a sum past
+// 2^64 are refused — and re-encodes to exactly the bytes it was read
+// from.
+func FuzzCandidateIDs(f *testing.F) {
+	var w Writer
+	w.IDs([]uint64{0, 1, 5, 300, 1 << 40, math.MaxUint64})
+	f.Add(w.Bytes())
+	f.Add(idBytes(2, 5, 0))
+	f.Add(idBytes(2, append(bytes.Repeat([]byte{0xff}, 9), 0x01, 1)...))
+	f.Add(idBytes(1, 0x81, 0x00))
+	f.Add(idBytes(0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := NewReader(data)
+		ids := r.IDs()
+		if r.Len() < 0 || r.Len() > len(data) {
+			t.Fatalf("read position outside the input: %d bytes left of %d", r.Len(), len(data))
+		}
+		if r.Err() != nil {
+			if ids != nil {
+				t.Fatalf("a refused set returned %d ids", len(ids))
+			}
+			return
+		}
+		for i := 1; i < len(ids); i++ {
+			if ids[i] <= ids[i-1] {
+				t.Fatalf("id %d is %d after %d: not strictly ascending", i, ids[i], ids[i-1])
+			}
+		}
+		var again Writer
+		again.IDs(ids)
+		if read := data[:len(data)-r.Len()]; !bytes.Equal(again.Bytes(), read) {
+			t.Fatalf("%d ids re-encode to %x, read from %x", len(ids), again.Bytes(), read)
 		}
 	})
 }

@@ -22,7 +22,14 @@ import (
 //	4: the same sketch in new bytes: a CountSketch writes its counter rows
 //	   through the row codec (Writer.Row), zigzag varints with zero runs,
 //	   where version 3 wrote 8 bytes a counter.
-const Version uint16 = 4
+//	5: the same Spec is a narrower sketch in fewer bytes: heavy.dims ships
+//	   half of version 4's buckets (5 rows of 2048 a level at the
+//	   benchmark's options), which the pruning window's fixed point
+//	   (heavy.OnePass.ErrorWindow) allows, and candidate ids — a
+//	   CountSketch's tracked items, a two-pass sketch's candidate set —
+//	   travel ascending through the id codec (Writer.IDs), where version 4
+//	   wrote 8 bytes an id.
+const Version uint16 = 5
 
 // Fingerprint folds v into a running 64-bit digest h. It is a
 // splittable-mix step (multiply-xorshift), order sensitive, used to
@@ -109,16 +116,6 @@ func (w *Writer) I64s(vs []int64) {
 	}
 }
 
-// U64s appends a u32 count followed by the values.
-func (w *Writer) U64s(vs []uint64) {
-	w.grow(4 + 8*len(vs))
-	w.U32(uint32(len(vs)))
-	tail := w.extend(8 * len(vs))
-	for i, v := range vs {
-		binary.BigEndian.PutUint64(tail[8*i:], v)
-	}
-}
-
 // Row appends a counter row: its u32 length, then one token per nonzero
 // counter or maximal run of zeros — a nonzero counter as the uvarint of
 // its zigzag form (v<<1 ^ v>>63, so small magnitudes of either sign take
@@ -147,6 +144,26 @@ func (w *Writer) Row(vs []int64) {
 			buf = binary.AppendUvarint(buf, u)
 		}
 		i++
+	}
+	w.buf = buf
+}
+
+// IDs appends a set of item ids, which must be strictly ascending: its
+// u32 count, then the first id and each later id's gap to the one before
+// it, each as a uvarint. Ids drawn from a universe of n items, k of them,
+// take about log2(n/k)/7 + 1 bytes each: two for a tracker of 385 over
+// 2^20 items, where a u64 takes eight. It panics on ids out of order, a
+// caller's bug the reader would refuse.
+func (w *Writer) IDs(ids []uint64) {
+	w.U32(uint32(len(ids)))
+	buf := w.buf
+	var prev uint64
+	for i, id := range ids {
+		if i > 0 && id <= prev {
+			panic(fmt.Sprintf("wire: ids not strictly ascending: %d after %d", id, prev))
+		}
+		buf = binary.AppendUvarint(buf, id-prev)
+		prev = id
 	}
 	w.buf = buf
 }
@@ -282,15 +299,36 @@ func (r *Reader) I64s() []int64 {
 	return out
 }
 
-// U64s reads a counted uint64 list.
-func (r *Reader) U64s() []uint64 {
-	n := r.count(8)
+// IDs reads an id set (Writer.IDs) and checks it whole: the count must
+// fit the bytes remaining at a byte an id, every varint must parse and be
+// minimal (no 0 last byte after the first, so a set has one encoding), no
+// gap after the first id may be 0 (a repeated id), and no id may pass
+// 2^64 − 1. The ids come back strictly ascending.
+func (r *Reader) IDs() []uint64 {
+	n := r.count(1)
 	if n == 0 {
 		return nil
 	}
 	out := make([]uint64, n)
+	var prev uint64
 	for i := range out {
-		out[i] = r.U64()
+		gap, k := binary.Uvarint(r.data[r.pos:])
+		switch {
+		case k <= 0:
+			r.failVarint(k, r.pos)
+		case k > 1 && r.data[r.pos+k-1] == 0:
+			r.fail("wire: id %d of %d: a %d-byte varint of %d is not minimal, at offset %d", i, n, k, gap, r.pos)
+		case i > 0 && gap == 0:
+			r.fail("wire: id %d of %d repeats id %d at offset %d", i, n, prev, r.pos)
+		case gap > math.MaxUint64-prev:
+			r.fail("wire: id %d of %d passes 2^64 at offset %d", i, n, r.pos)
+		}
+		if r.err != nil {
+			return nil
+		}
+		r.pos += k
+		prev += gap
+		out[i] = prev
 	}
 	return out
 }

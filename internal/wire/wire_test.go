@@ -13,7 +13,7 @@ func TestRoundTripAllFieldTypes(t *testing.T) {
 	w.I64(-9)
 	w.F64(3.5)
 	w.I64s([]int64{1, -2, 3})
-	w.U64s([]uint64{4, 5})
+	w.IDs([]uint64{4, 5})
 	w.Blob([]byte("nested"))
 
 	r := NewReader(w.Bytes())
@@ -35,8 +35,8 @@ func TestRoundTripAllFieldTypes(t *testing.T) {
 	if got := r.I64s(); len(got) != 3 || got[1] != -2 {
 		t.Errorf("I64s = %v", got)
 	}
-	if got := r.U64s(); len(got) != 2 || got[0] != 4 {
-		t.Errorf("U64s = %v", got)
+	if got := r.IDs(); len(got) != 2 || got[0] != 4 || got[1] != 5 {
+		t.Errorf("IDs = %v", got)
 	}
 	if got := string(r.Blob()); got != "nested" {
 		t.Errorf("Blob = %q", got)
