@@ -120,7 +120,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.ackedUpdates = reg.Counter("gsumd_stream_acked_updates_total",
 		"updates inside acknowledged stream frames; equals the stream-transport ingest counter once a session quiesces")
 	m.streamRejects = reg.Counter("gsumd_stream_rejected_frames_total",
-		"stream frames refused (bad fingerprint, domain violation, read errors)")
+		"stream frames refused (bad fingerprint, domain violation, read errors, a panic while applying)")
 
 	m.membersAlive = reg.Gauge("gsumd_members_alive",
 		"workers currently marked alive in the membership registry")

@@ -9,10 +9,11 @@ import (
 
 // SetSizing overrides dims' constants for the sizing frontier and returns
 // the function that puts them back. rows is the row count outright,
-// whatever δ says; width is in units of the shipped bucket terms, 16·H/λ
-// and H/(λε²), before dims rounds up to a power of two; tracker is the
-// candidate multiplier of H/λ. SetSizing(7, 1, 2) builds exactly what
-// layout version 2 did at Algorithm 2's δ/2 = 0.1.
+// whatever δ says; width is in units of sizing v2's bucket terms, 16·H/λ
+// and H/(λε²), before dims rounds up to a power of two (layout version 4
+// shipped 1, version 5 ships 0.5); tracker is the candidate multiplier of
+// H/λ. SetSizing(7, 1, 2) builds exactly what layout version 2 did at
+// Algorithm 2's δ/2 = 0.1.
 func SetSizing(rows int, width, tracker float64) (restore func()) {
 	old := dimsSizing
 	dimsSizing = sizing{rows: rows, idWidth: 16 * width, epsWidth: width, tracker: tracker}

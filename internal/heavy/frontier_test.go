@@ -18,8 +18,8 @@ import (
 // The sizing frontier: what does the (ε, δ) guarantee cost in bytes? The
 // referee (backend.TestConformance) holds the shipped sizing to the
 // theorem; this walks the sizings below it until the theorem stops
-// holding, and EXPERIMENTS.md ("Spending the ledger, round 4") records
-// where heavy.dims' constants sit against that knee. Seeded and on one
+// holding, and EXPERIMENTS.md ("Spending the ledger", rounds 4 and 6)
+// records where heavy.dims' constants sit against that knee. Seeded and on one
 // goroutine, so a rerun prints the same table. It runs about 25 minutes, so
 // only when asked: go test ./internal/heavy -run TestSizingFrontier
 // -frontier -v -timeout 90m (CI's nightly job).
@@ -40,8 +40,9 @@ var frontierOptions = core.Options{N: 1 << 14, M: 1 << 15, Eps: 0.25, Lambda: 1.
 
 var frontierStream = workload.Config{N: 1 << 14, Items: 1 << 12, Length: 1 << 14, Seed: 1}
 
-// The walk's axes, from sizing v2 outward. Width is in units of the
-// shipped bucket terms, which are v2's (see heavy.SetSizing).
+// The walk's axes, from sizing v2 outward. Width is in units of sizing
+// v2's bucket terms (see heavy.SetSizing): layout version 4 shipped 1,
+// version 5 ships 0.5.
 var (
 	frontierWidths   = []float64{1, 0.5, 0.25, 0.125}
 	frontierRows     = []int{7, 5, 3}
@@ -230,10 +231,10 @@ func (b *tally) String() string {
 	return fmt.Sprintf("reached by %3d cells, cleared by %3d; lowest %2d (%s); lowest per-entry D %2d", b.cells, b.cleared, b.low, b.where, b.perEntry)
 }
 
-// frontierKnee is where the later tables look: sizing v2, the shipped
-// sizing (v2's width in 5 rows), the sizings at half that width and under,
-// down to the two smallest every cell of the walk clears, and the two under
-// those, which some cells do not.
+// frontierKnee is where the later tables look: sizing v2, layout version
+// 4's sizing (v2's width in 5 rows), the shipped one (half that width) and
+// the sizings around and under it, down to the knee at a quarter of v2's
+// width and the eighth under it.
 var frontierKnee = []sizingPoint{{7, 1, 2}, {5, 1, 2}, {7, 0.5, 2}, {5, 0.5, 2}, {3, 0.5, 2}, {5, 0.25, 2}, {3, 0.25, 2}, {5, 0.125, 2}}
 
 func TestSizingFrontier(t *testing.T) {
@@ -334,8 +335,9 @@ func TestSizingFrontier(t *testing.T) {
 	// Past it, where the flat stream binds: every one of 2^22 items once,
 	// over a 2^24 domain. Nothing is heavy, the cover should be empty, and
 	// the tracked candidates are the largest of 2^22 noisy estimates — the
-	// cell a sizing's pruning window (OnePass.ErrorWindow) has to survive.
-	// Replayed in batches: the stream is never held, nor its vector.
+	// cell a sizing's pruning window (OnePass.ErrorWindow) has to survive,
+	// at the shipped width and at half of it, the knee. Replayed in
+	// batches: the stream is never held, nor its vector.
 	t.Run("n22", func(t *testing.T) {
 		const items = 1 << 22
 		g := gfunc.F2Func()
@@ -359,8 +361,12 @@ func TestSizingFrontier(t *testing.T) {
 					sink(batch)
 				}
 			}}
-		for _, p := range []sizingPoint{{7, 1, 2}, {5, 1, 2}, {7, 0.5, 2}, {5, 0.5, 2}} {
-			t.Logf("N = 2^24 flat 2^22 x^2 %s  %s", p, c.measure(p, 1))
+		for _, p := range []sizingPoint{{5, 1, 2}, {5, 0.5, 2}, {5, 0.25, 2}, {5, 0.125, 2}} {
+			r := c.measure(p, 1)
+			t.Logf("N = 2^24 flat 2^22 x^2 %s  %s", p, r)
+			if p.width >= 0.25 && !r.clears(target) {
+				t.Errorf("the flat stream misses 1 − δ at %s, half the shipped width or more", p)
+			}
 		}
 	})
 

@@ -113,13 +113,14 @@ type sizing struct {
 var dimsSizing = sizing{
 	// The analysis': a point query errs by about √(F2/b), so b ∝ H/λ finds
 	// a λ/H-heavy item and b ∝ H/(λε²) reads it to 1±ε. Measured
-	// (EXPERIMENTS.md, "Spending the ledger, round 5"): the knee is at a
-	// quarter of sizing v2's 16 and 1 — with the pruning window's fixed
-	// point (OnePass.ErrorWindow) every cell of the walk and the flat
-	// stream of 2^22 items clear 1 − δ there, and the flat stream loses
-	// its window at an eighth — so the shipped terms are twice the knee's,
-	// a stated 2x margin: half of v2's, 5 rows of 2048 buckets a level at
-	// the benchmark's options (layout version 5; version 4 shipped v2's).
+	// (EXPERIMENTS.md, "Spending the ledger, round 6"), with the pruning
+	// window's fixed point (OnePass.ErrorWindow): the knee is at a quarter
+	// of sizing v2's 16 and 1, where 99 of the walk's 100 cells clear
+	// 1 − δ (the last a seed short) and so do the flat and uniform
+	// streams at N ≥ 2^20 that bound layout version 4 (they clear down to
+	// an eighth). The shipped terms are twice the knee's, a stated 2x
+	// margin: half of v2's, 5 rows of 2048 buckets a level at the
+	// benchmark's options (layout version 5; version 4 shipped v2's).
 	idWidth: 8, epsWidth: 0.5,
 	// The analysis': at most H/λ items are λ/H-heavy for F2; twice that
 	// rides out the tracker's churn. Measured to be the cheap side — a

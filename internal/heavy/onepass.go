@@ -104,10 +104,11 @@ func (o *OnePass) Apply(b *sketch.Batch) {
 //
 // with τ = windowTau. Each step can only narrow the window and so admit
 // more candidates, and the candidates come in decreasing |v̂| (TopK), so
-// the ones subtracted are a prefix and the walk takes one step per
-// candidate at most. Subtracting every tracked candidate instead (layout
+// the ones subtracted are a prefix: the walk takes them in order, the
+// window narrowed after each, and stops at the first that does not
+// clear it. Subtracting every tracked candidate instead (layout
 // version 4) fails on a flat stream (EXPERIMENTS.md, "Spending the
-// ledger", rounds 4 and 5): there the candidates are the largest of 10^5
+// ledger", rounds 4 and 6): there the candidates are the largest of 10^5
 // noisy estimates, their squares are a third of F̂2 at 5 × 4096 (0.30–0.34
 // from 2^18 to 2^22 items), two thirds at 5 × 2048, and past 1 — window 0,
 // nothing pruned, the estimate lost — at 5 × 1024. Noise sits within a
@@ -124,7 +125,7 @@ func (o *OnePass) ErrorWindow() int64 {
 
 // windowTau is τ, how many windows clear of zero a candidate's estimate
 // must stand for its square to leave the tail. Priced on the sizing
-// frontier (EXPERIMENTS.md, "Spending the ledger, round 5"): at 1 the
+// frontier (EXPERIMENTS.md, "Spending the ledger, round 6"): at 1 the
 // flat stream at a quarter width loses its window as before; 1.5 and 2
 // keep it; 2 misses the referee's adversarial cells at half width, and 3
 // or more its uniform ones.
@@ -134,22 +135,14 @@ const windowTau = 1.5
 // order).
 func (o *OnePass) errorWindow(cands []sketch.Candidate) int64 {
 	tail := o.cs.EstimateF2()
-	b := o.cs.Buckets()
-	w := windowOf(tail, b)
-	for k := 0; k < len(cands); {
-		next := k
-		for ; next < len(cands); next++ {
-			e := math.Abs(float64(cands[next].Est))
-			if !(e > windowTau*float64(w)) {
-				break
-			}
-			tail -= e * e
-		}
-		if next == k {
+	w := windowOf(tail, o.cs.Buckets())
+	for _, c := range cands {
+		e := math.Abs(float64(c.Est))
+		if !(e > windowTau*float64(w)) {
 			break
 		}
-		k = next
-		w = windowOf(tail, b)
+		tail -= e * e
+		w = windowOf(tail, o.cs.Buckets())
 	}
 	return w
 }
