@@ -11,6 +11,11 @@
 //
 // The contract mirrors the repository's test-first discipline:
 //
+//   - Cells that differ only in ingestion topology hold equal counters
+//     (each cell reports their digest), and equal estimates while the
+//     stream fits the trackers; the report's equality section says
+//     which of the two a group was held to (`yes`, `counters`) or that
+//     it broke the contract (`DIVERGED`).
 //   - The cell list is a pure function of the Config — every process
 //     that parses the same config file derives the same cells in the
 //     same order, which is what lets single-cell worker invocations

@@ -22,7 +22,10 @@
 // then a zigzag varint per nonzero counter and a 0 byte plus a varint
 // length per run of zeros. A row's declared length is checked against the
 // receiver's buckets, not against the bytes remaining: a row of zeros is
-// a few bytes whatever its length.
+// a few bytes whatever its length. Candidate ids — a tracker's items, a
+// two-pass candidate set — travel through another (Writer.IDs,
+// Reader.IDs): a u32 count, then the ids ascending as uvarint gaps, with
+// one encoding per set.
 //
 // Decoders must never panic on corrupt input: the Reader is
 // sticky-error, validates every length field against the bytes actually
