@@ -2,8 +2,8 @@ package universal
 
 // The bench harness regenerates every experiment table (E1-E12, one bench
 // per table — the paper is a theory paper, so these are its "tables and
-// figures"; see DESIGN.md §4 and EXPERIMENTS.md), measures the hot paths
-// of the substrate, and runs the ablations called out in DESIGN.md §5.
+// figures"; see "The experiments" in EXPERIMENTS.md), measures the hot
+// paths of the substrate, and runs the ablations at the end of this file.
 //
 //	go test -bench=. -benchmem
 //
@@ -263,7 +263,7 @@ func BenchmarkCountSketchBatch(b *testing.B) {
 	b.ReportMetric(4096*float64(b.N)/b.Elapsed().Seconds(), "updates/s")
 }
 
-// --- ablations (DESIGN.md §5) ---------------------------------------------
+// --- ablations -------------------------------------------------------------
 
 // benchStream is the shared workload for the ablation benches.
 func benchStream(seed uint64) *stream.Stream {

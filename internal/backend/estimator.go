@@ -94,10 +94,15 @@ type CoverReporter interface {
 // for every level. Reading either is O(1). CountersDigest digests every
 // level's counters and nothing else: two same-seed stacks that ingested
 // one multiset agree on it by linearity, whatever their trackers hold.
+// ResidentBytes is SpaceBytes as the levels hold it now: a level that has
+// seen fewer items than its counter matrix would cost keeps them as a
+// table, so it is below the budget until every level is dense (and equal
+// after a restore, which is dense).
 type Layered interface {
 	Depth() (levels, deepestTracked, deepestCapacity int)
 	Dims() (rows int, buckets uint64)
 	CountersDigest() uint64
+	ResidentBytes() int
 }
 
 // twoPassEstimator adapts core.TwoPassEstimator: it carries the Spec's

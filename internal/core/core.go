@@ -162,8 +162,13 @@ func (e *OnePassEstimator) Estimate() float64 { return e.sk.Estimate() }
 // set Options.Envelope to the largest over the functions to be asked.
 func (e *OnePassEstimator) EstimateFor(g gfunc.Func) float64 { return e.sk.EstimateFor(g) }
 
-// SpaceBytes reports total counter storage.
+// SpaceBytes reports total counter storage: the budget every level is
+// sized for.
 func (e *OnePassEstimator) SpaceBytes() int { return e.sk.SpaceBytes() }
+
+// ResidentBytes reports the counter storage the levels hold now, at most
+// about SpaceBytes (recursive.Sketch.ResidentBytes).
+func (e *OnePassEstimator) ResidentBytes() int { return e.sk.ResidentBytes() }
 
 // Depth reports the stack's resolved number of subsampling levels and how
 // full the deepest level's candidate tracker is: tracked below capacity

@@ -140,19 +140,16 @@ func turnstileStream(seed, n uint64, length int) *stream.Stream {
 }
 
 // countersOf returns the counter matrix of every CountSketch in a stack,
-// in the fixed order walkStructs visits them.
+// as its FoldCounters digest, in the fixed order walkStructs visits them.
 func countersOf(sk any) [][]int64 {
 	var out [][]int64
 	walkStructs(reflect.ValueOf(sk), map[uintptr]bool{}, func(v reflect.Value) bool {
 		if v.Type() != reflect.TypeOf(sketch.CountSketch{}) {
 			return true
 		}
-		flat := v.FieldByName("flat")
-		row := make([]int64, flat.Len())
-		for i := range row {
-			row[i] = flat.Index(i).Int()
-		}
-		out = append(out, row)
+		// Dense or sparse, the sketch replays its matrix to FoldCounters.
+		cs := reflect.NewAt(v.Type(), v.Addr().UnsafePointer()).Interface().(*sketch.CountSketch)
+		out = append(out, []int64{int64(cs.FoldCounters(0))})
 		return false
 	})
 	return out

@@ -168,7 +168,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			defer s.mu.Unlock()
 			return float64(s.ingests)
 		})
-	reg.GaugeFunc("gsumd_space_bytes", "bytes of sketch state held by the estimator",
+	reg.GaugeFunc("gsumd_space_bytes", "bytes of sketch state the estimator is sized for (the space budget; gsumd_sketch_resident_bytes is what the levels hold)",
 		func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
@@ -212,6 +212,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 			layered(func(l backend.Layered) int { rows, _ := l.Dims(); return rows }))
 		reg.GaugeFunc("gsumd_sketch_buckets", "CountSketch buckets a row in every level (heavy.dims, from Lambda, Eps and the envelope)",
 			layered(func(l backend.Layered) int { _, buckets := l.Dims(); return int(buckets) }))
+		reg.GaugeFunc("gsumd_sketch_resident_bytes", "bytes the levels hold now: a level below its counter matrix's size keeps its items as a table; at most gsumd_space_bytes, equal after a restore",
+			layered(func(l backend.Layered) int { return l.ResidentBytes() }))
 	}
 	if s.spec.Kind == backend.KindSharded {
 		// The worker count is fixed by the Spec: no state lock needed, and

@@ -407,3 +407,38 @@ func TestSketchDepthIsObservable(t *testing.T) {
 		t.Errorf("window /v1/config: levels %d, %d rows of %d buckets over %d, err %v", info.Levels, info.Rows, info.Buckets, info.Tracker, err)
 	}
 }
+
+// TestSketchResidentBytesIsObservable: gsumd_space_bytes is the budget the
+// levels are sized for, gsumd_sketch_resident_bytes what they hold. A
+// daemon's levels start as tables and stay below the budget while they
+// see fewer items than a counter matrix would cost; a checkpoint carries
+// counters, not items, so a restored daemon holds its whole budget.
+func TestSketchResidentBytesIsObservable(t *testing.T) {
+	spec := backend.Spec{Kind: backend.KindOnePass, G: "x^2", Options: testOptions(4)}
+	srv, c := streamServer(t, spec)
+	sc := scrape(t, c.Base())
+	budget, resident := mustValue(t, sc, "gsumd_space_bytes"), mustValue(t, sc, "gsumd_sketch_resident_bytes")
+	if !(resident < budget) {
+		t.Fatalf("fresh daemon: resident %v bytes, want below the budget %v", resident, budget)
+	}
+	if err := c.PushContext(context.Background(), testStream(11).Updates()); err != nil {
+		t.Fatal(err)
+	}
+	sc = scrape(t, c.Base())
+	fed := mustValue(t, sc, "gsumd_sketch_resident_bytes")
+	if !(fed > resident && fed < budget) || mustValue(t, sc, "gsumd_space_bytes") != budget {
+		t.Fatalf("fed daemon: resident %v bytes, want above the fresh %v and below the budget %v", fed, resident, budget)
+	}
+	path := CheckpointPath(t.TempDir())
+	if err := srv.WriteCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	fresh, fc := streamServer(t, spec)
+	if err := fresh.RestoreCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	sc = scrape(t, fc.Base())
+	if got := mustValue(t, sc, "gsumd_sketch_resident_bytes"); got != budget || mustValue(t, sc, "gsumd_space_bytes") != budget {
+		t.Fatalf("restored daemon: resident %v bytes, want the whole budget %v", got, budget)
+	}
+}

@@ -390,7 +390,7 @@ var (
 )
 
 // counters returns every counter est holds, found by reflection: each
-// CountSketch's counter matrix, then each item → int64 map (the exact
+// CountSketch's counter matrix (its FoldCounters digest), then each item → int64 map (the exact
 // kind's frequency vector, a two-pass level's tabulation) as item, count
 // pairs sorted by item, each in the order a depth-first walk of est meets
 // them. A two-pass level holds one of each.
@@ -435,9 +435,11 @@ func counters(est any) [][]int64 {
 				}
 				return
 			}
-			// flat is unexported: read it through a pointer to it.
-			flat := v.FieldByName("flat")
-			rows = append(rows, slices.Clone(reflect.NewAt(flat.Type(), flat.Addr().UnsafePointer()).Elem().Interface().([]int64)))
+			// A sketch holds its counters as a matrix or, while sparse, as
+			// a table that replays to it: read them through the sketch's
+			// own fold, which digests the matrix either way.
+			cs := reflect.NewAt(countSketchType, v.Addr().UnsafePointer()).Interface().(*sketch.CountSketch)
+			rows = append(rows, []int64{int64(cs.FoldCounters(0))})
 		}
 	}
 	walk(reflect.ValueOf(est))

@@ -1,5 +1,5 @@
 // Package experiments implements the paper-reproduction experiment suite
-// E1-E15 indexed in DESIGN.md. Each experiment returns a Table whose rows
+// E1-E15 indexed in EXPERIMENTS.md. Each experiment returns a Table whose rows
 // regenerate the corresponding claim of the paper; the cmd/gsum binary and
 // the root bench harness both render these tables, and EXPERIMENTS.md
 // records a reference run.

@@ -11,9 +11,10 @@
 // N → ∞). The checkers here are witness searchers over a finite range
 // [1, M] combined with a two-scale trend test: a violation exponent that
 // persists at the top scale marks the property as failing, one that decays
-// toward zero as the scale grows marks it as holding. DESIGN.md §2 records
-// this substitution; every verdict carries the witness that produced it so
-// lower-bound harnesses can replay it.
+// toward zero as the scale grows marks it as holding. That is the
+// substitution for the asymptotic quantifier (E1 and E12 in
+// EXPERIMENTS.md run it on the paper's examples); every verdict carries
+// the witness that produced it so lower-bound harnesses can replay it.
 //
 // Layer: satellite of the spine in ARCHITECTURE.md: the function class
 // G, its zero-one-law property checkers, and envelope measurement,

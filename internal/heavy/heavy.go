@@ -1,8 +1,9 @@
 package heavy
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/gfunc"
 	"repro/internal/util"
@@ -42,11 +43,14 @@ func (c Cover) WeightSum() float64 {
 // sortByWeight orders the cover by decreasing weight, breaking ties by item
 // id for determinism.
 func (c Cover) sortByWeight() {
-	sort.Slice(c, func(i, j int) bool {
-		if c[i].Weight != c[j].Weight {
-			return c[i].Weight > c[j].Weight
+	slices.SortFunc(c, func(a, b Entry) int {
+		if a.Weight != b.Weight {
+			if a.Weight > b.Weight {
+				return -1
+			}
+			return 1
 		}
-		return c[i].Item < c[j].Item
+		return cmp.Compare(a.Item, b.Item)
 	})
 }
 

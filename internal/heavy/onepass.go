@@ -184,18 +184,27 @@ func (o *OnePass) CoverFor(g gfunc.Func) Cover {
 	cands := o.cs.TopK()
 	window := o.errorWindow(cands)
 	cover := make(Cover, 0, o.topk)
-	for _, c := range cands {
+	// Candidates come in decreasing |v̂|, and a flat stream's are long runs
+	// of one small value: the verdict and the weight, functions of (g, v,
+	// window, ε) alone, are reused along a run.
+	var last uint64
+	var stable bool
+	var weight float64
+	for i, c := range cands {
 		if c.Est == 0 {
 			continue
 		}
-		v := uint64(util.SatAbsInt64(c.Est))
-		if !o.noPrune && !stableUnder(g, v, window, o.eps) {
+		if v := uint64(util.SatAbsInt64(c.Est)); i == 0 || v != last {
+			last, weight = v, g.Eval(v)
+			stable = o.noPrune || stableUnder(g, v, window, o.eps)
+		}
+		if !stable {
 			continue
 		}
 		cover = append(cover, Entry{
 			Item:   c.Item,
 			Freq:   c.Est,
-			Weight: g.Eval(v),
+			Weight: weight,
 		})
 	}
 	cover.sortByWeight()
@@ -229,6 +238,12 @@ func (o *OnePass) Tracked() int { return o.cs.Tracked() }
 // SpaceBytes reports the CountSketch counters plus the candidate table.
 func (o *OnePass) SpaceBytes() int {
 	return o.cs.SpaceBytes() + o.topk*16
+}
+
+// ResidentBytes is SpaceBytes with the counters the CountSketch holds now
+// in place of its matrix's size (sketch.CountSketch.ResidentBytes).
+func (o *OnePass) ResidentBytes() int {
+	return o.cs.ResidentBytes() + o.topk*16
 }
 
 // stableUnder reports whether |g(v) - g(v+y)| <= eps * g(v+y) for all

@@ -204,6 +204,17 @@ func (s *Sketch) SpaceBytes() int {
 	return total
 }
 
+// ResidentBytes reports what the levels hold now: a level that has seen
+// fewer items than its matrix would cost holds them as a table
+// (heavy.OnePass.ResidentBytes).
+func (s *Sketch) ResidentBytes() int {
+	total := 0
+	for _, lv := range s.levels {
+		total += lv.ResidentBytes()
+	}
+	return total
+}
+
 // Levels returns the number of subsampling levels (excluding level 0).
 func (s *Sketch) Levels() int { return len(s.sub) }
 

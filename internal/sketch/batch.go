@@ -204,7 +204,10 @@ func (cs *CountSketch) UpdateBatch(batch []stream.Update) {
 // tracked sketch, the re-score of the batch's items. It hashes the batch
 // only if no sketch of the same row-hash family has yet; otherwise it
 // adds, reads back and re-scores. b is only read, apart from that and its
-// scratch.
+// scratch. A sparse sketch adds the batch into its table instead, taking
+// a new entry's row hashes from the batch's, and re-scores from its rows
+// replayed; an entry past the limit materializes it, and the rest of the
+// batch takes the row walk.
 func (cs *CountSketch) Apply(b *Batch) {
 	sel := b.sel
 	m := len(sel)
@@ -215,6 +218,10 @@ func (cs *CountSketch) Apply(b *Batch) {
 		b.hashFor(cs.hash)
 	}
 	n, ds := len(b.items), b.ds
+	walk := sel
+	if cs.flat == nil {
+		walk = cs.absorb(b)
+	}
 	// A tracked sketch re-scores every distinct item after the batch, from
 	// the same (bucket, sign) hashes as the counter update: apply row j,
 	// then read the settled row back into row j of the estimate matrix. A
@@ -227,25 +234,60 @@ func (cs *CountSketch) Apply(b *Batch) {
 		}
 		ests = b.ests[:m*cs.rows]
 	}
-	for j := 0; j < cs.rows; j++ {
-		counts, hashed := cs.counts[j], b.hashed[j*n:(j+1)*n]
-		// Adds into a row commute and duplicates were already collapsed, so
-		// the counters end where the per-update walk would leave them.
-		for _, i := range sel {
-			p := hashed[i]
-			counts[p>>1] += signed(p, ds[i])
+	switch {
+	case cs.flat != nil:
+		for j := 0; j < cs.rows; j++ {
+			counts, hashed := cs.row(j), b.hashed[j*n:(j+1)*n]
+			// Adds into a row commute and duplicates were already collapsed,
+			// so the counters end where the per-update walk would leave them.
+			for _, i := range walk {
+				p := hashed[i]
+				counts[p>>1] += signed(p, ds[i])
+			}
+			if cs.topK != nil {
+				row := ests[j*m : (j+1)*m]
+				for t, i := range sel {
+					p := hashed[i]
+					row[t] = signed(p, counts[p>>1])
+				}
+			}
 		}
-		if cs.topK != nil {
-			row := ests[j*m : (j+1)*m]
+	case cs.topK != nil:
+		counts := cs.replayRow()
+		for j := 0; j < cs.rows; j++ {
+			hashed, row := b.hashed[j*n:(j+1)*n], ests[j*m:(j+1)*m]
+			cs.tab.scatter(j, counts)
 			for t, i := range sel {
 				p := hashed[i]
 				row[t] = signed(p, counts[p>>1])
 			}
+			cs.tab.unscatter(j, counts)
 		}
 	}
 	if cs.topK != nil {
 		cs.rescore(b.items, sel, ests)
 	}
+}
+
+// absorb adds the selected items of b into a sparse sketch's table and
+// returns the ones left for the row walk: none, unless an entry past the
+// limit materialized the sketch — then every item after it.
+func (cs *CountSketch) absorb(b *Batch) []int32 {
+	n := len(b.items)
+	for k, i := range b.sel {
+		e, fresh := cs.tab.add(b.items[i], b.ds[i])
+		if !fresh {
+			continue
+		}
+		for j := range cs.tab.hashes {
+			cs.tab.place(e, j, b.hashed[j*n+int(i)])
+		}
+		if len(cs.tab.items) > cs.limit {
+			cs.materialize()
+			return b.sel[k+1:]
+		}
+	}
+	return nil
 }
 
 // rescore offers every selected item of an applied batch to the tracker

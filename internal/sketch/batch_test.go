@@ -194,11 +194,10 @@ func TestSharedFamilyHashesABatchOnce(t *testing.T) {
 		}
 	}
 	b.Each(alone.Update)
-	for j := range alone.counts {
-		for c, v := range alone.counts[j] {
-			if deeper.counts[j][c] != v {
-				t.Fatalf("row %d bucket %d: %d through the shared hashes, %d alone", j, c, deeper.counts[j][c], v)
-			}
+	got := deeper.counters()
+	for c, v := range alone.counters() {
+		if got[c] != v {
+			t.Fatalf("row %d bucket %d: %d through the shared hashes, %d alone", c/int(alone.buckets), c%int(alone.buckets), got[c], v)
 		}
 	}
 }
@@ -219,9 +218,10 @@ func TestUpdateBatchMatchesUpdateExactly(t *testing.T) {
 		for _, u := range batch {
 			b.Update(u.Item, u.Delta)
 		}
-		for i, v := range a.flat {
-			if v != b.flat[i] {
-				t.Fatalf("counter %d: batch %d vs single %d", i, v, b.flat[i])
+		single := b.counters()
+		for i, v := range a.counters() {
+			if v != single[i] {
+				t.Fatalf("counter %d: batch %d vs single %d", i, v, single[i])
 			}
 		}
 	})
@@ -236,9 +236,10 @@ func TestUpdateBatchMatchesUpdateExactly(t *testing.T) {
 		}
 		// Counters are bit-identical; the tracker is refreshed with batch
 		// granularity by contract, so only counter state is compared.
-		for i, v := range a.flat {
-			if v != b.flat[i] {
-				t.Fatalf("counter %d: batch %d vs single %d", i, v, b.flat[i])
+		single := b.counters()
+		for i, v := range a.counters() {
+			if v != single[i] {
+				t.Fatalf("counter %d: batch %d vs single %d", i, v, single[i])
 			}
 		}
 	})

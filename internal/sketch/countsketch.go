@@ -1,8 +1,9 @@
 package sketch
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/util"
 	"repro/internal/wire"
@@ -21,14 +22,32 @@ import (
 // |v̂_i - v_i| <= sqrt(F2 / b) * O(1) with probability 1 - δ (the paper uses
 // the equivalent parameterization |v̂_i - v_i| <= ε sqrt(λ F2) for a
 // CountSketch(λ, ε, δ)).
+//
+// A sketch holds what it has seen, not what it could: it starts sparse, an
+// exact table of item → net count (sparse.go), and materializes the matrix
+// only once the table would weigh more than it — so the deep levels of a
+// recursive stack, which see about 2^-k of the support, cost their support
+// and not r*b counters. A row is linear, so the table determines every
+// counter exactly, and every read replays it: counters, point queries, the
+// tracker and the wire bytes are those of the matrix, bit for bit.
+// SpaceBytes is the matrix's size either way (the budget the paper's bounds
+// govern); ResidentBytes is what the sketch holds now.
 type CountSketch struct {
 	rows    int
 	buckets uint64
-	// flat is the contiguous r*b counter matrix; counts[j] is the row-j
-	// view flat[j*b:(j+1)*b]. One backing array keeps row walks
-	// cache-friendly and lets Merge and EstimateF2 run a single loop.
-	flat   []int64
-	counts [][]int64
+	// flat is the contiguous r*b counter matrix, row j at
+	// flat[j*b:(j+1)*b] (row). One backing array keeps row walks
+	// cache-friendly and lets Merge and FoldCounters run a single loop. It
+	// is nil while the sketch is sparse.
+	flat []int64
+	// tab is the sparse sketch's state while flat is nil: every item with
+	// a nonzero net count. Past limit entries (sparseLimit) the sketch
+	// materializes and tab is dropped.
+	tab   table
+	limit int
+	// replay is the owner's scratch row a sparse sketch's reads replay tab
+	// into: the sketch's own, or the one a stack's levels share.
+	replay *replay
 	// hash is the row-hash family the sketch evaluates: its own, drawn at
 	// construction, or — for a level of a recursive stack — the one every
 	// level of the stack shares (ShareRowHashes).
@@ -97,18 +116,58 @@ func NewCountSketch(r int, b uint64, rng *util.SplitMix64) *CountSketch {
 	if r <= 0 || b == 0 || b > MaxBuckets {
 		panic("sketch: CountSketch needs positive dimensions, at most 2^31 buckets a row")
 	}
-	cs := &CountSketch{
+	return &CountSketch{
 		rows:    r,
 		buckets: b,
-		flat:    make([]int64, uint64(r)*b),
-		counts:  make([][]int64, r),
+		tab:     newTable(r, b),
+		limit:   sparseLimit(r, b),
+		replay:  new(replay),
 		hash:    newRowHashes(r, b, rng),
 		scratch: make([]int64, r),
 	}
-	for j := 0; j < r; j++ {
-		cs.counts[j] = cs.flat[uint64(j)*b : uint64(j+1)*b : uint64(j+1)*b]
+}
+
+// row returns row j of a dense sketch's matrix.
+func (cs *CountSketch) row(j int) []int64 {
+	b := cs.buckets
+	return cs.flat[uint64(j)*b : uint64(j+1)*b : uint64(j+1)*b]
+}
+
+// materialize makes a sparse sketch dense: the table replayed into a
+// fresh matrix, then dropped.
+func (cs *CountSketch) materialize() {
+	cs.flat = make([]int64, uint64(cs.rows)*cs.buckets)
+	for j := 0; j < cs.rows; j++ {
+		cs.tab.scatter(j, cs.row(j))
 	}
-	return cs
+	cs.tab = newTable(cs.rows, cs.buckets)
+}
+
+// replayRow returns the owner's scratch row, all zeros, for a sparse read
+// to scatter row after row of the table into and unscatter again.
+func (cs *CountSketch) replayRow() []int64 {
+	if cs.replay.row == nil {
+		cs.replay.row = make([]int64, cs.buckets)
+	}
+	return cs.replay.row
+}
+
+// eachRow calls fn with every row of counters in order, for reading: the
+// matrix's own rows, or each row of the table replayed into the scratch
+// row and cleared after fn returns.
+func (cs *CountSketch) eachRow(fn func(j int, row []int64)) {
+	if cs.flat != nil {
+		for j := 0; j < cs.rows; j++ {
+			fn(j, cs.row(j))
+		}
+		return
+	}
+	row := cs.replayRow()
+	for j := 0; j < cs.rows; j++ {
+		cs.tab.scatter(j, row)
+		fn(j, row)
+		cs.tab.unscatter(j, row)
+	}
 }
 
 // ShareRowHashes makes cs evaluate other's row-hash family instead of the
@@ -116,16 +175,16 @@ func NewCountSketch(r int, b uint64, rng *util.SplitMix64) *CountSketch {
 // dimensions. It is for construction time, before cs has counted
 // anything. A recursive stack shares level 0's family among its levels:
 // an item that reaches levels 0…k is then hashed once, not k+1 times
-// (Batch.hashed). Theorem 13 permits it — each level's CountSketch
-// guarantee is over this family given the level's substream, which is a
-// function of the subsampling hashes alone, and the levels' failure events
-// are combined by a union bound, which asks nothing of their joint
-// distribution (EXPERIMENTS.md, "Spending the ledger, round 3").
+// (Batch.hashed), and one replay row serves them all. Theorem 13 permits
+// it — each level's CountSketch guarantee is over this family given the
+// level's substream, which is a function of the subsampling hashes alone,
+// and the levels' failure events are combined by a union bound, which
+// asks nothing of their joint distribution (EXPERIMENTS.md, "Spending the ledger, round 3").
 func (cs *CountSketch) ShareRowHashes(other *CountSketch) bool {
 	if cs.rows != other.rows || cs.buckets != other.buckets {
 		return false
 	}
-	cs.hash = other.hash
+	cs.hash, cs.replay = other.hash, other.replay
 	return true
 }
 
@@ -135,12 +194,17 @@ func (cs *CountSketch) ShareRowHashes(other *CountSketch) bool {
 // evaluation over GF(2^61-1), lazily reduced (see xhash.HornerStep) with
 // only the final value made canonical.
 func (f *rowHashes) rowBucketSign(j int, xp uint64) (uint64, int64) {
+	p := f.rowPacked(j, xp)
+	return uint64(p >> 1), signed(p, 1)
+}
+
+// rowPacked is rowBucketSign's bucket and sign as one packed hash.
+func (f *rowHashes) rowPacked(j int, xp uint64) uint32 {
 	c := f.coef[coefPerRow*j : coefPerRow*j+coefPerRow : coefPerRow*j+coefPerRow]
 	v := xhash.HornerStep(c[3], xp, c[2])
 	v = xhash.HornerStep(v, xp, c[1])
 	v = xhash.HornerStep(v, xp, c[0])
-	p := packed(xhash.Reduce(v), f.buckets)
-	return uint64(p >> 1), signed(p, 1)
+	return packed(xhash.Reduce(v), f.buckets)
 }
 
 // packed maps the canonical value v of a row's polynomial at an item to
@@ -196,16 +260,33 @@ func (cs *CountSketch) Rows() int { return cs.rows }
 // Buckets returns the number of buckets b per row.
 func (cs *CountSketch) Buckets() uint64 { return cs.buckets }
 
-// SpaceBytes returns the counter storage in bytes (the quantity the paper's
-// space bounds govern; hash seeds are O(1) words each).
+// SpaceBytes returns the counter matrix's size in bytes, r*b*8, sparse or
+// not: the budget, the quantity the paper's space bounds govern (hash
+// seeds are O(1) words each).
 func (cs *CountSketch) SpaceBytes() int {
 	return cs.rows * int(cs.buckets) * 8
+}
+
+// ResidentBytes returns the bytes the counters hold now: SpaceBytes once
+// the sketch is dense, the table's allocation while it is sparse — never
+// more than about SpaceBytes, and 0 before the first nonzero count. The
+// owner's replay row (b counters, one per stack) is not counted.
+func (cs *CountSketch) ResidentBytes() int {
+	if cs.flat != nil {
+		return cs.SpaceBytes()
+	}
+	return cs.tab.bytes()
 }
 
 // Update processes the turnstile update (item, delta).
 func (cs *CountSketch) Update(item uint64, delta int64) {
 	xp := item % xhash.MersennePrime61
-	b, f := cs.buckets, cs.hash
+	f := cs.hash
+	if cs.flat == nil {
+		cs.updateSparse(item, xp, delta)
+		return
+	}
+	b := cs.buckets
 	for j := 0; j < cs.rows; j++ {
 		h, s := f.rowBucketSign(j, xp)
 		cs.flat[uint64(j)*b+h] += s * delta
@@ -215,17 +296,94 @@ func (cs *CountSketch) Update(item uint64, delta int64) {
 	}
 }
 
+// updateSparse is Update on a sparse sketch. The tracker's point query
+// reads the item's buckets off its entry when it has one (sparseRows).
+func (cs *CountSketch) updateSparse(item, xp uint64, delta int64) {
+	e, fresh := cs.tab.add(item, delta)
+	if fresh {
+		for j := range cs.tab.hashes {
+			cs.tab.place(e, j, cs.hash.rowPacked(j, xp))
+		}
+		if len(cs.tab.items) > cs.limit {
+			cs.materialize()
+			if cs.topK != nil {
+				cs.topK.offer(item, cs.Estimate(item))
+			}
+			return
+		}
+	}
+	if cs.topK != nil {
+		cs.sparseRows(xp, e)
+		cs.topK.offer(item, median(cs.scratch))
+	}
+}
+
 // Estimate returns the point query v̂_item: the median over rows of
 // sign(item) * counter[bucket(item)]. It is allocation-free (point queries
-// run on every update when top-k tracking is enabled).
+// run on every update when top-k tracking is enabled). On a sparse sketch
+// each counter is summed from the table, one pass over the cached hashes:
+// O(rows × entries), which the materialize threshold bounds.
 func (cs *CountSketch) Estimate(item uint64) int64 {
+	cs.rowEstimates(item)
+	return median(cs.scratch)
+}
+
+// rowEstimates fills scratch[j] with row j's estimate of item,
+// sign(item) * counter[bucket(item)].
+func (cs *CountSketch) rowEstimates(item uint64) {
 	xp := item % xhash.MersennePrime61
+	if cs.flat == nil {
+		cs.sparseRows(xp, cs.tab.find(item))
+		return
+	}
 	b, f := cs.buckets, cs.hash
 	for j := 0; j < cs.rows; j++ {
 		h, s := f.rowBucketSign(j, xp)
 		cs.scratch[j] = s * cs.flat[uint64(j)*b+h]
 	}
-	return median(cs.scratch)
+}
+
+// sparseRows is rowEstimates on a sparse sketch, for the item whose value
+// mod 2^61-1 is xp and whose entry is e (-1: none, so hash it).
+func (cs *CountSketch) sparseRows(xp uint64, e int) {
+	for j, h := range cs.tab.hashes {
+		var p uint32
+		if e >= 0 {
+			p = h[e]
+		} else {
+			p = cs.hash.rowPacked(j, xp)
+		}
+		cs.scratch[j] = signed(p, cs.tab.counter(j, p, e))
+	}
+}
+
+// estimates returns Estimate of every item against one state. A sparse
+// sketch replays each row once for all of them instead of summing every
+// item's counters from the table.
+func (cs *CountSketch) estimates(items []uint64) []int64 {
+	out := make([]int64, len(items))
+	if cs.flat != nil || len(items) < 2 {
+		for i, it := range items {
+			out[i] = cs.Estimate(it)
+		}
+		return out
+	}
+	m, f := len(items), cs.hash
+	ests := make([]int64, m*cs.rows)
+	cs.eachRow(func(j int, row []int64) {
+		est := ests[j*m : (j+1)*m]
+		for t, it := range items {
+			p := f.rowPacked(j, it%xhash.MersennePrime61)
+			est[t] = signed(p, row[p>>1])
+		}
+	})
+	for t := range items {
+		for j := range cs.scratch {
+			cs.scratch[j] = ests[j*m+t]
+		}
+		out[t] = median(cs.scratch)
+	}
+	return out
 }
 
 // median returns the element a sort of v would leave at index len(v)/2,
@@ -253,30 +411,31 @@ func median(v []int64) int64 {
 // rows of Σ_b counter². Each row is an unbiased F2 estimator (the bucket
 // hash partitions the tug-of-war sum), so this provides the F̂2 that
 // Algorithm 2's pruning window needs without a separate AMS structure.
-// DESIGN.md records this substitution; the standalone AMS sketch remains
-// available and is validated against this estimator in the tests.
+// The standalone AMS sketch remains available, and E9 (EXPERIMENTS.md)
+// and the tests check this estimator against it. A sparse sketch sums its
+// replayed rows bucket by bucket in the same order, so the float sums are
+// the dense sketch's.
 func (cs *CountSketch) EstimateF2() float64 {
 	ests := make([]float64, cs.rows)
-	for j := 0; j < cs.rows; j++ {
+	cs.eachRow(func(j int, row []int64) {
 		var sum float64
-		for _, c := range cs.counts[j] {
+		for _, c := range row {
 			fc := float64(c)
 			sum += fc * fc
 		}
 		ests[j] = sum
-	}
+	})
 	return util.MedianFloat64(ests)
 }
 
 // EstimateMean returns the mean-over-rows point query, the ablation
-// comparison to the median combiner (DESIGN.md choice 2). The mean is
-// unbiased but has heavier tails.
+// comparison to the median combiner (BenchmarkAblationMedianVsMean). The
+// mean is unbiased but has heavier tails.
 func (cs *CountSketch) EstimateMean(item uint64) float64 {
-	xp := item % xhash.MersennePrime61
+	cs.rowEstimates(item)
 	var sum float64
-	for j := 0; j < cs.rows; j++ {
-		h, s := cs.hash.rowBucketSign(j, xp)
-		sum += float64(s * cs.flat[uint64(j)*cs.buckets+h])
+	for _, e := range cs.scratch {
+		sum += float64(e)
 	}
 	return sum / float64(cs.rows)
 }
@@ -295,14 +454,17 @@ func (cs *CountSketch) TopK() []Candidate {
 		panic("sketch: TopK called on a CountSketch without a tracker")
 	}
 	items := cs.topK.items()
-	out := make([]Candidate, 0, len(items))
-	for _, it := range items {
-		out = append(out, Candidate{Item: it, Est: cs.Estimate(it)})
+	out := make([]Candidate, len(items))
+	for i, est := range cs.estimates(items) {
+		out[i] = Candidate{Item: items[i], Est: est}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return util.SatAbsInt64(out[i].Est) > util.SatAbsInt64(out[j].Est)
-	})
+	slices.SortFunc(out, byAbsEstDesc)
 	return out
+}
+
+// byAbsEstDesc orders candidates by decreasing |Est|.
+func byAbsEstDesc(a, b Candidate) int {
+	return cmp.Compare(util.SatAbsInt64(b.Est), util.SatAbsInt64(a.Est))
 }
 
 // HeavyCandidates scans an explicit domain slice and returns the k items
@@ -310,13 +472,11 @@ func (cs *CountSketch) TopK() []Candidate {
 // when the candidate domain is known (e.g., the recursive sketch's sampled
 // sub-universe).
 func (cs *CountSketch) HeavyCandidates(domain []uint64, k int) []Candidate {
-	out := make([]Candidate, 0, len(domain))
-	for _, it := range domain {
-		out = append(out, Candidate{Item: it, Est: cs.Estimate(it)})
+	out := make([]Candidate, len(domain))
+	for i, est := range cs.estimates(domain) {
+		out[i] = Candidate{Item: domain[i], Est: est}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return util.SatAbsInt64(out[i].Est) > util.SatAbsInt64(out[j].Est)
-	})
+	slices.SortFunc(out, byAbsEstDesc)
 	if k < len(out) {
 		out = out[:k]
 	}
@@ -328,13 +488,42 @@ func (cs *CountSketch) HeavyCandidates(domain []uint64, k int) []Candidate {
 // the sketch); Merge returns an error otherwise. Merging sketches with
 // different hash functions would silently produce garbage, so dimensions
 // are checked and callers are responsible for seed discipline.
+//
+// Two sparse sketches merge as tables (other's cached hashes come along:
+// same seed, same hashes), materializing if the union passes the limit;
+// a sparse other adds its table into a dense cs; a dense other makes cs
+// dense first.
 func (cs *CountSketch) Merge(other *CountSketch) error {
 	if cs.rows != other.rows || cs.buckets != other.buckets {
 		return fmt.Errorf("sketch: merge dimension mismatch (%dx%d vs %dx%d)",
 			cs.rows, cs.buckets, other.rows, other.buckets)
 	}
-	for i, v := range other.flat {
-		cs.flat[i] += v
+	if other.flat != nil {
+		if cs.flat == nil {
+			cs.materialize()
+		}
+		for i, v := range other.flat {
+			cs.flat[i] += v
+		}
+		return nil
+	}
+	for e, it := range other.tab.items {
+		d := other.tab.counts[e]
+		if cs.flat != nil {
+			for j, h := range other.tab.hashes {
+				p := h[e]
+				cs.flat[uint64(j)*cs.buckets+uint64(p>>1)] += signed(p, d)
+			}
+			continue
+		}
+		if last, fresh := cs.tab.add(it, d); fresh {
+			for j, h := range other.tab.hashes {
+				cs.tab.place(last, j, h[e])
+			}
+			if len(cs.tab.items) > cs.limit {
+				cs.materialize()
+			}
+		}
 	}
 	return nil
 }

@@ -2,7 +2,7 @@ package sketch
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/wire"
 )
@@ -65,18 +65,18 @@ func (cs *CountSketch) Fingerprint() uint64 {
 	return wire.Fingerprint(cs.hash.digest, k)
 }
 
-// MarshalBinary serializes the counter state and tracked candidates.
+// MarshalBinary serializes the counter state and tracked candidates. A
+// sparse sketch writes its rows replayed and stays sparse: the bytes are
+// the dense sketch's.
 func (cs *CountSketch) MarshalBinary() ([]byte, error) {
 	var w wire.Writer
 	w.Header(countSketchMagic, cs.Fingerprint())
 	w.U32(uint32(cs.rows))
 	w.U64(cs.buckets)
-	for j := 0; j < cs.rows; j++ {
-		w.Row(cs.counts[j])
-	}
+	cs.eachRow(func(_ int, row []int64) { w.Row(row) })
 	if cs.topK != nil {
 		items := cs.topK.items()
-		sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
+		slices.Sort(items)
 		w.IDs(items)
 	} else {
 		w.IDs(nil)
@@ -90,7 +90,8 @@ func (cs *CountSketch) MarshalBinary() ([]byte, error) {
 // verified via the header fingerprint. The whole payload is checked
 // BEFORE any counter is touched (StageBinary), so an error never leaves
 // cs half-merged. To load a shard into an empty sketch, construct a fresh
-// sketch first.
+// sketch first. The wire carries counters, not items, so a sparse cs
+// materializes: a restored sketch is dense.
 func (cs *CountSketch) UnmarshalBinary(data []byte) error { return wire.Unmarshal(cs, data) }
 
 // StageBinary checks a payload whole against cs — header, dimensions,
@@ -109,7 +110,7 @@ func (cs *CountSketch) StageBinary(data []byte) (func(), error) {
 	}
 	counters := data[len(data)-r.Len():]
 	for j := 0; j < cs.rows; j++ {
-		r.CheckRow(len(cs.counts[j]))
+		r.CheckRow(int(cs.buckets))
 		if r.Err() != nil {
 			return nil, fmt.Errorf("sketch: row %d: %w", j, r.Err())
 		}
@@ -120,9 +121,12 @@ func (cs *CountSketch) StageBinary(data []byte) (func(), error) {
 		return nil, fmt.Errorf("sketch: %w", err)
 	}
 	return func() {
+		if cs.flat == nil {
+			cs.materialize()
+		}
 		r := wire.NewReader(counters)
 		for j := 0; j < cs.rows; j++ {
-			r.AddRow(cs.counts[j])
+			r.AddRow(cs.row(j))
 		}
 		if cs.topK != nil {
 			// Mirror MergeTopK: offer the shard's candidates against the
@@ -149,9 +153,11 @@ func (cs *CountSketch) StageBinary(data []byte) (func(), error) {
 // candidates, so two sketches of one seed that ingested the same multiset
 // in any order, or in merged pieces, fold to the same value by linearity.
 func (cs *CountSketch) FoldCounters(h uint64) uint64 {
-	for _, c := range cs.flat {
-		h = wire.Fingerprint(h, uint64(c))
-	}
+	cs.eachRow(func(_ int, row []int64) {
+		for _, c := range row {
+			h = wire.Fingerprint(h, uint64(c))
+		}
+	})
 	return h
 }
 
@@ -183,12 +189,15 @@ func (cs *CountSketch) MergeTopK(other *CountSketch) error {
 		return err
 	}
 	if cs.topK != nil && other.topK != nil {
-		for _, it := range other.topK.items() {
-			cs.topK.offer(it, cs.Estimate(it))
+		// Offers move no counter, so each list is estimated in one go.
+		theirs := other.topK.items()
+		for i, est := range cs.estimates(theirs) {
+			cs.topK.offer(theirs[i], est)
 		}
 		// Re-score our own survivors against the merged counters too.
-		for _, it := range cs.topK.items() {
-			cs.topK.offer(it, cs.Estimate(it))
+		ours := cs.topK.items()
+		for i, est := range cs.estimates(ours) {
+			cs.topK.offer(ours[i], est)
 		}
 	}
 	return nil

@@ -203,10 +203,12 @@ func TestRefusedUnmarshalChangesNothing(t *testing.T) {
 		w.Header(countSketchMagic, src.Fingerprint())
 		w.U32(uint32(src.rows))
 		w.U64(src.buckets)
+		rows := src.counters()
+		b := int(src.buckets)
 		for j := 0; j < src.rows-1; j++ {
-			w.Row(src.counts[j])
+			w.Row(rows[j*b : (j+1)*b])
 		}
-		last(&w, src.counts[src.rows-1])
+		last(&w, rows[(src.rows-1)*b:])
 		tracked := src.TrackedItems()
 		slices.Sort(tracked)
 		w.IDs(tracked)

@@ -513,3 +513,46 @@ func TestEstimatorUpdateBatchChunks(t *testing.T) {
 		t.Errorf("one batch: estimate %v; 4096-update batches: %v; snapshots equal: %v", est[0], est[1], bytes.Equal(blob[0], blob[1]))
 	}
 }
+
+// TestWindowBucketsCostWhatTheyHold is the window's storage gate: a bucket
+// is a whole recursive stack, sized for the full stream, but one that
+// has seen a few ticks of traffic holds its deep levels as tables
+// (sketch.CountSketch, sparse), so the window's resident bytes are a
+// fraction of its buckets' budget. Resident bytes are a constant of the
+// updates, unlike a heap reading.
+func TestWindowBucketsCostWhatTheyHold(t *testing.T) {
+	opts := core.Options{N: 1 << 20, M: 1 << 12, Eps: 0.25, Lambda: 1.0 / 16, Seed: 7}
+	e, err := NewEstimator(gfunc.F2Func(), opts, Config{W: 16, K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := util.NewSplitMix64(3)
+	batch := make([]stream.Update, 1000)
+	for tick := uint64(0); tick < 40; tick++ {
+		e.Advance(tick)
+		for i := range batch { // about 300 distinct items a tick
+			batch[i] = stream.Update{Item: rng.Uint64n(1 << 20), Delta: 1}
+			if i%10 != 0 {
+				batch[i].Item = batch[i-i%10].Item + uint64(i%3)
+			}
+		}
+		if err := e.UpdateBatch(batch, tick); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live, resident := 0, 0
+	for _, b := range e.win.buckets {
+		if b.live {
+			live++
+			resident += b.sk.ResidentBytes()
+		}
+	}
+	dense := live * core.NewOnePass(gfunc.F2Func(), opts).SpaceBytes()
+	if live < 4 || dense != e.SpaceBytes() {
+		t.Fatalf("%d live buckets, budget %d bytes; want several, and the window's SpaceBytes %d", live, dense, e.SpaceBytes())
+	}
+	if 4*resident > dense {
+		t.Errorf("%d live buckets hold %d bytes, over a quarter of the %d their dense stacks would", live, resident, dense)
+	}
+	t.Logf("%d live buckets hold %d of %d budgeted bytes (%.3f)", live, resident, dense, float64(resident)/float64(dense))
+}

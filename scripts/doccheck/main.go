@@ -1,16 +1,19 @@
 // Command doccheck is the package-documentation gate: it walks every Go
 // package in the repository and fails unless each has exactly one
 // package doc comment (the doc.go convention for internal packages; a
-// command comment on main for cmd/ and scripts/).
+// command comment on main for cmd/ and scripts/), and unless every
+// Markdown file a Go comment names (test files included) exists, beside
+// the Go file or in a directory above it up to root.
 //
 // # Usage
 //
 //	go run ./scripts/doccheck [root]
 //
 // root defaults to ".". Exit codes: 0 when every package is documented
-// by exactly one file, 1 when any package has no doc comment or more
-// than one (ambiguous — godoc picks one file arbitrarily), 2 on usage
-// or parse errors. testdata trees and _test.go files are skipped;
+// by exactly one file and every cited document exists, 1 when any
+// package has no doc comment or more than one (ambiguous — godoc picks
+// one file arbitrarily) or a comment cites a missing *.md file, 2 on
+// usage or parse errors. testdata trees and _test.go files are skipped;
 // every other package counts — examples/ included — so a freshly
 // added internal package without a doc.go fails CI's docs job until
 // its role, layer, and seed-discipline obligations are written down.
@@ -19,13 +22,61 @@ package main
 import (
 	"fmt"
 	"go/parser"
+	"go/scanner"
 	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 )
+
+// mdRef matches a Markdown file name, with or without a directory.
+var mdRef = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b`)
+
+// danglingRefs returns the *.md names the comments of the Go file at path
+// cite that exist neither beside it nor in a directory above it up to
+// root.
+func danglingRefs(root, path string) ([]string, error) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	var s scanner.Scanner
+	s.Init(fset.AddFile(path, -1, len(src)), src, nil, scanner.ScanComments)
+	var out []string
+	for {
+		_, tok, lit := s.Scan()
+		if tok == token.EOF {
+			break
+		}
+		if tok != token.COMMENT {
+			continue
+		}
+		for _, ref := range mdRef.FindAllString(lit, -1) {
+			if !cited(root, filepath.Dir(path), ref) {
+				out = append(out, ref)
+			}
+		}
+	}
+	return out, nil
+}
+
+// cited reports whether ref names a file in dir or a directory above it,
+// up to root.
+func cited(root, dir, ref string) bool {
+	for {
+		if _, err := os.Stat(filepath.Join(dir, filepath.FromSlash(ref))); err == nil {
+			return true
+		}
+		if rel, err := filepath.Rel(root, dir); err != nil || rel == "." || strings.HasPrefix(rel, "..") {
+			return false
+		}
+		dir = filepath.Dir(dir)
+	}
+}
 
 func main() {
 	os.Exit(run())
@@ -46,6 +97,7 @@ func run() int {
 	// comment; pkgSeen tracks every directory holding non-test Go files.
 	pkgDocs := make(map[string][]string)
 	pkgSeen := make(map[string]bool)
+	var dangling []string
 
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -58,7 +110,17 @@ func run() int {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if !strings.HasSuffix(name, ".go") {
+			return nil
+		}
+		refs, err := danglingRefs(root, path)
+		if err != nil {
+			return err
+		}
+		for _, ref := range refs {
+			dangling = append(dangling, fmt.Sprintf("%s cites %s", path, ref))
+		}
+		if strings.HasSuffix(name, "_test.go") {
 			return nil
 		}
 		dir := filepath.Dir(path)
@@ -100,6 +162,10 @@ func run() int {
 			fmt.Printf("DUP     %-28s package doc comment in %d files: %s\n", dir, len(docs), strings.Join(docs, ", "))
 			failed = true
 		}
+	}
+	for _, d := range dangling {
+		fmt.Printf("DANGLING %s, which does not exist\n", d)
+		failed = true
 	}
 	if failed {
 		fmt.Println("doccheck: FAILED")
