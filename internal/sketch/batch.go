@@ -205,9 +205,9 @@ func (cs *CountSketch) UpdateBatch(batch []stream.Update) {
 // only if no sketch of the same row-hash family has yet; otherwise it
 // adds, reads back and re-scores. b is only read, apart from that and its
 // scratch. A sparse sketch adds the batch into its table instead, taking
-// a new entry's row hashes from the batch's, and re-scores from its rows
-// replayed; an entry past the limit materializes it, and the rest of the
-// batch takes the row walk.
+// a new entry's row hashes from the batch's, and re-scores from the
+// batch's buckets gathered from the table; an item the table has no room
+// for materializes it, and the rest of the batch takes the row walk.
 func (cs *CountSketch) Apply(b *Batch) {
 	sel := b.sel
 	m := len(sel)
@@ -253,15 +253,23 @@ func (cs *CountSketch) Apply(b *Batch) {
 			}
 		}
 	case cs.topK != nil:
-		counts := cs.replayRow()
+		// Only the batch's buckets are read back, and a level sees far
+		// fewer items a batch than it holds: gather those, not the row.
+		counts, mark := cs.replayRow()
 		for j := 0; j < cs.rows; j++ {
 			hashed, row := b.hashed[j*n:(j+1)*n], ests[j*m:(j+1)*m]
-			cs.tab.scatter(j, counts)
+			for _, i := range sel {
+				mark[hashed[i]>>1] = true
+			}
+			cs.tab.gather(j, counts, mark)
 			for t, i := range sel {
 				p := hashed[i]
 				row[t] = signed(p, counts[p>>1])
 			}
-			cs.tab.unscatter(j, counts)
+			for _, i := range sel {
+				h := hashed[i] >> 1
+				counts[h], mark[h] = 0, false
+			}
 		}
 	}
 	if cs.topK != nil {
@@ -270,21 +278,21 @@ func (cs *CountSketch) Apply(b *Batch) {
 }
 
 // absorb adds the selected items of b into a sparse sketch's table and
-// returns the ones left for the row walk: none, unless an entry past the
-// limit materialized the sketch — then every item after it.
+// returns the ones left for the row walk: none, unless the table had no
+// room for one — then the sketch materialized, and that item and every
+// one after it are left.
 func (cs *CountSketch) absorb(b *Batch) []int32 {
 	n := len(b.items)
 	for k, i := range b.sel {
-		e, fresh := cs.tab.add(b.items[i], b.ds[i])
-		if !fresh {
-			continue
-		}
-		for j := range cs.tab.hashes {
-			cs.tab.place(e, j, b.hashed[j*n+int(i)])
-		}
-		if len(cs.tab.items) > cs.limit {
+		e, fresh, ok := cs.tab.add(b.items[i], b.ds[i])
+		if !ok {
 			cs.materialize()
-			return b.sel[k+1:]
+			return b.sel[k:]
+		}
+		if fresh {
+			for j := range cs.tab.hashes {
+				cs.tab.place(e, j, b.hashed[j*n+int(i)])
+			}
 		}
 	}
 	return nil

@@ -41,10 +41,9 @@ type CountSketch struct {
 	// is nil while the sketch is sparse.
 	flat []int64
 	// tab is the sparse sketch's state while flat is nil: every item with
-	// a nonzero net count. Past limit entries (sparseLimit) the sketch
-	// materializes and tab is dropped.
-	tab   table
-	limit int
+	// a nonzero net count. Once it has no room for an item within the
+	// matrix's bytes the sketch materializes and tab is dropped.
+	tab table
 	// replay is the owner's scratch row a sparse sketch's reads replay tab
 	// into: the sketch's own, or the one a stack's levels share.
 	replay *replay
@@ -120,7 +119,6 @@ func NewCountSketch(r int, b uint64, rng *util.SplitMix64) *CountSketch {
 		rows:    r,
 		buckets: b,
 		tab:     newTable(r, b),
-		limit:   sparseLimit(r, b),
 		replay:  new(replay),
 		hash:    newRowHashes(r, b, rng),
 		scratch: make([]int64, r),
@@ -143,13 +141,14 @@ func (cs *CountSketch) materialize() {
 	cs.tab = newTable(cs.rows, cs.buckets)
 }
 
-// replayRow returns the owner's scratch row, all zeros, for a sparse read
-// to scatter row after row of the table into and unscatter again.
-func (cs *CountSketch) replayRow() []int64 {
+// replayRow returns the owner's scratch row and marks, all zeros, for a
+// sparse read to scatter (or gather) row after row of the table into and
+// clear again.
+func (cs *CountSketch) replayRow() ([]int64, []bool) {
 	if cs.replay.row == nil {
-		cs.replay.row = make([]int64, cs.buckets)
+		cs.replay.row, cs.replay.mark = make([]int64, cs.buckets), make([]bool, cs.buckets)
 	}
-	return cs.replay.row
+	return cs.replay.row, cs.replay.mark
 }
 
 // eachRow calls fn with every row of counters in order, for reading: the
@@ -162,7 +161,7 @@ func (cs *CountSketch) eachRow(fn func(j int, row []int64)) {
 		}
 		return
 	}
-	row := cs.replayRow()
+	row, _ := cs.replayRow()
 	for j := 0; j < cs.rows; j++ {
 		cs.tab.scatter(j, row)
 		fn(j, row)
@@ -299,17 +298,15 @@ func (cs *CountSketch) Update(item uint64, delta int64) {
 // updateSparse is Update on a sparse sketch. The tracker's point query
 // reads the item's buckets off its entry when it has one (sparseRows).
 func (cs *CountSketch) updateSparse(item, xp uint64, delta int64) {
-	e, fresh := cs.tab.add(item, delta)
+	e, fresh, ok := cs.tab.add(item, delta)
+	if !ok {
+		cs.materialize()
+		cs.Update(item, delta)
+		return
+	}
 	if fresh {
 		for j := range cs.tab.hashes {
 			cs.tab.place(e, j, cs.hash.rowPacked(j, xp))
-		}
-		if len(cs.tab.items) > cs.limit {
-			cs.materialize()
-			if cs.topK != nil {
-				cs.topK.offer(item, cs.Estimate(item))
-			}
-			return
 		}
 	}
 	if cs.topK != nil {
@@ -490,7 +487,7 @@ func (cs *CountSketch) HeavyCandidates(domain []uint64, k int) []Candidate {
 // are checked and callers are responsible for seed discipline.
 //
 // Two sparse sketches merge as tables (other's cached hashes come along:
-// same seed, same hashes), materializing if the union passes the limit;
+// same seed, same hashes), materializing if the union outgrows a table;
 // a sparse other adds its table into a dense cs; a dense other makes cs
 // dense first.
 func (cs *CountSketch) Merge(other *CountSketch) error {
@@ -509,20 +506,21 @@ func (cs *CountSketch) Merge(other *CountSketch) error {
 	}
 	for e, it := range other.tab.items {
 		d := other.tab.counts[e]
-		if cs.flat != nil {
-			for j, h := range other.tab.hashes {
-				p := h[e]
-				cs.flat[uint64(j)*cs.buckets+uint64(p>>1)] += signed(p, d)
+		if cs.flat == nil {
+			last, fresh, ok := cs.tab.add(it, d)
+			if fresh {
+				for j, h := range other.tab.hashes {
+					cs.tab.place(last, j, h[e])
+				}
 			}
-			continue
+			if ok {
+				continue
+			}
+			cs.materialize()
 		}
-		if last, fresh := cs.tab.add(it, d); fresh {
-			for j, h := range other.tab.hashes {
-				cs.tab.place(last, j, h[e])
-			}
-			if len(cs.tab.items) > cs.limit {
-				cs.materialize()
-			}
+		for j, h := range other.tab.hashes {
+			p := h[e]
+			cs.flat[uint64(j)*cs.buckets+uint64(p>>1)] += signed(p, d)
 		}
 	}
 	return nil

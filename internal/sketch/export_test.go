@@ -1,18 +1,9 @@
 package sketch
 
-import "repro/internal/util"
-
-// newDense returns NewCountSketch's sketch already materialized: the
-// dense twin the sparse one is held to. It is a test door, not a knob.
-func newDense(r int, b uint64, rng *util.SplitMix64) *CountSketch {
-	cs := NewCountSketch(r, b, rng)
-	cs.materialize()
-	return cs
-}
-
-// newDenseTopK is newDense with a tracker of k.
-func newDenseTopK(r int, b uint64, k int, rng *util.SplitMix64) *CountSketch {
-	cs := NewCountSketchTopK(r, b, k, rng)
+// dense materializes a fresh sketch and returns it: the dense twin a
+// sparse sketch of the same seed is held to. It is a test door, not a
+// knob.
+func dense(cs *CountSketch) *CountSketch {
 	cs.materialize()
 	return cs
 }

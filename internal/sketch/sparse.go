@@ -11,9 +11,12 @@ package sketch
 // table is a sparse CountSketch's state: the items with a nonzero net
 // count, each with its row hashes cached so a replay re-hashes nothing.
 // An entry whose count reaches 0 is removed: a −S pass empties the table.
-// The empty table of an r x b sketch is newTable(r, b).
+// The table never allocates more than budget bytes, the matrix's size:
+// an item it has no room for is the sketch's cue to materialize. The
+// empty table of an r x b sketch is newTable(r, b).
 type table struct {
 	buckets uint64
+	budget  int
 	items   []uint64
 	counts  []int64
 	// hashes[j][e] is the packed row-j hash, bucket<<1 | sign bit, of
@@ -35,23 +38,11 @@ type table struct {
 }
 
 func newTable(r int, b uint64) table {
-	return table{buckets: b, hashes: make([][]uint32, r)}
+	return table{buckets: b, budget: r * int(b) * 8, hashes: make([][]uint32, r)}
 }
-
-// entryBytes is what one entry of a table of r rows costs: the item, its
-// count, r packed hashes and the two index slots a half-full index gives
-// it. It sets the point where a table stops paying (sparseLimit).
-func entryBytes(r int) int { return 8 + 8 + 4*r + 2*4 }
 
 // occWords is the size of an r x b table's occupancy counters in words.
 func occWords(r int, b uint64) int { return int((uint64(r)*b + 31) / 32) }
-
-// sparseLimit is the most entries an r x b sketch keeps as a table: one
-// more and the table, occupancy counters included, would weigh more than
-// the r*b*8-byte matrix.
-func sparseLimit(r int, b uint64) int {
-	return (r*int(b)*8 - 8*occWords(r, b)) / entryBytes(r)
-}
 
 // bytes returns what the table holds allocated: its slices' capacities.
 func (t *table) bytes() int {
@@ -62,38 +53,96 @@ func (t *table) bytes() int {
 	return n
 }
 
-// add adds d to item's net count and returns the item's entry, -1 if it
-// has none: d was 0, or the count reached 0 and the entry was removed.
-// An entry add opens (fresh) is the last, and the caller places its row
-// hashes.
-func (t *table) add(item uint64, d int64) (e int, fresh bool) {
-	if d == 0 {
-		return t.find(item), false
-	}
-	if 2*(len(t.items)+1) > len(t.slots) {
-		t.reindex(max(16, 2*len(t.slots)))
+// lookup probes the index for item: its slot and entry, or the empty slot
+// the probe ended on and -1.
+func (t *table) lookup(item uint64) (s uint64, e int) {
+	if len(t.slots) == 0 {
+		return 0, -1
 	}
 	mask := uint64(len(t.slots) - 1)
-	s := mix64(item) & mask
-	for ; t.slots[s] != 0; s = (s + 1) & mask {
+	for s = mix64(item) & mask; t.slots[s] != 0; s = (s + 1) & mask {
 		if e := int(t.slots[s]) - 1; t.items[e] == item {
-			if t.counts[e] += d; t.counts[e] == 0 {
-				t.remove(s)
-				return -1, false
-			}
-			return e, false
+			return s, e
 		}
 	}
-	if t.occ == nil {
-		t.occ = make([]uint64, occWords(len(t.hashes), t.buckets))
+	return s, -1
+}
+
+// find returns item's entry, or -1.
+func (t *table) find(item uint64) int {
+	_, e := t.lookup(item)
+	return e
+}
+
+// add adds d to item's net count. It returns the item's entry, -1 if it
+// has none — d was 0, or the count reached 0 and the entry was removed —
+// and whether add opened it: the last entry, whose row hashes the caller
+// places. ok is false, and nothing changed, if the item needed an entry
+// the table has no room for.
+func (t *table) add(item uint64, d int64) (e int, fresh, ok bool) {
+	s, e := t.lookup(item)
+	switch {
+	case d == 0:
+		return e, false, true
+	case e >= 0:
+		if t.counts[e] += d; t.counts[e] == 0 {
+			t.remove(s)
+			return -1, false, true
+		}
+		return e, false, true
+	case !t.grow():
+		return -1, false, false
 	}
+	s, _ = t.lookup(item) // grow may have rebuilt the index
 	t.slots[s] = int32(len(t.items)) + 1
 	t.items = append(t.items, item)
 	t.counts = append(t.counts, d)
-	for j := range t.hashes {
-		t.hashes[j] = append(t.hashes[j], 0)
+	for j, h := range t.hashes {
+		t.hashes[j] = append(h, 0)
 	}
-	return len(t.items) - 1, true
+	return len(t.items) - 1, true, true
+}
+
+// grow makes room for one more entry and reports whether it could within
+// the budget. Capacity doubles up to 256 entries and grows by a quarter
+// beyond (append's policy, without its rounding up), and the index
+// doubles to stay at most half full.
+func (t *table) grow() bool {
+	r, n := len(t.hashes), len(t.items)+1
+	c, slots := cap(t.items), len(t.slots)
+	if n > c {
+		c = max(16, 2*c)
+		if cap(t.items) >= 256 {
+			c = cap(t.items) + cap(t.items)/4
+		}
+	}
+	if 2*n > slots {
+		slots = max(16, 2*slots)
+	}
+	if (16+4*r)*c+4*slots+8*occWords(r, t.buckets) > t.budget {
+		return false
+	}
+	if t.occ == nil {
+		t.occ = make([]uint64, occWords(r, t.buckets))
+	}
+	if slots != len(t.slots) {
+		t.reindex(slots)
+	}
+	if c != cap(t.items) {
+		t.items = resize(t.items, c)
+		t.counts = resize(t.counts, c)
+		for j, h := range t.hashes {
+			t.hashes[j] = resize(h, c)
+		}
+	}
+	return true
+}
+
+// resize returns s in a new array of capacity c.
+func resize[T any](s []T, c int) []T {
+	grown := make([]T, len(s), c)
+	copy(grown, s)
+	return grown
 }
 
 // place sets the row-j hash of entry e, which add just opened.
@@ -110,20 +159,6 @@ func (t *table) place(e, j int, p uint32) {
 func (t *table) occAt(j int, p uint32) (w int, sh uint) {
 	i := uint64(j)*t.buckets + uint64(p>>1)
 	return int(i / 32), uint(i%32) * 2
-}
-
-// find returns item's entry, or -1.
-func (t *table) find(item uint64) int {
-	if len(t.slots) == 0 {
-		return -1
-	}
-	mask := uint64(len(t.slots) - 1)
-	for s := mix64(item) & mask; t.slots[s] != 0; s = (s + 1) & mask {
-		if e := int(t.slots[s]) - 1; t.items[e] == item {
-			return e
-		}
-	}
-	return -1
 }
 
 // reindex rebuilds the index at size slots.
@@ -190,6 +225,17 @@ func (t *table) scatter(j int, row []int64) {
 	}
 }
 
+// gather is scatter for the buckets marked only: they then hold their
+// row-j counters, every other bucket of row stays as it was.
+func (t *table) gather(j int, row []int64, mark []bool) {
+	cs := t.counts
+	for e, p := range t.hashes[j] {
+		if mark[p>>1] {
+			row[p>>1] += signed(p, cs[e])
+		}
+	}
+}
+
 // unscatter zeroes every bucket of row j that scatter touched.
 func (t *table) unscatter(j int, row []int64) {
 	for _, p := range t.hashes[j] {
@@ -226,9 +272,11 @@ func (t *table) counter(j int, p uint32, e int) int64 {
 }
 
 // replay is the b-wide scratch row a sparse sketch replays its table into
-// for a read, one per owner: ShareRowHashes hands it to every level of a
-// stack with the row hashes, so the stack holds one row, not one a level.
-// It stays all zeros between reads.
+// for a read, and the bucket marks of a gather, one of each per owner:
+// ShareRowHashes hands them to every level of a stack with the row hashes,
+// so the stack holds one row, not one a level. Both stay all zeros
+// between reads.
 type replay struct {
-	row []int64
+	row  []int64
+	mark []bool
 }

@@ -11,7 +11,7 @@ import (
 	"repro/internal/xhash"
 )
 
-// A sparse CountSketch is held to its dense twin (newDense): the same
+// A sparse CountSketch is held to its dense twin (dense): the same
 // seed, materialized from the start, fed the same updates through the
 // same doors. After every call the two must agree on everything a reader
 // can see — the counters, the wire bytes, the tracker's heap order, the
@@ -20,6 +20,9 @@ import (
 // sameState fails unless sp and de are indistinguishable to a reader.
 func sameState(t *testing.T, step string, sp, de *CountSketch, probes []uint64) {
 	t.Helper()
+	if sp.ResidentBytes() > sp.SpaceBytes() {
+		t.Fatalf("%s: resident %d bytes, over the matrix's %d", step, sp.ResidentBytes(), sp.SpaceBytes())
+	}
 	if a, b := sp.FoldCounters(1), de.FoldCounters(1); a != b {
 		t.Fatalf("%s: counters fold to %x, dense twin %x", step, a, b)
 	}
@@ -98,10 +101,10 @@ func newTwin(t *testing.T, r int, b uint64, k int, seed uint64) *twin {
 	tw := &twin{t: t}
 	if k > 0 {
 		tw.sp = NewCountSketchTopK(r, b, k, util.NewSplitMix64(seed))
-		tw.de = newDenseTopK(r, b, k, util.NewSplitMix64(seed))
+		tw.de = dense(NewCountSketchTopK(r, b, k, util.NewSplitMix64(seed)))
 	} else {
 		tw.sp = NewCountSketch(r, b, util.NewSplitMix64(seed))
-		tw.de = newDense(r, b, util.NewSplitMix64(seed))
+		tw.de = dense(NewCountSketch(r, b, util.NewSplitMix64(seed)))
 	}
 	return tw
 }
@@ -132,29 +135,31 @@ func (tw *twin) feed(step string, ups []stream.Update) {
 }
 
 func TestSparseMatchesDense(t *testing.T) {
-	const r, b = 5, 256 // a table of at most sparseLimit(5, 256) = 228 entries
-	limit := sparseLimit(r, b)
+	const r, b = 5, 256
+	// Past most entries a table would outweigh the matrix on its entries
+	// alone (at 5 x 256 growth stops it at 128).
+	most := r * b * 8 / (16 + 4*r)
 	for _, k := range []int{0, 16} {
 		tw := newTwin(t, r, b, k, 7)
-		// Below the limit the sketch stays a table; a −S pass empties it.
-		small := sparseUpdates(1, 600, 120)
-		tw.feed("below the limit", small)
+		// A hundred-odd items stay a table; a −S pass empties it.
+		small := sparseUpdates(1, 600, 100)
+		tw.feed("a table", small)
 		if !tw.sp.sparse() || len(tw.sp.tab.items) == 0 {
-			t.Fatalf("k=%d: %d entries after 120 items, want a non-empty table", k, len(tw.sp.tab.items))
+			t.Fatalf("k=%d: %d entries after 100 items, want a non-empty table", k, len(tw.sp.tab.items))
 		}
 		tw.feed("the −S pass", negated(small))
 		if !tw.sp.sparse() || len(tw.sp.tab.items) != 0 || tw.sp.ResidentBytes() == 0 {
 			t.Fatalf("k=%d: after −S: sparse %v, %d entries, want an empty table that kept its allocation",
 				k, tw.sp.sparse(), len(tw.sp.tab.items))
 		}
-		// One whole batch carries the table past the limit mid-batch.
+		// One whole batch outgrows the table mid-batch.
 		tw.feed("refill", small)
-		wide := sparseUpdates(2, 3*limit, 4*uint64(limit))
+		wide := sparseUpdates(2, 3*most, 4*uint64(most))
 		tw.sp.UpdateBatch(wide)
 		tw.de.UpdateBatch(wide)
 		tw.probes = append(tw.probes, probesOf(wide)...)
 		if tw.sp.sparse() {
-			t.Fatalf("k=%d: still sparse with %d entries past a limit of %d", k, len(tw.sp.tab.items), limit)
+			t.Fatalf("k=%d: still sparse with %d entries after %d distinct items", k, len(tw.sp.tab.items), 4*most)
 		}
 		if got := tw.sp.ResidentBytes(); got != tw.sp.SpaceBytes() {
 			t.Fatalf("k=%d: dense sketch resident %d bytes, want its budget %d", k, got, tw.sp.SpaceBytes())
@@ -162,26 +167,24 @@ func TestSparseMatchesDense(t *testing.T) {
 		tw.check("crossed mid-batch")
 		tw.feed("dense", sparseUpdates(3, 300, 1000))
 	}
-	// The single-update door crosses the limit too.
+	// The single-update door materializes too: not before the table holds
+	// a fair share of most, and not after most.
 	tw := newTwin(t, r, b, 16, 9)
-	for i := 0; i <= limit; i++ {
-		if !tw.sp.sparse() {
-			t.Fatalf("dense after %d distinct single updates, under a limit of %d", i, limit)
-		}
+	i := 0
+	for ; tw.sp.sparse() && i <= most; i++ {
 		tw.sp.Update(uint64(i), 1)
 		tw.de.Update(uint64(i), 1)
 		tw.check("single updates")
 	}
-	if tw.sp.sparse() {
-		t.Fatalf("still sparse after %d distinct single updates", limit+1)
+	if i < most/4 || tw.sp.sparse() {
+		t.Fatalf("sparse %v after %d distinct single updates, want dense after %d to %d", tw.sp.sparse(), i, most/4, most)
 	}
 }
 
 func TestSparseMergesMatchDense(t *testing.T) {
-	const r, b, k = 5, 256, 16
-	limit := sparseLimit(r, b)
+	const r, b, k = 5, 256, 16 // a table of 5 x 256 holds at most 128 entries
 	few := func(seed uint64) []stream.Update { return sparseUpdates(seed, 200, 60) }
-	many := func(seed uint64) []stream.Update { return sparseUpdates(seed, 3*limit, 4*uint64(limit)) }
+	many := func(seed uint64) []stream.Update { return sparseUpdates(seed, 1000, 500) }
 	for _, tc := range []struct {
 		name       string
 		dst, src   []stream.Update
@@ -189,7 +192,7 @@ func TestSparseMergesMatchDense(t *testing.T) {
 		wantSparse bool
 	}{
 		{"sparse+sparse", few(1), few(2), false, true},
-		{"sparse+sparse past the limit", sparseUpdates(3, 400, 150), sparseUpdates(4, 400, 150), false, false},
+		{"sparse+sparse outgrowing a table", sparseUpdates(3, 300, 100), sparseUpdates(4, 300, 100), false, false},
 		{"sparse+dense", few(5), many(6), false, false},
 		{"dense+sparse", many(7), few(8), false, false},
 		{"sparse+sparse over the wire", few(9), few(10), true, false},
@@ -231,7 +234,7 @@ func TestSparseMergesMatchDense(t *testing.T) {
 // TestSparseStackMatchesDense runs a stack the way internal/recursive
 // does — levels sharing level 0's row hashes (and so one replay row), one
 // collapsed batch narrowed by a subsampling hash between levels — with
-// levels on both sides of the limit, against a stack of dense twins.
+// levels on both sides of materializing, against a stack of dense twins.
 func TestSparseStackMatchesDense(t *testing.T) {
 	const r, b, k, levels = 5, 256, 16, 6
 	build := func(mk func(seed uint64) *CountSketch) []*CountSketch {
@@ -245,7 +248,7 @@ func TestSparseStackMatchesDense(t *testing.T) {
 		return out
 	}
 	sp := build(func(seed uint64) *CountSketch { return NewCountSketchTopK(r, b, k, util.NewSplitMix64(seed)) })
-	de := build(func(seed uint64) *CountSketch { return newDenseTopK(r, b, k, util.NewSplitMix64(seed)) })
+	de := build(func(seed uint64) *CountSketch { return dense(NewCountSketchTopK(r, b, k, util.NewSplitMix64(seed))) })
 	rng := util.NewSplitMix64(5)
 	sub := make([]*xhash.Bernoulli, levels-1)
 	for l := range sub {
@@ -273,7 +276,7 @@ func TestSparseStackMatchesDense(t *testing.T) {
 		}
 	}
 	if sp[0].sparse() || !sp[levels-1].sparse() {
-		t.Fatalf("levels sparse %v … %v, want the stack to straddle the limit", sp[0].sparse(), sp[levels-1].sparse())
+		t.Fatalf("levels sparse %v … %v, want the stack to straddle materializing", sp[0].sparse(), sp[levels-1].sparse())
 	}
 	if sp[levels-1].replay != sp[0].replay {
 		t.Fatal("levels sharing row hashes must share the replay row")
