@@ -25,9 +25,9 @@ import (
 //
 // A sketch holds what it has seen, not what it could: it starts sparse, an
 // exact table of item → net count (sparse.go), and materializes the matrix
-// only once the table would weigh more than it — so the deep levels of a
-// recursive stack, which see about 2^-k of the support, cost their support
-// and not r*b counters. A row is linear, so the table determines every
+// only once growing the table would take it past the matrix's bytes — so
+// the deep levels of a recursive stack, which see about 2^-k of the
+// support, cost their support and not r*b counters. A row is linear, so the table determines every
 // counter exactly, and every read replays it: counters, point queries, the
 // tracker and the wire bytes are those of the matrix, bit for bit.
 // SpaceBytes is the matrix's size either way (the budget the paper's bounds
@@ -268,8 +268,8 @@ func (cs *CountSketch) SpaceBytes() int {
 
 // ResidentBytes returns the bytes the counters hold now: SpaceBytes once
 // the sketch is dense, the table's allocation while it is sparse — never
-// more than about SpaceBytes, and 0 before the first nonzero count. The
-// owner's replay row (b counters, one per stack) is not counted.
+// more than SpaceBytes, and 0 before the first nonzero count. The owner's
+// replay row (b counters and b marks, one per stack) is not counted.
 func (cs *CountSketch) ResidentBytes() int {
 	if cs.flat != nil {
 		return cs.SpaceBytes()
