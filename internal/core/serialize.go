@@ -76,6 +76,7 @@ func (e *OnePassEstimator) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("core: OnePassEstimator: %w", err)
 	}
 	blob := r.Blob()
+	r.End()
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("core: OnePassEstimator: %w", err)
 	}
@@ -108,6 +109,7 @@ func (e *TwoPassEstimator) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("core: TwoPassEstimator: %w", err)
 	}
 	blob := r.Blob()
+	r.End()
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("core: TwoPassEstimator: %w", err)
 	}
@@ -158,6 +160,7 @@ func (e *ExactEstimator) UnmarshalBinary(data []byte) error {
 		items = append(items, r.U64())
 		freqs = append(freqs, r.I64())
 	}
+	r.End()
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("core: ExactEstimator: %w", err)
 	}

@@ -53,7 +53,9 @@ func (s *Server) checkpointBytes() ([]byte, error) {
 // WriteCheckpoint atomically persists the daemon's state to path: the
 // bytes land in a temporary file in the same directory, are fsynced, and
 // only then renamed over path, so a crash mid-write leaves the previous
-// checkpoint intact and a reader never sees a torn file.
+// checkpoint intact and a reader never sees a torn file. The directory is
+// fsynced after the rename, so a checkpoint that returned survives a
+// crash right after it; a failure there counts as a failed write.
 func (s *Server) WriteCheckpoint(path string) (err error) {
 	start := time.Now()
 	defer func() {
@@ -88,8 +90,24 @@ func (s *Server) WriteCheckpoint(path string) (err error) {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("daemon: checkpoint rename: %w", err)
 	}
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("daemon: checkpoint rename: %w", err)
+	}
 	s.obs.checkpointBytes.Set(float64(len(data)))
 	return nil
+}
+
+// syncDir fsyncs the directory dir, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }
 
 // RestoreCheckpoint replaces the daemon's state with the checkpoint at
@@ -115,6 +133,7 @@ func (s *Server) RestoreCheckpoint(path string) error {
 	tick := r.U64()
 	ingests := r.U64()
 	snap := r.Blob()
+	r.End()
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("daemon: corrupt checkpoint %s: %w", path, err)
 	}

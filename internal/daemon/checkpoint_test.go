@@ -473,3 +473,42 @@ func TestCheckpointTruncatedAtEveryOffset(t *testing.T) {
 		t.Errorf("the whole checkpoint restored to other state (%d ingested, want %d)", n, wantIngests)
 	}
 }
+
+// TestCheckpointRefusesTrailingByte: a whole checkpoint with one byte
+// appended is refused like a cut one, naming the trailing byte, with the
+// live daemon's state and ingest counter untouched.
+func TestCheckpointRefusesTrailingByte(t *testing.T) {
+	spec := onePassSpec(1)
+	src, err := NewServer(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := NewServer(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.IngestBatch(testStream(1).Updates()); err != nil {
+		t.Fatal(err)
+	}
+	if err := live.IngestBatch(testStream(2).Updates()); err != nil {
+		t.Fatal(err)
+	}
+	path := CheckpointPath(t.TempDir())
+	if err := src.WriteCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(ckpt, 0), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before, ingests := liveState(t, live)
+	if err := live.RestoreCheckpoint(path); err == nil || !strings.Contains(err.Error(), "1 trailing bytes") {
+		t.Errorf("restore of a checkpoint with a trailing byte: %v, want a trailing-bytes refusal", err)
+	}
+	if snap, n := liveState(t, live); n != ingests || !bytes.Equal(snap, before) {
+		t.Error("a checkpoint with a trailing byte was refused, but the live state moved")
+	}
+}

@@ -56,6 +56,7 @@ func (o *OnePass) StageBinary(data []byte) (func(), error) {
 		return nil, fmt.Errorf("heavy: OnePass: %w", err)
 	}
 	blob := r.Blob()
+	r.End()
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("heavy: OnePass: %w", err)
 	}
@@ -110,6 +111,7 @@ func (t *TwoPass) StageBinary(data []byte) (func(), error) {
 	blob := r.Blob()
 	cands := r.IDs()
 	counts := r.I64s()
+	r.End()
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("heavy: TwoPass: %w", err)
 	}

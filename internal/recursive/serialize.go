@@ -105,6 +105,9 @@ func stageLevels[S wire.Stager](data []byte, magic uint32, fp uint64, levels []S
 	if err != nil {
 		return nil, fmt.Errorf("recursive: %w", err)
 	}
+	if r.End(); r.Err() != nil {
+		return nil, fmt.Errorf("recursive: %w", r.Err())
+	}
 	return wire.StageEach(len(levels), func(k int) (func(), error) {
 		merge, err := levels[k].StageBinary(blobs[k])
 		if err != nil {

@@ -98,8 +98,8 @@ func (w *Window[S]) UnmarshalBinary(data []byte) error {
 		}
 		loaded[i] = true
 	}
-	if r.Len() != 0 {
-		return fmt.Errorf("window: %d trailing bytes after payload", r.Len())
+	if r.End(); r.Err() != nil {
+		return fmt.Errorf("window: %w", r.Err())
 	}
 	for i := range w.buckets {
 		if !loaded[i] {
