@@ -1,0 +1,41 @@
+package core_test
+
+import (
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/gfunc"
+	"repro/internal/stream"
+	"repro/internal/workload"
+)
+
+// TestSnapshotBytesGate holds the row codec to its byte budget: a onepass
+// estimator at the repo benchmark's options (bench/workloads.go), fed a
+// seeded 2^18-update stream of each of the benchmark's two shapes, must
+// marshal to at most 0.78x the bytes the same state took under layout
+// version 5 (zigzag varints with zero runs), recorded here. A regression
+// of the codec then fails go test, not only the benchmark.
+func TestSnapshotBytesGate(t *testing.T) {
+	opts := core.Options{N: 1 << 20, M: 1 << 12, Eps: 0.25, Lambda: 1.0 / 16, Seed: 7}
+	for _, tc := range []struct {
+		name  string
+		gen   workload.Generator
+		items int
+		v5    int // MarshalBinary bytes under layout version 5
+	}{
+		{"uniform", workload.Uniform{}, 1 << 19, 114656},
+		{"zipf", workload.Zipf{Alpha: 1.1}, 1 << 16, 83583},
+	} {
+		st := tc.gen.Generate(workload.Config{N: opts.N, Items: tc.items, Length: 1 << 18, Seed: 1})
+		e := core.NewOnePass(gfunc.F2Func(), opts)
+		stream.Batches(st.Updates(), e.UpdateBatch)
+		data, err := e.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s: %d bytes, %.3fx version 5's %d", tc.name, len(data), float64(len(data))/float64(tc.v5), tc.v5)
+		if limit := tc.v5 * 78 / 100; len(data) > limit {
+			t.Errorf("%s: a snapshot of %d bytes, over 0.78x version 5's %d (%d)", tc.name, len(data), tc.v5, limit)
+		}
+	}
+}

@@ -23,10 +23,12 @@ import (
 // 4096 buckets a level where there were 7), once more, and layout version
 // 4 (PR 29: the same counters as zigzag varints with zero runs), once
 // more, and layout version 5 (PR 40: half the buckets, the pruning
-// window's fixed point, tracked ids through the id codec), once more;
-// CHANGES.md has the values before and after each.
+// window's fixed point, tracked ids through the id codec), once more, and
+// layout version 6 (PR 42: the same counters as per-row exp-Golomb codes;
+// with the version-5 row codec and header the tree gave version 5's
+// digest), once more; CHANGES.md has the values before and after each.
 func TestOnePassStateDigest(t *testing.T) {
-	const want = "5499b6dcc2374593bfd083eda0c59c04cae972c9d1ab351ecdbb8903b3bacf6e"
+	const want = "1d4235f0a5bc16bfce0a169a1913004e0a5355e045fc6342fdd26c135bf5338d"
 	rng := util.NewSplitMix64(0x16d1635)
 	ups := make([]stream.Update, 1<<16)
 	for i := range ups {
@@ -39,7 +41,7 @@ func TestOnePassStateDigest(t *testing.T) {
 		ups[i] = stream.Update{Item: it, Delta: d}
 	}
 	// The options of the repo benchmark (bench/workloads.go): 5 rows of
-	// 4096 buckets per level.
+	// 2048 buckets per level.
 	e := NewOnePass(gfunc.F2Func(), Options{N: 1 << 20, M: 1 << 12, Eps: 0.25, Lambda: 1.0 / 16, Seed: 7})
 	half := len(ups) / 2
 	for i := 0; i < half; i += 4096 {

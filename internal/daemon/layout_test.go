@@ -52,15 +52,16 @@ func asLayout(payload []byte, v uint16) []byte {
 // sketch under every layout version, so "equal Specs" stopped meaning
 // "merge-compatible" the moment the layout moved. A build any layout
 // behind — version 1's own hashes a level, version 2's sizing, version 3's
-// 8 bytes a counter, version 4's twice the buckets and 8 bytes an id — must be
+// 8 bytes a counter, version 4's twice the buckets and 8 bytes an id,
+// version 5's byte-aligned varint rows — must be
 // turned away where the mismatch is cheap and legible — the /v1/config
 // handshake, naming this build's version; the snapshot's header and the
 // checkpoint's, naming both — with nothing merged, and a daemon that
 // refused must go on serving from the state it had.
 func TestOlderLayoutIsRefusedAtTheDoor(t *testing.T) {
 	spec := onePassSpec(42)
-	if wire.Version != 5 {
-		t.Fatalf("wire.Version = %d: half-width levels and delta-coded candidate ids are version 5", wire.Version)
+	if wire.Version != 6 {
+		t.Fatalf("wire.Version = %d: counter rows as exp-Golomb codes are version 6", wire.Version)
 	}
 	if own := specFingerprintAt(t, spec, wire.Version); own != spec.Fingerprint() {
 		t.Fatalf("the test's fold gives %#x for this build's version, Spec.Fingerprint %#x", own, spec.Fingerprint())

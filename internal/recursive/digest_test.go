@@ -24,9 +24,10 @@ import (
 // every header carries, once with version 4 (PR 29), which writes the
 // same first-pass counters in the row codec, and once with version 5
 // (PR 40): 5 rows of 1024 buckets, the candidates ascending through the
-// id codec.
+// id codec, and once with version 6 (PR 42), which writes the same
+// counters as per-row exp-Golomb codes.
 func TestTwoPassStateDigest(t *testing.T) {
-	const want = "dc5f7f44dc54dbc55d99eb80b145666a6e0bd73e934010a8ca0c0b3da1e78792"
+	const want = "2a00020f62813c244049709241e2297505d2241b9c3a1aa2f7ac00952e41a452"
 	rng := util.NewSplitMix64(0x16d1635)
 	ups := make([]stream.Update, 1<<16)
 	for i := range ups {

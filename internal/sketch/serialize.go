@@ -30,12 +30,14 @@ import (
 //	rows u32 | buckets u64 | rows × row
 //	tracked item ids (wire.Writer.IDs)
 //
-// where a row (wire.Writer.Row, layout version 4) is its u32 counter
-// count, then one token per nonzero counter — the uvarint of its zigzag
-// form — or per maximal run of zeros — a 0 byte and the uvarint of the
-// run's length. Most of a stack's counters are 0 (every bucket of a deep
-// level that no sampled item reached) or small, so a snapshot at the
-// benchmark's state is about a tenth of version 3's 8 bytes a counter.
+// where a row (wire.Writer.Row, layout version 6) is its u32 counter
+// count, an order k, and every counter's zigzag form as an order-k
+// exp-Golomb code, bit-packed. Most of a stack's counters are 0 (every
+// bucket of a deep level that no sampled item reached) or small, so a
+// zero costs k + 1 bits and a counter near ±2^j about j + 2: a snapshot
+// at the benchmark's state is about 0.68x version 5's zigzag varints with
+// zero runs, which were themselves a tenth of version 3's 8 bytes a
+// counter.
 // Decoding checks the whole payload against the receiver's dimensions
 // before any counter moves (StageBinary), and walks the rows again to add
 // them in: no staging copy of the counters is made.

@@ -19,10 +19,15 @@
 //
 // Counter rows — the bulk of every sketch payload — travel through one
 // codec (Writer.Row, Reader.CheckRow, Reader.AddRow): a row's u32 length,
-// then a zigzag varint per nonzero counter and a 0 byte plus a varint
-// length per run of zeros. A row's declared length is checked against the
-// receiver's buckets, not against the bytes remaining: a row of zeros is
-// a few bytes whatever its length. Candidate ids — a tracker's items, a
+// one byte k, then every counter's zigzag form as an order-k
+// exponential-Golomb code (Teuhola 1978), bit-packed MSB first and
+// zero-padded to a byte. k is the order the row's own bit lengths price
+// cheapest, so one row's counters fix its bytes; a zero costs k + 1 bits
+// and a counter near ±2^j about j + 2, where a byte-aligned varint spent
+// at least 8 on each nonzero counter. The encoder packs whole 64-bit
+// words and the decoder reads codes off 64-bit loads by their leading
+// zeros. A row's declared length is checked against the receiver's
+// buckets, and every code against the payload's end. Candidate ids — a tracker's items, a
 // two-pass candidate set — travel through another (Writer.IDs,
 // Reader.IDs): a u32 count, then the ids ascending as uvarint gaps, with
 // one encoding per set.

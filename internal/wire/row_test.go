@@ -25,22 +25,56 @@ func decodeRow(data []byte, n int) ([]int64, *Reader) {
 	return out, r
 }
 
-// TestRowRoundTrip: every row decodes to itself — the extremes, ±1, all
-// zeros, a zero run that ends the row, alternating zeros — and a row adds
-// into a nonzero destination counter by counter.
-func TestRowRoundTrip(t *testing.T) {
-	rows := map[string][]int64{
-		"extremes":        {math.MinInt64, math.MaxInt64, math.MinInt64 + 1, math.MaxInt64 - 1},
-		"unit":            {1, -1, 1, -1, -1},
-		"all zeros":       make([]int64, 4096),
-		"run ends row":    {5, -7, 0, 0, 0, 0},
-		"run starts row":  {0, 0, 0, 9},
-		"alternating":     {0, 1, 0, -1, 0, 63, 0, -64, 0, 64, 0, -65, 0},
-		"varint edges":    {63, -64, 64, -65, 8191, -8192, 8192, 1 << 40, -(1 << 40)},
-		"empty":           {},
-		"single zero":     {0},
-		"single negative": {-3},
+// checkRowAt encodes row at order k (Row's own order when k < 0) and
+// fails t unless it decodes to itself with no byte left over and adds
+// into a copy of itself counter by counter.
+func checkRowAt(t testing.TB, name string, row []int64, k int) {
+	t.Helper()
+	var w Writer
+	if k < 0 {
+		w.Row(row)
+	} else {
+		w.rowAt(row, uint(k))
 	}
+	got, r := decodeRow(w.Bytes(), len(row))
+	if err := r.Err(); err != nil {
+		t.Fatalf("%s at order %d: %v", name, k, err)
+	}
+	if r.Len() != 0 {
+		t.Fatalf("%s at order %d: %d bytes left after the row", name, k, r.Len())
+	}
+	if !slices.Equal(got, row) {
+		t.Fatalf("%s at order %d: decodes to %v, want %v", name, k, got, row)
+	}
+	dst := append([]int64(nil), row...)
+	NewReader(w.Bytes()).AddRow(dst)
+	for i := range row {
+		if dst[i] != 2*row[i] {
+			t.Fatalf("%s at order %d: counter %d adds to %d, want %d", name, k, i, dst[i], 2*row[i])
+		}
+	}
+}
+
+// extremeRows are the rows every order must carry: the extreme counters
+// (MinInt64's zigzag form is 2^64 − 1, whose code at order 0 is the one
+// past 64 bits), −1, all zeros and a single nonzero.
+var extremeRows = map[string][]int64{
+	"extremes":        {math.MinInt64, math.MaxInt64, -1, 0, 1, math.MinInt64 + 1, math.MaxInt64 - 1},
+	"min alone":       {math.MinInt64},
+	"max alone":       {math.MaxInt64},
+	"minus one":       {-1, -1, -1},
+	"all zeros":       make([]int64, 100),
+	"single nonzero":  append(make([]int64, 70), 5),
+	"single negative": {-3},
+	"empty":           {},
+}
+
+// TestRowRoundTrip: every row decodes to itself at every order from 0 to
+// 63 and at the order Row picks — the extremes, ±1, all zeros, a single
+// nonzero, codes across every length and alignment — and a row adds into
+// a nonzero destination counter by counter. Row's order is a function of
+// the counters, and prices a row within a few bits of the best order.
+func TestRowRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	random := make([]int64, 1000)
 	for i := range random {
@@ -54,41 +88,49 @@ func TestRowRoundTrip(t *testing.T) {
 			random[i] = int64(rng.Intn(3) - 1)
 		}
 	}
-	rows["random"] = random
+	lengths := make([]int64, 0, 2*64)
+	for l := 0; l < 63; l++ {
+		lengths = append(lengths, 1<<l, -(1 << l), 1<<l-1)
+	}
+	rows := map[string][]int64{"random": random, "every length": lengths}
+	for name, row := range extremeRows {
+		rows[name] = row
+	}
 	for name, row := range rows {
-		var w Writer
-		w.Row(row)
-		got, r := decodeRow(w.Bytes(), len(row))
-		if err := r.Err(); err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
-		}
-		if r.Len() != 0 {
-			t.Errorf("%s: %d bytes left after the row", name, r.Len())
-		}
-		for i := range row {
-			if got[i] != row[i] {
-				t.Errorf("%s: counter %d decodes to %d, want %d", name, i, got[i], row[i])
-				break
-			}
-		}
-		dst := append([]int64(nil), row...)
-		NewReader(w.Bytes()).AddRow(dst)
-		for i := range row {
-			if dst[i] != 2*row[i] {
-				t.Errorf("%s: counter %d adds to %d, want %d", name, i, dst[i], 2*row[i])
-				break
-			}
+		for k := -1; k < 64; k++ {
+			checkRowAt(t, name, row, k)
 		}
 	}
+
 	var w Writer
 	w.Row(make([]int64, 4096))
-	if len(w.Bytes()) != 4+3 {
-		t.Errorf("a row of 4096 zeros is %d bytes, want its length and 3", len(w.Bytes()))
+	if got, want := len(w.Bytes()), 4+1+4096/8; got != want {
+		t.Errorf("a row of 4096 zeros is %d bytes, want %d: its length, k and a bit a counter", got, want)
+	}
+	laplace := make([]int64, 2048)
+	for i := range laplace {
+		laplace[i] = int64(rng.ExpFloat64()*100) * int64(1-2*rng.Intn(2))
+	}
+	best := math.MaxInt
+	for k := uint(0); k < 64; k++ {
+		var w Writer
+		w.rowAt(laplace, k)
+		best = min(best, len(w.Bytes()))
+	}
+	var again Writer
+	w = Writer{}
+	w.Row(laplace)
+	again.Row(slices.Clone(laplace))
+	if !bytes.Equal(w.Bytes(), again.Bytes()) {
+		t.Error("equal rows encode to different bytes")
+	}
+	if len(w.Bytes()) > best+best/100 {
+		t.Errorf("Row spends %d bytes on a Laplace row, over 1%% past the best order's %d", len(w.Bytes()), best)
 	}
 }
 
-// rowBytes is a row header declaring n counters followed by raw tokens.
+// rowBytes is a row header declaring n counters followed by raw bytes:
+// the order k, then the codes.
 func rowBytes(n uint32, tokens ...byte) []byte {
 	return append(binary.BigEndian.AppendUint32(nil, n), tokens...)
 }
@@ -96,23 +138,29 @@ func rowBytes(n uint32, tokens ...byte) []byte {
 // TestRowRefusesMalformedTokens: a malformed row is refused by CheckRow
 // with the cause named, before any counter could move.
 func TestRowRefusesMalformedTokens(t *testing.T) {
-	eleven := append(bytes.Repeat([]byte{0xff}, 10), 0x01)
+	zeros := make([]byte, 20)
+	// 64 zeros, a 1, then a mantissa of 63 zeros and a 1: 2^64 + 1 at
+	// order 0, one past the largest value.
+	onePast := append(make([]byte, 8), 0x80, 0, 0, 0, 0, 0, 0, 0, 0x80)
 	for _, tc := range []struct {
 		name string
 		data []byte
 		n    int
 		want string
 	}{
-		{"11-byte varint", rowBytes(1, eleven...), 1, "past 64 bits"},
-		{"varint past 2^64", rowBytes(1, append(bytes.Repeat([]byte{0xff}, 9), 0x02)...), 1, "past 64 bits"},
-		{"11-byte run length", rowBytes(1, append([]byte{0}, eleven...)...), 1, "past 64 bits"},
-		{"run of 0", rowBytes(2, 0, 0, 2, 2), 2, "run of 0"},
-		{"run past the row", rowBytes(3, 2, 0, 3), 3, "run of 3 zeros at counter 1"},
-		{"row length below buckets", rowBytes(3, 0, 3), 4, "row of 3 counters, want 4"},
-		{"row length above buckets", rowBytes(5, 0, 5), 4, "row of 5 counters, want 4"},
-		{"tokens end early", rowBytes(3, 2, 4), 3, "truncated row"},
-		{"varint ends early", rowBytes(1, 0x80), 1, "truncated varint"},
-		{"run length ends early", rowBytes(4, 0), 4, "truncated varint"},
+		{"order above 63", rowBytes(1, 64, 0x80), 1, "order 64, above 63"},
+		{"order 255", rowBytes(1, 255, 0x80), 1, "order 255, above 63"},
+		{"prefix past 64 bits", rowBytes(1, append([]byte{0}, zeros...)...), 1, "past 64 bits"},
+		{"prefix past 64 bits at order 9", rowBytes(1, append([]byte{9}, zeros...)...), 1, "past 64 bits"},
+		{"value past 2^64", rowBytes(1, append([]byte{0}, onePast...)...), 1, "past 64 bits"},
+		{"nonzero pad bits", rowBytes(1, 0, 0x81), 1, "nonzero pad bits"},
+		{"a pad bit after a code", rowBytes(2, 0, 0xd0), 2, "nonzero pad bits"},
+		{"codes end early", rowBytes(3, 0, 0xc0), 3, "truncated row: counter 2 of 3"},
+		{"code runs past the payload", rowBytes(1, 0, 0x00, 0x01), 1, "truncated row"},
+		{"no codes", rowBytes(3, 0), 3, "truncated row"},
+		{"no order", rowBytes(3), 3, "truncated payload"},
+		{"row length below buckets", rowBytes(3, 0, 0xe0), 4, "row of 3 counters, want 4"},
+		{"row length above buckets", rowBytes(5, 0, 0xf8), 4, "row of 5 counters, want 4"},
 		{"no header", []byte{0, 0}, 4, "truncated payload"},
 	} {
 		r := NewReader(tc.data)
@@ -122,11 +170,17 @@ func TestRowRefusesMalformedTokens(t *testing.T) {
 		}
 	}
 
+	// The largest value's code at order 0 checks: 64 zeros, a 1, 64 zeros.
+	r := NewReader(rowBytes(1, append([]byte{0}, append(make([]byte, 8), 0x80, 0, 0, 0, 0, 0, 0, 0, 0)...)...))
+	if r.CheckRow(1); r.Err() != nil || r.Len() != 0 {
+		t.Errorf("the code of 2^64 − 1 at order 0: %v, %d bytes left", r.Err(), r.Len())
+	}
+
 	// A row that checks, followed by bytes no layout reads: End refuses
 	// them.
 	var w Writer
 	w.Row([]int64{1, 0, 2})
-	r := NewReader(append(w.Bytes(), 7))
+	r = NewReader(append(w.Bytes(), 7))
 	r.CheckRow(3)
 	if r.Err() != nil {
 		t.Fatal(r.Err())
@@ -137,9 +191,10 @@ func TestRowRefusesMalformedTokens(t *testing.T) {
 	}
 }
 
-// rowFromFuzz turns fuzz bytes into a row that mixes zero runs, small
-// counters and full-width ones: a byte below 0x40 is a zero, below 0x80 a
-// small signed counter, and otherwise the next 8 bytes are one counter.
+// rowFromFuzz turns fuzz bytes into a row that mixes zeros, small
+// counters, full-width ones and the extremes: a byte below 0x40 is a
+// zero, below 0x80 a small signed counter, 0xfe and 0xff MinInt64 and
+// MaxInt64, and otherwise the next 8 bytes are one counter.
 func rowFromFuzz(data []byte) []int64 {
 	var row []int64
 	for i := 0; i < len(data); i++ {
@@ -148,6 +203,10 @@ func rowFromFuzz(data []byte) []int64 {
 			row = append(row, 0)
 		case b < 0x80:
 			row = append(row, int64(b)-0x60)
+		case b == 0xfe:
+			row = append(row, math.MinInt64)
+		case b == 0xff:
+			row = append(row, math.MaxInt64)
 		case i+8 < len(data):
 			row = append(row, int64(binary.BigEndian.Uint64(data[i+1:])))
 			i += 8
@@ -159,15 +218,19 @@ func rowFromFuzz(data []byte) []int64 {
 }
 
 // FuzzRow: decoding arbitrary bytes as a row never panics nor reads past
-// them, and a row that checks adds in exactly what it encodes; the same
-// bytes read as counters round-trip through the codec exactly.
+// them, and a row that checks adds in exactly what it encodes and
+// re-encodes at its own order to the bytes it was read from; the same
+// bytes read as counters round-trip through the codec exactly, at Row's
+// order and at an order drawn from the bytes, every one from 0 to 63
+// reachable.
 func FuzzRow(f *testing.F) {
 	var w Writer
-	w.Row([]int64{0, 0, 3, -1, math.MinInt64, 0, 1 << 20})
+	w.Row([]int64{0, 0, 3, -1, math.MinInt64, 0, 1 << 20, math.MaxInt64})
 	f.Add(w.Bytes())
-	f.Add(rowBytes(1, append(bytes.Repeat([]byte{0xff}, 10), 0x01)...))
-	f.Add(rowBytes(3, 2, 0, 3))
-	f.Add(rowBytes(2, 0, 0))
+	f.Add(rowBytes(1, 64, 0x80))
+	f.Add(rowBytes(1, append([]byte{0}, make([]byte, 20)...)...))
+	f.Add(rowBytes(1, 0, 0x81))
+	f.Add(rowBytes(3, 0, 0xc0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		data = data[:len(data):len(data)]
 		if len(data) >= 4 {
@@ -177,31 +240,21 @@ func FuzzRow(f *testing.F) {
 				t.Fatalf("read position outside the input: %d bytes left of %d", r.Len(), len(data))
 			}
 			if r.Err() == nil {
+				// The bytes read, their length field set to n.
+				read := binary.BigEndian.AppendUint32(nil, uint32(n))
+				read = append(read, data[4:len(data)-r.Len()]...)
 				var again Writer
-				again.Row(row)
-				back, r2 := decodeRow(again.Bytes(), n)
-				if r2.Err() != nil || r2.Len() != 0 {
-					t.Fatalf("a decoded row does not round-trip: %v", r2.Err())
-				}
-				for i := range row {
-					if back[i] != row[i] {
-						t.Fatalf("counter %d: %d after a round trip, want %d", i, back[i], row[i])
-					}
+				again.rowAt(row, uint(data[4]))
+				if !bytes.Equal(again.Bytes(), read) {
+					t.Fatalf("a row read from %x re-encodes at its order to %x", read, again.Bytes())
 				}
 			}
 		}
 
 		row := rowFromFuzz(data)
-		var enc Writer
-		enc.Row(row)
-		got, r := decodeRow(enc.Bytes(), len(row))
-		if r.Err() != nil || r.Len() != 0 {
-			t.Fatalf("encoded row refused: %v (%d bytes left)", r.Err(), r.Len())
-		}
-		for i := range row {
-			if got[i] != row[i] {
-				t.Fatalf("counter %d: decodes to %d, want %d", i, got[i], row[i])
-			}
+		checkRowAt(t, "fuzz", row, -1)
+		if len(data) > 0 {
+			checkRowAt(t, "fuzz", row, int(data[0]%64))
 		}
 	})
 }

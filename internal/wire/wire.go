@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Version is the current layout version stamped into every header. A
@@ -29,7 +30,11 @@ import (
 //	   CountSketch's tracked items, a two-pass sketch's candidate set —
 //	   travel ascending through the id codec (Writer.IDs), where version 4
 //	   wrote 8 bytes an id.
-const Version uint16 = 5
+//	6: the same sketch in fewer bytes: a counter row (Writer.Row) carries
+//	   an order k and every counter as an order-k exp-Golomb code, bit
+//	   packed, where version 5 spent at least a byte on each nonzero
+//	   counter.
+const Version uint16 = 6
 
 // Fingerprint folds v into a running 64-bit digest h. It is a
 // splittable-mix step (multiply-xorshift), order sensitive, used to
@@ -103,9 +108,6 @@ func (w *Writer) U64(v uint64) { w.buf = binary.BigEndian.AppendUint64(w.buf, v)
 // I64 appends a big-endian int64.
 func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
 
-// F64 appends a float64 by bit pattern.
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
-
 // I64s appends a u32 count followed by the values.
 func (w *Writer) I64s(vs []int64) {
 	w.grow(4 + 8*len(vs))
@@ -116,36 +118,120 @@ func (w *Writer) I64s(vs []int64) {
 	}
 }
 
-// Row appends a counter row: its u32 length, then one token per nonzero
-// counter or maximal run of zeros — a nonzero counter as the uvarint of
-// its zigzag form (v<<1 ^ v>>63, so small magnitudes of either sign take
-// one byte), a run of zeros as a 0 byte and the uvarint of the run's
-// length. The zigzag form of a nonzero counter is nonzero, so its varint
-// never starts with a 0 byte and the two tokens cannot be confused. A
-// row of 4096 zeros is 3 bytes after its length, a counter of magnitude
-// below 64 one.
+// Row appends a counter row: its u32 length, one byte k, then every
+// counter's zigzag form (v<<1 ^ v>>63, so small magnitudes of either sign
+// are small) as an order-k exp-Golomb code, bit-packed MSB first and
+// zero-padded to a byte. The code of u is the binary of u>>k + 1 after as
+// many 0 bits as that binary has bits less one, then u's low k bits: k + 1
+// bits for a u below 2^k, about 2L − k − 1 for one of L > k bits. k is
+// the order the row's bit lengths price cheapest (rowOrder), a function
+// of the counters alone, so equal rows are equal bytes. A row of 4096
+// zeros is 512 bytes after its length and k; a row of counters near ±2^j
+// is about j + 2 bits a counter.
 func (w *Writer) Row(vs []int64) {
+	k, cost := rowOrder(vs)
+	w.grow(4 + 1 + cost/16 + 8)
+	w.rowAt(vs, k)
+}
+
+// rowAt appends vs as a row of order k ≤ 63.
+func (w *Writer) rowAt(vs []int64, k uint) {
 	w.U32(uint32(len(vs)))
-	buf := w.buf
-	for i := 0; i < len(vs); {
-		v := vs[i]
-		if v == 0 {
-			j := i + 1
-			for j < len(vs) && vs[j] == 0 {
-				j++
-			}
-			buf = binary.AppendUvarint(append(buf, 0), uint64(j-i))
-			i = j
+	buf := append(w.buf, byte(k))
+	var acc uint64 // the pending bits, right-aligned
+	var n uint     // how many are pending, below 64
+	mask := uint64(1)<<k - 1
+	for _, v := range vs {
+		u := uint64(v<<1) ^ uint64(v>>63)
+		q := u>>k + 1
+		l := uint(bits.Len64(q))
+		if m := 2*l - 1 + k; q != 0 && m <= 64 {
+			buf, acc, n = put(buf, acc, n, q<<k|u&mask, m)
 			continue
 		}
-		if u := uint64(v<<1) ^ uint64(v>>63); u < 0x80 {
-			buf = append(buf, byte(u))
-		} else {
-			buf = binary.AppendUvarint(buf, u)
-		}
-		i++
+		buf, acc, n = putLong(buf, acc, n, u, k)
+	}
+	// The last bits, zero-padded to a byte.
+	acc <<= 64 - n
+	for i := uint(0); i < n; i += 8 {
+		buf = append(buf, byte(acc>>(56-i)))
 	}
 	w.buf = buf
+}
+
+// putLong appends u's order-k code when it is longer than 64 bits, in
+// three parts: its zeros, u>>k + 1 and u's low k bits. u>>k + 1 wraps to 0
+// only for u = 2^64 − 1 at k = 0, whose code is 64 zeros, a 1 and 64
+// zeros.
+func putLong(buf []byte, acc uint64, n uint, u uint64, k uint) ([]byte, uint64, uint) {
+	q := u>>k + 1
+	if q == 0 {
+		buf, acc, n = put(buf, acc, n, 0, 64)
+		buf, acc, n = put(buf, acc, n, 1, 1)
+		return put(buf, acc, n, 0, 64)
+	}
+	l := uint(bits.Len64(q))
+	buf, acc, n = put(buf, acc, n, 0, l-1)
+	buf, acc, n = put(buf, acc, n, q, l)
+	return put(buf, acc, n, u&(uint64(1)<<k-1), k)
+}
+
+// put appends the low m ≤ 64 bits of v, which must hold all of v, to the
+// n < 64 pending bits acc, and moves every whole 64-bit word they fill to
+// buf, MSB first.
+func put(buf []byte, acc uint64, n uint, v uint64, m uint) ([]byte, uint64, uint) {
+	if n+m < 64 {
+		return buf, acc<<m | v, n + m
+	}
+	s := 64 - n // v's top s bits complete the word
+	buf = binary.BigEndian.AppendUint64(buf, acc<<s|v>>(m-s))
+	return buf, v & (uint64(1)<<(m-s) - 1), m - s
+}
+
+// rowOrder returns the exp-Golomb order k in [0, 63] that codes vs in the
+// fewest bits, priced off a histogram of their zigzag forms' bit lengths.
+// A value u costs 2·bitlen(u + 2^k) − k − 1 bits at order k: k + 1 when u
+// has at most k bits, and 2L − k − 1 when it has L = k + j > k, plus 2
+// when its top j bits are all ones. That carry is certain at j = 1 and,
+// for values spread evenly over their length, half as likely at each
+// longer j: priced at j ≤ 3 and left out beyond, in half bits. Ties go to
+// the smaller k. Within 0.1% of the best order at the benchmark's state.
+// The row's price at k comes back too, in half bits.
+func rowOrder(vs []int64) (k uint, halfBits int) {
+	// Four histograms, summed after, so that a run of equal lengths does
+	// not wait on its own increments.
+	var part [4][67]int32
+	i := 0
+	for ; i+4 <= len(vs); i += 4 {
+		part[0][bits.Len64(uint64(vs[i]<<1)^uint64(vs[i]>>63))]++
+		part[1][bits.Len64(uint64(vs[i+1]<<1)^uint64(vs[i+1]>>63))]++
+		part[2][bits.Len64(uint64(vs[i+2]<<1)^uint64(vs[i+2]>>63))]++
+		part[3][bits.Len64(uint64(vs[i+3]<<1)^uint64(vs[i+3]>>63))]++
+	}
+	for ; i < len(vs); i++ {
+		part[0][bits.Len64(uint64(vs[i]<<1)^uint64(vs[i]>>63))]++
+	}
+	var hist [67]int
+	for l := range hist {
+		hist[l] = int(part[0][l]) + int(part[1][l]) + int(part[2][l]) + int(part[3][l])
+	}
+	// At order k: below counts the values of at most k bits, above the
+	// rest, and longer sums the rest's bit lengths. Costs are in half bits.
+	below, above, longer := 0, len(vs), 0
+	for l, c := range hist {
+		longer += l * c
+	}
+	best, bestCost := uint(0), -1
+	for k := 0; k < 64; k++ {
+		below += hist[k]
+		above -= hist[k]
+		longer -= k * hist[k]
+		cost := 2*((below-above)*(k+1)+2*longer) + 4*hist[k+1] + 2*hist[k+2] + hist[k+3]
+		if bestCost < 0 || cost < bestCost {
+			best, bestCost = uint(k), cost
+		}
+	}
+	return best, bestCost
 }
 
 // IDs appends a set of item ids, which must be strictly ascending: its
@@ -267,9 +353,6 @@ func (r *Reader) U64() uint64 {
 // I64 reads a big-endian int64.
 func (r *Reader) I64() int64 { return int64(r.U64()) }
 
-// F64 reads a float64 by bit pattern.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
-
 // count reads a u32 count for elements of elemSize bytes, validating it
 // against the remaining payload so corrupt lengths cannot force huge
 // allocations. The comparison is done in uint64 so a hostile count can
@@ -334,10 +417,10 @@ func (r *Reader) IDs() []uint64 {
 }
 
 // CheckRow reads a counter row (Writer.Row) and checks it whole: it must
-// declare n counters — the receiver's buckets, not a bound from the bytes
-// remaining, since a row of zeros is a few bytes — and every token must
-// parse, no varint may run past 64 bits or the payload, no run may be 0
-// or reach past the row's end. It changes nothing but the read position.
+// declare n counters — the receiver's buckets, a bound the row is checked
+// against as it is read — and an order k of at most 63, no code may run
+// past the payload or decode past 2^64 − 1, and the bits padding its last
+// byte must be 0. It changes nothing but the read position.
 func (r *Reader) CheckRow(n int) { r.row(n, nil) }
 
 // AddRow reads a counter row of len(dst) counters and adds it into dst.
@@ -347,51 +430,113 @@ func (r *Reader) CheckRow(n int) { r.row(n, nil) }
 func (r *Reader) AddRow(dst []int64) { r.row(len(dst), dst) }
 
 // row walks a row of n counters, adding each into dst when dst is not
-// nil. A token's first byte decides it: 0 opens a run of zeros, below
-// 0x80 is a whole varint — the common case, decoded inline — and above it
-// the varint continues.
+// nil. It loads the 64-bit word at the next code's first byte — 57 bits
+// or more of codes, whatever their alignment — and reads codes off it
+// while they fit, each one's leading zeros giving its length; at k = 0,
+// where a zero counter is a single 1 bit, a run of 1 bits skips that many
+// counters at once. A code longer than a fresh word holds, or one in the
+// payload's last 8 bytes, takes the bitwise path (longCode).
 func (r *Reader) row(n int, dst []int64) {
 	if m := r.U32(); r.err == nil && uint64(m) != uint64(n) {
 		r.fail("wire: row of %d counters, want %d", m, n)
 	}
+	kb := r.take(1)
 	if r.err != nil {
 		return
 	}
-	data, pos := r.data, r.pos
+	k := int(kb[0])
+	if k > 63 {
+		r.fail("wire: row of exp-Golomb order %d, above 63", k)
+		return
+	}
+	data := r.data
+	pos := 8 * r.pos // in bits
 	for i := 0; i < n; {
-		if pos >= len(data) {
-			r.fail("wire: truncated row: counter %d of %d at offset %d", i, n, pos)
+		if at := pos >> 3; at+8 <= len(data) {
+			word := binary.BigEndian.Uint64(data[at:]) << (pos & 7)
+			fresh := 64 - pos&7
+			valid := fresh // the bits of word that are payload; the rest are 0
+			for i < n {
+				if k == 0 && word>>63 != 0 {
+					run := min(bits.LeadingZeros64(^word), n-i)
+					word <<= run
+					valid -= run
+					i += run
+					continue
+				}
+				m := 2*bits.LeadingZeros64(word) + 1 + k
+				if m > valid {
+					break
+				}
+				if dst != nil {
+					u := word>>(64-m) - uint64(1)<<k
+					dst[i] += int64(u>>1) ^ -int64(u&1)
+				}
+				word <<= m
+				valid -= m
+				i++
+			}
+			pos += fresh - valid
+			if valid < fresh {
+				continue
+			}
+		}
+		u, ok := r.longCode(&pos, k, i, n)
+		if !ok {
 			return
-		}
-		b := data[pos]
-		if b == 0 {
-			run, k := binary.Uvarint(data[pos+1:])
-			if k <= 0 {
-				r.failVarint(k, pos+1)
-				return
-			}
-			if run == 0 || run > uint64(n-i) {
-				r.fail("wire: run of %d zeros at counter %d of a %d-counter row", run, i, n)
-				return
-			}
-			pos += 1 + k
-			i += int(run)
-			continue
-		}
-		u, k := uint64(b), 1
-		if b >= 0x80 {
-			if u, k = binary.Uvarint(data[pos:]); k <= 0 {
-				r.failVarint(k, pos)
-				return
-			}
 		}
 		if dst != nil {
 			dst[i] += int64(u>>1) ^ -int64(u&1)
 		}
-		pos += k
 		i++
 	}
-	r.pos = pos
+	if pos&7 != 0 && data[pos>>3]<<(pos&7) != 0 {
+		r.fail("wire: nonzero pad bits after a %d-counter row at offset %d", n, pos>>3)
+		return
+	}
+	r.pos = (pos + 7) >> 3
+}
+
+// longCode reads counter i's order-k code at bit offset *pos bit by bit
+// and advances *pos past it, or fails: the payload ends inside it, or its
+// value passes 2^64 − 1.
+func (r *Reader) longCode(pos *int, k, i, n int) (uint64, bool) {
+	data, p := r.data, *pos
+	bit := func() uint64 {
+		b := uint64(data[p>>3]>>(7-p&7)) & 1
+		p++
+		return b
+	}
+	// The value is u + 2^k, a binary of z + 1 + k bits after z zeros: it
+	// fits u when z < 64 − k, or z = 64 − k and its top bit stands alone.
+	z := 0
+	for ; ; z++ {
+		if p+z+1+k > 8*len(data) {
+			r.fail("wire: truncated row: counter %d of %d at offset %d", i, n, p>>3)
+			return 0, false
+		}
+		if bit() == 1 {
+			break
+		}
+		if z == 64-k {
+			r.fail("wire: counter %d of %d: exp-Golomb code past 64 bits at offset %d", i, n, p>>3)
+			return 0, false
+		}
+	}
+	var q uint64
+	for j := 0; j < z; j++ {
+		q = q<<1 | bit()
+	}
+	if z == 64-k && q != 0 {
+		r.fail("wire: counter %d of %d: exp-Golomb code past 64 bits at offset %d", i, n, p>>3)
+		return 0, false
+	}
+	u := (uint64(1)<<z | q) - 1
+	for j := 0; j < k; j++ {
+		u = u<<1 | bit()
+	}
+	*pos = p
+	return u, true
 }
 
 // failVarint records why binary.Uvarint refused the varint at offset pos:

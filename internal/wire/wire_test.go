@@ -11,7 +11,6 @@ func TestRoundTripAllFieldTypes(t *testing.T) {
 	w.U32(7)
 	w.U64(1 << 40)
 	w.I64(-9)
-	w.F64(3.5)
 	w.I64s([]int64{1, -2, 3})
 	w.IDs([]uint64{4, 5})
 	w.Blob([]byte("nested"))
@@ -28,9 +27,6 @@ func TestRoundTripAllFieldTypes(t *testing.T) {
 	}
 	if got := r.I64(); got != -9 {
 		t.Errorf("I64 = %d", got)
-	}
-	if got := r.F64(); got != 3.5 {
-		t.Errorf("F64 = %v", got)
 	}
 	if got := r.I64s(); len(got) != 3 || got[1] != -2 {
 		t.Errorf("I64s = %v", got)
