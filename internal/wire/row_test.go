@@ -92,7 +92,11 @@ func TestRowRoundTrip(t *testing.T) {
 	for l := 0; l < 63; l++ {
 		lengths = append(lengths, 1<<l, -(1 << l), 1<<l-1)
 	}
-	rows := map[string][]int64{"random": random, "every length": lengths}
+	var runs []int64 // zero runs around the 64-bit word, between ones
+	for _, r := range []int{1, 63, 64, 65, 128, 129, 200} {
+		runs = append(append(runs, make([]int64, r)...), 1)
+	}
+	rows := map[string][]int64{"random": random, "every length": lengths, "zero runs": runs}
 	for name, row := range extremeRows {
 		rows[name] = row
 	}

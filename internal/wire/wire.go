@@ -141,7 +141,20 @@ func (w *Writer) rowAt(vs []int64, k uint) {
 	var acc uint64 // the pending bits, right-aligned
 	var n uint     // how many are pending, below 64
 	mask := uint64(1)<<k - 1
-	for _, v := range vs {
+	for i := 0; i < len(vs); i++ {
+		v := vs[i]
+		if k == 0 && v == 0 {
+			// A run of zeros at order 0 is a run of 1 bits.
+			j := i + 1
+			for j < len(vs) && vs[j] == 0 {
+				j++
+			}
+			for r := uint(j - i); r > 0; r -= min(r, 64) {
+				buf, acc, n = put(buf, acc, n, ^uint64(0)>>(64-min(r, 64)), min(r, 64))
+			}
+			i = j - 1
+			continue
+		}
 		u := uint64(v<<1) ^ uint64(v>>63)
 		q := u>>k + 1
 		l := uint(bits.Len64(q))
