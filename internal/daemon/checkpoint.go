@@ -91,7 +91,7 @@ func (s *Server) WriteCheckpoint(path string) (err error) {
 		return fmt.Errorf("daemon: checkpoint rename: %w", err)
 	}
 	if err := syncDir(dir); err != nil {
-		return fmt.Errorf("daemon: checkpoint rename: %w", err)
+		return fmt.Errorf("daemon: checkpoint directory sync: %w", err)
 	}
 	s.obs.checkpointBytes.Set(float64(len(data)))
 	return nil
