@@ -24,7 +24,7 @@ import (
 // 4 (PR 29: the same counters as zigzag varints with zero runs), once
 // more, and layout version 5 (PR 40: half the buckets, the pruning
 // window's fixed point, tracked ids through the id codec), once more, and
-// layout version 6 (PR 42: the same counters as per-row exp-Golomb codes;
+// layout version 6 (the same counters as per-row exp-Golomb codes;
 // with the version-5 row codec and header the tree gave version 5's
 // digest), once more; CHANGES.md has the values before and after each.
 func TestOnePassStateDigest(t *testing.T) {

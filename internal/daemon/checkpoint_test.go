@@ -259,8 +259,8 @@ func TestCheckpointerPeriodicAndFinal(t *testing.T) {
 	// post-mutation state.
 	srv.mu.Lock()
 	srv.est.Update(2, 7)
+	want := srv.est.Estimate() // reads replay into the sketch's scratch: under the lock too
 	srv.mu.Unlock()
-	want := srv.est.Estimate()
 	if err := ck.Stop(); err != nil {
 		t.Fatal(err)
 	}

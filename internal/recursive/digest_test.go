@@ -24,7 +24,7 @@ import (
 // every header carries, once with version 4 (PR 29), which writes the
 // same first-pass counters in the row codec, and once with version 5
 // (PR 40): 5 rows of 1024 buckets, the candidates ascending through the
-// id codec, and once with version 6 (PR 42), which writes the same
+// id codec, and once with version 6, which writes the same
 // counters as per-row exp-Golomb codes.
 func TestTwoPassStateDigest(t *testing.T) {
 	const want = "2a00020f62813c244049709241e2297505d2241b9c3a1aa2f7ac00952e41a452"

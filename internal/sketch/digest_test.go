@@ -65,7 +65,7 @@ func ingestDigestStream(cs *CountSketch, ups []stream.Update) {
 // raw rows and a version-3 header the tree gave the version-3 digests,
 // CHANGES.md, PR 29), and once for version 5 (PR 40), which moved no
 // counter of a bare CountSketch either: the version, and the tracked ids
-// through the id codec, and once for version 6 (PR 42), which moved no
+// through the id codec, and once for version 6, which moved no
 // counter either: the rows are per-row exp-Golomb codes (with the
 // version-5 row codec and header the tree gave the version-5 digests).
 func TestCountSketchStateDigest(t *testing.T) {
