@@ -430,10 +430,10 @@ func (r *Reader) IDs() []uint64 {
 }
 
 // CheckRow reads a counter row (Writer.Row) and checks it whole: it must
-// declare n counters — the receiver's buckets, a bound the row is checked
-// against as it is read — and an order k of at most 63, no code may run
-// past the payload or decode past 2^64 − 1, and the bits padding its last
-// byte must be 0. It changes nothing but the read position.
+// declare n counters — the receiver's buckets — and an order k of at most
+// 63, no code may run past the payload or decode past 2^64 − 1, and the
+// bits padding its last byte must be 0. It changes nothing but the read
+// position.
 func (r *Reader) CheckRow(n int) { r.row(n, nil) }
 
 // AddRow reads a counter row of len(dst) counters and adds it into dst.
