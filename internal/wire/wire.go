@@ -210,7 +210,7 @@ func put(buf []byte, acc uint64, n uint, v uint64, m uint) ([]byte, uint64, uint
 // longer j: priced at j ≤ 3 and left out beyond, in half bits. Ties go to
 // the smaller k. Within 0.1% of the best order at the benchmark's state.
 // The row's price at k comes back too, in half bits.
-func rowOrder(vs []int64) (k uint, halfBits int) {
+func rowOrder(vs []int64) (uint, int) {
 	// Four histograms, summed after, so that a run of equal lengths does
 	// not wait on its own increments.
 	var part [4][67]int32
