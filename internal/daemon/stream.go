@@ -54,6 +54,9 @@ type streamState struct {
 	// applyDelay is a test hook: it stalls each frame's apply to make a
 	// slow daemon, so backpressure tests can watch the client block.
 	applyDelay time.Duration
+	// beforeArm is a test hook armIdle calls, holding mu, between reading
+	// the draining flag and arming the idle deadline.
+	beforeArm func()
 }
 
 func (st *streamState) frameCap() int {
@@ -68,6 +71,24 @@ func (st *streamState) idle() time.Duration {
 		return st.idleTimeout
 	}
 	return DefaultStreamIdleTimeout
+}
+
+// armIdle arms c's read deadline one idle timeout out, unless the drain
+// has begun: then it reports false and leaves the deadline as it is. The
+// check and the arming are one section under mu, so a drain's nudge
+// (DrainStreams) lands either before it, and is seen, or after it, and
+// wakes the read.
+func (st *streamState) armIdle(c net.Conn) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.draining {
+		return false
+	}
+	if st.beforeArm != nil {
+		st.beforeArm()
+	}
+	_ = c.SetReadDeadline(time.Now().Add(st.idle()))
+	return true
 }
 
 // add registers a live connection; it fails once draining has begun.
@@ -218,15 +239,15 @@ func (s *Server) streamLoop(conn net.Conn, bufrw *bufio.ReadWriter) {
 		// A drain must end the session after the frame in hand even if
 		// the client keeps sending: the read-deadline nudge only wakes a
 		// blocked read, so a loop that stays busy checks the flag here.
-		st.mu.Lock()
-		draining := st.draining
-		st.mu.Unlock()
-		if draining {
+		// The flag is read and the idle deadline armed in one section under
+		// st.mu, where DrainStreams sets the flag and nudges: a drain landing
+		// between the two would have its nudge overwritten by the idle
+		// deadline, and an idle session would keep the drain waiting.
+		if !st.armIdle(conn) {
 			_ = sendAck(wire.IngestAck{Seq: lastSeq, Total: lastTotal,
 				Status: wire.IngestAckDraining, Msg: "daemon draining"})
 			return
 		}
-		_ = conn.SetReadDeadline(time.Now().Add(st.idle()))
 		payload, err := wire.ReadFrame(bufrw, st.frameCap())
 		if err != nil {
 			st.mu.Lock()

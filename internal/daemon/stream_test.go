@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -118,6 +119,53 @@ func TestStreamDrainAcksAreDurable(t *testing.T) {
 	// New stream sessions are refused while draining.
 	if _, err := c.NewPusher(context.Background(), PusherConfig{}); err == nil {
 		t.Fatal("NewPusher succeeded against a draining daemon")
+	}
+}
+
+// TestStreamDrainNudgeReachesAnIdleSession lands a drain while an idle
+// session's loop stands between reading the draining flag and arming its
+// idle deadline (the beforeArm hook holds it there until the drain has
+// begun, and long enough for a drain that could get in to nudge). The
+// nudge must not be overwritten by the deadline: the draining ack arrives,
+// and the drain returns, long before the idle timeout.
+func TestStreamDrainNudgeReachesAnIdleSession(t *testing.T) {
+	const idle = 5 * time.Second
+	spec := backend.Spec{Kind: backend.KindOnePass, G: "x^2", Options: testOptions(7)}
+	srv, c := streamServer(t, spec)
+	srv.streams.idleTimeout = idle
+	drained := make(chan error, 1)
+	var once sync.Once
+	srv.streams.beforeArm = func() {
+		once.Do(func() {
+			go func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 2*idle)
+				defer cancel()
+				drained <- srv.DrainStreams(ctx)
+			}()
+			for !srv.draining.Load() {
+				time.Sleep(time.Millisecond)
+			}
+			time.Sleep(50 * time.Millisecond)
+		})
+	}
+	p, err := c.NewPusher(context.Background(), PusherConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	limit := time.After(idle / 5)
+	select {
+	case <-p.readerEnd:
+	case <-limit:
+		t.Fatalf("no draining ack %v into the drain: the nudge was lost to the %v idle deadline", idle/5, idle)
+	}
+	select {
+	case err := <-drained:
+		if err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+	case <-limit:
+		t.Fatalf("the drain still waits %v in, after the session's draining ack", idle/5)
 	}
 }
 
