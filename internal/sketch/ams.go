@@ -1,8 +1,6 @@
 package sketch
 
 import (
-	"math"
-
 	"repro/internal/util"
 	"repro/internal/xhash"
 )
@@ -41,22 +39,6 @@ func NewAMS(groups, reps int, rng *util.SplitMix64) *AMS {
 		}
 	}
 	return a
-}
-
-// NewAMSForError returns an AMS sketch sized for a (1±eps)-approximation
-// with failure probability delta: reps = ceil(8/eps²), groups =
-// ceil(4 ln(1/delta)) (at least 1). It panics if eps or delta are outside
-// (0, 1).
-func NewAMSForError(eps, delta float64, rng *util.SplitMix64) *AMS {
-	if eps <= 0 || eps >= 1 || delta <= 0 || delta >= 1 {
-		panic("sketch: AMS accuracy parameters must be in (0,1)")
-	}
-	reps := int(8/(eps*eps)) + 1
-	groups := int(math.Ceil(4 * math.Log(1/delta)))
-	if groups < 1 {
-		groups = 1
-	}
-	return NewAMS(groups, reps, rng)
 }
 
 // SpaceBytes returns the counter storage in bytes.

@@ -464,22 +464,6 @@ func byAbsEstDesc(a, b Candidate) int {
 	return cmp.Compare(util.SatAbsInt64(b.Est), util.SatAbsInt64(a.Est))
 }
 
-// HeavyCandidates scans an explicit domain slice and returns the k items
-// with the largest estimated |frequency|. It is the offline extraction used
-// when the candidate domain is known (e.g., the recursive sketch's sampled
-// sub-universe).
-func (cs *CountSketch) HeavyCandidates(domain []uint64, k int) []Candidate {
-	out := make([]Candidate, len(domain))
-	for i, est := range cs.estimates(domain) {
-		out[i] = Candidate{Item: domain[i], Est: est}
-	}
-	slices.SortFunc(out, byAbsEstDesc)
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out
-}
-
 // Merge adds the counters of other into cs. Both sketches must have been
 // created with identical dimensions and the same seed stream (linearity of
 // the sketch); Merge returns an error otherwise. Merging sketches with

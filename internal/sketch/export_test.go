@@ -1,5 +1,11 @@
 package sketch
 
+import (
+	"math"
+
+	"repro/internal/util"
+)
+
 // dense materializes a fresh sketch and returns it: the dense twin a
 // sparse sketch of the same seed is held to. It is a test door, not a
 // knob.
@@ -18,3 +24,28 @@ func (cs *CountSketch) counters() []int64 {
 
 // sparse reports whether the sketch still holds a table.
 func (cs *CountSketch) sparse() bool { return cs.flat == nil }
+
+// NewAMSForError returns an AMS sketch sized for a (1±eps)-approximation
+// with failure probability delta: reps = ceil(8/eps²), groups =
+// ceil(4 ln(1/delta)) (at least 1). It panics if eps or delta are outside
+// (0, 1).
+func NewAMSForError(eps, delta float64, rng *util.SplitMix64) *AMS {
+	if eps <= 0 || eps >= 1 || delta <= 0 || delta >= 1 {
+		panic("sketch: AMS accuracy parameters must be in (0,1)")
+	}
+	reps := int(8/(eps*eps)) + 1
+	groups := int(math.Ceil(4 * math.Log(1/delta)))
+	if groups < 1 {
+		groups = 1
+	}
+	return NewAMS(groups, reps, rng)
+}
+
+// TrackedItems returns the identities the top-k tracker holds (nil when
+// the sketch was built without one).
+func (cs *CountSketch) TrackedItems() []uint64 {
+	if cs.topK == nil {
+		return nil
+	}
+	return cs.topK.items()
+}

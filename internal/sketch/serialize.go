@@ -163,15 +163,6 @@ func (cs *CountSketch) FoldCounters(h uint64) uint64 {
 	return h
 }
 
-// TrackedItems returns the identities currently held by the top-k tracker
-// (nil when the sketch was built without one). Exposed for merge logic.
-func (cs *CountSketch) TrackedItems() []uint64 {
-	if cs.topK == nil {
-		return nil
-	}
-	return cs.topK.items()
-}
-
 // Tracked returns how many candidates the top-k tracker holds (0 when the
 // sketch was built without one): a heap length, for gauges read on every
 // scrape.
