@@ -39,3 +39,31 @@ func TestSnapshotBytesGate(t *testing.T) {
 		}
 	}
 }
+
+// TestIngestScratchBytes holds the ingest path to its retained scratch: a
+// onepass estimator at the repo benchmark's options, warmed on a seeded
+// 2^18-update stream in batches of 4096, keeps its stack's collapsed batch
+// between batches, and that batch is sized by the batch (its items, net
+// deltas, residues, selection, packed row hashes and probe table) plus
+// one fixed re-score chunk, not by rows x batch.
+func TestIngestScratchBytes(t *testing.T) {
+	opts := core.Options{N: 1 << 20, M: 1 << 12, Eps: 0.25, Lambda: 1.0 / 16, Seed: 7}
+	for _, tc := range []struct {
+		name  string
+		gen   workload.Generator
+		items int
+		limit int
+	}{
+		{"uniform", workload.Uniform{}, 1 << 19, 260000},
+		{"zipf", workload.Zipf{Alpha: 1.1}, 1 << 16, 150000},
+	} {
+		st := tc.gen.Generate(workload.Config{N: opts.N, Items: tc.items, Length: 1 << 18, Seed: 1})
+		e := core.NewOnePass(gfunc.F2Func(), opts)
+		stream.Batches(st.Updates(), e.UpdateBatch)
+		got := core.ScratchBytes(e)
+		t.Logf("%s: %d bytes of ingest scratch", tc.name, got)
+		if got > tc.limit {
+			t.Errorf("%s: the stack retains %d bytes of ingest scratch, over %d", tc.name, got, tc.limit)
+		}
+	}
+}

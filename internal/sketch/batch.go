@@ -18,8 +18,7 @@ import (
 
 // Batch is a batch of updates in the form the sketches walk: collapsed to
 // its distinct items in first-seen order (deterministic iteration) with
-// their net deltas, and — for the CountSketch row walk — each item's value
-// mod 2^61-1 with its canonical square and cube, from which the first
+// their net deltas and each item's value mod 2^61-1, from which the first
 // sketch to walk the batch hashes every item for every row, once.
 // Whoever collapses owns the Batch: a stack of CountSketches over nested
 // sub-universes (internal/recursive) collapses once, hands each level the
@@ -27,8 +26,12 @@ import (
 // moves nothing: the items, deltas and hashes stay where Collapse and the
 // first Apply put them, and sel, the positions still in the sub-universe,
 // is what shrinks. All buffers are retained across batches, so after the
-// first few batches of a steady stream ingestion allocates nothing. The
-// zero value is ready to use.
+// first few batches of a steady stream ingestion allocates nothing. What
+// they retain is sized by the batch: at most one entry per update in items,
+// ds, xs and sel, rows entries per update in hashed, twice the batch in
+// slots, and one fixed chunk of rows x batchChunk estimates for a re-score
+// (at the benchmark's 5 rows and 4096-update batches: 249,856 B). The zero
+// value is ready to use.
 type Batch struct {
 	// slots is an open-addressed, linear-probe hash table over the items
 	// of the batch being collapsed: slots[h] holds index+1 into items/ds
@@ -38,9 +41,9 @@ type Batch struct {
 	slots []int32
 	items []uint64 // distinct items, first-seen order
 	ds    []int64  // net delta per item
-	// Filled by Collapse for the CountSketch walk: xs[i] = items[i] mod
-	// 2^61-1, and xhash.Powers of it.
-	xs, x2s, x3s []uint64
+	// xs[i] = items[i] mod 2^61-1, filled by Collapse for the CountSketch
+	// walk and the subsampling filters.
+	xs []uint64
 	// sel holds, ascending, the positions (into items, ds, xs, and the
 	// columns of hashed) of the items in the current sub-universe: all of
 	// them after Collapse, fewer after each Subsample.
@@ -53,11 +56,18 @@ type Batch struct {
 	// nil until then.
 	hashed []uint32
 	by     *rowHashes
-	// ests is the row-major (row, selected item) estimate matrix of a
-	// tracked sketch's Apply, so the post-batch re-score reads settled
-	// counters without re-hashing.
+	// ests is the row-major (row, item) estimate matrix of one chunk of a
+	// tracked sketch's re-score: the settled counters of at most batchChunk
+	// selected items, read back without re-hashing.
 	ests []int64
 }
+
+// batchChunk is how many items a tracked sketch re-scores from one read
+// of its rows, and how many items Batch.hashFor takes the powers of at a
+// time: a size, not a knob. It bounds the estimate matrix a Batch retains
+// at rows x batchChunk whatever the batch's length, and a chunk's powers
+// and estimates stay cache-resident across the rows that read them.
+const batchChunk = 512
 
 // mix64 is the SplitMix64 finalizer, a strong multiplicative bit mixer
 // used to spread items over the probe tables (Batch.slots here,
@@ -107,6 +117,7 @@ func (b *Batch) aggregate(batch []stream.Update) {
 	mask := uint64(len(b.slots) - 1)
 	b.items = b.items[:0]
 	b.ds = b.ds[:0]
+	before := cap(b.items)
 	for i := 0; i < len(batch); {
 		it := batch[i].Item
 		d := batch[i].Delta
@@ -134,27 +145,29 @@ func (b *Batch) aggregate(batch []stream.Update) {
 	// the next batch (a vectorized memclr of a few tens of KB, cheap next
 	// to the row walks).
 	clear(b.slots)
+	// A batch has no more distinct items than updates, but append's growth
+	// steps can overshoot its length (to 5,120 for 4,096): trim what this
+	// batch grew to it, once, and no batch of this length grows them again.
+	if n := len(batch); cap(b.items) != before && cap(b.items) > n {
+		b.items = append(make([]uint64, 0, n), b.items...)
+		b.ds = append(make([]int64, 0, n), b.ds...)
+	}
 }
 
 // Collapse makes b the collapsed form of batch for the CountSketch walk:
-// aggregate, then reduce every distinct item mod 2^61-1 and take its
-// powers once, for every row of every sketch b is applied to.
+// aggregate, then reduce every distinct item mod 2^61-1 once, for every
+// row of every sketch b is applied to.
 func (b *Batch) Collapse(batch []stream.Update) {
 	b.aggregate(batch)
 	n := len(b.items)
 	if cap(b.xs) < n {
-		// items only reallocates to grow, so its capacity sizes the rest —
-		// up to the batch's length, which append's growth steps overshoot
-		// and the number of distinct items cannot.
-		c := min(cap(b.items), len(batch))
-		b.xs, b.x2s, b.x3s = make([]uint64, c), make([]uint64, c), make([]uint64, c)
-		b.sel = make([]int32, c)
+		// items only reallocates to grow, and never past the batch's
+		// length, so its capacity sizes the rest.
+		b.xs, b.sel = make([]uint64, cap(b.items)), make([]int32, cap(b.items))
 	}
-	b.xs, b.x2s, b.x3s, b.sel = b.xs[:n], b.x2s[:n], b.x3s[:n], b.sel[:n]
+	b.xs, b.sel = b.xs[:n], b.sel[:n]
 	for i, it := range b.items {
-		x := it % xhash.MersennePrime61
-		b.xs[i] = x
-		b.x2s[i], b.x3s[i] = xhash.Powers(x)
+		b.xs[i] = it % xhash.MersennePrime61
 		b.sel[i] = int32(i)
 	}
 	b.by = nil
@@ -170,15 +183,24 @@ func (b *Batch) Subsample(h *xhash.Bernoulli) {
 
 // hashFor fills hashed with family f's hashes of every item of the batch,
 // selected or not: the family's first sketch to walk a batch sees all of
-// it (level 0 of a stack, or a sketch's own UpdateBatch door).
+// it (level 0 of a stack, or a sketch's own UpdateBatch door). It takes
+// the items batchChunk at a time, their powers (xhash.Powers) once into
+// two fixed arrays, for every row.
 func (b *Batch) hashFor(f *rowHashes) {
 	n := len(b.items)
 	if cap(b.hashed) < f.rows*n {
 		b.hashed = make([]uint32, f.rows*cap(b.xs))
 	}
 	b.hashed = b.hashed[:f.rows*n]
-	for j := 0; j < f.rows; j++ {
-		f.hashRow(j, b.xs, b.x2s, b.x3s, b.hashed[j*n:(j+1)*n])
+	var x2s, x3s [batchChunk]uint64
+	for lo := 0; lo < n; lo += batchChunk {
+		xs := b.xs[lo:min(lo+batchChunk, n)]
+		for i, x := range xs {
+			x2s[i], x3s[i] = xhash.Powers(x)
+		}
+		for j := 0; j < f.rows; j++ {
+			f.hashRow(j, xs, x2s[:], x3s[:], b.hashed[j*n+lo:])
+		}
 	}
 	b.by = f
 }
@@ -210,8 +232,7 @@ func (cs *CountSketch) UpdateBatch(batch []stream.Update) {
 // for materializes it, and the rest of the batch takes the row walk.
 func (cs *CountSketch) Apply(b *Batch) {
 	sel := b.sel
-	m := len(sel)
-	if m == 0 {
+	if len(sel) == 0 {
 		return
 	}
 	if b.by != cs.hash {
@@ -222,20 +243,7 @@ func (cs *CountSketch) Apply(b *Batch) {
 	if cs.flat == nil {
 		walk = cs.absorb(b)
 	}
-	// A tracked sketch re-scores every distinct item after the batch, from
-	// the same (bucket, sign) hashes as the counter update: apply row j,
-	// then read the settled row back into row j of the estimate matrix. A
-	// row is fully updated before it is read, so the matrix holds exactly
-	// what Estimate would recompute.
-	var ests []int64
-	if cs.topK != nil {
-		if cap(b.ests) < m*cs.rows {
-			b.ests = make([]int64, cap(b.xs)*cs.rows)
-		}
-		ests = b.ests[:m*cs.rows]
-	}
-	switch {
-	case cs.flat != nil:
+	if cs.flat != nil {
 		for j := 0; j < cs.rows; j++ {
 			counts, hashed := cs.row(j), b.hashed[j*n:(j+1)*n]
 			// Adds into a row commute and duplicates were already collapsed,
@@ -244,36 +252,59 @@ func (cs *CountSketch) Apply(b *Batch) {
 				p := hashed[i]
 				counts[p>>1] += signed(p, ds[i])
 			}
-			if cs.topK != nil {
-				row := ests[j*m : (j+1)*m]
-				for t, i := range sel {
-					p := hashed[i]
-					row[t] = signed(p, counts[p>>1])
-				}
-			}
 		}
-	case cs.topK != nil:
-		// Only the batch's buckets are read back, and a level sees far
-		// fewer items a batch than it holds: gather those, not the row.
-		counts, mark := cs.replayRow()
+	}
+	if cs.topK == nil {
+		return
+	}
+	// A tracked sketch re-scores every selected item against the settled
+	// counters, from the same (bucket, sign) hashes as the counter update,
+	// a chunk at a time: read the chunk's counters from every row into the
+	// estimate matrix, then offer its items. Offers leave the counters as
+	// they are, so every item meets the median and the floor it would in
+	// one pass over the whole batch.
+	if need := cs.rows * min(len(sel), batchChunk); cap(b.ests) < need {
+		b.ests = make([]int64, cs.rows*min(cap(b.sel), batchChunk))
+	}
+	for lo := 0; lo < len(sel); lo += batchChunk {
+		part := sel[lo:min(lo+batchChunk, len(sel))]
+		ests := b.ests[:cs.rows*len(part)]
+		cs.readBack(b, part, ests)
+		cs.rescore(b.items, part, ests)
+	}
+}
+
+// readBack fills ests, row-major, with every row's estimate of the items
+// at positions part of b: the signed counter each one's bucket holds. A
+// sparse sketch reads only those buckets, gathered from its table — a
+// level sees far fewer items a batch than it holds.
+func (cs *CountSketch) readBack(b *Batch, part []int32, ests []int64) {
+	n, m := len(b.items), len(part)
+	if cs.flat != nil {
 		for j := 0; j < cs.rows; j++ {
-			hashed, row := b.hashed[j*n:(j+1)*n], ests[j*m:(j+1)*m]
-			for _, i := range sel {
-				mark[hashed[i]>>1] = true
-			}
-			cs.tab.gather(j, counts, mark)
-			for t, i := range sel {
+			counts, hashed, row := cs.row(j), b.hashed[j*n:(j+1)*n], ests[j*m:(j+1)*m]
+			for t, i := range part {
 				p := hashed[i]
 				row[t] = signed(p, counts[p>>1])
 			}
-			for _, i := range sel {
-				h := hashed[i] >> 1
-				counts[h], mark[h] = 0, false
-			}
 		}
+		return
 	}
-	if cs.topK != nil {
-		cs.rescore(b.items, sel, ests)
+	counts, mark := cs.replayRow()
+	for j := 0; j < cs.rows; j++ {
+		hashed, row := b.hashed[j*n:(j+1)*n], ests[j*m:(j+1)*m]
+		for _, i := range part {
+			mark[hashed[i]>>1] = true
+		}
+		cs.tab.gather(j, counts, mark)
+		for t, i := range part {
+			p := hashed[i]
+			row[t] = signed(p, counts[p>>1])
+		}
+		for _, i := range part {
+			h := hashed[i] >> 1
+			counts[h], mark[h] = 0, false
+		}
 	}
 }
 
