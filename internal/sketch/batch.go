@@ -229,7 +229,10 @@ func (cs *CountSketch) UpdateBatch(batch []stream.Update) {
 // scratch. A sparse sketch adds the batch into its table instead, taking
 // a new entry's row hashes from the batch's, and re-scores from the
 // batch's buckets gathered from the table; an item the table has no room
-// for materializes it, and the rest of the batch takes the row walk.
+// for materializes it, and the rest of the batch takes the row walk. So
+// does a tracked table that the batch selects more than batchChunk items
+// of: re-scoring them would gather from the whole table once a chunk, and
+// the matrix reads each counter directly.
 func (cs *CountSketch) Apply(b *Batch) {
 	sel := b.sel
 	if len(sel) == 0 {
@@ -239,6 +242,9 @@ func (cs *CountSketch) Apply(b *Batch) {
 		b.hashFor(cs.hash)
 	}
 	n, ds := len(b.items), b.ds
+	if cs.flat == nil && cs.topK != nil && len(sel) > batchChunk {
+		cs.materialize()
+	}
 	walk := sel
 	if cs.flat == nil {
 		walk = cs.absorb(b)
@@ -276,8 +282,9 @@ func (cs *CountSketch) Apply(b *Batch) {
 
 // readBack fills ests, row-major, with every row's estimate of the items
 // at positions part of b: the signed counter each one's bucket holds. A
-// sparse sketch reads only those buckets, gathered from its table — a
-// level sees far fewer items a batch than it holds.
+// sparse sketch (one chunk at most, see Apply) reads only those buckets,
+// gathered from its table — a level sees far fewer items a batch than it
+// holds.
 func (cs *CountSketch) readBack(b *Batch, part []int32, ests []int64) {
 	n, m := len(b.items), len(part)
 	if cs.flat != nil {

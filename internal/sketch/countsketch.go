@@ -25,7 +25,8 @@ import (
 //
 // A sketch holds what it has seen, not what it could: it starts sparse, an
 // exact table of item → net count (sparse.go), and materializes the matrix
-// only once growing the table would take it past the matrix's bytes — so
+// only once growing the table would take it past the matrix's bytes, or a
+// tracked table is handed a batch of more than 512 of its items (Apply) — so
 // the deep levels of a recursive stack, which see about 2^-k of the
 // support, cost their support and not r*b counters. A row is linear, so the table determines every
 // counter exactly, and every read replays it: counters, point queries, the

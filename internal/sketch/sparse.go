@@ -6,7 +6,8 @@ package sketch
 // int64 addition wraps the same in any order. A read replays the table
 // into a b-wide scratch row, runs the dense code on it and clears what it
 // touched; the sketch materializes the dense matrix once the table would
-// outgrow it (CountSketch.materialize).
+// outgrow it, or a tracked table is handed more items in one batch than
+// one re-score chunk holds (CountSketch.Apply, CountSketch.materialize).
 
 // table is a sparse CountSketch's state: the items with a nonzero net
 // count, each with its row hashes cached so a replay re-hashes nothing.

@@ -181,6 +181,42 @@ func TestSparseMatchesDense(t *testing.T) {
 	}
 }
 
+// TestTrackedTableMaterializesPastOneChunk: a tracked table re-scores a
+// batch's items from its gathered buckets one chunk at a time, so a batch
+// of more than batchChunk of its items makes it materialize first (one
+// pass over the table a row, as before the chunks), while an untracked
+// table, which re-scores nothing, stays a table. Either way the state is
+// its dense twin's.
+func TestTrackedTableMaterializesPastOneChunk(t *testing.T) {
+	const r, b = 5, 2048 // a table of 5 x 2048 holds 1,525 entries
+	distinct := func(from, n int) []stream.Update {
+		ups := make([]stream.Update, n)
+		for i := range ups {
+			ups[i] = stream.Update{Item: uint64(from+i) * 0x9e3779b97f4a7c15, Delta: int64(i%7) - 3}
+		}
+		return ups
+	}
+	for _, k := range []int{0, 64} {
+		tw := newTwin(t, r, b, k, 13)
+		for _, step := range []struct {
+			name       string
+			ups        []stream.Update
+			wantSparse bool
+		}{
+			{"one chunk", distinct(0, batchChunk), true},
+			{"one past a chunk", distinct(batchChunk, batchChunk+1), k == 0},
+		} {
+			tw.probes = append(tw.probes, probesOf(step.ups)...)
+			tw.sp.UpdateBatch(step.ups)
+			tw.de.UpdateBatch(step.ups)
+			if tw.sp.sparse() != step.wantSparse {
+				t.Fatalf("k=%d, %s: sparse %v, want %v", k, step.name, tw.sp.sparse(), step.wantSparse)
+			}
+			tw.check(step.name)
+		}
+	}
+}
+
 func TestSparseMergesMatchDense(t *testing.T) {
 	const r, b, k = 5, 256, 16 // a table of 5 x 256 holds at most 128 entries
 	few := func(seed uint64) []stream.Update { return sparseUpdates(seed, 200, 60) }
