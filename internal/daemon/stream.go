@@ -77,7 +77,9 @@ func (st *streamState) idle() time.Duration {
 // has begun: then it reports false and leaves the deadline as it is. The
 // check and the arming are one section under mu, so a drain's nudge
 // (DrainStreams) lands either before it, and is seen, or after it, and
-// wakes the read.
+// wakes the read. Were they two, a drain landing between them would have
+// its nudge overwritten, and an idle session would keep the drain waiting
+// out its context.
 func (st *streamState) armIdle(c net.Conn) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -238,11 +240,8 @@ func (s *Server) streamLoop(conn net.Conn, bufrw *bufio.ReadWriter) {
 	for {
 		// A drain must end the session after the frame in hand even if
 		// the client keeps sending: the read-deadline nudge only wakes a
-		// blocked read, so a loop that stays busy checks the flag here.
-		// The flag is read and the idle deadline armed in one section under
-		// st.mu, where DrainStreams sets the flag and nudges: a drain landing
-		// between the two would have its nudge overwritten by the idle
-		// deadline, and an idle session would keep the drain waiting.
+		// blocked read, so a loop that stays busy checks the flag here,
+		// in the section that arms the idle deadline (armIdle).
 		if !st.armIdle(conn) {
 			_ = sendAck(wire.IngestAck{Seq: lastSeq, Total: lastTotal,
 				Status: wire.IngestAckDraining, Msg: "daemon draining"})
