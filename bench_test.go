@@ -513,12 +513,14 @@ func BenchmarkWindowSerial(b *testing.B) {
 	updates := ts.Stream.Updates()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, err := window.NewEstimator(g, opts, window.Config{W: 16, K: 2})
+		e, err := window.New(g, opts, window.Config{W: 16, K: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
 		err = ts.EachRun(0, len(updates), func(lo, hi int, tick uint64) error {
-			return e.UpdateBatch(updates[lo:hi], tick)
+			e.Advance(tick)
+			e.UpdateBatch(updates[lo:hi])
+			return nil
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -529,13 +531,12 @@ func BenchmarkWindowSerial(b *testing.B) {
 }
 
 // BenchmarkWindowAdvance isolates the clock: sealing, compacting, and
-// expiring buckets across 4096 ticks of a 64-tick window with
-// CountSketch buckets (no data, pure structure maintenance).
+// expiring buckets across 4096 ticks of a 64-tick window (no data, pure
+// structure maintenance: a bucket builds its sketch on its first update).
 func BenchmarkWindowAdvance(b *testing.B) {
+	opts := core.Options{N: 1 << 10, M: 1 << 8, Eps: 0.25, Seed: 1, Lambda: 1.0 / 16}
 	for i := 0; i < b.N; i++ {
-		w, err := window.New(window.Config{W: 64, K: 2}, func() *sketch.CountSketch {
-			return sketch.NewCountSketch(5, 1<<10, util.NewSplitMix64(1))
-		})
+		w, err := window.New(gfunc.F2Func(), opts, window.Config{W: 64, K: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -553,14 +554,13 @@ func BenchmarkWindowSnapshotMerge(b *testing.B) {
 	opts := core.Options{N: 1 << 16, M: 1 << 10, Eps: 0.25, Seed: 7, Lambda: 1.0 / 16}
 	cfg := window.Config{W: 16, K: 2}
 	ts := windowBenchTicked(1 << 15)
-	worker, err := window.NewEstimator(g, opts, cfg)
+	worker, err := window.New(g, opts, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i, u := range ts.Stream.Updates() {
-		if err := worker.Update(u.Item, u.Delta, ts.Ticks[i]); err != nil {
-			b.Fatal(err)
-		}
+		worker.Advance(ts.Ticks[i])
+		worker.Update(u.Item, u.Delta)
 	}
 	data, err := worker.MarshalBinary()
 	if err != nil {
@@ -570,7 +570,7 @@ func BenchmarkWindowSnapshotMerge(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		coord, err := window.NewEstimator(g, opts, cfg)
+		coord, err := window.New(g, opts, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

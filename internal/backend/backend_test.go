@@ -2,6 +2,7 @@ package backend
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -364,6 +365,44 @@ func TestNormalizeRejectsInvalidSpecs(t *testing.T) {
 		if _, err := Open(c.spec); err == nil {
 			t.Errorf("%s: Open accepted an invalid spec", c.name)
 		}
+	}
+}
+
+// TestOpenRefusesWindowPastMaxW: a window longer than window.MaxW would
+// wrap the histogram's arithmetic (MaxSpan, and the W+MaxSpan and
+// W+8·MaxSpan sums Advance takes), so Open refuses it naming the bound.
+// No window is advanced at such a length here: stepping one never
+// compacts and grows without bound.
+func TestOpenRefusesWindowPastMaxW(t *testing.T) {
+	for _, w := range []uint64{window.MaxW + 1, 1<<64 - 2, 1<<64 - 1} {
+		spec := specFor(KindWindow, 1)
+		spec.Window = window.Config{W: w, K: 3}
+		est, err := Open(spec)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(uint64(window.MaxW))) {
+			t.Errorf("W=%d: Open gave %v, want an error naming the bound %d", w, err, uint64(window.MaxW))
+		}
+		if est != nil {
+			t.Errorf("W=%d: Open returned a non-nil estimator with its error", w)
+		}
+	}
+}
+
+// TestWindowAtMaxWKeepsItsData: at the bound the window covers all of a
+// short history, so advancing the clock drops nothing.
+func TestWindowAtMaxWKeepsItsData(t *testing.T) {
+	spec := specFor(KindWindow, 1)
+	spec.Window = window.Config{W: window.MaxW}
+	est, err := Open(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est.UpdateBatch(testStream(1).Updates())
+	before := est.Estimate()
+	if got := est.(Windowed).Advance(100); got != 100 {
+		t.Fatalf("clock at %d after Advance(100)", got)
+	}
+	if after := est.Estimate(); before <= 0 || after != before {
+		t.Errorf("estimate %v before Advance(100), %v after", before, after)
 	}
 }
 

@@ -120,27 +120,6 @@ type shardedEstimator struct {
 	workers int
 }
 
-// windowEstimator adapts window.Estimator to the tick-free Estimator
-// surface: updates land at the current clock tick, and Advance (the
-// Windowed capability) moves time.
-type windowEstimator struct {
-	*window.Estimator
-}
-
-func (w *windowEstimator) Update(item uint64, delta int64) {
-	// At the current tick a past-tick error is impossible.
-	_ = w.Estimator.Update(item, delta, w.Estimator.Now())
-}
-
-func (w *windowEstimator) UpdateBatch(batch []stream.Update) {
-	_ = w.Estimator.UpdateBatch(batch, w.Estimator.Now())
-}
-
-func (w *windowEstimator) Advance(tick uint64) uint64 {
-	w.Estimator.Advance(tick)
-	return w.Estimator.Now()
-}
-
 // countSketchEstimator adapts sketch.CountSketch: Estimate is the F2
 // estimate, EstimateItem (the PointQuerier capability) the per-item
 // point query.

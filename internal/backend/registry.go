@@ -110,28 +110,20 @@ func init() {
 		kind:     KindWindow,
 		describe: "sliding-window one-pass estimator (estimates cover the last Window.W ticks)",
 		needsG:   true,
-		normalize: func(s *Spec) error {
-			if s.Window.W == 0 {
-				return fmt.Errorf("backend: window kind needs a positive Window.W (ticks)")
-			}
-			if s.Window.K == 0 {
-				s.Window.K = window.DefaultK
-			}
-			if s.Window.K < 2 {
-				return fmt.Errorf("backend: window kind needs Window.K of at least 2, got %d", s.Window.K)
-			}
-			return nil
+		normalize: func(s *Spec) (err error) {
+			s.Window, err = s.Window.Normalize()
+			return err
 		},
 		open: func(s Spec) (Estimator, error) {
 			g, err := CatalogFunc(s.G)
 			if err != nil {
 				return nil, err
 			}
-			est, err := window.NewEstimator(g, s.Options, s.Window)
+			w, err := window.New(g, s.Options, s.Window)
 			if err != nil {
-				return nil, err
+				return nil, err // not a typed-nil *window.Window
 			}
-			return &windowEstimator{est}, nil
+			return w, nil
 		},
 	})
 	register(&builder{
@@ -235,9 +227,9 @@ func Merge(dst, src Estimator) error {
 		if s, ok := unwrapSharded(src).(*core.OnePassEstimator); ok {
 			return d.Merge(s)
 		}
-	case *windowEstimator:
-		if s, ok := src.(*windowEstimator); ok {
-			return d.Estimator.Merge(s.Estimator)
+	case *window.Window:
+		if s, ok := src.(*window.Window); ok {
+			return d.Merge(s)
 		}
 	case *countSketchEstimator:
 		if s, ok := src.(*countSketchEstimator); ok {

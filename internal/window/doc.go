@@ -1,16 +1,19 @@
 // Package window is the sliding-window estimation layer: an exponential
-// histogram of buckets, each bucket one mergeable sketch, answering
-// queries over the last W ticks of a stream instead of the whole of it.
+// histogram of buckets, each bucket one one-pass g-SUM estimator,
+// answering queries over the last W ticks of a stream instead of the
+// whole of it.
 //
 // # Role
 //
 // The rest of the repository estimates g-SUM since process start. A
 // production aggregation service is usually asked about *recent*
-// traffic — "top contributors in the last hour" — so this package wraps
-// any seed-disciplined mergeable sketch (sketch.CountSketch,
-// heavy.OnePass, the core estimators, …) in a Window: Update(item,
-// delta, tick) feeds time-stamped traffic, Advance(tick) moves the
-// clock, and Merged/Estimate answer over the trailing W-tick window.
+// traffic — "top contributors in the last hour" — so this package
+// buckets the paper's one-pass sketch (core.OnePassEstimator: Theorem 2
+// inside the recursive sketch), whose only property the window needs is
+// that it is linear and mergeable. Window is the backend's "window"
+// kind itself: Advance(tick) moves the clock, Update and UpdateBatch
+// feed the open bucket at the current tick, and Estimate/EstimateFor
+// answer over the trailing W-tick window.
 //
 // # How it works
 //
@@ -19,7 +22,7 @@
 // bucket covers a power-of-two span of consecutive ticks, the newest
 // bucket is always the open span-1 bucket at the current tick, and when
 // more than K buckets share a span the two oldest of that span merge
-// (via the sketches' Merge contract) into one bucket of twice the span.
+// (via the estimators' Merge contract) into one bucket of twice the span.
 // Buckets whose entire span has fallen out of the window are dropped.
 // Bucket lifecycle: fill (open, absorbing updates) → seal (Advance
 // moves past it) → merge (compaction pairs it with its neighbor) →
@@ -30,10 +33,10 @@
 // tick exactly once however Advance is called — so two windows at the
 // same clock have identical bucket boundaries and merge
 // bucket-by-bucket with the exact linearity guarantees of the
-// underlying sketches. Serial, cut-and-merged, and daemon-merged
+// underlying sketch. Serial, cut-and-merged, and daemon-merged
 // windowed runs therefore produce bit-identical counter state, the same
-// contract Merge provides for whole-stream sketches. Buckets
-// materialize lazily and clock jumps that expire everything
+// contract Merge provides for whole-stream sketches. A bucket builds its
+// estimator on its first update, and clock jumps that expire everything
 // fast-forward in O(W) instead of replaying each tick, so idle periods
 // and wall-clock-sized tick domains cost (almost) nothing.
 //
@@ -50,18 +53,19 @@
 // # Layer
 //
 // In ARCHITECTURE.md's layer map, window sits with the harness layer:
-// above the estimators (internal/core) and sketches it buckets, below
+// above the estimators (internal/core) it buckets, below
 // the service surface (internal/daemon's "window" backend and
 // /v1/advance) and the bench runner (internal/workload's windowed
 // mode).
 //
 // # Seed discipline
 //
-// The factory passed to New must return identically-configured,
-// same-seed sketches on every call — buckets merge with each other, and
-// snapshots decode against freshly built staging sketches, so one drift
-// in the factory would silently break linearity. The wire format
-// (serialize.go) digests W, K, and the bucket sketch's own fingerprint
-// into the header, making the contract a checked invariant exactly as
+// Every bucket, and every staging bucket a snapshot decodes into, is
+// core.NewOnePass of the same g and options, whose envelope New pins
+// once — buckets merge with each other, so one drift in their
+// configuration would silently break linearity. The wire format
+// (serialize.go) digests W, K, and the bucket's own fingerprint into
+// the header, and Merge compares the same fingerprint before any bucket
+// mutates, making the contract a checked invariant exactly as
 // internal/wire does for the underlying sketches.
 package window

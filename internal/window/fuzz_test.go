@@ -3,25 +3,24 @@ package window
 import (
 	"testing"
 
-	"repro/internal/sketch"
+	"repro/internal/core"
+	"repro/internal/gfunc"
 	"repro/internal/sketch/sketchtest"
-	"repro/internal/util"
 )
 
 // fuzzWindow builds the fixed receiver the fuzz corpus targets: a
-// CountSketch-bucket window advanced through a fixed tick sequence.
-// Keep in sync with the valid-payload seeds below.
-func fuzzWindow() *Window[*sketch.CountSketch] {
-	w, err := New(Config{W: 6, K: 2}, func() *sketch.CountSketch {
-		return sketch.NewCountSketch(2, 16, util.NewSplitMix64(3))
-	})
+// window of small one-level buckets advanced through a fixed tick
+// sequence. Keep in sync with testdata's seed-v6-valid, this window's
+// own snapshot; the CountSketch-bucket payloads of earlier layouts stay
+// in the corpus as refused inputs.
+func fuzzWindow() *Window {
+	w, err := New(gfunc.F2Func(), core.Options{N: 1 << 6, M: 1 << 6, Eps: 0.5, Lambda: 1.0 / 4, Seed: 3}, Config{W: 6, K: 2})
 	if err != nil {
 		panic(err)
 	}
 	for tick := uint64(0); tick <= 9; tick++ {
-		if err := w.Update(tick%5, int64(tick)+1, tick); err != nil {
-			panic(err)
-		}
+		w.Advance(tick)
+		w.Update(tick%5, int64(tick)+1)
 	}
 	return w
 }

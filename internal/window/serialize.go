@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/wire"
 )
 
@@ -13,27 +14,28 @@ import (
 //	now u64 | buckets u32 | buckets × (start u64 | span u64 | blob)
 //
 // The fingerprint digests the window shape (W, K) and the bucket
-// sketch's own fingerprint, so a snapshot only decodes onto a window of
-// the same length, the same histogram capacity, and a bucket factory
-// with the same seed and dimensions. Bucket boundaries travel so the
+// estimator's own fingerprint, so a snapshot only decodes onto a window
+// of the same length, the same histogram capacity, and buckets of the
+// same function, options and seed. Bucket boundaries travel so the
 // decoder can verify the sender was driven through the same tick
 // sequence; the sketches inside each bucket travel as nested blobs in
-// their own checked wire formats.
+// their own checked wire formats; a bucket that never saw an update
+// ships as the empty bucket's image.
 
 const windowMagic uint32 = 0x67535557 // "gSUW"
 
-// Fingerprint digests the window configuration and the bucket sketch
+// Fingerprint digests the window configuration and the bucket
 // fingerprint (cached at construction; it is independent of the
 // window's data and clock, so it can be checked before any bucket
 // state is examined).
-func (w *Window[S]) Fingerprint() uint64 { return w.fp }
+func (w *Window) Fingerprint() uint64 { return w.fp }
 
 // MarshalBinary serializes the clock, the bucket boundaries, and every
 // bucket's sketch. Two windows with the same configuration, seed, tick
 // sequence, and data produce byte-identical snapshots (an empty bucket
-// serializes identically whether or not it was ever materialized —
-// dead buckets ship the cached empty-sketch image).
-func (w *Window[S]) MarshalBinary() ([]byte, error) {
+// serializes identically whether or not it was ever built — unbuilt
+// buckets ship the cached empty-bucket image).
+func (w *Window) MarshalBinary() ([]byte, error) {
 	var wr wire.Writer
 	wr.Header(windowMagic, w.Fingerprint())
 	wr.U64(w.now)
@@ -42,7 +44,7 @@ func (w *Window[S]) MarshalBinary() ([]byte, error) {
 		wr.U64(b.start)
 		wr.U64(b.span)
 		blob, err := w.emptyBlob, error(nil)
-		if b.live {
+		if b.sk != nil {
 			blob, err = b.sk.MarshalBinary()
 			if err != nil {
 				return nil, fmt.Errorf("window: bucket [%d,+%d): %w", b.start, b.span, err)
@@ -58,10 +60,10 @@ func (w *Window[S]) MarshalBinary() ([]byte, error) {
 // configuration and seed (checked via the header fingerprint) and have
 // been advanced through the same tick sequence (checked via the clock
 // and every bucket boundary). The whole payload — boundaries and every
-// nested sketch blob — is decoded into staging sketches and validated
+// nested bucket blob — is decoded into staging buckets and validated
 // BEFORE any receiver bucket is touched, so an error never leaves the
 // window half-merged.
-func (w *Window[S]) UnmarshalBinary(data []byte) error {
+func (w *Window) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	if err := r.Header(windowMagic, w.Fingerprint()); err != nil {
 		return fmt.Errorf("window: %w", err)
@@ -77,8 +79,7 @@ func (w *Window[S]) UnmarshalBinary(data []byte) error {
 	if int(n) != len(w.buckets) {
 		return fmt.Errorf("window: bucket count mismatch: wire %d vs local %d", n, len(w.buckets))
 	}
-	staged := make([]S, len(w.buckets))
-	loaded := make([]bool, len(w.buckets))
+	staged := make([]*core.OnePassEstimator, len(w.buckets))
 	for i := range w.buckets {
 		start, span := r.U64(), r.U64()
 		blob := r.Blob()
@@ -92,28 +93,16 @@ func (w *Window[S]) UnmarshalBinary(data []byte) error {
 		if bytes.Equal(blob, w.emptyBlob) {
 			continue // an empty bucket contributes nothing; skip staging it
 		}
-		staged[i] = w.newSketch()
+		staged[i] = w.newBucket()
 		if err := staged[i].UnmarshalBinary(blob); err != nil {
 			return fmt.Errorf("window: bucket %d: %w", i, err)
 		}
-		loaded[i] = true
 	}
 	if r.End(); r.Err() != nil {
 		return fmt.Errorf("window: %w", r.Err())
 	}
-	for i := range w.buckets {
-		if !loaded[i] {
-			continue
-		}
-		if !w.buckets[i].live {
-			// The staging sketch is exclusively ours: adopt it instead of
-			// materializing an empty bucket just to merge into it.
-			w.buckets[i].sk, w.buckets[i].live = staged[i], true
-			continue
-		}
-		if err := w.buckets[i].sk.Merge(staged[i]); err != nil {
-			return fmt.Errorf("window: bucket %d: %w", i, err)
-		}
+	for i, sk := range staged {
+		w.buckets[i].absorb(sk) // the staging bucket is exclusively ours
 	}
 	return nil
 }

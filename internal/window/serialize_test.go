@@ -5,30 +5,17 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/sketch"
-	"repro/internal/util"
+	"repro/internal/gfunc"
 )
 
-// drivenWindow builds a CountSketch-bucket window advanced through a
-// fixed tick sequence, optionally fed data.
-func drivenWindow(t *testing.T, seed uint64, fill bool) *Window[*sketch.CountSketch] {
+// drivenWindow builds a window of buckets seeded with seed, advanced
+// through a fixed tick sequence, optionally fed data.
+func drivenWindow(t *testing.T, seed uint64, fill bool) *Window {
 	t.Helper()
-	w, err := New(Config{W: 10, K: 2}, func() *sketch.CountSketch {
-		return sketch.NewCountSketch(3, 32, util.NewSplitMix64(seed))
-	})
-	if err != nil {
-		t.Fatal(err)
+	if !fill {
+		return drivenWindowSlice(t, seed, 0, 0)
 	}
-	for _, u := range randomDrive(13, 800) {
-		if fill {
-			if err := w.Update(u.item, 1, u.tick); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			w.Advance(u.tick)
-		}
-	}
-	return w
+	return drivenWindowSlice(t, seed, 0, 800)
 }
 
 // TestWindowWireRoundTrip: decoding a snapshot into an empty window
@@ -75,10 +62,7 @@ func TestWindowWireRoundTrip(t *testing.T) {
 // TestWindowWireMergeEqualsInProcess: shipping shard B's snapshot into
 // shard A equals A.Merge(B).
 func TestWindowWireMergeEqualsInProcess(t *testing.T) {
-	mkShard := func(lo, hi int) *Window[*sketch.CountSketch] {
-		w := drivenWindowSlice(t, lo, hi)
-		return w
-	}
+	mkShard := func(lo, hi int) *Window { return drivenWindowSlice(t, 1, lo, hi) }
 	a, b := mkShard(0, 400), mkShard(400, 800)
 	data, err := b.MarshalBinary()
 	if err != nil {
@@ -98,24 +82,21 @@ func TestWindowWireMergeEqualsInProcess(t *testing.T) {
 	}
 }
 
-// drivenWindowSlice drives a window through the full tick sequence but
-// only feeds the updates in [lo, hi) — one contiguous shard.
-func drivenWindowSlice(t *testing.T, lo, hi int) *Window[*sketch.CountSketch] {
+// drivenWindowSlice drives a window of buckets seeded with seed through
+// the full tick sequence but only feeds the updates in [lo, hi) — one
+// contiguous shard.
+func drivenWindowSlice(t *testing.T, seed uint64, lo, hi int) *Window {
 	t.Helper()
-	w, err := New(Config{W: 10, K: 2}, func() *sketch.CountSketch {
-		return sketch.NewCountSketch(3, 32, util.NewSplitMix64(1))
-	})
+	opts := smallOpts
+	opts.Seed = seed
+	w, err := New(gfunc.F2Func(), opts, Config{W: 10, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	drive := randomDrive(13, 800)
-	for i, u := range drive {
+	for i, u := range randomDrive(13, 800) {
+		w.Advance(u.tick)
 		if i >= lo && i < hi {
-			if err := w.Update(u.item, 1, u.tick); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			w.Advance(u.tick)
+			w.Update(u.item, 1)
 		}
 	}
 	return w
@@ -131,7 +112,7 @@ func TestWindowWireRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fresh := func() *Window[*sketch.CountSketch] { return drivenWindow(t, 1, false) }
+	fresh := func() *Window { return drivenWindow(t, 1, false) }
 	check := func(name string, data []byte, wantSub string) {
 		t.Helper()
 		dst := fresh()
@@ -180,9 +161,9 @@ func TestWindowWireRejections(t *testing.T) {
 
 	// A receiver with different histogram capacity differs in shape AND
 	// fingerprint.
-	diffK, err := New(Config{W: 10, K: 4}, func() *sketch.CountSketch {
-		return sketch.NewCountSketch(3, 32, util.NewSplitMix64(1))
-	})
+	opts := smallOpts
+	opts.Seed = 1
+	diffK, err := New(gfunc.F2Func(), opts, Config{W: 10, K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

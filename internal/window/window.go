@@ -3,39 +3,26 @@ package window
 import (
 	"fmt"
 
+	"repro/internal/core"
+	"repro/internal/gfunc"
 	"repro/internal/stream"
 	"repro/internal/wire"
 )
 
-// Sketch is the bucket contract: a mergeable, wire-capable summary. It
-// is satisfied by every linear sketch in the repository (the raw
-// sketches, the heavy-hitter layer, the public estimators). The Merge,
-// Fingerprint, and UnmarshalBinary methods carry the usual
-// seed-discipline obligations (see internal/wire).
-type Sketch[S any] interface {
-	// Update feeds one turnstile update (item, delta).
-	Update(item uint64, delta int64)
-	// UpdateBatch feeds a batch, leaving the counters as the equivalent
-	// Update calls would (linearity).
-	UpdateBatch(batch []stream.Update)
-	// SpaceBytes reports counter storage.
-	SpaceBytes() int
-	// Merge folds an identically-configured, same-seed sketch into the
-	// receiver: the state of the union stream.
-	Merge(other S) error
-	Fingerprint() uint64
-	MarshalBinary() ([]byte, error)
-	UnmarshalBinary(data []byte) error
-}
-
 // DefaultK is the bucket-per-span-class capacity used when Config.K is 0.
 const DefaultK = 2
+
+// MaxW bounds Config.W. The histogram adds W to multiples of its largest
+// span (MaxSpan, at most 2^59 when W ≤ MaxW): Advance tests a jump
+// against W+MaxSpan and fastForward warms up over W+8·MaxSpan ticks, and
+// far enough past this bound those sums would wrap.
+const MaxW = 1 << 60
 
 // Config parameterizes a sliding window. The JSON tags define the
 // canonical encoding used inside backend Specs.
 type Config struct {
 	// W is the window length in ticks: estimates cover (now−W, now].
-	// It must be at least 1.
+	// It must be in [1, MaxW].
 	W uint64 `json:"w"`
 	// K is the exponential-histogram capacity: at most K buckets per
 	// power-of-two span class before the two oldest of that class merge.
@@ -44,30 +31,31 @@ type Config struct {
 	K int `json:"k"`
 }
 
-func (c Config) withDefaults() Config {
+// Normalize resolves K's default and validates the configuration: the
+// one place both happen, for New and for the backend Spec alike.
+func (c Config) Normalize() (Config, error) {
 	if c.K == 0 {
 		c.K = DefaultK
 	}
-	return c
-}
-
-func (c Config) validate() error {
-	if c.W == 0 {
-		return fmt.Errorf("window: W must be at least 1 tick")
+	if c.W == 0 || c.W > MaxW {
+		return Config{}, fmt.Errorf("window: Window.W must be between 1 and %d ticks, got %d", uint64(MaxW), c.W)
 	}
 	if c.K < 2 {
-		return fmt.Errorf("window: K must be at least 2, got %d", c.K)
+		return Config{}, fmt.Errorf("window: Window.K must be at least 2, got %d", c.K)
 	}
-	return nil
+	return c, nil
 }
 
-// MaxSpan returns the largest bucket span the histogram will build for
-// cfg: the smallest power of two at least ⌈W/K⌉. Compaction never
-// merges past it, so the oldest bucket straddling the window boundary
-// carries at most MaxSpan−1 stale ticks.
+// MaxSpan returns the largest bucket span the histogram will build for a
+// normalized cfg: the smallest power of two at least ⌈W/K⌉. Compaction
+// never merges past it, so the oldest bucket straddling the window
+// boundary carries at most MaxSpan−1 stale ticks.
 func MaxSpan(cfg Config) uint64 {
-	cfg = cfg.withDefaults()
-	target := (cfg.W + uint64(cfg.K) - 1) / uint64(cfg.K)
+	k := uint64(cfg.K)
+	target := cfg.W / k
+	if cfg.W%k != 0 {
+		target++
+	}
 	span := uint64(1)
 	for span < target {
 		span *= 2
@@ -76,90 +64,98 @@ func MaxSpan(cfg Config) uint64 {
 }
 
 // bucket is one sealed or open segment of the tick line: the sketch of
-// every update whose tick fell in [start, start+span). Buckets
-// materialize their sketch lazily — sk is only valid when live is true
-// — so advancing the clock across empty ticks allocates nothing and a
-// long idle period costs a cheap structural walk per tick, not a sketch
-// construction per tick.
-type bucket[S Sketch[S]] struct {
+// every update whose tick fell in [start, start+span). A bucket builds
+// its sketch on its first update — sk is nil until then — so advancing
+// the clock across empty ticks allocates nothing and a long idle period
+// costs a cheap structural walk per tick, not a sketch construction per
+// tick.
+type bucket struct {
 	start uint64
 	span  uint64
-	live  bool
-	sk    S
+	sk    *core.OnePassEstimator
 }
 
 // end returns the last tick the bucket covers.
-func (b bucket[S]) end() uint64 { return b.start + b.span - 1 }
+func (b bucket) end() uint64 { return b.start + b.span - 1 }
 
-// Window is a sliding-window summary: an exponential histogram of
-// buckets, each bucket one S, covering the trailing cfg.W ticks. The
-// zero value is not usable; construct with New. Windows are not
-// goroutine-safe (like every sketch in the repository).
-type Window[S Sketch[S]] struct {
-	cfg       Config
-	maxSpan   uint64
-	newSketch func() S
-	now       uint64
+// absorb adds sk, which the caller hands over, into the bucket: an empty
+// bucket adopts it, a built one merges it.
+func (b *bucket) absorb(sk *core.OnePassEstimator) {
+	switch {
+	case sk == nil:
+	case b.sk == nil:
+		b.sk = sk
+	default:
+		mustMerge(b.sk, sk)
+	}
+}
+
+// Window is the windowed g-SUM estimator: an exponential histogram of
+// one-pass estimator buckets answering Σ g(|v_i|) over the trailing
+// cfg.W ticks. Updates land at the current tick and Advance moves the
+// clock. The zero value is not usable; construct with New. Windows are
+// not goroutine-safe (like every sketch in the repository).
+type Window struct {
+	g       gfunc.Func
+	opts    core.Options
+	cfg     Config
+	maxSpan uint64
+	now     uint64
 	// buckets tile (expiry edge, now] contiguously, oldest first, with
 	// spans non-increasing from oldest to newest; the last bucket is
 	// always the open span-1 bucket at the current tick. The tiling is a
 	// pure function of (cfg, tick sequence) — never of the data.
-	buckets []bucket[S]
+	buckets []bucket
 	// fp is the configuration fingerprint and emptyBlob the serialized
-	// form of a fresh sketch (both derived from one probe sketch at
-	// construction; neither depends on data). emptyBlob ships dead
-	// buckets without materializing them.
+	// form of a fresh bucket (both derived from one probe bucket at
+	// construction; neither depends on data). emptyBlob ships empty
+	// buckets without building them.
 	fp        uint64
 	emptyBlob []byte
 }
 
-// New builds an empty window at tick 0. newSketch must return an
-// identically-configured, same-seed sketch on every call (the
-// seed-discipline rule): buckets built by it merge with one another and
-// with decoded snapshots.
-func New[S Sketch[S]](cfg Config, newSketch func() S) (*Window[S], error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+// New builds an empty window of one-pass estimators for g at tick 0. The
+// envelope is measured once and pinned into the options, so every bucket
+// — and every staging bucket a snapshot decode builds — resolves to
+// byte-identical configuration (the seed-discipline rule; the wire
+// fingerprint checks it).
+func New(g gfunc.Func, opts core.Options, cfg Config) (*Window, error) {
+	cfg, err := cfg.Normalize()
+	if err != nil {
 		return nil, err
 	}
-	if newSketch == nil {
-		return nil, fmt.Errorf("window: New needs a sketch factory")
+	opts.Envelope = core.EnvelopeFor(g, opts)
+	w := &Window{
+		g:       g,
+		opts:    opts,
+		cfg:     cfg,
+		maxSpan: MaxSpan(cfg),
+		buckets: []bucket{{start: 0, span: 1}},
 	}
-	w := &Window[S]{
-		cfg:       cfg,
-		maxSpan:   MaxSpan(cfg),
-		newSketch: newSketch,
-		buckets:   []bucket[S]{{start: 0, span: 1}},
-	}
-	// One probe sketch yields both construction-time derivatives: the
-	// configuration fingerprint and the wire image of an empty bucket.
-	probe := newSketch()
+	probe := w.newBucket()
 	h := wire.Fingerprint(0, cfg.W)
 	h = wire.Fingerprint(h, uint64(cfg.K))
 	w.fp = wire.Fingerprint(h, probe.Fingerprint())
-	blob, err := probe.MarshalBinary()
-	if err != nil {
-		return nil, fmt.Errorf("window: serializing the empty sketch: %w", err)
+	if w.emptyBlob, err = probe.MarshalBinary(); err != nil {
+		return nil, fmt.Errorf("window: serializing the empty bucket: %w", err)
 	}
-	w.emptyBlob = blob
 	return w, nil
 }
 
+func (w *Window) newBucket() *core.OnePassEstimator { return core.NewOnePass(w.g, w.opts) }
+
 // Config returns the window's resolved configuration.
-func (w *Window[S]) Config() Config { return w.cfg }
+func (w *Window) Config() Config { return w.cfg }
 
 // Now returns the current tick.
-func (w *Window[S]) Now() uint64 { return w.now }
+func (w *Window) Now() uint64 { return w.now }
 
-// Buckets returns the number of live buckets, O(K·log(W/K) + K).
-func (w *Window[S]) Buckets() int { return len(w.buckets) }
-
-// SpaceBytes sums the counter storage of every materialized bucket
-// (buckets that never saw an update hold no sketch).
-func (w *Window[S]) SpaceBytes() int {
+// SpaceBytes sums the counter storage of every bucket that has seen an
+// update (the others hold no sketch).
+func (w *Window) SpaceBytes() int {
 	total := 0
 	for _, b := range w.buckets {
-		if b.live {
+		if b.sk != nil {
 			total += b.sk.SpaceBytes()
 		}
 	}
@@ -168,7 +164,7 @@ func (w *Window[S]) SpaceBytes() int {
 
 // Stale returns how many ticks older than the window the oldest bucket
 // still carries: the realized approximation error of this instant.
-func (w *Window[S]) Stale() uint64 {
+func (w *Window) Stale() uint64 {
 	if w.now < w.cfg.W {
 		return 0 // the whole history is inside the window
 	}
@@ -182,13 +178,13 @@ func (w *Window[S]) Stale() uint64 {
 // StaleBound returns the worst-case Stale value, MaxSpan(cfg)−1: no
 // estimate ever includes that many ticks beyond the window, and updates
 // at least W+StaleBound ticks behind the clock are guaranteed expired.
-func (w *Window[S]) StaleBound() uint64 { return w.maxSpan - 1 }
+func (w *Window) StaleBound() uint64 { return w.maxSpan - 1 }
 
 // Advance moves the clock forward to tick, sealing the open bucket,
 // compacting same-span buckets, and expiring buckets that fell wholly
-// outside the window, once per elapsed tick. Ticks at or before the
-// current one are a no-op, so repeated synchronization calls (e.g.
-// /v1/advance from several pushers) are safe.
+// outside the window, once per elapsed tick, and returns the clock.
+// Ticks at or before the current one are a no-op, so repeated
+// synchronization calls (e.g. /v1/advance from several pushers) are safe.
 //
 // Cost is O(min(elapsed, W+maxSpan)) regardless of the jump size: a
 // jump large enough to expire every current bucket fast-forwards to
@@ -198,9 +194,9 @@ func (w *Window[S]) StaleBound() uint64 { return w.maxSpan - 1 }
 // depends only on (Config, final clock) — every window visits every
 // tick exactly once, however Advance was called — which is what lets
 // identically-driven windows merge.
-func (w *Window[S]) Advance(tick uint64) {
+func (w *Window) Advance(tick uint64) uint64 {
 	if tick <= w.now {
-		return
+		return w.now
 	}
 	// Everything currently held expires during a jump of more than
 	// W+maxSpan ticks (even a bucket that would first merge up to
@@ -208,16 +204,17 @@ func (w *Window[S]) Advance(tick uint64) {
 	// the destination state carries no data and can be rebuilt directly.
 	if tick-w.now > w.cfg.W+w.maxSpan {
 		w.fastForward(tick)
-		return
+	} else {
+		w.stepTo(tick)
 	}
-	w.stepTo(tick)
+	return w.now
 }
 
 // stepTo replays the clock one tick at a time.
-func (w *Window[S]) stepTo(tick uint64) {
+func (w *Window) stepTo(tick uint64) {
 	for w.now < tick {
 		w.now++
-		w.buckets = append(w.buckets, bucket[S]{start: w.now, span: 1})
+		w.buckets = append(w.buckets, bucket{start: w.now, span: 1})
 		w.compact()
 		w.expire()
 	}
@@ -231,14 +228,14 @@ func (w *Window[S]) stepTo(tick uint64) {
 // cascade and the expiry edge both repeat once the top span class is
 // saturated. TestAdvanceFastForwardMatchesStepping pins the
 // equivalence against naive stepping across configurations.
-func (w *Window[S]) fastForward(tick uint64) {
+func (w *Window) fastForward(tick uint64) {
 	warmup := w.cfg.W + 8*w.maxSpan
 	target, shift := tick, uint64(0)
 	if tick > warmup {
 		shift = (tick - warmup) / w.maxSpan * w.maxSpan
 		target = tick - shift
 	}
-	w.buckets = append(w.buckets[:0], bucket[S]{start: 0, span: 1})
+	w.buckets = append(w.buckets[:0], bucket{start: 0, span: 1})
 	w.now = 0
 	w.stepTo(target)
 	for i := range w.buckets {
@@ -252,7 +249,7 @@ func (w *Window[S]) fastForward(tick uint64) {
 // holds more than K buckets, the two oldest of that class (adjacent, by
 // the span-ordering invariant) merge into one bucket of twice the span.
 // Spans never exceed maxSpan, which is what caps the stale bound.
-func (w *Window[S]) compact() {
+func (w *Window) compact() {
 	for span := uint64(1); span < w.maxSpan; span *= 2 {
 		first, count := -1, 0
 		for i, b := range w.buckets {
@@ -266,30 +263,26 @@ func (w *Window[S]) compact() {
 		if count <= w.cfg.K {
 			return // classes above can only have overflowed via a merge below
 		}
-		older, newer := &w.buckets[first], w.buckets[first+1]
-		switch {
-		case !newer.live:
-			// Nothing to fold in; the older half keeps its state.
-		case !older.live:
-			// Adopt the newer half's sketch (exclusive ownership moves).
-			older.sk, older.live = newer.sk, true
-		default:
-			// Merging identically-built sketches cannot fail; a failure
-			// means the factory broke seed discipline, which no caller can
-			// recover from mid-stream.
-			if err := older.sk.Merge(newer.sk); err != nil {
-				panic(fmt.Sprintf("window: bucket merge failed (factory violated seed discipline?): %v", err))
-			}
-		}
+		older := &w.buckets[first]
+		older.absorb(w.buckets[first+1].sk)
 		older.span *= 2
 		w.buckets = append(w.buckets[:first+1], w.buckets[first+2:]...)
+	}
+}
+
+// mustMerge folds src into dst. Every bucket comes from newBucket, and
+// merging identically-built estimators cannot fail; a failure is an
+// invariant violation no caller can recover from mid-stream.
+func mustMerge(dst, src *core.OnePassEstimator) {
+	if err := dst.Merge(src); err != nil {
+		panic("window: bucket merge failed: " + err.Error())
 	}
 }
 
 // expire drops buckets whose entire span is outside (now−W, now]. The
 // open bucket always covers the current tick, so at least one bucket
 // survives.
-func (w *Window[S]) expire() {
+func (w *Window) expire() {
 	if w.now < w.cfg.W {
 		return
 	}
@@ -303,68 +296,55 @@ func (w *Window[S]) expire() {
 	}
 }
 
-// Update feeds one turnstile update stamped with its tick, advancing
-// the clock first if the tick is ahead of it. Ticks must be
-// non-decreasing across calls; a past tick is an error (the bucket it
-// belonged to may already be sealed, merged, or expired).
-func (w *Window[S]) Update(item uint64, delta int64, tick uint64) error {
-	if tick < w.now {
-		return fmt.Errorf("window: tick %d is in the past (clock at %d); ticks must be non-decreasing", tick, w.now)
-	}
-	w.Advance(tick)
-	w.open().sk.Update(item, delta)
-	return nil
-}
-
-// open materializes and returns the open bucket.
-func (w *Window[S]) open() *bucket[S] {
+// open builds, if it has none yet, and returns the open bucket's sketch.
+func (w *Window) open() *core.OnePassEstimator {
 	b := &w.buckets[len(w.buckets)-1]
-	if !b.live {
-		b.sk, b.live = w.newSketch(), true
+	if b.sk == nil {
+		b.sk = w.newBucket()
 	}
-	return b
+	return b.sk
 }
 
-// UpdateBatch feeds a batch of updates that all share one tick through
-// the open bucket's amortized batch path, in stream.BatchSize chunks.
-func (w *Window[S]) UpdateBatch(batch []stream.Update, tick uint64) error {
-	if tick < w.now {
-		return fmt.Errorf("window: tick %d is in the past (clock at %d); ticks must be non-decreasing", tick, w.now)
-	}
-	w.Advance(tick)
-	stream.Batches(batch, w.open().sk.UpdateBatch)
-	return nil
-}
+// Update feeds one turnstile update at the current tick.
+func (w *Window) Update(item uint64, delta int64) { w.open().Update(item, delta) }
 
-// Merged folds every live bucket, oldest to newest, into a freshly
-// built sketch: the summary of the trailing window (plus at most
-// StaleBound stale ticks), ready for whatever queries S answers. The
-// fixed fold order keeps auxiliary tracker state deterministic, so
-// identical windows produce bit-identical merged sketches.
-func (w *Window[S]) Merged() (S, error) {
-	out := w.newSketch()
+// UpdateBatch feeds a batch of updates at the current tick through the
+// open bucket's amortized batch path, in stream.BatchSize chunks.
+func (w *Window) UpdateBatch(batch []stream.Update) { stream.Batches(batch, w.open().UpdateBatch) }
+
+// Merged folds every bucket, oldest to newest, into a fresh estimator:
+// the summary of the trailing window (plus at most StaleBound stale
+// ticks). The fixed fold order keeps tracker state deterministic, so
+// identical windows produce bit-identical merged estimators.
+func (w *Window) Merged() *core.OnePassEstimator {
+	out := w.newBucket()
 	for _, b := range w.buckets {
-		if !b.live {
-			continue
-		}
-		if err := out.Merge(b.sk); err != nil {
-			return out, fmt.Errorf("window: merging bucket [%d,+%d): %w", b.start, b.span, err)
+		if b.sk != nil {
+			mustMerge(out, b.sk)
 		}
 	}
-	return out, nil
+	return out
 }
+
+// Estimate returns the g-SUM estimate over the trailing window (plus at
+// most StaleBound stale ticks): EstimateFor the window's own g.
+func (w *Window) Estimate() float64 { return w.EstimateFor(w.g) }
+
+// EstimateFor returns the estimate for g over the same window, read from
+// the same buckets (core.OnePassEstimator.EstimateFor).
+func (w *Window) EstimateFor(g gfunc.Func) float64 { return w.Merged().EstimateFor(g) }
 
 // Merge folds another window into w, bucket by bucket. Both windows
-// must have the same Config and have been advanced through the same
-// tick sequence — equal clocks imply equal bucket boundaries, which is
+// must have the same fingerprint (Config, g and bucket options) and have
+// been advanced through the same tick sequence — equal clocks imply equal bucket boundaries, which is
 // verified in full before any bucket mutates (the merge contract's
 // no-half-merged-state rule). This is the distributed mode: shard a
 // ticked stream across workers, drive every worker's window through
 // every tick, merge, and the result equals the single-window run
 // bit for bit.
-func (w *Window[S]) Merge(other *Window[S]) error {
-	if w.cfg != other.cfg {
-		return fmt.Errorf("window: config mismatch: %+v vs %+v", w.cfg, other.cfg)
+func (w *Window) Merge(other *Window) error {
+	if w.fp != other.fp {
+		return fmt.Errorf("window: fingerprint %#x is not the receiver's %#x (another W, K, seed or bucket configuration)", other.fp, w.fp)
 	}
 	if w.now != other.now {
 		return fmt.Errorf("window: clock mismatch: %d vs %d (advance both to the same tick before merging)", w.now, other.now)
@@ -378,58 +358,14 @@ func (w *Window[S]) Merge(other *Window[S]) error {
 				i, w.buckets[i].start, w.buckets[i].span, other.buckets[i].start, other.buckets[i].span)
 		}
 	}
-	for i := range w.buckets {
-		ob := other.buckets[i]
-		if !ob.live {
+	for i, ob := range other.buckets {
+		if ob.sk == nil {
 			continue
 		}
-		if !w.buckets[i].live {
-			w.buckets[i].sk, w.buckets[i].live = w.newSketch(), true
+		if w.buckets[i].sk == nil {
+			w.buckets[i].sk = w.newBucket()
 		}
-		if err := w.buckets[i].sk.Merge(ob.sk); err != nil {
-			return fmt.Errorf("window: bucket %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// checkInvariants validates the histogram shape; tests call it after
-// every mutation. It returns an error naming the first violation.
-func (w *Window[S]) checkInvariants() error {
-	if len(w.buckets) == 0 {
-		return fmt.Errorf("window: no buckets")
-	}
-	open := w.buckets[len(w.buckets)-1]
-	if open.start != w.now || open.span != 1 {
-		return fmt.Errorf("window: open bucket [%d,+%d) does not sit at the clock %d", open.start, open.span, w.now)
-	}
-	counts := map[uint64]int{}
-	for i, b := range w.buckets {
-		if b.span == 0 || b.span&(b.span-1) != 0 {
-			return fmt.Errorf("window: bucket %d span %d is not a power of two", i, b.span)
-		}
-		if b.span > w.maxSpan {
-			return fmt.Errorf("window: bucket %d span %d exceeds max span %d", i, b.span, w.maxSpan)
-		}
-		if i > 0 {
-			if b.start != w.buckets[i-1].end()+1 {
-				return fmt.Errorf("window: bucket %d does not tile: starts at %d after end %d", i, b.start, w.buckets[i-1].end())
-			}
-			if b.span > w.buckets[i-1].span {
-				return fmt.Errorf("window: bucket %d span %d exceeds older span %d", i, b.span, w.buckets[i-1].span)
-			}
-		}
-		if b.span < w.maxSpan {
-			counts[b.span]++
-		}
-	}
-	for span, c := range counts {
-		if c > w.cfg.K {
-			return fmt.Errorf("window: %d buckets of span %d exceed K=%d", c, span, w.cfg.K)
-		}
-	}
-	if w.Stale() > w.StaleBound() {
-		return fmt.Errorf("window: stale ticks %d exceed bound %d", w.Stale(), w.StaleBound())
+		mustMerge(w.buckets[i].sk, ob.sk)
 	}
 	return nil
 }

@@ -2,28 +2,86 @@ package window
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/gfunc"
-	"repro/internal/sketch"
 	"repro/internal/stream"
 	"repro/internal/util"
 )
 
-// newCS is a seed-disciplined CountSketch factory for bucket tests: the
-// same dimensions and seed on every call.
-func newCS() *sketch.CountSketch {
-	return sketch.NewCountSketch(3, 64, util.NewSplitMix64(42))
-}
+// smallOpts size the buckets of the structural tests: two levels whose
+// trackers (383 candidates) hold every item randomDrive draws, so merged
+// and serial buckets agree byte for byte, trackers included.
+// The envelope is measured once here rather than by every New.
+var smallOpts = func() core.Options {
+	o := core.Options{N: 1 << 9, M: 1 << 8, Eps: 0.25, Lambda: 1.0 / 16, Seed: 42}
+	o.Envelope = core.EnvelopeFor(gfunc.F2Func(), o)
+	return o
+}()
 
-func mustWindow(t *testing.T, cfg Config) *Window[*sketch.CountSketch] {
+func mustWindow(t testing.TB, cfg Config) *Window {
 	t.Helper()
-	w, err := New(cfg, newCS)
+	w, err := New(gfunc.F2Func(), smallOpts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return w
+}
+
+// emptyBucket is the wire image of a bucket that saw nothing: what the
+// merged window reads once every update has expired.
+func emptyBucket(w *Window) []byte {
+	data, _ := w.newBucket().MarshalBinary()
+	return data
+}
+
+// checkInvariants validates the histogram shape; tests call it after
+// every mutation. It returns an error naming the first violation.
+func (w *Window) checkInvariants() error {
+	if len(w.buckets) == 0 {
+		return fmt.Errorf("window: no buckets")
+	}
+	open := w.buckets[len(w.buckets)-1]
+	if open.start != w.now || open.span != 1 {
+		return fmt.Errorf("window: open bucket [%d,+%d) does not sit at the clock %d", open.start, open.span, w.now)
+	}
+	counts := map[uint64]int{}
+	for i, b := range w.buckets {
+		if b.span == 0 || b.span&(b.span-1) != 0 {
+			return fmt.Errorf("window: bucket %d span %d is not a power of two", i, b.span)
+		}
+		if b.span > w.maxSpan {
+			return fmt.Errorf("window: bucket %d span %d exceeds max span %d", i, b.span, w.maxSpan)
+		}
+		if i > 0 {
+			if b.start != w.buckets[i-1].end()+1 {
+				return fmt.Errorf("window: bucket %d does not tile: starts at %d after end %d", i, b.start, w.buckets[i-1].end())
+			}
+			if b.span > w.buckets[i-1].span {
+				return fmt.Errorf("window: bucket %d span %d exceeds older span %d", i, b.span, w.buckets[i-1].span)
+			}
+		}
+		if b.span < w.maxSpan {
+			counts[b.span]++
+		}
+	}
+	for span, c := range counts {
+		if c > w.cfg.K {
+			return fmt.Errorf("window: %d buckets of span %d exceed K=%d", c, span, w.cfg.K)
+		}
+	}
+	if w.Stale() > w.StaleBound() {
+		return fmt.Errorf("window: stale ticks %d exceed bound %d", w.Stale(), w.StaleBound())
+	}
+	return nil
+}
+
+// updateAt advances w to tick and feeds one update there.
+func (w *Window) updateAt(item uint64, delta int64, tick uint64) {
+	w.Advance(tick)
+	w.Update(item, delta)
 }
 
 // tickedUpdate is one (item, delta, tick) triple for driving windows.
@@ -54,9 +112,7 @@ func TestWindowInvariants(t *testing.T) {
 	for _, cfg := range []Config{{W: 1}, {W: 4}, {W: 16}, {W: 16, K: 4}, {W: 100, K: 3}, {W: 7, K: 8}} {
 		w := mustWindow(t, cfg)
 		for i, u := range randomDrive(7, 2000) {
-			if err := w.Update(u.item, 1, u.tick); err != nil {
-				t.Fatalf("cfg %+v update %d: %v", cfg, i, err)
-			}
+			w.updateAt(u.item, 1, u.tick)
 			if err := w.checkInvariants(); err != nil {
 				t.Fatalf("cfg %+v after update %d (tick %d): %v", cfg, i, u.tick, err)
 			}
@@ -72,22 +128,16 @@ func TestWindowMatchesSuffixSketch(t *testing.T) {
 	w := mustWindow(t, Config{W: 16, K: 2})
 	drive := randomDrive(11, 3000)
 	for _, u := range drive {
-		if err := w.Update(u.item, 1, u.tick); err != nil {
-			t.Fatal(err)
-		}
-	}
-	merged, err := w.Merged()
-	if err != nil {
-		t.Fatal(err)
+		w.updateAt(u.item, 1, u.tick)
 	}
 	covered := w.buckets[0].start
-	ref := newCS()
+	ref := w.newBucket()
 	for _, u := range drive {
 		if u.tick >= covered {
 			ref.Update(u.item, 1)
 		}
 	}
-	got, _ := merged.MarshalBinary()
+	got, _ := w.Merged().MarshalBinary()
 	want, _ := ref.MarshalBinary()
 	if !bytes.Equal(got, want) {
 		t.Fatalf("merged window differs from the sketch of ticks >= %d", covered)
@@ -103,21 +153,14 @@ func TestWindowExpiry(t *testing.T) {
 		w := mustWindow(t, cfg)
 		const needle = uint64(99)
 		for i := 0; i < 50; i++ {
-			if err := w.Update(needle, 1000, 0); err != nil {
-				t.Fatal(err)
-			}
+			w.updateAt(needle, 1000, 0)
 		}
 		w.Advance(cfg.W + w.StaleBound())
 		if err := w.checkInvariants(); err != nil {
 			t.Fatalf("cfg %+v: %v", cfg, err)
 		}
-		merged, err := w.Merged()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _ := merged.MarshalBinary()
-		empty, _ := newCS().MarshalBinary()
-		if !bytes.Equal(got, empty) {
+		got, _ := w.Merged().MarshalBinary()
+		if !bytes.Equal(got, emptyBucket(w)) {
 			t.Fatalf("cfg %+v: burst at tick 0 still present %d ticks later (stale %d, bound %d)",
 				cfg, cfg.W+w.StaleBound(), w.Stale(), w.StaleBound())
 		}
@@ -131,9 +174,7 @@ func TestWindowStaleWithinBound(t *testing.T) {
 		for _, cfg := range []Config{{W: 8}, {W: 32, K: 2}, {W: 32, K: 8}, {W: 100, K: 5}} {
 			w := mustWindow(t, cfg)
 			for _, u := range randomDrive(seed, 1500) {
-				if err := w.Update(u.item, 1, u.tick); err != nil {
-					t.Fatal(err)
-				}
+				w.updateAt(u.item, 1, u.tick)
 				if w.Stale() > w.StaleBound() {
 					t.Fatalf("seed %d cfg %+v: stale %d > bound %d", seed, cfg, w.Stale(), w.StaleBound())
 				}
@@ -149,6 +190,7 @@ func TestWindowStaleWithinBound(t *testing.T) {
 // probing every residue class of the period.
 func TestAdvanceFastForwardMatchesStepping(t *testing.T) {
 	for _, cfg := range []Config{{W: 1}, {W: 4}, {W: 7}, {W: 16, K: 2}, {W: 16, K: 4}, {W: 33, K: 6}, {W: 100, K: 3}, {W: 60, K: 5}} {
+		cfg, _ := cfg.Normalize()
 		ms := MaxSpan(cfg)
 		for _, start := range []uint64{0, 3, cfg.W + 1, 5*ms + 2} {
 			for _, jump := range []uint64{cfg.W + ms + 1, cfg.W + ms + 2, cfg.W + 9*ms + 1,
@@ -158,12 +200,10 @@ func TestAdvanceFastForwardMatchesStepping(t *testing.T) {
 				}
 				fast := mustWindow(t, cfg)
 				slow := mustWindow(t, cfg)
-				for _, w := range []*Window[*sketch.CountSketch]{fast, slow} {
+				for _, w := range []*Window{fast, slow} {
 					w.stepTo(start)
 					// Live data that the jump must expire.
-					if err := w.Update(5, 100, start); err != nil {
-						t.Fatal(err)
-					}
+					w.updateAt(5, 100, start)
 				}
 				fast.Advance(start + jump) // takes the fastForward path
 				slow.stepTo(start + jump)  // ground truth
@@ -185,9 +225,7 @@ func TestAdvanceFastForwardMatchesStepping(t *testing.T) {
 // immediately instead of replaying each tick.
 func TestAdvanceHugeJumpIsCheap(t *testing.T) {
 	w := mustWindow(t, Config{W: 3600, K: 4})
-	if err := w.Update(1, 1, 0); err != nil {
-		t.Fatal(err)
-	}
+	w.updateAt(1, 1, 0)
 	w.Advance(1753680000) // epoch seconds scale
 	if w.Now() != 1753680000 {
 		t.Fatalf("clock at %d", w.Now())
@@ -199,13 +237,8 @@ func TestAdvanceHugeJumpIsCheap(t *testing.T) {
 	if err := w.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	merged, err := w.Merged()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := merged.MarshalBinary()
-	empty, _ := newCS().MarshalBinary()
-	if !bytes.Equal(got, empty) {
+	got, _ := w.Merged().MarshalBinary()
+	if !bytes.Equal(got, emptyBucket(w)) {
 		t.Fatal("data survived a jump past the window")
 	}
 }
@@ -227,16 +260,13 @@ func TestWindowSnapshotDeterminism(t *testing.T) {
 				for _, u := range drive[lo:hi] {
 					batch = append(batch, stream.Update{Item: u.item, Delta: 1})
 				}
-				if err := w.UpdateBatch(batch, drive[lo].tick); err != nil {
-					t.Fatal(err)
-				}
+				w.Advance(drive[lo].tick)
+				w.UpdateBatch(batch)
 				lo = hi
 			}
 		} else {
 			for _, u := range drive {
-				if err := w.Update(u.item, 1, u.tick); err != nil {
-					t.Fatal(err)
-				}
+				w.updateAt(u.item, 1, u.tick)
 			}
 		}
 		data, err := w.MarshalBinary()
@@ -254,29 +284,28 @@ func TestWindowSnapshotDeterminism(t *testing.T) {
 	}
 }
 
-// TestWindowMergeErrors: structural mismatches must fail without
-// touching state.
+// TestWindowMergeErrors: another configuration, seed or clock must fail
+// without touching the receiver.
 func TestWindowMergeErrors(t *testing.T) {
 	a := mustWindow(t, Config{W: 8})
-	b := mustWindow(t, Config{W: 16})
-	if err := a.Merge(b); err == nil {
-		t.Fatal("config mismatch not detected")
-	}
-	c := mustWindow(t, Config{W: 8})
-	c.Advance(5)
+	a.updateAt(1, 1, 0)
 	before, _ := a.MarshalBinary()
-	if err := a.Merge(c); err == nil {
-		t.Fatal("clock mismatch not detected")
-	}
-	after, _ := a.MarshalBinary()
-	if !bytes.Equal(before, after) {
-		t.Fatal("failed merge mutated the receiver")
-	}
-	if err := a.Update(1, 1, 3); err != nil {
+	reseeded := smallOpts
+	reseeded.Seed++
+	other, err := New(gfunc.F2Func(), reseeded, Config{W: 8})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Update(1, 1, 2); err == nil {
-		t.Fatal("past tick not rejected")
+	other.Update(1, 1)
+	late := mustWindow(t, Config{W: 8})
+	late.Advance(5)
+	for name, src := range map[string]*Window{"config": mustWindow(t, Config{W: 16}), "seed": other, "clock": late} {
+		if err := a.Merge(src); err == nil {
+			t.Errorf("%s mismatch not detected", name)
+		}
+	}
+	if after, _ := a.MarshalBinary(); !bytes.Equal(before, after) {
+		t.Fatal("failed merge mutated the receiver")
 	}
 }
 
@@ -295,9 +324,9 @@ func estDrive(seed uint64, n int, ticks uint64) []tickedUpdate {
 	return out
 }
 
-func newWindowEstimator(t *testing.T, cfg Config) *Estimator {
+func newWindowEstimator(t *testing.T, cfg Config) *Window {
 	t.Helper()
-	e, err := NewEstimator(gfunc.F2Func(),
+	e, err := New(gfunc.F2Func(),
 		core.Options{N: 1 << 10, M: 1 << 10, Eps: 0.25, Seed: 9, Lambda: 1.0 / 16}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -317,24 +346,20 @@ func TestEstimatorSerialVsParallel(t *testing.T) {
 
 	serial := newWindowEstimator(t, cfg)
 	for _, u := range drive {
-		if err := serial.Update(u.item, 1, u.tick); err != nil {
-			t.Fatal(err)
-		}
+		serial.updateAt(u.item, 1, u.tick)
 	}
 	serial.Advance(last)
 	wantEst := serial.Estimate()
 
 	for _, workers := range []int{2, 3, 4} {
-		shards := make([]*Estimator, workers)
+		shards := make([]*Window, workers)
 		for i := range shards {
 			shards[i] = newWindowEstimator(t, cfg)
 		}
 		for i := range shards {
 			lo, hi := util.Cut(len(drive), workers, i)
 			for _, u := range drive[lo:hi] {
-				if err := shards[i].Update(u.item, 1, u.tick); err != nil {
-					t.Fatal(err)
-				}
+				shards[i].updateAt(u.item, 1, u.tick)
 			}
 			shards[i].Advance(last)
 		}
@@ -349,22 +374,18 @@ func TestEstimatorSerialVsParallel(t *testing.T) {
 	}
 }
 
-// TestWindowSerialVsParallelSnapshots is the counter half of the
-// sharding contract: for tracker-free buckets (plain CountSketch) the
-// merged shard windows reproduce the serial window snapshot BYTE for
-// byte, at every worker count. (Estimator snapshots additionally carry
-// best-effort top-k tracker ids, which the merge contract only pins
-// while trackers stay within capacity — see internal/core/merge.go —
-// so the byte-level assertion lives at the counter layer.)
+// TestWindowSerialVsParallelSnapshots is the byte half of the sharding
+// contract: the merged shard windows reproduce the serial window
+// snapshot BYTE for byte, at every worker count. The drive's items stay
+// inside the buckets' trackers, the regime where the merge contract pins
+// tracked ids as well as counters (see internal/core/merge.go).
 func TestWindowSerialVsParallelSnapshots(t *testing.T) {
 	drive := randomDrive(17, 3000)
 	last := drive[len(drive)-1].tick
 	cfg := Config{W: 12, K: 3}
 	serial := mustWindow(t, cfg)
 	for _, u := range drive {
-		if err := serial.Update(u.item, 1, u.tick); err != nil {
-			t.Fatal(err)
-		}
+		serial.updateAt(u.item, 1, u.tick)
 	}
 	serial.Advance(last)
 	want, err := serial.MarshalBinary()
@@ -372,14 +393,12 @@ func TestWindowSerialVsParallelSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 5} {
-		shards := make([]*Window[*sketch.CountSketch], workers)
+		shards := make([]*Window, workers)
 		for i := range shards {
 			shards[i] = mustWindow(t, cfg)
 			lo, hi := util.Cut(len(drive), workers, i)
 			for _, u := range drive[lo:hi] {
-				if err := shards[i].Update(u.item, 1, u.tick); err != nil {
-					t.Fatal(err)
-				}
+				shards[i].updateAt(u.item, 1, u.tick)
 			}
 			shards[i].Advance(last)
 		}
@@ -408,9 +427,7 @@ func TestEstimatorTracksWindowedExact(t *testing.T) {
 	cfg := Config{W: 10, K: 4}
 	est := newWindowEstimator(t, cfg)
 	for _, u := range drive {
-		if err := est.Update(u.item, 1, u.tick); err != nil {
-			t.Fatal(err)
-		}
+		est.updateAt(u.item, 1, u.tick)
 	}
 	est.Advance(last)
 
@@ -452,14 +469,12 @@ func TestEstimatorStaleReporting(t *testing.T) {
 	if est.Stale() > est.StaleBound() {
 		t.Fatalf("stale %d > bound %d", est.Stale(), est.StaleBound())
 	}
-	// Buckets materialize lazily: a window that only ticked holds no
+	// Buckets are built lazily: a window that only ticked holds no
 	// sketch storage at all; the first update pays for one bucket.
-	if est.Buckets() < 1 || est.SpaceBytes() != 0 {
-		t.Fatalf("empty window: buckets=%d space=%d, want space 0", est.Buckets(), est.SpaceBytes())
+	if len(est.buckets) < 1 || est.SpaceBytes() != 0 {
+		t.Fatalf("empty window: buckets=%d space=%d, want space 0", len(est.buckets), est.SpaceBytes())
 	}
-	if err := est.Update(1, 1, est.Now()); err != nil {
-		t.Fatal(err)
-	}
+	est.Update(1, 1)
 	if est.SpaceBytes() <= 0 {
 		t.Fatalf("space still %d after an update", est.SpaceBytes())
 	}
@@ -483,27 +498,23 @@ func chunkUpdates() []stream.Update {
 func TestEstimatorUpdateBatchChunks(t *testing.T) {
 	opts := core.Options{N: 1 << 14, M: 1 << 10, Eps: 0.25, Lambda: 1.0 / 16, Seed: 5}
 	updates := chunkUpdates()
-	feeds := []func(e *Estimator) error{
-		func(e *Estimator) error { return e.UpdateBatch(updates, 3) },
-		func(e *Estimator) error {
+	feeds := []func(e *Window){
+		func(e *Window) { e.UpdateBatch(updates) },
+		func(e *Window) {
 			for lo := 0; lo < len(updates); lo += 4096 {
-				if err := e.UpdateBatch(updates[lo:min(lo+4096, len(updates))], 3); err != nil {
-					return err
-				}
+				e.UpdateBatch(updates[lo:min(lo+4096, len(updates))])
 			}
-			return nil
 		},
 	}
 	var est [2]float64
 	var blob [2][]byte
 	for i, feed := range feeds {
-		e, err := NewEstimator(gfunc.F2Func(), opts, Config{W: 8})
+		e, err := New(gfunc.F2Func(), opts, Config{W: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := feed(e); err != nil {
-			t.Fatal(err)
-		}
+		e.Advance(3)
+		feed(e)
 		est[i] = e.Estimate()
 		if blob[i], err = e.MarshalBinary(); err != nil {
 			t.Fatal(err)
@@ -522,7 +533,7 @@ func TestEstimatorUpdateBatchChunks(t *testing.T) {
 // updates, unlike a heap reading.
 func TestWindowBucketsCostWhatTheyHold(t *testing.T) {
 	opts := core.Options{N: 1 << 20, M: 1 << 12, Eps: 0.25, Lambda: 1.0 / 16, Seed: 7}
-	e, err := NewEstimator(gfunc.F2Func(), opts, Config{W: 16, K: 2})
+	e, err := New(gfunc.F2Func(), opts, Config{W: 16, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,13 +547,11 @@ func TestWindowBucketsCostWhatTheyHold(t *testing.T) {
 				batch[i].Item = batch[i-i%10].Item + uint64(i%3)
 			}
 		}
-		if err := e.UpdateBatch(batch, tick); err != nil {
-			t.Fatal(err)
-		}
+		e.UpdateBatch(batch)
 	}
 	live, resident := 0, 0
-	for _, b := range e.win.buckets {
-		if b.live {
+	for _, b := range e.buckets {
+		if b.sk != nil {
 			live++
 			resident += b.sk.ResidentBytes()
 		}
