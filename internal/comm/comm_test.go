@@ -94,10 +94,10 @@ func checkPairSums(t *testing.T, g gfunc.Func, p InstancePair) {
 	t.Helper()
 	yes := p.Yes.Vector().Sum(g.Eval)
 	no := p.No.Vector().Sum(g.Eval)
-	if !util.AlmostEqual(yes, p.GapHigh, 1e-9) {
+	if util.RelErr(yes, p.GapHigh) > 1e-9 {
 		t.Errorf("Yes stream sum %.6g != GapHigh %.6g", yes, p.GapHigh)
 	}
-	if !util.AlmostEqual(no, p.GapLow, 1e-9) {
+	if util.RelErr(no, p.GapLow) > 1e-9 {
 		t.Errorf("No stream sum %.6g != GapLow %.6g", no, p.GapLow)
 	}
 	if p.GapHigh < p.GapLow {

@@ -233,7 +233,8 @@ type GeneralDistSolver struct {
 }
 
 // NewGeneralDistSolver builds the solver with t buckets and combination
-// radius l.
+// radius l. No experiment runs it; TestGeneralDistSolverThreeFrequencies
+// and TestGeneralDistSolverMatchesSpecialCase hold it.
 func NewGeneralDistSolver(u []int64, d int64, t int, l int, rng *util.SplitMix64) *GeneralDistSolver {
 	if len(u) == 0 || t <= 0 || l < 0 {
 		panic("comm: GeneralDistSolver needs frequencies, t > 0, l >= 0")

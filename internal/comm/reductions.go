@@ -155,7 +155,8 @@ type PredIndexConfig struct {
 	Seed    uint64
 }
 
-// NewPredIndexPair builds one Yes/No instance pair for Lemma 25.
+// NewPredIndexPair builds one Yes/No instance pair for Lemma 25. No
+// experiment runs it; TestPredIndexPairGap holds it.
 func NewPredIndexPair(cfg PredIndexConfig, trial int) InstancePair {
 	rng := util.NewSplitMix64(cfg.Seed + uint64(trial)*0xc2b2)
 	n := uint64(cfg.SetSize + 2)
@@ -192,7 +193,8 @@ type Disj2Config struct {
 
 // NewDisj2Pair builds one Yes/No instance pair for Lemma 27. Player 1
 // inserts x copies of each element of S1; player 2 inserts y copies of
-// every element NOT in S2 (per the g(x+y) <= g(x) case of the proof).
+// every element NOT in S2 (per the g(x+y) <= g(x) case of the proof). No
+// experiment runs it; TestDisj2PairGap holds it.
 func NewDisj2Pair(cfg Disj2Config, trial int) InstancePair {
 	rng := util.NewSplitMix64(cfg.Seed + uint64(trial)*0x8449)
 	n := uint64(cfg.Universe)

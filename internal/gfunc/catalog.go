@@ -177,18 +177,7 @@ func LEta(g Func, eta float64) Func {
 	})
 }
 
-// Shifted returns g(x) = f(x+shift)/f(1+shift) for x > 0, used to build
-// variants whose interesting behaviour starts away from the origin.
-func Shifted(f Func, shift uint64) Func {
-	name := f.Name() + "(x+" + trimUint(shift) + ")"
-	return Normalize(name, func(x uint64) float64 {
-		return f.Eval(x + shift)
-	})
-}
-
 // trimFloat renders p compactly for names ("2", "1.5", "0.25").
 func trimFloat(p float64) string {
 	return strconv.FormatFloat(p, 'g', -1, 64)
 }
-
-func trimUint(u uint64) string { return strconv.FormatUint(u, 10) }

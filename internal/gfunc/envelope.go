@@ -84,6 +84,8 @@ func MeasureEnvelope(g Func, m uint64) Envelope {
 // |y'| <= y }, the stability radius used by Algorithm 2's pruning step:
 // the largest symmetric window around x inside which g stays within a
 // (1±ε) band of g(x). Returns 0 when even y' = ±1 escapes the band.
+// It is the paper's r_ε, kept as an artifact: no estimator calls it, and
+// TestStableRadiusSmoothVsOscillating and TestStableRadiusZeroAtJump hold it.
 func StableRadius(g Func, x uint64, eps float64) uint64 {
 	if x == 0 {
 		return 0

@@ -23,6 +23,10 @@ import (
 // second condition compares g(x) against g(x - 2y) — the INDEX reduction
 // in the turnstile model sends -n copies of the absent elements, landing
 // at x - 2y rather than x + y.
+//
+// The file is a paper artifact that only tests reach: g0_test.go
+// (TestAnalyzeSigns*, TestClassifyG0*, TestG0NearlyPeriodicVariant and
+// TestRestrictionIsClassG) holds it.
 
 // SignVerdict classifies a symmetric function with g(0) ≠ 0 before the
 // zero-one law applies.

@@ -72,9 +72,6 @@ func (o *Overlay) LogEval(x uint64) float64 {
 	return LogEval(o.base, x)
 }
 
-// Overrides returns the number of overridden points.
-func (o *Overlay) Overrides() int { return len(o.over) }
-
 // PerturbNearlyPeriodic implements the Theorem 64 construction: given a
 // (nearly periodic) g and δ > 0, build h with Θ(g, h) <= δ by bumping g
 // at its drop witnesses x_k by (1+δ) and depressing g at x_k + y_k by

@@ -2,6 +2,7 @@ package gfunc
 
 import (
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -171,8 +172,17 @@ func TestValidateCatchesViolations(t *testing.T) {
 	}
 }
 
+// shifted returns g(x) = f(x+shift)/f(1+shift) for x > 0: a variant whose
+// interesting behaviour starts away from the origin.
+func shifted(f Func, shift uint64) Func {
+	name := f.Name() + "(x+" + strconv.FormatUint(shift, 10) + ")"
+	return Normalize(name, func(x uint64) float64 {
+		return f.Eval(x + shift)
+	})
+}
+
 func TestShiftedKeepsClassG(t *testing.T) {
-	g := Shifted(SinSqrtX2(), 1000)
+	g := shifted(SinSqrtX2(), 1000)
 	if err := Validate(g, 1<<12); err != nil {
 		t.Error(err)
 	}

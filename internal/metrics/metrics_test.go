@@ -167,3 +167,12 @@ func TestConcurrentInstruments(t *testing.T) {
 		t.Fatalf("histogram count = %d, want 8000", h.Count())
 	}
 }
+
+// Count returns the total number of observations.
+func (h *Histogram) Count() uint64 {
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}

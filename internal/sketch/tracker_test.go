@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/stream"
@@ -28,12 +29,18 @@ func TestMedianMatchesSort(t *testing.T) {
 				}
 			}
 			in := append([]int64(nil), v...)
-			// util.MedianInt64 sorts a copy and indexes it at len/2.
-			if got, want := median(v), util.MedianInt64(in); got != want {
+			if got, want := median(v), medianInt64(in); got != want {
 				t.Fatalf("n %d trial %d: median of %v is %d, want %d", n, trial, in, got, want)
 			}
 		}
 	}
+}
+
+// medianInt64 is the reference median: a sorted copy indexed at len/2.
+func medianInt64(xs []int64) int64 {
+	cp := slices.Clone(xs)
+	slices.Sort(cp)
+	return cp[len(cp)/2]
 }
 
 // mapTracker is the tracker as it was before its item → heap-index lookup
@@ -264,7 +271,7 @@ func TestRejectMatchesOffer(t *testing.T) {
 					for j := range col {
 						col[j] = ests[j*n+i]
 					}
-					want.offer(it, util.MedianInt64(col))
+					want.offer(it, medianInt64(col))
 				}
 				got := cs.topK
 				if len(got.heap) != len(want.heap) {

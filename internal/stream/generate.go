@@ -2,7 +2,6 @@ package stream
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/util"
 )
@@ -63,38 +62,6 @@ func PlantedHeavy(cfg GenConfig, items int, lightFreq, heavyFreq int64) (*Stream
 		emitSplit(s, rng, it, lightFreq)
 	}
 	return s, heavy
-}
-
-// PlantedFrequencies generates a stream with exactly the multiset of
-// frequencies given: counts[f] items receive frequency f. Item identities
-// are random distinct; the assignment (frequency -> items) is returned.
-// This realizes the adversarial instances in the lower-bound reductions,
-// where the proof dictates exact frequency multisets.
-func PlantedFrequencies(cfg GenConfig, counts map[int64]int) (*Stream, map[int64][]uint64) {
-	rng := util.NewSplitMix64(cfg.Seed)
-	s := New(cfg.N)
-	total := 0
-	freqs := make([]int64, 0, len(counts))
-	for f, c := range counts {
-		if f == 0 {
-			continue
-		}
-		total += c
-		freqs = append(freqs, f)
-	}
-	sort.Slice(freqs, func(i, j int) bool { return freqs[i] < freqs[j] })
-	chosen := sampleDistinct(rng, cfg.N, total)
-	assignment := make(map[int64][]uint64, len(counts))
-	idx := 0
-	for _, f := range freqs {
-		for k := 0; k < counts[f]; k++ {
-			it := chosen[idx]
-			idx++
-			emitSplit(s, rng, it, f)
-			assignment[f] = append(assignment[f], it)
-		}
-	}
-	return s, assignment
 }
 
 // IIDSamples generates the log-likelihood workload of Section 1.1.1: each

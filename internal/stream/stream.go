@@ -3,7 +3,6 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/util"
 )
@@ -219,19 +218,4 @@ func Sub(u, w Vector) Vector {
 		}
 	}
 	return out
-}
-
-// FromVector builds a minimal stream realizing the vector: one update per
-// nonzero coordinate, in ascending item order for determinism.
-func FromVector(n uint64, v Vector) *Stream {
-	s := New(n)
-	items := make([]uint64, 0, len(v))
-	for k := range v {
-		items = append(items, k)
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-	for _, k := range items {
-		s.Add(k, v[k])
-	}
-	return s
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/util"
 )
@@ -87,31 +86,6 @@ func TestMaxAbsFrequencyTracksPrefixes(t *testing.T) {
 	}
 }
 
-func TestFromVectorRoundTrip(t *testing.T) {
-	f := func(raw []int8) bool {
-		v := make(Vector)
-		for i, d := range raw {
-			if d != 0 {
-				v[uint64(i)] = int64(d)
-			}
-		}
-		s := FromVector(uint64(len(raw)+1), v)
-		got := s.Vector()
-		if len(got) != len(v) {
-			return false
-		}
-		for k, c := range v {
-			if got[k] != c {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSubVector(t *testing.T) {
 	u := Vector{1: 5, 2: 3}
 	w := Vector{1: 5, 3: -2}
@@ -188,23 +162,6 @@ func TestPlantedHeavy(t *testing.T) {
 	}
 	if light != 50 {
 		t.Errorf("light count %d, want 50", light)
-	}
-}
-
-func TestPlantedFrequencies(t *testing.T) {
-	cfg := GenConfig{N: 1 << 14, M: 1 << 20, Seed: 40}
-	counts := map[int64]int{3: 10, 100: 2, -7: 4}
-	s, assign := PlantedFrequencies(cfg, counts)
-	v := s.Vector()
-	for f, items := range assign {
-		for _, it := range items {
-			if v[it] != f {
-				t.Errorf("item %d has frequency %d, want %d", it, v[it], f)
-			}
-		}
-	}
-	if v.F0() != 16 {
-		t.Errorf("F0 = %d, want 16", v.F0())
 	}
 }
 

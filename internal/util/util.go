@@ -128,18 +128,6 @@ func MedianFloat64(xs []float64) float64 {
 	return (cp[n/2-1] + cp[n/2]) / 2
 }
 
-// MedianInt64 returns the median of xs (lower median for even length).
-// It copies xs. It panics on an empty slice.
-func MedianInt64(xs []int64) int64 {
-	if len(xs) == 0 {
-		panic("util: median of empty slice")
-	}
-	cp := make([]int64, len(xs))
-	copy(cp, xs)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	return cp[len(cp)/2]
-}
-
 // MeanFloat64 returns the arithmetic mean of xs. It panics on an empty slice.
 func MeanFloat64(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -181,17 +169,6 @@ func RelErr(est, truth float64) float64 {
 		return math.Abs(est)
 	}
 	return math.Abs(est-truth) / math.Abs(truth)
-}
-
-// AlmostEqual reports whether a and b differ by at most tol in relative
-// terms (or absolute terms when the larger magnitude is below 1).
-func AlmostEqual(a, b, tol float64) bool {
-	diff := math.Abs(a - b)
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	if scale < 1 {
-		return diff <= tol
-	}
-	return diff <= tol*scale
 }
 
 // SatAbsInt64 returns |x|, saturating math.MinInt64 to math.MaxInt64. It
