@@ -30,13 +30,6 @@ func mustWindow(t testing.TB, cfg Config) *Window {
 	return w
 }
 
-// emptyBucket is the wire image of a bucket that saw nothing: what the
-// merged window reads once every update has expired.
-func emptyBucket(w *Window) []byte {
-	data, _ := w.newBucket().MarshalBinary()
-	return data
-}
-
 // checkInvariants validates the histogram shape; tests call it after
 // every mutation. It returns an error naming the first violation.
 func (w *Window) checkInvariants() error {
@@ -160,7 +153,7 @@ func TestWindowExpiry(t *testing.T) {
 			t.Fatalf("cfg %+v: %v", cfg, err)
 		}
 		got, _ := w.Merged().MarshalBinary()
-		if !bytes.Equal(got, emptyBucket(w)) {
+		if !bytes.Equal(got, w.emptyBlob) {
 			t.Fatalf("cfg %+v: burst at tick 0 still present %d ticks later (stale %d, bound %d)",
 				cfg, cfg.W+w.StaleBound(), w.Stale(), w.StaleBound())
 		}
@@ -238,7 +231,7 @@ func TestAdvanceHugeJumpIsCheap(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ := w.Merged().MarshalBinary()
-	if !bytes.Equal(got, emptyBucket(w)) {
+	if !bytes.Equal(got, w.emptyBlob) {
 		t.Fatal("data survived a jump past the window")
 	}
 }
