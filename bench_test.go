@@ -1,15 +1,47 @@
 package universal
 
-// The bench harness regenerates every experiment table (E1-E12, one bench
+// The bench harness regenerates every experiment table (E1-E15, one bench
 // per table — the paper is a theory paper, so these are its "tables and
-// figures"; see "The experiments" in EXPERIMENTS.md), measures the hot
-// paths of the substrate, and runs the ablations at the end of this file.
+// figures"; see "The experiments" in EXPERIMENTS.md), times the doors
+// the repository benchmark does not, and runs the ablations at the end
+// of this file.
 //
 //	go test -bench=. -benchmem
 //
 // Experiment benches render their table once (first iteration) so a bench
 // run reproduces EXPERIMENTS.md; custom metrics (relative error, recall)
 // are attached via b.ReportMetric.
+//
+// Whole-stream ingest, snapshot, merge, Open, checkpoint, scrape and
+// every daemon door are timed by the repository benchmark (bench/,
+// bash bench/run.sh): its workloads lib-uniform, sharded-uniform,
+// daemon-stream and daemon-mixed and its per-layer rungs (core.update,
+// backend.update, backend.open_ms, core.marshal_ms,
+// core.unmarshal_merge_ms, hotpath.process, sketch.update, daemon.apply,
+// daemon.stream, daemon.checkpoint_ms, daemon.scrape_ms). No benchmark
+// here times those doors again. Each one kept times a door bench/ does
+// not:
+//
+//   - BenchmarkE1Classification … BenchmarkE15MajorityAmplification: the
+//     experiment tables, each at its own sizes;
+//   - BenchmarkCountSketchUpdate, BenchmarkCountSketchUpdateTopK,
+//     BenchmarkAMSUpdate, BenchmarkOnePassEstimatorUpdate and
+//     BenchmarkGnpHeavyUpdate: the single-update doors (bench/ feeds
+//     batches only);
+//   - BenchmarkCountSketchEstimate: the point query;
+//   - BenchmarkClassifyX2 and BenchmarkMeasureEnvelope: the zero-one
+//     law's classifier and the envelope scan an unpinned Spec pays;
+//   - BenchmarkIngest: a whole stream through the single-update door,
+//     beside the batched door as its reference in the same run;
+//   - BenchmarkIngestTwoPass: both passes of the two-pass kind, serial
+//     and RunParallel (no bench/ workload runs twopass);
+//   - BenchmarkSpecFingerprint: the pre-merge handshake's digest;
+//   - BenchmarkAblation*: the design's ablations, reported as error and
+//     space, not time;
+//   - BenchmarkSweepCell: the sweep engine's unit of work;
+//   - BenchmarkWindowSerial, BenchmarkWindowAdvance and
+//     BenchmarkWindowSnapshotMerge: the window kind (no bench/ workload
+//     runs a window).
 
 import (
 	"io"
@@ -181,7 +213,7 @@ func BenchmarkMeasureEnvelope(b *testing.B) {
 
 // ingestBenchStream builds a heavy-tailed insertion stream of n updates
 // over a 4096-item working set inside a 2^16 domain — the workload the
-// batch path's duplicate aggregation and the sharded kind target.
+// batch path's duplicate aggregation targets.
 func ingestBenchStream(n int) *stream.Stream {
 	rng := util.NewSplitMix64(77)
 	s := stream.New(1 << 16)
@@ -196,10 +228,9 @@ func ingestBenchStream(n int) *stream.Stream {
 const ingestBenchN = 1 << 20
 
 // BenchmarkIngest compares the two serial ingestion paths of the
-// one-pass estimator on a 1M-update stream: per-update and batched
-// (BenchmarkProcessSharded measures the concurrent one). The metric that
-// matters is updates/s; estimator construction is included in both
-// variants so the comparison stays symmetric.
+// one-pass estimator on a 1M-update stream: per-update and batched. The
+// metric that matters is updates/s; estimator construction is included
+// in both variants so the comparison stays symmetric.
 func BenchmarkIngest(b *testing.B) {
 	g := gfunc.F2Func()
 	s := ingestBenchStream(ingestBenchN)
@@ -248,19 +279,6 @@ func BenchmarkIngestTwoPass(b *testing.B) {
 		}
 		report(b)
 	})
-}
-
-// BenchmarkCountSketchBatch isolates the batch path's duplicate
-// aggregation at the raw sketch layer against the per-update baseline
-// (BenchmarkCountSketchUpdateTopK above).
-func BenchmarkCountSketchBatch(b *testing.B) {
-	updates := ingestBenchStream(1 << 16).Updates()
-	cs := sketch.NewCountSketchTopK(7, 4096, 128, util.NewSplitMix64(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cs.UpdateBatch(updates[:4096])
-	}
-	b.ReportMetric(4096*float64(b.N)/b.Elapsed().Seconds(), "updates/s")
 }
 
 // --- ablations -------------------------------------------------------------
@@ -403,54 +421,16 @@ func BenchmarkAblationWidth(b *testing.B) {
 	}
 }
 
-// --- process benchmarks ------------------------------------------------------
-
-// The BenchmarkProcess* family prices whole-stream ingest per kind. CI
-// compiles and runs each once; the performance record is the repository
-// benchmark's (bench/run.sh, BENCH_<pr>.json). Keep them small enough for
-// -benchtime=3x runs and deterministic (fixed stream, fixed seeds).
-
-// processBenchStream is a 128k-update skewed insertion stream, large
-// enough to exercise batching and sharding, small enough for CI.
-func processBenchStream() *stream.Stream { return ingestBenchStream(1 << 17) }
-
-func processBenchOpts(s *Stream) core.Options {
-	return core.Options{N: s.N(), M: 1 << 10, Eps: 0.25, Seed: 7, Lambda: 1.0 / 16}
-}
-
-// BenchmarkProcessSerial is the batched serial ingestion hot path.
-func BenchmarkProcessSerial(b *testing.B) {
-	g := gfunc.F2Func()
-	s := processBenchStream()
-	opts := processBenchOpts(s)
-	b.ResetTimer()
+// BenchmarkSpecFingerprint is the pre-merge handshake cost: normalize
+// and digest the full Spec.
+func BenchmarkSpecFingerprint(b *testing.B) {
+	spec := Spec{Kind: KindOnePass, G: "x^2",
+		Options: core.Options{N: 1 << 16, M: 1 << 10, Eps: 0.25, Seed: 7, Lambda: 1.0 / 16}}
+	var sink uint64
 	for i := 0; i < b.N; i++ {
-		e := core.NewOnePass(g, opts)
-		e.Process(s)
+		sink ^= spec.Fingerprint()
 	}
-}
-
-// BenchmarkProcessWorkload is the per-scenario half of the gate: serial
-// batched ingestion of each internal/workload scenario, so a hot-path
-// change that helps one traffic shape but hurts another (e.g. a
-// duplicate fast path that taxes all-distinct streams) is caught. Each
-// scenario's stream is generated once and reused across iterations.
-func BenchmarkProcessWorkload(b *testing.B) {
-	g := gfunc.F2Func()
-	cfg := workload.Config{N: 1 << 16, Items: 4096, Length: 1 << 17, Seed: 7}
-	for _, gen := range workload.Generators() {
-		gen := gen
-		b.Run(gen.Name(), func(b *testing.B) {
-			s := gen.Generate(cfg)
-			opts := processBenchOpts(s)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e := core.NewOnePass(g, opts)
-				e.Process(s)
-			}
-			b.ReportMetric(float64(b.N)*float64(s.Len())/b.Elapsed().Seconds(), "updates/s")
-		})
-	}
+	_ = sink
 }
 
 // BenchmarkSweepCell prices the sweep engine's unit of work: one
@@ -467,28 +447,6 @@ func BenchmarkSweepCell(b *testing.B) {
 	}
 }
 
-// BenchmarkProcessSnapshotMerge is the distributed hot path: marshal a
-// worker estimator and fold it into a coordinator via the wire format.
-func BenchmarkProcessSnapshotMerge(b *testing.B) {
-	g := gfunc.F2Func()
-	s := processBenchStream()
-	opts := processBenchOpts(s)
-	worker := core.NewOnePass(g, opts)
-	worker.Process(s)
-	data, err := worker.MarshalBinary()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		coord := core.NewOnePass(g, opts)
-		if err := coord.UnmarshalBinary(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- window benchmarks --------------------------------------------------------
 
 // The BenchmarkWindow* family covers the three windowed hot paths:
@@ -496,8 +454,8 @@ func BenchmarkProcessSnapshotMerge(b *testing.B) {
 // snapshot/merge wire cycle.
 
 // windowBenchTicked is the shared windowed scenario: the zipf workload
-// over 64 ticks, bench-scale like processBenchStream. Generated once
-// per process so the bench loops measure ingestion, not generation.
+// over 64 ticks, 4096 items in a 2^16 domain. Generated once per
+// benchmark so the loops measure ingestion, not generation.
 func windowBenchTicked(length int) *workload.TickedStream {
 	return workload.Ticked(workload.Zipf{}, workload.Config{
 		N: 1 << 16, Items: 4096, Length: length, Seed: 7, Ticks: 64})

@@ -100,96 +100,6 @@ func TestOpenRoundTripBitIdentical(t *testing.T) {
 	}
 }
 
-// TestOpenShardMergeEqualsSerial: for every kind with a linear wire
-// merge, two half-stream shards folded into a coordinator equal the
-// serial run bit for bit.
-func TestOpenShardMergeEqualsSerial(t *testing.T) {
-	for _, name := range Kinds() {
-		kind := Kind(name)
-		if kind == KindTwoPass {
-			// The two-pass protocol distributes candidates, not snapshots;
-			// core's RunParallel covers it.
-			continue
-		}
-		t.Run(name, func(t *testing.T) {
-			spec := specFor(kind, 13)
-			s := testStream(5)
-			updates := s.Updates()
-			n := len(updates)
-
-			serial, err := Open(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			serial.UpdateBatch(updates)
-			want := serial.Estimate()
-
-			coord, err := Open(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, bounds := range [][2]int{{0, n / 2}, {n / 2, n}} {
-				shard, err := Open(spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				shard.UpdateBatch(updates[bounds[0]:bounds[1]])
-				if err := Merge(coord, shard); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got := coord.Estimate(); got != want {
-				t.Errorf("shard-merged estimate %.17g != serial %.17g", got, want)
-			}
-		})
-	}
-}
-
-// TestMergeOfAnotherSeedIsRefused: Merge refuses a src opened from a
-// Spec that differs only in Seed — its counters come from other hash
-// functions — for every kind, the ones that merge in memory included, and
-// the refused merge leaves dst's snapshot bytes as they were. exact has no
-// seed (its fingerprint is the function's) and still merges.
-func TestMergeOfAnotherSeedIsRefused(t *testing.T) {
-	s := testStream(7)
-	for _, name := range Kinds() {
-		kind := Kind(name)
-		t.Run(name, func(t *testing.T) {
-			dst, err := Open(specFor(kind, 1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			src, err := Open(specFor(kind, 2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ingest(t, dst, s)
-			ingest(t, src, s)
-			before, err := dst.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = Merge(dst, src)
-			if kind == KindExact {
-				if err != nil {
-					t.Errorf("exact kind refused a merge across seeds: %v", err)
-				}
-				return
-			}
-			if err == nil {
-				t.Fatal("merged a sketch of another seed")
-			}
-			after, err := dst.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(before, after) {
-				t.Error("a refused merge changed the receiver's snapshot")
-			}
-		})
-	}
-}
-
 // TestEstimateForOwnGIsEstimate: the kinds that answer post-hoc queries
 // (onepass, sharded on 2 workers, window) answer EstimateFor of their own
 // Spec.G bit for bit as Estimate, and no other kind answers them.
@@ -370,20 +280,36 @@ func TestNormalizeRejectsInvalidSpecs(t *testing.T) {
 
 // TestOpenRefusesWindowPastMaxW: a window longer than window.MaxW would
 // wrap the histogram's arithmetic (MaxSpan, and the W+MaxSpan and
-// W+8·MaxSpan sums Advance takes), so Open refuses it naming the bound.
-// No window is advanced at such a length here: stepping one never
-// compacts and grows without bound.
+// W+8·MaxSpan sums Advance takes), and a K past window.MaxK lets a
+// window hold one bucket per tick (at K ≥ W nothing compacts), so Open
+// refuses either naming its bound, and still opens K = MaxK. No window
+// is advanced at such a configuration here: stepping one grows without
+// bound.
 func TestOpenRefusesWindowPastMaxW(t *testing.T) {
-	for _, w := range []uint64{window.MaxW + 1, 1<<64 - 2, 1<<64 - 1} {
+	for _, c := range []struct {
+		cfg   window.Config
+		bound uint64
+	}{
+		{window.Config{W: window.MaxW + 1, K: 3}, window.MaxW},
+		{window.Config{W: 1<<64 - 2, K: 3}, window.MaxW},
+		{window.Config{W: 1<<64 - 1, K: 3}, window.MaxW},
+		{window.Config{W: 8, K: window.MaxK + 1}, window.MaxK},
+		{window.Config{W: 1 << 20, K: 1 << 30}, window.MaxK},
+	} {
 		spec := specFor(KindWindow, 1)
-		spec.Window = window.Config{W: w, K: 3}
+		spec.Window = c.cfg
 		est, err := Open(spec)
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(uint64(window.MaxW))) {
-			t.Errorf("W=%d: Open gave %v, want an error naming the bound %d", w, err, uint64(window.MaxW))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(c.bound)) {
+			t.Errorf("%+v: Open gave %v, want an error naming the bound %d", c.cfg, err, c.bound)
 		}
 		if est != nil {
-			t.Errorf("W=%d: Open returned a non-nil estimator with its error", w)
+			t.Errorf("%+v: Open returned a non-nil estimator with its error", c.cfg)
 		}
+	}
+	spec := specFor(KindWindow, 1)
+	spec.Window = window.Config{W: 8, K: window.MaxK}
+	if _, err := Open(spec); err != nil {
+		t.Errorf("K = MaxK: %v", err)
 	}
 }
 

@@ -2,13 +2,14 @@ package backend_test
 
 // The sharded kind is one resident onepass stack whose Process ingests
 // Spec.Workers contiguous chunks in parallel and merges them once
-// (core.OnePassEstimator.ProcessParallel; its counter contract is tested
-// in internal/core). These tests hold the kind to the onepass kind: the
-// same estimate and snapshot bytes for every workload generator and every
-// door, the same bytes resident, and reads that build nothing.
+// (core.OnePassEstimator.ProcessParallel). Its counters, snapshot bytes
+// and estimate at every worker count, door and merge are TestOracle's
+// (internal/daemon) to hold to the serial replay. These tests hold what
+// the oracle does not: the bytes resident, reads that build and change
+// nothing, the worker cap and the batch path's allocations, beside the
+// distributed wire merge.
 
 import (
-	"bytes"
 	"runtime"
 	"testing"
 
@@ -46,104 +47,15 @@ func process(t *testing.T, e backend.Estimator, s *stream.Stream) {
 	}
 }
 
-// state returns e's estimate and snapshot.
-func state(t *testing.T, e backend.Estimator) (float64, []byte) {
-	t.Helper()
-	blob, err := e.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e.Estimate(), blob
-}
-
 // serialReference ingests s through the onepass kind of the sharded test
-// Spec and returns its estimate and snapshot.
-func serialReference(t *testing.T, s *stream.Stream) (float64, []byte) {
+// Spec and returns its estimate.
+func serialReference(t *testing.T, s *stream.Stream) float64 {
 	t.Helper()
 	sp := shardedTestSpec(0)
 	sp.Kind, sp.Workers = backend.KindOnePass, 0
 	e := mustOpen(t, sp)
 	process(t, e, s)
-	return state(t, e)
-}
-
-// TestShardedMatchesSerialEveryWorkload: for every generator in the
-// catalog and several worker counts, Process on the sharded kind leaves
-// the estimate and snapshot bytes of the serial onepass kind. Run it under
-// -race to also exercise the chunk goroutines.
-func TestShardedMatchesSerialEveryWorkload(t *testing.T) {
-	for _, gen := range workload.Generators() {
-		gen := gen
-		t.Run(gen.Name(), func(t *testing.T) {
-			s := gen.Generate(shardedTestCfg)
-			wantEst, wantBlob := serialReference(t, s)
-			for _, workers := range []int{1, 2, 4, 8} {
-				e := mustOpen(t, shardedTestSpec(workers))
-				process(t, e, s)
-				if est, blob := state(t, e); est != wantEst || !bytes.Equal(blob, wantBlob) {
-					t.Fatalf("workers=%d: estimate %v (serial %v), snapshot equal=%v",
-						workers, est, wantEst, bytes.Equal(blob, wantBlob))
-				}
-			}
-		})
-	}
-}
-
-// boundaryStreams returns streams at the edges of Process: the serial
-// threshold (2·BatchSize), a partial tail batch, more workers than full
-// batches, and chunks that share all five of the stream's items.
-func boundaryStreams() []*stream.Stream {
-	const bs = stream.BatchSize
-	var out []*stream.Stream
-	for _, length := range []int{0, 1, 2*bs - 1, 2 * bs, 2*bs + 1, 5*bs + 7} {
-		rng := util.NewSplitMix64(uint64(length))
-		s := stream.New(shardedTestCfg.N)
-		for i := 0; i < length; i++ {
-			s.Add(rng.Uint64n(5)*17, rng.Int63n(3)+1)
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
-// TestShardedProcessBoundaries: at every boundary stream and several
-// worker counts, Process on the sharded kind equals the serial onepass
-// kind on Estimate and MarshalBinary bit for bit.
-func TestShardedProcessBoundaries(t *testing.T) {
-	for _, s := range boundaryStreams() {
-		wantEst, wantBlob := serialReference(t, s)
-		for _, workers := range []int{1, 2, 3, 8} {
-			e := mustOpen(t, shardedTestSpec(workers))
-			process(t, e, s)
-			if est, blob := state(t, e); est != wantEst || !bytes.Equal(blob, wantBlob) {
-				t.Fatalf("len=%d workers=%d: estimate %v (serial %v), snapshot equal=%v",
-					s.Len(), workers, est, wantEst, bytes.Equal(blob, wantBlob))
-			}
-		}
-	}
-}
-
-// TestShardedSynchronousPathMatchesSerial covers the synchronous doors
-// (what the daemon's ingest drives) rather than Process: half of every
-// boundary stream through UpdateBatch, half through Update, equals the
-// serial onepass kind on Estimate and MarshalBinary bit for bit.
-func TestShardedSynchronousPathMatchesSerial(t *testing.T) {
-	for _, s := range boundaryStreams() {
-		wantEst, wantBlob := serialReference(t, s)
-		updates := s.Updates()
-		half := len(updates) / 2
-		for _, workers := range []int{1, 2, 3, 8} {
-			e := mustOpen(t, shardedTestSpec(workers))
-			stream.Batches(updates[:half], e.UpdateBatch)
-			for _, u := range updates[half:] {
-				e.Update(u.Item, u.Delta)
-			}
-			if est, blob := state(t, e); est != wantEst || !bytes.Equal(blob, wantBlob) {
-				t.Fatalf("len=%d workers=%d: estimate %v (serial %v), snapshot equal=%v",
-					len(updates), workers, est, wantEst, bytes.Equal(blob, wantBlob))
-			}
-		}
-	}
+	return e.Estimate()
 }
 
 // TestShardedHoldsOneStack: the sharded kind keeps one stack resident, so
@@ -202,7 +114,7 @@ func TestShardedUnmarshalMerges(t *testing.T) {
 	if err := a.UnmarshalBinary(blob); err != nil {
 		t.Fatal(err)
 	}
-	wantEst, _ := serialReference(t, s)
+	wantEst := serialReference(t, s)
 	if got := a.Estimate(); got != wantEst {
 		t.Fatalf("merged estimate %v != serial %v", got, wantEst)
 	}
@@ -219,31 +131,6 @@ func TestShardedEstimateIsRepeatable(t *testing.T) {
 	}
 	if again := e.Estimate(); again != first {
 		t.Fatalf("second Estimate %v != first %v", again, first)
-	}
-}
-
-// TestShardedBackendMergeMatchesSerial: two sharded estimators opened
-// from one Spec each ingest half of a stream through Process; Merge of one
-// into the other, then Estimate and MarshalBinary, equal the serial run
-// over the concatenation bit for bit.
-func TestShardedBackendMergeMatchesSerial(t *testing.T) {
-	whole := workload.Zipf{Alpha: 1.1}.Generate(shardedTestCfg)
-	wantEst, wantBlob := serialReference(t, whole)
-	updates := whole.Updates()
-	var ests [2]backend.Estimator
-	for i := range ests {
-		half := stream.New(whole.N())
-		for _, u := range updates[i*len(updates)/2 : (i+1)*len(updates)/2] {
-			half.Add(u.Item, u.Delta)
-		}
-		ests[i] = mustOpen(t, shardedTestSpec(4))
-		process(t, ests[i], half)
-	}
-	if err := backend.Merge(ests[0], ests[1]); err != nil {
-		t.Fatal(err)
-	}
-	if est, blob := state(t, ests[0]); est != wantEst || !bytes.Equal(blob, wantBlob) {
-		t.Fatalf("merged estimate %v (serial %v), snapshot equal=%v", est, wantEst, bytes.Equal(blob, wantBlob))
 	}
 }
 

@@ -228,10 +228,6 @@ func (e *TwoPassEstimator) Run(s *stream.Stream) float64 {
 	return e.sk.Estimate()
 }
 
-// Pass1 feeds the identification pass directly (for callers that manage
-// passes themselves).
-func (e *TwoPassEstimator) Pass1(item uint64, delta int64) { e.sk.Pass1(item, delta) }
-
 // Update feeds one turnstile update to the current pass: the
 // identification pass before FinishPass1, the tabulation pass after.
 // This is the unified-Estimator face of the two-pass protocol; callers
@@ -258,9 +254,6 @@ func (e *TwoPassEstimator) FinishPass1() {
 	e.sk.FinishPass1()
 	e.pass2 = true
 }
-
-// Pass2 feeds the tabulation pass.
-func (e *TwoPassEstimator) Pass2(item uint64, delta int64) { e.sk.Pass2(item, delta) }
 
 // Estimate returns the g-SUM estimate after both passes.
 func (e *TwoPassEstimator) Estimate() float64 { return e.sk.Estimate() }

@@ -42,9 +42,9 @@ func FuzzOnePassEstimatorUnmarshal(f *testing.F) {
 
 func FuzzTwoPassEstimatorUnmarshal(f *testing.F) {
 	src := NewTwoPass(gfunc.F2Func(), fuzzOpts())
-	src.Pass1(5, 3)
+	src.Update(5, 3)
 	src.FinishPass1()
-	src.Pass2(5, 3)
+	src.Update(5, 3)
 	valid, err := src.MarshalBinary()
 	if err != nil {
 		f.Fatal(err)

@@ -11,11 +11,10 @@ import (
 	"repro/internal/wire"
 )
 
-func onePassPair(seed uint64) (*OnePass, *OnePass) {
+func onePassAt(seed uint64) *OnePass {
 	g := gfunc.F2Func()
 	h := gfunc.MeasureEnvelope(g, 1<<10).H()
-	cfg := OnePassConfig{G: g, Lambda: 0.05, Eps: 0.25, Delta: 0.1, H: h}
-	return NewOnePass(cfg, util.NewSplitMix64(seed)), NewOnePass(cfg, util.NewSplitMix64(seed))
+	return NewOnePass(OnePassConfig{G: g, Lambda: 0.05, Eps: 0.25, Delta: 0.1, H: h}, util.NewSplitMix64(seed))
 }
 
 func feedStream(s *stream.Stream, lo, hi int, fn func(item uint64, delta int64)) {
@@ -28,57 +27,13 @@ func feedStream(s *stream.Stream, lo, hi int, fn func(item uint64, delta int64))
 
 // wireStream keeps the distinct-item count below the candidate
 // trackers' capacity, the regime in which serial and merged covers agree
-// exactly (see internal/core/merge.go).
+// exactly.
 func wireStream(seed uint64) *stream.Stream {
 	return stream.Zipf(stream.GenConfig{N: 1 << 12, M: 1 << 10, Seed: seed}, 90, 1.2)
 }
 
-func TestOnePassWireMergeEqualsSerial(t *testing.T) {
-	s := wireStream(3)
-	n := s.Len()
-
-	serial, _ := onePassPair(7)
-	feedStream(s, 0, n, serial.Update)
-
-	// Two shard "processes": each sketches half, ships bytes, and a fresh
-	// coordinator folds both snapshots.
-	shard1, shard2 := onePassPair(7)
-	feedStream(s, 0, n/2, shard1.Update)
-	feedStream(s, n/2, n, shard2.Update)
-	coord, _ := onePassPair(7)
-	for _, sh := range []*OnePass{shard1, shard2} {
-		data, err := sh.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := coord.UnmarshalBinary(data); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	want := serial.Cover()
-	got := coord.Cover()
-	if len(want) == 0 {
-		t.Fatal("serial cover is empty; workload too light for the test")
-	}
-	for _, e := range want {
-		if !got.Contains(e.Item) {
-			t.Errorf("item %d in serial cover but not in wire-merged cover", e.Item)
-		}
-	}
-	if w, g := want.WeightSum(), got.WeightSum(); w != g {
-		t.Errorf("wire-merged weight sum %.17g != serial %.17g", g, w)
-	}
-}
-
 func TestOnePassUnmarshalRejectsWrongSeed(t *testing.T) {
-	a, _ := onePassPair(1)
-	b := func() *OnePass {
-		g := gfunc.F2Func()
-		h := gfunc.MeasureEnvelope(g, 1<<10).H()
-		return NewOnePass(OnePassConfig{G: g, Lambda: 0.05, Eps: 0.25, Delta: 0.1, H: h},
-			util.NewSplitMix64(99))
-	}()
+	a, b := onePassAt(1), onePassAt(99)
 	data, err := a.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)

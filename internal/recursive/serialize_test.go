@@ -26,42 +26,6 @@ func newWireSketch(seed uint64) *Sketch {
 	return New(Config{N: 1 << 12, MakeSketcher: makeOnePassFactory(g, h, rng.Fork())}, rng.Fork())
 }
 
-func TestRecursiveWireMergeEqualsSerial(t *testing.T) {
-	s := lightStream(13)
-	updates := s.Updates()
-	n := len(updates)
-
-	serial := newWireSketch(5)
-	for _, u := range updates {
-		serial.Update(u.Item, u.Delta)
-	}
-
-	shard1, shard2, coord := newWireSketch(5), newWireSketch(5), newWireSketch(5)
-	for _, u := range updates[:n/2] {
-		shard1.Update(u.Item, u.Delta)
-	}
-	for _, u := range updates[n/2:] {
-		shard2.Update(u.Item, u.Delta)
-	}
-	for _, sh := range []*Sketch{shard1, shard2} {
-		data, err := sh.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := coord.UnmarshalBinary(data); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	want, got := serial.Estimate(), coord.Estimate()
-	if want != got {
-		t.Errorf("wire-merged estimate %.17g != serial %.17g", got, want)
-	}
-	if want <= 0 {
-		t.Errorf("estimate %.17g not positive; workload degenerate", want)
-	}
-}
-
 func TestRecursiveUnmarshalRejectsWrongSeed(t *testing.T) {
 	a := newWireSketch(5)
 	b := newWireSketch(6)

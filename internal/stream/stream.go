@@ -107,45 +107,6 @@ func (s *Stream) Vector() Vector {
 	return v
 }
 
-// MaxAbsFrequency returns M(D) = max over prefixes and items of |v_i|,
-// the turnstile bound the model promises. An empty stream returns 0.
-func (s *Stream) MaxAbsFrequency() int64 {
-	cur := make(map[uint64]int64, 64)
-	var m int64
-	for _, u := range s.updates {
-		cur[u.Item] += u.Delta
-		if a := util.SatAbsInt64(cur[u.Item]); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// CheckTurnstileBound verifies the D(n, m) promise that every prefix keeps
-// |v_i| <= M. It returns an error naming the first violating prefix.
-func (s *Stream) CheckTurnstileBound(m int64) error {
-	cur := make(map[uint64]int64, 64)
-	for j, u := range s.updates {
-		cur[u.Item] += u.Delta
-		if util.SatAbsInt64(cur[u.Item]) > m {
-			return fmt.Errorf("stream: prefix %d puts |v_%d| = %d > M = %d",
-				j+1, u.Item, util.SatAbsInt64(cur[u.Item]), m)
-		}
-	}
-	return nil
-}
-
-// InsertionOnly reports whether every update has δ = 1, the restricted
-// model in which the paper's lower bounds hold.
-func (s *Stream) InsertionOnly() bool {
-	for _, u := range s.updates {
-		if u.Delta != 1 {
-			return false
-		}
-	}
-	return true
-}
-
 // Vector is a sparse frequency vector: item -> frequency. Items with zero
 // frequency are absent.
 type Vector map[uint64]int64

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -47,6 +48,36 @@ func TestMoments(t *testing.T) {
 	if got := v.MaxAbs(); got != 4 {
 		t.Errorf("MaxAbs = %v, want 4", got)
 	}
+}
+
+// MaxAbsFrequency returns M(D) = max over prefixes and items of |v_i|,
+// the turnstile bound the model promises. An empty stream returns 0. It
+// and CheckTurnstileBound state the model's promise for the tests below;
+// no ingest path checks it.
+func (s *Stream) MaxAbsFrequency() int64 {
+	cur := make(map[uint64]int64, 64)
+	var m int64
+	for _, u := range s.updates {
+		cur[u.Item] += u.Delta
+		if a := util.SatAbsInt64(cur[u.Item]); a > m {
+			m = a
+		}
+	}
+	return m
+}
+
+// CheckTurnstileBound verifies the D(n, m) promise that every prefix keeps
+// |v_i| <= M. It returns an error naming the first violating prefix.
+func (s *Stream) CheckTurnstileBound(m int64) error {
+	cur := make(map[uint64]int64, 64)
+	for j, u := range s.updates {
+		cur[u.Item] += u.Delta
+		if util.SatAbsInt64(cur[u.Item]) > m {
+			return fmt.Errorf("stream: prefix %d puts |v_%d| = %d > M = %d",
+				j+1, u.Item, util.SatAbsInt64(cur[u.Item]), m)
+		}
+	}
+	return nil
 }
 
 func TestTurnstileBoundCheck(t *testing.T) {
@@ -177,8 +208,10 @@ func TestIIDSamples(t *testing.T) {
 			t.Errorf("coordinate %d = %d outside [1,3]", it, f)
 		}
 	}
-	if !s.InsertionOnly() {
-		t.Error("IID sample stream should be insertion-only")
+	for _, u := range s.Updates() {
+		if u.Delta != 1 {
+			t.Fatalf("update %+v: an IID sample stream should be insertion-only", u)
+		}
 	}
 }
 

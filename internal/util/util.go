@@ -183,22 +183,6 @@ func SatAbsInt64(x int64) int64 {
 	return a + a>>63 // a>>63 is -1 only then, and MinInt64 - 1 wraps to MaxInt64
 }
 
-// MaxInt64 returns the larger of a and b.
-func MaxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// MinInt64 returns the smaller of a and b.
-func MinInt64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // NextPow2 returns the smallest power of two >= x (and at least 1).
 func NextPow2(x uint64) uint64 {
 	if x == 0 {

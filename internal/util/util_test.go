@@ -113,7 +113,4 @@ func TestAbsMinMax(t *testing.T) {
 	if SatAbsInt64(-7) != 7 || SatAbsInt64(7) != 7 {
 		t.Error("SatAbsInt64 wrong")
 	}
-	if MaxInt64(2, 3) != 3 || MinInt64(2, 3) != 2 {
-		t.Error("min/max wrong")
-	}
 }

@@ -36,9 +36,11 @@
 // underlying sketch. Serial, cut-and-merged, and daemon-merged
 // windowed runs therefore produce bit-identical counter state, the same
 // contract Merge provides for whole-stream sketches. A bucket builds its
-// estimator on its first update, and clock jumps that expire everything
-// fast-forward in O(W) instead of replaying each tick, so idle periods
-// and wall-clock-sized tick domains cost (almost) nothing.
+// estimator on its first update, so idle ticks allocate nothing, and a
+// clock jump that expires everything fast-forwards instead of replaying
+// each tick. Either way Advance steps up to about W+9·MaxSpan ticks, a
+// cost linear in W (about 0.7 s at W = 2^20, K = 2, on an Intel Xeon):
+// a wall-clock-sized W is not free to advance.
 //
 // # Accuracy caveat
 //

@@ -169,55 +169,6 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestBenchBackendsAgreeExactly is the end-to-end acceptance check:
-// serial, sharded (contiguous chunks sketched concurrently), and daemon (HTTP
-// worker/coordinator, pushed over /v1/stream) backends return
-// bit-identical estimates for the same seed, for every workload, and the
-// same counters digest.
-func TestBenchBackendsAgreeExactly(t *testing.T) {
-	g := gfunc.F2Func()
-	opts := core.Options{M: 1 << 10, Eps: 0.25, Seed: 21, Lambda: 1.0 / 16}
-	cfg := Config{N: 1 << 12, Items: 200, Length: 8000, Seed: 5}
-	backends := []string{"serial", "sharded", "daemon"}
-	for _, gen := range Generators() {
-		gen := gen
-		t.Run(gen.Name(), func(t *testing.T) {
-			var ests []float64
-			var counters []uint64
-			for _, backend := range backends {
-				res, err := RunBench(BenchSpec{
-					Generator: gen, Cfg: cfg, G: g, Opts: opts,
-					Backend: backend, Workers: 3,
-				})
-				if err != nil {
-					t.Fatalf("%s: %v", backend, err)
-				}
-				if res.Updates != cfg.Length {
-					t.Fatalf("%s: %d updates, want %d", backend, res.Updates, cfg.Length)
-				}
-				if res.Exact <= 0 {
-					t.Fatalf("%s: exact %v", backend, res.Exact)
-				}
-				if res.RelErr > 1.0 {
-					t.Errorf("%s: relative error %.3f is implausibly large", backend, res.RelErr)
-				}
-				ests = append(ests, res.Estimate)
-				counters = append(counters, res.Counters)
-			}
-			for i := 1; i < len(ests); i++ {
-				if ests[i] != ests[0] {
-					t.Fatalf("backend %s estimate %v != %s estimate %v",
-						backends[i], ests[i], backends[0], ests[0])
-				}
-				if counters[i] == 0 || counters[i] != counters[0] {
-					t.Fatalf("backend %s counters %#x != %s counters %#x",
-						backends[i], counters[i], backends[0], counters[0])
-				}
-			}
-		})
-	}
-}
-
 // TestRunBenchValidation covers the error paths.
 func TestRunBenchValidation(t *testing.T) {
 	if _, err := RunBench(BenchSpec{}); err == nil {

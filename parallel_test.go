@@ -5,10 +5,8 @@ package universal
 // merge, so any unsynchronized state shows up here.
 
 import (
-	"bytes"
 	"testing"
 
-	"repro/internal/sketch"
 	"repro/internal/stream"
 	"repro/internal/util"
 )
@@ -79,54 +77,6 @@ func TestShardedProcessRaceStress(t *testing.T) {
 	}
 	if est := sharded.Estimate(); est < 0 {
 		t.Errorf("negative estimate %g", est)
-	}
-}
-
-// --- merge property tests: order-insensitivity and single-shard
-// agreement at each layer of the stack -------------------------------------
-
-// chunk3 splits a stream into three contiguous shards.
-func chunk3(s *Stream) [3][]Update {
-	u := s.Updates()
-	a, b := len(u)/3, 2*len(u)/3
-	return [3][]Update{u[:a], u[a:b], u[b:]}
-}
-
-func TestCountSketchMergeOrderInsensitive(t *testing.T) {
-	s := parallelStream(21)
-	chunks := chunk3(s)
-	mk := func() *sketch.CountSketch {
-		return sketch.NewCountSketch(7, 256, util.NewSplitMix64(5))
-	}
-	build := func(c []Update) *sketch.CountSketch {
-		cs := mk()
-		cs.UpdateBatch(c)
-		return cs
-	}
-
-	single := mk()
-	for _, c := range chunks {
-		single.UpdateBatch(c)
-	}
-	want, err := single.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, order := range [][3]int{{0, 1, 2}, {2, 0, 1}, {1, 2, 0}, {2, 1, 0}} {
-		dst := build(chunks[order[0]])
-		for _, i := range order[1:] {
-			if err := dst.Merge(build(chunks[i])); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got, err := dst.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want, got) {
-			t.Errorf("merge order %v: counters diverge from single-shard ingestion", order)
-		}
 	}
 }
 
