@@ -3,6 +3,7 @@ package backend
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -376,5 +377,53 @@ func TestProcessFeedsBatchesOf4096(t *testing.T) {
 	if processed.Estimate() != chunked.Estimate() || !bytes.Equal(a, b) {
 		t.Errorf("Process: estimate %v; 4096-update batches: %v; snapshots equal: %v",
 			processed.Estimate(), chunked.Estimate(), bytes.Equal(a, b))
+	}
+}
+
+// TestUpdateBatchKeepsNoBatch holds every kind to UpdateBatch's contract:
+// it neither keeps nor modifies its batch. Each round draws the batch
+// afresh into the same slice, as a stream session decodes every frame
+// into one; the slice must come back unchanged, and at the end, with the
+// slice overwritten once more, the snapshot must equal that of a fresh
+// estimator fed copies.
+func TestUpdateBatchKeepsNoBatch(t *testing.T) {
+	rng := util.NewSplitMix64(41)
+	batch := make([]stream.Update, 4096+17)
+	draw := func() {
+		for i := range batch {
+			batch[i] = stream.Update{Item: rng.Uint64n(1 << 12), Delta: rng.Int63n(9) - 4}
+		}
+	}
+	for _, name := range Kinds() {
+		spec := specFor(Kind(name), 13)
+		reused, err := Open(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := Open(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 3; round++ {
+			draw()
+			held := slices.Clone(batch)
+			reused.UpdateBatch(batch)
+			if !slices.Equal(batch, held) {
+				t.Fatalf("%s: UpdateBatch modified its batch", name)
+			}
+			fresh.UpdateBatch(held)
+		}
+		draw()
+		a, err := reused.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := fresh.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s: the snapshot of an estimator whose batches were overwritten differs from one fed copies", name)
+		}
 	}
 }

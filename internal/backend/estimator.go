@@ -25,7 +25,10 @@ type Estimator interface {
 	// Update feeds one turnstile update.
 	Update(item uint64, delta int64)
 	// UpdateBatch feeds a batch of updates through the amortized path,
-	// leaving the state exactly as the equivalent Update calls would.
+	// leaving the state exactly as the equivalent Update calls would. It
+	// neither keeps nor modifies batch after it returns, so the caller may
+	// reuse the slice at once (gsumd's stream sessions decode every frame
+	// into the same one).
 	UpdateBatch(batch []stream.Update)
 	// Estimate returns the kind's headline estimate (the g-SUM for the
 	// estimator kinds, F2 for countsketch, the cover weight sum for

@@ -115,6 +115,14 @@ type PusherStats struct {
 //
 // An ack is a durability receipt (see /v1/stream); Stats().Acked is
 // exactly the prefix of the session that survives a daemon drain.
+//
+// Buffers: Push copies its updates into the queue (buf), so the caller
+// owns its slice again when Push returns. The worker alone writes the
+// frame buffer (frame): it encodes a batch from the queue straight into
+// it, length prefix included, and sends it with one Write. The ack
+// reader keeps one small buffer of its own. In steady state none of the
+// three allocates. A Flush that finds the session drained drops the
+// queue and the frame buffer, so an idle Pusher holds no queue memory.
 type Pusher struct {
 	cfg PusherConfig
 	sc  *streamConn
@@ -122,7 +130,8 @@ type Pusher struct {
 
 	mu        sync.Mutex
 	cond      *sync.Cond
-	buf       []stream.Update
+	buf       []stream.Update // the queue, at most MaxBuffered updates
+	frame     []byte          // the worker's encoded frame, reused
 	flushReq  bool
 	flushDue  bool // age timer fired
 	closed    bool
@@ -255,7 +264,7 @@ func (p *Pusher) Stats() PusherStats {
 func (p *Pusher) Push(updates []stream.Update) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for i, u := range updates {
+	for i := 0; i < len(updates); {
 		for p.err == nil && !p.closed && len(p.buf) >= p.cfg.MaxBuffered {
 			p.cond.Wait()
 		}
@@ -272,8 +281,14 @@ func (p *Pusher) Push(updates []stream.Update) error {
 		if len(p.buf) == 0 {
 			p.armTimerLocked()
 		}
-		p.buf = append(p.buf, u)
-		p.stats.Enqueued++
+		if p.buf == nil {
+			// A drained Flush dropped the queue: size it for this Push.
+			p.buf = make([]stream.Update, 0, min(len(updates)-i, p.cfg.MaxBuffered))
+		}
+		k := min(len(updates)-i, p.cfg.MaxBuffered-len(p.buf))
+		p.buf = append(p.buf, updates[i:i+k]...)
+		p.stats.Enqueued += uint64(k)
+		i += k
 		if len(p.buf) >= p.cfg.MaxBatch {
 			p.cond.Broadcast()
 		}
@@ -297,7 +312,9 @@ func (p *Pusher) armTimerLocked() {
 }
 
 // Flush sends everything buffered and waits until the daemon has acked
-// it all, then reports the sticky error if any.
+// it all, then reports the sticky error if any. A Flush that finds the
+// session drained drops the queue and the frame buffer: the next Push
+// allocates them again.
 func (p *Pusher) Flush() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -305,6 +322,9 @@ func (p *Pusher) Flush() error {
 	p.cond.Broadcast()
 	for p.err == nil && (len(p.buf) > 0 || p.unacked > 0) {
 		p.cond.Wait()
+	}
+	if p.err == nil {
+		p.buf, p.frame = nil, nil
 	}
 	return p.err
 }
@@ -336,21 +356,25 @@ func (p *Pusher) Close() error {
 	return p.err
 }
 
-// worker drains the buffer into frames: full batches immediately,
-// partial ones on age, explicit Flush, or Close.
+// worker drains the queue into frames: full batches immediately,
+// partial ones on age, explicit Flush, or Close. A batch waits in the
+// queue for a slot in the in-flight window; then, under p.mu, the worker
+// encodes it from the queue into p.frame and takes it off, and outside
+// the lock it writes the frame. Nothing else writes p.frame, and the
+// worker encodes the next frame only after the last Write returned.
 func (p *Pusher) worker() {
 	defer close(p.workerEnd)
 	for {
 		p.mu.Lock()
-		for p.err == nil && !p.closed &&
-			len(p.buf) < p.cfg.MaxBatch && !(len(p.buf) > 0 && (p.flushDue || p.flushReq)) {
+		for p.err == nil && !(p.closed && len(p.buf) == 0) &&
+			!(p.batchReadyLocked() && len(p.pending) < p.cfg.MaxInFlight) {
 			if len(p.buf) == 0 && p.flushReq && p.unacked == 0 {
 				p.flushReq = false
 				p.cond.Broadcast()
 			}
 			p.cond.Wait()
 		}
-		if p.err != nil || (p.closed && len(p.buf) == 0) {
+		if p.err != nil || len(p.buf) == 0 {
 			p.mu.Unlock()
 			return
 		}
@@ -367,12 +391,11 @@ func (p *Pusher) worker() {
 		default:
 			p.stats.FlushAge++
 		}
-		n := len(p.buf)
-		if n > p.cfg.MaxBatch {
-			n = p.cfg.MaxBatch
-		}
-		batch := make([]stream.Update, n)
-		copy(batch, p.buf)
+		n := min(len(p.buf), p.cfg.MaxBatch)
+		p.nextSeq++
+		seq := p.nextSeq
+		p.frame = wire.AppendFramedIngest(p.frame[:0], p.fp, seq, p.buf[:n])
+		frame := p.frame
 		rest := copy(p.buf, p.buf[n:])
 		p.buf = p.buf[:rest]
 		if len(p.buf) > 0 {
@@ -383,23 +406,21 @@ func (p *Pusher) worker() {
 		p.unacked += n
 		p.stats.Sent += uint64(n)
 		p.stats.Frames++
-		// Respect the in-flight window before writing.
-		for p.err == nil && len(p.pending) >= p.cfg.MaxInFlight {
-			p.cond.Wait()
-		}
-		if p.err != nil {
-			p.mu.Unlock()
-			return
-		}
-		p.nextSeq++
-		seq := p.nextSeq
 		p.pending[seq] = n
+		p.cond.Broadcast() // the queue has room again
 		p.mu.Unlock()
-		if err := p.sendFrame(seq, batch); err != nil {
+		if err := p.sendFrame(frame); err != nil {
 			p.failSend(err)
 			return
 		}
 	}
+}
+
+// batchReadyLocked reports whether the queue holds a batch to send: a
+// full one, or a partial one the age timer, a Flush or Close asks for.
+func (p *Pusher) batchReadyLocked() bool {
+	return len(p.buf) >= p.cfg.MaxBatch ||
+		len(p.buf) > 0 && (p.flushDue || p.flushReq || p.closed)
 }
 
 // failSend records a send error once the ack reader has had its say. A
@@ -417,13 +438,11 @@ func (p *Pusher) failSend(err error) {
 	p.fail(err)
 }
 
-// sendFrame writes one frame and refreshes the ack-stall deadline.
-func (p *Pusher) sendFrame(seq uint64, batch []stream.Update) error {
+// sendFrame writes one encoded frame, length prefix included, in one
+// Write, and refreshes the ack-stall deadline.
+func (p *Pusher) sendFrame(frame []byte) error {
 	_ = p.sc.conn.SetWriteDeadline(time.Now().Add(p.cfg.AckTimeout))
-	if err := wire.WriteFrame(p.sc.bw, wire.AppendIngestFrame(p.fp, seq, batch)); err != nil {
-		return fmt.Errorf("daemon: stream send: %w", err)
-	}
-	if err := p.sc.bw.Flush(); err != nil {
+	if _, err := p.sc.conn.Write(frame); err != nil {
 		return fmt.Errorf("daemon: stream send: %w", err)
 	}
 	return nil
@@ -432,12 +451,14 @@ func (p *Pusher) sendFrame(seq uint64, batch []stream.Update) error {
 // readAcks consumes the daemon's ack stream, releasing window slots and
 // waking Flush. The read deadline doubles as a stall detector: while
 // frames are in flight, no ack within AckTimeout is an error; while
-// idle, the deadline just re-arms.
+// idle, the deadline just re-arms. Every ack is read into one reused
+// buffer.
 func (p *Pusher) readAcks() {
 	defer close(p.readerEnd)
+	var buf []byte
 	for {
 		_ = p.sc.conn.SetReadDeadline(time.Now().Add(p.cfg.AckTimeout))
-		payload, err := wire.ReadFrame(p.sc.br, wire.MaxIngestAckBytes)
+		payload, err := wire.ReadFrameInto(p.sc.br, buf, wire.MaxIngestAckBytes)
 		if err != nil {
 			p.mu.Lock()
 			inflight := len(p.pending)
@@ -451,6 +472,7 @@ func (p *Pusher) readAcks() {
 			}
 			return
 		}
+		buf = payload
 		ack, err := wire.UnmarshalIngestAck(payload, p.fp)
 		if err != nil {
 			p.fail(fmt.Errorf("daemon: stream ack: %w", err))
@@ -513,11 +535,11 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// streamConn is the client end of one upgraded /v1/stream connection.
+// streamConn is the client end of one upgraded /v1/stream connection:
+// frames go out on conn directly, acks come in through br.
 type streamConn struct {
 	conn net.Conn
 	br   *bufio.Reader
-	bw   *bufio.Writer
 }
 
 // dialAddr is the host:port a stream dial connects to: the URL's own
@@ -578,5 +600,5 @@ func (c *Client) dialStream(ctx context.Context) (*streamConn, error) {
 		return nil, err
 	}
 	_ = conn.SetDeadline(time.Time{})
-	return &streamConn{conn: conn, br: br, bw: bufio.NewWriter(conn)}, nil
+	return &streamConn{conn: conn, br: br}, nil
 }

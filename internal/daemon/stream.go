@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/stream"
 	"repro/internal/wire"
 )
 
@@ -28,6 +29,15 @@ import (
 // frame at a time per connection, so a client that respects its in-
 // flight window (see Pusher) can never flood the daemon — unread frames
 // simply back up into the TCP window and the client's Push blocks.
+//
+// Buffers: a session reads every frame's payload into one buffer,
+// decodes its batch into one []stream.Update, and encodes every ack,
+// length prefix included, into one small buffer it writes in one Write.
+// That reuse is safe because the estimator's UpdateBatch neither keeps
+// nor modifies its batch (backend.Estimator). The payload and batch
+// buffers are kept only up to streamKeepUpdates updates: a larger frame
+// (up to the frame cap, wire.MaxIngestFrameBytes by default) is read and
+// decoded into one-off buffers dropped after its apply.
 
 const (
 	// StreamProtocol names the upgrade protocol in the HTTP handshake.
@@ -36,6 +46,9 @@ const (
 	// sit with no complete frame arriving before the daemon closes it;
 	// a wedged or vanished client cannot pin a goroutine forever.
 	DefaultStreamIdleTimeout = 2 * time.Minute
+	// streamKeepUpdates bounds the frame a session keeps buffers for
+	// across frames: four default Pusher batches.
+	streamKeepUpdates = 4 * DefaultPushBatch
 )
 
 // streamState tracks the Server's live stream connections so graceful
@@ -201,11 +214,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamLoop reads, applies, and acks frames until the client closes,
-// an error ends the session, or the daemon drains. It runs on a goroutine
-// of its own, where net/http does not recover a panic, so it recovers one
-// itself: a panic while applying a frame fails the session the way a
-// refused frame does — an error ack naming the panic, counted in
-// gsumd_stream_rejected_frames_total — and the daemon serves on. That
+// an error ends the session, or the daemon drains. In steady state it
+// allocates nothing (see the buffers in this file's header). It runs on
+// a goroutine of its own, where net/http does not recover a panic, so it
+// recovers one itself: a panic while applying a frame fails the session
+// the way a refused frame does — an error ack naming the panic, counted
+// in gsumd_stream_rejected_frames_total — and the daemon serves on. That
 // frame is not acked, and its batch may be partly applied, as a panic
 // leaves a /v1/ingest batch.
 func (s *Server) streamLoop(conn net.Conn, bufrw *bufio.ReadWriter) {
@@ -215,12 +229,13 @@ func (s *Server) streamLoop(conn net.Conn, bufrw *bufio.ReadWriter) {
 	defer s.obs.streamConns.Dec()
 
 	var lastSeq, lastTotal uint64
+	var payloadBuf, ackBuf []byte
+	var batchBuf []stream.Update
 	sendAck := func(ack wire.IngestAck) error {
 		_ = conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-		if err := wire.WriteFrame(bufrw, wire.AppendIngestAck(s.fp, ack)); err != nil {
-			return err
-		}
-		return bufrw.Flush()
+		ackBuf = wire.AppendFramedIngestAck(ackBuf[:0], s.fp, ack)
+		_, err := conn.Write(ackBuf)
+		return err
 	}
 	fail := func(err error) {
 		// Best effort: tell the client why before closing. The ack
@@ -247,7 +262,7 @@ func (s *Server) streamLoop(conn net.Conn, bufrw *bufio.ReadWriter) {
 				Status: wire.IngestAckDraining, Msg: "daemon draining"})
 			return
 		}
-		payload, err := wire.ReadFrame(bufrw, st.frameCap())
+		payload, err := wire.ReadFrameInto(bufrw, payloadBuf, st.frameCap())
 		if err != nil {
 			st.mu.Lock()
 			draining := st.draining
@@ -267,10 +282,13 @@ func (s *Server) streamLoop(conn net.Conn, bufrw *bufio.ReadWriter) {
 			}
 			return
 		}
-		seq, batch, err := wire.UnmarshalIngestFrame(payload, s.fp)
+		seq, batch, err := wire.DecodeIngestFrame(batchBuf, payload, s.fp)
 		if err != nil {
 			fail(fmt.Errorf("daemon: stream frame: %w", err))
 			return
+		}
+		if len(batch) <= streamKeepUpdates {
+			payloadBuf, batchBuf = payload, batch
 		}
 		current = seq
 		if st.applyDelay > 0 {

@@ -39,6 +39,11 @@ import (
 // that has seen ack seq=K knows frames 1..K survive a graceful drain
 // (the daemon flushes acks before its final checkpoint). Unacked frames
 // are the client's to redeliver, exactly like an unanswered JSON POST.
+//
+// Each codec has a form that writes into a buffer its caller keeps
+// (AppendFramedIngest, ReadFrameInto, DecodeIngestFrame,
+// AppendFramedIngestAck), so a stream session puts frame after frame
+// through them without allocating; the allocating forms wrap them.
 
 // Frame magics. "gSIF" = ingest frame, "gSIA" = ingest ack.
 const (
@@ -84,8 +89,11 @@ type IngestAck struct {
 	Msg string
 }
 
-// WriteFrame writes a length-prefixed payload to w. It is the outer
-// framing shared by ingest frames and acks.
+// WriteFrame writes a length-prefixed payload to w in two writes. The
+// stream transport puts a frame on the wire in one write instead, from a
+// buffer the framed encoders (AppendFramedIngest, AppendFramedIngestAck)
+// fill, prefix included; WriteFrame frames a payload already encoded
+// alone.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if _, err := w.Write(binary.BigEndian.AppendUint32(nil, uint32(len(payload)))); err != nil {
 		return err
@@ -94,29 +102,44 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one length-prefixed payload from r, rejecting lengths
-// beyond maxBytes before allocating. io.EOF is returned as-is when the
-// stream ends cleanly between frames (so callers can distinguish a
-// clean close from a truncated frame, which surfaces as
-// io.ErrUnexpectedEOF).
-func ReadFrame(r io.Reader, maxBytes int) ([]byte, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:1]); err != nil {
+// ReadFrame reads one length-prefixed payload from r into a new slice:
+// ReadFrameInto without a buffer.
+func ReadFrame(r io.Reader, maxBytes int) ([]byte, error) { return ReadFrameInto(r, nil, maxBytes) }
+
+// ReadFrameInto reads one length-prefixed payload from r, rejecting
+// lengths beyond maxBytes before allocating. The payload lands in buf's
+// storage when its capacity holds it and in a new slice of exactly its
+// length otherwise (a buf under 4 bytes costs one more, for the prefix).
+// io.EOF is returned as-is when the stream ends cleanly between frames
+// (so callers can distinguish a clean close from a truncated frame,
+// which surfaces as io.ErrUnexpectedEOF).
+func ReadFrameInto(r io.Reader, buf []byte, maxBytes int) ([]byte, error) {
+	// The prefix is read into buf's storage: a local array would escape
+	// through r.Read and cost an allocation a frame.
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	prefix := buf[:4]
+	if _, err := io.ReadFull(r, prefix[:1]); err != nil {
 		return nil, err // io.EOF here = clean end of stream
 	}
-	if _, err := io.ReadFull(r, lenBuf[1:]); err != nil {
+	if _, err := io.ReadFull(r, prefix[1:]); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return nil, err
 	}
-	n := uint32(lenBuf[0])<<24 | uint32(lenBuf[1])<<16 | uint32(lenBuf[2])<<8 | uint32(lenBuf[3])
+	n := binary.BigEndian.Uint32(prefix)
 	// Compare in uint64 so a hostile length can neither overflow the
 	// conversion nor go negative on 32-bit platforms.
 	if uint64(n) > uint64(maxBytes) {
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds the %d-byte cap", n, maxBytes)
 	}
-	payload := make([]byte, int(n))
+	payload := buf[:0]
+	if cap(payload) < int(n) {
+		payload = make([]byte, int(n))
+	}
+	payload = payload[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
@@ -127,10 +150,20 @@ func ReadFrame(r io.Reader, maxBytes int) ([]byte, error) {
 }
 
 // AppendIngestFrame serializes one ingest frame payload (header, seq,
-// batch) — the bytes to hand WriteFrame.
+// batch) into a new slice — the bytes to hand WriteFrame.
 func AppendIngestFrame(fingerprint, seq uint64, updates []stream.Update) []byte {
-	var w Writer
-	w.grow(26 + 16*len(updates)) // header 14, seq 8, count 4, then 16 per update
+	return AppendFramedIngest(nil, fingerprint, seq, updates)[4:]
+}
+
+// AppendFramedIngest appends one whole ingest frame to dst, its u32
+// length prefix and then its payload (the bytes AppendIngestFrame
+// returns), and returns the extended slice: one Write puts the frame on
+// the wire. It allocates only when dst lacks the room.
+func AppendFramedIngest(dst []byte, fingerprint, seq uint64, updates []stream.Update) []byte {
+	size := 26 + 16*len(updates) // header 14, seq 8, count 4, then 16 per update
+	w := Writer{buf: dst}
+	w.grow(4 + size)
+	w.U32(uint32(size))
 	w.Header(IngestFrameMagic, fingerprint)
 	w.U64(seq)
 	w.U32(uint32(len(updates)))
@@ -139,48 +172,73 @@ func AppendIngestFrame(fingerprint, seq uint64, updates []stream.Update) []byte 
 		binary.BigEndian.PutUint64(tail[16*i:], u.Item)
 		binary.BigEndian.PutUint64(tail[16*i+8:], uint64(u.Delta))
 	}
-	return w.Bytes()
+	return w.buf
 }
 
-// UnmarshalIngestFrame decodes an ingest frame payload, verifying the
-// header against the receiver's Spec fingerprint. The update count is
-// validated against the bytes actually present before any allocation,
-// so a corrupt count cannot force a huge slice.
+// UnmarshalIngestFrame decodes an ingest frame payload into a new
+// slice: DecodeIngestFrame without a buffer.
 func UnmarshalIngestFrame(payload []byte, fingerprint uint64) (seq uint64, updates []stream.Update, err error) {
+	return DecodeIngestFrame(nil, payload, fingerprint)
+}
+
+// DecodeIngestFrame decodes an ingest frame payload, verifying the
+// header against the receiver's Spec fingerprint. The update count is
+// checked against the bytes actually present before any allocation, so a
+// corrupt count cannot force a huge slice, and the batch is then read in
+// one pass over the checked tail. The updates land in dst's storage when
+// its capacity holds them and in a new slice of exactly their count
+// otherwise; dst's old contents never show. On error it returns no
+// updates and leaves dst as it was.
+func DecodeIngestFrame(dst []stream.Update, payload []byte, fingerprint uint64) (seq uint64, updates []stream.Update, err error) {
 	r := NewReader(payload)
 	if err := r.Header(IngestFrameMagic, fingerprint); err != nil {
 		return 0, nil, err
 	}
 	seq = r.U64()
 	n := r.U32()
-	if r.Err() == nil && uint64(n)*16 > uint64(r.Len()) {
-		return 0, nil, fmt.Errorf("wire: truncated ingest frame: %d updates of 16 bytes, %d bytes remain", n, r.Len())
-	}
-	if r.Err() == nil {
-		updates = make([]stream.Update, n)
-		for i := range updates {
-			updates[i] = stream.Update{Item: r.U64(), Delta: r.I64()}
-		}
-	}
 	if err := r.Err(); err != nil {
 		return 0, nil, err
 	}
-	if r.Len() != 0 {
-		return 0, nil, fmt.Errorf("wire: ingest frame has %d trailing bytes", r.Len())
+	if uint64(n)*16 > uint64(r.Len()) {
+		return 0, nil, fmt.Errorf("wire: truncated ingest frame: %d updates of 16 bytes, %d bytes remain", n, r.Len())
+	}
+	if extra := r.Len() - 16*int(n); extra != 0 {
+		return 0, nil, fmt.Errorf("wire: ingest frame has %d trailing bytes", extra)
+	}
+	tail := r.take(16 * int(n))
+	updates = dst[:0]
+	if cap(updates) < int(n) {
+		updates = make([]stream.Update, n)
+	}
+	updates = updates[:n]
+	for i := range updates {
+		b := tail[16*i : 16*i+16]
+		updates[i] = stream.Update{Item: binary.BigEndian.Uint64(b), Delta: int64(binary.BigEndian.Uint64(b[8:]))}
 	}
 	return seq, updates, nil
 }
 
-// AppendIngestAck serializes one ack payload.
+// AppendIngestAck serializes one ack payload into a new slice.
 func AppendIngestAck(fingerprint uint64, ack IngestAck) []byte {
-	var w Writer
-	w.grow(36 + len(ack.Msg)) // header 14, seq 8, total 8, status 2, framed message
+	return AppendFramedIngestAck(nil, fingerprint, ack)[4:]
+}
+
+// AppendFramedIngestAck appends one whole ack frame to dst, its u32
+// length prefix and then its payload (the bytes AppendIngestAck
+// returns), and returns the extended slice. It allocates only when dst
+// lacks the room.
+func AppendFramedIngestAck(dst []byte, fingerprint uint64, ack IngestAck) []byte {
+	size := 36 + len(ack.Msg) // header 14, seq 8, total 8, status 2, framed message
+	w := Writer{buf: dst}
+	w.grow(4 + size)
+	w.U32(uint32(size))
 	w.Header(IngestAckMagic, fingerprint)
 	w.U64(ack.Seq)
 	w.U64(ack.Total)
 	w.U16(ack.Status)
-	w.Blob([]byte(ack.Msg))
-	return w.Bytes()
+	w.U32(uint32(len(ack.Msg)))
+	w.buf = append(w.buf, ack.Msg...)
+	return w.buf
 }
 
 // UnmarshalIngestAck decodes an ack payload, verifying the header

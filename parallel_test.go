@@ -18,6 +18,23 @@ func parallelStream(seed uint64) *Stream {
 	return stream.Zipf(stream.GenConfig{N: 1 << 12, M: 1 << 10, Seed: seed}, 90, 1.1)
 }
 
+// longParallelStream is parallelStream(seed) played parallelRepeats times
+// over: the same 90 items, each frequency parallelRepeats times larger
+// (Options.M must cover 2^10·parallelRepeats), and 360·parallelRepeats
+// updates, so ProcessParallel and RunParallel cut it into one chunk a
+// worker up to 8 (each chunk at least stream.BatchSize) and their
+// parallel branches run.
+func longParallelStream(seed uint64) *Stream {
+	base := parallelStream(seed)
+	s := NewStream(base.N())
+	for r := 0; r < parallelRepeats; r++ {
+		base.Each(func(u Update) { s.Add(u.Item, u.Delta) })
+	}
+	return s
+}
+
+const parallelRepeats = 96
+
 // openSharded opens the sharded kind for g = x² through the public door.
 func openSharded(t *testing.T, opts Options, workers int) Estimator {
 	t.Helper()
@@ -30,9 +47,12 @@ func openSharded(t *testing.T, opts Options, workers int) Estimator {
 
 func TestPublicShardedKindMatchesSerialExactly(t *testing.T) {
 	g := F2()
+	s := longParallelStream(7)
+	if s.Len() < 8*stream.BatchSize {
+		t.Fatalf("%d updates: under 8 chunks of %d", s.Len(), stream.BatchSize)
+	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		s := parallelStream(7)
-		opts := Options{N: s.N(), M: 1 << 10, Eps: 0.25, Seed: 42, Lambda: 1.0 / 16}
+		opts := Options{N: s.N(), M: 1 << 17, Eps: 0.25, Seed: 42, Lambda: 1.0 / 16}
 
 		serial := mustOpen(t, Spec{Kind: KindOnePass, G: g.Name(), Options: opts}, s)
 
@@ -48,8 +68,11 @@ func TestPublicShardedKindMatchesSerialExactly(t *testing.T) {
 
 func TestPublicTwoPassRunParallelMatchesSerialExactly(t *testing.T) {
 	g := X2Log()
-	s := parallelStream(9)
-	opts := Options{N: s.N(), M: 1 << 10, Eps: 0.25, Seed: 4, Lambda: 1.0 / 16}
+	s := longParallelStream(9)
+	if s.Len() < 4*stream.BatchSize {
+		t.Fatalf("%d updates: under 4 chunks of %d", s.Len(), stream.BatchSize)
+	}
+	opts := Options{N: s.N(), M: 1 << 17, Eps: 0.25, Seed: 4, Lambda: 1.0 / 16}
 
 	want := mustOpen(t, Spec{Kind: KindTwoPass, G: g.Name(), Options: opts, Workers: 1}, s).Estimate()
 	got := mustOpen(t, Spec{Kind: KindTwoPass, G: g.Name(), Options: opts, Workers: 4}, s).Estimate()
