@@ -48,9 +48,7 @@ func liveHeap() uint64 {
 // transport, both ends at once: a Pusher sends default frames over a
 // loopback connection to /v1/stream, which reads, decodes, applies and
 // acks them. Once the buffers on both ends and the sketch's scratch have
-// grown, a frame costs less than one allocation process-wide. (A frame
-// used to cost at least four: its batch copy and its encoding on the
-// Pusher, its payload and its decoded batch on the daemon.)
+// grown, a frame costs less than one allocation process-wide.
 func TestStreamSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
