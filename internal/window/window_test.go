@@ -558,3 +558,64 @@ func TestWindowBucketsCostWhatTheyHold(t *testing.T) {
 	}
 	t.Logf("%d live buckets hold %d of %d budgeted bytes (%.3f)", live, resident, dense, float64(resident)/float64(dense))
 }
+
+// TestWindowPerTickModel is the window's exact model: it keeps every
+// tick's updates and, after every tick's updates, checks that the merged
+// counters equal a serial sketch of exactly the ticks the window claims
+// to cover — (now−W, now] plus the Stale() ticks before it — and that
+// Stale() ≤ StaleBound(). It reads only the window's exported surface, so
+// it judges any bucket layout. Ticks advance by random strides, some
+// past W+StaleBound (every live bucket expires), over W < 40 at
+// 2 ≤ K ≤ 6 and at K = MaxK.
+func TestWindowPerTickModel(t *testing.T) {
+	type logged struct {
+		tick  uint64
+		item  uint64
+		delta int64
+	}
+	opts := core.Options{N: 1 << 6, M: 1 << 6, Eps: 0.5, Lambda: 1.0 / 4, Seed: 3}
+	for w := uint64(1); w < 40; w++ {
+		for _, k := range []int{2, 3, 4, 5, 6, MaxK} {
+			cfg := Config{W: w, K: k}
+			win, err := New(gfunc.F2Func(), opts, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := util.NewSplitMix64(w<<8 | uint64(k))
+			var log []logged
+			for tick, step := uint64(0), 0; step < 40; step++ {
+				switch r := rng.Uint64n(10); {
+				case r == 0:
+					tick += w + win.StaleBound() + rng.Uint64n(3*w+1)
+				case r < 3:
+					tick += rng.Uint64n(w + 1)
+				default:
+					tick += rng.Uint64n(2)
+				}
+				win.Advance(tick)
+				for i := rng.Uint64n(4); i > 0; i-- {
+					u := logged{tick, rng.Uint64n(64), int64(rng.Uint64n(6)) - 2}
+					win.Update(u.item, u.delta)
+					log = append(log, u)
+				}
+				if win.Stale() > win.StaleBound() {
+					t.Fatalf("%+v at tick %d: stale %d > bound %d", cfg, tick, win.Stale(), win.StaleBound())
+				}
+				covered := uint64(0)
+				if tick >= w {
+					covered = tick - w + 1
+				}
+				covered -= win.Stale()
+				ref := win.newBucket()
+				for _, u := range log {
+					if u.tick >= covered {
+						ref.Update(u.item, u.delta)
+					}
+				}
+				if got, want := win.Merged().CountersDigest(), ref.CountersDigest(); got != want {
+					t.Fatalf("%+v at tick %d: merged counters %#x, want the sketch of ticks >= %d (%#x)", cfg, tick, got, covered, want)
+				}
+			}
+		}
+	}
+}
