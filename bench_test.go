@@ -44,6 +44,7 @@ package universal
 //     runs a window).
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"sync"
@@ -450,7 +451,7 @@ func BenchmarkSweepCell(b *testing.B) {
 // --- window benchmarks --------------------------------------------------------
 
 // The BenchmarkWindow* family covers the three windowed hot paths:
-// ticked ingestion, clock advancement (seal/compact/expire), and the
+// ticked ingestion, clock advancement (panes dropped and opened), and the
 // snapshot/merge wire cycle.
 
 // windowBenchTicked is the shared windowed scenario: the zipf workload
@@ -488,19 +489,29 @@ func BenchmarkWindowSerial(b *testing.B) {
 	b.ReportMetric(float64(b.N)*float64(len(updates))/b.Elapsed().Seconds(), "updates/s")
 }
 
-// BenchmarkWindowAdvance isolates the clock: sealing, compacting, and
-// expiring buckets across 4096 ticks of a 64-tick window (no data, pure
-// structure maintenance: a bucket builds its sketch on its first update).
+// BenchmarkWindowAdvance isolates the clock: one op is one Advance by a
+// seeded random jump of 1 to 2W ticks (inside a pane, across panes, or
+// past the whole window) of a K = 8 window with no data (a pane builds its
+// stack on its first update). Advance moves at most K+1 pane slots, so
+// ns/op does not grow with W.
 func BenchmarkWindowAdvance(b *testing.B) {
 	opts := core.Options{N: 1 << 10, M: 1 << 8, Eps: 0.25, Seed: 1, Lambda: 1.0 / 16}
-	for i := 0; i < b.N; i++ {
-		w, err := window.New(gfunc.F2Func(), opts, window.Config{W: 64, K: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for tick := uint64(0); tick < 4096; tick += 7 {
-			w.Advance(tick)
-		}
+	for _, lg := range []int{10, 20, 30} {
+		b.Run(fmt.Sprintf("W=2^%d", lg), func(b *testing.B) {
+			w, err := window.New(gfunc.F2Func(), opts, window.Config{W: 1 << lg, K: 8})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := util.NewSplitMix64(uint64(lg))
+			jumps := make([]uint64, 1024)
+			for i := range jumps {
+				jumps[i] = 1 + rng.Uint64n(2<<lg)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.Advance(w.Now() + jumps[i%len(jumps)])
+			}
+		})
 	}
 }
 

@@ -232,7 +232,7 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 		` ("list" prints the registered backend kinds and exits)`)
 	win := fs.Int("window", 0, "sliding-window mode: estimate only the last W ticks (0 = whole stream)")
 	ticks := fs.Int("ticks", workload.DefaultTicks, "tick span of the generated stream (windowed mode)")
-	windowk := fs.Int("windowk", 0, "histogram buckets per span class: higher = fewer stale ticks, more space (0 = default 2)")
+	windowk := fs.Int("windowk", 0, "window panes: at most K+1, each about W/K ticks; higher = fewer stale ticks, more space (0 = default 2)")
 	trace := fs.String("trace", "", "CSV file for the trace workload (item[,delta] per line; default: embedded trace)")
 	configPath := fs.String("config", "", "path to a Spec JSON file (the shape gsumd serves at /v1/config); sets the estimator side (-f, -eps, -window, -windowk, -workers and the sketch seed) so a bench provably matches a deployed daemon fleet")
 	if code, ok := cliflag.Parse(fs, args, stderr); !ok {

@@ -279,13 +279,10 @@ func TestNormalizeRejectsInvalidSpecs(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesWindowPastMaxW: a window longer than window.MaxW would
-// wrap the histogram's arithmetic (MaxSpan, and the W+MaxSpan and
-// W+8·MaxSpan sums Advance takes), and a K past window.MaxK lets a
-// window hold one bucket per tick (at K ≥ W nothing compacts), so Open
-// refuses either naming its bound, and still opens K = MaxK. No window
-// is advanced at such a configuration here: stepping one grows without
-// bound.
+// TestOpenRefusesWindowPastMaxW: a window longer than window.MaxW, or
+// with a K past window.MaxK (more than MaxK+1 panes, each a whole stack),
+// is outside the range of windows peers agree on, so Open refuses either
+// naming its bound, and still opens K = MaxK.
 func TestOpenRefusesWindowPastMaxW(t *testing.T) {
 	for _, c := range []struct {
 		cfg   window.Config

@@ -12,15 +12,15 @@ import (
 )
 
 // TestWindowStateDigest pins the full state of a `window` estimator (the
-// clock, every bucket boundary and every bucket's onepass stack) after a
-// fixed seeded ticked stream: 64 ticks through an 8-tick window of K = 2,
-// so buckets seal, compact and expire many times over, fed as ragged
-// batches and single turnstile updates at the current tick. It is the
+// clock and every live pane's onepass stack) after a fixed seeded ticked
+// stream: 64 ticks through an 8-tick window of K = 2, so 4-tick panes
+// open and expire many times over, fed as ragged batches and single
+// turnstile updates at the current tick. It is the
 // window's counterpart of core.TestOnePassStateDigest: a change to how
 // the kind is built that moves these bytes moves its checkpoints and
 // what its peers accept.
 func TestWindowStateDigest(t *testing.T) {
-	const want = "783c410785409642c59a706290c7b5af7a2d85c2746264999bdc8fc51dc6e79f"
+	const want = "493cba333805680e4936912e2517abd6a7225a8bbea1334b0d7f2d93ffd275e0"
 	est, err := Open(Spec{
 		Kind:    KindWindow,
 		G:       "x^2",

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/core"
@@ -65,5 +67,31 @@ func TestIngestScratchBytes(t *testing.T) {
 		if got > tc.limit {
 			t.Errorf("%s: the stack retains %d bytes of ingest scratch, over %d", tc.name, got, tc.limit)
 		}
+	}
+}
+
+// TestLongBatchKeepsNoScratch: a batch past sketch.KeepBatch updates is
+// collapsed into a one-off sketch.Batch, so the stack keeps the scratch
+// its 4096-update batches left, not the long batch's, and what it
+// computes does not move: the snapshot digest is the one recorded when
+// the long batch went through the kept Batch.
+func TestLongBatchKeepsNoScratch(t *testing.T) {
+	const want = "a4c7f88f27205e0b313028f0ad2a4aa4a2f7669759d8d53dab57446ebc5868b2"
+	opts := core.Options{N: 1 << 16, M: 1 << 10, Eps: 0.25, Lambda: 1.0 / 16, Seed: 11}
+	ups := workload.Zipf{Alpha: 1.1}.Generate(workload.Config{N: opts.N, Items: 1 << 12, Length: 3 << 14, Seed: 2}).Updates()
+	e := core.NewOnePass(gfunc.F2Func(), opts)
+	stream.Batches(ups[:1<<14], e.UpdateBatch)
+	kept := core.ScratchBytes(e)
+	e.UpdateBatch(ups[1<<14:]) // 32,768 updates in one batch
+	if got := core.ScratchBytes(e); got != kept {
+		t.Errorf("the stack keeps %d bytes of scratch after one long batch, %d before it", got, kept)
+	}
+	data, err := e.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("state digest %s, want %s", got, want)
 	}
 }

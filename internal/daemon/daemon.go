@@ -389,10 +389,10 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		// an advance applied to the estimator being replaced would be lost.
 		var win backend.Windowed
 		if win, ok = s.est.(backend.Windowed); ok {
-			// Arbitrarily large jumps are safe: window.Advance fast-forwards
-			// across spans that expire everything instead of replaying each
-			// elapsed tick, so a client posting wall-clock epoch ticks cannot
-			// stall the daemon under its state lock.
+			// Any jump is cheap: window.Advance drops the panes that fall
+			// out of the window, at most K+1, however many ticks it crosses,
+			// so a client posting wall-clock epoch ticks holds the state
+			// lock no longer than a one-tick step.
 			now = win.Advance(req.Tick)
 		}
 	})

@@ -91,14 +91,13 @@ func TestStreamSteadyStateAllocFree(t *testing.T) {
 // batch buffers across frames only up to streamKeepUpdates updates. One
 // frame near the frame cap (8 MB of payload, 8 MB decoded) is read and
 // decoded into buffers dropped after its apply, and the Pusher, drained
-// by Flush, drops its queue and frame buffer: the live heap after it is
-// what it was before. The estimator keeps a scratch sized by the largest
-// batch it has applied (about 4 MB after this one), so the frame's batch
-// is applied in process first, before the heap is measured.
+// by Flush, drops its queue and frame buffer, and the estimator collapses
+// the frame's batch into a one-off sketch.Batch (it is past
+// sketch.KeepBatch): the live heap after it is what it was before.
 func TestStreamSessionDropsANearCapFrame(t *testing.T) {
 	const big = 500_000 // 8,000,026 payload bytes: under the 8 MiB cap
 	spec := backend.Spec{Kind: backend.KindOnePass, G: "x^2", Options: testOptions(7)}
-	srv, c := streamServer(t, spec)
+	_, c := streamServer(t, spec)
 	p, err := c.NewPusher(context.Background(), PusherConfig{MaxBatch: big})
 	if err != nil {
 		t.Fatal(err)
@@ -112,9 +111,6 @@ func TestStreamSessionDropsANearCapFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	huge := randomBatch(rng, big)
-	if err := srv.IngestBatch(huge); err != nil {
-		t.Fatal(err)
-	}
 	before := liveHeap()
 	if err := p.Push(huge); err != nil {
 		t.Fatal(err)

@@ -18,7 +18,8 @@ import (
 // Collapsing per level would be redundant, not different: the filter of a
 // first-seen order is the first-seen order of the filter. The Batch's
 // buffers are reused across batches, so routing allocates only on the
-// first few.
+// first few, and a batch past sketch.KeepBatch updates is collapsed into
+// a one-off Batch instead (sketch.Batch.For).
 
 // Cascade collapses batch into b and routes it down the nested
 // sub-universes: feed(k, b) sees b holding the batch's distinct items
@@ -29,6 +30,7 @@ func Cascade(b *sketch.Batch, batch []stream.Update, sub []*xhash.Bernoulli, fee
 	if len(batch) == 0 {
 		return
 	}
+	b = b.For(len(batch))
 	b.Collapse(batch)
 	for k := 0; ; k++ {
 		feed(k, b)

@@ -30,8 +30,9 @@ import (
 // they retain is sized by the batch: at most one entry per update in items,
 // ds, xs and sel, rows entries per update in hashed, twice the batch in
 // slots, and one fixed chunk of rows x batchChunk estimates for a re-score
-// (at the benchmark's 5 rows and 4096-update batches: 249,856 B). The zero
-// value is ready to use.
+// (at the benchmark's 5 rows and 4096-update batches: 249,856 B). An owner
+// collapses through For, so what it keeps is sized by at most KeepBatch
+// updates. The zero value is ready to use.
 type Batch struct {
 	// slots is an open-addressed, linear-probe hash table over the items
 	// of the batch being collapsed: slots[h] holds index+1 into items/ds
@@ -68,6 +69,21 @@ type Batch struct {
 // at rows x batchChunk whatever the batch's length, and a chunk's powers
 // and estimates stay cache-resident across the rows that read them.
 const batchChunk = 512
+
+// KeepBatch is the longest batch, in updates, whose buffers the owner of
+// a retained Batch keeps: 4 x stream.BatchSize. A longer one, such as a
+// near-cap stream frame, is collapsed into a one-off Batch (For).
+const KeepBatch = 4 * stream.BatchSize
+
+// For returns the Batch to collapse n updates into: b, or for n past
+// KeepBatch a fresh Batch the caller drops after its apply, so one huge
+// batch does not leave b's buffers sized by it.
+func (b *Batch) For(n int) *Batch {
+	if n > KeepBatch {
+		return new(Batch)
+	}
+	return b
+}
 
 // mix64 is the SplitMix64 finalizer, a strong multiplicative bit mixer
 // used to spread items over the probe tables (Batch.slots here,
@@ -218,8 +234,9 @@ func (cs *CountSketch) UpdateBatch(batch []stream.Update) {
 	if cs.agg == nil {
 		cs.agg = new(Batch)
 	}
-	cs.agg.Collapse(batch)
-	cs.Apply(cs.agg)
+	agg := cs.agg.For(len(batch))
+	agg.Collapse(batch)
+	cs.Apply(agg)
 }
 
 // Apply feeds a collapsed batch to the sketch: the row walk and, on a
@@ -389,8 +406,9 @@ func (a *AMS) UpdateBatch(batch []stream.Update) {
 	if len(batch) == 0 {
 		return
 	}
-	a.agg.aggregate(batch)
-	order, ds := a.agg.items, a.agg.ds
+	agg := a.agg.For(len(batch))
+	agg.aggregate(batch)
+	order, ds := agg.items, agg.ds
 	for g := 0; g < a.groups; g++ {
 		for r := 0; r < a.reps; r++ {
 			z, sign := a.z[g], a.sign[g][r]

@@ -9,10 +9,11 @@ import (
 )
 
 // fuzzWindow builds the fixed receiver the fuzz corpus targets: a
-// window of small one-level buckets advanced through a fixed tick
-// sequence. Keep in sync with testdata's seed-v6-valid, this window's
-// own snapshot; the CountSketch-bucket payloads of earlier layouts stay
-// in the corpus as refused inputs.
+// window of small one-level panes advanced through a fixed tick
+// sequence. Keep in sync with testdata's seed-v6-panes, this window's
+// own snapshot; seed-v6-valid, its snapshot in the exponential-histogram
+// format, and the CountSketch-bucket payloads of earlier layouts stay in
+// the corpus as refused inputs.
 func fuzzWindow() *Window {
 	w, err := New(gfunc.F2Func(), core.Options{N: 1 << 6, M: 1 << 6, Eps: 0.5, Lambda: 1.0 / 4, Seed: 3}, Config{W: 6, K: 2})
 	if err != nil {
@@ -26,7 +27,7 @@ func fuzzWindow() *Window {
 }
 
 // FuzzWindowUnmarshal asserts UnmarshalBinary never panics — truncated,
-// corrupted, wrong-magic, wrong-clock, and wrong-boundary payloads must
+// corrupted, wrong-magic, wrong-clock, and wrong-format payloads must
 // all return errors (or succeed harmlessly), never crash the decoder —
 // and that a payload it refuses leaves the window as it was.
 func FuzzWindowUnmarshal(f *testing.F) {

@@ -2,13 +2,16 @@ package window
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/gfunc"
 )
 
-// drivenWindow builds a window of buckets seeded with seed, advanced
+// drivenWindow builds a window of panes seeded with seed, advanced
 // through a fixed tick sequence, optionally fed data.
 func drivenWindow(t *testing.T, seed uint64, fill bool) *Window {
 	t.Helper()
@@ -82,7 +85,7 @@ func TestWindowWireMergeEqualsInProcess(t *testing.T) {
 	}
 }
 
-// drivenWindowSlice drives a window of buckets seeded with seed through
+// drivenWindowSlice drives a window of panes seeded with seed through
 // the full tick sequence but only feeds the updates in [lo, hi) — one
 // contiguous shard.
 func drivenWindowSlice(t *testing.T, seed uint64, lo, hi int) *Window {
@@ -159,7 +162,7 @@ func TestWindowWireRejections(t *testing.T) {
 		t.Fatalf("clock mismatch not caught: %v", err)
 	}
 
-	// A receiver with different histogram capacity differs in shape AND
+	// A receiver with another pane capacity differs in pane width AND
 	// fingerprint.
 	opts := smallOpts
 	opts.Seed = 1
@@ -172,5 +175,30 @@ func TestWindowWireRejections(t *testing.T) {
 	}
 	if err := diffK.UnmarshalBinary(valid); err == nil {
 		t.Fatal("K mismatch not detected")
+	}
+}
+
+// TestHistogramFormatIsRefusedByName: a snapshot in the
+// exponential-histogram window format, which listed bucket boundaries
+// where panes follow from the clock, is refused with an error naming that
+// format, and the receiver is left as it was. The corpus's seed-v6-valid
+// is fuzzWindow's snapshot in that format, under the same fingerprint.
+func TestHistogramFormatIsRefusedByName(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzWindowUnmarshal", "seed-v6-valid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	quoted := strings.TrimSuffix(strings.TrimPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte("), ")")
+	old, err := strconv.Unquote(quoted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := fuzzWindow()
+	before, _ := w.MarshalBinary()
+	if err := w.UnmarshalBinary([]byte(old)); err == nil || !strings.Contains(err.Error(), "exponential-histogram window format") {
+		t.Fatalf("histogram-format snapshot: %v, want an error naming the exponential-histogram window format", err)
+	}
+	if after, _ := w.MarshalBinary(); !bytes.Equal(before, after) {
+		t.Fatal("the refused snapshot changed the window")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/gfunc"
@@ -11,9 +12,9 @@ import (
 	"repro/internal/util"
 )
 
-// smallOpts size the buckets of the structural tests: two levels whose
+// smallOpts size the panes of the structural tests: two levels whose
 // trackers (383 candidates) hold every item randomDrive draws, so merged
-// and serial buckets agree byte for byte, trackers included.
+// and serial panes agree byte for byte, trackers included.
 // The envelope is measured once here rather than by every New.
 var smallOpts = func() core.Options {
 	o := core.Options{N: 1 << 9, M: 1 << 8, Eps: 0.25, Lambda: 1.0 / 16, Seed: 42}
@@ -30,40 +31,24 @@ func mustWindow(t testing.TB, cfg Config) *Window {
 	return w
 }
 
-// checkInvariants validates the histogram shape; tests call it after
-// every mutation. It returns an error naming the first violation.
+// checkInvariants validates the pane layout; tests call it after every
+// mutation. It returns an error naming the first violation.
 func (w *Window) checkInvariants() error {
-	if len(w.buckets) == 0 {
-		return fmt.Errorf("window: no buckets")
-	}
-	open := w.buckets[len(w.buckets)-1]
-	if open.start != w.now || open.span != 1 {
-		return fmt.Errorf("window: open bucket [%d,+%d) does not sit at the clock %d", open.start, open.span, w.now)
-	}
-	counts := map[uint64]int{}
-	for i, b := range w.buckets {
-		if b.span == 0 || b.span&(b.span-1) != 0 {
-			return fmt.Errorf("window: bucket %d span %d is not a power of two", i, b.span)
-		}
-		if b.span > w.maxSpan {
-			return fmt.Errorf("window: bucket %d span %d exceeds max span %d", i, b.span, w.maxSpan)
-		}
-		if i > 0 {
-			if b.start != w.buckets[i-1].end()+1 {
-				return fmt.Errorf("window: bucket %d does not tile: starts at %d after end %d", i, b.start, w.buckets[i-1].end())
-			}
-			if b.span > w.buckets[i-1].span {
-				return fmt.Errorf("window: bucket %d span %d exceeds older span %d", i, b.span, w.buckets[i-1].span)
-			}
-		}
-		if b.span < w.maxSpan {
-			counts[b.span]++
+	built := 0
+	for _, p := range w.panes {
+		if p != nil {
+			built++
 		}
 	}
-	for span, c := range counts {
-		if c > w.cfg.K {
-			return fmt.Errorf("window: %d buckets of span %d exceed K=%d", c, span, w.cfg.K)
-		}
+	if len(w.panes) > w.cfg.K+1 || built > w.cfg.K+1 {
+		return fmt.Errorf("window: %d panes, %d of them built, exceed K+1 = %d", len(w.panes), built, w.cfg.K+1)
+	}
+	oldest := w.oldest()
+	if oldest%w.span != 0 || uint64(len(w.panes)) != (w.now-oldest)/w.span+1 {
+		return fmt.Errorf("window: %d panes from tick %d do not end at the pane holding the clock %d (width %d)", len(w.panes), oldest, w.now, w.span)
+	}
+	if w.now >= w.cfg.W && (oldest > w.now-w.cfg.W+1 || oldest+w.span <= w.now-w.cfg.W+1) {
+		return fmt.Errorf("window: oldest pane [%d,+%d) does not hold tick %d, the window's first", oldest, w.span, w.now-w.cfg.W+1)
 	}
 	if w.Stale() > w.StaleBound() {
 		return fmt.Errorf("window: stale ticks %d exceed bound %d", w.Stale(), w.StaleBound())
@@ -99,8 +84,9 @@ func randomDrive(seed uint64, n int) []tickedUpdate {
 }
 
 // TestWindowInvariants drives random ticked workloads and validates the
-// histogram shape (power-of-two spans, tiling, span ordering, per-class
-// capacity, stale bound) after every single update.
+// pane layout (at most K+1 panes and built stacks, aligned panes ending
+// at the clock, the oldest holding the window's first tick, stale bound)
+// after every single update.
 func TestWindowInvariants(t *testing.T) {
 	for _, cfg := range []Config{{W: 1}, {W: 4}, {W: 16}, {W: 16, K: 4}, {W: 100, K: 3}, {W: 7, K: 8}} {
 		w := mustWindow(t, cfg)
@@ -115,7 +101,7 @@ func TestWindowInvariants(t *testing.T) {
 
 // TestWindowMatchesSuffixSketch pins the core semantic: the merged
 // window state equals, byte for byte, a single sketch fed exactly the
-// updates from the oldest live bucket's first tick onward. The window
+// updates from the oldest live pane's first tick onward. The window
 // is a lossless sketch of its covered tick range.
 func TestWindowMatchesSuffixSketch(t *testing.T) {
 	w := mustWindow(t, Config{W: 16, K: 2})
@@ -123,8 +109,8 @@ func TestWindowMatchesSuffixSketch(t *testing.T) {
 	for _, u := range drive {
 		w.updateAt(u.item, 1, u.tick)
 	}
-	covered := w.buckets[0].start
-	ref := w.newBucket()
+	covered := w.oldest()
+	ref := w.newPane()
 	for _, u := range drive {
 		if u.tick >= covered {
 			ref.Update(u.item, 1)
@@ -176,40 +162,58 @@ func TestWindowStaleWithinBound(t *testing.T) {
 	}
 }
 
-// TestAdvanceFastForwardMatchesStepping pins fastForward's claim: for
-// any jump large enough to trigger it, the resulting window equals
-// naive tick-by-tick stepping byte for byte — across configurations,
-// starting states (with live data that must expire), and jump targets
-// probing every residue class of the period.
-func TestAdvanceFastForwardMatchesStepping(t *testing.T) {
+// TestAdvancePathIndependent: the live panes are a function of the clock
+// alone, so Advance(a) then Advance(b) leaves a window byte for byte as
+// Advance(b) alone does — across configurations, starting states with
+// live data, and jumps inside a pane, across panes, and past the window.
+func TestAdvancePathIndependent(t *testing.T) {
 	for _, cfg := range []Config{{W: 1}, {W: 4}, {W: 7}, {W: 16, K: 2}, {W: 16, K: 4}, {W: 33, K: 6}, {W: 100, K: 3}, {W: 60, K: 5}} {
 		cfg, _ := cfg.Normalize()
 		ms := MaxSpan(cfg)
 		for _, start := range []uint64{0, 3, cfg.W + 1, 5*ms + 2} {
-			for _, jump := range []uint64{cfg.W + ms + 1, cfg.W + ms + 2, cfg.W + 9*ms + 1,
-				cfg.W + 9*ms + 3, cfg.W + 40*ms + 5, 12345} {
-				if jump <= cfg.W+ms {
-					continue // stepping path; nothing to compare
-				}
-				fast := mustWindow(t, cfg)
-				slow := mustWindow(t, cfg)
-				for _, w := range []*Window{fast, slow} {
-					w.stepTo(start)
-					// Live data that the jump must expire.
-					w.updateAt(5, 100, start)
-				}
-				fast.Advance(start + jump) // takes the fastForward path
-				slow.stepTo(start + jump)  // ground truth
-				if err := fast.checkInvariants(); err != nil {
-					t.Fatalf("cfg %+v start %d jump %d: %v", cfg, start, jump, err)
-				}
-				fb, _ := fast.MarshalBinary()
-				sb, _ := slow.MarshalBinary()
-				if !bytes.Equal(fb, sb) {
-					t.Fatalf("cfg %+v start %d jump %d: fast-forward diverges from stepping", cfg, start, jump)
+			for _, jump := range []uint64{1, ms, cfg.W, cfg.W + ms + 1, cfg.W + 9*ms + 3, 12345} {
+				for _, via := range []uint64{1, jump / 2, jump - 1} {
+					direct, stepped := mustWindow(t, cfg), mustWindow(t, cfg)
+					for _, w := range []*Window{direct, stepped} {
+						w.updateAt(5, 100, start) // live data the jump may expire
+					}
+					stepped.Advance(start + via)
+					direct.Advance(start + jump)
+					stepped.Advance(start + jump)
+					if err := direct.checkInvariants(); err != nil {
+						t.Fatalf("cfg %+v start %d jump %d: %v", cfg, start, jump, err)
+					}
+					db, _ := direct.MarshalBinary()
+					sb, _ := stepped.MarshalBinary()
+					if !bytes.Equal(db, sb) {
+						t.Fatalf("cfg %+v start %d: Advance(+%d) then (+%d) differs from Advance(+%d) alone", cfg, start, via, jump, jump)
+					}
 				}
 			}
 		}
+	}
+}
+
+// TestAdvanceCostIndependentOfW: Advance touches the panes it drops, not
+// the ticks it crosses, so a MaxW window driven through random jumps of
+// up to 2^53 ticks, with data in its panes, finishes at once.
+func TestAdvanceCostIndependentOfW(t *testing.T) {
+	start := time.Now()
+	for _, k := range []int{2, MaxK} {
+		w := mustWindow(t, Config{W: MaxW, K: k})
+		rng := util.NewSplitMix64(uint64(k))
+		for i := 0; i < 1000; i++ {
+			w.Advance(w.Now() + 1 + rng.Uint64n(1<<rng.Uint64n(54)))
+			if i%8 == 0 {
+				w.Update(rng.Uint64n(256), 1)
+			}
+			if err := w.checkInvariants(); err != nil {
+				t.Fatalf("K=%d after jump %d to %d: %v", k, i, w.Now(), err)
+			}
+		}
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("2,000 jumps at W = MaxW took %v", took)
 	}
 }
 
@@ -370,7 +374,7 @@ func TestEstimatorSerialVsParallel(t *testing.T) {
 // TestWindowSerialVsParallelSnapshots is the byte half of the sharding
 // contract: the merged shard windows reproduce the serial window
 // snapshot BYTE for byte, at every worker count. The drive's items stay
-// inside the buckets' trackers, the regime where the merge contract pins
+// inside the panes' trackers, the regime where the merge contract pins
 // tracked ids as well as counters (see internal/core/merge.go).
 func TestWindowSerialVsParallelSnapshots(t *testing.T) {
 	drive := randomDrive(17, 3000)
@@ -462,10 +466,10 @@ func TestEstimatorStaleReporting(t *testing.T) {
 	if est.Stale() > est.StaleBound() {
 		t.Fatalf("stale %d > bound %d", est.Stale(), est.StaleBound())
 	}
-	// Buckets are built lazily: a window that only ticked holds no
-	// sketch storage at all; the first update pays for one bucket.
-	if len(est.buckets) < 1 || est.SpaceBytes() != 0 {
-		t.Fatalf("empty window: buckets=%d space=%d, want space 0", len(est.buckets), est.SpaceBytes())
+	// Panes are built lazily: a window that only ticked holds no
+	// sketch storage at all; the first update pays for one pane.
+	if len(est.panes) < 1 || est.SpaceBytes() != 0 {
+		t.Fatalf("empty window: panes=%d space=%d, want space 0", len(est.panes), est.SpaceBytes())
 	}
 	est.Update(1, 1)
 	if est.SpaceBytes() <= 0 {
@@ -486,7 +490,7 @@ func chunkUpdates() []stream.Update {
 
 // TestEstimatorUpdateBatchChunks: one UpdateBatch of 3×4096+17 updates
 // leaves the window exactly as the same updates fed in 4096-update
-// batches — estimate and snapshot bytes — because the open bucket takes
+// batches — estimate and snapshot bytes — because the current pane takes
 // a batch in 4096-update chunks.
 func TestEstimatorUpdateBatchChunks(t *testing.T) {
 	opts := core.Options{N: 1 << 14, M: 1 << 10, Eps: 0.25, Lambda: 1.0 / 16, Seed: 5}
@@ -518,15 +522,16 @@ func TestEstimatorUpdateBatchChunks(t *testing.T) {
 	}
 }
 
-// TestWindowBucketsCostWhatTheyHold is the window's storage gate: a bucket
+// TestWindowBucketsCostWhatTheyHold is the window's storage gate: a pane
 // is a whole recursive stack, sized for the full stream, but one that
 // has seen a few ticks of traffic holds its deep levels as tables
 // (sketch.CountSketch, sparse), so the window's resident bytes are a
-// fraction of its buckets' budget. Resident bytes are a constant of the
-// updates, unlike a heap reading.
+// fraction of its panes' budget. Resident bytes are a constant of the
+// updates, unlike a heap reading. W = 16 at K = 4 keeps four live panes
+// of four ticks each at the last tick.
 func TestWindowBucketsCostWhatTheyHold(t *testing.T) {
 	opts := core.Options{N: 1 << 20, M: 1 << 12, Eps: 0.25, Lambda: 1.0 / 16, Seed: 7}
-	e, err := New(gfunc.F2Func(), opts, Config{W: 16, K: 2})
+	e, err := New(gfunc.F2Func(), opts, Config{W: 16, K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,20 +548,20 @@ func TestWindowBucketsCostWhatTheyHold(t *testing.T) {
 		e.UpdateBatch(batch)
 	}
 	live, resident := 0, 0
-	for _, b := range e.buckets {
-		if b.sk != nil {
+	for _, p := range e.panes {
+		if p != nil {
 			live++
-			resident += b.sk.ResidentBytes()
+			resident += p.ResidentBytes()
 		}
 	}
 	dense := live * core.NewOnePass(gfunc.F2Func(), opts).SpaceBytes()
 	if live < 4 || dense != e.SpaceBytes() {
-		t.Fatalf("%d live buckets, budget %d bytes; want several, and the window's SpaceBytes %d", live, dense, e.SpaceBytes())
+		t.Fatalf("%d live panes, budget %d bytes; want several, and the window's SpaceBytes %d", live, dense, e.SpaceBytes())
 	}
 	if 4*resident > dense {
-		t.Errorf("%d live buckets hold %d bytes, over a quarter of the %d their dense stacks would", live, resident, dense)
+		t.Errorf("%d live panes hold %d bytes, over a quarter of the %d their dense stacks would", live, resident, dense)
 	}
-	t.Logf("%d live buckets hold %d of %d budgeted bytes (%.3f)", live, resident, dense, float64(resident)/float64(dense))
+	t.Logf("%d live panes hold %d of %d budgeted bytes (%.3f)", live, resident, dense, float64(resident)/float64(dense))
 }
 
 // TestWindowPerTickModel is the window's exact model: it keeps every
@@ -606,7 +611,7 @@ func TestWindowPerTickModel(t *testing.T) {
 					covered = tick - w + 1
 				}
 				covered -= win.Stale()
-				ref := win.newBucket()
+				ref := win.newPane()
 				for _, u := range log {
 					if u.tick >= covered {
 						ref.Update(u.item, u.delta)

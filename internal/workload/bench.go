@@ -56,7 +56,7 @@ type BenchSpec struct {
 	// every backend. Exact ground truth is the g-SUM over the trailing
 	// window's frequency vector.
 	Window int
-	// WindowK is the exponential-histogram capacity (0 = window.DefaultK).
+	// WindowK is the window's pane capacity (0 = window.DefaultK).
 	WindowK int
 }
 
