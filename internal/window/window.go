@@ -12,10 +12,10 @@ import (
 // DefaultK is the pane capacity used when Config.K is 0.
 const DefaultK = 2
 
-// MaxW bounds Config.W at 2^60 ticks, past any clock a deployment reaches
-// (2^60 ns is 36 years). Pane arithmetic takes no sum past the clock, so
-// the bound guards no overflow; it keeps the range of windows Open accepts,
-// and so the Specs peers agree on, fixed.
+// MaxW bounds Config.W at 2^60 ticks, 36 years even of nanosecond ticks.
+// Pane arithmetic takes no sum past the clock, so the bound guards no
+// overflow; it keeps the range of windows Open accepts, and so the Specs
+// peers agree on, fixed.
 const MaxW = 1 << 60
 
 // MaxK bounds Config.K: a window holds at most K+1 panes, each a whole

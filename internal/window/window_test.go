@@ -44,7 +44,7 @@ func (w *Window) checkInvariants() error {
 		return fmt.Errorf("window: %d panes, %d of them built, exceed K+1 = %d", len(w.panes), built, w.cfg.K+1)
 	}
 	oldest := w.oldest()
-	if oldest%w.span != 0 || uint64(len(w.panes)) != (w.now-oldest)/w.span+1 {
+	if uint64(len(w.panes)) != (w.now-oldest)/w.span+1 {
 		return fmt.Errorf("window: %d panes from tick %d do not end at the pane holding the clock %d (width %d)", len(w.panes), oldest, w.now, w.span)
 	}
 	if w.now >= w.cfg.W && (oldest > w.now-w.cfg.W+1 || oldest+w.span <= w.now-w.cfg.W+1) {
