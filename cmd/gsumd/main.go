@@ -130,7 +130,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	rows := fs.Int("rows", 0, "countsketch rows (0 = default 5)")
 	buckets := fs.Uint64("buckets", 0, "countsketch buckets (0 = default 1024)")
 	topk := fs.Int("topk", 0, "countsketch tracked candidates (0 = no tracker)")
-	win := fs.Uint64("window", 0, "window kind: estimate the last W ticks of the /v1/advance clock (an advance costs time linear in W, about 0.7 s at 2^20)")
+	win := fs.Uint64("window", 0, "window kind: estimate the last W ticks of the /v1/advance clock (an advance touches at most K+1 pane slots, whatever the jump or W)")
 	wink := fs.Int("windowk", 0, "window kind: at most K+1 panes of about W/K ticks, K from 2 to 64 (0 = default 2)")
 	stateDir := fs.String("state-dir", "", "directory for the daemon's checkpoint; enables restore-on-boot and periodic checkpointing")
 	ckptEvery := fs.Duration("checkpoint-every", 15*time.Second, "checkpoint cadence when -state-dir is set (a final checkpoint is always written on graceful shutdown)")

@@ -233,7 +233,7 @@ func Merge(dst, src Estimator) error {
 		}
 	case *countSketchEstimator:
 		if s, ok := src.(*countSketchEstimator); ok {
-			return d.CountSketch.MergeTopK(s.CountSketch)
+			return d.CountSketch.Merge(s.CountSketch)
 		}
 	case *heavyEstimator:
 		if s, ok := src.(*heavyEstimator); ok {

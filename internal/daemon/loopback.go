@@ -1,22 +1,17 @@
 package daemon
 
 import (
-	"bytes"
 	"context"
-	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"time"
 
 	"repro/internal/backend"
-	"repro/internal/metrics"
 )
 
 // Loopback is one in-process daemon serving on a kernel-assigned
 // 127.0.0.1 port, with a Client pointed at it: the node the bench runner
-// (internal/workload) and the soak (internal/soak) build their clusters
-// from.
+// (internal/workload) and the soak test build their clusters from.
 type Loopback struct {
 	Server  *Server
 	Client  *Client // Client.Base() is the node's "http://127.0.0.1:<port>"
@@ -47,29 +42,4 @@ func (l *Loopback) Stop() {
 	defer cancel()
 	_ = l.httpSrv.Shutdown(ctx)
 	_ = l.Server.DrainStreams(ctx)
-}
-
-// Scrape fetches and parses the node's /metrics within the client's
-// timeout, so a wedged node fails the scrape instead of hanging it. The
-// raw text comes back beside the parse, for callers that keep it.
-func (l *Loopback) Scrape() (*metrics.Scrape, []byte, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), l.Client.timeout)
-	defer cancel()
-	resp, err := l.Client.do(ctx, http.MethodGet, "/metrics", "", nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, nil, decodeError(resp)
-	}
-	defer drainClose(resp.Body)
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
-	if err != nil {
-		return nil, nil, err
-	}
-	sc, err := metrics.Parse(bytes.NewReader(raw))
-	if err != nil {
-		return nil, nil, fmt.Errorf("daemon: scrape: %w", err)
-	}
-	return sc, raw, nil
 }

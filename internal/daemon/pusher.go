@@ -139,7 +139,6 @@ type Pusher struct {
 	draining  bool
 	timer     *time.Timer
 	nextSeq   uint64
-	ackedSeq  uint64
 	unacked   int            // updates taken from buf, not yet acked
 	pending   map[uint64]int // in-flight seq -> update count
 	stats     PusherStats
@@ -486,7 +485,6 @@ func (p *Pusher) readAcks() {
 				p.unacked -= n
 				p.stats.Acked += uint64(n)
 			}
-			p.ackedSeq = ack.Seq
 			p.stats.Total = ack.Total
 			p.cond.Broadcast()
 			p.mu.Unlock()
@@ -501,7 +499,6 @@ func (p *Pusher) readAcks() {
 					p.stats.Acked += uint64(n)
 				}
 			}
-			p.ackedSeq = ack.Seq
 			p.stats.Total = ack.Total
 			p.draining = true
 			lost := p.unacked + len(p.buf)

@@ -1,7 +1,6 @@
 package daemon
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -251,9 +250,9 @@ func TestPusherRefusalReasonBeatsReset(t *testing.T) {
 		defer conn.Close() // with frames still arriving: the reset
 		_, _ = rw.WriteString("HTTP/1.1 101 Switching Protocols\r\nUpgrade: " + StreamProtocol + "\r\nConnection: Upgrade\r\n\r\n")
 		_ = rw.Flush()
-		var acks bytes.Buffer
+		var acks []byte
 		for seq := uint64(1); seq <= burst+1; seq++ {
-			payload, err := wire.ReadFrame(rw, wire.MaxIngestFrameBytes)
+			payload, err := wire.ReadFrameInto(rw, nil, wire.MaxIngestFrameBytes)
 			if err != nil {
 				t.Errorf("peer read: %v", err)
 				return
@@ -267,9 +266,9 @@ func TestPusherRefusalReasonBeatsReset(t *testing.T) {
 			if seq == burst+1 {
 				ack = wire.IngestAck{Seq: burst, Total: burst, Status: wire.IngestAckError, Msg: reason}
 			}
-			_ = wire.WriteFrame(&acks, wire.AppendIngestAck(fp, ack))
+			acks = wire.AppendFramedIngestAck(acks, fp, ack)
 		}
-		_, _ = rw.Write(acks.Bytes())
+		_, _ = rw.Write(acks)
 		_ = rw.Flush()
 	})
 	ts := httptest.NewServer(mux)

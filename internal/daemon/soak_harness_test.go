@@ -1,25 +1,42 @@
-package soak
+// The soak boots a real gsumd worker/coordinator topology in-process —
+// real loopback listeners, the production Server HTTP surface,
+// membership loops, Pushers over /v1/stream — and drives a sustained
+// mixed workload against it while scraping every node's /metrics
+// endpoint. The operational invariants are asserted from the scrapes
+// themselves, the way an alerting rule would see them: every stream ack
+// is backed by an applied update, the coordinator's
+// rebuilt-from-snapshots aggregate counter only ever grows, the latency
+// histograms fill in, the goroutine gauge settles back after quiesce,
+// and the final pulled estimate is bit-identical to a serial estimator
+// fed the same updates. Run is the whole harness; the soak tests
+// (soak_test.go) call it short in CI and long (SOAK_DURATION) in the
+// nightly job.
+
+package daemon
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"net/http"
 	"net/url"
 	"strings"
+	"testing"
 	"time"
 
 	"repro/internal/backend"
 	"repro/internal/core"
-	"repro/internal/daemon"
 	"repro/internal/metrics"
 	"repro/internal/stream"
 	"repro/internal/window"
 )
 
-// Config parameterizes one soak run. The zero value is not usable; see
-// the field defaults.
+// Config parameterizes one soak run. How long it runs comes from
+// soakDuration, and its log lines go to the test's log.
 type Config struct {
-	// Workers is the worker daemon count (default 2). Each ingests
-	// through its own Pusher over /v1/stream.
+	// Workers is the worker daemon count. Each ingests through its own
+	// Pusher over /v1/stream.
 	Workers int
 	// Windowed selects the window kind with a tick advanced every
 	// round; false runs the flat one-pass kind.
@@ -31,21 +48,19 @@ type Config struct {
 	// contract (sharded daemons == one serial onepass, bit for bit).
 	// Incompatible with Windowed.
 	Kind backend.Kind
-	// Duration is the wall-clock floor: rounds keep going until it has
-	// elapsed (and always at least MinRounds). Default 500ms.
-	Duration time.Duration
 	// Seed derives every per-worker workload (deterministic).
 	Seed uint64
-	// ScrapeEvery is how many rounds pass between mid-soak scrapes
-	// (default 2); the final scrape always happens.
-	ScrapeEvery int
-	// Logf (nil = silent) receives one line per scrape round.
-	Logf func(format string, args ...interface{})
 }
 
-// MinRounds is the floor on workload rounds regardless of Duration, so
-// even the short CI mode sees multiple pull/scrape cycles.
-const MinRounds = 6
+const (
+	// minRounds is the floor on workload rounds regardless of the
+	// duration, so even the short CI mode sees multiple pull/scrape
+	// cycles.
+	minRounds = 6
+	// scrapeEvery is how many rounds pass between mid-soak scrapes; the
+	// final scrape always happens.
+	scrapeEvery = 2
+)
 
 // Report is what a soak run proves, plus the final artifacts.
 type Report struct {
@@ -67,34 +82,43 @@ type Report struct {
 	FinalScrapes map[string][]byte
 }
 
-func (cfg Config) withDefaults() Config {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 2
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 500 * time.Millisecond
-	}
-	if cfg.ScrapeEvery <= 0 {
-		cfg.ScrapeEvery = 2
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...interface{}) {}
-	}
-	return cfg
-}
-
 // node is one named in-process daemon on a real loopback listener.
 type node struct {
 	name string
-	*daemon.Loopback
+	*Loopback
 }
 
 func startNode(name string, spec backend.Spec) (*node, error) {
-	l, err := daemon.StartLoopback(spec)
+	l, err := StartLoopback(spec)
 	if err != nil {
 		return nil, fmt.Errorf("soak: %s: %w", name, err)
 	}
 	return &node{name: name, Loopback: l}, nil
+}
+
+// Scrape fetches and parses the node's /metrics within the client's
+// timeout, so a wedged node fails the scrape instead of hanging it. The
+// raw text comes back beside the parse, for callers that keep it.
+func (l *Loopback) Scrape() (*metrics.Scrape, []byte, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), l.Client.timeout)
+	defer cancel()
+	resp, err := l.Client.do(ctx, http.MethodGet, "/metrics", "", nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, nil, decodeError(resp)
+	}
+	defer drainClose(resp.Body)
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	if err != nil {
+		return nil, nil, err
+	}
+	sc, err := metrics.Parse(bytes.NewReader(raw))
+	if err != nil {
+		return nil, nil, fmt.Errorf("daemon: scrape: %w", err)
+	}
+	return sc, raw, nil
 }
 
 // scrape fetches and parses one node's /metrics, returning the raw text
@@ -109,8 +133,7 @@ func (n *node) scrape() (*metrics.Scrape, []byte, error) {
 
 // Run boots the topology, drives the workload, and asserts every
 // invariant; any violation is the returned error.
-func Run(cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
+func Run(t *testing.T, cfg Config) (*Report, error) {
 	spec := backend.Spec{
 		Kind: backend.KindOnePass, G: "x^2",
 		Options: core.Options{N: 1 << 12, M: 1 << 10, Eps: 0.25,
@@ -147,7 +170,7 @@ func Run(cfg Config) (*Report, error) {
 	}
 	// Membership loops run hot so heartbeats and pulls genuinely overlap
 	// the ingest load (that overlap is half the point of the soak).
-	coord.Server.Membership().Start(daemon.MembershipConfig{
+	coord.Server.Membership().Start(MembershipConfig{
 		Heartbeat: 50 * time.Millisecond, PullEvery: 75 * time.Millisecond})
 	membershipUp := true
 	defer func() {
@@ -161,11 +184,11 @@ func Run(cfg Config) (*Report, error) {
 	// fed to one estimator in the same tick order.
 	pushReg := metrics.New()
 	chunks := make([][]stream.Update, cfg.Workers)
-	pushers := make([]*daemon.Pusher, cfg.Workers)
+	pushers := make([]*Pusher, cfg.Workers)
 	for i, w := range workers {
 		chunks[i] = stream.Zipf(stream.GenConfig{N: spec.Options.N, M: spec.Options.M,
 			Seed: cfg.Seed*1013 + uint64(i)}, 90, 1.1).Updates()
-		p, err := w.Client.NewPusher(context.Background(), daemon.PusherConfig{
+		p, err := w.Client.NewPusher(context.Background(), PusherConfig{
 			MaxBatch: 128,
 			Metrics:  pushReg,
 			Labels:   []metrics.Label{{Key: "worker", Value: w.name}},
@@ -253,9 +276,9 @@ func Run(cfg Config) (*Report, error) {
 	}
 
 	// Workload rounds.
-	deadline := time.Now().Add(cfg.Duration)
+	deadline := time.Now().Add(soakDuration(t))
 	tick := uint64(0)
-	for rep.Rounds < MinRounds || time.Now().Before(deadline) {
+	for rep.Rounds < minRounds || time.Now().Before(deadline) {
 		for i, p := range pushers {
 			if err := p.Push(chunks[i]); err != nil {
 				return nil, fmt.Errorf("soak: push %s: %w", workers[i].name, err)
@@ -279,7 +302,7 @@ func Run(cfg Config) (*Report, error) {
 			}
 		}
 		rep.Rounds++
-		if rep.Rounds%cfg.ScrapeEvery == 0 {
+		if rep.Rounds%scrapeEvery == 0 {
 			for i, w := range workers {
 				sc, _, err := w.scrape()
 				if err != nil {
@@ -297,7 +320,7 @@ func Run(cfg Config) (*Report, error) {
 				return nil, err
 			}
 			rep.Scrapes++
-			cfg.Logf("soak: round %d, %d updates pushed, aggregate %v", rep.Rounds, rep.Updates, lastAggregate)
+			t.Logf("soak: round %d, %d updates pushed, aggregate %v", rep.Rounds, rep.Updates, lastAggregate)
 		}
 	}
 

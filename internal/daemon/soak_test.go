@@ -1,4 +1,4 @@
-package soak
+package daemon
 
 import (
 	"os"
@@ -46,10 +46,8 @@ func writeArtifacts(t *testing.T, prefix string, rep *Report) {
 
 func runSoak(t *testing.T, cfg Config) *Report {
 	t.Helper()
-	cfg.Duration = soakDuration(t)
-	cfg.Logf = t.Logf
 	before := runtime.NumGoroutine()
-	rep, err := Run(cfg)
+	rep, err := Run(t, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +62,7 @@ func runSoak(t *testing.T, cfg Config) *Report {
 	if now := runtime.NumGoroutine(); now > before+10 {
 		t.Errorf("goroutines grew %d -> %d over the soak", before, now)
 	}
-	if rep.Rounds < MinRounds {
+	if rep.Rounds < minRounds {
 		t.Errorf("only %d rounds ran", rep.Rounds)
 	}
 	if rep.Scrapes == 0 {

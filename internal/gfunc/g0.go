@@ -113,15 +113,6 @@ type G0Func struct {
 	eval func(uint64) float64
 }
 
-// NewG0 wraps eval (defined on Z≥0; symmetric extension implicit) as a
-// G0 function. It panics if g(0) != 1 — normalize by dividing by g(0).
-func NewG0(name string, eval func(uint64) float64) G0Func {
-	if v := eval(0); math.Abs(v-1) > 1e-9 {
-		panic(fmt.Sprintf("gfunc: G0 function %q has g(0) = %v, want 1", name, v))
-	}
-	return G0Func{name: name, eval: eval}
-}
-
 // NormalizeG0 rescales an arbitrary positive symmetric function into G0.
 func NormalizeG0(name string, f func(uint64) float64) G0Func {
 	f0 := f(0)

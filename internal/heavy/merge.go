@@ -13,5 +13,5 @@ func (o *OnePass) Merge(other *OnePass) error {
 	if o.eps != other.eps || o.h != other.h || o.topk != other.topk {
 		return fmt.Errorf("heavy: OnePass merge config mismatch")
 	}
-	return o.cs.MergeTopK(other.cs)
+	return o.cs.Merge(other.cs)
 }

@@ -145,7 +145,7 @@ func (t *TwoPass) MergePass1(other *TwoPass) error {
 	if t.topk != other.topk {
 		return fmt.Errorf("heavy: TwoPass merge config mismatch")
 	}
-	return t.cs.MergeTopK(other.cs)
+	return t.cs.Merge(other.cs)
 }
 
 // AdoptCandidates copies the candidate set extracted by from.FinishPass1

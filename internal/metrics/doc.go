@@ -5,9 +5,9 @@
 // count). A Registry serves its families directly as an http.Handler in
 // the text exposition format (version 0.0.4), so `GET /metrics` on a
 // daemon is one mux line; Parse reads the same format back into a
-// Scrape, which is how the soak harness (internal/soak) and the
-// observability tests assert invariants from the daemon's own scrape
-// output rather than from internal state.
+// Scrape, which is how the daemon's soak and observability tests assert
+// invariants from the daemon's own scrape output rather than from
+// internal state.
 //
 // All instruments are lock-free on the hot path (atomics only; a
 // histogram Observe is one atomic add per bucket boundary crossed plus

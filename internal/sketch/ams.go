@@ -16,7 +16,6 @@ type AMS struct {
 	reps   int
 	z      [][]int64
 	sign   [][]*xhash.Sign
-	agg    Batch // reusable UpdateBatch scratch
 }
 
 // NewAMS returns an AMS sketch with the given number of median groups and
@@ -65,32 +64,4 @@ func (a *AMS) EstimateF2() float64 {
 		means[g] = sum / float64(a.reps)
 	}
 	return util.MedianFloat64(means)
-}
-
-// Merge adds the counters of other into a. Dimensions must match; callers
-// are responsible for seed discipline (same hash functions), as with
-// CountSketch.Merge.
-func (a *AMS) Merge(other *AMS) error {
-	if a.groups != other.groups || a.reps != other.reps {
-		return errDimension("AMS", a.groups*a.reps, other.groups*other.reps)
-	}
-	for g := 0; g < a.groups; g++ {
-		for r := 0; r < a.reps; r++ {
-			a.z[g][r] += other.z[g][r]
-		}
-	}
-	return nil
-}
-
-type dimensionError struct {
-	kind string
-	a, b int
-}
-
-func (e *dimensionError) Error() string {
-	return "sketch: " + e.kind + " merge dimension mismatch"
-}
-
-func errDimension(kind string, a, b int) error {
-	return &dimensionError{kind: kind, a: a, b: b}
 }

@@ -399,24 +399,3 @@ func (cs *CountSketch) rescore(items []uint64, sel []int32, ests []int64) {
 		t.offer(it, median(col))
 	}
 }
-
-// UpdateBatch processes a batch of turnstile updates; the counter state
-// is bit-identical to per-update ingestion.
-func (a *AMS) UpdateBatch(batch []stream.Update) {
-	if len(batch) == 0 {
-		return
-	}
-	agg := a.agg.For(len(batch))
-	agg.aggregate(batch)
-	order, ds := agg.items, agg.ds
-	for g := 0; g < a.groups; g++ {
-		for r := 0; r < a.reps; r++ {
-			z, sign := a.z[g], a.sign[g][r]
-			for i, it := range order {
-				if d := ds[i]; d != 0 {
-					z[r] += sign.Hash(it) * d
-				}
-			}
-		}
-	}
-}

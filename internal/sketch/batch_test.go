@@ -243,19 +243,6 @@ func TestUpdateBatchMatchesUpdateExactly(t *testing.T) {
 			}
 		}
 	})
-	t.Run("ams", func(t *testing.T) {
-		a := NewAMS(7, 8, util.NewSplitMix64(9))
-		b := NewAMS(7, 8, util.NewSplitMix64(9))
-		for _, c := range chunks {
-			a.UpdateBatch(c)
-		}
-		for _, u := range batch {
-			b.Update(u.Item, u.Delta)
-		}
-		if ae, be := a.EstimateF2(), b.EstimateF2(); ae != be {
-			t.Fatalf("AMS estimate: batch %v vs single %v", ae, be)
-		}
-	})
 }
 
 // TestIngestBatchPathBitIdentical feeds a CountSketch through
@@ -328,9 +315,5 @@ func TestUpdateBatchSteadyStateAllocFree(t *testing.T) {
 	t.Run("countsketch-topk", func(t *testing.T) {
 		cs := NewCountSketchTopK(5, 1<<10, 64, util.NewSplitMix64(1))
 		check(t, cs.UpdateBatch)
-	})
-	t.Run("ams", func(t *testing.T) {
-		a := NewAMS(5, 4, util.NewSplitMix64(1))
-		check(t, a.UpdateBatch)
 	})
 }

@@ -465,11 +465,15 @@ func byAbsEstDesc(a, b Candidate) int {
 	return cmp.Compare(util.SatAbsInt64(b.Est), util.SatAbsInt64(a.Est))
 }
 
-// Merge adds the counters of other into cs. Both sketches must have been
-// created with identical dimensions and the same seed stream (linearity of
-// the sketch); Merge returns an error otherwise. Merging sketches with
-// different hash functions would silently produce garbage, so dimensions
-// are checked and callers are responsible for seed discipline.
+// Merge adds the counters of other into cs and, when both track
+// candidates, merges the trackers: other's candidates are offered against
+// the merged counters, then cs's own survivors are re-scored against them,
+// so a candidate heavy in either shard (or only in the union) competes on
+// its merged estimate. Both sketches must have been created with identical
+// dimensions and the same seed stream (linearity of the sketch); Merge
+// returns an error otherwise. Merging sketches with different hash
+// functions would silently produce garbage, so dimensions are checked and
+// callers are responsible for seed discipline.
 //
 // Two sparse sketches merge as tables (other's cached hashes come along:
 // same seed, same hashes), materializing if the union outgrows a table;
@@ -487,25 +491,36 @@ func (cs *CountSketch) Merge(other *CountSketch) error {
 		for i, v := range other.flat {
 			cs.flat[i] += v
 		}
-		return nil
-	}
-	for e, it := range other.tab.items {
-		d := other.tab.counts[e]
-		if cs.flat == nil {
-			last, fresh, ok := cs.tab.add(it, d)
-			if fresh {
-				for j, h := range other.tab.hashes {
-					cs.tab.place(last, j, h[e])
+	} else {
+		for e, it := range other.tab.items {
+			d := other.tab.counts[e]
+			if cs.flat == nil {
+				last, fresh, ok := cs.tab.add(it, d)
+				if fresh {
+					for j, h := range other.tab.hashes {
+						cs.tab.place(last, j, h[e])
+					}
 				}
+				if ok {
+					continue
+				}
+				cs.materialize()
 			}
-			if ok {
-				continue
+			for j, h := range other.tab.hashes {
+				p := h[e]
+				cs.flat[uint64(j)*cs.buckets+uint64(p>>1)] += signed(p, d)
 			}
-			cs.materialize()
 		}
-		for j, h := range other.tab.hashes {
-			p := h[e]
-			cs.flat[uint64(j)*cs.buckets+uint64(p>>1)] += signed(p, d)
+	}
+	if cs.topK != nil && other.topK != nil {
+		// Offers move no counter, so each list is estimated in one go.
+		theirs := other.topK.items()
+		for i, est := range cs.estimates(theirs) {
+			cs.topK.offer(theirs[i], est)
+		}
+		ours := cs.topK.items()
+		for i, est := range cs.estimates(ours) {
+			cs.topK.offer(ours[i], est)
 		}
 	}
 	return nil

@@ -131,7 +131,7 @@ func (cs *CountSketch) StageBinary(data []byte) (func(), error) {
 			r.AddRow(cs.row(j))
 		}
 		if cs.topK != nil {
-			// Mirror MergeTopK: offer the shard's candidates against the
+			// Mirror Merge: offer the shard's candidates against the
 			// merged counters, then re-score our own survivors too, so wire
 			// merges and in-process merges admit the same candidate sets.
 			// A receiver that tracked nothing (a restore, a pull's rebuild)
@@ -171,27 +171,4 @@ func (cs *CountSketch) Tracked() int {
 		return 0
 	}
 	return len(cs.topK.heap)
-}
-
-// MergeTopK merges another sketch's counters AND its tracked candidates:
-// after the counter merge, the other side's candidates are re-offered
-// against the merged state, so a candidate heavy in either shard (or only
-// in the union) competes on its merged estimate.
-func (cs *CountSketch) MergeTopK(other *CountSketch) error {
-	if err := cs.Merge(other); err != nil {
-		return err
-	}
-	if cs.topK != nil && other.topK != nil {
-		// Offers move no counter, so each list is estimated in one go.
-		theirs := other.topK.items()
-		for i, est := range cs.estimates(theirs) {
-			cs.topK.offer(theirs[i], est)
-		}
-		// Re-score our own survivors against the merged counters too.
-		ours := cs.topK.items()
-		for i, est := range cs.estimates(ours) {
-			cs.topK.offer(ours[i], est)
-		}
-	}
-	return nil
 }

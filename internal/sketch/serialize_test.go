@@ -118,7 +118,7 @@ func TestUnmarshalTrackerMatchesMergeTopK(t *testing.T) {
 	viaMerge, shardB := mk(), mk()
 	feedA(viaMerge)
 	feedB(shardB)
-	if err := viaMerge.MergeTopK(shardB); err != nil {
+	if err := viaMerge.Merge(shardB); err != nil {
 		t.Fatal(err)
 	}
 
@@ -174,7 +174,7 @@ func TestMergeTopKUnionCandidates(t *testing.T) {
 	// An item split across shards, heavy only in the union:
 	a.Update(3, 45000)
 	b.Update(3, 45000)
-	if err := a.MergeTopK(b); err != nil {
+	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
 	}
 	found := map[uint64]int64{}

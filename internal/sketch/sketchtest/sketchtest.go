@@ -3,7 +3,12 @@
 // decoder reads counters (BreakLastRow), and the assertion every decoder
 // owes its caller, that a refused payload changes nothing (RefusedIsNoOp).
 //
-// Layer: test support, imported only by _test.go files. Seed discipline:
+// Layer: test support, imported only by _test.go files. It is a package
+// of its own, not a _test.go file, because the tests of seven packages
+// (sketch, heavy, recursive, core, window, backend, daemon) share it and
+// no test can import another package's _test.go files. CI's reachability
+// step, which requires every internal package to be linked by a command,
+// an example or the root package, exempts it by name. Seed discipline:
 // none of its own — it edits bytes an identically seeded sender wrote.
 package sketchtest
 

@@ -251,10 +251,10 @@ func TestSparseMergesMatchDense(t *testing.T) {
 				t.Fatal(err)
 			}
 		} else {
-			if err := dst.sp.MergeTopK(src.sp); err != nil {
+			if err := dst.sp.Merge(src.sp); err != nil {
 				t.Fatal(err)
 			}
-			if err := dst.de.MergeTopK(src.de); err != nil {
+			if err := dst.de.Merge(src.de); err != nil {
 				t.Fatal(err)
 			}
 		}

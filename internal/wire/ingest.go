@@ -43,7 +43,8 @@ import (
 // Each codec has a form that writes into a buffer its caller keeps
 // (AppendFramedIngest, ReadFrameInto, DecodeIngestFrame,
 // AppendFramedIngestAck), so a stream session puts frame after frame
-// through them without allocating; the allocating forms wrap them.
+// through them without allocating. AppendIngestFrame and
+// UnmarshalIngestFrame are their allocating forms.
 
 // Frame magics. "gSIF" = ingest frame, "gSIA" = ingest ack.
 const (
@@ -89,23 +90,6 @@ type IngestAck struct {
 	Msg string
 }
 
-// WriteFrame writes a length-prefixed payload to w in two writes. The
-// stream transport puts a frame on the wire in one write instead, from a
-// buffer the framed encoders (AppendFramedIngest, AppendFramedIngestAck)
-// fill, prefix included; WriteFrame frames a payload already encoded
-// alone.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if _, err := w.Write(binary.BigEndian.AppendUint32(nil, uint32(len(payload)))); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// ReadFrame reads one length-prefixed payload from r into a new slice:
-// ReadFrameInto without a buffer.
-func ReadFrame(r io.Reader, maxBytes int) ([]byte, error) { return ReadFrameInto(r, nil, maxBytes) }
-
 // ReadFrameInto reads one length-prefixed payload from r, rejecting
 // lengths beyond maxBytes before allocating. The payload lands in buf's
 // storage when its capacity holds it and in a new slice of exactly its
@@ -150,7 +134,7 @@ func ReadFrameInto(r io.Reader, buf []byte, maxBytes int) ([]byte, error) {
 }
 
 // AppendIngestFrame serializes one ingest frame payload (header, seq,
-// batch) into a new slice — the bytes to hand WriteFrame.
+// batch) into a new slice: AppendFramedIngest without its length prefix.
 func AppendIngestFrame(fingerprint, seq uint64, updates []stream.Update) []byte {
 	return AppendFramedIngest(nil, fingerprint, seq, updates)[4:]
 }
@@ -218,14 +202,9 @@ func DecodeIngestFrame(dst []stream.Update, payload []byte, fingerprint uint64) 
 	return seq, updates, nil
 }
 
-// AppendIngestAck serializes one ack payload into a new slice.
-func AppendIngestAck(fingerprint uint64, ack IngestAck) []byte {
-	return AppendFramedIngestAck(nil, fingerprint, ack)[4:]
-}
-
 // AppendFramedIngestAck appends one whole ack frame to dst, its u32
-// length prefix and then its payload (the bytes AppendIngestAck
-// returns), and returns the extended slice. It allocates only when dst
+// length prefix and then its payload (the bytes UnmarshalIngestAck
+// decodes), and returns the extended slice. It allocates only when dst
 // lacks the room.
 func AppendFramedIngestAck(dst []byte, fingerprint uint64, ack IngestAck) []byte {
 	size := 36 + len(ack.Msg) // header 14, seq 8, total 8, status 2, framed message

@@ -94,9 +94,10 @@ func TestAppendIngestFrameAllocatesOnce(t *testing.T) {
 }
 
 // TestFramedEncodersAreLengthPrefixedPayloads pins the framed encoders to
-// the payload encoders: a frame is the payload's u32 big-endian length,
-// then the payload, appended after whatever dst held. So the bytes on the
-// wire are those WriteFrame puts there for the same payload.
+// the payload codecs: a frame is the payload's u32 big-endian length,
+// then the payload, appended after whatever dst held. An ingest frame's
+// payload is AppendIngestFrame's bytes, an ack frame's the ack
+// UnmarshalIngestAck reads back.
 func TestFramedEncodersAreLengthPrefixedPayloads(t *testing.T) {
 	prefixed := func(payload []byte) []byte {
 		return append(binary.BigEndian.AppendUint32([]byte("held"), uint32(len(payload))), payload...)
@@ -111,9 +112,12 @@ func TestFramedEncodersAreLengthPrefixedPayloads(t *testing.T) {
 		{Seq: 3, Total: 9000, Status: IngestAckOK},
 		{Seq: 4, Total: 9000, Status: IngestAckError, Msg: "item 9 outside domain"},
 	} {
-		want := prefixed(AppendIngestAck(testFP, ack))
-		if got := AppendFramedIngestAck([]byte("held"), testFP, ack); !bytes.Equal(got, want) {
+		got := AppendFramedIngestAck([]byte("held"), testFP, ack)
+		if want := prefixed(got[8:]); !bytes.Equal(got, want) {
 			t.Errorf("ack %+v: framed ack %x, want %x", ack, got, want)
+		}
+		if dec, err := UnmarshalIngestAck(got[8:], testFP); err != nil || dec != ack {
+			t.Errorf("ack %+v: framed ack's payload decodes to %+v, %v", ack, dec, err)
 		}
 	}
 }
@@ -171,7 +175,7 @@ func TestIngestAckRoundTrip(t *testing.T) {
 		{Seq: 4, Total: 9000, Status: IngestAckError, Msg: "item 9 outside domain"},
 		{Seq: 4, Total: 9000, Status: IngestAckDraining, Msg: "daemon draining"},
 	} {
-		payload := AppendIngestAck(testFP, ack)
+		payload := AppendFramedIngestAck(nil, testFP, ack)[4:]
 		got, err := UnmarshalIngestAck(payload, testFP)
 		if err != nil {
 			t.Fatal(err)
@@ -183,7 +187,7 @@ func TestIngestAckRoundTrip(t *testing.T) {
 }
 
 func TestIngestAckRejectsDriftAndTruncation(t *testing.T) {
-	payload := AppendIngestAck(testFP, IngestAck{Seq: 1, Status: IngestAckOK})
+	payload := AppendFramedIngestAck(nil, testFP, IngestAck{Seq: 1, Status: IngestAckOK})[4:]
 	if _, err := UnmarshalIngestAck(payload, testFP^1); err == nil {
 		t.Fatal("fingerprint drift accepted")
 	}
@@ -195,35 +199,27 @@ func TestIngestAckRejectsDriftAndTruncation(t *testing.T) {
 }
 
 func TestFrameReadWriteRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
 	p1 := AppendIngestFrame(testFP, 1, testBatch())
 	p2 := AppendIngestFrame(testFP, 2, nil)
-	if err := WriteFrame(&buf, p1); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFrame(&buf, p2); err != nil {
-		t.Fatal(err)
-	}
-	got1, err := ReadFrame(&buf, MaxIngestFrameBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2, err := ReadFrame(&buf, MaxIngestFrameBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got1, p1) || !bytes.Equal(got2, p2) {
-		t.Fatal("frame payloads did not round-trip")
+	framed := append(AppendFramedIngest(nil, testFP, 1, testBatch()), AppendFramedIngest(nil, testFP, 2, nil)...)
+	r := bytes.NewReader(framed)
+	for _, want := range [][]byte{p1, p2} {
+		got, err := ReadFrameInto(r, nil, MaxIngestFrameBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatal("frame payloads did not round-trip")
+		}
 	}
 	// A clean end-of-stream between frames is io.EOF, not a corruption
 	// error.
-	if _, err := ReadFrame(&buf, MaxIngestFrameBytes); err != io.EOF {
+	if _, err := ReadFrameInto(r, nil, MaxIngestFrameBytes); err != io.EOF {
 		t.Fatalf("want io.EOF at clean end, got %v", err)
 	}
-	// ReadFrameInto reads the same payloads, into the buffer it is handed
+	// Handed a buffer, ReadFrameInto reads the same payloads into it
 	// while that has room.
-	framed := append(AppendFramedIngest(nil, testFP, 1, testBatch()), AppendFramedIngest(nil, testFP, 2, nil)...)
-	r := bytes.NewReader(framed)
+	r = bytes.NewReader(framed)
 	room := make([]byte, 0, len(p1))
 	for _, want := range [][]byte{p1, p2} {
 		got, err := ReadFrameInto(r, room, MaxIngestFrameBytes)
@@ -239,24 +235,20 @@ func TestFrameReadWriteRoundTrip(t *testing.T) {
 func TestReadFrameRejectsOversizeBeforeAllocating(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff}) // 4 GiB claim, no payload
-	if _, err := ReadFrame(&buf, MaxIngestFrameBytes); err == nil ||
+	if _, err := ReadFrameInto(&buf, nil, MaxIngestFrameBytes); err == nil ||
 		!strings.Contains(err.Error(), "cap") {
 		t.Fatalf("want cap error, got %v", err)
 	}
 }
 
 func TestReadFrameTruncatedMidPayload(t *testing.T) {
-	var buf bytes.Buffer
-	payload := AppendIngestFrame(testFP, 1, testBatch())
-	if err := WriteFrame(&buf, payload); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-3]
-	if _, err := ReadFrame(bytes.NewReader(trunc), MaxIngestFrameBytes); err != io.ErrUnexpectedEOF {
+	framed := AppendFramedIngest(nil, testFP, 1, testBatch())
+	trunc := framed[:len(framed)-3]
+	if _, err := ReadFrameInto(bytes.NewReader(trunc), nil, MaxIngestFrameBytes); err != io.ErrUnexpectedEOF {
 		t.Fatalf("want io.ErrUnexpectedEOF, got %v", err)
 	}
 	// Truncation inside the length prefix itself is also unexpected.
-	if _, err := ReadFrame(bytes.NewReader(trunc[:2]), MaxIngestFrameBytes); err != io.ErrUnexpectedEOF {
+	if _, err := ReadFrameInto(bytes.NewReader(trunc[:2]), nil, MaxIngestFrameBytes); err != io.ErrUnexpectedEOF {
 		t.Fatalf("want io.ErrUnexpectedEOF in prefix, got %v", err)
 	}
 }
@@ -278,7 +270,7 @@ func FuzzIngestFrameUnmarshal(f *testing.F) {
 	badCount := append([]byte{}, valid...)
 	badCount[22], badCount[23] = 0xff, 0xff
 	f.Add(badCount)
-	f.Add(AppendIngestAck(testFP, IngestAck{Seq: 1, Msg: "x"}))
+	f.Add(AppendFramedIngestAck(nil, testFP, IngestAck{Seq: 1, Msg: "x"})[4:])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, ups, _ := decodeBoth(t, data, testFP) // must not panic

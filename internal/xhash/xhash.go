@@ -66,9 +66,6 @@ func NewPoly(k int, rng *util.SplitMix64) *Poly {
 	return &Poly{coeff: coeff}
 }
 
-// K returns the independence parameter (number of coefficients).
-func (p *Poly) K() int { return len(p.coeff) }
-
 // Fingerprint folds the polynomial's coefficients into the digest h.
 // Two polynomials drawn from the same rng state fold identically, so
 // fingerprints implement the checked seed-discipline of the wire format.
@@ -128,16 +125,13 @@ func NewBuckets(k int, b uint64, rng *util.SplitMix64) *Buckets {
 	return &Buckets{poly: NewPoly(k, rng), b: b}
 }
 
-// B returns the number of buckets.
-func (h *Buckets) B() uint64 { return h.b }
-
-// Hash maps x to a bucket in [0, B()).
+// Hash maps x to a bucket in [0, b).
 func (h *Buckets) Hash(x uint64) uint64 {
 	return h.poly.Hash(x) % h.b
 }
 
 // AppendCoeffs appends the underlying polynomial's coefficients to dst;
-// see Poly.AppendCoeffs. The bucket reduction (mod B) is not part of the
+// see Poly.AppendCoeffs. The bucket reduction (mod b) is not part of the
 // coefficients and must be applied by the inline evaluator.
 func (h *Buckets) AppendCoeffs(dst []uint64) []uint64 {
 	return h.poly.AppendCoeffs(dst)
