@@ -307,37 +307,6 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "gsum: unknown function %q\n", *fname)
 		return 2
 	}
-	gen, ok := workload.Lookup(*wname)
-	if !ok {
-		fmt.Fprintf(stderr, "gsum: unknown workload %q; available:\n", *wname)
-		for _, w := range workload.Generators() {
-			fmt.Fprintf(stderr, "  %-9s %s\n", w.Name(), w.Description())
-		}
-		return 2
-	}
-	// Honor -alpha for the skewed scenarios without disturbing the rest,
-	// aim the adversarial scenario at the seed this command derives the
-	// sketch from, and point the trace scenario at -trace.
-	switch *wname {
-	case "zipf":
-		gen = workload.Zipf{Alpha: *alpha}
-	case "bursty":
-		gen = workload.Bursty{Alpha: *alpha}
-	case "permuted":
-		gen = workload.PermutedReplay{Inner: workload.Zipf{Alpha: *alpha}}
-	case "diurnal":
-		gen = workload.Diurnal{Alpha: *alpha}
-	case "adversarial":
-		gen = workload.Adversarial{SketchSeed: *seed * 7}
-	case "trace":
-		tr := workload.TraceReplay{Path: *trace}
-		if err := tr.Validate(); err != nil {
-			fmt.Fprintf(stderr, "gsum bench: %v\n", err)
-			return 2
-		}
-		gen = tr
-	}
-
 	opts := universal.Options{M: 1 << 10, Eps: *eps, Seed: *seed * 7, Lambda: 1.0 / 16}
 	if fileSpec != nil {
 		// The file's resolved Options ARE the estimator configuration —
@@ -345,10 +314,22 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 		// identically to a daemon booted from the same file. Only the
 		// domain N tracks the generated stream.
 		opts = fileSpec.Options
-		if *wname == "adversarial" {
-			// The adversarial scenario aims at the sketch seed; keep it
-			// aimed at the one the file actually configures.
-			gen = workload.Adversarial{SketchSeed: opts.Seed}
+	}
+	// -alpha sets the skewed scenarios' skew, the adversarial scenario
+	// aims at the sketch seed this bench opens (the file's, with
+	// -config), and the trace scenario replays -trace.
+	gen, ok := workload.Configured(*wname, *alpha, opts.Seed, *trace)
+	if !ok {
+		fmt.Fprintf(stderr, "gsum: unknown workload %q; available:\n", *wname)
+		for _, w := range workload.Generators() {
+			fmt.Fprintf(stderr, "  %-9s %s\n", w.Name(), w.Description())
+		}
+		return 2
+	}
+	if tr, isTrace := gen.(workload.TraceReplay); isTrace {
+		if err := tr.Validate(); err != nil {
+			fmt.Fprintf(stderr, "gsum bench: %v\n", err)
+			return 2
 		}
 	}
 	res, err := workload.RunBench(workload.BenchSpec{

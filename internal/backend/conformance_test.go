@@ -2,7 +2,6 @@ package backend_test
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"reflect"
 	"strings"
@@ -104,67 +103,6 @@ var confParent = map[string]confCell{
 	"sharded/zipf":          {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 360, shortTight: 92},
 	"sharded/adversarial":   {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 358, shortTight: 88},
 }
-
-// confLayout2 is the same table under sketch layout version 2 (wire.Version:
-// the recursion stops where the tracker holds the sub-universe, one row-hash
-// family a stack, bucket and sign from one polynomial value). With the first
-// of the three changes alone every onepass, twopass and sharded row equalled
-// confParent's, count for count — stopping the recursion changes no
-// estimate — and universal's moved only because the kind now forks its seeds
-// the way onepass does; the other two redraw hash functions, and these are
-// the counts they drew. The test holds the tree to them exactly: whatever
-// moves one of these numbers changed what the sketch computes, and says so
-// here.
-var confLayout2 = map[string]confCell{
-	"onepass/uniform":       {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 308, shortTight: 69},
-	"onepass/zipf":          {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 359, shortTight: 95},
-	"onepass/adversarial":   {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 356, shortTight: 91},
-	"twopass/uniform":       {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 336, shortTight: 82},
-	"twopass/zipf":          {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 349, shortTight: 90},
-	"twopass/adversarial":   {hits: []int{40, 40, 40, 40, 39, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 352, shortTight: 89},
-	"universal/uniform":     {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 382, shortTight: 90},
-	"universal/zipf":        {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 400, shortTight: 100},
-	"universal/adversarial": {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 398, shortTight: 100},
-	"sharded/uniform":       {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 309, shortTight: 67},
-	"sharded/zipf":          {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 362, shortTight: 93},
-	"sharded/adversarial":   {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 368, shortTight: 92},
-}
-
-// confLayout3 is the table under layout version 3: the same Spec, sized by
-// heavy.dims from the measured frontier — Algorithm 2's levels 5 rows of
-// version 2's buckets where it built 7; Algorithm 1's sketch 5 rows under
-// either, so its rows here are confLayout2's. Still 4799 of 4800 inside εG,
-// at 72% of version 2's one-pass bytes; the εG/4 column moves by no more
-// than four of 400 either way. The test holds the tree to these exactly.
-var confLayout3 = map[string]confCell{
-	"onepass/uniform":       {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 309, shortTight: 68},
-	"onepass/zipf":          {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 358, shortTight: 94},
-	"onepass/adversarial":   {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 354, shortTight: 91},
-	"twopass/uniform":       {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 336, shortTight: 82},
-	"twopass/zipf":          {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 349, shortTight: 90},
-	"twopass/adversarial":   {hits: []int{40, 40, 40, 40, 39, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 352, shortTight: 89},
-	"universal/uniform":     {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 381, shortTight: 90},
-	"universal/zipf":        {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 400, shortTight: 100},
-	"universal/adversarial": {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 398, shortTight: 100},
-	"sharded/uniform":       {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 310, shortTight: 68},
-	"sharded/zipf":          {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 364, shortTight: 93},
-	"sharded/adversarial":   {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 372, shortTight: 92},
-}
-
-// confLayout4 is confLayout3 with the sharded rows re-recorded once, when
-// the referee began to feed that kind through backend.Process: two
-// contiguous chunks, each into its own stack, merged in order. The counters
-// are serial's; the trackers, full at 2^12 items, hold what the merge
-// admitted. Every estimate is still inside εG; the εG/4 column moved by at
-// most 16 of 400 (adversarial: 372 to 356). Every other row is
-// confLayout3's.
-var confLayout4 = func() map[string]confCell {
-	m := maps.Clone(confLayout3)
-	m["sharded/uniform"] = confCell{hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 309, shortTight: 71}
-	m["sharded/zipf"] = confCell{hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 363, shortTight: 94}
-	m["sharded/adversarial"] = confCell{hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 356, shortTight: 92}
-	return m
-}()
 
 // confLayout5 is the table under layout version 5: Algorithm 2's and
 // Algorithm 1's sketches half version 4's width (heavy.dims at the knee

@@ -4,31 +4,11 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/gfunc"
-	"repro/internal/sketch"
 	"repro/internal/stream"
 	"repro/internal/util"
 )
-
-// exactEstimator adapts the exact g-SUM computation to the harness.
-type exactEstimator struct {
-	g gfunc.Func
-	e *sketch.Exact
-}
-
-func newExactEstimator(g gfunc.Func) *exactEstimator {
-	return &exactEstimator{g: g, e: sketch.NewExact()}
-}
-
-func (x *exactEstimator) Update(item uint64, delta int64) { x.e.Update(item, delta) }
-
-func (x *exactEstimator) Estimate() float64 {
-	var sum float64
-	x.e.Each(func(_ uint64, f int64) {
-		sum += x.g.Eval(uint64(util.SatAbsInt64(f)))
-	})
-	return sum
-}
 
 func TestIndexDropPairGap(t *testing.T) {
 	// 1/x with witness x=1, y=n: the pair must have a constant-factor gap
@@ -47,7 +27,7 @@ func TestIndexDropExactDistinguishes(t *testing.T) {
 	cfg := IndexDropConfig{G: g, X: 1, Y: 4096, SetSize: 64, Seed: 7}
 	acc := Distinguisher(
 		func(trial int) InstancePair { return NewIndexDropPair(cfg, trial) },
-		func(trial, which int) Estimator { return newExactEstimator(g) },
+		func(trial, which int) Estimator { return core.NewExact(g) },
 		20,
 	)
 	if acc != 1.0 {

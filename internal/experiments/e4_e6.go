@@ -6,7 +6,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/gfunc"
-	"repro/internal/sketch"
 	"repro/internal/stream"
 	"repro/internal/util"
 )
@@ -14,24 +13,6 @@ import (
 // feedDist streams every update into a DIST solver.
 func feedDist(ds *comm.DistSolver, s *stream.Stream) {
 	s.Each(func(u stream.Update) { ds.Update(u.Item, u.Delta) })
-}
-
-// commExact adapts the exact baseline to the comm.Estimator interface.
-type commExact struct {
-	g gfunc.Func
-	e *sketch.Exact
-}
-
-func newCommExact(g gfunc.Func) *commExact {
-	return &commExact{g: g, e: sketch.NewExact()}
-}
-
-func (x *commExact) Update(item uint64, delta int64) { x.e.Update(item, delta) }
-
-func (x *commExact) Estimate() float64 {
-	var sum float64
-	x.e.Each(func(_ uint64, f int64) { sum += x.g.Eval(uint64(util.SatAbsInt64(f))) })
-	return sum
 }
 
 // E4IndexReduction executes the Lemma 23 reduction: 1/x is not
@@ -71,7 +52,7 @@ func E4IndexReduction(quick bool) Table {
 			return e
 		}, trials)
 		accExact := comm.Distinguisher(makePair, func(trial, which int) comm.Estimator {
-			return newCommExact(g)
+			return core.NewExact(g)
 		}, trials)
 		exactSpace := (cfg.SetSize + 1) * 16
 		t.AddRow(fmt.Sprint(y), fmt.Sprint(cfg.SetSize),
@@ -124,7 +105,7 @@ func E5DisjIndReduction(quick bool) Table {
 			})
 		}, trials)
 		accExact := comm.Distinguisher(makePair, func(trial, which int) comm.Estimator {
-			return newCommExact(g)
+			return core.NewExact(g)
 		}, trials)
 		t.AddRow(fmt.Sprint(y), fmt.Sprint(x), fmt.Sprint(tPlayers),
 			fmt.Sprint(setSize*int(tPlayers)), fmtF(p0.GapFactor()),

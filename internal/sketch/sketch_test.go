@@ -164,25 +164,6 @@ func TestAMSForErrorSizing(t *testing.T) {
 	}
 }
 
-func TestExactBaseline(t *testing.T) {
-	e := NewExact()
-	e.Update(1, 5)
-	e.Update(1, -5)
-	e.Update(2, 3)
-	if e.Distinct() != 1 {
-		t.Errorf("Distinct = %d, want 1", e.Distinct())
-	}
-	if e.Estimate(2) != 3 || e.Estimate(1) != 0 {
-		t.Error("exact estimates wrong")
-	}
-	if e.F2() != 9 {
-		t.Errorf("F2 = %v, want 9", e.F2())
-	}
-	if e.MaxAbs() != 3 {
-		t.Errorf("MaxAbs = %v, want 3", e.MaxAbs())
-	}
-}
-
 func TestTopTrackerEvictsSmallest(t *testing.T) {
 	tr := newTopTracker(3)
 	tr.offer(1, 10)

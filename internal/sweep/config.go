@@ -271,36 +271,16 @@ func (c Config) stream(cell Cell) workload.Config {
 	return s
 }
 
-// Generator resolves a sweep workload name to a configured generator:
-// the catalog entry with the config's skew override applied to the
-// skew-parameterized scenarios, the adversarial scenario aimed at the
-// sweep's own sketch seed (so the attack in the report is against the
-// very CountSketch the point queries use), and the trace scenario
-// pointed at the configured CSV. Call it on a normalized Config.
+// Generator resolves a sweep workload name to a configured generator
+// (workload.Configured): the config's skew override, the adversarial
+// scenario aimed at the sweep's own sketch seed (so the attack in the
+// report is against the very CountSketch the point queries use), and the
+// trace scenario pointed at the configured CSV. Call it on a normalized
+// Config.
 func (c Config) Generator(name string) (workload.Generator, error) {
-	gen, ok := workload.Lookup(name)
+	gen, ok := workload.Configured(name, c.Alpha, c.Spec.Options.Seed, c.Trace)
 	if !ok {
 		return nil, fmt.Errorf("sweep: unknown workload %q", name)
-	}
-	if c.Alpha > 0 {
-		switch name {
-		case "zipf":
-			gen = workload.Zipf{Alpha: c.Alpha}
-		case "bursty":
-			gen = workload.Bursty{Alpha: c.Alpha}
-		case "permuted":
-			gen = workload.PermutedReplay{Inner: workload.Zipf{Alpha: c.Alpha}}
-		case "diurnal":
-			gen = workload.Diurnal{Alpha: c.Alpha}
-		}
-	}
-	switch name {
-	case "adversarial":
-		gen = workload.Adversarial{SketchSeed: c.Spec.Options.Seed}
-	case "trace":
-		if c.Trace != "" {
-			gen = workload.TraceReplay{Path: c.Trace}
-		}
 	}
 	return gen, nil
 }

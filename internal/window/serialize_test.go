@@ -12,13 +12,22 @@ import (
 )
 
 // drivenWindow builds a window of panes seeded with seed, advanced
-// through a fixed tick sequence, optionally fed data.
+// through a fixed tick sequence and, if fill, fed its updates.
 func drivenWindow(t *testing.T, seed uint64, fill bool) *Window {
 	t.Helper()
-	if !fill {
-		return drivenWindowSlice(t, seed, 0, 0)
+	opts := smallOpts
+	opts.Seed = seed
+	w, err := New(gfunc.F2Func(), opts, Config{W: 10, K: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return drivenWindowSlice(t, seed, 0, 800)
+	for _, u := range randomDrive(13, 800) {
+		w.Advance(u.tick)
+		if fill {
+			w.Update(u.item, 1)
+		}
+	}
+	return w
 }
 
 // TestWindowWireRoundTrip: decoding a snapshot into an empty window
@@ -60,49 +69,6 @@ func TestWindowWireRoundTrip(t *testing.T) {
 	if !bytes.Equal(gotDouble, wantDouble) {
 		t.Fatal("wire double-merge differs from in-process double merge")
 	}
-}
-
-// TestWindowWireMergeEqualsInProcess: shipping shard B's snapshot into
-// shard A equals A.Merge(B).
-func TestWindowWireMergeEqualsInProcess(t *testing.T) {
-	mkShard := func(lo, hi int) *Window { return drivenWindowSlice(t, 1, lo, hi) }
-	a, b := mkShard(0, 400), mkShard(400, 800)
-	data, err := b.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	inProc := mkShard(0, 400)
-	if err := inProc.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := a.MarshalBinary()
-	want, _ := inProc.MarshalBinary()
-	if !bytes.Equal(got, want) {
-		t.Fatal("wire merge differs from in-process merge")
-	}
-}
-
-// drivenWindowSlice drives a window of panes seeded with seed through
-// the full tick sequence but only feeds the updates in [lo, hi) — one
-// contiguous shard.
-func drivenWindowSlice(t *testing.T, seed uint64, lo, hi int) *Window {
-	t.Helper()
-	opts := smallOpts
-	opts.Seed = seed
-	w, err := New(gfunc.F2Func(), opts, Config{W: 10, K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, u := range randomDrive(13, 800) {
-		w.Advance(u.tick)
-		if i >= lo && i < hi {
-			w.Update(u.item, 1)
-		}
-	}
-	return w
 }
 
 // TestWindowWireRejections: truncation, corrupt fingerprints, clock

@@ -99,69 +99,6 @@ func TestWindowInvariants(t *testing.T) {
 	}
 }
 
-// TestWindowMatchesSuffixSketch pins the core semantic: the merged
-// window state equals, byte for byte, a single sketch fed exactly the
-// updates from the oldest live pane's first tick onward. The window
-// is a lossless sketch of its covered tick range.
-func TestWindowMatchesSuffixSketch(t *testing.T) {
-	w := mustWindow(t, Config{W: 16, K: 2})
-	drive := randomDrive(11, 3000)
-	for _, u := range drive {
-		w.updateAt(u.item, 1, u.tick)
-	}
-	covered := w.oldest()
-	ref := w.newPane()
-	for _, u := range drive {
-		if u.tick >= covered {
-			ref.Update(u.item, 1)
-		}
-	}
-	got, _ := w.Merged().MarshalBinary()
-	want, _ := ref.MarshalBinary()
-	if !bytes.Equal(got, want) {
-		t.Fatalf("merged window differs from the sketch of ticks >= %d", covered)
-	}
-}
-
-// TestWindowExpiry asserts the documented forgetting guarantee: an item
-// whose updates are at least W+StaleBound ticks behind the clock
-// contributes nothing — its point estimate over the merged window is
-// exactly what an empty window would answer.
-func TestWindowExpiry(t *testing.T) {
-	for _, cfg := range []Config{{W: 1}, {W: 8}, {W: 16, K: 4}, {W: 60, K: 3}} {
-		w := mustWindow(t, cfg)
-		const needle = uint64(99)
-		for i := 0; i < 50; i++ {
-			w.updateAt(needle, 1000, 0)
-		}
-		w.Advance(cfg.W + w.StaleBound())
-		if err := w.checkInvariants(); err != nil {
-			t.Fatalf("cfg %+v: %v", cfg, err)
-		}
-		got, _ := w.Merged().MarshalBinary()
-		if !bytes.Equal(got, w.emptyBlob) {
-			t.Fatalf("cfg %+v: burst at tick 0 still present %d ticks later (stale %d, bound %d)",
-				cfg, cfg.W+w.StaleBound(), w.Stale(), w.StaleBound())
-		}
-	}
-}
-
-// TestWindowStaleWithinBound checks the realized stale tick count never
-// exceeds StaleBound across random drives and configurations.
-func TestWindowStaleWithinBound(t *testing.T) {
-	for seed := uint64(1); seed <= 5; seed++ {
-		for _, cfg := range []Config{{W: 8}, {W: 32, K: 2}, {W: 32, K: 8}, {W: 100, K: 5}} {
-			w := mustWindow(t, cfg)
-			for _, u := range randomDrive(seed, 1500) {
-				w.updateAt(u.item, 1, u.tick)
-				if w.Stale() > w.StaleBound() {
-					t.Fatalf("seed %d cfg %+v: stale %d > bound %d", seed, cfg, w.Stale(), w.StaleBound())
-				}
-			}
-		}
-	}
-}
-
 // TestAdvancePathIndependent: the live panes are a function of the clock
 // alone, so Advance(a) then Advance(b) leaves a window byte for byte as
 // Advance(b) alone does — across configurations, starting states with
@@ -331,49 +268,9 @@ func newWindowEstimator(t *testing.T, cfg Config) *Window {
 	return e
 }
 
-// TestEstimatorSerialVsParallel: sharding a ticked stream across worker
-// windows (contiguous chunks, every worker advanced through the full
-// tick sequence) and merging must reproduce the serial windowed
-// estimate bit for bit, and the serial snapshot byte for byte, for any
-// worker count.
-func TestEstimatorSerialVsParallel(t *testing.T) {
-	drive := estDrive(21, 4000, 40)
-	last := drive[len(drive)-1].tick
-	cfg := Config{W: 12, K: 2}
-
-	serial := newWindowEstimator(t, cfg)
-	for _, u := range drive {
-		serial.updateAt(u.item, 1, u.tick)
-	}
-	serial.Advance(last)
-	wantEst := serial.Estimate()
-
-	for _, workers := range []int{2, 3, 4} {
-		shards := make([]*Window, workers)
-		for i := range shards {
-			shards[i] = newWindowEstimator(t, cfg)
-		}
-		for i := range shards {
-			lo, hi := util.Cut(len(drive), workers, i)
-			for _, u := range drive[lo:hi] {
-				shards[i].updateAt(u.item, 1, u.tick)
-			}
-			shards[i].Advance(last)
-		}
-		for i := 1; i < workers; i++ {
-			if err := shards[0].Merge(shards[i]); err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
-			}
-		}
-		if got := shards[0].Estimate(); got != wantEst {
-			t.Fatalf("workers=%d: estimate %v != serial %v", workers, got, wantEst)
-		}
-	}
-}
-
-// TestWindowSerialVsParallelSnapshots is the byte half of the sharding
-// contract: the merged shard windows reproduce the serial window
-// snapshot BYTE for byte, at every worker count. The drive's items stay
+// TestWindowSerialVsParallelSnapshots is the sharding contract: the
+// merged shard windows reproduce the serial window snapshot BYTE for
+// byte, at every worker count (so its estimate too). The drive's items stay
 // inside the panes' trackers, the regime where the merge contract pins
 // tracked ids as well as counters (see internal/core/merge.go).
 func TestWindowSerialVsParallelSnapshots(t *testing.T) {
@@ -569,8 +466,8 @@ func TestWindowBucketsCostWhatTheyHold(t *testing.T) {
 // counters equal a serial sketch of exactly the ticks the window claims
 // to cover — (now−W, now] plus the Stale() ticks before it — and that
 // Stale() ≤ StaleBound(). It reads only the window's exported surface, so
-// it judges any bucket layout. Ticks advance by random strides, some
-// past W+StaleBound (every live bucket expires), over W < 40 at
+// it judges any pane layout. Ticks advance by random strides, some
+// past W+StaleBound (every live pane expires), over W < 40 at
 // 2 ≤ K ≤ 6 and at K = MaxK.
 func TestWindowPerTickModel(t *testing.T) {
 	type logged struct {

@@ -76,8 +76,8 @@ type BenchResult struct {
 	SpaceBytes    int
 	// Windowed-mode extras: the window length (0 for whole-stream runs),
 	// the final tick of the stream, and how many ticks beyond the window
-	// the estimate still included (bounded by the histogram's documented
-	// stale bound).
+	// the estimate still included (at most the window's StaleBound: its
+	// oldest pane straddles the window's first tick).
 	Window     int
 	LastTick   uint64
 	StaleTicks uint64
@@ -116,10 +116,10 @@ func (s BenchSpec) spec(n uint64) backend.Spec {
 //
 // Windowed runs (Window > 0) generate the stream with a tick dimension
 // (Ticked), open the registry's window kind, and score the estimate
-// against the exact g-SUM over the trailing Window ticks. The bucket
-// structure is a pure function of the tick sequence, so the contract
-// carries over. A whole-stream run is the same thing with one tick: its
-// stream is a single tick-run and no clock is advanced.
+// against the exact g-SUM over the trailing Window ticks. The window's
+// live panes are a function of its clock alone, so the contract carries
+// over. A whole-stream run is the same thing with one tick: its stream is
+// a single tick-run and no clock is advanced.
 func RunBench(spec BenchSpec) (BenchResult, error) {
 	if spec.Generator == nil {
 		return BenchResult{}, fmt.Errorf("workload: bench needs a generator")

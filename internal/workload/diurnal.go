@@ -13,7 +13,7 @@ import (
 // a quiet trough ramping to a peak Peak times taller and back. The
 // frequency vector matches zipf's regime, so whole-stream estimates are
 // unremarkable; the tick axis is the point. Windowed estimators see
-// their per-window mass swing by Peak while bucket budgets stay fixed,
+// their per-window mass swing by Peak while each pane's budget stays fixed,
 // and batching layers see their batch-fill rate breathe.
 type Diurnal struct {
 	// Alpha is the popularity skew (default 1.1).

@@ -43,7 +43,7 @@
 //	diurnal   Zipf popularity under a day-shaped per-tick volume curve
 //	          (trough to peak and back): the flat-stream vector matches
 //	          zipf exactly — the tick axis is the point, stressing
-//	          windowed estimators whose budgets are fixed per bucket.
+//	          windowed estimators whose budgets are fixed per pane.
 //	trace     CSV replay: item,delta lines from a user-supplied file
 //	          (or a seeded synthetic trace when no path is given)
 //	          through the same harness as every synthetic scenario.

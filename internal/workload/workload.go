@@ -143,6 +143,34 @@ func Lookup(name string) (Generator, bool) {
 	return nil, false
 }
 
+// Configured resolves name from the default catalog and configures it:
+// alpha sets the skew of zipf, bursty, permuted (its zipf inner stream)
+// and diurnal; sketchSeed aims adversarial at the CountSketch opened from
+// that seed; trace points the trace scenario at a CSV file. A zero alpha
+// or sketchSeed, or an empty trace, keeps the catalog default. `gsum
+// bench` and the sweep both resolve their workloads here.
+func Configured(name string, alpha float64, sketchSeed uint64, trace string) (Generator, bool) {
+	gen, ok := Lookup(name)
+	if !ok {
+		return nil, false
+	}
+	switch {
+	case name == "zipf" && alpha > 0:
+		gen = Zipf{Alpha: alpha}
+	case name == "bursty" && alpha > 0:
+		gen = Bursty{Alpha: alpha}
+	case name == "permuted" && alpha > 0:
+		gen = PermutedReplay{Inner: Zipf{Alpha: alpha}}
+	case name == "diurnal" && alpha > 0:
+		gen = Diurnal{Alpha: alpha}
+	case name == "adversarial":
+		gen = Adversarial{SketchSeed: sketchSeed}
+	case name == "trace":
+		gen = TraceReplay{Path: trace}
+	}
+	return gen, true
+}
+
 // workingSet draws cfg.Items distinct items from [0, N) deterministically.
 // Every generator derives its working set from the same fork index, so
 // two scenarios with the same Config share item identities — useful when

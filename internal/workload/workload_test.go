@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/backend"
@@ -71,6 +72,33 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, ok := Lookup("nope"); ok {
 		t.Fatal("Lookup of unknown name succeeded")
+	}
+}
+
+// TestConfigured: zero overrides give the catalog entry, and each
+// override reaches only the scenarios it configures.
+func TestConfigured(t *testing.T) {
+	for _, name := range Names() {
+		got, ok := Configured(name, 0, 0, "")
+		if want, _ := Lookup(name); !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("Configured(%q) with no overrides = %#v, want the catalog's %#v", name, got, want)
+		}
+	}
+	for name, want := range map[string]Generator{
+		"zipf":        Zipf{Alpha: 1.5},
+		"bursty":      Bursty{Alpha: 1.5},
+		"permuted":    PermutedReplay{Inner: Zipf{Alpha: 1.5}},
+		"diurnal":     Diurnal{Alpha: 1.5},
+		"adversarial": Adversarial{SketchSeed: 9},
+		"trace":       TraceReplay{Path: "t.csv"},
+		"uniform":     Uniform{},
+	} {
+		if got, _ := Configured(name, 1.5, 9, "t.csv"); !reflect.DeepEqual(got, want) {
+			t.Errorf("Configured(%q, 1.5, 9, t.csv) = %#v, want %#v", name, got, want)
+		}
+	}
+	if _, ok := Configured("nope", 0, 0, ""); ok {
+		t.Error("Configured resolved an unknown name")
 	}
 }
 
