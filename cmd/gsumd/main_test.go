@@ -234,7 +234,7 @@ func TestGracefulShutdownWritesCheckpointAndRestores(t *testing.T) {
 	addr := listenAddrOf(t, &out)
 
 	c := daemon.NewClient("http://"+addr, nil)
-	if err := c.PushContext(context.Background(), nil); err != nil { // liveness: the surface is up
+	if _, err := c.ConfigContext(context.Background()); err != nil { // liveness: the surface is up
 		t.Fatal(err)
 	}
 	resp, err := http.Post("http://"+addr+"/v1/ingest", "application/json",

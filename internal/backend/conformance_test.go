@@ -111,7 +111,8 @@ var confParent = map[string]confCell{
 // (onepass and sharded, adversarial, one each; twopass's one as before),
 // at 52% of version 4's one-pass bytes; the εG/4 column moves by at most
 // 14 of 400 (sharded/uniform 309 to 295), and every row still clears
-// checkAgainstParent. The test holds the tree to these exactly.
+// checkAgainstParent. TestConformanceLayoutPin holds the tree to these
+// exactly.
 var confLayout5 = map[string]confCell{
 	"onepass/uniform":       {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 296, shortTight: 71},
 	"onepass/zipf":          {hits: []int{40, 40, 40, 40, 40, 40, 40, 40, 40, 40}, shortHits: []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, tight: 351, shortTight: 90},
@@ -187,13 +188,31 @@ func confRun(t *testing.T, spec backend.Spec, s *stream.Stream) backend.Estimato
 	return est
 }
 
-func TestConformance(t *testing.T) {
+// confCounts is the table the referee counts: a confCell per (kind,
+// workload) row, SpaceBytes per kind and function on the first workload,
+// and the envelopes the sketches were sized for.
+type confCounts struct {
+	cells       map[string]*confCell
+	space       map[backend.Kind][]int
+	envelopes   []float64
+	maxEnvelope float64
+}
+
+// confCounted is the table once counted: TestConformance and
+// TestConformanceLayoutPin read it, and counting is most of the package's
+// time.
+var confCounted *confCounts
+
+// countConformance counts the table, or returns the one counted already.
+func countConformance(t *testing.T) *confCounts {
+	if confCounted != nil {
+		return confCounted
+	}
 	seeds := confSeeds
 	if testing.Short() {
 		seeds = confShortSeeds
 	}
 	opts := confOptions.WithDefaults()
-	floor := binomialLowerQuantile(seeds, 1-opts.Delta, confFalseFail)
 	funcs := confFuncs()
 	envelopes := make([]float64, len(funcs))
 	maxEnvelope := 0.0
@@ -279,12 +298,28 @@ func TestConformance(t *testing.T) {
 			})
 		}
 	})
+	c := &confCounts{cells: got, space: space, envelopes: envelopes, maxEnvelope: maxEnvelope}
+	if !t.Failed() {
+		confCounted = c
+	}
+	return c
+}
 
+func TestConformance(t *testing.T) {
+	seeds := confSeeds
+	if testing.Short() {
+		seeds = confShortSeeds
+	}
+	opts := confOptions.WithDefaults()
+	floor := binomialLowerQuantile(seeds, 1-opts.Delta, confFalseFail)
+	funcs := confFuncs()
+	counts := countConformance(t)
+	got, space := counts.cells, counts.space
 	for _, kind := range confKinds {
 		for gi, g := range funcs {
-			h := envelopes[gi]
+			h := counts.envelopes[gi]
 			if kind == confUniversal {
-				h = maxEnvelope
+				h = counts.maxEnvelope
 			}
 			if bound := spaceEnvelope(opts, h); space[kind][gi] > bound {
 				t.Errorf("%s %s: SpaceBytes %d outside the stated envelope %d", kind, g.Name(), space[kind][gi], bound)
@@ -308,11 +343,23 @@ func TestConformance(t *testing.T) {
 			if parent, ok := confParent[key]; ok {
 				checkAgainstParent(t, key, seeds*len(funcs), *cell, parent)
 			}
+		}
+	}
+}
+
+// TestConformanceLayoutPin holds every row of the referee's table to the
+// counts recorded for this layout. Unlike TestConformance's statistical
+// checks it moves on any change to an estimate, improvements included.
+func TestConformanceLayoutPin(t *testing.T) {
+	got := countConformance(t).cells
+	for _, kind := range confKinds {
+		for _, w := range confWorkloads {
+			key := confKey(kind, w)
 			want := confLayout5[key]
 			if testing.Short() {
 				want.hits, want.tight = want.shortHits, want.shortTight
 			}
-			if !reflect.DeepEqual(*cell, want) {
+			if !reflect.DeepEqual(*got[key], want) {
 				t.Errorf("%s: the counts moved off the ones recorded for this layout (confLayout5): something changed what the sketch computes", key)
 			}
 		}

@@ -6,13 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/url"
 	"strings"
 	"time"
-
-	"repro/internal/stream"
 )
 
 // DefaultTimeout bounds every request of a Client built with a nil
@@ -21,9 +18,11 @@ import (
 // failure being a bounded-time outcome.
 const DefaultTimeout = 10 * time.Second
 
-// Client talks to one gsumd daemon. context.Context is first-class:
-// every verb is ctx-first (cancel a push mid-flight, bound a pull round,
-// tie the whole CLI to SIGINT); only Estimate and Snapshot keep a
+// Client talks to one gsumd daemon. It ingests through NewPusher's
+// /v1/stream session; the JSON /v1/ingest is curl's door and has no
+// verb. context.Context is first-class: every verb is ctx-first (cancel
+// a push session, bound a pull round, tie the whole CLI to SIGINT); only
+// Estimate and Snapshot keep a
 // Background() form. Every request is additionally bounded: a nil
 // http.Client gets DefaultTimeout, and multi-peer operations
 // (PullFromContext) carry a per-request deadline so one dead worker
@@ -104,27 +103,6 @@ func (c *Client) postOK(ctx context.Context, path, contentType string, body []by
 	}
 	drainClose(resp.Body)
 	return nil
-}
-
-// PushContext sends a batch of updates to /v1/ingest as one JSON
-// request: the curl endpoint's contract in Go, kept for its tests. Item
-// IDs above math.MaxInt64 are rejected here: the JSON body carries items
-// as int64, and letting such an ID wrap would silently turn it negative
-// on the wire. Clients ingest through a Pusher, which streams.
-func (c *Client) PushContext(ctx context.Context, updates []stream.Update) error {
-	req := IngestRequest{Updates: make([][2]int64, len(updates))}
-	for i, u := range updates {
-		if u.Item > math.MaxInt64 {
-			return fmt.Errorf("daemon: update %d: item %d exceeds the JSON transport's int64 range (max %d)",
-				i, u.Item, uint64(math.MaxInt64))
-		}
-		req.Updates[i] = [2]int64{int64(u.Item), u.Delta}
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	return c.postOK(ctx, "/v1/ingest", "application/json", body)
 }
 
 // AdvanceContext moves a window backend's tick clock to tick via

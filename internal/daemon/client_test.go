@@ -1,20 +1,14 @@
 package daemon
 
 import (
-	"bytes"
 	"context"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/backend"
-	"repro/internal/core"
-	"repro/internal/stream"
 )
 
 // TestNewClientDefaultTimeout: a nil http.Client must not mean "no
@@ -55,16 +49,13 @@ func stalledServer(t *testing.T) *httptest.Server {
 	return ts
 }
 
-// TestClientTimesOutOnHungServer: Push and CheckSpec against a stalled
-// daemon fail within the configured timeout instead of blocking
-// forever.
+// TestClientTimesOutOnHungServer: a POST (CheckSpec) and a GET
+// (Snapshot) against a stalled daemon fail within the configured timeout
+// instead of blocking forever.
 func TestClientTimesOutOnHungServer(t *testing.T) {
 	ts := stalledServer(t)
 	c := NewClient(ts.URL, &http.Client{Timeout: 100 * time.Millisecond})
 	start := time.Now()
-	if err := c.PushContext(context.Background(), []stream.Update{{Item: 1, Delta: 1}}); err == nil {
-		t.Error("Push against a stalled daemon returned nil")
-	}
 	if err := c.CheckSpecContext(context.Background(), 42); err == nil {
 		t.Error("CheckSpec against a stalled daemon returned nil")
 	}
@@ -72,7 +63,7 @@ func TestClientTimesOutOnHungServer(t *testing.T) {
 		t.Error("Snapshot against a stalled daemon returned nil")
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("three stalled calls took %v; timeouts are not being applied", elapsed)
+		t.Errorf("two stalled calls took %v; timeouts are not being applied", elapsed)
 	}
 }
 
@@ -83,18 +74,19 @@ func TestClientTimesOutOnHungServer(t *testing.T) {
 func TestPullFromDeadWorkerFailsFastWithZeroMerges(t *testing.T) {
 	spec := onePassSpec(42)
 	s := testStream(29)
-	mkDaemon := func() *httptest.Server {
+	mkDaemon := func() (*Server, *httptest.Server) {
 		srv, err := NewServer(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
-		return ts
+		return srv, ts
 	}
-	good, coord := mkDaemon(), mkDaemon()
+	goodSrv, good := mkDaemon()
+	_, coord := mkDaemon()
 	hung := stalledServer(t)
-	if err := NewClient(good.URL, nil).PushContext(context.Background(), s.Updates()); err != nil {
+	if err := goodSrv.IngestBatch(s.Updates()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -151,12 +143,11 @@ func (zeroReader) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestPushReusesConnections: successful responses are drained before
-// close, so the keep-alive connection goes back to the pool and the
-// second and third push ride the same TCP connection. Asserted via
-// httptrace, which reports per-request whether the connection was
-// reused.
-func TestPushReusesConnections(t *testing.T) {
+// TestClientReusesConnections: every response, a 200 or an error, is
+// drained before close, so the keep-alive connection goes back to the pool
+// and the next request rides it. Asserted via httptrace, which reports per
+// request whether the connection was reused.
+func TestClientReusesConnections(t *testing.T) {
 	srv, err := NewServer(onePassSpec(1))
 	if err != nil {
 		t.Fatal(err)
@@ -169,89 +160,27 @@ func TestPushReusesConnections(t *testing.T) {
 	t.Cleanup(tr.CloseIdleConnections)
 	c := NewClient(ts.URL, &http.Client{Transport: tr, Timeout: 5 * time.Second})
 
-	batch := []stream.Update{{Item: 1, Delta: 1}}
 	var reused bool
 	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
 		GotConn: func(info httptrace.GotConnInfo) { reused = info.Reused },
 	})
 	for i := 0; i < 3; i++ {
-		if err := c.PushContext(ctx, batch); err != nil {
+		if err := c.CheckSpecContext(ctx, srv.fp); err != nil {
 			t.Fatal(err)
 		}
 		if i > 0 && !reused {
-			t.Fatalf("push %d dialed a new connection; response bodies are not being drained", i+1)
+			t.Fatalf("request %d dialed a new connection; response bodies are not being drained", i+1)
 		}
 	}
 
 	// The non-200 path must reuse too: decodeError also drains.
-	if err := c.PushContext(ctx, []stream.Update{{Item: 1 << 40, Delta: 1}}); err == nil {
-		t.Fatal("out-of-domain push succeeded")
+	if err := c.CheckSpecContext(ctx, srv.fp+1); err == nil {
+		t.Fatal("a drifted fingerprint passed the handshake")
 	}
-	if err := c.PushContext(ctx, batch); err != nil {
+	if err := c.CheckSpecContext(ctx, srv.fp); err != nil {
 		t.Fatal(err)
 	}
 	if !reused {
-		t.Error("push after an error response dialed a new connection; error bodies are not being drained")
-	}
-}
-
-// TestPushRejectsItemsBeyondInt64 is the wrap regression test: item IDs
-// at and past 2^63 must be refused by the client with a clear error
-// (never silently sent as negative numbers), the server must explain a
-// negative item in wrap terms, and the largest representable ID —
-// 2^63-1 — must flow end to end.
-func TestPushRejectsItemsBeyondInt64(t *testing.T) {
-	// A domain big enough that 2^63-1 is a valid item.
-	spec := backend.Spec{Kind: backend.KindCountSketch,
-		Options: core.Options{N: math.MaxUint64, Seed: 3}, Rows: 3, Buckets: 64}
-	srv, err := NewServer(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	c := NewClient(ts.URL, nil)
-
-	// Client-side: 2^63 and above never reach the wire.
-	for _, item := range []uint64{1 << 63, math.MaxUint64} {
-		err := c.PushContext(context.Background(), []stream.Update{{Item: item, Delta: 1}})
-		if err == nil || !strings.Contains(err.Error(), "int64 range") {
-			t.Errorf("item %d: got %v, want an int64-range error", item, err)
-		}
-	}
-	info, err := c.ConfigContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Ingested != 0 {
-		t.Errorf("rejected pushes still ingested %d updates", info.Ingested)
-	}
-
-	// Boundary: 2^63-1 is representable and must be accepted.
-	if err := c.PushContext(context.Background(), []stream.Update{{Item: math.MaxInt64, Delta: 2}}); err != nil {
-		t.Fatalf("boundary item 2^63-1 rejected: %v", err)
-	}
-	got, err := c.Estimate(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got.F2 == 0 {
-		t.Error("boundary item did not land in the sketch")
-	}
-
-	// Server-side: a hand-crafted negative item (what a wrapping client
-	// would send) is rejected with the wrap explanation, not misattributed.
-	resp, err := http.Post(ts.URL+"/v1/ingest", "application/json",
-		bytes.NewReader([]byte(`{"updates":[[-5, 1]]}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("negative item: %s, want 400", resp.Status)
-	}
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	if !strings.Contains(string(body), "int64 range") {
-		t.Errorf("server error %q does not explain the int64 wrap", body)
+		t.Error("a request after an error response dialed a new connection; error bodies are not being drained")
 	}
 }

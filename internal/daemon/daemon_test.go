@@ -3,10 +3,13 @@ package daemon
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"math"
+	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -28,35 +31,18 @@ func testOptions(seed uint64) core.Options {
 	return core.Options{N: 1 << 12, M: 1 << 10, Eps: 0.25, Seed: seed, Lambda: 1.0 / 16}
 }
 
-// cluster spins up two worker daemons and one coordinator daemon with
-// identical Specs, pushes disjoint halves of the stream to the workers
-// over HTTP, and merges both snapshots into the coordinator.
-func cluster(t *testing.T, spec backend.Spec, s *stream.Stream) *Client {
-	t.Helper()
-	mk := func() *httptest.Server {
-		srv, err := NewServer(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(srv.Handler())
-		t.Cleanup(ts.Close)
-		return ts
+// postIngest posts updates to /v1/ingest as one JSON batch, the body a
+// curl user sends.
+func postIngest(ctx context.Context, c *Client, updates []stream.Update) error {
+	req := IngestRequest{Updates: make([][2]int64, len(updates))}
+	for i, u := range updates {
+		req.Updates[i] = [2]int64{int64(u.Item), u.Delta}
 	}
-	w1, w2, coord := mk(), mk(), mk()
-
-	updates := s.Updates()
-	n := len(updates)
-	if err := NewClient(w1.URL, nil).PushContext(context.Background(), updates[:n/2]); err != nil {
-		t.Fatal(err)
+	body, err := json.Marshal(req)
+	if err != nil {
+		return err
 	}
-	if err := NewClient(w2.URL, nil).PushContext(context.Background(), updates[n/2:]); err != nil {
-		t.Fatal(err)
-	}
-	cc := NewClient(coord.URL, nil)
-	if err := cc.PullFromContext(context.Background(), []string{w1.URL, w2.URL}); err != nil {
-		t.Fatal(err)
-	}
-	return cc
+	return c.postOK(ctx, "/v1/ingest", "application/json", body)
 }
 
 // serialEstimator opens the same Spec in-process and feeds it the whole
@@ -71,111 +57,15 @@ func serialEstimator(t *testing.T, spec backend.Spec, s *stream.Stream) backend.
 	return est
 }
 
-func TestE2ECountSketchBackend(t *testing.T) {
-	s := testStream(3)
-	spec := backend.Spec{Kind: backend.KindCountSketch,
-		Options: core.Options{N: 1 << 12, M: 1 << 10, Seed: 17}, Rows: 5, Buckets: 1 << 10}
-	cc := cluster(t, spec, s)
-
-	serial := serialEstimator(t, spec, s).(backend.PointQuerier)
-
-	for item := range s.Vector() {
-		got, err := cc.Estimate(url.Values{"item": {strconv.FormatUint(item, 10)}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if est := int64(*got.Estimate); est != serial.EstimateItem(item) {
-			t.Errorf("item %d: daemon estimate %d != serial %d", item, est, serial.EstimateItem(item))
-		}
-	}
-	got, err := cc.Estimate(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f2 := *got.F2; f2 != serial.EstimateF2() {
-		t.Errorf("daemon F2 %.17g != serial %.17g", f2, serial.EstimateF2())
-	}
-}
-
-func TestE2EHeavyBackend(t *testing.T) {
-	s := testStream(5)
-	spec := backend.Spec{Kind: backend.KindHeavy, G: "x^2", Options: testOptions(23)}
-	cc := cluster(t, spec, s)
-
-	serial := serialEstimator(t, spec, s).(backend.CoverReporter)
-	want := serial.Cover()
-
-	got, err := cc.Estimate(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ws := *got.WeightSum; ws != want.WeightSum() {
-		t.Errorf("daemon cover weight sum %.17g != serial %.17g", ws, want.WeightSum())
-	}
-	entries := got.Cover
-	if len(entries) != len(want) {
-		t.Fatalf("daemon cover has %d entries, serial %d", len(entries), len(want))
-	}
-	for i, e := range entries {
-		if e.Item != want[i].Item {
-			t.Errorf("cover[%d] item %d, want %d", i, e.Item, want[i].Item)
-		}
-	}
-}
-
-func TestE2ERecursiveOnePassBackend(t *testing.T) {
-	s := testStream(7)
-	spec := backend.Spec{Kind: backend.KindOnePass, G: "x^2", Options: testOptions(42)}
-	cc := cluster(t, spec, s)
-
-	serial := serialEstimator(t, spec, s)
-
-	got, err := cc.Estimate(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est := *got.Estimate; est != serial.Estimate() {
-		t.Errorf("daemon g-SUM estimate %.17g != serial %.17g", est, serial.Estimate())
-	}
-}
-
-// TestE2EUniversalBackendPostHocQueries: the §1.1.1 universal sketch is a
-// onepass Spec whose Options.Envelope covers every function it will be
-// asked for (x^2's 3.99, x^1's 2, 1(x>0)'s 1 under 4). A 2-worker +
-// coordinator cluster answers each ?g= as the in-process EstimateFor
-// does, bit for bit.
-func TestE2EUniversalBackendPostHocQueries(t *testing.T) {
-	s := testStream(9)
-	opts := testOptions(31)
-	opts.Envelope = 4
-	spec := backend.Spec{Kind: backend.KindOnePass, G: "x^2", Options: opts}
-	cc := cluster(t, spec, s)
-
-	serial := serialEstimator(t, spec, s).(backend.FuncQuerier)
-
-	for _, name := range []string{"x^2", "x^1", "1(x>0)"} {
-		g, err := backend.CatalogFunc(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := cc.Estimate(url.Values{"g": {name}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if est := *got.Estimate; est != serial.EstimateFor(g) {
-			t.Errorf("%s: daemon estimate %.17g != serial %.17g", name, est, serial.EstimateFor(g))
-		}
-	}
-}
-
 // TestPostHocQueryRefusesFunctionsPastTheEnvelope: every kind that answers
 // ?g= answers a function its Spec's Options.Envelope covers, bit for bit as
 // the in-process EstimateFor, and refuses with a 400 naming both envelopes
-// one it does not: sized for x^2 (H = 3.99 at M = 2^10), x^1 (H = 2) is
-// admitted and x^3 (H = 1024) is not.
+// one it does not: summing x^1 and sized for x^2's envelope (H = 3.99 at
+// M = 2^10), x^2 is admitted, its envelope the sketch's exactly, and x^3
+// (H = 1024) is not.
 func TestPostHocQueryRefusesFunctionsPastTheEnvelope(t *testing.T) {
 	s := testStream(11)
-	inside, err := backend.CatalogFunc("x^1")
+	inside, err := backend.CatalogFunc("x^2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,13 +74,14 @@ func TestPostHocQueryRefusesFunctionsPastTheEnvelope(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, spec := range []backend.Spec{
-		{Kind: backend.KindOnePass, G: "x^2", Options: testOptions(3)},
-		{Kind: backend.KindSharded, G: "x^2", Options: testOptions(3), Workers: 2},
+		{Kind: backend.KindOnePass, Options: testOptions(3)},
+		{Kind: backend.KindSharded, Options: testOptions(3), Workers: 2},
 		windowSpec(3, 8, 2),
 	} {
+		spec.G, spec.Options.Envelope = "x^1", core.EnvelopeFor(inside, testOptions(3))
 		t.Run(string(spec.Kind), func(t *testing.T) {
 			srv, c := streamServer(t, spec)
-			if err := c.PushContext(context.Background(), s.Updates()); err != nil {
+			if err := srv.IngestBatch(s.Updates()); err != nil {
 				t.Fatal(err)
 			}
 			got, err := c.Estimate(url.Values{"g": {inside.Name()}})
@@ -255,22 +146,19 @@ func TestPullFromRejectsSpecMismatchBeforeMerge(t *testing.T) {
 	drifted := good
 	drifted.Options.Seed = 43
 
-	mk := func(spec backend.Spec) *Client {
+	mk := func(spec backend.Spec, updates []stream.Update) *Client {
 		srv, err := NewServer(spec)
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.IngestBatch(updates); err != nil {
 			t.Fatal(err)
 		}
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
 		return NewClient(ts.URL, nil)
 	}
-	coord, okWorker, badWorker := mk(good), mk(good), mk(drifted)
-	if err := okWorker.PushContext(context.Background(), s.Updates()); err != nil {
-		t.Fatal(err)
-	}
-	if err := badWorker.PushContext(context.Background(), s.Updates()); err != nil {
-		t.Fatal(err)
-	}
+	coord, okWorker, badWorker := mk(good, nil), mk(good, s.Updates()), mk(drifted, s.Updates())
 
 	err := coord.PullFromContext(context.Background(), []string{okWorker.base, badWorker.base})
 	if err == nil {
@@ -325,17 +213,51 @@ func TestMergeRejectsMismatchedConfiguration(t *testing.T) {
 	}
 }
 
-func TestIngestRejectsOutOfDomainItems(t *testing.T) {
-	srv, err := NewServer(backend.Spec{Kind: backend.KindCountSketch,
-		Options: core.Options{N: 16, Seed: 1}})
+// postRaw posts body to /v1/ingest of a fresh daemon and returns the
+// answer, the daemon's ingest count and its point query of item after it.
+func postRaw(t *testing.T, spec backend.Spec, body string, item uint64) (code int, msg string, ingested uint64, freq int64) {
+	t.Helper()
+	srv, c := streamServer(t, spec)
+	resp, err := http.Post(c.Base()+"/v1/ingest", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	err = NewClient(ts.URL, nil).PushContext(context.Background(), []stream.Update{{Item: 99, Delta: 1}})
-	if err == nil {
-		t.Error("expected out-of-domain item to be rejected")
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.locked(func() { ingested, freq = srv.ingests, srv.est.(backend.PointQuerier).EstimateItem(item) })
+	return resp.StatusCode, string(b), ingested, freq
+}
+
+// TestIngestRejectsOutOfDomainItems: /v1/ingest, the door curl uses,
+// takes a JSON batch of [item, delta] pairs whole or not at all, and an
+// item at or past the domain's N is refused with a 400 naming the domain.
+func TestIngestRejectsOutOfDomainItems(t *testing.T) {
+	spec := backend.Spec{Kind: backend.KindCountSketch, Options: core.Options{N: 16, Seed: 1}, Rows: 3, Buckets: 64}
+	if code, msg, n, f := postRaw(t, spec, `{"updates":[[15,1],[3,2]]}`, 15); code != http.StatusOK || n != 2 || f != 1 {
+		t.Errorf("a batch inside the domain: %d %s, %d updates ingested, item 15 reads %d; want 200, 2 and 1", code, msg, n, f)
+	}
+	if code, msg, n, _ := postRaw(t, spec, `{"updates":[[3,2],[16,1]]}`, 3); code != http.StatusBadRequest ||
+		!strings.Contains(msg, "outside domain") || n != 0 {
+		t.Errorf("item N = 16 after a good one: %d %s, %d updates ingested; want a 400 naming the domain and none", code, msg, n)
+	}
+}
+
+// TestPushRejectsItemsBeyondInt64: /v1/ingest's body carries items as
+// int64, so a client that wraps an ID at or past 2^63 sends a negative
+// number. The daemon refuses it with a 400 that names the int64 range,
+// not the domain, and 2^63-1, the largest ID the body carries, lands.
+func TestPushRejectsItemsBeyondInt64(t *testing.T) {
+	// A domain big enough that 2^63-1 is a valid item.
+	spec := backend.Spec{Kind: backend.KindCountSketch,
+		Options: core.Options{N: math.MaxUint64, Seed: 3}, Rows: 3, Buckets: 64}
+	if code, msg, _, _ := postRaw(t, spec, `{"updates":[[-5,1]]}`, 0); code != http.StatusBadRequest || !strings.Contains(msg, "int64 range") {
+		t.Errorf("a negative item: %d %s, want a 400 naming the int64 range", code, msg)
+	}
+	if code, msg, _, f := postRaw(t, spec, fmt.Sprintf(`{"updates":[[%d,2]]}`, math.MaxInt64), math.MaxInt64); code != http.StatusOK || f != 2 {
+		t.Errorf("boundary item 2^63-1: %d %s, reads %d in the sketch; want 200 and 2", code, msg, f)
 	}
 }
 
@@ -363,92 +285,6 @@ func windowSpec(seed uint64, w uint64, k int) backend.Spec {
 	return backend.Spec{Kind: backend.KindWindow, G: "x^2",
 		Options: core.Options{N: 1 << 12, M: 1 << 10, Seed: seed, Lambda: 1.0 / 16},
 		Window:  window.Config{W: w, K: k}}
-}
-
-// windowCluster spins up two window-kind workers and a coordinator,
-// drives disjoint halves of a ticked stream through the workers
-// (advancing every clock through the same tick sequence), merges, and
-// returns the coordinator client.
-func windowCluster(t *testing.T, spec backend.Spec, updates []stream.Update, ticks []uint64) *Client {
-	t.Helper()
-	mk := func() *Client {
-		srv, err := NewServer(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(srv.Handler())
-		t.Cleanup(ts.Close)
-		return NewClient(ts.URL, nil)
-	}
-	w1, w2, coord := mk(), mk(), mk()
-	last := ticks[len(ticks)-1]
-	push := func(c *Client, lo, hi int) {
-		for lo < hi {
-			run := lo + 1
-			for run < hi && ticks[run] == ticks[lo] {
-				run++
-			}
-			if _, err := c.AdvanceContext(context.Background(), ticks[lo]); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.PushContext(context.Background(), updates[lo:run]); err != nil {
-				t.Fatal(err)
-			}
-			lo = run
-		}
-		if _, err := c.AdvanceContext(context.Background(), last); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n := len(updates)
-	push(w1, 0, n/2)
-	push(w2, n/2, n)
-	if _, err := coord.AdvanceContext(context.Background(), last); err != nil {
-		t.Fatal(err)
-	}
-	if err := coord.PullFromContext(context.Background(), []string{w1.base, w2.base}); err != nil {
-		t.Fatal(err)
-	}
-	return coord
-}
-
-// TestE2EWindowBackend: the coordinator's windowed estimate equals a
-// single-process window estimator fed the whole ticked stream — exactly
-// — and reports the clock and stale-tick diagnostics.
-func TestE2EWindowBackend(t *testing.T) {
-	s := testStream(5)
-	updates := s.Updates()
-	ticks := make([]uint64, len(updates))
-	for i := range ticks {
-		ticks[i] = uint64(i) * 32 / uint64(len(updates))
-	}
-	spec := windowSpec(23, 6, 2)
-
-	est, err := backend.Open(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := est.(backend.Windowed)
-	for i, u := range updates {
-		ref.Advance(ticks[i])
-		est.Update(u.Item, u.Delta)
-	}
-	ref.Advance(ticks[len(ticks)-1])
-
-	cc := windowCluster(t, spec, updates, ticks)
-	resp, err := cc.Estimate(url.Values{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := *resp.Estimate; got != est.Estimate() {
-		t.Fatalf("daemon windowed estimate %v != single-process %v", got, est.Estimate())
-	}
-	if tick := *resp.Tick; tick != ref.Now() {
-		t.Fatalf("daemon clock %v != %d", tick, ref.Now())
-	}
-	if stale := *resp.StaleTicks; stale != ref.Stale() {
-		t.Fatalf("daemon stale %v != %d", stale, ref.Stale())
-	}
 }
 
 // TestAdvanceEndpoint: past ticks are a no-op, kinds without a clock
@@ -544,7 +380,7 @@ func TestRefusedMergeLeavesTheAggregate(t *testing.T) {
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
 		c := NewClient(ts.URL, nil)
-		if err := c.PushContext(context.Background(), testStream(seed).Updates()); err != nil {
+		if err := srv.IngestBatch(testStream(seed).Updates()); err != nil {
 			t.Fatal(err)
 		}
 		return c

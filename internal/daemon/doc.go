@@ -63,8 +63,9 @@
 // distributed work-queue systems: workers sit close to the traffic and
 // absorb updates; the coordinator owns the query surface.
 //
-// Client is the typed HTTP client for all of the above; every verb is
-// context-first (PushContext, EstimateContext, ...), and /v1/estimate
+// Client is the typed HTTP client for all of the above but the JSON
+// /v1/ingest, which is curl's door; every verb is context-first
+// (EstimateContext, MergeContext, ...), and /v1/estimate
 // responses decode into the typed EstimateResult the server itself
 // encodes. Loopback serves a Server on a 127.0.0.1 port beside its
 // Client: the in-process node of the bench runner and the soak.

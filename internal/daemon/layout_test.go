@@ -74,7 +74,7 @@ func TestOlderLayoutIsRefusedAtTheDoor(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	c := NewClient(ts.URL, nil)
-	if err := c.PushContext(context.Background(), testStream(3).Updates()); err != nil {
+	if err := srv.IngestBatch(testStream(3).Updates()); err != nil {
 		t.Fatal(err)
 	}
 	before, err := c.Snapshot()
@@ -149,7 +149,7 @@ func TestOlderLayoutIsRefusedAtTheDoor(t *testing.T) {
 		if info.Ingested != 0 {
 			t.Errorf("after a refused checkpoint the daemon reports %d ingested updates, want an empty start", info.Ingested)
 		}
-		if err := fc.PushContext(context.Background(), testStream(3).Updates()); err != nil {
+		if err := fresh.IngestBatch(testStream(3).Updates()); err != nil {
 			t.Errorf("after a refused checkpoint the daemon does not ingest: %v", err)
 		}
 		got, err := fc.Snapshot()

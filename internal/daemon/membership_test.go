@@ -189,8 +189,8 @@ func TestAutoPullRebuildsWithoutDoubleCounting(t *testing.T) {
 		t.Cleanup(ts.Close)
 		return srv, ts
 	}
-	_, w1 := mk()
-	_, w2 := mk()
+	w1srv, w1 := mk()
+	w2srv, w2 := mk()
 	coord, cts := mk()
 
 	m := coord.Membership()
@@ -204,7 +204,7 @@ func TestAutoPullRebuildsWithoutDoubleCounting(t *testing.T) {
 	t.Cleanup(m.Stop)
 
 	// Round 1: half the stream on w1.
-	if err := NewClient(w1.URL, nil).PushContext(context.Background(), updates[:half]); err != nil {
+	if err := w1srv.IngestBatch(updates[:half]); err != nil {
 		t.Fatal(err)
 	}
 	m.ProbeAll()
@@ -237,7 +237,7 @@ func TestAutoPullRebuildsWithoutDoubleCounting(t *testing.T) {
 
 	// Round 2: the other half lands on w2; the next pull sees the whole
 	// stream, bit-identical to serial.
-	if err := NewClient(w2.URL, nil).PushContext(context.Background(), updates[half:]); err != nil {
+	if err := w2srv.IngestBatch(updates[half:]); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.PullAll(); err != nil {
@@ -347,10 +347,10 @@ func TestPullKeepsDeadWorkersLastSnapshot(t *testing.T) {
 	cts := httptest.NewServer(coord.Handler())
 	t.Cleanup(cts.Close)
 
-	if err := NewClient(wts.URL, nil).PushContext(context.Background(), updates[:half]); err != nil {
+	if err := worker.IngestBatch(updates[:half]); err != nil {
 		t.Fatal(err)
 	}
-	if err := NewClient(w2ts.URL, nil).PushContext(context.Background(), updates[half:]); err != nil {
+	if err := w2.IngestBatch(updates[half:]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -407,16 +407,17 @@ func TestMembershipLoopsEndToEnd(t *testing.T) {
 	updates := s.Updates()
 	half := len(updates) / 2
 
-	mk := func() *httptest.Server {
+	mk := func() (*Server, *httptest.Server) {
 		srv, err := NewServer(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
-		return ts
+		return srv, ts
 	}
-	w1, w2 := mk(), mk()
+	w1srv, w1 := mk()
+	w2srv, w2 := mk()
 	coord, err := NewServer(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -436,10 +437,10 @@ func TestMembershipLoopsEndToEnd(t *testing.T) {
 		Timeout: 2 * time.Second, Logf: t.Logf})
 	t.Cleanup(m.Stop)
 
-	if err := NewClient(w1.URL, nil).PushContext(context.Background(), updates[:half]); err != nil {
+	if err := w1srv.IngestBatch(updates[:half]); err != nil {
 		t.Fatal(err)
 	}
-	if err := NewClient(w2.URL, nil).PushContext(context.Background(), updates[half:]); err != nil {
+	if err := w2srv.IngestBatch(updates[half:]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -521,10 +522,10 @@ func TestSelfHealingClusterE2E(t *testing.T) {
 
 	// Normal operation: both workers ingest, w2 checkpoints, the
 	// coordinator aggregates.
-	if err := NewClient(w1.URL, nil).PushContext(context.Background(), updates[:half]); err != nil {
+	if err := w1srv.IngestBatch(updates[:half]); err != nil {
 		t.Fatal(err)
 	}
-	if err := NewClient("http://"+w2addr, nil).PushContext(context.Background(), w2Updates[:ckptAt]); err != nil {
+	if err := w2srv.IngestBatch(w2Updates[:ckptAt]); err != nil {
 		t.Fatal(err)
 	}
 	if err := w2srv.WriteCheckpoint(ckptPath); err != nil {
@@ -536,7 +537,7 @@ func TestSelfHealingClusterE2E(t *testing.T) {
 	}
 
 	// Crash: post-checkpoint updates die with the process.
-	if err := NewClient("http://"+w2addr, nil).PushContext(context.Background(), w2Updates[ckptAt:ckptAt+ckptAt/2]); err != nil {
+	if err := w2srv.IngestBatch(w2Updates[ckptAt : ckptAt+ckptAt/2]); err != nil {
 		t.Fatal(err)
 	}
 	w2.CloseClientConnections()
@@ -546,8 +547,8 @@ func TestSelfHealingClusterE2E(t *testing.T) {
 		t.Fatalf("crashed worker still alive: %+v", mi)
 	}
 
-	// Restart on the same address from the checkpoint; the pusher
-	// re-delivers everything after the checkpoint.
+	// Restart on the same address from the checkpoint; everything after
+	// the checkpoint is re-delivered.
 	w2srvB, err := NewServer(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -564,7 +565,7 @@ func TestSelfHealingClusterE2E(t *testing.T) {
 	w2b.Listener = l2
 	w2b.Start()
 	t.Cleanup(w2b.Close)
-	if err := NewClient("http://"+w2addr, nil).PushContext(context.Background(), w2Updates[ckptAt:]); err != nil {
+	if err := w2srvB.IngestBatch(w2Updates[ckptAt:]); err != nil {
 		t.Fatal(err)
 	}
 

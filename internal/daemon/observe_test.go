@@ -54,7 +54,7 @@ func TestMetricsEndpointCountsIngest(t *testing.T) {
 	spec := backend.Spec{Kind: backend.KindOnePass, G: "x^2", Options: testOptions(4)}
 	srv, c := streamServer(t, spec)
 
-	if err := c.PushContext(context.Background(), s.Updates()[:100]); err != nil {
+	if err := postIngest(context.Background(), c, s.Updates()[:100]); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.IngestBatch(s.Updates()[100:150]); err != nil {
@@ -83,6 +83,14 @@ func TestMetricsEndpointCountsIngest(t *testing.T) {
 	}
 	if v := mustValue(t, sc, "gsumd_ingest_updates_total", streamL); v != 256 {
 		t.Fatalf("stream updates = %v, want 256", v)
+	}
+	for _, c := range []struct {
+		l    metrics.Label
+		want float64
+	}{{jsonL, 1}, {inprocL, 1}, {streamL, 4}} {
+		if v := mustValue(t, sc, "gsumd_ingest_batches_total", c.l); v != c.want {
+			t.Fatalf("%s batches = %v, want %v", c.l.Value, v, c.want)
+		}
 	}
 	// Acks are durability receipts: after a clean Close every applied
 	// stream update has been acked — the soak harness's first invariant.
@@ -135,12 +143,25 @@ func TestMetricsEndpointCountsIngest(t *testing.T) {
 // TestMetricsEstimateLatencyObserved: querying populates the handler
 // latency histograms.
 func TestMetricsLatencyHistogramsPopulated(t *testing.T) {
-	s := testStream(13)
 	spec := backend.Spec{Kind: backend.KindOnePass, G: "x^2", Options: testOptions(6)}
-	cc := cluster(t, spec, s)
+	_, cc := streamServer(t, spec)
+	part, err := backend.Open(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part.UpdateBatch(testStream(13).Updates())
+	snap, err := part.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := cc.MergeContext(context.Background(), snap); err != nil {
+			t.Fatal(err)
+		}
+	}
 	sc := scrape(t, cc.Base())
 	if v := mustValue(t, sc, "gsumd_merge_seconds_count"); v != 2 {
-		t.Fatalf("merge histogram count = %v, want 2 (two workers pulled)", v)
+		t.Fatalf("merge histogram count = %v, want 2 (two snapshots merged)", v)
 	}
 	if _, err := cc.Estimate(url.Values{}); err != nil {
 		t.Fatal(err)
@@ -379,7 +400,7 @@ func TestSketchDepthIsObservable(t *testing.T) {
 		}
 		// Every item of the domain, once: about 4096/2^5 = 128 reach the
 		// deepest level, all of them tracked.
-		if err := c.PushContext(context.Background(), whole); err != nil {
+		if err := srv.IngestBatch(whole); err != nil {
 			t.Fatal(err)
 		}
 		tracked := mustValue(t, scrape(t, c.Base()), "gsumd_sketch_deepest_tracked")
@@ -421,7 +442,7 @@ func TestSketchResidentBytesIsObservable(t *testing.T) {
 	if !(resident < budget) {
 		t.Fatalf("fresh daemon: resident %v bytes, want below the budget %v", resident, budget)
 	}
-	if err := c.PushContext(context.Background(), testStream(11).Updates()); err != nil {
+	if err := srv.IngestBatch(testStream(11).Updates()); err != nil {
 		t.Fatal(err)
 	}
 	sc = scrape(t, c.Base())

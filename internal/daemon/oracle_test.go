@@ -5,10 +5,12 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -35,8 +37,11 @@ import (
 //   - the counters equal the replay's bit for bit, read by reflection;
 //   - while the distinct items stay within every tracker's capacity
 //     (2H/λ + 1; a narrow sequence draws from oracleItems of them), the
-//     snapshot bytes and the estimate's bits equal the replay's too;
-//   - a refused payload changes nothing, and no door panics.
+//     snapshot bytes, the estimate's bits and the kind's other answers
+//     (point queries, a post-hoc function, the cover's items, the window's
+//     clock) equal the replay's too;
+//   - a refused payload changes nothing (a daemon answers it 409), and no
+//     door panics.
 //
 // A failing sequence is shrunk and printed as a Go literal; pasted into
 // oracleRegressions it replays first on every run.
@@ -88,6 +93,16 @@ type sequence struct {
 var oracleRegressions []sequence
 
 const oracleItems = 48
+
+// oracleItem is the k-th of a narrow sequence's items.
+func oracleItem(k uint64) uint64 { return k * 2654435761 % testOptions(0).N }
+
+// oracleProbes are the items a PointQuerier is asked for.
+var oracleProbes = []uint64{oracleItem(0), oracleItem(1), oracleItem(2)}
+
+// oraclePostHoc is the function a FuncQuerier is asked for besides its
+// Spec's: x^1, whose envelope is under x^2's.
+const oraclePostHoc = "x^1"
 
 var (
 	oracleKinds = []backend.Kind{backend.KindOnePass, backend.KindTwoPass, backend.KindSharded, backend.KindWindow,
@@ -154,7 +169,7 @@ func (seq sequence) updates(o op) []stream.Update {
 	for i := range out {
 		item := rng.Uint64n(n)
 		if !seq.Wide {
-			item = rng.Uint64n(oracleItems) * 2654435761 % n
+			item = oracleItem(rng.Uint64n(oracleItems))
 		}
 		delta := rng.Int63n(9) - 4
 		if seq.Overflow && rng.Uint64n(32) == 0 {
@@ -175,6 +190,42 @@ type state struct {
 	counters [][]int64
 	snapshot []byte
 	estimate float64
+	answers  answers
+}
+
+// answers is what a kind answers beside its estimate, by capability; a
+// field stays zero where the kind lacks it.
+type answers struct {
+	points []float64  // PointQuerier: oracleProbes' point queries, as /v1/estimate serves them
+	post   *float64   // FuncQuerier: the estimate for oraclePostHoc
+	cover  []uint64   // CoverReporter: the cover's items, in order
+	clock  *[3]uint64 // Windowed: the tick, the window length, the stale ticks
+}
+
+// answersOf asks a library estimator.
+func answersOf(est backend.Estimator) (a answers) {
+	if pq, ok := est.(backend.PointQuerier); ok {
+		for _, item := range oracleProbes {
+			a.points = append(a.points, float64(pq.EstimateItem(item)))
+		}
+	}
+	if fq, ok := est.(backend.FuncQuerier); ok {
+		g, err := backend.CatalogFunc(oraclePostHoc)
+		if err != nil {
+			panic(err)
+		}
+		a.post = new(float64)
+		*a.post = fq.EstimateFor(g)
+	}
+	if cr, ok := est.(backend.CoverReporter); ok {
+		for _, e := range cr.Cover() {
+			a.cover = append(a.cover, e.Item)
+		}
+	}
+	if win, ok := est.(backend.Windowed); ok {
+		a.clock = &[3]uint64{win.Now(), win.Config().W, win.Stale()}
+	}
+	return a
 }
 
 // door drives one sequence's subject; an opener opens one per sequence.
@@ -353,7 +404,7 @@ func secondPass(seq sequence, spec backend.Spec, subject, replay backend.Estimat
 	if err := backend.Process(p, streamOf(kept)); err != nil {
 		return err
 	}
-	if err := compare(seq, state{counters: counters(p), snapshot: marshal(p), estimate: p.Estimate()}, replay); err != nil {
+	if err := compare(seq, state{counters: counters(p), snapshot: marshal(p), estimate: p.Estimate(), answers: answersOf(p)}, replay); err != nil {
 		return fmt.Errorf("twopass Process at %d workers: %w", seq.Workers, err)
 	}
 	return nil
@@ -380,6 +431,9 @@ func compare(seq sequence, got state, replay backend.Estimator) error {
 	}
 	if want := replay.Estimate(); math.Float64bits(got.estimate) != math.Float64bits(want) {
 		return fmt.Errorf("estimate %v, serial replay %v", got.estimate, want)
+	}
+	if want := answersOf(replay); !reflect.DeepEqual(got.answers, want) {
+		return fmt.Errorf("answers %+v, serial replay %+v", got.answers, want)
 	}
 	return nil
 }
@@ -561,7 +615,7 @@ func (d *libraryDoor) do(o op, us []stream.Update) error {
 }
 
 func (d *libraryDoor) state() (state, error) {
-	st := state{counters: counters(d.est), estimate: d.est.Estimate()}
+	st := state{counters: counters(d.est), estimate: d.est.Estimate(), answers: answersOf(d.est)}
 	if _, twoPass := d.est.(backend.TwoPass); !twoPass {
 		st.snapshot = marshal(d.est)
 	}
@@ -655,7 +709,7 @@ func (d *daemonDoor) ingest(k opKind, us []stream.Update) error {
 		}
 		return d.p.Flush()
 	case k == opBatch:
-		return d.subject().Client.PushContext(context.Background(), us)
+		return postIngest(context.Background(), d.subject().Client, us)
 	}
 	var err error
 	stream.Batches(us, func(b []stream.Update) {
@@ -706,8 +760,8 @@ func (d *daemonDoor) do(o op, us []stream.Update) error {
 			return err
 		}
 		bad, _ := refused(d.t, d.spec, o, us, d.now, before)
-		if c.MergeContext(ctx, bad) == nil {
-			return fmt.Errorf("/v1/merge accepted a bad payload")
+		if err := c.MergeContext(ctx, bad); err == nil || !strings.Contains(err.Error(), "409") {
+			return fmt.Errorf("/v1/merge of a bad payload: %v, want a 409", err)
 		}
 		after, err := c.SnapshotContext(ctx)
 		if err != nil {
@@ -753,7 +807,8 @@ func (d *daemonDoor) do(o op, us []stream.Update) error {
 func (d *daemonDoor) state() (state, error) {
 	ctx, lb := context.Background(), d.subject()
 	var st state
-	lb.Server.locked(func() { st.counters = counters(lb.Server.est) })
+	var est backend.Estimator
+	lb.Server.locked(func() { st.counters, est = counters(lb.Server.est), lb.Server.est })
 	var err error
 	if st.snapshot, err = lb.Client.SnapshotContext(ctx); err != nil {
 		return st, err
@@ -766,6 +821,34 @@ func (d *daemonDoor) state() (state, error) {
 		if v != nil {
 			st.estimate = *v
 		}
+	}
+	for _, e := range res.Cover {
+		st.answers.cover = append(st.answers.cover, e.Item)
+	}
+	if res.Tick != nil && res.Window != nil && res.StaleTicks != nil {
+		st.answers.clock = &[3]uint64{*res.Tick, *res.Window, *res.StaleTicks}
+	}
+	if _, ok := est.(backend.PointQuerier); ok {
+		for _, item := range oracleProbes {
+			r, err := lb.Client.EstimateContext(ctx, url.Values{"item": {strconv.FormatUint(item, 10)}})
+			if err != nil {
+				return st, err
+			}
+			if r.Item == nil || *r.Item != item || r.Estimate == nil {
+				return st, fmt.Errorf("?item=%d answered %+v", item, r)
+			}
+			st.answers.points = append(st.answers.points, *r.Estimate)
+		}
+	}
+	if _, ok := est.(backend.FuncQuerier); ok {
+		r, err := lb.Client.EstimateContext(ctx, url.Values{"g": {oraclePostHoc}})
+		if err != nil {
+			return st, err
+		}
+		if r.G != oraclePostHoc || r.Estimate == nil {
+			return st, fmt.Errorf("?g=%s answered %+v", oraclePostHoc, r)
+		}
+		st.answers.post = r.Estimate
 	}
 	info, err := lb.Client.ConfigContext(ctx)
 	if err != nil {

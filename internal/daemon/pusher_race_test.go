@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -237,19 +238,8 @@ func TestPusherRefusalReasonBeatsReset(t *testing.T) {
 		burst  = 1024 // acks ahead of the refusal, ~45 KB: inside one receive window
 		reason = "frame refused by the fake peer"
 	)
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/config", func(w http.ResponseWriter, r *http.Request) {
-		_ = json.NewEncoder(w).Encode(ConfigInfo{Fingerprint: fp})
-	})
-	mux.HandleFunc("/v1/stream", func(w http.ResponseWriter, r *http.Request) {
-		conn, rw, err := w.(http.Hijacker).Hijack()
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		defer conn.Close() // with frames still arriving: the reset
-		_, _ = rw.WriteString("HTTP/1.1 101 Switching Protocols\r\nUpgrade: " + StreamProtocol + "\r\nConnection: Upgrade\r\n\r\n")
-		_ = rw.Flush()
+	// Closing with frames still arriving is the reset.
+	ts := fakePeer(t, fp, func(rw *bufio.ReadWriter) {
 		var acks []byte
 		for seq := uint64(1); seq <= burst+1; seq++ {
 			payload, err := wire.ReadFrameInto(rw, nil, wire.MaxIngestFrameBytes)
@@ -271,8 +261,6 @@ func TestPusherRefusalReasonBeatsReset(t *testing.T) {
 		_, _ = rw.Write(acks)
 		_ = rw.Flush()
 	})
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
 
 	const frames = 1 << 16
 	updates := make([]stream.Update, frames)
@@ -290,5 +278,62 @@ func TestPusherRefusalReasonBeatsReset(t *testing.T) {
 	}
 	if err == nil || !strings.Contains(err.Error(), reason) {
 		t.Fatalf("session error %v, want the peer's reason %q", err, reason)
+	}
+}
+
+// fakePeer serves /v1/config with the fingerprint fp and hands every
+// upgraded /v1/stream connection to serve, closing it when serve returns.
+func fakePeer(t *testing.T, fp uint64, serve func(rw *bufio.ReadWriter)) *httptest.Server {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/config", func(w http.ResponseWriter, r *http.Request) {
+		_ = json.NewEncoder(w).Encode(ConfigInfo{Fingerprint: fp})
+	})
+	mux.HandleFunc("/v1/stream", func(w http.ResponseWriter, r *http.Request) {
+		conn, rw, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer conn.Close()
+		_, _ = rw.WriteString("HTTP/1.1 101 Switching Protocols\r\nUpgrade: " + StreamProtocol + "\r\nConnection: Upgrade\r\n\r\n")
+		_ = rw.Flush()
+		serve(rw)
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestPusherDrainAckReleasesItsSeq: a draining ack says every frame up to
+// its Seq was applied, whether or not an ack of its own came first. A
+// fake peer reads three one-update frames and answers with one draining
+// ack naming the second: the Pusher counts two updates acked and names
+// one to redeliver.
+func TestPusherDrainAckReleasesItsSeq(t *testing.T) {
+	const fp = 0x5eed
+	ts := fakePeer(t, fp, func(rw *bufio.ReadWriter) {
+		for i := 0; i < 3; i++ {
+			if _, err := wire.ReadFrameInto(rw, nil, wire.MaxIngestFrameBytes); err != nil {
+				t.Errorf("peer read: %v", err)
+				return
+			}
+		}
+		_, _ = rw.Write(wire.AppendFramedIngestAck(nil, fp,
+			wire.IngestAck{Seq: 2, Total: 2, Status: wire.IngestAckDraining, Msg: "draining"}))
+		_ = rw.Flush()
+	})
+	p, err := NewClient(ts.URL, nil).NewPusher(context.Background(), PusherConfig{MaxBatch: 1, MaxInFlight: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Push([]stream.Update{{Item: 1, Delta: 1}, {Item: 2, Delta: 1}, {Item: 3, Delta: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	err = p.Close()
+	if !errors.Is(err, ErrDraining) || !strings.Contains(err.Error(), "after acking 2 updates; 1 unacked") {
+		t.Errorf("Close = %v, want ErrDraining after 2 acked updates with 1 to redeliver", err)
+	}
+	if acked := p.Stats().Acked; acked != 2 {
+		t.Errorf("%d updates acked, want 2", acked)
 	}
 }

@@ -305,7 +305,7 @@ func TestMinInt64DeltaEndToEnd(t *testing.T) {
 	// check drives one daemon through one door.
 	check := func(t *testing.T, name string, spec backend.Spec, ingest func(*Server, *Client) error) {
 		srv, c := streamServer(t, spec)
-		if err := c.PushContext(context.Background(), s.Updates()); err != nil {
+		if err := srv.IngestBatch(s.Updates()); err != nil {
 			t.Fatal(err)
 		}
 		// The kind's scalar answer: the estimate (post hoc for x^2 on
@@ -352,7 +352,7 @@ func TestMinInt64DeltaEndToEnd(t *testing.T) {
 		}
 	}
 	for name, ingest := range map[string]func(*Server, *Client) error{
-		"json":      func(_ *Server, c *Client) error { return c.PushContext(context.Background(), poison) },
+		"json":      func(_ *Server, c *Client) error { return postIngest(context.Background(), c, poison) },
 		"inprocess": func(srv *Server, _ *Client) error { return srv.IngestBatch(poison) },
 		"stream": func(_ *Server, c *Client) error {
 			p, err := c.NewPusher(context.Background(), PusherConfig{})

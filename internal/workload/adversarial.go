@@ -132,9 +132,3 @@ func (a Adversarial) Generate(cfg Config) *stream.Stream {
 	}
 	return s
 }
-
-// GenerateTicked implements TickedGenerator: the attack has no
-// intrinsic arrival structure, so time is an even slicing.
-func (a Adversarial) GenerateTicked(cfg Config) *TickedStream {
-	return evenTicked(a.Generate(cfg), cfg)
-}

@@ -13,7 +13,9 @@ import (
 // CrowdShare of every remaining update. The whole-stream vector has a
 // clear head, but any estimator that froze its candidate set during the
 // quiet first act never saw the crowd coming; sliding windows that
-// cover only the second act see a needle workload instead.
+// cover only the second act see a needle workload instead. Its ticked
+// stream is Ticked's even slicing, so the break lands at tick
+// BreakFrac*Ticks.
 type FlashCrowd struct {
 	// BreakFrac is where the crowd arrives, as a fraction of the stream
 	// (default 0.5).
@@ -67,11 +69,4 @@ func (f FlashCrowd) Generate(cfg Config) *stream.Stream {
 		s.Add(items[draw.Uint64n(uint64(len(items)))], 1)
 	}
 	return s
-}
-
-// GenerateTicked implements TickedGenerator: even slicing, so the break
-// lands at tick BreakFrac*Ticks and a trailing window shorter than the
-// post-break span sees only the crowd regime.
-func (f FlashCrowd) GenerateTicked(cfg Config) *TickedStream {
-	return evenTicked(f.Generate(cfg), cfg)
 }

@@ -112,22 +112,6 @@ func evenTicked(s *stream.Stream, cfg Config) *TickedStream {
 	return &TickedStream{Stream: s, Ticks: ticks}
 }
 
-// GenerateTicked implements TickedGenerator: the zipf stream has no
-// intrinsic arrival structure, so time is an even slicing.
-func (z Zipf) GenerateTicked(cfg Config) *TickedStream {
-	return evenTicked(z.Generate(cfg), cfg)
-}
-
-// GenerateTicked implements TickedGenerator (even slicing).
-func (u Uniform) GenerateTicked(cfg Config) *TickedStream {
-	return evenTicked(u.Generate(cfg), cfg)
-}
-
-// GenerateTicked implements TickedGenerator (even slicing).
-func (n Needle) GenerateTicked(cfg Config) *TickedStream {
-	return evenTicked(n.Generate(cfg), cfg)
-}
-
 // GenerateTicked implements TickedGenerator with a burst-aligned time
 // axis: every geometric run falls entirely inside one tick (run r of R
 // gets tick r·T/R), modeling devices that flush a whole burst at once.

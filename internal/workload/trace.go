@@ -136,9 +136,3 @@ func (t TraceReplay) Generate(cfg Config) *stream.Stream {
 	}
 	return s
 }
-
-// GenerateTicked implements TickedGenerator: traces carry no tick
-// column once cycled, so time is an even slicing.
-func (t TraceReplay) GenerateTicked(cfg Config) *TickedStream {
-	return evenTicked(t.Generate(cfg), cfg)
-}

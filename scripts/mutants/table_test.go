@@ -3,13 +3,16 @@ package mutants
 // The packages rows run. TestOracle (internal/daemon) holds every kind
 // to a serial replay through the library, the daemon and the stream.
 const (
-	backendPkg   = "./internal/backend"
-	corePkg      = "./internal/core"
-	daemonPkg    = "./internal/daemon"
-	recursivePkg = "./internal/recursive"
-	rootPkg      = "."
-	sketchPkg    = "./internal/sketch"
-	windowPkg    = "./internal/window"
+	backendPkg     = "./internal/backend"
+	corePkg        = "./internal/core"
+	daemonPkg      = "./internal/daemon"
+	experimentsPkg = "./internal/experiments"
+	heavyPkg       = "./internal/heavy"
+	recursivePkg   = "./internal/recursive"
+	rootPkg        = "."
+	sketchPkg      = "./internal/sketch"
+	sweepPkg       = "./internal/sweep"
+	windowPkg      = "./internal/window"
 )
 
 // table is the ledger. Rows in group "pairwise" are the mutants that
@@ -18,7 +21,14 @@ const (
 // parallel branches among them, which the root TestPublic* tests kill
 // since they stream past 2·stream.BatchSize. Rows in group "window" prove
 // the window tests deleted for TestWindowPerTickModel, the window's exact
-// model. A row's comment names the deleted test it proves.
+// model. Rows in group "daemon" break one line of internal/daemon's
+// program files, and prove the daemon tests deleted for TestOracle and for
+// the tests that took their cases. Rows in group "accuracy" change the
+// paper's math the same way on every path, so no agreement test sees them:
+// they measure what the referee (backend's TestConformance, its
+// statistical checks, and TestConformanceLayoutPin, the exact counts)
+// and the cover's unit tests can see. A row's comment names the deleted
+// test it proves.
 var table = []mutant{
 	// TestMergeOfAnotherSeedIsRefused (backend).
 	{id: "merge-fingerprint-check", group: "pairwise", file: "internal/backend/registry.go",
@@ -162,4 +172,170 @@ var table = []mutant{
 	{id: "window-estimate-newest-pane", group: "window", file: "internal/window/window.go",
 		old: "func (w *Window) EstimateFor(g gfunc.Func) float64 { return w.Merged().EstimateFor(g) }", new: "func (w *Window) EstimateFor(g gfunc.Func) float64 { return w.pane(len(w.panes)-1).EstimateFor(g) }",
 		pkgs: []string{windowPkg, backendPkg, daemonPkg}, killers: []string{"TestEstimatorTracksWindowedExact"}},
+
+	// The daemon. TestOracle asks every kind, through the in-process and
+	// JSON doors and the stream, for its point queries, a post-hoc
+	// function, its cover's items and its window clock (the reads of the
+	// five TestE2E*Backend tests, deleted with their cluster helpers) and
+	// holds a refused /v1/merge to a 409, so the two /v1/merge refusal
+	// tests have another killer too.
+	// TestIngestRejectsOutOfDomainItems posts item N itself.
+	{id: "daemon-apply-domain-bound", group: "daemon", file: "internal/daemon/daemon.go",
+		old: "if u.Item >= n {", new: "if u.Item > n {",
+		pkgs: []string{daemonPkg}, killers: []string{"TestIngestRejectsOutOfDomainItems"}},
+	{id: "daemon-apply-counts-one", group: "daemon", file: "internal/daemon/daemon.go",
+		old: "s.ingests += uint64(len(batch))", new: "s.ingests++",
+		pkgs: []string{daemonPkg}, killers: []string{"TestOracle", "TestIngestRejectsOutOfDomainItems"}},
+	// The JSON door's own refusal: TestPushRejectsItemsBeyondInt64 posts
+	// raw JSON now that the client verb it pushed through is gone.
+	{id: "daemon-ingest-negative-item", group: "daemon", file: "internal/daemon/daemon.go",
+		old: "if p[0] < 0 {", new: "if false {",
+		pkgs: []string{daemonPkg}, killers: []string{"TestPushRejectsItemsBeyondInt64"}},
+	// Another seed's snapshot merged. TestOracle's opRefuse posts one of
+	// every kind.
+	{id: "daemon-wire-fingerprint-unchecked", group: "daemon", file: "internal/wire/wire.go",
+		old: "} else if fp != fingerprint {", new: "} else if false {",
+		pkgs: []string{daemonPkg}, killers: []string{"TestOracle", "TestMergeRejectsMismatchedConfiguration", "TestRestoreRefusesDriftedFingerprint"}},
+	{id: "daemon-merge-refusal-status", group: "daemon", file: "internal/daemon/daemon.go",
+		old: "writeError(w, http.StatusConflict, err)", new: "writeError(w, http.StatusBadRequest, err)",
+		pkgs: []string{daemonPkg}, killers: []string{"TestOracle", "TestRefusedMergeLeavesTheAggregate"}},
+	{id: "daemon-handshake-skipped", group: "daemon", file: "internal/daemon/daemon.go",
+		old: "if req.Fingerprint != s.fp {", new: "if false {",
+		pkgs: []string{daemonPkg}, killers: []string{"TestPullFromRejectsSpecMismatchBeforeMerge", "TestHeartbeatCountsDriftAsMiss"}},
+	// The function asked for has exactly the envelope the sketch was sized
+	// for.
+	{id: "daemon-sized-for-boundary", group: "daemon", file: "internal/daemon/daemon.go",
+		old: "h > s.spec.Options.Envelope", new: "h >= s.spec.Options.Envelope",
+		pkgs: []string{daemonPkg}, killers: []string{"TestPostHocQueryRefusesFunctionsPastTheEnvelope"}},
+	// TestE2ECountSketchBackend: ?item=.
+	{id: "daemon-point-query-item", group: "daemon", file: "internal/daemon/daemon.go",
+		old: "Estimate: f64p(float64(pq.EstimateItem(item)))", new: "Estimate: f64p(float64(pq.EstimateItem(item + 1)))",
+		pkgs: []string{daemonPkg}, killers: []string{"TestOracle"}},
+	// TestE2EUniversalBackendPostHocQueries: ?g= answers the Spec's g.
+	{id: "daemon-post-hoc-own-g", group: "daemon", file: "internal/daemon/daemon.go",
+		old: "return EstimateResult{G: name, Estimate: f64p(fq.EstimateFor(g))}, nil", new: "_, _ = fq, g; return EstimateResult{G: name, Estimate: f64p(s.est.Estimate())}, nil",
+		pkgs: []string{daemonPkg}, killers: []string{"TestOracle", "TestPostHocQueryRefusesFunctionsPastTheEnvelope"}},
+	// TestE2EHeavyBackend: the cover's item ids.
+	{id: "daemon-cover-item", group: "daemon", file: "internal/daemon/daemon.go",
+		old: "entries[i] = CoverEntry{Item: c.Item,", new: "entries[i] = CoverEntry{Item: c.Item ^ 1,",
+		pkgs: []string{daemonPkg}, killers: []string{"TestOracle"}},
+	// TestE2EWindowBackend: tick and stale_ticks.
+	{id: "daemon-window-stale-ticks", group: "daemon", file: "internal/daemon/daemon.go",
+		old: "StaleTicks: u64p(e.Stale()),", new: "StaleTicks: u64p(0),",
+		pkgs: []string{daemonPkg}, killers: []string{"TestOracle"}},
+	{id: "daemon-window-tick", group: "daemon", file: "internal/daemon/daemon.go",
+		old: "Tick:       u64p(e.Now()),", new: "Tick:       u64p(e.Now() + 1),",
+		pkgs: []string{daemonPkg}, killers: []string{"TestOracle"}},
+	{id: "daemon-advance-ignored", group: "daemon", file: "internal/daemon/daemon.go",
+		old: "now = win.Advance(req.Tick)", new: "now = req.Tick; _ = win",
+		pkgs: []string{daemonPkg}, killers: []string{"TestOracle", "TestAdvanceEndpoint"}},
+	// gsumd_ingest_batches_total by transport, which bench/ reads.
+	{id: "daemon-ingest-metric-transport", group: "daemon", file: "internal/daemon/observe.go",
+		old: "m.ingestBatches[transport].Inc()", new: "m.ingestBatches[transportJSON].Inc()",
+		pkgs: []string{daemonPkg}, killers: []string{"TestMetricsEndpointCountsIngest"}},
+	// The header check skipped, a drifted checkpoint is refused later as
+	// corrupt, without "refusing checkpoint". TestRestoreDriftMessageNamesBothFingerprints
+	// (folded into TestRestoreRefusesDriftedFingerprint) killed only
+	// daemon-wire-fingerprint-unchecked.
+	{id: "daemon-restore-header-unchecked", group: "daemon", file: "internal/daemon/checkpoint.go",
+		old: "if err := r.Header(checkpointMagic, s.fp); err != nil {", new: "if err := r.Header(checkpointMagic, s.fp); err != nil && false {",
+		pkgs: []string{daemonPkg}, killers: []string{"TestRestoreRefusesDriftedFingerprint"}},
+	{id: "daemon-restore-keeps-ingests", group: "daemon", file: "internal/daemon/checkpoint.go",
+		old: "s.ingests = ingests", new: "_ = ingests",
+		pkgs: []string{daemonPkg}, killers: []string{"TestOracle"}},
+	{id: "daemon-checkpoint-drops-ingests", group: "daemon", file: "internal/daemon/checkpoint.go",
+		old: "w.U64(s.ingests)", new: "w.U64(0)",
+		pkgs: []string{daemonPkg}, killers: []string{"TestOracle"}},
+	{id: "daemon-restore-clock", group: "daemon", file: "internal/daemon/checkpoint.go",
+		old: "ok && tick > 0 {", new: "ok && false {",
+		pkgs: []string{daemonPkg}, killers: []string{"TestOracle", "TestWindowCheckpointRestoresClock"}},
+	{id: "daemon-checkpoint-bytes-gauge", group: "daemon", file: "internal/daemon/checkpoint.go",
+		old: "s.obs.checkpointBytes.Set(float64(len(data)))", new: "_ = data",
+		pkgs: []string{daemonPkg}, killers: []string{"TestCheckpointMetrics"}},
+	{id: "daemon-rebuild-no-swap", group: "daemon", file: "internal/daemon/membership.go",
+		old: "s.est = fresh", new: "_ = fresh",
+		pkgs: []string{daemonPkg}, killers: []string{"TestAutoPullRebuildsWithoutDoubleCounting"}},
+	{id: "daemon-rebuild-no-catch-up", group: "daemon", file: "internal/daemon/membership.go",
+		old: "catchUp()\n\t\ts.est = fresh", new: "s.est = fresh",
+		pkgs: []string{daemonPkg}, killers: []string{"TestAdvanceDuringRebuildIsNotLost"}},
+	{id: "daemon-heartbeat-one-late", group: "daemon", file: "internal/daemon/membership.go",
+		old: "mem.info.Misses >= cfg.MaxMisses", new: "mem.info.Misses > cfg.MaxMisses",
+		pkgs: []string{daemonPkg}, killers: []string{"TestHeartbeatMarksDownAndRecovers"}},
+	{id: "daemon-pull-drops-dead-snapshot", group: "daemon", file: "internal/daemon/membership.go",
+		old: "if mem.info.HasSnapshot {", new: "if mem.info.HasSnapshot && mem.info.Alive {",
+		pkgs: []string{daemonPkg}, killers: []string{"TestPullKeepsDeadWorkersLastSnapshot"}},
+	{id: "daemon-pull-skips-handshake", group: "daemon", file: "internal/daemon/client.go",
+		old: "return wc.CheckSpecContext(ctx, info.Fingerprint)", new: "_, _ = wc, info; return nil",
+		pkgs: []string{daemonPkg}, killers: []string{"TestPullFromRejectsSpecMismatchBeforeMerge", "TestPullFromDeadWorkerFailsFastWithZeroMerges"}},
+	// The five TestE2E*Backend tests pulled two workers into a
+	// coordinator; TestKillAndRestartE2E still does.
+	{id: "daemon-pull-first-worker-only", group: "daemon", file: "internal/daemon/client.go",
+		old: "for _, w := range workers {\n\t\twc := NewClient(w, c.hc)\n\t\tvar snap []byte", new: "for _, w := range workers[:1] {\n\t\twc := NewClient(w, c.hc)\n\t\tvar snap []byte",
+		pkgs: []string{daemonPkg}, killers: []string{"TestKillAndRestartE2E"}},
+	// TestPushReusesConnections, moved onto CheckSpecContext as
+	// TestClientReusesConnections: drainClose's drain.
+	{id: "daemon-client-no-drain", group: "daemon", file: "internal/daemon/client.go",
+		old: "_, _ = io.Copy(io.Discard, io.LimitReader(body, 1<<16))", new: "",
+		pkgs: []string{daemonPkg}, killers: []string{"TestClientReusesConnections"}},
+	{id: "daemon-client-oversize-snapshot", group: "daemon", file: "internal/daemon/client.go",
+		old: "if len(data) > maxBodyBytes {", new: "if false {",
+		pkgs: []string{daemonPkg}, killers: []string{"TestOversizeSnapshotRejected"}},
+	{id: "daemon-client-unbounded", group: "daemon", file: "internal/daemon/client.go",
+		old: "if t <= 0 {", new: "if false {",
+		pkgs: []string{daemonPkg}, killers: []string{"TestNewClientDefaultTimeout"}},
+	{id: "daemon-stream-keeps-big-buffers", group: "daemon", file: "internal/daemon/stream.go",
+		old: "if len(batch) <= streamKeepUpdates {", new: "if true {",
+		pkgs: []string{daemonPkg}, killers: []string{"TestStreamSessionDropsANearCapFrame"}},
+	{id: "daemon-stream-fresh-buffers", group: "daemon", file: "internal/daemon/stream.go",
+		old: "payloadBuf, batchBuf = payload, batch", new: "_, _ = payload, batch",
+		pkgs: []string{daemonPkg}, killers: []string{"TestStreamSteadyStateAllocFree"}},
+	{id: "daemon-stream-drain-unchecked", group: "daemon", file: "internal/daemon/stream.go",
+		old: "if st.draining {\n\t\treturn false\n\t}\n\tif st.beforeArm", new: "if false {\n\t\treturn false\n\t}\n\tif st.beforeArm",
+		pkgs: []string{daemonPkg}, killers: []string{"TestPusherDrainingRedeliverableCount"}},
+	{id: "daemon-stream-acked-frames", group: "daemon", file: "internal/daemon/stream.go",
+		old: "s.obs.ackedFrames.Inc()", new: "",
+		pkgs: []string{daemonPkg}, killers: []string{"TestMetricsEndpointCountsIngest"}},
+	// The daemon acks every applied frame before its draining ack, so
+	// against it the Pusher never holds the frame a draining ack names;
+	// only a peer that acks with the drain alone (TestPusherDrainAckReleasesItsSeq)
+	// sees the release stop one frame short. Dropping lastSeq from the
+	// daemon's draining ack is equivalent for the same reason and has no
+	// row.
+	{id: "daemon-pusher-drain-release", group: "daemon", file: "internal/daemon/pusher.go",
+		old: "if seq <= ack.Seq {", new: "if seq < ack.Seq {",
+		pkgs: []string{daemonPkg}, killers: []string{"TestPusherDrainAckReleasesItsSeq"}},
+	{id: "daemon-pusher-flush-cause", group: "daemon", file: "internal/daemon/pusher.go",
+		old: "case len(p.buf) >= p.cfg.MaxBatch:\n\t\t\tp.stats.FlushSize++", new: "case len(p.buf) >= p.cfg.MaxBatch:\n\t\t\tp.stats.FlushAge++",
+		pkgs: []string{daemonPkg}, killers: []string{"TestPusherMetrics"}},
+	// failSend not waiting for the ack reader loses the refusal's reason
+	// to the reset only when the reset wins a race:
+	// TestPusherRefusalReasonBeatsReset killed it in two ledger runs of
+	// three, so it has no row.
+	{id: "daemon-pusher-dial-no-port", group: "daemon", file: "internal/daemon/pusher.go",
+		old: "return net.JoinHostPort(u.Hostname(), \"80\")", new: "return u.Host",
+		pkgs: []string{daemonPkg}, killers: []string{"TestDialAddr"}},
+
+	// Accuracy (ROADMAP item 21's A1-A5): killers as measured under
+	// -short. A1 trips the referee's binomial floor and A3 its
+	// checkAgainstParent (the eps/4 counts), at 10 seeds and at 40; A2, A4
+	// and A5 pass TestConformance at both and are held by the cover's unit
+	// tests, the sweep's golden report and the layout pin alone.
+	{id: "accuracy-combine-no-doubling", group: "accuracy", file: "internal/recursive/recursive.go",
+		old: "est = heavySum + 2*(est-survivorSum)", new: "est = heavySum + (est-survivorSum)",
+		pkgs:    []string{recursivePkg, heavyPkg, sweepPkg, backendPkg},
+		killers: []string{"TestConformance", "TestConformanceLayoutPin", "TestCombineCoversDoubling", "TestDeepestLevelHoldsItsUniverse", "TestFlatStreamKeepsItsWindow", "TestGoldenReport"}},
+	{id: "accuracy-combine-no-clamp", group: "accuracy", file: "internal/recursive/recursive.go",
+		old: "if est < heavySum {", new: "if false {",
+		pkgs: []string{recursivePkg, backendPkg}, killers: []string{"TestCombineCoversClampsNegativeRemainder", "TestConformanceLayoutPin"}},
+	{id: "accuracy-window-tau-3", group: "accuracy", file: "internal/heavy/onepass.go",
+		old: "const windowTau = 1.5", new: "const windowTau = 3",
+		pkgs: []string{heavyPkg, sweepPkg, backendPkg}, killers: []string{"TestConformance", "TestOnePassCoverFindsExactHeavy", "TestGoldenReport", "TestConformanceLayoutPin"}},
+	{id: "accuracy-window-half-width", group: "accuracy", file: "internal/heavy/onepass.go",
+		old: "w := 2 * math.Sqrt(f2tail/float64(buckets))", new: "w := 1 * math.Sqrt(f2tail/float64(buckets))",
+		pkgs:    []string{heavyPkg, sweepPkg, backendPkg},
+		killers: []string{"TestOnePassCoverFindsExactHeavy", "TestErrorWindowClampsToInt64", "TestFlatStreamKeepsItsWindow", "TestGoldenReport", "TestConformanceLayoutPin"}},
+	{id: "accuracy-no-pruning", group: "accuracy", file: "internal/heavy/onepass.go",
+		old: "stable = o.noPrune || stableUnder(g, v, window, o.eps)", new: "stable = o.noPrune || stableUnder(g, v, window, o.eps) || true",
+		pkgs:    []string{heavyPkg, experimentsPkg, sweepPkg, backendPkg},
+		killers: []string{"TestOnePassCoverFindsExactHeavy", "TestFlatStreamKeepsItsWindow", "TestE5ExactAlwaysWins", "TestGoldenReport", "TestConformanceLayoutPin"}},
 }
