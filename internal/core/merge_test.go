@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/gfunc"
-	"repro/internal/stream"
 	"repro/internal/util"
 )
 
@@ -78,41 +77,5 @@ func TestDistributedTurnstileCancellation(t *testing.T) {
 	want := float64(30*30 + 4*4)
 	if util.RelErr(got, want) > 0.1 {
 		t.Errorf("merged estimate %.4g, want %.4g (cancellation failed)", got, want)
-	}
-}
-
-func zipfStreamShard(seed uint64, part, of int) *stream.Stream {
-	s := zipfStream(seed)
-	out := stream.New(s.N())
-	i := 0
-	s.Each(func(u stream.Update) {
-		if i%of == part {
-			out.Add(u.Item, u.Delta)
-		}
-		i++
-	})
-	return out
-}
-
-func TestSerializeRoundTripAcrossWorkers(t *testing.T) {
-	// Worker A and worker B sketch disjoint shards; B ships bytes to A;
-	// A's estimate matches a single-pass run.
-	g := gfunc.F2Func()
-	opts := Options{N: 1 << 12, M: 1 << 10, Eps: 0.25, Seed: 99, Lambda: 1.0 / 16}
-	full := zipfStream(4)
-
-	single := NewOnePass(g, opts)
-	single.Process(full)
-
-	workerA := NewOnePass(g, opts)
-	workerA.Process(zipfStreamShard(4, 0, 2))
-	workerB := NewOnePass(g, opts)
-	workerB.Process(zipfStreamShard(4, 1, 2))
-
-	if err := workerA.Merge(workerB); err != nil {
-		t.Fatal(err)
-	}
-	if util.RelErr(workerA.Estimate(), single.Estimate()) > 0.05 {
-		t.Errorf("distributed %.6g vs single %.6g", workerA.Estimate(), single.Estimate())
 	}
 }

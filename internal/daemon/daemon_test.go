@@ -1,7 +1,6 @@
 package daemon
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -15,7 +14,6 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/core"
-	"repro/internal/sketch/sketchtest"
 	"repro/internal/stream"
 	"repro/internal/window"
 )
@@ -192,27 +190,6 @@ func TestPullFromRejectsSpecMismatchBeforeMerge(t *testing.T) {
 	}
 }
 
-func TestMergeRejectsMismatchedConfiguration(t *testing.T) {
-	mk := func(seed uint64) *Client {
-		srv, err := NewServer(backend.Spec{Kind: backend.KindCountSketch,
-			Options: core.Options{N: 1 << 10, Seed: seed}, Rows: 5, Buckets: 256})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(srv.Handler())
-		t.Cleanup(ts.Close)
-		return NewClient(ts.URL, nil)
-	}
-	a, b := mk(1), mk(2)
-	snap, err := a.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.MergeContext(context.Background(), snap); err == nil {
-		t.Error("expected merge of a different-seed snapshot to be rejected")
-	}
-}
-
 // postRaw posts body to /v1/ingest of a fresh daemon and returns the
 // answer, the daemon's ingest count and its point query of item after it.
 func postRaw(t *testing.T, spec backend.Spec, body string, item uint64) (code int, msg string, ingested uint64, freq int64) {
@@ -363,49 +340,5 @@ func TestWindowMergeRejectsClockDrift(t *testing.T) {
 	}
 	if err := coord.MergeContext(context.Background(), snap); err != nil {
 		t.Fatalf("merge after synchronizing clocks: %v", err)
-	}
-}
-
-// TestRefusedMergeLeavesTheAggregate: /v1/merge of a well-framed snapshot
-// whose deepest level carries one bad row answers 409, and the live
-// aggregate is as it was — before layout version 4 the levels above the
-// bad row had already been added when the 409 went out.
-func TestRefusedMergeLeavesTheAggregate(t *testing.T) {
-	spec := onePassSpec(42)
-	mk := func(seed uint64) *Client {
-		srv, err := NewServer(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(srv.Handler())
-		t.Cleanup(ts.Close)
-		c := NewClient(ts.URL, nil)
-		if err := srv.IngestBatch(testStream(seed).Updates()); err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	worker, coord := mk(3), mk(4)
-	snap, err := worker.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, err := coord.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = coord.MergeContext(context.Background(), sketchtest.BreakLastRow(t, snap))
-	if err == nil || !strings.Contains(err.Error(), "409") || !strings.Contains(err.Error(), "wire: row of") {
-		t.Errorf("merge of a snapshot with a bad last row: %v, want a 409 naming the row", err)
-	}
-	after, err := coord.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Error("a refused merge changed the live aggregate")
-	}
-	if err := coord.MergeContext(context.Background(), snap); err != nil {
-		t.Errorf("the snapshot the bad one is cut from: %v", err)
 	}
 }

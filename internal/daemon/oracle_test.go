@@ -528,11 +528,12 @@ func openAt(spec backend.Spec, tick uint64) backend.Estimator {
 	return est
 }
 
-// refused builds an opRefuse payload: another Spec's snapshot (another
-// seed; another function for exact, whose counts are seed-free), own cut
-// short, or own with its last counter row broken (cut short on exact,
-// which has no rows).
-func refused(t *testing.T, spec backend.Spec, o op, us []stream.Update, tick uint64, own []byte) (bad []byte, other backend.Estimator) {
+// refused builds an opRefuse payload and what its refusal must name:
+// another Spec's snapshot (another seed; another function for exact, whose
+// counts are seed-free) a fingerprint mismatch, own with its last counter
+// row broken the row, or own cut short (also on exact for a broken row:
+// it has no rows).
+func refused(t *testing.T, spec backend.Spec, o op, us []stream.Update, tick uint64, own []byte) (bad []byte, other backend.Estimator, names string) {
 	switch o.Seed % 3 {
 	case 0:
 		spec.Options.Seed++
@@ -541,13 +542,13 @@ func refused(t *testing.T, spec backend.Spec, o op, us []stream.Update, tick uin
 		}
 		other = openAt(spec, tick)
 		other.UpdateBatch(us)
-		return marshal(other), other
+		return marshal(other), other, "fingerprint mismatch"
 	case 1:
 		if spec.Kind != backend.KindExact {
-			return sketchtest.BreakLastRow(t, own), nil
+			return sketchtest.BreakLastRow(t, own), nil, "wire: row of"
 		}
 	}
-	return own[:o.Seed%uint64(len(own))], nil
+	return own[:o.Seed%uint64(len(own))], nil, ""
 }
 
 // libraryDoor is backend.Open's estimator, driven by method calls.
@@ -596,9 +597,9 @@ func (d *libraryDoor) do(o op, us []stream.Update) error {
 		d.est = recv
 	case opRefuse:
 		before := marshal(d.est)
-		bad, other := refused(d.t, d.spec, o, us, d.now, before)
-		if d.est.UnmarshalBinary(bad) == nil {
-			return fmt.Errorf("UnmarshalBinary accepted a bad payload")
+		bad, other, names := refused(d.t, d.spec, o, us, d.now, before)
+		if err := d.est.UnmarshalBinary(bad); err == nil || !strings.Contains(err.Error(), names) {
+			return fmt.Errorf("UnmarshalBinary of a bad payload: %v, want a refusal naming %q", err, names)
 		}
 		if other != nil && backend.Merge(d.est, other) == nil {
 			return fmt.Errorf("backend.Merge accepted another Spec's estimator")
@@ -759,9 +760,9 @@ func (d *daemonDoor) do(o op, us []stream.Update) error {
 		if err != nil {
 			return err
 		}
-		bad, _ := refused(d.t, d.spec, o, us, d.now, before)
-		if err := c.MergeContext(ctx, bad); err == nil || !strings.Contains(err.Error(), "409") {
-			return fmt.Errorf("/v1/merge of a bad payload: %v, want a 409", err)
+		bad, _, names := refused(d.t, d.spec, o, us, d.now, before)
+		if err := c.MergeContext(ctx, bad); err == nil || !strings.Contains(err.Error(), "409") || !strings.Contains(err.Error(), names) {
+			return fmt.Errorf("/v1/merge of a bad payload: %v, want a 409 naming %q", err, names)
 		}
 		after, err := c.SnapshotContext(ctx)
 		if err != nil {

@@ -28,6 +28,11 @@ const (
 	DefaultFlushEvery = 100 * time.Millisecond
 )
 
+// ackTimeout bounds how long a Pusher waits for an ack while frames are in
+// flight, and a write: a daemon that stops acking surfaces as an error
+// instead of a hang.
+const ackTimeout = time.Minute
+
 // ErrDraining is wrapped by Pusher errors when the daemon announced a
 // graceful drain mid-stream, or when a Push came after a drain that found
 // nothing unacked. Every frame acked before it is durable (the daemon
@@ -49,10 +54,6 @@ type PusherConfig struct {
 	MaxInFlight int
 	// FlushEvery bounds a partial batch's age (0 = DefaultFlushEvery).
 	FlushEvery time.Duration
-	// AckTimeout bounds how long the Pusher waits for an ack while frames
-	// are in flight (0 = 1 minute). A daemon that stops acking surfaces as
-	// an error instead of a hang.
-	AckTimeout time.Duration
 	// Metrics, when non-nil, registers this Pusher's client-side
 	// instruments (queue depth, in-flight frames, session counters,
 	// flushes by cause — all gsum_pusher_*) against the given registry.
@@ -78,9 +79,6 @@ func (cfg PusherConfig) withDefaults() PusherConfig {
 	}
 	if cfg.FlushEvery <= 0 {
 		cfg.FlushEvery = DefaultFlushEvery
-	}
-	if cfg.AckTimeout <= 0 {
-		cfg.AckTimeout = time.Minute
 	}
 	return cfg
 }
@@ -426,9 +424,9 @@ func (p *Pusher) batchReadyLocked() bool {
 // daemon that refuses a frame acks the refusal and closes with later
 // frames unread, which resets the connection under the next write; the
 // refusal is on the socket before the reset, so waiting for the reader
-// (bounded by AckTimeout) lets the daemon's stated reason win.
+// (bounded by ackTimeout) lets the daemon's stated reason win.
 func (p *Pusher) failSend(err error) {
-	t := time.NewTimer(p.cfg.AckTimeout)
+	t := time.NewTimer(ackTimeout)
 	defer t.Stop()
 	select {
 	case <-p.readerEnd:
@@ -440,7 +438,7 @@ func (p *Pusher) failSend(err error) {
 // sendFrame writes one encoded frame, length prefix included, in one
 // Write, and refreshes the ack-stall deadline.
 func (p *Pusher) sendFrame(frame []byte) error {
-	_ = p.sc.conn.SetWriteDeadline(time.Now().Add(p.cfg.AckTimeout))
+	_ = p.sc.conn.SetWriteDeadline(time.Now().Add(ackTimeout))
 	if _, err := p.sc.conn.Write(frame); err != nil {
 		return fmt.Errorf("daemon: stream send: %w", err)
 	}
@@ -449,14 +447,14 @@ func (p *Pusher) sendFrame(frame []byte) error {
 
 // readAcks consumes the daemon's ack stream, releasing window slots and
 // waking Flush. The read deadline doubles as a stall detector: while
-// frames are in flight, no ack within AckTimeout is an error; while
+// frames are in flight, no ack within ackTimeout is an error; while
 // idle, the deadline just re-arms. Every ack is read into one reused
 // buffer.
 func (p *Pusher) readAcks() {
 	defer close(p.readerEnd)
 	var buf []byte
 	for {
-		_ = p.sc.conn.SetReadDeadline(time.Now().Add(p.cfg.AckTimeout))
+		_ = p.sc.conn.SetReadDeadline(time.Now().Add(ackTimeout))
 		payload, err := wire.ReadFrameInto(p.sc.br, buf, wire.MaxIngestAckBytes)
 		if err != nil {
 			p.mu.Lock()
@@ -518,7 +516,9 @@ func (p *Pusher) readAcks() {
 			p.mu.Unlock()
 			return
 		default:
-			p.fail(fmt.Errorf("daemon: stream rejected frame %d: %s", ack.Seq, ack.Msg))
+			// The daemon's error ack carries the last frame it applied, not
+			// the one it refused.
+			p.fail(fmt.Errorf("daemon: stream closed after frame %d: %s", ack.Seq, ack.Msg))
 			return
 		}
 	}

@@ -231,7 +231,12 @@ func TestPusherPushAfterCleanDrainNamesTheDrain(t *testing.T) {
 // fake peer puts it far behind on purpose: it reads a burst of frames,
 // answers them all in one write (OK acks, then a refusal of the last)
 // and closes at once, while the worker keeps writing single-update
-// frames into the reset.
+// frames into the reset. Whether the reset would win without that wait
+// depends on how far behind the reader is, so a second peer makes the
+// order certain: the Pusher's write side is shut, so its first frame's
+// write fails, and the peer sends the refusal only after that — once a
+// session error shows the failure, or after half a second when the
+// Pusher, waiting for its reader, shows none.
 func TestPusherRefusalReasonBeatsReset(t *testing.T) {
 	const (
 		fp     = 0x5eed
@@ -278,6 +283,31 @@ func TestPusherRefusalReasonBeatsReset(t *testing.T) {
 	}
 	if err == nil || !strings.Contains(err.Error(), reason) {
 		t.Fatalf("session error %v, want the peer's reason %q", err, reason)
+	}
+
+	sendFailed := make(chan struct{})
+	ts = fakePeer(t, fp, func(rw *bufio.ReadWriter) {
+		<-sendFailed
+		_, _ = rw.Write(wire.AppendFramedIngestAck(nil, fp,
+			wire.IngestAck{Status: wire.IngestAckError, Msg: reason}))
+		_ = rw.Flush()
+	})
+	p, err = NewClient(ts.URL, nil).NewPusher(context.Background(), PusherConfig{MaxBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.sc.conn.(interface{ CloseWrite() error }).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Push(updates[:1]); err != nil {
+		t.Fatal(err)
+	}
+	for end := time.Now().Add(500 * time.Millisecond); p.Err() == nil && time.Now().Before(end); {
+		time.Sleep(time.Millisecond)
+	}
+	close(sendFailed)
+	if err := p.Close(); err == nil || !strings.Contains(err.Error(), reason) {
+		t.Fatalf("write side shut before the refusal: session error %v, want the peer's reason %q", err, reason)
 	}
 }
 

@@ -207,16 +207,22 @@ func TestStreamFingerprintDrift(t *testing.T) {
 func TestStreamDomainRejected(t *testing.T) {
 	spec := backend.Spec{Kind: backend.KindOnePass, G: "x^2", Options: testOptions(7)}
 	_, c := streamServer(t, spec)
-	p, err := c.NewPusher(context.Background(), PusherConfig{})
+	p, err := c.NewPusher(context.Background(), PusherConfig{MaxBatch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := []stream.Update{{Item: 1 << 62, Delta: 1}}
-	if err := p.Push(bad); err != nil {
+	// One update a frame: frames 1 and 2 are applied, frame 3 refused. The
+	// error ack names the last frame applied, so the error must not call
+	// frame 2 the refused one.
+	if err := p.Push([]stream.Update{{Item: 1, Delta: 1}, {Item: 2, Delta: 1}, {Item: 1 << 62, Delta: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Close(); err == nil || !strings.Contains(err.Error(), "domain") {
-		t.Fatalf("out-of-domain push: got %v, want domain error", err)
+	err = p.Close()
+	if err == nil || !strings.Contains(err.Error(), "frame 3") || !strings.Contains(err.Error(), "domain") {
+		t.Fatalf("out-of-domain push: got %v, want the daemon's frame 3 domain error", err)
+	}
+	if strings.Contains(err.Error(), "rejected frame 2") {
+		t.Fatalf("out-of-domain push: %v calls the applied frame 2 rejected", err)
 	}
 }
 

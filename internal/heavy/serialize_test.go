@@ -11,12 +11,6 @@ import (
 	"repro/internal/wire"
 )
 
-func onePassAt(seed uint64) *OnePass {
-	g := gfunc.F2Func()
-	h := gfunc.MeasureEnvelope(g, 1<<10).H()
-	return NewOnePass(OnePassConfig{G: g, Lambda: 0.05, Eps: 0.25, Delta: 0.1, H: h}, util.NewSplitMix64(seed))
-}
-
 func feedStream(s *stream.Stream, lo, hi int, fn func(item uint64, delta int64)) {
 	for i, u := range s.Updates() {
 		if i >= lo && i < hi {
@@ -32,90 +26,11 @@ func wireStream(seed uint64) *stream.Stream {
 	return stream.Zipf(stream.GenConfig{N: 1 << 12, M: 1 << 10, Seed: seed}, 90, 1.2)
 }
 
-func TestOnePassUnmarshalRejectsWrongSeed(t *testing.T) {
-	a, b := onePassAt(1), onePassAt(99)
-	data, err := a.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.UnmarshalBinary(data); err == nil {
-		t.Error("expected fingerprint mismatch decoding onto a different seed")
-	}
-	if err := a.UnmarshalBinary(data[:10]); err == nil {
-		t.Error("expected error on truncated payload")
-	}
-}
-
 func newTwoPassAt(seed uint64) *TwoPass {
 	g := gfunc.X2Log()
 	h := gfunc.MeasureEnvelope(g, 1<<10).H()
 	return NewTwoPass(TwoPassConfig{G: g, Lambda: 0.05, Delta: 0.1, H: h},
 		util.NewSplitMix64(seed))
-}
-
-func TestTwoPassWireProtocolEqualsSerial(t *testing.T) {
-	s := wireStream(5)
-	n := s.Len()
-
-	serial := newTwoPassAt(11)
-	feedStream(s, 0, n, serial.Pass1)
-	serial.FinishPass1()
-	feedStream(s, 0, n, serial.Pass2)
-	want := serial.Cover()
-
-	// Distributed: workers sketch pass-1 shards, the coordinator merges
-	// snapshots, extracts candidates, ships them back; workers tabulate
-	// pass-2 shards and ship the tabulations.
-	w1, w2 := newTwoPassAt(11), newTwoPassAt(11)
-	feedStream(s, 0, n/2, w1.Pass1)
-	feedStream(s, n/2, n, w2.Pass1)
-	coord := newTwoPassAt(11)
-	for _, w := range []*TwoPass{w1, w2} {
-		data, err := w.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := coord.UnmarshalBinary(data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	coord.FinishPass1()
-	// The coordinator's snapshot carries its candidate sets: a worker,
-	// holding none, adopts them (its own pass-1 counters are not read
-	// again).
-	snap, err := coord.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []*TwoPass{w1, w2} {
-		if err := w.UnmarshalBinary(snap); err != nil {
-			t.Fatal(err)
-		}
-	}
-	feedStream(s, 0, n/2, w1.Pass2)
-	feedStream(s, n/2, n, w2.Pass2)
-	for _, w := range []*TwoPass{w1, w2} {
-		data, err := w.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := coord.UnmarshalBinary(data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := coord.Cover()
-
-	if len(want) == 0 {
-		t.Fatal("serial cover is empty; workload too light for the test")
-	}
-	if len(got) != len(want) {
-		t.Fatalf("wire cover has %d entries, serial %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("cover[%d] = %+v, want %+v", i, got[i], want[i])
-		}
-	}
 }
 
 // TestTwoPassSnapshotRefusesForeignCandidates: the two-pass snapshot is

@@ -108,37 +108,53 @@ func TestUnmarshalTrackerMatchesMergeTopK(t *testing.T) {
 			cs.Update(i, int64(1000*(i+1)))
 		}
 	}
-	feedB := func(cs *CountSketch) {
-		// Items whose union estimates shuffle the top-4 ordering.
-		for i := uint64(4); i < 12; i++ {
-			cs.Update(i, int64(900*(13-i)))
+	// Shard B's items shuffle the union's top-4 ordering. Its weights
+	// either fall with the id, so it tracks the receiver's 4..7, or rise,
+	// so it tracks 8..11 while adding to the receiver's survivors too.
+	for _, weight := range []func(i uint64) int64{
+		func(i uint64) int64 { return int64(900 * (13 - i)) },
+		func(i uint64) int64 { return int64(900 * (i - 3)) },
+	} {
+		feedB := func(cs *CountSketch) {
+			for i := uint64(4); i < 12; i++ {
+				cs.Update(i, weight(i))
+			}
 		}
-	}
 
-	viaMerge, shardB := mk(), mk()
-	feedA(viaMerge)
-	feedB(shardB)
-	if err := viaMerge.Merge(shardB); err != nil {
-		t.Fatal(err)
-	}
+		viaMerge, shardB := mk(), mk()
+		feedA(viaMerge)
+		feedB(shardB)
+		if err := viaMerge.Merge(shardB); err != nil {
+			t.Fatal(err)
+		}
 
-	viaWire := mk()
-	feedA(viaWire)
-	data, err := shardB.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := viaWire.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
+		viaWire := mk()
+		feedA(viaWire)
+		data, err := shardB.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := viaWire.UnmarshalBinary(data); err != nil {
+			t.Fatal(err)
+		}
 
-	a, b := viaMerge.TopK(), viaWire.TopK()
-	if len(a) != len(b) {
-		t.Fatalf("tracker sizes differ: merge %d vs wire %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("candidate %d: merge %+v vs wire %+v", i, a[i], b[i])
+		a, b := viaMerge.TopK(), viaWire.TopK()
+		if len(a) != len(b) {
+			t.Fatalf("tracker sizes differ: merge %d vs wire %d", len(a), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Errorf("candidate %d: merge %+v vs wire %+v", i, a[i], b[i])
+			}
+		}
+		// Both re-score the receiver's own survivors: every tracked score
+		// is its item's estimate against the merged counters.
+		for name, cs := range map[string]*CountSketch{"merge": viaMerge, "wire": viaWire} {
+			for _, e := range cs.topK.heap {
+				if est := util.SatAbsInt64(cs.Estimate(e.item)); e.score != est {
+					t.Errorf("%s: item %d tracked at score %d, merged estimate %d", name, e.item, e.score, est)
+				}
+			}
 		}
 	}
 }
