@@ -49,6 +49,9 @@ const (
 	// streamKeepUpdates bounds the frame a session keeps buffers for
 	// across frames: four default Pusher batches.
 	streamKeepUpdates = 4 * DefaultPushBatch
+	// refusalDrain bounds how long a refused session reads on after its
+	// error ack (see streamLoop's fail).
+	refusalDrain = time.Second
 )
 
 // streamState tracks the Server's live stream connections so graceful
@@ -242,8 +245,20 @@ func (s *Server) streamLoop(conn net.Conn, bufrw *bufio.ReadWriter) {
 		// carries the last applied frame so the client knows exactly
 		// what survives.
 		s.obs.streamRejects.Inc()
-		_ = sendAck(wire.IngestAck{Seq: lastSeq, Total: lastTotal,
-			Status: wire.IngestAckError, Msg: err.Error()})
+		if sendAck(wire.IngestAck{Seq: lastSeq, Total: lastTotal,
+			Status: wire.IngestAckError, Msg: err.Error()}) != nil {
+			return
+		}
+		// The client may have frames in flight behind the refused one. A
+		// close with input unread is answered with a reset, which can
+		// discard the ack before the client reads it; so half-close after
+		// the ack, and read on (up to a frame cap's worth, for at most
+		// refusalDrain) until the client closes its side.
+		if cw, ok := conn.(interface{ CloseWrite() error }); ok {
+			_ = cw.CloseWrite()
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(refusalDrain))
+		_, _ = io.Copy(io.Discard, io.LimitReader(bufrw, int64(st.frameCap())))
 	}
 	var current uint64 // the frame in hand
 	defer func() {

@@ -14,12 +14,14 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/stream"
+	"repro/internal/util"
+	"repro/internal/wire"
 )
 
 // streamServer spins up one daemon on a real listener (the stream path
 // needs a hijackable connection, which httptest provides) and returns
 // both halves.
-func streamServer(t *testing.T, spec backend.Spec) (*Server, *Client) {
+func streamServer(t testing.TB, spec backend.Spec) (*Server, *Client) {
 	t.Helper()
 	srv, err := NewServer(spec)
 	if err != nil {
@@ -223,6 +225,61 @@ func TestStreamDomainRejected(t *testing.T) {
 	}
 	if strings.Contains(err.Error(), "rejected frame 2") {
 		t.Fatalf("out-of-domain push: %v calls the applied frame 2 rejected", err)
+	}
+}
+
+// TestStreamRefusalAckSurvivesUnreadFrames: a raw client writes 16
+// accepted one-update frames, a refused one (an item outside the domain)
+// and about 1 MB of further frames before it reads anything. The daemon
+// stops applying at the refusal with those frames unread; a close then
+// is answered with a reset, which discarded the error ack in 14 of 20
+// runs. Half-closed and drained, the session hands the client its reason
+// in every run.
+func TestStreamRefusalAckSurvivesUnreadFrames(t *testing.T) {
+	const ahead = 16
+	spec := backend.Spec{Kind: backend.KindOnePass, G: "x^2", Options: testOptions(7)}
+	srv, c := streamServer(t, spec)
+	var frames []byte
+	for seq := uint64(1); seq <= ahead; seq++ {
+		frames = wire.AppendFramedIngest(frames, srv.fp, seq, []stream.Update{{Item: seq, Delta: 1}})
+	}
+	frames = wire.AppendFramedIngest(frames, srv.fp, ahead+1, []stream.Update{{Item: 1 << 62, Delta: 1}})
+	more := wire.AppendFramedIngest(nil, srv.fp, ahead+2, randomBatch(util.NewSplitMix64(41), DefaultPushBatch))
+	for refused := len(frames); len(frames)-refused < 1<<20; {
+		frames = append(frames, more...)
+	}
+	for run := 0; run < 20; run++ {
+		sc, err := c.dialStream(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		wrote := make(chan struct{})
+		go func() {
+			defer close(wrote)
+			_, _ = sc.conn.Write(frames) // a reset fails it
+			_ = sc.conn.(interface{ CloseWrite() error }).CloseWrite()
+		}()
+		<-wrote
+		var reason string
+		var buf []byte
+		for seq := uint64(1); reason == ""; seq++ {
+			payload, err := wire.ReadFrameInto(sc.br, buf, wire.MaxIngestFrameBytes)
+			if err != nil {
+				t.Fatalf("run %d: ack %d: %v, want the daemon's reason", run, seq, err)
+			}
+			buf = payload
+			ack, err := wire.UnmarshalIngestAck(payload, srv.fp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ack.Status != wire.IngestAckOK {
+				reason = ack.Msg
+			}
+		}
+		_ = sc.conn.Close()
+		if !strings.Contains(reason, "domain") {
+			t.Fatalf("run %d: reason %q, want the domain refusal", run, reason)
+		}
 	}
 }
 

@@ -55,7 +55,7 @@ func (c Cover) sortByWeight() {
 }
 
 // Sketcher is a one-pass heavy-hitter algorithm: it ingests turnstile
-// updates and finalizes into a cover. It is the type of
+// updates and reads out a cover. It is the type of
 // recursive.Config.MakeSketcher, and that is the only reason it is still
 // here: the stacks' levels are concrete (*OnePass in the one-pass stack,
 // *TwoPass in the two-pass one), but the benchmark harness names this
@@ -63,8 +63,8 @@ func (c Cover) sortByWeight() {
 // MakeSketcher's type and deletes this interface.
 type Sketcher interface {
 	Update(item uint64, delta int64)
-	// Cover finalizes and returns the (g, λ, ε)-cover. It may be called
-	// once; behaviour of further Updates is undefined.
+	// Cover returns the (g, λ, ε)-cover of the updates so far. It only
+	// reads the state: Updates may follow it.
 	Cover() Cover
 	// SpaceBytes reports counter storage, the quantity the space bounds
 	// govern.

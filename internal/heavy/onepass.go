@@ -168,8 +168,10 @@ func windowOf(f2tail float64, buckets uint64) int64 {
 	return int64(w)
 }
 
-// Cover finalizes: extracts candidates, prunes unstable ones, and returns
-// the surviving (item, v̂, g(|v̂|)) entries.
+// Cover extracts candidates, prunes unstable ones, and returns the
+// surviving (item, v̂, g(|v̂|)) entries. It only reads the counters and
+// the tracker, so it may be asked at any point of the stream, and
+// updates may follow it.
 func (o *OnePass) Cover() Cover {
 	return o.CoverFor(o.g)
 }

@@ -144,8 +144,11 @@ func (s *Sketch) member(item uint64, k int) bool {
 }
 
 // Estimate assembles the bottom-up estimator from the per-level covers.
-// It finalizes the level sketchers, so it must be called once, after the
-// stream has been fully consumed.
+// A cover only reads its level's counters and tracker, so Estimate may be
+// called at any point of the stream, as often as asked, and updates may
+// follow it (a daemon estimates between frames):
+// TestEstimateBetweenBatchesChangesNothing (internal/daemon) holds every
+// kind to that.
 func (s *Sketch) Estimate() float64 {
 	return s.combine((*heavy.OnePass).Cover)
 }

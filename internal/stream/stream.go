@@ -3,6 +3,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/util"
 )
@@ -49,6 +50,11 @@ func (s *Stream) N() uint64 { return s.n }
 
 // Len returns the stream length m (number of updates).
 func (s *Stream) Len() int { return len(s.updates) }
+
+// Grow makes room for n more updates, so the next n Adds append without
+// growing the update list: a generator that knows its length sizes the
+// stream once.
+func (s *Stream) Grow(n int) { s.updates = slices.Grow(s.updates, n) }
 
 // Add appends the update (item, delta). It panics if item is outside the
 // domain, mirroring the model's promise i_j ∈ [n].

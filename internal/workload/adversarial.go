@@ -119,6 +119,7 @@ func (a Adversarial) Generate(cfg Config) *stream.Stream {
 	items := workingSet(cfg, rng.Fork())
 	draw := rng.Fork()
 	s := stream.New(cfg.N)
+	s.Grow(cfg.Length)
 	for i := 0; i < cfg.Length; i++ {
 		u := draw.Float64()
 		switch {

@@ -68,6 +68,7 @@ func (d Diurnal) generate(cfg Config) (*stream.Stream, []uint64) {
 	items := workingSet(cfg, rng.Fork())
 	draw := rng.Fork()
 	s := stream.New(cfg.N)
+	s.Grow(cfg.Length)
 	ticks := make([]uint64, 0, cfg.Length)
 	t := int(ticksOrDefault(cfg))
 	peak := d.peak()
@@ -77,7 +78,7 @@ func (d Diurnal) generate(cfg Config) (*stream.Stream, []uint64) {
 		weights[i] = 1 + (peak-1)*(1-math.Cos(2*math.Pi*float64(i)/float64(t)))/2
 		total += weights[i]
 	}
-	cdf := zipfCDF(len(items), d.alpha())
+	ranks := newSampler(zipfCDF(len(items), d.alpha()))
 	cum, prev := 0.0, 0
 	for seg := 0; seg < t; seg++ {
 		cum += weights[seg]
@@ -86,7 +87,7 @@ func (d Diurnal) generate(cfg Config) (*stream.Stream, []uint64) {
 			hi = cfg.Length // absorb rounding residue
 		}
 		for i := prev; i < hi; i++ {
-			s.Add(items[sampleCDF(cdf, draw)], 1)
+			s.Add(items[ranks.draw(draw)], 1)
 			ticks = append(ticks, uint64(seg))
 		}
 		prev = hi

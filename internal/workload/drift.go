@@ -76,6 +76,7 @@ func (d Drift) generate(cfg Config) (*stream.Stream, []uint64) {
 	items := workingSet(cfg, rng.Fork())
 	draw := rng.Fork()
 	s := stream.New(cfg.N)
+	s.Grow(cfg.Length)
 	ticks := make([]uint64, 0, cfg.Length)
 	t := int(ticksOrDefault(cfg))
 	sa, ea := d.alphas()
@@ -93,9 +94,9 @@ func (d Drift) generate(cfg Config) (*stream.Stream, []uint64) {
 		}
 		alpha := sa + (ea-sa)*frac
 		rot := int(lap*float64(seg)/float64(t)) % len(items)
-		cdf := zipfCDF(len(items), alpha)
+		ranks := newSampler(zipfCDF(len(items), alpha))
 		for i := lo; i < hi; i++ {
-			rank := sampleCDF(cdf, draw)
+			rank := ranks.draw(draw)
 			s.Add(items[(rank+rot)%len(items)], 1)
 			ticks = append(ticks, uint64(seg))
 		}

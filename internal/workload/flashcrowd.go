@@ -58,6 +58,7 @@ func (f FlashCrowd) Generate(cfg Config) *stream.Stream {
 	items := workingSet(cfg, rng.Fork())
 	draw := rng.Fork()
 	s := stream.New(cfg.N)
+	s.Grow(cfg.Length)
 	crowd := items[len(items)-1]
 	breakAt := int(f.breakFrac() * float64(cfg.Length))
 	share := f.crowdShare()

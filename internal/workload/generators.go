@@ -46,9 +46,10 @@ func (z Zipf) Generate(cfg Config) *stream.Stream {
 	items := workingSet(cfg, rng.Fork())
 	draw := rng.Fork()
 	s := stream.New(cfg.N)
-	cdf := zipfCDF(len(items), z.alpha())
+	s.Grow(cfg.Length)
+	ranks := newSampler(zipfCDF(len(items), z.alpha()))
 	for i := 0; i < cfg.Length; i++ {
-		s.Add(items[sampleCDF(cdf, draw)], 1)
+		s.Add(items[ranks.draw(draw)], 1)
 	}
 	return s
 }
@@ -68,19 +69,42 @@ func zipfCDF(n int, alpha float64) []float64 {
 	return cdf
 }
 
-// sampleCDF draws a rank from a cumulative distribution by binary search.
-func sampleCDF(cdf []float64, rng *util.SplitMix64) int {
-	u := rng.Float64()
-	lo, hi := 0, len(cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
+// sampler draws ranks from a cumulative distribution by indexed search
+// (Chen and Asau, AIIE Transactions, 1974). The guide table has one slot
+// per rank: guide[j] is the first rank whose CDF reaches slot j
+// (cdf[r]*len ≥ j, as computed), and a draw u scans up from
+// guide[⌊u*len⌋] to the first rank whose CDF reaches u. Rounding is
+// monotone, so that slot never starts past the rank, and the scan
+// returns exactly the rank a binary search over the CDF returns, in a
+// few steps instead of log2(len).
+type sampler struct {
+	cdf   []float64
+	guide []int32
+}
+
+func newSampler(cdf []float64) sampler {
+	s := sampler{cdf: cdf, guide: make([]int32, len(cdf))}
+	last, scale := len(cdf)-1, float64(len(cdf))
+	r := 0
+	for j := range s.guide {
+		for r < last && cdf[r]*scale < float64(j) {
+			r++
 		}
+		s.guide[j] = int32(r)
 	}
-	return lo
+	return s
+}
+
+// draw returns the first rank whose CDF reaches u = rng.Float64(), or
+// the last rank if none does.
+func (s sampler) draw(rng *util.SplitMix64) int {
+	u := rng.Float64()
+	last := len(s.cdf) - 1
+	r := int(s.guide[min(int(u*float64(len(s.cdf))), last)])
+	for r < last && s.cdf[r] < u {
+		r++
+	}
+	return r
 }
 
 // Uniform emits updates whose items are uniform over the working set: no
@@ -105,6 +129,7 @@ func (Uniform) Generate(cfg Config) *stream.Stream {
 	items := workingSet(cfg, rng.Fork())
 	draw := rng.Fork()
 	s := stream.New(cfg.N)
+	s.Grow(cfg.Length)
 	for i := 0; i < cfg.Length; i++ {
 		s.Add(items[draw.Uint64n(uint64(len(items)))], 1)
 	}
@@ -144,6 +169,7 @@ func (n Needle) Generate(cfg Config) *stream.Stream {
 	items := workingSet(cfg, rng.Fork())
 	draw := rng.Fork()
 	s := stream.New(cfg.N)
+	s.Grow(cfg.Length)
 	needle, hay := items[0], items[1:]
 	if len(hay) == 0 {
 		hay = items // degenerate single-item working set
@@ -210,13 +236,14 @@ func (b Bursty) generate(cfg Config) (*stream.Stream, []int) {
 	items := workingSet(cfg, rng.Fork())
 	draw := rng.Fork()
 	s := stream.New(cfg.N)
+	s.Grow(cfg.Length)
 	var runStarts []int
-	cdf := zipfCDF(len(items), b.alpha())
+	ranks := newSampler(zipfCDF(len(items), b.alpha()))
 	// P(continue) keeps the geometric run mean at meanRun.
 	cont := 1 - 1/float64(b.meanRun())
 	for s.Len() < cfg.Length {
 		runStarts = append(runStarts, s.Len())
-		it := items[sampleCDF(cdf, draw)]
+		it := items[ranks.draw(draw)]
 		s.Add(it, 1)
 		for s.Len() < cfg.Length && draw.Float64() < cont {
 			s.Add(it, 1)
@@ -267,6 +294,7 @@ func (p PermutedReplay) Generate(cfg Config) *stream.Stream {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	}
 	out := stream.New(base.N())
+	out.Grow(len(shuffled))
 	for _, u := range shuffled {
 		out.Add(u.Item, u.Delta)
 	}

@@ -162,6 +162,7 @@ func (p PermutedReplay) GenerateTicked(cfg Config) *TickedStream {
 		lo = hi
 	}
 	out := stream.New(base.Stream.N())
+	out.Grow(len(shuffled))
 	for _, u := range shuffled {
 		out.Add(u.Item, u.Delta)
 	}

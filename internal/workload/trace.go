@@ -129,6 +129,7 @@ func (t TraceReplay) Generate(cfg Config) *stream.Stream {
 		panic(err)
 	}
 	s := stream.New(cfg.N)
+	s.Grow(cfg.Length)
 	offset := util.NewSplitMix64(cfg.Seed).Uint64n(cfg.N)
 	for i := 0; i < cfg.Length; i++ {
 		r := rows[i%len(rows)]

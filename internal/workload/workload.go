@@ -174,16 +174,28 @@ func Configured(name string, alpha float64, sketchSeed uint64, trace string) (Ge
 // workingSet draws cfg.Items distinct items from [0, N) deterministically.
 // Every generator derives its working set from the same fork index, so
 // two scenarios with the same Config share item identities — useful when
-// comparing estimates across workload shapes.
+// comparing estimates across workload shapes. The items drawn so far are
+// an open-addressed set of item+1 (0 marks an empty slot), at most half
+// full, probed linearly from a Fibonacci hash of the item.
 func workingSet(cfg Config, rng *util.SplitMix64) []uint64 {
-	seen := make(map[uint64]struct{}, cfg.Items)
+	bits := 1
+	for 1<<bits < 2*cfg.Items {
+		bits++
+	}
+	seen := make([]uint64, 1<<bits)
+	mask := uint64(len(seen) - 1)
 	out := make([]uint64, 0, cfg.Items)
 	for len(out) < cfg.Items {
 		it := rng.Uint64n(cfg.N)
-		if _, ok := seen[it]; ok {
-			continue
+		key := it + 1
+		i := (it * 0x9e3779b97f4a7c15) >> (64 - bits)
+		for seen[i] != 0 && seen[i] != key {
+			i = (i + 1) & mask
 		}
-		seen[it] = struct{}{}
+		if seen[i] != 0 {
+			continue // drawn before
+		}
+		seen[i] = key
 		out = append(out, it)
 	}
 	return out

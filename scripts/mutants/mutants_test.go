@@ -58,7 +58,7 @@ type mutant struct {
 }
 
 // groups orders the report's row counts.
-var groups = []string{"pairwise", "parallel", "window", "daemon", "accuracy", "stack"}
+var groups = []string{"pairwise", "parallel", "window", "daemon", "accuracy", "stack", "workload"}
 
 // event is the part of a `go test -json` line the ledger reads.
 type event struct {

@@ -13,6 +13,7 @@ const (
 	sketchPkg      = "./internal/sketch"
 	sweepPkg       = "./internal/sweep"
 	windowPkg      = "./internal/window"
+	workloadPkg    = "./internal/workload"
 )
 
 // stackPkgs are the packages a stack row runs.
@@ -33,7 +34,10 @@ var stackPkgs = []string{sketchPkg, heavyPkg, recursivePkg, corePkg, daemonPkg, 
 // and the cover's unit tests can see. Rows in group "stack" break one
 // line of internal/sketch, heavy, recursive or core, and prove the layer
 // tests deleted because an outer layer's test or TestOracle checks the
-// same contract. A row's comment names the deleted test it proves.
+// same contract. Rows in group "workload" break one line of the stream
+// generators' sampler or working set, and prove that TestGeneratorsPinned
+// holds every generated stream to the bytes it had before both were
+// rewritten for speed. A row's comment names the deleted test it proves.
 var table = []mutant{
 	// TestMergeOfAnotherSeedIsRefused (backend).
 	{id: "merge-fingerprint-check", group: "pairwise", file: "internal/backend/registry.go",
@@ -312,7 +316,7 @@ var table = []mutant{
 		old: "if seq <= ack.Seq {", new: "if seq < ack.Seq {",
 		pkgs: []string{daemonPkg}, killers: []string{"TestPusherDrainAckReleasesItsSeq"}},
 	{id: "daemon-pusher-flush-cause", group: "daemon", file: "internal/daemon/pusher.go",
-		old: "case len(p.buf) >= p.cfg.MaxBatch:\n\t\t\tp.stats.FlushSize++", new: "case len(p.buf) >= p.cfg.MaxBatch:\n\t\t\tp.stats.FlushAge++",
+		old: "case p.queued >= p.cfg.MaxBatch:\n\t\t\tp.stats.FlushSize++", new: "case p.queued >= p.cfg.MaxBatch:\n\t\t\tp.stats.FlushAge++",
 		pkgs: []string{daemonPkg}, killers: []string{"TestPusherMetrics"}},
 	// failSend not waiting for the ack reader: the send error wins over
 	// the refusal's reason. TestPusherRefusalReasonBeatsReset's second
@@ -320,6 +324,21 @@ var table = []mutant{
 	{id: "daemon-pusher-send-error-first", group: "daemon", file: "internal/daemon/pusher.go",
 		old: "case <-p.readerEnd:", new: "default:",
 		pkgs: []string{daemonPkg}, killers: []string{"TestPusherRefusalReasonBeatsReset"}},
+	// The Pusher's queue is a ring: a frame that wraps its end is sent
+	// whole, and a ring grown while wrapped keeps its order. No other
+	// test's queue wraps (TestOracle's and the defaults' sizes are
+	// multiples of the frame).
+	{id: "daemon-pusher-ring-drops-wrapped-half", group: "daemon", file: "internal/daemon/pusher.go",
+		old: "first, p.ring[:n-len(first)])", new: "first)",
+		pkgs: []string{daemonPkg}, killers: []string{"TestPusherQueueWrapsInOrder"}},
+	{id: "daemon-pusher-grow-drops-wrapped-half", group: "daemon", file: "internal/daemon/pusher.go",
+		old: "copy(ring[c:], p.ring[:p.queued-c])", new: "_ = c",
+		pkgs: []string{daemonPkg}, killers: []string{"TestPusherQueueWrapsInOrder"}},
+	// A refused session that closes with the client's frames unread is
+	// reset, and the reset can discard the error ack.
+	{id: "daemon-stream-refusal-no-drain", group: "daemon", file: "internal/daemon/stream.go",
+		old: "_, _ = io.Copy(io.Discard, io.LimitReader(bufrw, int64(st.frameCap())))", new: "",
+		pkgs: []string{daemonPkg}, killers: []string{"TestStreamRefusalAckSurvivesUnreadFrames"}},
 	{id: "daemon-pusher-dial-no-port", group: "daemon", file: "internal/daemon/pusher.go",
 		old: "return net.JoinHostPort(u.Hostname(), \"80\")", new: "return u.Host",
 		pkgs: []string{daemonPkg}, killers: []string{"TestDialAddr"}},
@@ -503,4 +522,27 @@ var table = []mutant{
 		old: "return e.sk.Merge(other.sk)", new: "_ = other\n\treturn nil",
 		pkgs:    stackPkgs,
 		killers: []string{"TestDistributedTurnstileCancellation", "TestMergeOverflowRegimeCloseAgreement", "TestMergeRejectsMismatchedConfig", "TestProcessParallelTurnstilePairCancels", "TestShardAndMergeMatchesSinglePass", "TestOracle", "TestPublicEstimatorMergeExposed", "TestPublicShardedKindMatchesSerialExactly"}},
+	// The stream generators (internal/workload): the guide-table sampler
+	// and the open-addressed working set. TestGeneratorsPinned's -short
+	// configs (the sweep's and a full domain) kill each row. Flipping
+	// either `<` of the sampler to `<=` changes a rank only when a CDF
+	// value equals a draw (or a slot bound) exactly; both flips passed the
+	// whole pin, 2^20-update configs included, so they have no row.
+	{id: "workload-guide-start-late", group: "workload", file: "internal/workload/generators.go",
+		old: "s.guide[j] = int32(r)", new: "s.guide[j] = int32(min(r+1, last))",
+		pkgs: []string{workloadPkg}, killers: []string{"TestGeneratorsPinned"}},
+	{id: "workload-draw-slot-late", group: "workload", file: "internal/workload/generators.go",
+		old: "min(int(u*float64(len(s.cdf))), last)", new: "min(int(u*float64(len(s.cdf)))+1, last)",
+		pkgs: []string{workloadPkg}, killers: []string{"TestGeneratorsPinned"}},
+	{id: "workload-draw-skips-scan", group: "workload", file: "internal/workload/generators.go",
+		old: "for r < last && s.cdf[r] < u {", new: "for r < last && s.cdf[r] < u && false {",
+		pkgs: []string{workloadPkg}, killers: []string{"TestGeneratorsPinned"}},
+	// Item 0 stored as 0 reads as an empty slot: the full domain draws it
+	// again and again.
+	{id: "workload-set-stores-item", group: "workload", file: "internal/workload/workload.go",
+		old: "key := it + 1", new: "key := it",
+		pkgs: []string{workloadPkg}, killers: []string{"TestGeneratorsPinned"}},
+	{id: "workload-set-keeps-repeats", group: "workload", file: "internal/workload/workload.go",
+		old: "continue // drawn before", new: "// drawn before",
+		pkgs: []string{workloadPkg}, killers: []string{"TestGeneratorsPinned"}},
 }
