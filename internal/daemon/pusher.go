@@ -114,15 +114,13 @@ type PusherStats struct {
 // An ack is a durability receipt (see /v1/stream); Stats().Acked is
 // exactly the prefix of the session that survives a daemon drain.
 //
-// Buffers: Push copies its updates into the queue (ring), so the caller
+// Buffers: Push copies its updates into the queue (buf), so the caller
 // owns its slice again when Push returns. The worker alone writes the
 // frame buffer (frame): it encodes a batch from the queue straight into
-// it, length prefix included, and sends it with one Write. The queue is
-// a ring, so taking a frame off it moves nothing: a frame costs O(frame)
-// however long the queue. The ack reader keeps one small buffer of its
-// own. In steady state none of the three allocates. A Flush that finds
-// the session drained drops the queue and the frame buffer, so an idle
-// Pusher holds no queue memory.
+// it, length prefix included, and sends it with one Write. The ack
+// reader keeps one small buffer of its own. In steady state none of the
+// three allocates. A Flush that finds the session drained drops the
+// queue and the frame buffer, so an idle Pusher holds no queue memory.
 type Pusher struct {
 	cfg PusherConfig
 	sc  *streamConn
@@ -130,9 +128,7 @@ type Pusher struct {
 
 	mu        sync.Mutex
 	cond      *sync.Cond
-	ring      []stream.Update // the queue's storage, at most MaxBuffered updates
-	head      int             // ring index of the oldest queued update
-	queued    int             // updates queued, from head on, wrapping
+	buf       []stream.Update // the queue, at most MaxBuffered updates
 	frame     []byte          // the worker's encoded frame, reused
 	flushReq  bool
 	flushDue  bool // age timer fired
@@ -141,7 +137,7 @@ type Pusher struct {
 	draining  bool
 	timer     *time.Timer
 	nextSeq   uint64
-	unacked   int            // updates taken from the queue, not yet acked
+	unacked   int            // updates taken from buf, not yet acked
 	pending   map[uint64]int // in-flight seq -> update count
 	stats     PusherStats
 	workerEnd chan struct{}
@@ -197,7 +193,7 @@ func (p *Pusher) registerMetrics(reg *metrics.Registry, labels []metrics.Label) 
 	}
 	reg.GaugeFunc("gsum_pusher_queue_depth",
 		"updates waiting in the Pusher's bounded buffer", read(func() float64 {
-			return float64(p.queued)
+			return float64(len(p.buf))
 		}), labels...)
 	reg.GaugeFunc("gsum_pusher_inflight_frames",
 		"stream frames sent but not yet acked", read(func() float64 {
@@ -266,7 +262,7 @@ func (p *Pusher) Push(updates []stream.Update) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for i := 0; i < len(updates); {
-		for p.err == nil && !p.closed && p.queued >= p.cfg.MaxBuffered {
+		for p.err == nil && !p.closed && len(p.buf) >= p.cfg.MaxBuffered {
 			p.cond.Wait()
 		}
 		if p.err == nil && p.closed && p.draining {
@@ -279,36 +275,22 @@ func (p *Pusher) Push(updates []stream.Update) error {
 		if p.closed {
 			return fmt.Errorf("daemon: push on closed Pusher")
 		}
-		if p.queued == 0 {
+		if len(p.buf) == 0 {
 			p.armTimerLocked()
 		}
-		k := min(len(updates)-i, p.cfg.MaxBuffered-p.queued)
-		if p.queued+k > len(p.ring) {
-			// A drained Flush dropped the queue, or a smaller Push sized
-			// it: grow it for this one.
-			p.growLocked(p.queued + k)
+		if p.buf == nil {
+			// A drained Flush dropped the queue: size it for this Push.
+			p.buf = make([]stream.Update, 0, min(len(updates)-i, p.cfg.MaxBuffered))
 		}
-		tail := (p.head + p.queued) % len(p.ring)
-		c := copy(p.ring[tail:], updates[i:i+k])
-		copy(p.ring, updates[i+c:i+k])
-		p.queued += k
+		k := min(len(updates)-i, p.cfg.MaxBuffered-len(p.buf))
+		p.buf = append(p.buf, updates[i:i+k]...)
 		p.stats.Enqueued += uint64(k)
 		i += k
-		if p.queued >= p.cfg.MaxBatch {
+		if len(p.buf) >= p.cfg.MaxBatch {
 			p.cond.Broadcast()
 		}
 	}
 	return p.err
-}
-
-// growLocked gives the ring room for n updates (n <= MaxBuffered): at
-// least twice its old size, at most MaxBuffered, the queue copied to its
-// front.
-func (p *Pusher) growLocked(n int) {
-	ring := make([]stream.Update, max(n, min(2*len(p.ring), p.cfg.MaxBuffered)))
-	c := copy(ring, p.ring[p.head:min(p.head+p.queued, len(p.ring))])
-	copy(ring[c:], p.ring[:p.queued-c])
-	p.ring, p.head = ring, 0
 }
 
 // armTimerLocked (re)arms the age flush for a newly started batch.
@@ -335,11 +317,11 @@ func (p *Pusher) Flush() error {
 	defer p.mu.Unlock()
 	p.flushReq = true
 	p.cond.Broadcast()
-	for p.err == nil && (p.queued > 0 || p.unacked > 0) {
+	for p.err == nil && (len(p.buf) > 0 || p.unacked > 0) {
 		p.cond.Wait()
 	}
 	if p.err == nil {
-		p.ring, p.head, p.frame = nil, 0, nil
+		p.buf, p.frame = nil, nil
 	}
 	return p.err
 }
@@ -381,15 +363,15 @@ func (p *Pusher) worker() {
 	defer close(p.workerEnd)
 	for {
 		p.mu.Lock()
-		for p.err == nil && !(p.closed && p.queued == 0) &&
+		for p.err == nil && !(p.closed && len(p.buf) == 0) &&
 			!(p.batchReadyLocked() && len(p.pending) < p.cfg.MaxInFlight) {
-			if p.queued == 0 && p.flushReq && p.unacked == 0 {
+			if len(p.buf) == 0 && p.flushReq && p.unacked == 0 {
 				p.flushReq = false
 				p.cond.Broadcast()
 			}
 			p.cond.Wait()
 		}
-		if p.err != nil || p.queued == 0 {
+		if p.err != nil || len(p.buf) == 0 {
 			p.mu.Unlock()
 			return
 		}
@@ -397,7 +379,7 @@ func (p *Pusher) worker() {
 		// flushes-by-cause stats: a full batch wins over any pending
 		// flush request, close over request, request over the age timer.
 		switch {
-		case p.queued >= p.cfg.MaxBatch:
+		case len(p.buf) >= p.cfg.MaxBatch:
 			p.stats.FlushSize++
 		case p.closed:
 			p.stats.FlushClose++
@@ -406,18 +388,16 @@ func (p *Pusher) worker() {
 		default:
 			p.stats.FlushAge++
 		}
-		n := min(p.queued, p.cfg.MaxBatch)
+		n := min(len(p.buf), p.cfg.MaxBatch)
 		p.nextSeq++
 		seq := p.nextSeq
-		first := p.ring[p.head:min(p.head+n, len(p.ring))]
-		p.frame = wire.AppendFramedIngest(p.frame[:0], p.fp, seq, first, p.ring[:n-len(first)])
+		p.frame = wire.AppendFramedIngest(p.frame[:0], p.fp, seq, p.buf[:n])
 		frame := p.frame
-		p.head = (p.head + n) % len(p.ring)
-		p.queued -= n
-		if p.queued > 0 {
+		rest := copy(p.buf, p.buf[n:])
+		p.buf = p.buf[:rest]
+		if len(p.buf) > 0 {
 			p.armTimerLocked()
 		} else {
-			p.head = 0
 			p.flushDue = false
 		}
 		p.unacked += n
@@ -436,8 +416,8 @@ func (p *Pusher) worker() {
 // batchReadyLocked reports whether the queue holds a batch to send: a
 // full one, or a partial one the age timer, a Flush or Close asks for.
 func (p *Pusher) batchReadyLocked() bool {
-	return p.queued >= p.cfg.MaxBatch ||
-		p.queued > 0 && (p.flushDue || p.flushReq || p.closed)
+	return len(p.buf) >= p.cfg.MaxBatch ||
+		len(p.buf) > 0 && (p.flushDue || p.flushReq || p.closed)
 }
 
 // failSend records a send error once the ack reader has had its say. A
@@ -519,7 +499,7 @@ func (p *Pusher) readAcks() {
 			}
 			p.stats.Total = ack.Total
 			p.draining = true
-			lost := p.unacked + p.queued
+			lost := p.unacked + len(p.buf)
 			if p.err == nil {
 				if lost == 0 {
 					// Clean cut: every update we sent is durable. Treat

@@ -1,18 +1,14 @@
 package daemon
 
 import (
-	"bufio"
 	"context"
 	"runtime"
-	"slices"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/backend"
 	"repro/internal/stream"
 	"repro/internal/util"
-	"repro/internal/wire"
 )
 
 // randomBatch draws n updates over items [0, 4096), the test Spec's domain.
@@ -129,70 +125,5 @@ func TestStreamSessionDropsANearCapFrame(t *testing.T) {
 	}
 	if grew := int64(after) - int64(before); grew > 2<<20 {
 		t.Errorf("live heap grew %d bytes across one %d-update frame: something keeps it", grew, big)
-	}
-}
-
-// TestPusherQueueWrapsInOrder: the Pusher's queue is a ring. A fake peer
-// records every frame's updates, and holds its first ack back until the
-// ring has wrapped and then grown while wrapped; after that, seven
-// updates of room, two-update frames and one frame in flight make it
-// wrap on most frames. The peer must receive the pushed updates, in push
-// order, each once.
-func TestPusherQueueWrapsInOrder(t *testing.T) {
-	const fp = 0x5eed
-	first, release := make(chan struct{}), make(chan struct{})
-	var mu sync.Mutex
-	var got []stream.Update
-	ts := fakePeer(t, fp, func(rw *bufio.ReadWriter) {
-		var buf []byte
-		for frames := 0; ; frames++ {
-			payload, err := wire.ReadFrameInto(rw, buf, wire.MaxIngestFrameBytes)
-			if err != nil {
-				return
-			}
-			buf = payload
-			seq, ups, err := wire.UnmarshalIngestFrame(payload, fp)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			mu.Lock()
-			got = append(got, ups...)
-			total := uint64(len(got))
-			mu.Unlock()
-			if frames == 0 {
-				close(first)
-				<-release
-			}
-			_, _ = rw.Write(wire.AppendFramedIngestAck(nil, fp, wire.IngestAck{Seq: seq, Total: total, Status: wire.IngestAckOK}))
-			_ = rw.Flush()
-		}
-	})
-	p, err := NewClient(ts.URL, nil).NewPusher(context.Background(), PusherConfig{
-		MaxBatch: 2, MaxBuffered: 7, MaxInFlight: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := randomBatch(util.NewSplitMix64(43), 1000)
-	push := func(ups []stream.Update) {
-		if err := p.Push(ups); err != nil {
-			t.Fatal(err)
-		}
-	}
-	push(want[:3]) // a three-update ring; frame 1 takes two and waits for its ack
-	<-first
-	push(want[3:5]) // wraps: the ring holds 3, 4, 2 from its head at 2
-	push(want[5:8]) // grows the wrapped ring to six
-	close(release)
-	for i, k := 8, 1; i < len(want); i, k = i+k, k%11+1 {
-		push(want[i:min(i+k, len(want))])
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if !slices.Equal(got, want) {
-		t.Fatalf("the peer received %d updates, not the %d pushed in order", len(got), len(want))
 	}
 }

@@ -253,13 +253,8 @@ func TestStreamRefusalAckSurvivesUnreadFrames(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wrote := make(chan struct{})
-		go func() {
-			defer close(wrote)
-			_, _ = sc.conn.Write(frames) // a reset fails it
-			_ = sc.conn.(interface{ CloseWrite() error }).CloseWrite()
-		}()
-		<-wrote
+		_, _ = sc.conn.Write(frames) // a reset fails it
+		_ = sc.conn.(interface{ CloseWrite() error }).CloseWrite()
 		var reason string
 		var buf []byte
 		for seq := uint64(1); reason == ""; seq++ {

@@ -27,7 +27,6 @@ type TwoPass struct {
 	topk   int
 	cands  []uint64
 	counts map[uint64]int64
-	done   bool
 }
 
 // TwoPassConfig configures Algorithm 1.
@@ -91,7 +90,6 @@ func (t *TwoPass) Pass2(item uint64, delta int64) {
 // Cover returns (j, v_j, g(|v_j|)) for every candidate with nonzero
 // frequency. Weights are exact, i.e. this is a (g, λ, 0)-cover.
 func (t *TwoPass) Cover() Cover {
-	t.done = true
 	cover := make(Cover, 0, len(t.cands))
 	for _, it := range t.cands {
 		f := t.counts[it]

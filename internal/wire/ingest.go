@@ -142,27 +142,19 @@ func AppendIngestFrame(fingerprint, seq uint64, updates []stream.Update) []byte 
 // AppendFramedIngest appends one whole ingest frame to dst, its u32
 // length prefix and then its payload (the bytes AppendIngestFrame
 // returns), and returns the extended slice: one Write puts the frame on
-// the wire. The frame's batch is its parts in order, so a ring's two
-// halves encode as one frame. It allocates only when dst lacks the room.
-func AppendFramedIngest(dst []byte, fingerprint, seq uint64, parts ...[]stream.Update) []byte {
-	n := 0
-	for _, part := range parts {
-		n += len(part)
-	}
-	size := 26 + 16*n // header 14, seq 8, count 4, then 16 per update
+// the wire. It allocates only when dst lacks the room.
+func AppendFramedIngest(dst []byte, fingerprint, seq uint64, updates []stream.Update) []byte {
+	size := 26 + 16*len(updates) // header 14, seq 8, count 4, then 16 per update
 	w := Writer{buf: dst}
 	w.grow(4 + size)
 	w.U32(uint32(size))
 	w.Header(IngestFrameMagic, fingerprint)
 	w.U64(seq)
-	w.U32(uint32(n))
-	tail := w.extend(16 * n)
-	for _, part := range parts {
-		for i, u := range part {
-			binary.BigEndian.PutUint64(tail[16*i:], u.Item)
-			binary.BigEndian.PutUint64(tail[16*i+8:], uint64(u.Delta))
-		}
-		tail = tail[16*len(part):]
+	w.U32(uint32(len(updates)))
+	tail := w.extend(16 * len(updates))
+	for i, u := range updates {
+		binary.BigEndian.PutUint64(tail[16*i:], u.Item)
+		binary.BigEndian.PutUint64(tail[16*i+8:], uint64(u.Delta))
 	}
 	return w.buf
 }

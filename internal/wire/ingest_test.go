@@ -97,8 +97,7 @@ func TestAppendIngestFrameAllocatesOnce(t *testing.T) {
 // the payload codecs: a frame is the payload's u32 big-endian length,
 // then the payload, appended after whatever dst held. An ingest frame's
 // payload is AppendIngestFrame's bytes, an ack frame's the ack
-// UnmarshalIngestAck reads back. A batch given in parts (a queue ring's
-// two halves) frames as the whole batch.
+// UnmarshalIngestAck reads back.
 func TestFramedEncodersAreLengthPrefixedPayloads(t *testing.T) {
 	prefixed := func(payload []byte) []byte {
 		return append(binary.BigEndian.AppendUint32([]byte("held"), uint32(len(payload))), payload...)
@@ -107,11 +106,6 @@ func TestFramedEncodersAreLengthPrefixedPayloads(t *testing.T) {
 		want := prefixed(AppendIngestFrame(testFP, 9, batch))
 		if got := AppendFramedIngest([]byte("held"), testFP, 9, batch); !bytes.Equal(got, want) {
 			t.Errorf("%d updates: framed frame %x, want %x", len(batch), got, want)
-		}
-		for cut := 0; cut <= len(batch); cut++ {
-			if got := AppendFramedIngest([]byte("held"), testFP, 9, batch[:cut], batch[cut:]); !bytes.Equal(got, want) {
-				t.Errorf("%d updates cut at %d: framed frame %x, want %x", len(batch), cut, got, want)
-			}
 		}
 	}
 	for _, ack := range []IngestAck{

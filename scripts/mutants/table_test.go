@@ -316,7 +316,7 @@ var table = []mutant{
 		old: "if seq <= ack.Seq {", new: "if seq < ack.Seq {",
 		pkgs: []string{daemonPkg}, killers: []string{"TestPusherDrainAckReleasesItsSeq"}},
 	{id: "daemon-pusher-flush-cause", group: "daemon", file: "internal/daemon/pusher.go",
-		old: "case p.queued >= p.cfg.MaxBatch:\n\t\t\tp.stats.FlushSize++", new: "case p.queued >= p.cfg.MaxBatch:\n\t\t\tp.stats.FlushAge++",
+		old: "case len(p.buf) >= p.cfg.MaxBatch:\n\t\t\tp.stats.FlushSize++", new: "case len(p.buf) >= p.cfg.MaxBatch:\n\t\t\tp.stats.FlushAge++",
 		pkgs: []string{daemonPkg}, killers: []string{"TestPusherMetrics"}},
 	// failSend not waiting for the ack reader: the send error wins over
 	// the refusal's reason. TestPusherRefusalReasonBeatsReset's second
@@ -324,16 +324,6 @@ var table = []mutant{
 	{id: "daemon-pusher-send-error-first", group: "daemon", file: "internal/daemon/pusher.go",
 		old: "case <-p.readerEnd:", new: "default:",
 		pkgs: []string{daemonPkg}, killers: []string{"TestPusherRefusalReasonBeatsReset"}},
-	// The Pusher's queue is a ring: a frame that wraps its end is sent
-	// whole, and a ring grown while wrapped keeps its order. No other
-	// test's queue wraps (TestOracle's and the defaults' sizes are
-	// multiples of the frame).
-	{id: "daemon-pusher-ring-drops-wrapped-half", group: "daemon", file: "internal/daemon/pusher.go",
-		old: "first, p.ring[:n-len(first)])", new: "first)",
-		pkgs: []string{daemonPkg}, killers: []string{"TestPusherQueueWrapsInOrder"}},
-	{id: "daemon-pusher-grow-drops-wrapped-half", group: "daemon", file: "internal/daemon/pusher.go",
-		old: "copy(ring[c:], p.ring[:p.queued-c])", new: "_ = c",
-		pkgs: []string{daemonPkg}, killers: []string{"TestPusherQueueWrapsInOrder"}},
 	// A refused session that closes with the client's frames unread is
 	// reset, and the reset can discard the error ack.
 	{id: "daemon-stream-refusal-no-drain", group: "daemon", file: "internal/daemon/stream.go",
